@@ -18,6 +18,7 @@ from .analysis import (
 from .errors import (
     AoiMfgError,
     AssumptionViolationError,
+    CapacityViolationError,
     ConfigError,
     DimensionMismatchError,
     DomainError,
@@ -70,9 +71,9 @@ from .sim import (
 )
 from .threshold import (
     AoIChain,
+    KappaScan,
     ThresholdSolution,
     f_tail,
-    return_rate_approx,
     solve_kappa,
     stationary_distribution,
     transmission_rate,

@@ -130,7 +130,7 @@ def _scenario(args, N=None, alpha=None, p=None, T=None, mc_runs=None) -> Scenari
         base = load_scenario(args.config)
     else:
         base = scheduling_scenario()
-    N = N if N is not None else (args.N if getattr(args, "N", None) else base.N)
+    N = N if N is not None else (args.N if args.N is not None else base.N)
     alpha = alpha if alpha is not None else (args.alpha if args.alpha is not None else base.alpha)
     p = p if p is not None else (args.p if args.p is not None else base.p)
     return ScenarioConfig(
@@ -140,7 +140,8 @@ def _scenario(args, N=None, alpha=None, p=None, T=None, mc_runs=None) -> Scenari
         T=T if T is not None else base.T,
         types=base.types,
         seed=args.seed if args.seed is not None else base.seed,
-        mc_runs=mc_runs if mc_runs is not None else (args.runs or base.mc_runs),
+        mc_runs=mc_runs if mc_runs is not None else (
+            args.runs if args.runs is not None else base.mc_runs),
         bisection_eps=base.bisection_eps,
     )
 
@@ -203,15 +204,15 @@ def cmd_schedule(args) -> int:
         header = ["seed"] + header
         doc = _config_doc(config)
     else:
-        sweep = [args.N] if args.N else list(FIG2_N_SWEEP)
-        runs = args.runs or 5
+        sweep = [args.N] if args.N is not None else list(FIG2_N_SWEEP)
+        runs = args.runs if args.runs is not None else 5
         seeds = list(range(base_seed, base_seed + runs))
         for N in sweep:
             config = _scenario(args, N=N)
             log.info("schedule: N=%d over %d seeds", N, len(seeds))
             rows.append(_fig2_row(config, seeds))
         doc = _config_doc(config)
-    if args.p == 0.0:
+    if config.p == 0.0:  # the same test as _fig2_row, which adds the cell
         header = header + ["max_aoi"]
 
     csv_path = out_dir / "fig2.csv"
@@ -242,9 +243,9 @@ def cmd_game(args) -> int:
     started = time.time()
 
     base = load_scenario(args.config) if args.config else game_scenario()
-    N = args.N or base.N
+    N = args.N if args.N is not None else base.N
     T = base.T
-    runs = args.runs or base.mc_runs
+    runs = args.runs if args.runs is not None else base.mc_runs
     base_seed = args.seed if args.seed is not None else base.seed
     p_fixed = args.p if args.p is not None else 0.2
     alpha_fixed = args.alpha if args.alpha is not None else 0.45
@@ -315,6 +316,13 @@ def _add_common(sub):
     sub.add_argument("--N", type=int, default=None, help="population size override")
 
 
+def _check_counts(args) -> None:
+    for flag in ("N", "runs"):
+        value = getattr(args, flag)
+        if value is not None and value < 1:
+            raise ConfigError(f"--{flag} must be >= 1, got {value}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="aoi-mfg",
@@ -350,6 +358,7 @@ def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO if args.verbose else logging.WARNING,
                         format="%(levelname)s %(name)s: %(message)s")
     try:
+        _check_counts(args)
         return args.fn(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -53,5 +53,14 @@ class InfeasibleCapacityError(AoiMfgError):
     pass
 
 
+class CapacityViolationError(AoiMfgError):
+    """More transmissions in one step than the capacity allows."""
+
+    def __init__(self, sent, capacity):
+        super().__init__(f"capacity violated under MATB-P: {sent} transmissions > C={capacity}")
+        self.sent = sent
+        self.capacity = capacity
+
+
 class DomainError(AoiMfgError):
     """Argument outside the open domain of an analytic bound."""

@@ -190,7 +190,10 @@ def load_scenario(source) -> ScenarioConfig:
     to 1x1. Either `capacity` or `alpha` must be present.
     """
     if isinstance(source, (str, Path)):
-        text = Path(source).read_text() if Path(str(source)).exists() else str(source)
+        text = str(source)
+        # JSON text first: a long document is no valid path to test for
+        if not text.lstrip().startswith("{") and Path(text).exists():
+            text = Path(text).read_text()
         try:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:

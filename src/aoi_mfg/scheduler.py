@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import InfeasibleCapacityError
 from .model import Population
-from .threshold import solve_kappa, transmission_rate
+from .threshold import KappaScan, transmission_rate
 
 log = logging.getLogger(__name__)
 
@@ -64,18 +64,25 @@ class ScheduleDecision:
     selected: np.ndarray | None  # indices kept by the projection, else None
 
 
-def _type_kappas(population: Population, p: float, lam: float):
-    return [solve_kappa(t.A, t.C_W, p, lam).kappa for t in population.types]
+def _scans(population: Population, p: float):
+    return [KappaScan(t.A, t.C_W, p) for t in population.types]
+
+
+def _type_kappas(scans, lam: float):
+    return [scan.solve(lam).kappa for scan in scans]
+
+
+def _rate(population: Population, scans, p: float, lam: float) -> float:
+    rate = 0.0
+    for count, kappa in zip(population.counts, _type_kappas(scans, lam)):
+        rate += count * transmission_rate(kappa, kappa, 1.0, p)
+    return rate
 
 
 def aggregate_rate(population: Population, p: float, lam: float) -> float:
     """R(lambda): total attempt rate when every agent runs its single
     threshold kappa(lambda)."""
-    rate = 0.0
-    for t, count, kappa in zip(population.types, population.counts,
-                               _type_kappas(population, p, lam)):
-        rate += count * transmission_rate(kappa, kappa, 1.0, p)
-    return rate
+    return _rate(population, _scans(population, p), p, lam)
 
 
 def randomization_q(C: float, C_low: float, C_high: float) -> float:
@@ -101,26 +108,28 @@ def bisection_lambda(population: Population, p: float, C: float,
     if eps <= 0:
         raise ValueError("eps must be > 0")
 
+    # one scan per type serves every price the search tries
+    scans = _scans(population, p)
     lam_low = 0.0
-    if aggregate_rate(population, p, lam_low) <= C:
+    if _rate(population, scans, p, lam_low) <= C:
         # capacity is not binding: every agent may transmit each slot
-        return _assemble(population, p, 0.0, 0.0, C)
+        return _assemble(population, scans, p, 0.0, 0.0, C)
 
     lam_high = 1.0
-    while aggregate_rate(population, p, lam_high) > C:
+    while _rate(population, scans, p, lam_high) > C:
         lam_high *= 2.0
     while lam_high - lam_low > eps:
         mid = 0.5 * (lam_low + lam_high)
-        if aggregate_rate(population, p, mid) > C:
+        if _rate(population, scans, p, mid) > C:
             lam_low = mid
         else:
             lam_high = mid
-    return _assemble(population, p, lam_low, lam_high, C)
+    return _assemble(population, scans, p, lam_low, lam_high, C)
 
 
-def _assemble(population, p, lam_low, lam_high, C):
-    kap_low = _type_kappas(population, p, lam_low)
-    kap_high = _type_kappas(population, p, lam_high)
+def _assemble(population, scans, p, lam_low, lam_high, C):
+    kap_low = _type_kappas(scans, lam_low)
+    kap_high = _type_kappas(scans, lam_high)
     rate_low = sum(c * transmission_rate(k, k, 1.0, p)
                    for c, k in zip(population.counts, kap_low))
     rate_high = sum(c * transmission_rate(k, k, 1.0, p)

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import CapacityViolationError
 from .estimator import WeightTable
 from .model import Population, ScenarioConfig, population_for
 from .scheduler import RelaxedPolicy
@@ -111,12 +112,13 @@ def run_scheduling_experiment(config: ScenarioConfig, policy: RelaxedPolicy,
         draws = rng["channel"].random(N)
         a = _intents(tau, policy, coins)
         zeta = _project(a, tau, C) if policy_kind == "matb" else a
-        if policy_kind == "matb":
-            assert int(np.count_nonzero(zeta)) <= C, "capacity violated under MATB-P"
+        sent = int(np.count_nonzero(zeta))
+        if policy_kind == "matb" and sent > C:
+            raise CapacityViolationError(sent, C)
         recv = zeta & (draws >= p)
 
         cost_sum += costs.step_cost(tau)
-        attempts += int(np.count_nonzero(zeta))
+        attempts += sent
         successes += int(np.count_nonzero(recv))
         hi = int(tau.max())
         max_aoi = max(max_aoi, hi)
@@ -178,7 +180,9 @@ def run_game_experiment(config: ScenarioConfig, mfe, policy: RelaxedPolicy,
         noise = rng["noise"].standard_normal((N, n))
         a = _intents(tau, policy, coins)
         zeta = _project(a, tau, C)
-        assert int(np.count_nonzero(zeta)) <= C, "capacity violated under MATB-P"
+        sent = int(np.count_nonzero(zeta))
+        if sent > C:
+            raise CapacityViolationError(sent, C)
         recv = zeta & (draws >= p)
 
         if k > 0:
@@ -187,7 +191,7 @@ def run_game_experiment(config: ScenarioConfig, mfe, policy: RelaxedPolicy,
                 Z[s] = np.where(recv[s, None], X[s], prop)
 
         cost_sum += costs.step_cost(tau)
-        attempts += int(np.count_nonzero(zeta))
+        attempts += sent
         max_aoi = max(max_aoi, int(tau.max()))
         mu_N = X.mean(axis=0)
         cons_err[k] = float(np.sum((mu_N - mu_star[k]) ** 2))

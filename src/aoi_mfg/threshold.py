@@ -2,8 +2,9 @@
 
 The agent pays the running cost c(tau) every step plus a price lambda per
 transmission attempt; an attempt succeeds (AoI resets to 0) with probability
-1 - p. The optimal policy transmits iff tau >= kappa. `solve_kappa` computes
-kappa from the implicit interpolated-cost equation; `value_iteration_oracle`
+1 - p. The optimal policy transmits iff tau >= kappa. `KappaScan` computes
+kappa from the implicit interpolated-cost equation, at as many prices as a
+caller asks for; `solve_kappa` is its one-shot form. `value_iteration_oracle`
 is the independent truncated-MDP check.
 """
 
@@ -80,13 +81,7 @@ def f_tail(x: int, A, C_W, p: float) -> float:
     """
     if x < 0:
         raise ValueError(f"x must be >= 0, got {x}")
-    if not 0.0 <= p < 1.0:
-        raise ValueError(f"p must lie in [0, 1), got {p}")
-    a = _check_assumption(A, C_W, p)
-    sa, sc = _scalar_of(A), _scalar_of(C_W)
-    if sa is not None and sc is not None:
-        return _f_tail_scalar(x, sa * sa, sc, p)
-    return _f_tail_series(x, WeightTable(A, C_W), a, p)
+    return KappaScan(A, C_W, p).f(x)
 
 
 def _f_tail_scalar(x, a, cw, p):
@@ -116,47 +111,72 @@ def _f_tail_series(x, table, a, p, rel=1e-12):
     raise NoConvergenceError("f_tail series did not meet its tail bound (mis-scaled inputs?)")
 
 
-def solve_kappa(A, C_W, p: float, lam: float) -> ThresholdSolution:
-    """Smallest integer threshold kappa and eta in [0, 1] solving the
-    interpolated implicit equation (1 + kappa(1-p)) f(kappa+eta) =
-    lam/(1-p) + f(kappa) + sum_{i<kappa} c(i), with f between integers
-    defined by linear interpolation; sigma* = (1-p) f(kappa+eta).
+class KappaScan:
+    """The kappa scan of one type (A, C_W) at erasure probability p.
 
-    kappa is nondecreasing in lam.
+    Memoizes f(k) and sum_{i<k} c(i) as the scan grows, so solving at many
+    prices (a price search) computes each of them once. The memo lives as
+    long as the object; results equal a fresh scan's bit for bit.
     """
-    if lam < 0:
-        raise ValueError(f"lam must be >= 0, got {lam}")
-    _check_assumption(A, C_W, p)
-    table = WeightTable(A, C_W)
-    cum = 0.0  # sum_{i=1}^{kappa-1} c(i)
-    f_k = f_tail(0, A, C_W, p)
-    for kappa in range(_KAPPA_CAP):
-        f_k1 = f_tail(kappa + 1, A, C_W, p)
-        rhs = lam / (1.0 - p) + f_k + cum
-        target = rhs / (1.0 + kappa * (1.0 - p))  # = sigma(kappa) / (1-p)
-        if f_k1 >= target - 1e-12 * max(1.0, abs(target)):
-            eta = _solve_eta(f_k, f_k1, target)
-            f_interp = (1.0 - eta) * f_k + eta * f_k1
-            return ThresholdSolution(kappa=kappa, eta=eta, sigma_star=(1.0 - p) * f_interp, lam=lam)
-        cum += table.c(kappa)
-        f_k = f_k1
-    raise NoConvergenceError("kappa scan exceeded cap; inputs are likely mis-scaled")
+
+    def __init__(self, A, C_W, p: float):
+        if not 0.0 <= p < 1.0:
+            raise ValueError(f"p must lie in [0, 1), got {p}")
+        self.p = p
+        self._a = _check_assumption(A, C_W, p)
+        self._table = WeightTable(A, C_W)
+        sa, sc = _scalar_of(A), _scalar_of(C_W)
+        self._scalar = (sa * sa, sc) if sa is not None and sc is not None else None
+        self._f = []      # f(0), f(1), ...
+        self._cum = []    # _cum[k] = sum_{i<k} c(i)
+
+    def f(self, x: int) -> float:
+        """Tail cost f(x); see `f_tail`."""
+        if self._scalar is not None:
+            return _f_tail_scalar(x, *self._scalar, self.p)
+        return _f_tail_series(x, self._table, self._a, self.p)
+
+    def solve(self, lam: float) -> ThresholdSolution:
+        """Smallest integer threshold kappa and eta in [0, 1] solving the
+        interpolated implicit equation (1 + kappa(1-p)) f(kappa+eta) =
+        lam/(1-p) + f(kappa) + sum_{i<kappa} c(i), with f between integers
+        defined by linear interpolation; sigma* = (1-p) f(kappa+eta).
+
+        kappa is nondecreasing in lam.
+        """
+        if lam < 0:
+            raise ValueError(f"lam must be >= 0, got {lam}")
+        p = self.p
+        f, cum = self._f, self._cum
+        if not f:
+            f.append(self.f(0))
+            cum.append(0.0)
+        for kappa in range(_KAPPA_CAP):
+            if kappa + 1 == len(f):
+                f.append(self.f(kappa + 1))
+                cum.append(cum[kappa] + self._table.c(kappa))
+            f_k, f_k1 = f[kappa], f[kappa + 1]
+            rhs = lam / (1.0 - p) + f_k + cum[kappa]
+            target = rhs / (1.0 + kappa * (1.0 - p))  # = sigma(kappa) / (1-p)
+            if f_k1 >= target - 1e-12 * max(1.0, abs(target)):
+                eta = _solve_eta(f_k, f_k1, target)
+                f_interp = (1.0 - eta) * f_k + eta * f_k1
+                return ThresholdSolution(kappa=kappa, eta=eta, sigma_star=(1.0 - p) * f_interp, lam=lam)
+        raise NoConvergenceError("kappa scan exceeded cap; inputs are likely mis-scaled")
 
 
-def _solve_eta(f0, f1, target, tol=1e-9):
-    """Bisection for eta with (1-eta) f0 + eta f1 = target, clamped to [0, 1]."""
+def solve_kappa(A, C_W, p: float, lam: float) -> ThresholdSolution:
+    """Threshold solution at price lam for one type; see `KappaScan.solve`."""
+    return KappaScan(A, C_W, p).solve(lam)
+
+
+def _solve_eta(f0, f1, target):
+    """eta with (1-eta) f0 + eta f1 = target, clamped to [0, 1]."""
     if target <= f0:
         return 0.0
     if target >= f1:
         return 1.0
-    lo, hi = 0.0, 1.0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if (1.0 - mid) * f0 + mid * f1 < target:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return (target - f0) / (f1 - f0)
 
 
 def value_iteration_oracle(A, C_W, p: float, lam: float, state_cap: int = 500,
@@ -256,13 +276,3 @@ def stationary_distribution(klow: int, kbar: int, q: float, p: float) -> AoIChai
     length, _, rho = _cycle_stats(klow, kbar, q, p)
     return AoIChain(klow=klow, kbar=kbar, q=q, p=p, head=rho / length, tail_ratio=p)
 
-
-def return_rate_approx(kappa: int, p: float) -> float:
-    """Approximate closed-form return rate for a single threshold.
-
-    Kept for comparison only: its defining weights (1-p)^{r+1} p^r do not
-    normalize, so it differs from the exact renewal-reward rate for p > 0.
-    """
-    num = ((1.0 - p) * p - 1.0) ** 2
-    den = (1.0 - p) * ((p - 1.0) * p * (kappa + 1) + (1.0 - p) * p + kappa + 1)
-    return num / den

@@ -1,3 +1,4 @@
+import csv
 import json
 from pathlib import Path
 
@@ -70,6 +71,17 @@ class TestSchedule:
         assert rc == 0
         header = (tmp_path / "o" / "fig2.csv").read_text().splitlines()[0]
         assert header.endswith(",max_aoi")
+
+    def test_p_zero_from_config_rows_match_header(self, tmp_path):
+        cfg = tmp_path / "p0.json"
+        cfg.write_text(json.dumps(dict(TINY_SCHED, p=0.0)))
+        rc = main(["schedule", "--config", str(cfg), "--N", "6", "--runs", "1",
+                   "--out", str(tmp_path / "o")])
+        assert rc == 0
+        with open(tmp_path / "o" / "fig2.csv", newline="", encoding="utf-8") as fh:
+            header, *rows = list(csv.reader(fh))
+        assert header[-1] == "max_aoi"
+        assert rows and all(len(row) == len(header) for row in rows)
 
     def test_rerun_byte_identical(self, sched_cfg, tmp_path):
         for d in ("o1", "o2"):
@@ -150,3 +162,11 @@ class TestErrors:
                    "--out", str(tmp_path / "o")])
         assert rc == 1
         assert "Q" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["schedule", "game"])
+    @pytest.mark.parametrize("flag,value", [("--runs", "-1"), ("--runs", "0"), ("--N", "0")])
+    def test_count_below_one_exits_1(self, command, flag, value, sched_cfg, tmp_path, capsys):
+        rc = main([command, "--config", sched_cfg, flag, value, "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert f"{flag} must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()

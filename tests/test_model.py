@@ -149,6 +149,12 @@ class TestLoadScenario:
         with pytest.raises(MissingKeyError, match="C_W"):
             load_scenario(doc)
 
+    def test_long_json_text(self):
+        # longer than a file name may be; must not be tested as a path first
+        text = json.dumps(dict(SCENARIO_DOC, comment="x" * 300))
+        assert len(text) > 255
+        assert load_scenario(text).capacity == 3
+
     def test_invalid_json_text(self):
         with pytest.raises(ConfigError):
             load_scenario("{not json")

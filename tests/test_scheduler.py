@@ -58,6 +58,23 @@ class TestBisection:
         assert policy.rate_low == pytest.approx(29.411764705882355, rel=1e-9)
         assert policy.rate_high == pytest.approx(23.809523809523807, rel=1e-9)
 
+    def test_pinned_bracket_scalar_and_two_state(self):
+        # exact values from the search that re-solved kappa at every price
+        unstable = make_type("u", A=1.15, prob=0.5)
+        scalar = assign_types(40, [make_type("a", A=1.0, prob=0.5), unstable])
+        two_state = assign_types(30, [make_type(
+            "m", A=[[1.15, 0.1], [0.0, 0.9]], B=[[0.1], [0.0]], C_W=5.0 * np.eye(2),
+            Q=np.eye(2), R=1.0, x0_mean=[0.0, 0.0], x0_cov=np.eye(2))])
+        cases = [
+            (scalar, 10.0, 437.37169551849365, 437.37169647216797, 0.42499999999999954,
+             {"a": (4, 4), "u": (3, 4)}),
+            (two_state, 8.0, 616.9457035064697, 616.945704460144, 0.51, {"m": (3, 4)}),
+        ]
+        for population, C, lam_low, lam_high, q, per_type in cases:
+            policy = bisection_lambda(population, 0.2, C)
+            assert (policy.lam_low, policy.lam_high, policy.q, policy.per_type) == (
+                lam_low, lam_high, q, per_type)
+
     def test_mixture_meets_capacity_exactly(self, identical_pop):
         policy = bisection_lambda(identical_pop, 0.2, 25.0)
         mix = policy.q * policy.rate_low + (1.0 - policy.q) * policy.rate_high

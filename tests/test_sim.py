@@ -18,6 +18,8 @@ from aoi_mfg import (
     step_channel,
     update_aoi,
 )
+from aoi_mfg import sim
+from aoi_mfg.errors import CapacityViolationError
 from aoi_mfg.model import AgentType, ScenarioConfig
 from aoi_mfg.scheduler import RelaxedPolicy
 
@@ -101,6 +103,13 @@ class TestSchedulingExperiment:
         m = run_scheduling_experiment(cfg, policy, "matb", seed=4)
         assert m.aoi_hist.sum() == cfg.N * cfg.T
 
+    def test_capacity_violation_raises(self, monkeypatch):
+        # a projection that keeps every intent: the check, not an assert, stops it
+        cfg = scheduling_scenario(N=4, alpha=0.5, p=0.0, T=5)
+        monkeypatch.setattr(sim, "_project", lambda a, tau, C: a)
+        with pytest.raises(CapacityViolationError):
+            run_scheduling_experiment(cfg, fixed_policy(4, 0), "matb", seed=0)
+
     def test_unknown_mode_rejected(self, sched_setup):
         cfg, policy = sched_setup
         with pytest.raises(ValueError):
@@ -135,6 +144,12 @@ class TestGameExperiment:
         policy = fixed_policy(8, 0)
         m = run_game_experiment(cfg, sol, policy, seed=0)
         assert m.mean_field_gap < 1e-6
+
+    def test_capacity_violation_raises(self, mfe, monkeypatch):
+        cfg = game_scenario(N=4, alpha=0.5, p=0.0, T=5)
+        monkeypatch.setattr(sim, "_project", lambda a, tau, C: a)
+        with pytest.raises(CapacityViolationError):
+            run_game_experiment(cfg, mfe, fixed_policy(4, 0), seed=0)
 
     def test_costs_finite_and_positive(self, mfe):
         cfg = game_scenario(N=30, T=120)

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from aoi_mfg import (
+    KappaScan,
+    default_types,
     f_tail,
-    return_rate_approx,
     solve_kappa,
     stationary_distribution,
     transmission_rate,
@@ -100,6 +101,25 @@ class TestSolveKappa:
         assert sol.sigma_star == pytest.approx(4.188469486939765, rel=1e-6)
 
 
+class TestKappaScan:
+    TWO_STATE = (np.array([[1.15, 0.1], [0.0, 0.9]]), 5.0 * np.eye(2))
+
+    @pytest.mark.parametrize("p", [0.0, 0.2])
+    @pytest.mark.parametrize("kind", ["stable", "marginal", "unstable", "two-state"])
+    def test_reused_scan_equals_one_shot(self, kind, p):
+        # one scan over prices out of order against a fresh solve per price
+        types = {t.label: (t.A, t.C_W) for t in default_types()}
+        A, C_W = self.TWO_STATE if kind == "two-state" else types[kind]
+        scan = KappaScan(A, C_W, p)
+        for lam in (8.0, 0.0, 2.5, 1e3, 2.5, 0.3):
+            got, want = scan.solve(lam), solve_kappa(A, C_W, p, lam)
+            assert (got.kappa, got.eta, got.sigma_star) == (want.kappa, want.eta, want.sigma_star)
+
+    def test_negative_price_rejected(self):
+        with pytest.raises(ValueError):
+            KappaScan(1.0, 5.0, 0.2).solve(-1.0)
+
+
 class TestValueIterationOracle:
     def test_never_transmit_below_threshold(self):
         policy, _ = value_iteration_oracle(1.0, 5.0, 0.2, 50.0)
@@ -121,20 +141,6 @@ class TestTransmissionRate:
             for p in (0.0, 0.2, 0.5):
                 want = 1.0 / ((1.0 - p) * kappa + 1.0)
                 assert transmission_rate(kappa, kappa, 1.0, p) == pytest.approx(want, rel=1e-12)
-
-    def test_golden_exact_vs_approximate(self):
-        # kappa=1, p=0.5: exact renewal rate is 2/3; the approximate closed
-        # form (whose defining weights do not normalize) gives 9/14
-        exact = transmission_rate(1, 1, 1.0, 0.5)
-        approx = return_rate_approx(1, 0.5)
-        assert exact == pytest.approx(2.0 / 3.0, rel=1e-12)
-        assert approx == pytest.approx(9.0 / 14.0, rel=1e-12)
-        assert abs(exact - approx) > 0.02
-
-    def test_approximation_agrees_when_p_zero(self):
-        for kappa in range(5):
-            assert return_rate_approx(kappa, 1e-12) == pytest.approx(
-                1.0 / (kappa + 1.0), rel=1e-6)
 
     def test_mixture_between_endpoints(self):
         lo = transmission_rate(4, 4, 1.0, 0.2)
