@@ -26,6 +26,7 @@ from .errors import (
     MissingKeyError,
     NoConvergenceError,
     NonPositiveDefiniteError,
+    NumericOverflowError,
     RankDeficientError,
     UnstableClosedLoopError,
 )

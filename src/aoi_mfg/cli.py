@@ -26,7 +26,7 @@ import numpy as np
 from . import __version__
 from .analysis import bound_report, p0_aoi_cap
 from .errors import AoiMfgError, ConfigError
-from .model import ScenarioConfig, load_scenario, population_for
+from .model import ScenarioConfig, capacity_for, load_scenario, population_for
 from .mfg import solve_mfe
 from .presets import game_scenario, scheduling_scenario
 from .scheduler import bisection_lambda
@@ -135,7 +135,7 @@ def _scenario(args, N=None, alpha=None, p=None, T=None, mc_runs=None) -> Scenari
     p = p if p is not None else (args.p if args.p is not None else base.p)
     return ScenarioConfig(
         N=N,
-        capacity=max(1, round(alpha * N)),
+        capacity=capacity_for(alpha, N),
         p=p,
         T=T if T is not None else base.T,
         types=base.types,

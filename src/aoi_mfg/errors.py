@@ -41,6 +41,10 @@ class NoConvergenceError(AoiMfgError):
     pass
 
 
+class NumericOverflowError(AoiMfgError):
+    """A quantity left the finite float64 range."""
+
+
 class RankDeficientError(AoiMfgError):
     """Controllability or observability rank test failed."""
 

@@ -9,11 +9,12 @@ sample only, through `error_weight`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError
+from .errors import DimensionMismatchError, NumericOverflowError
 
 
 @dataclass
@@ -58,10 +59,17 @@ class WeightTable:
         self._power = np.eye(self.A.shape[0])
 
     def _extend(self, tau: int) -> None:
-        while len(self._w) <= tau:
-            term = float(np.trace(self._power.T @ self._power @ self.C_W))
-            self._w.append(self._w[-1] + term)
-            self._power = self.A @ self._power
+        if tau < len(self._w):
+            return
+        with np.errstate(over="ignore", invalid="ignore"):
+            while len(self._w) <= tau:
+                t = len(self._w)
+                w = self._w[-1] + float(np.trace(self._power.T @ self._power @ self.C_W))
+                if not math.isfinite(w * t):
+                    raise NumericOverflowError(
+                        f"running cost c({t}) overflows float64 (A too unstable for this age)")
+                self._w.append(w)
+                self._power = self.A @ self._power
 
     def w(self, tau: int) -> float:
         self._extend(tau)

@@ -100,6 +100,11 @@ class AgentType:
             raise AssumptionViolationError(self.label, value)
 
 
+def capacity_for(alpha: float, N: int) -> int:
+    """Channel capacity C = round(alpha * N), at least 1."""
+    return max(1, round(alpha * N))
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     N: int
@@ -125,6 +130,9 @@ class ScenarioConfig:
         total = sum(t.prob for t in self.types)
         if abs(total - 1.0) > _PROB_TOL:
             raise ConfigError(f"type probabilities sum to {total!r}, expected 1")
+        dims = {t.label: t.n for t in self.types}
+        if len(set(dims.values())) > 1:
+            raise ConfigError(f"all types need one state dimension, got {dims}")
         for t in self.types:
             t.check_erasure_compatibility(self.p)
 
@@ -213,7 +221,7 @@ def load_scenario(source) -> ScenarioConfig:
     if "capacity" in doc:
         capacity = int(doc["capacity"])
     else:
-        capacity = max(1, int(float(doc["alpha"]) * N + 1e-9))
+        capacity = capacity_for(float(doc["alpha"]), N)
 
     types = []
     for i, tdoc in enumerate(doc["types"]):

@@ -8,7 +8,7 @@ quadratic weights Q = R = 2.
 
 from __future__ import annotations
 
-from .model import AgentType, ScenarioConfig
+from .model import AgentType, ScenarioConfig, capacity_for
 
 _SHARED = dict(B=0.1269, C_W=5.0, Q=2.0, R=2.0, x0_cov=1.0, prob=1.0 / 3.0)
 
@@ -24,12 +24,12 @@ def default_types() -> tuple:
 def scheduling_scenario(N: int = 100, alpha: float = 0.25, p: float = 0.2,
                         T: int = 5000, seed: int = 0) -> ScenarioConfig:
     """Scheduling-layer benchmark: WAoI cost under the capacity constraint."""
-    return ScenarioConfig(N=N, capacity=max(1, round(alpha * N)), p=p, T=T,
+    return ScenarioConfig(N=N, capacity=capacity_for(alpha, N), p=p, T=T,
                           types=default_types(), seed=seed)
 
 
 def game_scenario(N: int = 90, alpha: float = 0.45, p: float = 0.2,
                   T: int = 500, seed: int = 0, mc_runs: int = 20) -> ScenarioConfig:
     """Consensus-game benchmark: closed loop with decoders and tracking control."""
-    return ScenarioConfig(N=N, capacity=max(1, round(alpha * N)), p=p, T=T,
+    return ScenarioConfig(N=N, capacity=capacity_for(alpha, N), p=p, T=T,
                           types=default_types(), seed=seed, mc_runs=mc_runs)

@@ -4,16 +4,19 @@ Evolves plants, the erasure channel, AoI, decoders, and tracking controllers
 in lockstep; all empirical acceptance checks bottom out here. Event order
 within a step: intents from the current AoI, capacity projection, channel,
 decoder update with the current state, control, plant advance, AoI update.
+Scheduling ignores plant state, so `_schedule_block` advances the AoI a block
+of whole steps at once and the plant loops replay its receptions step by step.
 
 One run is single-threaded and deterministic given (config, seed); RNG
 substreams for channel, policy coin, noise, and initial states are spawned
 from the seed in a fixed order, so policy comparisons on the same seed use
-common random numbers.
+common random numbers. Draws are taken in blocks of whole steps, which yield
+the numbers one draw per step would, so a seed maps to the same numbers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,38 +51,89 @@ class Metrics:
     N: int = 0
 
 
-class _CostTables:
-    """Per-type c(tau) lookup tables, grown on demand."""
-
-    def __init__(self, population: Population):
-        self.tables = [WeightTable(t.A, t.C_W) for t in population.types]
-        self.slices = population.slices()
-        self.cached = [t.c_table(64) for t in self.tables]
-
-    def step_cost(self, tau: np.ndarray) -> float:
-        hi = int(tau.max())
-        total = 0.0
-        for i, s in enumerate(self.slices):
-            if hi >= self.cached[i].size:
-                self.cached[i] = self.tables[i].c_table(2 * hi)
-            total += float(self.cached[i][tau[s]].sum())
-        return total
-
-
-def _intents(tau, policy: RelaxedPolicy, coins):
-    thresholds = np.where(coins < policy.q, policy.klow, policy.kbar)
-    return tau >= thresholds
+_BLOCK_ELEMENTS = 2**15  # agent-steps drawn at once: bounds a block's memory
 
 
 def _project(a, tau, C):
-    n_lambda = int(np.count_nonzero(a))
-    if n_lambda <= C:
-        return a
+    """Keep the C intents with the largest age, equal ages to the lower index:
+    the C largest keys tau*N - i, the first C of a stable sort on -tau."""
     candidates = np.flatnonzero(a)
-    order = candidates[np.argsort(-tau[candidates], kind="stable")]
-    zeta = np.zeros_like(a)
-    zeta[order[:C]] = True
+    drop = candidates.size - C
+    if drop <= 0:
+        return a
+    key = tau[candidates] * a.size - candidates
+    zeta = a.copy()
+    zeta[candidates[np.argpartition(key, drop)[:drop]]] = False
     return zeta
+
+
+def _schedule_block(tau, policy: RelaxedPolicy, C, p, rng, rows):
+    """Advance the AoI vector tau through `rows` steps of intents, capacity
+    projection (none if C is None), erasure channel and AoI update.
+
+    Returns (taus, attempts): taus[j] is the AoI at the start of step j and
+    taus[rows] the AoI after the block, so taus[j + 1] == 0 marks step j's
+    receptions."""
+    N = tau.size
+    thresholds = np.where(rng["coin"].random((rows, N)) < policy.q, policy.klow, policy.kbar)
+    delivered = rng["channel"].random((rows, N)) >= p
+    taus = np.empty((rows + 1, N), dtype=np.int64)
+    taus[0] = tau
+    attempts = 0
+    for thr, ok, nxt in zip(thresholds, delivered, taus[1:]):
+        a = tau >= thr
+        sent = int(np.count_nonzero(a))
+        if C is not None and sent > C:
+            a = _project(a, tau, C)
+            sent = int(np.count_nonzero(a))
+            if sent > C:
+                raise CapacityViolationError(sent, C)
+        attempts += sent
+        # age by one, times 0 on reception: no data-dependent branch
+        tau = np.multiply(tau + 1, ~(a & ok), out=nxt)
+    return taus, attempts
+
+
+class _ScheduleRun:
+    """The scheduling layer of one run: advanced by `_schedule_block` a block
+    of whole steps at a time, its counters filled from each block's rows."""
+
+    def __init__(self, config: ScenarioConfig, policy: RelaxedPolicy, rng, project=True):
+        population = population_for(config)
+        self.config, self.policy, self.rng = config, policy, rng
+        self.C = config.capacity if project else None
+        self.tables = [WeightTable(t.A, t.C_W) for t in population.types]
+        self.slices = population.slices()
+        self.cost_sum, self.attempts, self.successes, self.max_aoi = 0.0, 0, 0, 0
+        self.hist = np.zeros(1, dtype=np.int64)
+
+    def blocks(self):
+        """Yield (k0, taus) for each block of the config.T steps from tau = 0."""
+        N, T = self.config.N, self.config.T
+        rows = max(1, min(T, _BLOCK_ELEMENTS // N))
+        tau = np.zeros(N, dtype=np.int64)
+        for k0 in range(0, T, rows):
+            taus, attempts = _schedule_block(tau, self.policy, self.C, self.config.p,
+                                             self.rng, min(rows, T - k0))
+            tau, ages = taus[-1], taus[:-1]
+            hi = int(ages.max())
+            step_cost = sum(table.c_table(hi)[ages[:, s]].sum(axis=1)
+                            for table, s in zip(self.tables, self.slices))
+            for c in step_cost.tolist():  # in step order: the pinned float order
+                self.cost_sum += c
+            self.attempts += attempts
+            self.successes += int(np.count_nonzero(taus[1:] == 0))
+            self.max_aoi = max(self.max_aoi, hi)
+            counts = np.bincount(ages.ravel(), minlength=self.hist.size)
+            counts[: self.hist.size] += self.hist
+            self.hist = counts
+            yield k0, taus
+
+    def metrics(self, **extra) -> Metrics:
+        T, N = self.config.T, self.config.N
+        return Metrics(j_bs=self.cost_sum / (T * N), attempt_rate=self.attempts / T,
+                       max_aoi=self.max_aoi, aoi_hist=self.hist,
+                       attempts=self.attempts, successes=self.successes, T=T, N=N, **extra)
 
 
 def run_scheduling_experiment(config: ScenarioConfig, policy: RelaxedPolicy,
@@ -98,39 +152,10 @@ def run_scheduling_experiment(config: ScenarioConfig, policy: RelaxedPolicy,
         raise ValueError(f"unknown policy_kind {policy_kind!r}")
 
     rng = make_streams(config.seed if seed is None else seed)
-    population = population_for(config)
-    costs = _CostTables(population)
-    N, T, C, p = config.N, config.T, config.capacity, config.p
-
-    tau = np.zeros(N, dtype=np.int64)
-    hist = np.zeros(128, dtype=np.int64)
-    cost_sum = 0.0
-    attempts = successes = 0
-    max_aoi = 0
-    for _ in range(T):
-        coins = rng["coin"].random(N)
-        draws = rng["channel"].random(N)
-        a = _intents(tau, policy, coins)
-        zeta = _project(a, tau, C) if policy_kind == "matb" else a
-        sent = int(np.count_nonzero(zeta))
-        if policy_kind == "matb" and sent > C:
-            raise CapacityViolationError(sent, C)
-        recv = zeta & (draws >= p)
-
-        cost_sum += costs.step_cost(tau)
-        attempts += sent
-        successes += int(np.count_nonzero(recv))
-        hi = int(tau.max())
-        max_aoi = max(max_aoi, hi)
-        if hi >= hist.size:
-            hist = np.concatenate([hist, np.zeros(hist.size + hi, dtype=np.int64)])
-        np.add.at(hist, tau, 1)
-
-        tau = np.where(recv, 0, tau + 1)
-
-    return Metrics(j_bs=cost_sum / (T * N), attempt_rate=attempts / T,
-                   max_aoi=max_aoi, aoi_hist=hist[: max_aoi + 1].copy(),
-                   attempts=attempts, successes=successes, T=T, N=N)
+    run = _ScheduleRun(config, policy, rng, project=policy_kind == "matb")
+    for _ in run.blocks():
+        pass
+    return run.metrics()
 
 
 def _sample_initial_states(population: Population, rng) -> np.ndarray:
@@ -153,8 +178,8 @@ def run_game_experiment(config: ScenarioConfig, mfe, policy: RelaxedPolicy,
     """
     rng = make_streams(config.seed if seed is None else seed)
     population = population_for(config)
-    costs = _CostTables(population)
-    N, T, C, p = config.N, config.T, config.capacity, config.p
+    run = _ScheduleRun(config, policy, rng)
+    N, T = config.N, config.T
     slices = population.slices()
     types = population.types
     n = types[0].A.shape[0]
@@ -167,51 +192,33 @@ def run_game_experiment(config: ScenarioConfig, mfe, policy: RelaxedPolicy,
     X = _sample_initial_states(population, rng["init"])
     Z = X.copy()
     U_prev = [np.zeros((s.stop - s.start, t.B.shape[1])) for t, s in zip(types, slices)]
-    tau = np.zeros(N, dtype=np.int64)
 
     game_cost = np.zeros(N)
     cons_err = np.zeros(T)
-    cost_sum = 0.0
-    attempts = 0
-    max_aoi = 0
-    for k in range(T):
-        coins = rng["coin"].random(N)
-        draws = rng["channel"].random(N)
-        noise = rng["noise"].standard_normal((N, n))
-        a = _intents(tau, policy, coins)
-        zeta = _project(a, tau, C)
-        sent = int(np.count_nonzero(zeta))
-        if sent > C:
-            raise CapacityViolationError(sent, C)
-        recv = zeta & (draws >= p)
+    # scheduling ignores plant state, so a block's receptions are known up front
+    for k0, taus in run.blocks():
+        noise_block = rng["noise"].standard_normal((len(taus) - 1, N, n))
+        for k, recv, noise in zip(range(k0, T), taus[1:] == 0, noise_block):
+            if k > 0:
+                for i, s in enumerate(slices):
+                    prop = Z[s] @ types[i].A.T + U_prev[i] @ types[i].B.T
+                    Z[s] = np.where(recv[s, None], X[s], prop)
 
-        if k > 0:
+            mu_N = X.mean(axis=0)
+            cons_err[k] = float(np.sum((mu_N - mu_star[k]) ** 2))
+
+            dev = X - mu_N
             for i, s in enumerate(slices):
-                prop = Z[s] @ types[i].A.T + U_prev[i] @ types[i].B.T
-                Z[s] = np.where(recv[s, None], X[s], prop)
+                t = types[i]
+                U = -(Z[s] @ gains[i].K1.T) - gains[i].K2 @ g_by_type[i][k + 1]
+                game_cost[s] += (np.einsum("ij,jk,ik->i", dev[s], t.Q, dev[s])
+                                 + np.einsum("ij,jk,ik->i", U, t.R, U))
+                W = noise[s] @ chol_w[i].T
+                X[s] = X[s] @ t.A.T + U @ t.B.T + W
+                U_prev[i] = U
 
-        cost_sum += costs.step_cost(tau)
-        attempts += sent
-        max_aoi = max(max_aoi, int(tau.max()))
-        mu_N = X.mean(axis=0)
-        cons_err[k] = float(np.sum((mu_N - mu_star[k]) ** 2))
-
-        dev = X - mu_N
-        for i, s in enumerate(slices):
-            t = types[i]
-            U = -(Z[s] @ gains[i].K1.T) - gains[i].K2 @ g_by_type[i][k + 1]
-            game_cost[s] += (np.einsum("ij,jk,ik->i", dev[s], t.Q, dev[s])
-                             + np.einsum("ij,jk,ik->i", U, t.R, U))
-            W = noise[s] @ chol_w[i].T
-            X[s] = X[s] @ t.A.T + U @ t.B.T + W
-            U_prev[i] = U
-
-        tau = np.where(recv, 0, tau + 1)
-
-    return Metrics(j_bs=cost_sum / (T * N), attempt_rate=attempts / T,
-                   max_aoi=max_aoi, attempts=attempts,
-                   per_agent_cost=game_cost / T, consensus_error=cons_err,
-                   mean_field_gap=float(cons_err.mean()), T=T, N=N)
+    return run.metrics(per_agent_cost=game_cost / T, consensus_error=cons_err,
+                       mean_field_gap=float(cons_err.mean()))
 
 
 def run_estimator_experiment(config: ScenarioConfig, policy: RelaxedPolicy,
@@ -225,14 +232,13 @@ def run_estimator_experiment(config: ScenarioConfig, policy: RelaxedPolicy,
     """
     rng = make_streams(config.seed if seed is None else seed)
     population = population_for(config)
-    N, T, p = config.N, config.T, config.p
+    N, T = config.N, config.T
     slices = population.slices()
     types = population.types
     n = types[0].A.shape[0]
     chol_w = [np.linalg.cholesky(t.C_W) for t in types]
 
     e = np.zeros((N, n))  # Z_0 = X_0
-    tau = np.zeros(N, dtype=np.int64)
     # age of the decoder estimate: tracks e exactly, including the free
     # X_0 the decoders start from (the scheduler AoI diverges from it only
     # until an agent's first reception)
@@ -240,28 +246,22 @@ def run_estimator_experiment(config: ScenarioConfig, policy: RelaxedPolicy,
     snapshots = {}
     sums = np.zeros((len(types), tau_cap + 1))
     counts = np.zeros((len(types), tau_cap + 1), dtype=np.int64)
-    for k in range(T):
-        coins = rng["coin"].random(N)
-        draws = rng["channel"].random(N)
-        noise = rng["noise"].standard_normal((N, n))
-        a = _intents(tau, policy, coins)
-        zeta = _project(a, tau, config.capacity) if config.capacity < N else a
-        recv = zeta & (draws >= p)
+    for k0, taus in _ScheduleRun(config, policy, rng).blocks():
+        noise_block = rng["noise"].standard_normal((len(taus) - 1, N, n))
+        for k, recv, noise in zip(range(k0, T), taus[1:] == 0, noise_block):
+            if k > 0:
+                for i, s in enumerate(slices):
+                    W = noise[s] @ chol_w[i].T
+                    e[s] = np.where(recv[s, None], 0.0, e[s] @ types[i].A.T + W)
+                age = np.where(recv, 0, age + 1)
 
-        if k > 0:
+            if k in sample_ks:
+                snapshots[k] = e.copy()
+            sq = np.sum(e * e, axis=1)
             for i, s in enumerate(slices):
-                W = noise[s] @ chol_w[i].T
-                e[s] = np.where(recv[s, None], 0.0, e[s] @ types[i].A.T + W)
-            age = np.where(recv, 0, age + 1)
-        tau = np.where(recv, 0, tau + 1)
-
-        if k in sample_ks:
-            snapshots[k] = e.copy()
-        sq = np.sum(e * e, axis=1)
-        for i, s in enumerate(slices):
-            small = age[s] <= tau_cap
-            np.add.at(sums[i], age[s][small], sq[s][small])
-            np.add.at(counts[i], age[s][small], 1)
+                small = age[s] <= tau_cap
+                sums[i] += np.bincount(age[s][small], sq[s][small], tau_cap + 1)
+                counts[i] += np.bincount(age[s][small], minlength=tau_cap + 1)
 
     return {"snapshots": snapshots, "cond_sum_sq": sums, "cond_count": counts}
 

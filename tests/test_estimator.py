@@ -1,8 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from aoi_mfg import DecoderState, WeightTable, decoder_update, error_weight, running_cost
-from aoi_mfg.errors import DimensionMismatchError
+from aoi_mfg.errors import AoiMfgError, ConfigError, DimensionMismatchError
 
 
 class TestErrorWeight:
@@ -55,6 +57,16 @@ class TestRunningCost:
     def test_monotone_in_age(self):
         vals = [running_cost(t, 0.8, 2.0) for t in range(10)]
         assert all(b >= a for a, b in zip(vals, vals[1:]))
+
+    def test_overflow_raises_numeric_error(self):
+        # 1.3**(2 tau) leaves float64 near tau = 1340: an error, not a silent inf
+        table = WeightTable(1.3, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(AoiMfgError, match="overflows") as info:
+                table.c_table(3000)
+        assert not isinstance(info.value, ConfigError)
+        assert np.all(np.isfinite(table.c_table(1000)))
 
 
 class TestDecoderUpdate:

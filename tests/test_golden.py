@@ -1,0 +1,72 @@
+"""Golden fixtures: SHA-256 of small `schedule` and `game` data files.
+
+The hashes were computed with the per-step simulation loop that the block
+kernel replaced, so these tests show that a seed still maps to the same
+bytes across engine versions, not only across two runs of one build. A
+failure here means the output changed: find out why before re-pinning.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from aoi_mfg.cli import main
+
+_SHARED = {"B": 0.1269, "C_W": 5.0, "Q": 2.0, "R": 2.0, "x0_cov": 1.0, "prob": 1.0 / 3.0}
+DEFAULT_TYPES = [
+    dict(_SHARED, label="stable", A=0.5, x0_mean=6.0),
+    dict(_SHARED, label="marginal", A=1.0, x0_mean=3.0),
+    dict(_SHARED, label="unstable", A=1.15, x0_mean=-3.0),
+]
+TWO_STATE_TYPES = [
+    {"label": label, "A": [[a, 0.1], [0.0, 0.9]], "B": [[0.1269], [0.2]],
+     "C_W": [[5.0, 0.0], [0.0, 5.0]], "Q": [[2.0, 0.0], [0.0, 2.0]], "R": 2.0,
+     "x0_mean": [x, 1.0], "x0_cov": [[1.0, 0.0], [0.0, 1.0]], "prob": 0.5}
+    for label, a, x in (("stable", 0.5, 6.0), ("marginal", 1.0, 3.0))
+]
+
+GOLDEN = {
+    "schedule-sweep": {
+        "fig2.csv": "453e591df6f65b043eabd735d0c7ac2ddca6ea7c5080c7f71674ded573de2597",
+    },
+    "schedule-p0-seeds": {
+        "fig2.csv": "2982e58972f2e08ff2dbb7ec2e692d7a0c4c03192273992086bd381574447c43",
+    },
+    "game": {
+        "fig3a.csv": "8b82fe9bce576d16d707c230dff699d29f15caba95b8066fa278c30429b3d304",
+        "fig3b.csv": "cfb9f872527bf5c19bbae758124b33e2db1b84502915cb7b60b341c503484b75",
+    },
+    "game-two-state": {
+        "fig3a.csv": "761920f2fe162426dffd99bb52d4aa37806d28c250115de4ce9b3f3a697c5ca4",
+        "fig3b.csv": "213bc37923256214e9e95e277fc62b4b070eddffc3e2c84df612082949d22f2b",
+    },
+}
+
+CASES = {
+    # default N-sweep 5..100 at alpha = 25/100, relaxed and MATB on 2 seeds each
+    "schedule-sweep": ("schedule", {"N": 100, "capacity": 25, "p": 0.2, "T": 300,
+                                    "types": DEFAULT_TYPES}, ["--runs", "2"]),
+    # per-seed rows on a perfect channel: adds the max_aoi column
+    "schedule-p0-seeds": ("schedule", {"N": 40, "capacity": 10, "p": 0.0, "T": 400,
+                                       "types": DEFAULT_TYPES}, ["--seeds", "0..3"]),
+    "game": ("game", {"N": 30, "capacity": 14, "p": 0.2, "T": 120,
+                      "types": DEFAULT_TYPES}, ["--runs", "2"]),
+    # vector states: the noise block is (steps, N, n)
+    "game-two-state": ("game", {"N": 20, "capacity": 9, "p": 0.2, "T": 80,
+                                "types": TWO_STATE_TYPES}, ["--runs", "2"]),
+}
+
+
+def _digests(tmp_path, name):
+    command, doc, extra = CASES[name]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)] + extra) == 0
+    return {f: hashlib.sha256((out / f).read_bytes()).hexdigest() for f in GOLDEN[name]}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_output_bytes_pinned(name, tmp_path):
+    assert _digests(tmp_path, name) == GOLDEN[name]

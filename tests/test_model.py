@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from aoi_mfg import AgentType, ScenarioConfig, assign_types, load_scenario
+from aoi_mfg.model import capacity_for
 from aoi_mfg.errors import AssumptionViolationError, ConfigError, MissingKeyError, NonPositiveDefiniteError
 
 
@@ -69,6 +70,14 @@ class TestScenarioConfig:
     def test_incompatible_type_rejected(self):
         with pytest.raises(AssumptionViolationError):
             ScenarioConfig(N=10, capacity=2, p=0.3, T=10, types=(make_type(A=2.0),))
+
+    def test_mixed_state_dimensions_rejected(self):
+        two_state = make_type("v", A=[[0.5, 0.1], [0.0, 0.9]], B=[[1.0], [0.5]],
+                              C_W=np.eye(2), Q=np.eye(2), x0_mean=[0.0, 0.0],
+                              x0_cov=np.eye(2), prob=0.5)
+        with pytest.raises(ConfigError, match="state dimension"):
+            ScenarioConfig(N=10, capacity=2, p=0.2, T=10,
+                           types=(make_type("s", prob=0.5), two_state))
 
 
 class TestAssignTypes:
@@ -158,6 +167,11 @@ class TestLoadScenario:
     def test_invalid_json_text(self):
         with pytest.raises(ConfigError):
             load_scenario("{not json")
+
+    def test_alpha_rounds_as_the_presets_do(self):
+        # 0.29 * 10 = 2.9: the presets and the CLI round it to 3, not floor it to 2
+        doc = dict(SCENARIO_DOC, alpha=0.29)
+        assert load_scenario(doc).capacity == 3 == capacity_for(0.29, 10)
 
     def test_explicit_capacity_wins(self):
         doc = dict(SCENARIO_DOC)

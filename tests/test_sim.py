@@ -4,15 +4,19 @@ import numpy as np
 import pytest
 
 from aoi_mfg import (
+    WeightTable,
     bisection_lambda,
     default_types,
     error_weight,
     game_scenario,
     make_streams,
+    matb_select,
     population_for,
+    relaxed_decisions,
     run_estimator_experiment,
     run_game_experiment,
     run_scheduling_experiment,
+    running_cost,
     scheduling_scenario,
     solve_mfe,
     step_channel,
@@ -162,26 +166,103 @@ class TestGameExperiment:
         # long-run scheduling averages barely move if decoders start stale
         cfg, policy = sched_setup
         base = run_scheduling_experiment(cfg, policy, "matb", seed=9)
-        import aoi_mfg.sim as sim
-
-        def run_with_offset(offset):
-            rng = sim.make_streams(9)
-            N, T, C, p = cfg.N, cfg.T, cfg.capacity, cfg.p
-            costs = sim._CostTables(population_for(cfg))
-            tau = np.full(N, offset, dtype=np.int64)
-            cost_sum = 0.0
-            for _ in range(T):
-                coins = rng["coin"].random(N)
-                draws = rng["channel"].random(N)
-                a = sim._intents(tau, policy, coins)
-                zeta = sim._project(a, tau, C)
-                recv = zeta & (draws >= p)
-                cost_sum += costs.step_cost(tau)
-                tau = np.where(recv, 0, tau + 1)
-            return cost_sum / (T * N)
-
-        shifted = run_with_offset(5)
+        stale = np.full(cfg.N, 5, dtype=np.int64)
+        taus, _ = sim._schedule_block(stale, policy, cfg.capacity, cfg.p, make_streams(9), cfg.T)
+        ages = taus[:-1]
+        pop = population_for(cfg)
+        cost = sum(WeightTable(t.A, t.C_W).c_table(int(ages.max()))[ages[:, s]].sum()
+                   for t, s in zip(pop.types, pop.slices()))
+        shifted = cost / (cfg.T * cfg.N)
         assert shifted == pytest.approx(base.j_bs, rel=0.05)
+
+    def test_block_height_does_not_change_the_run(self, mfe, monkeypatch):
+        cfg = game_scenario(N=12, T=40)
+        policy = bisection_lambda(population_for(cfg), cfg.p, cfg.capacity)
+        runs = []
+        for elements in (1, 7 * cfg.N, 2**15):
+            monkeypatch.setattr(sim, "_BLOCK_ELEMENTS", elements)
+            runs.append(run_game_experiment(cfg, mfe, policy, seed=3))
+        for m in runs[1:]:
+            assert np.array_equal(m.per_agent_cost, runs[0].per_agent_cost)
+            assert np.array_equal(m.consensus_error, runs[0].consensus_error)
+            assert (m.j_bs, m.attempts, m.max_aoi) == (runs[0].j_bs, runs[0].attempts,
+                                                        runs[0].max_aoi)
+
+
+def reference_schedule(tau, policy, C, p, rng, steps):
+    """The scheduling layer one step and one agent at a time, from the scalar
+    helpers: returns the AoI rows (start of every step, then the end) and the
+    number of attempts."""
+    taus, attempts = [tau.copy()], 0
+    for _ in range(steps):
+        a = relaxed_decisions(tau, policy, rng["coin"].random(tau.size))
+        zeta = a if C is None else matb_select(a, tau, C).zeta
+        attempts += int(zeta.sum())
+        recv = step_channel(zeta, p, rng["channel"])
+        tau = np.array([update_aoi(int(t), int(r)) for t, r in zip(tau, recv)])
+        taus.append(tau)
+    return np.array(taus), attempts
+
+
+class TestBlockKernel:
+    def test_projection_matches_matb_select(self):
+        # heavy age ties: ages drawn from a handful of values
+        rng = np.random.default_rng(17)
+        for _ in range(400):
+            N = int(rng.integers(2, 201))
+            C = int(rng.integers(1, N))
+            a = rng.random(N) < rng.random()
+            tau = rng.integers(0, int(rng.integers(1, 5)), size=N)
+            want = matb_select(a, tau, C).zeta.astype(bool)
+            assert np.array_equal(sim._project(a, tau, C), want)
+
+    @pytest.mark.parametrize("N,alpha,p", [(5, 0.2, 0.2), (20, 0.25, 0.0), (37, 0.4, 0.3)])
+    @pytest.mark.parametrize("projected", [True, False])
+    def test_kernel_matches_per_step_reference(self, N, alpha, p, projected):
+        cfg = scheduling_scenario(N=N, alpha=alpha, p=p, T=60)
+        policy = bisection_lambda(population_for(cfg), p, cfg.capacity)
+        C = cfg.capacity if projected else None
+        start = np.arange(N, dtype=np.int64) % 4
+        want, want_attempts = reference_schedule(start, policy, C, p, make_streams(4), cfg.T)
+        for rows in (1, 7, cfg.T):
+            rng = make_streams(4)
+            tau, blocks, attempts = start, [start[None]], 0
+            for k0 in range(0, cfg.T, rows):
+                taus, sent = sim._schedule_block(tau, policy, C, p, rng,
+                                                 min(rows, cfg.T - k0))
+                tau = taus[-1]
+                blocks.append(taus[1:])
+                attempts += sent
+            assert np.array_equal(np.concatenate(blocks), want)
+            assert attempts == want_attempts
+
+    @pytest.mark.parametrize("kind", ["relaxed", "matb"])
+    def test_metrics_match_reference(self, kind):
+        cfg = scheduling_scenario(N=30, alpha=0.25, p=0.2, T=80)
+        policy = bisection_lambda(population_for(cfg), cfg.p, cfg.capacity)
+        C = cfg.capacity if kind == "matb" else None
+        taus, attempts = reference_schedule(np.zeros(30, dtype=np.int64), policy, C,
+                                            cfg.p, make_streams(2), cfg.T)
+        ages = taus[:-1]
+        pop = population_for(cfg)
+        cost = sum(running_cost(int(t), pop.types[i].A, pop.types[i].C_W)
+                   for row in ages for t, i in zip(row, pop.type_index))
+        # the float order the outputs are pinned to: per step, each type's
+        # slice sum added in type order, then the steps one after another
+        tables = [WeightTable(t.A, t.C_W).c_table(int(ages.max())) for t in pop.types]
+        ordered = 0.0
+        for row in ages:
+            step = 0.0
+            for c, s in zip(tables, pop.slices()):
+                step += float(c[row[s]].sum())
+            ordered += step
+        m = run_scheduling_experiment(cfg, policy, kind, seed=2)
+        assert m.j_bs == pytest.approx(cost / (cfg.T * cfg.N), rel=1e-12)
+        assert m.j_bs == ordered / (cfg.T * cfg.N)
+        assert m.attempts == attempts
+        assert m.successes == int(np.count_nonzero(taus[1:] == 0))
+        assert m.max_aoi == int(ages.max())
+        assert np.array_equal(m.aoi_hist, np.bincount(ages.ravel()))
 
 
 class TestEstimatorExperiment:
