@@ -84,7 +84,7 @@ def _config_hash(doc: dict) -> str:
 
 
 def _write_manifest(out_dir: Path, command: str, doc: dict, seed: int,
-                    outputs: list, started: float) -> None:
+                    outputs: list, started: float, diagnostics: dict | None = None) -> None:
     manifest = {
         "command": command,
         "config_hash": _config_hash(doc),
@@ -94,6 +94,8 @@ def _write_manifest(out_dir: Path, command: str, doc: dict, seed: int,
         "started_unix": started,
         "duration_s": time.time() - started,
     }
+    if diagnostics is not None:
+        manifest["diagnostics"] = diagnostics
     _write_json(out_dir / f"{command}_manifest.json", manifest)
 
 
@@ -270,7 +272,7 @@ def cmd_game(args) -> int:
     _write_csv(path_a, ["alpha", "cost_q1", "cost_median", "cost_q3"], rows_a)
     _write_csv(path_b, ["p", "cost_q1", "cost_median", "cost_q3"], rows_b)
     _write_manifest(out_dir, "game", _config_doc(config), base_seed,
-                    [path_a, path_b], started)
+                    [path_a, path_b], started, {"mfe": mfe.diagnostics()})
     print(f"wrote {path_a} and {path_b}")
     return 0
 
@@ -286,7 +288,8 @@ def cmd_mfe(args) -> int:
     _write_json(path, report)
     print(json.dumps({k: report[k] for k in ("contraction_constant", "residual",
                                              "iterations")}, indent=2, sort_keys=True))
-    _write_manifest(out_dir, "mfe", _config_doc(base), base.seed, [path], started)
+    _write_manifest(out_dir, "mfe", _config_doc(base), base.seed, [path], started,
+                    {"mfe": sol.diagnostics()})
     return 0
 
 
@@ -309,7 +312,6 @@ def _add_common(sub):
     sub.add_argument("--config", type=str, default=None, help="scenario JSON path")
     sub.add_argument("--seed", type=int, default=None)
     sub.add_argument("--out", type=str, default=".", help="output directory")
-    sub.add_argument("--preset", choices=["fig2", "fig3", "bounds"], default=None)
     sub.add_argument("--p", type=float, default=None, help="erasure probability override")
     sub.add_argument("--alpha", type=float, default=None, help="capacity ratio override")
     sub.add_argument("--runs", type=int, default=None, help="Monte-Carlo repetitions")

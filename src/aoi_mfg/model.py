@@ -22,15 +22,22 @@ from .errors import (
 _PROB_TOL = 1e-12
 
 
+def _as_float_array(value, name):
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{name}: not a number or numeric array ({exc})") from exc
+
+
 def _as_matrix(value, name):
-    m = np.atleast_2d(np.asarray(value, dtype=float))
+    m = np.atleast_2d(_as_float_array(value, name))
     if m.ndim != 2:
         raise ConfigError(f"{name}: expected a scalar or 2-D matrix, got shape {m.shape}")
     return m
 
 
 def _as_vector(value, n, name):
-    v = np.atleast_1d(np.asarray(value, dtype=float)).ravel()
+    v = np.atleast_1d(_as_float_array(value, name)).ravel()
     if v.size != n:
         raise ConfigError(f"{name}: expected length {n}, got {v.size}")
     return v
@@ -62,22 +69,22 @@ class AgentType:
     prob: float
 
     def __post_init__(self):
-        object.__setattr__(self, "A", _as_matrix(self.A, "A"))
+        object.__setattr__(self, "A", _as_matrix(self.A, f"type {self.label!r}: A"))
         n = self.A.shape[0]
         if self.A.shape != (n, n):
             raise ConfigError(f"type {self.label!r}: A must be square, got {self.A.shape}")
-        B = _as_matrix(self.B, "B")
+        B = _as_matrix(self.B, f"type {self.label!r}: B")
         if B.shape[0] != n:
             raise ConfigError(f"type {self.label!r}: B has {B.shape[0]} rows, expected {n}")
         object.__setattr__(self, "B", B)
         for name, strict in (("C_W", True), ("Q", False), ("R", True), ("x0_cov", True)):
-            m = _as_matrix(getattr(self, name), name)
+            m = _as_matrix(getattr(self, name), f"type {self.label!r}: {name}")
             want = (B.shape[1], B.shape[1]) if name == "R" else (n, n)
             if m.shape != want:
                 raise ConfigError(f"type {self.label!r}: {name} has shape {m.shape}, expected {want}")
             _check_spd(m, f"{self.label}.{name}", strict=strict)
             object.__setattr__(self, name, m)
-        object.__setattr__(self, "x0_mean", _as_vector(self.x0_mean, n, "x0_mean"))
+        object.__setattr__(self, "x0_mean", _as_vector(self.x0_mean, n, f"type {self.label!r}: x0_mean"))
         if not 0.0 <= self.prob <= 1.0:
             raise ConfigError(f"type {self.label!r}: prob {self.prob} outside [0, 1]")
 
@@ -191,6 +198,16 @@ _REQUIRED_TOP = ("N", "p", "T", "types")
 _REQUIRED_TYPE = ("label", "A", "B", "C_W", "Q", "R", "x0_mean", "x0_cov", "prob")
 
 
+def _read(doc: dict, key: str, convert, default=None, name: str | None = None):
+    """doc[key] (or default) through convert; a value of the wrong type is a
+    ConfigError naming the key, not a bare TypeError/ValueError."""
+    value = doc.get(key, default)
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{name or key}: expected {convert.__name__}, got {value!r}") from exc
+
+
 def load_scenario(source) -> ScenarioConfig:
     """Build a validated ScenarioConfig from a dict, JSON string, or file path.
 
@@ -210,6 +227,8 @@ def load_scenario(source) -> ScenarioConfig:
         doc = source
     else:
         raise ConfigError(f"unsupported config source type: {type(source)!r}")
+    if not isinstance(doc, dict):
+        raise ConfigError(f"config must be a JSON object, got {type(doc).__name__}")
 
     for key in _REQUIRED_TOP:
         if key not in doc:
@@ -217,32 +236,37 @@ def load_scenario(source) -> ScenarioConfig:
     if "capacity" not in doc and "alpha" not in doc:
         raise MissingKeyError("capacity | alpha")
 
-    N = int(doc["N"])
+    N = _read(doc, "N", int)
     if "capacity" in doc:
-        capacity = int(doc["capacity"])
+        capacity = _read(doc, "capacity", int)
     else:
-        capacity = capacity_for(float(doc["alpha"]), N)
+        capacity = capacity_for(_read(doc, "alpha", float), N)
 
+    if not isinstance(doc["types"], list):
+        raise ConfigError(f"types: expected a list of type objects, got {doc['types']!r}")
     types = []
     for i, tdoc in enumerate(doc["types"]):
+        if not isinstance(tdoc, dict):
+            raise ConfigError(f"types[{i}]: expected an object, got {tdoc!r}")
         for key in _REQUIRED_TYPE:
             if key not in tdoc:
                 raise MissingKeyError(f"types[{i}].{key}")
         types.append(AgentType(
             label=str(tdoc["label"]),
             A=tdoc["A"], B=tdoc["B"], C_W=tdoc["C_W"], Q=tdoc["Q"], R=tdoc["R"],
-            x0_mean=tdoc["x0_mean"], x0_cov=tdoc["x0_cov"], prob=float(tdoc["prob"]),
+            x0_mean=tdoc["x0_mean"], x0_cov=tdoc["x0_cov"],
+            prob=_read(tdoc, "prob", float, name=f"types[{i}].prob"),
         ))
 
     return ScenarioConfig(
         N=N,
         capacity=capacity,
-        p=float(doc["p"]),
-        T=int(doc["T"]),
+        p=_read(doc, "p", float),
+        T=_read(doc, "T", int),
         types=tuple(types),
-        seed=int(doc.get("seed", 0)),
-        mc_runs=int(doc.get("mc_runs", 1)),
-        bisection_eps=float(doc.get("bisection_eps", 1e-6)),
+        seed=_read(doc, "seed", int, 0),
+        mc_runs=_read(doc, "mc_runs", int, 1),
+        bisection_eps=_read(doc, "bisection_eps", float, 1e-6),
     )
 
 

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from aoi_mfg import load_scenario, solve_mfe
 from aoi_mfg.cli import main
 
 TINY_SCHED = {
@@ -137,6 +138,22 @@ class TestMfeAndBounds:
         doc = json.loads((tmp_path / "o" / "mfe_report.json").read_text())
         assert {"contraction_constant", "residual", "gains", "mu_window"} <= set(doc)
 
+    @pytest.mark.parametrize("command", ["mfe", "game"])
+    def test_manifest_carries_mfe_diagnostics(self, command, game_cfg, tmp_path):
+        out = tmp_path / "o"
+        assert main([command, "--config", game_cfg, "--out", str(out)]) == 0
+        manifest = json.loads((out / f"{command}_manifest.json").read_text())
+        diag = manifest["diagnostics"]["mfe"]
+        sol = solve_mfe(load_scenario(game_cfg).types)
+        assert diag == {"iterations": sol.iterations, "window_h": sol.horizon,
+                        "window_doublings": 0,
+                        "contraction_constant": sol.contraction_constant,
+                        "gap_ratios": sol.gap_ratios}
+        assert len(diag["gap_ratios"]) > 0
+        # diagnostics stay out of the deterministic data files
+        for path in manifest["outputs"]:
+            assert "gap_ratios" not in Path(path).read_text()
+
     def test_bounds_report(self, sched_cfg, tmp_path):
         rc = main(["bounds", "--config", sched_cfg, "--out", str(tmp_path / "o")])
         assert rc == 0
@@ -162,6 +179,23 @@ class TestErrors:
                    "--out", str(tmp_path / "o")])
         assert rc == 1
         assert "Q" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key,value,named", [
+        ("N", "abc", "N"), ("N", None, "N"), ("types", 5, "types"), ("seed", "x", "seed"),
+        ("types", [5], "types[0]"), ("capacity", [2], "capacity"),
+    ])
+    def test_ill_typed_value_exits_1(self, key, value, named, tmp_path, capsys):
+        doc = dict(TINY_SCHED, **{key: value})
+        rc = main(["mfe", "--config", json.dumps(doc), "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert f"config error: {named}:" in capsys.readouterr().err
+
+    def test_ill_typed_matrix_exits_1(self, tmp_path, capsys):
+        doc = json.loads(json.dumps(TINY_SCHED))
+        doc["types"][1]["A"] = [[1.0, "x"]]
+        rc = main(["mfe", "--config", json.dumps(doc), "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert "config error: type 'b': A:" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["schedule", "game"])
     @pytest.mark.parametrize("flag,value", [("--runs", "-1"), ("--runs", "0"), ("--N", "0")])

@@ -1,9 +1,14 @@
-"""Golden fixtures: SHA-256 of small `schedule` and `game` data files.
+"""Golden fixtures: SHA-256 of small `schedule`, `game` and `mfe` outputs.
 
-The hashes were computed with the per-step simulation loop that the block
-kernel replaced, so these tests show that a seed still maps to the same
-bytes across engine versions, not only across two runs of one build. A
-failure here means the output changed: find out why before re-pinning.
+The `schedule` and `game` hashes were computed with the per-step simulation
+loop that the block kernel replaced; the `mfe_report.json` hashes were
+computed with the per-type, per-step NumPy loop of `mf_operator` that the
+float recursions replaced. So these tests show that a seed still maps to
+the same bytes across engine versions, not only across two runs of one
+build. The equilibrium report holds the mu window, K3, the gains, the
+residual and the Picard iteration count, so it pins every bit of the
+fixed-point solve. A failure here means the output changed: find out why
+before re-pinning.
 """
 
 import hashlib
@@ -25,6 +30,8 @@ TWO_STATE_TYPES = [
      "x0_mean": [x, 1.0], "x0_cov": [[1.0, 0.0], [0.0, 1.0]], "prob": 0.5}
     for label, a, x in (("stable", 0.5, 6.0), ("marginal", 1.0, 3.0))
 ]
+# the default set with its unstable pole moved from 1.15 to 1.3
+POLE_TYPES = DEFAULT_TYPES[:2] + [dict(DEFAULT_TYPES[2], A=1.3)]
 
 GOLDEN = {
     "schedule-sweep": {
@@ -41,6 +48,15 @@ GOLDEN = {
         "fig3a.csv": "761920f2fe162426dffd99bb52d4aa37806d28c250115de4ce9b3f3a697c5ca4",
         "fig3b.csv": "213bc37923256214e9e95e277fc62b4b070eddffc3e2c84df612082949d22f2b",
     },
+    "mfe": {
+        "mfe_report.json": "76f7b7780ad34ba6180076a64a5ce3a8a0760fd1115e344d002ecc4d6344206f",
+    },
+    "mfe-two-state": {
+        "mfe_report.json": "bc89f70360c2855503f786e71af9ae38d0bc19cdae81a0c3de38fb852a0583f6",
+    },
+    "mfe-pole-1.3": {
+        "mfe_report.json": "1f425575aae1cc7a633bec93ffad6256e0f23b3a8923194fc22d003173a91a37",
+    },
 }
 
 CASES = {
@@ -55,6 +71,13 @@ CASES = {
     # vector states: the noise block is (steps, N, n)
     "game-two-state": ("game", {"N": 20, "capacity": 9, "p": 0.2, "T": 80,
                                 "types": TWO_STATE_TYPES}, ["--runs", "2"]),
+    # the equilibrium alone: 66, 94 and 52 Picard iterations
+    "mfe": ("mfe", {"N": 30, "capacity": 14, "p": 0.2, "T": 120,
+                    "types": DEFAULT_TYPES}, []),
+    "mfe-two-state": ("mfe", {"N": 20, "capacity": 9, "p": 0.2, "T": 80,
+                              "types": TWO_STATE_TYPES}, []),
+    "mfe-pole-1.3": ("mfe", {"N": 30, "capacity": 14, "p": 0.2, "T": 120,
+                             "types": POLE_TYPES}, []),
 }
 
 

@@ -6,6 +6,7 @@ import pytest
 from scipy.linalg import solve_discrete_are
 
 from aoi_mfg import (
+    AgentType,
     contraction_constant,
     control_action,
     cost_upper_bound,
@@ -15,7 +16,58 @@ from aoi_mfg import (
     solve_mfe,
     solve_riccati,
 )
+from aoi_mfg import mfg
 from aoi_mfg.errors import RankDeficientError, UnstableClosedLoopError
+from aoi_mfg.mfg import TrackingGains
+
+
+def _g_reference(mu, A_cl, Q):
+    """The one-type NumPy backward loop that `mfg._backward` replaced."""
+    H, n = mu.shape
+    g = np.zeros((H + 1, n))
+    g[H] = -np.linalg.solve(np.eye(n) - A_cl.T, Q @ mu[H - 1])
+    for k in range(H - 1, -1, -1):
+        g[k] = A_cl.T @ g[k + 1] - Q @ mu[k]
+    return g
+
+
+def _mf_operator_reference(mu, types, gains):
+    """The per-type, per-step NumPy loop that `mf_operator` replaced; the
+    differential tests require its exact bits from the new operator."""
+    mu = np.atleast_2d(np.asarray(mu, dtype=float))
+    H, n = mu.shape
+    out = np.zeros_like(mu)
+    for t in types:
+        G = gains[t.label]
+        g = _g_reference(mu, G.A_cl, t.Q)
+        nu = np.empty((H, n))
+        nu[0] = t.x0_mean
+        BK2 = t.B @ G.K2
+        for k in range(H - 1):
+            nu[k + 1] = G.A_cl @ nu[k] - BK2 @ g[k + 1]
+        out += t.prob * nu
+    return out
+
+
+def _random_case(rng, n, m, H):
+    """m random types of state dimension n with stable random gains, and a
+    random window mu of H steps."""
+    types, gains = [], {}
+    probs = rng.dirichlet(np.ones(m))
+    for i in range(m):
+        A_cl = rng.uniform(-1.0, 1.0, size=(n, n))
+        A_cl *= rng.uniform(0.1, 0.95) / max(np.abs(np.linalg.eigvals(A_cl)).max(), 1e-3)
+        q = rng.uniform(0.0, 1.0, size=(n, n))
+        n_u = int(rng.integers(1, n + 1))
+        label = f"t{i}"
+        types.append(AgentType(
+            label=label, A=rng.uniform(-1.2, 1.2, size=(n, n)),
+            B=rng.uniform(-1.0, 1.0, size=(n, n_u)), C_W=np.eye(n), Q=q @ q.T,
+            R=np.eye(n_u), x0_mean=rng.normal(size=n) * 5.0, x0_cov=np.eye(n),
+            prob=float(probs[i])))
+        gains[label] = TrackingGains(K=np.eye(n), K1=np.zeros((n_u, n)),
+                                     K2=rng.normal(size=(n_u, n)), A_cl=A_cl)
+    return rng.normal(size=(H, n)) * 3.0, types, gains
 
 
 @pytest.fixture(scope="module")
@@ -106,8 +158,36 @@ class TestGTrajectory:
         with pytest.raises(UnstableClosedLoopError):
             g_trajectory(np.ones((4, 1)), np.array([[1.01]]), np.array([[1.0]]))
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_bit_identical_to_reference_loop(self, n):
+        rng = np.random.default_rng(100 + n)
+        for H in (1, 2, 3, 17, 328):
+            mu, types, gains = _random_case(rng, n, 1, H)
+            A_cl, Q = gains["t0"].A_cl, types[0].Q
+            assert np.array_equal(g_trajectory(mu, A_cl, Q), _g_reference(mu, A_cl, Q))
+
 
 class TestMfOperator:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_bit_identical_to_reference_loop(self, n):
+        # every window edge (H = 1, 2) and type count, exact bits per type
+        rng = np.random.default_rng(n)
+        for m in (1, 2, 3, 4):
+            for H in (1, 2, 3, 17, 328):
+                for _ in range(3):
+                    mu, types, gains = _random_case(rng, n, m, H)
+                    assert np.array_equal(mf_operator(mu, types, gains),
+                                          _mf_operator_reference(mu, types, gains))
+
+    def test_unstable_closed_loop_rejected(self):
+        rng = np.random.default_rng(5)
+        mu, types, gains = _random_case(rng, 2, 2, 10)
+        G = gains["t1"]
+        gains["t1"] = TrackingGains(K=G.K, K1=G.K1, K2=G.K2,
+                                    A_cl=np.array([[1.0, 0.3], [0.0, 0.5]]))
+        with pytest.raises(UnstableClosedLoopError):
+            mf_operator(mu, types, gains)
+
     def test_matches_literal_double_sum(self):
         # forward/backward pass vs the expanded double sum, scalar types
         rng = np.random.default_rng(17)
@@ -152,12 +232,41 @@ class TestMfOperator:
 
 
 class TestSolveMfe:
+    @pytest.mark.parametrize("two_state", [False, True])
+    def test_identical_through_reference_operator(self, two_state, monkeypatch):
+        types = default_types()
+        if two_state:
+            types = [AgentType(label=t, A=[[a, 0.1], [0.0, 0.9]], B=[[0.1269], [0.2]],
+                               C_W=np.eye(2) * 5.0, Q=np.eye(2) * 2.0, R=2.0,
+                               x0_mean=[x, 1.0], x0_cov=np.eye(2), prob=0.5)
+                     for t, a, x in (("s", 0.5, 6.0), ("m", 1.0, 3.0))]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            new = solve_mfe(types)
+            monkeypatch.setattr(mfg, "mf_operator", _mf_operator_reference)
+            ref = solve_mfe(types)
+        assert np.array_equal(new.mu, ref.mu)
+        assert np.array_equal(new.K3, ref.K3)
+        assert all(np.array_equal(new.g[t.label], ref.g[t.label]) for t in types)
+        assert (new.iterations, new.gap_ratios, new.residual) == \
+            (ref.iterations, ref.gap_ratios, ref.residual)
+
     def test_warns_when_sufficient_condition_fails(self):
         with pytest.warns(UserWarning, match="contraction constant"):
             solve_mfe(default_types(), tol=1e-6)
 
     def test_fixed_point_residual(self, mfe):
         assert mfe.residual <= 1e-8
+
+    def test_window_doublings_counted(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            sol = solve_mfe(default_types(), horizon=8)
+        assert sol.window_doublings >= 1
+        assert sol.horizon == 8 * 2 ** sol.window_doublings
+        diag = sol.diagnostics()
+        assert (diag["window_h"], diag["window_doublings"]) == (sol.horizon, sol.window_doublings)
+        assert "gap_ratios" not in sol.report()
 
     def test_contraction_constant_value(self, mfe):
         types = default_types()
