@@ -1,4 +1,4 @@
-"""Population scheduling: price bisection, the relaxed policy, and its
+"""Population scheduling: the exact transmission price, the relaxed policy, and its
 max-age-first projection onto the hard capacity.
 
 Solves the shared transmission price for a 100-agent mixed population,
@@ -14,7 +14,7 @@ cfg = scheduling_scenario(N=100, alpha=0.25, p=0.2, T=5000)
 policy = bisection_lambda(population_for(cfg), cfg.p, cfg.capacity)
 
 print(f"Scenario: N={cfg.N}, C={cfg.capacity}, p={cfg.p}")
-print(f"Converged price bracket: [{policy.lam_low:.4f}, {policy.lam_high:.4f}]")
+print(f"Price λ* = {policy.lam:.4f}")
 print(f"Randomization q = {policy.q:.4f} mixing rates "
       f"{policy.rate_low:.2f} and {policy.rate_high:.2f} to hit C = {cfg.capacity}")
 print("Per-type thresholds (lower, upper):")

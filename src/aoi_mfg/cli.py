@@ -18,6 +18,7 @@ import logging
 import os
 import sys
 import time
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -66,7 +67,6 @@ def _config_doc(config: ScenarioConfig) -> dict:
         "T": config.T,
         "seed": config.seed,
         "mc_runs": config.mc_runs,
-        "bisection_eps": config.bisection_eps,
         "types": [
             {
                 "label": t.label, "A": t.A.tolist(), "B": t.B.tolist(),
@@ -144,7 +144,6 @@ def _scenario(args, N=None, alpha=None, p=None, T=None, mc_runs=None) -> Scenari
         seed=args.seed if args.seed is not None else base.seed,
         mc_runs=mc_runs if mc_runs is not None else (
             args.runs if args.runs is not None else base.mc_runs),
-        bisection_eps=base.bisection_eps,
     )
 
 
@@ -161,8 +160,7 @@ def _parse_seed_range(text: str):
 
 def _fig2_row(config: ScenarioConfig, seeds) -> tuple:
     population = population_for(config)
-    policy = bisection_lambda(population, config.p, config.capacity,
-                              eps=config.bisection_eps)
+    policy = bisection_lambda(population, config.p, config.capacity)
     results = _map_runs(_sched_pair, [(config, policy, s) for s in seeds])
     j_rel = float(np.mean([r.j_bs for r, _ in results]))
     j_matb = float(np.mean([m.j_bs for _, m in results]))
@@ -184,8 +182,7 @@ def cmd_schedule(args) -> int:
 
     if args.report:
         config = _scenario(args)
-        policy = bisection_lambda(population_for(config), config.p,
-                                  config.capacity, eps=config.bisection_eps)
+        policy = bisection_lambda(population_for(config), config.p, config.capacity)
         report_path = out_dir / "schedule_report.json"
         _write_json(report_path, policy.report())
         print(json.dumps(policy.report(), indent=2, sort_keys=True))
@@ -231,8 +228,7 @@ def _quartiles(costs: np.ndarray):
 
 def _game_setting(args, mfe, N, alpha, p, T, runs, base_seed):
     config = _scenario(args, N=N, alpha=alpha, p=p, T=T, mc_runs=runs)
-    policy = bisection_lambda(population_for(config), config.p,
-                              config.capacity, eps=config.bisection_eps)
+    policy = bisection_lambda(population_for(config), config.p, config.capacity)
     jobs = [(config, mfe, policy, s) for s in range(base_seed, base_seed + runs)]
     results = _map_runs(_game_run, jobs)
     costs = np.concatenate([m.per_agent_cost for m in results])
@@ -298,8 +294,7 @@ def cmd_bounds(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     started = time.time()
     config = _scenario(args)
-    policy = bisection_lambda(population_for(config), config.p,
-                              config.capacity, eps=config.bisection_eps)
+    policy = bisection_lambda(population_for(config), config.p, config.capacity)
     report = bound_report(config, policy).to_dict()
     path = out_dir / "bounds_report.json"
     _write_json(path, report)
@@ -371,6 +366,11 @@ def main(argv=None) -> int:
     except (AoiMfgError, np.linalg.LinAlgError, FloatingPointError) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        # a bug, not bad input: keep it apart from the config code 1, with its traceback
+        traceback.print_exc()
+        print(f"internal error: {exc!r}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -7,6 +7,8 @@ Monte-Carlo workers.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -108,7 +110,9 @@ class AgentType:
 
 
 def capacity_for(alpha: float, N: int) -> int:
-    """Channel capacity C = round(alpha * N), at least 1."""
+    """Channel capacity C = round(alpha * N), at least 1, for a finite alpha > 0."""
+    if not 0.0 < alpha < math.inf:
+        raise ConfigError(f"alpha must be finite and > 0, got {alpha}")
     return max(1, round(alpha * N))
 
 
@@ -121,7 +125,6 @@ class ScenarioConfig:
     types: tuple[AgentType, ...]
     seed: int = 0
     mc_runs: int = 1
-    bisection_eps: float = 1e-6
 
     def __post_init__(self):
         if self.N < 1:
@@ -132,8 +135,6 @@ class ScenarioConfig:
             raise ConfigError(f"p must lie in [0, 1), got {self.p}")
         if self.T < 1:
             raise ConfigError(f"T must be >= 1, got {self.T}")
-        if self.bisection_eps <= 0:
-            raise ConfigError("bisection_eps must be > 0")
         total = sum(t.prob for t in self.types)
         if abs(total - 1.0) > _PROB_TOL:
             raise ConfigError(f"type probabilities sum to {total!r}, expected 1")
@@ -208,6 +209,16 @@ def _read(doc: dict, key: str, convert, default=None, name: str | None = None):
         raise ConfigError(f"{name or key}: expected {convert.__name__}, got {value!r}") from exc
 
 
+def integer(value) -> int:
+    """value as an int: an integer, or a float with an integral value.
+    Booleans, fractions and non-numbers raise TypeError."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise TypeError(f"not an integer: {value!r}")
+
+
 def load_scenario(source) -> ScenarioConfig:
     """Build a validated ScenarioConfig from a dict, JSON string, or file path.
 
@@ -236,9 +247,9 @@ def load_scenario(source) -> ScenarioConfig:
     if "capacity" not in doc and "alpha" not in doc:
         raise MissingKeyError("capacity | alpha")
 
-    N = _read(doc, "N", int)
+    N = _read(doc, "N", integer)
     if "capacity" in doc:
-        capacity = _read(doc, "capacity", int)
+        capacity = _read(doc, "capacity", integer)
     else:
         capacity = capacity_for(_read(doc, "alpha", float), N)
 
@@ -262,11 +273,10 @@ def load_scenario(source) -> ScenarioConfig:
         N=N,
         capacity=capacity,
         p=_read(doc, "p", float),
-        T=_read(doc, "T", int),
+        T=_read(doc, "T", integer),
         types=tuple(types),
-        seed=_read(doc, "seed", int, 0),
-        mc_runs=_read(doc, "mc_runs", int, 1),
-        bisection_eps=_read(doc, "bisection_eps", float, 1e-6),
+        seed=_read(doc, "seed", integer, 0),
+        mc_runs=_read(doc, "mc_runs", integer, 1),
     )
 
 

@@ -1,10 +1,10 @@
-"""Population-level scheduling: price bisection, the randomized relaxed
-policy, and the maximum-age-first capacity projection.
+"""Population-level scheduling: the exact transmission price, the randomized
+relaxed policy, and the maximum-age-first capacity projection.
 
 All agents share one price lambda; heterogeneous types get different
 thresholds through their (A, C_W). The relaxed policy mixes the threshold
-policies at the two ends of the converged bisection bracket with a fresh
-Bernoulli(q) coin per agent per step.
+policies just at and just above the price lambda* with a fresh Bernoulli(q)
+coin per agent per step.
 """
 
 from __future__ import annotations
@@ -25,16 +25,15 @@ log = logging.getLogger(__name__)
 class RelaxedPolicy:
     """Per-agent dual thresholds and the randomization probability q.
 
-    rate_low/rate_high are the aggregate attempt rates at the bracket
-    endpoints (C-underline and C-overline); q * rate_low + (1-q) * rate_high
+    rate_low/rate_high are the aggregate attempt rates of the two threshold
+    policies (C-underline and C-overline); q * rate_low + (1-q) * rate_high
     equals the capacity C.
     """
 
-    klow: np.ndarray   # per-agent lower threshold, from lambda-underline*
-    kbar: np.ndarray   # per-agent upper threshold, from lambda-overline*
+    klow: np.ndarray   # per-agent lower threshold, kappa(lambda*)
+    kbar: np.ndarray   # per-agent upper threshold, kappa just above lambda*
     q: float
-    lam_low: float
-    lam_high: float
+    lam: float         # the exact price lambda*
     rate_low: float
     rate_high: float
     per_type: dict     # label -> (klow, kbar)
@@ -45,8 +44,7 @@ class RelaxedPolicy:
 
     def report(self) -> dict:
         return {
-            "lambda_low": self.lam_low,
-            "lambda_high": self.lam_high,
+            "lambda": self.lam,
             "q": self.q,
             "rate_low": self.rate_low,
             "rate_high": self.rate_high,
@@ -64,82 +62,61 @@ class ScheduleDecision:
     selected: np.ndarray | None  # indices kept by the projection, else None
 
 
-def _scans(population: Population, p: float):
-    return [KappaScan(t.A, t.C_W, p) for t in population.types]
-
-
-def _type_kappas(scans, lam: float):
-    return [scan.solve(lam).kappa for scan in scans]
-
-
-def _rate(population: Population, scans, p: float, lam: float) -> float:
-    rate = 0.0
-    for count, kappa in zip(population.counts, _type_kappas(scans, lam)):
-        rate += count * transmission_rate(kappa, kappa, 1.0, p)
-    return rate
+def _rate_term(count: int, kappa: int, p: float) -> float:
+    return count * transmission_rate(kappa, kappa, 1.0, p)
 
 
 def aggregate_rate(population: Population, p: float, lam: float) -> float:
     """R(lambda): total attempt rate when every agent runs its single
-    threshold kappa(lambda)."""
-    return _rate(population, _scans(population, p), p, lam)
+    threshold kappa(lambda), summed in type order."""
+    return sum(_rate_term(count, KappaScan(t.A, t.C_W, p).solve(lam).kappa, p)
+               for count, t in zip(population.counts, population.types))
 
 
 def randomization_q(C: float, C_low: float, C_high: float) -> float:
-    """q = (C - C_high) / (C_low - C_high); q = 1 on a degenerate bracket."""
+    """q = (C - C_high) / (C_low - C_high); q = 1 when the two rates are equal."""
     if C_low == C_high:
-        log.info("degenerate bisection bracket (C_low == C_high); q set to 1")
+        log.info("both threshold policies have one rate (C_low == C_high); q set to 1")
         return 1.0
     if not C_high <= C <= C_low:
         raise ValueError(f"need C_high <= C <= C_low, got ({C_high}, {C}, {C_low})")
     return (C - C_high) / (C_low - C_high)
 
 
-def bisection_lambda(population: Population, p: float, C: float,
-                     eps: float = 1e-6) -> RelaxedPolicy:
-    """Bisection on the transmission price.
+def bisection_lambda(population: Population, p: float, C: float) -> RelaxedPolicy:
+    """Exact transmission price lambda* and the randomized dual-threshold policy.
 
-    Keeps R(lam_low) > C >= R(lam_high); the initial bracket is [0, 1] with
-    the upper end doubled until feasible. Stops when the bracket is narrower
-    than eps and assembles the randomized dual-threshold policy.
+    The name is kept from the bisection this replaced; the price is now
+    exact. Each type's threshold kappa(lam) = min{k : lam <= lambda_k} steps
+    up at the breakpoints of `KappaScan.price`, so R(lam) steps down only at
+    their merge. Starting from kappa(0), the walk takes the smallest next
+    breakpoint b, advances every type whose breakpoint is b past it, and
+    stops at the first b with R(just above b) <= C: klow = kappa(b), kbar =
+    kappa just above b, lambda* = b. If R(0) <= C, lambda* = 0 and q = 1.
     """
     if C <= 0:
         raise InfeasibleCapacityError(f"capacity must be positive, got {C}")
-    if eps <= 0:
-        raise ValueError("eps must be > 0")
-
-    # one scan per type serves every price the search tries
-    scans = _scans(population, p)
-    lam_low = 0.0
-    if _rate(population, scans, p, lam_low) <= C:
-        # capacity is not binding: every agent may transmit each slot
-        return _assemble(population, scans, p, 0.0, 0.0, C)
-
-    lam_high = 1.0
-    while _rate(population, scans, p, lam_high) > C:
-        lam_high *= 2.0
-    while lam_high - lam_low > eps:
-        mid = 0.5 * (lam_low + lam_high)
-        if _rate(population, scans, p, mid) > C:
-            lam_low = mid
-        else:
-            lam_high = mid
-    return _assemble(population, scans, p, lam_low, lam_high, C)
-
-
-def _assemble(population, scans, p, lam_low, lam_high, C):
-    kap_low = _type_kappas(scans, lam_low)
-    kap_high = _type_kappas(scans, lam_high)
-    rate_low = sum(c * transmission_rate(k, k, 1.0, p)
-                   for c, k in zip(population.counts, kap_low))
-    rate_high = sum(c * transmission_rate(k, k, 1.0, p)
-                    for c, k in zip(population.counts, kap_high))
+    scans = [KappaScan(t.A, t.C_W, p) for t in population.types]
+    lam = 0.0
+    kap_low = kap_high = [scan.solve(lam).kappa for scan in scans]
+    nxt = [scan.price(k) for scan, k in zip(scans, kap_high)]  # next breakpoint per type
+    terms = [_rate_term(c, k, p) for c, k in zip(population.counts, kap_high)]
+    rate_low = rate_high = sum(terms)
+    while rate_high > C:
+        kap_low, rate_low = list(kap_high), rate_high
+        lam = min(nxt)
+        for i, scan in enumerate(scans):
+            if nxt[i] == lam:
+                while nxt[i] <= lam:
+                    kap_high[i] += 1
+                    nxt[i] = scan.price(kap_high[i])
+                terms[i] = _rate_term(population.counts[i], kap_high[i], p)
+        rate_high = sum(terms)
     q = 1.0 if rate_low <= C else randomization_q(C, rate_low, rate_high)
-    klow = np.repeat(kap_low, population.counts)
-    kbar = np.repeat(kap_high, population.counts)
     per_type = {t.label: (kl, kh)
                 for t, kl, kh in zip(population.types, kap_low, kap_high)}
-    return RelaxedPolicy(klow=klow, kbar=kbar, q=q, lam_low=lam_low, lam_high=lam_high,
+    return RelaxedPolicy(klow=np.repeat(kap_low, population.counts),
+                         kbar=np.repeat(kap_high, population.counts), q=q, lam=lam,
                          rate_low=rate_low, rate_high=rate_high, per_type=per_type)
 
 

@@ -4,12 +4,14 @@ The agent pays the running cost c(tau) every step plus a price lambda per
 transmission attempt; an attempt succeeds (AoI resets to 0) with probability
 1 - p. The optimal policy transmits iff tau >= kappa. `KappaScan` computes
 kappa from the implicit interpolated-cost equation, at as many prices as a
-caller asks for; `solve_kappa` is its one-shot form. `value_iteration_oracle`
-is the independent truncated-MDP check.
+caller asks for, and the breakpoint prices at which kappa steps up;
+`solve_kappa` is its one-shot form. `value_iteration_oracle` is the
+independent truncated-MDP check.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -136,6 +138,19 @@ class KappaScan:
             return _f_tail_scalar(x, *self._scalar, self.p)
         return _f_tail_series(x, self._table, self._a, self.p)
 
+    def _grow(self, k: int) -> None:
+        """Extend the memo to f(0..k+1) and sum_{i<j} c(i) for j = 0..k+1."""
+        if k >= _KAPPA_CAP:
+            raise NoConvergenceError("kappa scan exceeded cap; inputs are likely mis-scaled")
+        f, cum = self._f, self._cum
+        if not f:
+            f.append(self.f(0))
+            cum.append(0.0)
+        while len(f) < k + 2:
+            n = len(f)
+            f.append(self.f(n))
+            cum.append(cum[n - 1] + self._table.c(n - 1))
+
     def solve(self, lam: float) -> ThresholdSolution:
         """Smallest integer threshold kappa and eta in [0, 1] solving the
         interpolated implicit equation (1 + kappa(1-p)) f(kappa+eta) =
@@ -148,13 +163,8 @@ class KappaScan:
             raise ValueError(f"lam must be >= 0, got {lam}")
         p = self.p
         f, cum = self._f, self._cum
-        if not f:
-            f.append(self.f(0))
-            cum.append(0.0)
-        for kappa in range(_KAPPA_CAP):
-            if kappa + 1 == len(f):
-                f.append(self.f(kappa + 1))
-                cum.append(cum[kappa] + self._table.c(kappa))
+        for kappa in itertools.count():
+            self._grow(kappa)
             f_k, f_k1 = f[kappa], f[kappa + 1]
             rhs = lam / (1.0 - p) + f_k + cum[kappa]
             target = rhs / (1.0 + kappa * (1.0 - p))  # = sigma(kappa) / (1-p)
@@ -162,7 +172,14 @@ class KappaScan:
                 eta = _solve_eta(f_k, f_k1, target)
                 f_interp = (1.0 - eta) * f_k + eta * f_k1
                 return ThresholdSolution(kappa=kappa, eta=eta, sigma_star=(1.0 - p) * f_interp, lam=lam)
-        raise NoConvergenceError("kappa scan exceeded cap; inputs are likely mis-scaled")
+
+    def price(self, k: int) -> float:
+        """Breakpoint lambda_k = (1-p)[(1 + k(1-p)) f(k+1) - f(k) - sum_{i<k} c(i)],
+        the largest price at which threshold k solves `solve`'s equation:
+        kappa(lam) = min{k : lam <= lambda_k}."""
+        self._grow(k)
+        p = self.p
+        return (1.0 - p) * ((1.0 + k * (1.0 - p)) * self._f[k + 1] - self._f[k] - self._cum[k])
 
 
 def solve_kappa(A, C_W, p: float, lam: float) -> ThresholdSolution:
@@ -253,18 +270,15 @@ def _validate_chain_args(klow, kbar, q, p):
 def _cycle_stats(klow, kbar, q, p):
     """(expected cycle length, expected attempts per cycle, visit probs rho).
 
-    rho[tau] = probability that a renewal cycle starting at tau = 0 visits tau.
-    Middle states klow <= tau < kbar survive with s = 1 - q(1-p); above kbar
-    the survival ratio is p.
+    rho[j] = probability that a renewal cycle starting at tau = 0 visits
+    tau = klow + j, j = 0..kbar-klow; it visits every tau < klow surely, so
+    the cost is O(kbar - klow), not O(kbar). Middle states klow <= tau < kbar
+    survive with s = 1 - q(1-p); above kbar the survival ratio is p.
     """
     s = 1.0 - q * (1.0 - p)
-    mid = kbar - klow
-    rho = np.empty(kbar + 1)
-    rho[: klow + 1] = 1.0
-    if mid > 0:
-        rho[klow: kbar + 1] = s ** np.arange(mid + 1)
-    mid_sum = float(rho[klow:kbar].sum())  # states klow..kbar-1
-    top = rho[kbar] / (1.0 - p)
+    rho = s ** np.arange(kbar - klow + 1)
+    mid_sum = float(rho[:-1].sum())  # states klow..kbar-1
+    top = rho[-1] / (1.0 - p)
     length = klow + mid_sum + top
     attempts = q * mid_sum + top
     return length, attempts, rho
@@ -274,5 +288,6 @@ def stationary_distribution(klow: int, kbar: int, q: float, p: float) -> AoIChai
     """Closed-form stationary law of the AoI chain (unique by irreducibility)."""
     _validate_chain_args(klow, kbar, q, p)
     length, _, rho = _cycle_stats(klow, kbar, q, p)
-    return AoIChain(klow=klow, kbar=kbar, q=q, p=p, head=rho / length, tail_ratio=p)
+    head = np.concatenate((np.ones(klow), rho)) / length
+    return AoIChain(klow=klow, kbar=kbar, q=q, p=p, head=head, tail_ratio=p)
 

@@ -214,7 +214,7 @@ def test_criterion_09_cost_trends(announce, mfe):
 def test_criterion_10_estimator_soundness(announce):
     cfg = scheduling_scenario(N=100, alpha=0.25, p=0.2, T=10**4, seed=11)
     policy = RelaxedPolicy(klow=np.full(100, 12), kbar=np.full(100, 12), q=1.0,
-                           lam_low=0.0, lam_high=0.0, rate_low=0.0,
+                           lam=0.0, rate_low=0.0,
                            rate_high=0.0, per_type={})
     out = run_estimator_experiment(cfg, policy, seed=11,
                                    sample_ks=(10, 100, 400), tau_cap=10)

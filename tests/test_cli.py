@@ -46,7 +46,7 @@ class TestSchedule:
                    "--out", str(tmp_path / "o")])
         assert rc == 0
         doc = json.loads((tmp_path / "o" / "schedule_report.json").read_text())
-        assert {"lambda_low", "lambda_high", "q", "per_type_thresholds"} <= set(doc)
+        assert {"lambda", "q", "per_type_thresholds"} <= set(doc)
         out = capsys.readouterr().out
         assert "per_type_thresholds" in out
 
@@ -183,6 +183,9 @@ class TestErrors:
     @pytest.mark.parametrize("key,value,named", [
         ("N", "abc", "N"), ("N", None, "N"), ("types", 5, "types"), ("seed", "x", "seed"),
         ("types", [5], "types[0]"), ("capacity", [2], "capacity"),
+        # int() used to truncate these: N=10.9 loaded as 10, T=true as 1
+        ("N", 10.9, "N"), ("N", "10", "N"), ("capacity", 3.99, "capacity"), ("T", True, "T"),
+        ("seed", 2.5, "seed"), ("mc_runs", False, "mc_runs"),
     ])
     def test_ill_typed_value_exits_1(self, key, value, named, tmp_path, capsys):
         doc = dict(TINY_SCHED, **{key: value})
@@ -196,6 +199,31 @@ class TestErrors:
         rc = main(["mfe", "--config", json.dumps(doc), "--out", str(tmp_path / "o")])
         assert rc == 1
         assert "config error: type 'b': A:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("alpha", ["nan", "inf", "-0.5", "0"])
+    def test_alpha_not_finite_positive_exits_1(self, alpha, sched_cfg, tmp_path, capsys):
+        rc = main(["schedule", "--config", sched_cfg, "--alpha", alpha, "--N", "10",
+                   "--report", "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert "config error: alpha must be finite and > 0" in capsys.readouterr().err
+
+    def test_scenario_alpha_not_finite_positive_exits_1(self, tmp_path, capsys):
+        doc = {k: v for k, v in TINY_SCHED.items() if k != "capacity"}
+        for alpha in (-0.25, float("inf")):
+            rc = main(["mfe", "--config", json.dumps(dict(doc, alpha=alpha)),
+                       "--out", str(tmp_path / "o")])
+            assert rc == 1
+            assert "config error: alpha must be finite and > 0" in capsys.readouterr().err
+
+    def test_uncaught_exception_exits_4(self, sched_cfg, tmp_path, capsys, monkeypatch):
+        def broken(*args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr("aoi_mfg.cli.bisection_lambda", broken)
+        rc = main(["schedule", "--config", sched_cfg, "--report", "--out", str(tmp_path / "o")])
+        assert rc == 4
+        err = capsys.readouterr().err
+        assert "Traceback" in err and "internal error: RuntimeError('boom')" in err
 
     @pytest.mark.parametrize("command", ["schedule", "game"])
     @pytest.mark.parametrize("flag,value", [("--runs", "-1"), ("--runs", "0"), ("--N", "0")])

@@ -1,14 +1,16 @@
-"""Golden fixtures: SHA-256 of small `schedule`, `game` and `mfe` outputs.
+"""Golden fixtures: SHA-256 of small `schedule`, `game`, `mfe` and `bounds` outputs.
 
 The `schedule` and `game` hashes were computed with the per-step simulation
 loop that the block kernel replaced; the `mfe_report.json` hashes were
 computed with the per-type, per-step NumPy loop of `mf_operator` that the
 float recursions replaced. So these tests show that a seed still maps to
 the same bytes across engine versions, not only across two runs of one
-build. The equilibrium report holds the mu window, K3, the gains, the
-residual and the Picard iteration count, so it pins every bit of the
-fixed-point solve. A failure here means the output changed: find out why
-before re-pinning.
+build. The `bounds_report.json` hashes were computed with the price
+bisection that the exact breakpoint price replaced; the report depends on
+the price search only through q and the upper thresholds. The equilibrium
+report holds the mu window, K3, the gains, the residual and the Picard
+iteration count, so it pins every bit of the fixed-point solve. A failure
+here means the output changed: find out why before re-pinning.
 """
 
 import hashlib
@@ -57,6 +59,12 @@ GOLDEN = {
     "mfe-pole-1.3": {
         "mfe_report.json": "1f425575aae1cc7a633bec93ffad6256e0f23b3a8923194fc22d003173a91a37",
     },
+    "bounds": {
+        "bounds_report.json": "e473a3f142e97109401e0e6a81e26ad552c36ae2071727bad2e2b09acddcf691",
+    },
+    "bounds-two-state": {
+        "bounds_report.json": "1cfcba96f9a761446862a61ce4249aa1dfcf0a70818763d577b43f4c87c41013",
+    },
 }
 
 CASES = {
@@ -78,6 +86,10 @@ CASES = {
                               "types": TWO_STATE_TYPES}, []),
     "mfe-pole-1.3": ("mfe", {"N": 30, "capacity": 14, "p": 0.2, "T": 120,
                              "types": POLE_TYPES}, []),
+    "bounds": ("bounds", {"N": 100, "capacity": 25, "p": 0.2, "T": 300,
+                          "types": DEFAULT_TYPES}, []),
+    "bounds-two-state": ("bounds", {"N": 20, "capacity": 9, "p": 0.2, "T": 80,
+                                    "types": TWO_STATE_TYPES}, []),
 }
 
 

@@ -173,6 +173,15 @@ class TestLoadScenario:
         doc = dict(SCENARIO_DOC, alpha=0.29)
         assert load_scenario(doc).capacity == 3 == capacity_for(0.29, 10)
 
+    def test_integral_float_count_accepted(self):
+        cfg = load_scenario(dict(SCENARIO_DOC, N=10.0, capacity=3.0, T=50.0, seed=7.0))
+        assert (cfg.N, cfg.capacity, cfg.T, cfg.seed) == (10, 3, 50, 7)
+        assert all(type(v) is int for v in (cfg.N, cfg.capacity, cfg.T, cfg.seed))
+
+    def test_dropped_bisection_eps_key_still_loads(self):
+        # unknown keys are ignored, so scenario files that still set it load
+        assert load_scenario(dict(SCENARIO_DOC, bisection_eps=1e-3)).capacity == 3
+
     def test_explicit_capacity_wins(self):
         doc = dict(SCENARIO_DOC)
         doc["capacity"] = 4

@@ -2,13 +2,16 @@ import numpy as np
 import pytest
 
 from aoi_mfg import (
+    KappaScan,
     aggregate_rate,
     assign_types,
     bisection_lambda,
+    default_types,
     matb_select,
     randomization_q,
     relaxed_decision,
     relaxed_decisions,
+    transmission_rate,
 )
 from aoi_mfg.errors import InfeasibleCapacityError
 from aoi_mfg.model import AgentType
@@ -23,6 +26,46 @@ def make_type(label="t", A=1.0, prob=1.0, **kw):
 @pytest.fixture(scope="module")
 def identical_pop():
     return assign_types(100, [make_type("m", A=1.0)])
+
+
+TWO_STATE_TYPES = tuple(make_type(
+    label, A=[[a, 0.1], [0.0, 0.9]], B=[[0.1269], [0.2]], C_W=5.0 * np.eye(2),
+    Q=2.0 * np.eye(2), R=2.0, x0_mean=[0.0, 0.0], x0_cov=np.eye(2), prob=1 / 3)
+    for label, a in (("stable", 0.5), ("marginal", 1.0), ("unstable", 1.15)))
+# scalar and two-state types, p in {0, 0.2}, several capacity ratios and sizes;
+# alpha = 1 is the capacity that does not bind
+PRICE_GRID = [(types, p, max(1, round(alpha * N)), assign_types(N, types))
+              for types in (default_types(), TWO_STATE_TYPES) for p in (0.0, 0.2)
+              for alpha in (0.05, 0.15, 0.25, 0.45, 0.75, 1.0) for N in (5, 10, 40, 100, 1000)]
+
+
+def _bisection_reference(population, p, C, eps=1e-6):
+    """(per_type, q) from the 40-step price bisection the exact price replaced."""
+    scans = [KappaScan(t.A, t.C_W, p) for t in population.types]
+
+    def kappas(lam):
+        return [scan.solve(lam).kappa for scan in scans]
+
+    def rate(lam):
+        return sum(c * transmission_rate(k, k, 1.0, p)
+                   for c, k in zip(population.counts, kappas(lam)))
+
+    lam_low = lam_high = 0.0
+    if rate(0.0) > C:
+        lam_high = 1.0
+        while rate(lam_high) > C:
+            lam_high *= 2.0
+        while lam_high - lam_low > eps:
+            mid = 0.5 * (lam_low + lam_high)
+            if rate(mid) > C:
+                lam_low = mid
+            else:
+                lam_high = mid
+    rate_low, rate_high = rate(lam_low), rate(lam_high)
+    q = 1.0 if rate_low <= C else randomization_q(C, rate_low, rate_high)
+    per_type = {t.label: (kl, kh) for t, kl, kh in
+                zip(population.types, kappas(lam_low), kappas(lam_high))}
+    return per_type, q
 
 
 class TestAggregateRate:
@@ -54,26 +97,51 @@ class TestBisection:
         policy = bisection_lambda(identical_pop, 0.2, 25.0)
         assert policy.per_type["m"] == (3, 4)
         assert policy.q == pytest.approx(0.2125, abs=1e-6)
-        assert policy.lam_low == pytest.approx(238.0, abs=1e-3)
+        assert policy.lam == pytest.approx(238.0, abs=1e-3)
         assert policy.rate_low == pytest.approx(29.411764705882355, rel=1e-9)
         assert policy.rate_high == pytest.approx(23.809523809523807, rel=1e-9)
 
     def test_pinned_bracket_scalar_and_two_state(self):
-        # exact values from the search that re-solved kappa at every price
+        # q and thresholds from the bisection that re-solved kappa at every
+        # price; each exact price lies inside that bisection's final bracket
         unstable = make_type("u", A=1.15, prob=0.5)
         scalar = assign_types(40, [make_type("a", A=1.0, prob=0.5), unstable])
         two_state = assign_types(30, [make_type(
             "m", A=[[1.15, 0.1], [0.0, 0.9]], B=[[0.1], [0.0]], C_W=5.0 * np.eye(2),
             Q=np.eye(2), R=1.0, x0_mean=[0.0, 0.0], x0_cov=np.eye(2))])
         cases = [
-            (scalar, 10.0, 437.37169551849365, 437.37169647216797, 0.42499999999999954,
-             {"a": (4, 4), "u": (3, 4)}),
-            (two_state, 8.0, 616.9457035064697, 616.945704460144, 0.51, {"m": (3, 4)}),
+            (scalar, 10.0, 437.37169602421085, 0.42499999999999954, {"a": (4, 4), "u": (3, 4)}),
+            (two_state, 8.0, 616.9457039153375, 0.51, {"m": (3, 4)}),
         ]
-        for population, C, lam_low, lam_high, q, per_type in cases:
+        for population, C, lam, q, per_type in cases:
             policy = bisection_lambda(population, 0.2, C)
-            assert (policy.lam_low, policy.lam_high, policy.q, policy.per_type) == (
-                lam_low, lam_high, q, per_type)
+            assert (policy.lam, policy.q, policy.per_type) == (lam, q, per_type)
+
+    def test_equals_bisection_reference(self):
+        for _, p, C, population in PRICE_GRID:
+            policy = bisection_lambda(population, p, C)
+            assert (policy.per_type, policy.q) == _bisection_reference(population, p, C)
+
+    def test_price_is_the_rate_crossing(self):
+        # independent of the walk: kappa from KappaScan.solve, R from aggregate_rate
+        binding = 0
+        for types, p, C, population in PRICE_GRID:
+            policy = bisection_lambda(population, p, C)
+            scans = [KappaScan(t.A, t.C_W, p) for t in types]
+            if policy.lam == 0.0:
+                assert aggregate_rate(population, p, 0.0) <= C and policy.q == 1.0
+                continue
+            binding += 1
+            lam = policy.lam
+            assert [s.solve(lam).kappa for s in scans] == [
+                policy.per_type[t.label][0] for t in types]
+            assert aggregate_rate(population, p, lam) > C
+            nxt = min(s.price(policy.per_type[t.label][1]) for s, t in zip(scans, types))
+            mid = 0.5 * (lam + nxt)
+            assert [s.solve(mid).kappa for s in scans] == [
+                policy.per_type[t.label][1] for t in types]
+            assert aggregate_rate(population, p, mid) <= C
+        assert binding > len(PRICE_GRID) // 2
 
     def test_mixture_meets_capacity_exactly(self, identical_pop):
         policy = bisection_lambda(identical_pop, 0.2, 25.0)
@@ -88,7 +156,7 @@ class TestBisection:
     def test_nonbinding_capacity(self, identical_pop):
         policy = bisection_lambda(identical_pop, 0.2, 150.0)
         assert policy.q == 1.0
-        assert policy.lam_low == 0.0
+        assert policy.lam == 0.0
         assert np.all(policy.klow == 0)
 
     def test_heterogeneous_thresholds_ordered_by_instability(self):
@@ -105,8 +173,8 @@ class TestBisection:
 
     def test_report_keys(self, identical_pop):
         report = bisection_lambda(identical_pop, 0.2, 25.0).report()
-        assert set(report) == {"lambda_low", "lambda_high", "q", "rate_low",
-                               "rate_high", "per_type_thresholds"}
+        assert set(report) == {"lambda", "q", "rate_low", "rate_high",
+                               "per_type_thresholds"}
 
 
 class TestRelaxedDecision:

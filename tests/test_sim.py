@@ -31,7 +31,7 @@ from aoi_mfg.scheduler import RelaxedPolicy
 def fixed_policy(N, threshold, q=1.0, klow=None):
     klow = threshold if klow is None else klow
     return RelaxedPolicy(klow=np.full(N, klow), kbar=np.full(N, threshold), q=q,
-                         lam_low=0.0, lam_high=0.0, rate_low=0.0, rate_high=0.0,
+                         lam=0.0, rate_low=0.0, rate_high=0.0,
                          per_type={})
 
 

@@ -115,6 +115,21 @@ class TestKappaScan:
             got, want = scan.solve(lam), solve_kappa(A, C_W, p, lam)
             assert (got.kappa, got.eta, got.sigma_star) == (want.kappa, want.eta, want.sigma_star)
 
+    @pytest.mark.parametrize("p", [0.0, 0.2])
+    @pytest.mark.parametrize("kind", ["stable", "marginal", "unstable", "two-state"])
+    def test_price_is_where_kappa_steps_up(self, kind, p):
+        # kappa(lam) = min{k : lam <= lambda_k}: k at lambda_k, more just above it
+        types = {t.label: (t.A, t.C_W) for t in default_types()}
+        A, C_W = self.TWO_STATE if kind == "two-state" else types[kind]
+        scan = KappaScan(A, C_W, p)
+        prices = [scan.price(k) for k in range(8)]
+        assert prices == sorted(prices)
+        for k, lam in enumerate(prices):
+            assert scan.solve(lam).kappa == k
+            assert scan.solve(lam * (1.0 + 1e-9)).kappa > k
+        # the memo the solves grew gives the same prices as a fresh scan
+        assert [KappaScan(A, C_W, p).price(k) for k in range(8)] == prices
+
     def test_negative_price_rejected(self):
         with pytest.raises(ValueError):
             KappaScan(1.0, 5.0, 0.2).solve(-1.0)
@@ -151,6 +166,29 @@ class TestTransmissionRate:
     def test_decreasing_in_threshold(self):
         rates = [transmission_rate(k, k, 1.0, 0.2) for k in range(8)]
         assert all(b < a for a, b in zip(rates, rates[1:]))
+
+
+def _cycle_reference(klow, kbar, q, p):
+    """(rate, head) from the O(kbar) renewal-cycle arrays the O(kbar - klow) ones replaced."""
+    s = 1.0 - q * (1.0 - p)
+    rho = np.empty(kbar + 1)
+    rho[: klow + 1] = 1.0
+    if kbar > klow:
+        rho[klow: kbar + 1] = s ** np.arange(kbar - klow + 1)
+    mid_sum = float(rho[klow:kbar].sum())
+    top = rho[kbar] / (1.0 - p)
+    length = klow + mid_sum + top
+    return (q * mid_sum + top) / length, rho / length
+
+
+def test_cycle_stats_equal_the_full_arrays():
+    rng = np.random.default_rng(5)
+    for klow in (0, 1, 3, 40, 1000):
+        for gap in (0, 1, 2, 7, 8, 9, 130, 2000):
+            for q, p in ((1.0, 0.2), (0.0, 0.2), (0.5, 0.0), tuple(rng.random(2) * [1, 0.9])):
+                rate, head = _cycle_reference(klow, klow + gap, q, p)
+                assert transmission_rate(klow, klow + gap, q, p) == rate
+                assert np.array_equal(stationary_distribution(klow, klow + gap, q, p).head, head)
 
 
 class TestStationaryDistribution:
