@@ -7,6 +7,16 @@ decoder update with the current state, control, plant advance, AoI update.
 Scheduling ignores plant state, so `_schedule_block` advances the AoI a block
 of whole steps at once and the plant loops replay its receptions step by step.
 
+The plant loops (game and estimator) pick their form from the plant shape.
+Scalar plants (1x1 A and B, every CLI workload) run on per-agent coefficient
+columns: each step is a few ufuncs over all agents, with no per-type loop.
+Other plants run one matrix product per type and step. Exactness contract:
+the columns give the bits of the per-type loop. A 1x1 `@` rounds one product,
+as a broadcast multiply does; the one-term `einsum` dev'Q dev is dev*q*dev;
+sums keep their order; `X.sum() / N` is `X.mean()`. Vector plants stay per
+type, because a matrix product there fuses multiplies and adds that
+element-wise ops would round differently.
+
 One run is single-threaded and deterministic given (config, seed); RNG
 substreams for channel, policy coin, noise, and initial states are spawned
 from the seed in a fixed order, so policy comparisons on the same seed use
@@ -168,6 +178,18 @@ def _sample_initial_states(population: Population, rng) -> np.ndarray:
     return X
 
 
+def _scalar_plants(types) -> bool:
+    """True when every A and B is 1x1: the plant loops then run on columns."""
+    return all(t.A.shape == (1, 1) and t.B.shape == (1, 1) for t in types)
+
+
+def _agent_columns(population: Population, per_type) -> np.ndarray:
+    """Per-agent columns of per-type 1x1 values: per_type[i] holds type i's
+    values, and row j of the result is value j for every agent (type_index)."""
+    table = np.array(per_type, dtype=float).reshape(len(per_type), -1)
+    return table.T[:, population.type_index]
+
+
 def run_game_experiment(config: ScenarioConfig, mfe, policy: RelaxedPolicy,
                         seed: int | None = None) -> Metrics:
     """Full closed loop: MATB-P scheduling, decoders, tracking controllers.
@@ -179,35 +201,64 @@ def run_game_experiment(config: ScenarioConfig, mfe, policy: RelaxedPolicy,
     rng = make_streams(config.seed if seed is None else seed)
     population = population_for(config)
     run = _ScheduleRun(config, policy, rng)
-    N, T = config.N, config.T
-    slices = population.slices()
-    types = population.types
-    n = types[0].A.shape[0]
+    X = _sample_initial_states(population, rng["init"])
+    loop = _game_on_columns if _scalar_plants(population.types) else _game_per_type
+    game_cost, mu_N = loop(run, population, mfe, X, rng["noise"], config.T)
+    cons_err = np.sum((mu_N - mfe.mu_padded(config.T)) ** 2, axis=1)
+    return run.metrics(per_agent_cost=game_cost / config.T, consensus_error=cons_err,
+                       mean_field_gap=float(cons_err.mean()))
 
+
+def _game_on_columns(run, population, mfe, X, noise_rng, T):
+    """The closed loop for scalar plants, a few ufuncs per step over all
+    agents. Returns the summed per-agent cost and mu^N per step, shape (T, 1)."""
+    types, N = population.types, population.N
+    gains = [mfe.gains[t.label] for t in types]
+    a, b, k1, cw, q, r = _agent_columns(population, [
+        (t.A, t.B, G.K1, np.linalg.cholesky(t.C_W), t.Q, t.R) for t, G in zip(types, gains)])
+    # K2 g_{k+1} of each type at every step, gathered per agent a block at a time
+    k2g = np.stack([G.K2.item() * mfe.g_padded(t.label, T + 1)[:, 0]
+                    for t, G in zip(types, gains)], axis=1)
+    X = X[:, 0]
+    Z, U = X.copy(), np.zeros(N)
+    game_cost, mu_N = np.zeros(N), np.empty(T)
+    for k0, taus in run.blocks():
+        rows = len(taus) - 1
+        W_block = noise_rng.standard_normal((rows, N, 1))[..., 0] * cw
+        k2g_block = k2g[k0 + 1:k0 + rows + 1][:, population.type_index]
+        for k, recv, W, k2g_next in zip(range(k0, T), taus[1:] == 0, W_block, k2g_block):
+            if k > 0:
+                Z = np.where(recv, X, Z * a + U * b)
+            mu_N[k] = mu = X.sum() / N  # X.mean()'s bits without its Python overhead
+            dev = X - mu
+            U = -(Z * k1) - k2g_next
+            game_cost += dev * q * dev + U * r * U
+            X = X * a + U * b + W
+    return game_cost, mu_N[:, None]
+
+
+def _game_per_type(run, population, mfe, X, noise_rng, T):
+    """The closed loop for vector plants, one matrix product per type and
+    step. Returns the summed per-agent cost and mu^N per step, shape (T, n)."""
+    types, slices, N = population.types, population.slices(), population.N
+    n = X.shape[1]
     gains = [mfe.gains[t.label] for t in types]
     g_by_type = [mfe.g_padded(t.label, T + 1) for t in types]
-    mu_star = mfe.mu_padded(T)
     chol_w = [np.linalg.cholesky(t.C_W) for t in types]
-
-    X = _sample_initial_states(population, rng["init"])
     Z = X.copy()
     U_prev = [np.zeros((s.stop - s.start, t.B.shape[1])) for t, s in zip(types, slices)]
-
-    game_cost = np.zeros(N)
-    cons_err = np.zeros(T)
+    game_cost, mu_N = np.zeros(N), np.empty((T, n))
     # scheduling ignores plant state, so a block's receptions are known up front
     for k0, taus in run.blocks():
-        noise_block = rng["noise"].standard_normal((len(taus) - 1, N, n))
+        noise_block = noise_rng.standard_normal((len(taus) - 1, N, n))
         for k, recv, noise in zip(range(k0, T), taus[1:] == 0, noise_block):
             if k > 0:
                 for i, s in enumerate(slices):
                     prop = Z[s] @ types[i].A.T + U_prev[i] @ types[i].B.T
                     Z[s] = np.where(recv[s, None], X[s], prop)
 
-            mu_N = X.mean(axis=0)
-            cons_err[k] = float(np.sum((mu_N - mu_star[k]) ** 2))
-
-            dev = X - mu_N
+            mu_N[k] = X.mean(axis=0)
+            dev = X - mu_N[k]
             for i, s in enumerate(slices):
                 t = types[i]
                 U = -(Z[s] @ gains[i].K1.T) - gains[i].K2 @ g_by_type[i][k + 1]
@@ -216,9 +267,7 @@ def run_game_experiment(config: ScenarioConfig, mfe, policy: RelaxedPolicy,
                 W = noise[s] @ chol_w[i].T
                 X[s] = X[s] @ t.A.T + U @ t.B.T + W
                 U_prev[i] = U
-
-    return run.metrics(per_agent_cost=game_cost / T, consensus_error=cons_err,
-                       mean_field_gap=float(cons_err.mean()))
+    return game_cost, mu_N
 
 
 def run_estimator_experiment(config: ScenarioConfig, policy: RelaxedPolicy,
@@ -237,6 +286,9 @@ def run_estimator_experiment(config: ScenarioConfig, policy: RelaxedPolicy,
     types = population.types
     n = types[0].A.shape[0]
     chol_w = [np.linalg.cholesky(t.C_W) for t in types]
+    columns = _scalar_plants(types)
+    if columns:
+        a, cw = _agent_columns(population, list(zip((t.A for t in types), chol_w)))[..., None]
 
     e = np.zeros((N, n))  # Z_0 = X_0
     # age of the decoder estimate: tracks e exactly, including the free
@@ -250,9 +302,12 @@ def run_estimator_experiment(config: ScenarioConfig, policy: RelaxedPolicy,
         noise_block = rng["noise"].standard_normal((len(taus) - 1, N, n))
         for k, recv, noise in zip(range(k0, T), taus[1:] == 0, noise_block):
             if k > 0:
-                for i, s in enumerate(slices):
-                    W = noise[s] @ chol_w[i].T
-                    e[s] = np.where(recv[s, None], 0.0, e[s] @ types[i].A.T + W)
+                if columns:
+                    e = np.where(recv[:, None], 0.0, e * a + noise * cw)
+                else:
+                    for i, s in enumerate(slices):
+                        W = noise[s] @ chol_w[i].T
+                        e[s] = np.where(recv[s, None], 0.0, e[s] @ types[i].A.T + W)
                 age = np.where(recv, 0, age + 1)
 
             if k in sample_ks:

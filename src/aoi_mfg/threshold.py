@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AssumptionViolationError, NoConvergenceError
+from .errors import AssumptionViolationError, NoConvergenceError, NumericOverflowError
 from .estimator import WeightTable
 
 _KAPPA_CAP = 10**6
@@ -87,14 +87,22 @@ def f_tail(x: int, A, C_W, p: float) -> float:
 
 
 def _f_tail_scalar(x, a, cw, p):
+    try:
+        a_x = a**x
+    except OverflowError:  # a float power raises where the series path gives inf
+        a_x = math.inf
     if p == 0.0:
         # series collapses to its first term c(x)
-        return cw * x * (x if a == 1.0 else (1.0 - a**x) / (1.0 - a))
-    if a == 1.0:
-        return cw * (x * x / (1 - p) + 2 * x * p / (1 - p) ** 2 + p * (1 + p) / (1 - p) ** 3)
-    geo = x / (1 - p) + p / (1 - p) ** 2
-    geo_a = a**x * (x / (1 - a * p) + a * p / (1 - a * p) ** 2)
-    return cw / (1 - a) * (geo - geo_a)
+        f = cw * x * (x if a == 1.0 else (1.0 - a_x) / (1.0 - a))
+    elif a == 1.0:
+        f = cw * (x * x / (1 - p) + 2 * x * p / (1 - p) ** 2 + p * (1 + p) / (1 - p) ** 3)
+    else:
+        geo = x / (1 - p) + p / (1 - p) ** 2
+        geo_a = a_x * (x / (1 - a * p) + a * p / (1 - a * p) ** 2)
+        f = cw / (1 - a) * (geo - geo_a)
+    if not math.isfinite(f):
+        raise NumericOverflowError(f"tail cost f({x}) overflows float64 (A too unstable for this age)")
+    return f
 
 
 def _f_tail_series(x, table, a, p, rel=1e-12):

@@ -1,11 +1,15 @@
+import dataclasses
 import warnings
 
 import numpy as np
 import pytest
 
 from aoi_mfg import (
+    DecoderState,
     WeightTable,
     bisection_lambda,
+    control_action,
+    decoder_update,
     default_types,
     error_weight,
     game_scenario,
@@ -289,3 +293,185 @@ class TestEstimatorExperiment:
         out = run_estimator_experiment(cfg, policy, seed=3, sample_ks=(10, 50))
         assert set(out["snapshots"]) == {10, 50}
         assert out["snapshots"][10].shape == (50, 1)
+
+
+# Scalar types that differ in every coefficient the plant loops read per
+# agent (A, B, C_W, Q, R), with unequal shares, so a column built in the wrong
+# type order shows; the default types share B, C_W, Q and R.
+MIXED_TYPES = (
+    AgentType(label="slow", A=0.6, B=0.2, C_W=2.0, Q=1.0, R=3.0, x0_mean=4.0, x0_cov=0.5, prob=0.5),
+    AgentType(label="drift", A=1.0, B=0.1269, C_W=5.0, Q=2.0, R=2.0, x0_mean=-1.0, x0_cov=1.0,
+              prob=0.3),
+    AgentType(label="fast", A=1.1, B=0.35, C_W=1.5, Q=4.0, R=0.5, x0_mean=2.0, x0_cov=2.0, prob=0.2),
+)
+TWO_STATE_TYPES = tuple(
+    AgentType(label=label, A=[[a, 0.1], [0.0, 0.9]], B=[[0.1269], [0.2]], C_W=[[5.0, 0.0], [0.0, 5.0]],
+              Q=[[2.0, 0.0], [0.0, 2.0]], R=2.0, x0_mean=[x, 1.0], x0_cov=[[1.0, 0.0], [0.0, 1.0]],
+              prob=0.5)
+    for label, a, x in (("stable", 0.5, 6.0), ("marginal", 1.0, 3.0)))
+TYPE_SETS = {"default": default_types(), "mixed": MIXED_TYPES, "two-state": TWO_STATE_TYPES}
+
+
+@pytest.fixture(scope="module")
+def equilibria():
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return {name: solve_mfe(types) for name, types in TYPE_SETS.items()}
+
+
+def _game_reference(config, mfe, policy, seed):
+    """The closed loop as one matrix product per type and step, for every
+    state dimension: the loop the per-agent columns replaced for n = 1."""
+    rng = make_streams(seed)
+    population = population_for(config)
+    run = sim._ScheduleRun(config, policy, rng)
+    N, T = config.N, config.T
+    slices = population.slices()
+    types = population.types
+    n = types[0].A.shape[0]
+
+    gains = [mfe.gains[t.label] for t in types]
+    g_by_type = [mfe.g_padded(t.label, T + 1) for t in types]
+    mu_star = mfe.mu_padded(T)
+    chol_w = [np.linalg.cholesky(t.C_W) for t in types]
+
+    X = sim._sample_initial_states(population, rng["init"])
+    Z = X.copy()
+    U_prev = [np.zeros((s.stop - s.start, t.B.shape[1])) for t, s in zip(types, slices)]
+
+    game_cost = np.zeros(N)
+    cons_err = np.zeros(T)
+    for k0, taus in run.blocks():
+        noise_block = rng["noise"].standard_normal((len(taus) - 1, N, n))
+        for k, recv, noise in zip(range(k0, T), taus[1:] == 0, noise_block):
+            if k > 0:
+                for i, s in enumerate(slices):
+                    prop = Z[s] @ types[i].A.T + U_prev[i] @ types[i].B.T
+                    Z[s] = np.where(recv[s, None], X[s], prop)
+
+            mu_N = X.mean(axis=0)
+            cons_err[k] = float(np.sum((mu_N - mu_star[k]) ** 2))
+
+            dev = X - mu_N
+            for i, s in enumerate(slices):
+                t = types[i]
+                U = -(Z[s] @ gains[i].K1.T) - gains[i].K2 @ g_by_type[i][k + 1]
+                game_cost[s] += (np.einsum("ij,jk,ik->i", dev[s], t.Q, dev[s])
+                                 + np.einsum("ij,jk,ik->i", U, t.R, U))
+                W = noise[s] @ chol_w[i].T
+                X[s] = X[s] @ t.A.T + U @ t.B.T + W
+                U_prev[i] = U
+
+    return run.metrics(per_agent_cost=game_cost / T, consensus_error=cons_err,
+                       mean_field_gap=float(cons_err.mean()))
+
+
+def _estimator_reference(config, policy, seed, sample_ks, tau_cap):
+    """`run_estimator_experiment` as one matrix product per type and step."""
+    rng = make_streams(seed)
+    population = population_for(config)
+    N, T = config.N, config.T
+    slices = population.slices()
+    types = population.types
+    n = types[0].A.shape[0]
+    chol_w = [np.linalg.cholesky(t.C_W) for t in types]
+
+    e = np.zeros((N, n))
+    age = np.zeros(N, dtype=np.int64)
+    snapshots = {}
+    sums = np.zeros((len(types), tau_cap + 1))
+    counts = np.zeros((len(types), tau_cap + 1), dtype=np.int64)
+    for k0, taus in sim._ScheduleRun(config, policy, rng).blocks():
+        noise_block = rng["noise"].standard_normal((len(taus) - 1, N, n))
+        for k, recv, noise in zip(range(k0, T), taus[1:] == 0, noise_block):
+            if k > 0:
+                for i, s in enumerate(slices):
+                    W = noise[s] @ chol_w[i].T
+                    e[s] = np.where(recv[s, None], 0.0, e[s] @ types[i].A.T + W)
+                age = np.where(recv, 0, age + 1)
+
+            if k in sample_ks:
+                snapshots[k] = e.copy()
+            sq = np.sum(e * e, axis=1)
+            for i, s in enumerate(slices):
+                small = age[s] <= tau_cap
+                sums[i] += np.bincount(age[s][small], sq[s][small], tau_cap + 1)
+                counts[i] += np.bincount(age[s][small], minlength=tau_cap + 1)
+
+    return {"snapshots": snapshots, "cond_sum_sq": sums, "cond_count": counts}
+
+
+def _per_agent_oracle(config, mfe, policy, seed):
+    """The closed loop one agent at a time: receptions from the scalar
+    scheduling reference, estimates from `decoder_update`, controls from
+    `control_action`. Returns (per_agent_cost, consensus_error)."""
+    rng = make_streams(seed)
+    population = population_for(config)
+    N, T = config.N, config.T
+    agent_types = [population.types[i] for i in population.type_index]
+    n = agent_types[0].n
+    taus, _ = reference_schedule(np.zeros(N, dtype=np.int64), policy, config.capacity,
+                                 config.p, rng, T)
+    z0 = rng["init"].standard_normal((N, n))
+    noise = rng["noise"].standard_normal((T, N, n))
+    X = [t.x0_mean + np.linalg.cholesky(t.x0_cov) @ z for t, z in zip(agent_types, z0)]
+    decoders = [DecoderState(Z=x.copy(), last_U=np.zeros(t.m)) for x, t in zip(X, agent_types)]
+    U = [np.zeros(t.m) for t in agent_types]
+    mu_star = mfe.mu_padded(T)
+    cost, cons = np.zeros(N), np.zeros(T)
+    for k in range(T):
+        for i, t in enumerate(agent_types):
+            if k > 0:
+                decoders[i] = decoder_update(decoders[i], X[i], U[i], taus[k + 1][i] == 0, t.A, t.B)
+        mu = np.mean(X, axis=0)
+        cons[k] = np.sum((mu - mu_star[k]) ** 2)
+        for i, t in enumerate(agent_types):
+            U[i] = control_action(decoders[i].Z, mfe.g_padded(t.label, T + 1)[k + 1],
+                                  mfe.gains[t.label])
+            dev = X[i] - mu
+            cost[i] += dev @ t.Q @ dev + U[i] @ t.R @ U[i]
+            X[i] = t.A @ X[i] + t.B @ U[i] + np.linalg.cholesky(t.C_W) @ noise[k, i]
+    return cost / T, cons
+
+
+def _scenario(types, N, T, p=0.2, alpha=0.25, seed=0):
+    return ScenarioConfig(N=N, capacity=max(1, round(alpha * N)), p=p, T=T, types=types, seed=seed)
+
+
+class TestPlantLoops:
+    # N = 400 spans several scheduling blocks; T = 1 is a run of one step
+    @pytest.mark.parametrize("T", [1, 50, 300])
+    @pytest.mark.parametrize("N", [7, 30, 90, 400])
+    @pytest.mark.parametrize("types", list(TYPE_SETS))
+    def test_game_equals_per_type_reference(self, equilibria, types, N, T):
+        cfg = _scenario(TYPE_SETS[types], N, T)
+        policy = bisection_lambda(population_for(cfg), cfg.p, cfg.capacity)
+        got = run_game_experiment(cfg, equilibria[types], policy, seed=N + T)
+        want = _game_reference(cfg, equilibria[types], policy, seed=N + T)
+        for field in dataclasses.fields(sim.Metrics):
+            assert np.array_equal(getattr(got, field.name), getattr(want, field.name)), field.name
+
+    @pytest.mark.parametrize("types", ["mixed", "two-state"])
+    def test_game_matches_per_agent_oracle(self, equilibria, types):
+        cfg = _scenario(TYPE_SETS[types], N=9, T=40)
+        policy = bisection_lambda(population_for(cfg), cfg.p, cfg.capacity)
+        m = run_game_experiment(cfg, equilibria[types], policy, seed=6)
+        cost, cons = _per_agent_oracle(cfg, equilibria[types], policy, seed=6)
+        np.testing.assert_allclose(m.per_agent_cost, cost, rtol=1e-12)
+        np.testing.assert_allclose(m.consensus_error, cons, rtol=1e-12)
+
+    @pytest.mark.parametrize("T", [1, 50, 450])
+    @pytest.mark.parametrize("N", [7, 90, 400])
+    @pytest.mark.parametrize("types", list(TYPE_SETS))
+    def test_estimator_equals_per_type_reference(self, types, N, T):
+        cfg = _scenario(TYPE_SETS[types], N, T)
+        policy = bisection_lambda(population_for(cfg), cfg.p, cfg.capacity)
+        args = dict(seed=N + T, sample_ks=(0, 10, 100, 400), tau_cap=8)
+        got = run_estimator_experiment(cfg, policy, **args)
+        want = _estimator_reference(cfg, policy, **args)
+        assert got["snapshots"].keys() == want["snapshots"].keys()
+        for k, e in want["snapshots"].items():
+            assert got["snapshots"][k].shape == e.shape
+            assert np.array_equal(got["snapshots"][k], e)
+        assert np.array_equal(got["cond_sum_sq"], want["cond_sum_sq"])
+        assert np.array_equal(got["cond_count"], want["cond_count"])

@@ -12,7 +12,7 @@ from aoi_mfg import (
     transmission_rate,
     value_iteration_oracle,
 )
-from aoi_mfg.errors import AssumptionViolationError
+from aoi_mfg.errors import AssumptionViolationError, NumericOverflowError
 from aoi_mfg.estimator import WeightTable
 from aoi_mfg.threshold import _f_tail_series
 
@@ -133,6 +133,18 @@ class TestKappaScan:
     def test_negative_price_rejected(self):
         with pytest.raises(ValueError):
             KappaScan(1.0, 5.0, 0.2).solve(-1.0)
+
+    @pytest.mark.parametrize("p", [0.0, 0.2])
+    @pytest.mark.parametrize("kind", ["unstable", "two-state"])
+    def test_tail_overflow_is_a_numeric_error(self, kind, p):
+        # A^2 = 1.3225 to the power x leaves float64 near x = 2540: the closed
+        # form raises the typed error (CLI exit 2) as the series path does,
+        # not a bare OverflowError (exit 4)
+        A, C_W = self.TWO_STATE if kind == "two-state" else (1.15, 5.0)
+        scan = KappaScan(A, C_W, p)
+        assert math.isfinite(scan.f(2000))
+        with pytest.raises(NumericOverflowError, match="overflows"):
+            scan.f(3000)
 
 
 class TestValueIterationOracle:
