@@ -58,7 +58,6 @@ from .scheduler import (
     bisection_lambda,
     matb_select,
     randomization_q,
-    relaxed_decision,
     relaxed_decisions,
 )
 from .sim import (

@@ -1,10 +1,12 @@
 """Command-line front end: scenario ingestion, experiment presets, and
 figure-data emission.
 
-Commands: `schedule` (capacity-sweep WAoI comparison of the relaxed policy
+Commands: `schedule` (population-sweep WAoI comparison of the relaxed policy
 against its max-age-first projection), `game` (closed-loop consensus-cost
 sweeps over capacity ratio and erasure probability), `mfe` (equilibrium
-report), `bounds` (analytic bound report). All data files are deterministic
+report), `bounds` (analytic bound report). Each command reads its scenario
+once (`--config`, else its preset), resolves the flags over it once and
+derives every sweep point from that. All data files are deterministic
 given config + seed; wall-clock information lives only in the run manifest.
 """
 
@@ -20,6 +22,7 @@ import sys
 import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -79,26 +82,6 @@ def _config_doc(config: ScenarioConfig) -> dict:
     }
 
 
-def _config_hash(doc: dict) -> str:
-    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
-
-
-def _write_manifest(out_dir: Path, command: str, doc: dict, seed: int,
-                    outputs: list, started: float, diagnostics: dict | None = None) -> None:
-    manifest = {
-        "command": command,
-        "config_hash": _config_hash(doc),
-        "seed": seed,
-        "version": __version__,
-        "outputs": [str(p) for p in outputs],
-        "started_unix": started,
-        "duration_s": time.time() - started,
-    }
-    if diagnostics is not None:
-        manifest["diagnostics"] = diagnostics
-    _write_json(out_dir / f"{command}_manifest.json", manifest)
-
-
 def _worker_count() -> int:
     try:
         return max(1, int(os.environ.get("AOI_MFG_THREADS", "1")))
@@ -125,26 +108,21 @@ def _game_run(job):
     return run_game_experiment(config, mfe, policy, seed)
 
 
-def _scenario(args, N=None, alpha=None, p=None, T=None, mc_runs=None) -> ScenarioConfig:
-    """Scenario from --config if given, else the scheduling preset; the
-    explicit keyword/flag values override the file."""
-    if args.config:
-        base = load_scenario(args.config)
-    else:
-        base = scheduling_scenario()
-    N = N if N is not None else (args.N if args.N is not None else base.N)
-    alpha = alpha if alpha is not None else (args.alpha if args.alpha is not None else base.alpha)
-    p = p if p is not None else (args.p if args.p is not None else base.p)
-    return ScenarioConfig(
-        N=N,
-        capacity=capacity_for(alpha, N),
-        p=p,
-        T=T if T is not None else base.T,
-        types=base.types,
-        seed=args.seed if args.seed is not None else base.seed,
-        mc_runs=mc_runs if mc_runs is not None else (
-            args.runs if args.runs is not None else base.mc_runs),
-    )
+def _resolve(args, base: ScenarioConfig):
+    """The flags over the scenario, resolved once: the scenario with --seed
+    and --runs applied, and its points' N, capacity ratio and p (--N,
+    --alpha, --p, else the scenario's own). The ratio is the scenario's
+    capacity/N, never that of a point whose capacity was already rounded."""
+    config = replace(base, seed=base.seed if args.seed is None else args.seed,
+                     mc_runs=base.mc_runs if args.runs is None else args.runs)
+    return (config, base.N if args.N is None else args.N,
+            base.alpha if args.alpha is None else args.alpha,
+            base.p if args.p is None else args.p)
+
+
+def _point(config: ScenarioConfig, N: int, alpha: float, p: float) -> ScenarioConfig:
+    """One sweep point of the resolved scenario."""
+    return replace(config, N=N, capacity=capacity_for(alpha, N), p=p)
 
 
 def _parse_seed_range(text: str):
@@ -158,13 +136,17 @@ def _parse_seed_range(text: str):
     return list(range(lo, hi + 1))
 
 
-def _fig2_row(config: ScenarioConfig, seeds) -> tuple:
-    population = population_for(config)
-    policy = bisection_lambda(population, config.p, config.capacity)
+def _fig2_runs(config: ScenarioConfig, seeds):
+    """The relaxed policy, its bound report and one (relaxed, MATB) pair per seed."""
+    policy = bisection_lambda(population_for(config), config.p, config.capacity)
     results = _map_runs(_sched_pair, [(config, policy, s) for s in seeds])
+    return policy, bound_report(config, policy), results
+
+
+def _fig2_cells(config: ScenarioConfig, policy, bounds, results) -> tuple:
+    """One fig2 row from the runs it averages."""
     j_rel = float(np.mean([r.j_bs for r, _ in results]))
     j_matb = float(np.mean([m.j_bs for _, m in results]))
-    bounds = bound_report(config, policy)
     row = [config.N, j_rel, j_matb, j_matb - j_rel, bounds.gap_bound]
     if config.p == 0.0:
         max_aoi = max(m.max_aoi for _, m in results)
@@ -175,131 +157,118 @@ def _fig2_row(config: ScenarioConfig, seeds) -> tuple:
     return tuple(row)
 
 
-def cmd_schedule(args) -> int:
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    started = time.time()
+def _fig2_row(config: ScenarioConfig, seeds) -> tuple:
+    return _fig2_cells(config, *_fig2_runs(config, seeds))
 
+
+def cmd_schedule(args, base, out_dir):
+    config, N, alpha, p = _resolve(args, base)
     if args.report:
-        config = _scenario(args)
-        policy = bisection_lambda(population_for(config), config.p, config.capacity)
-        report_path = out_dir / "schedule_report.json"
-        _write_json(report_path, policy.report())
-        print(json.dumps(policy.report(), indent=2, sort_keys=True))
-        _write_manifest(out_dir, "schedule", _config_doc(config), config.seed,
-                        [report_path], started)
-        return 0
+        config = _point(config, N, alpha, p)
+        report = bisection_lambda(population_for(config), config.p, config.capacity).report()
+        path = out_dir / "schedule_report.json"
+        _write_json(path, report)
+        print(json.dumps(report, indent=2, sort_keys=True))
+        return config, config.seed, [path], None
 
-    base_seed = args.seed if args.seed is not None else 0
+    base_seed = 0 if args.seed is None else args.seed  # not the scenario's seed
     header = ["N", "J_relaxed", "J_matb", "gap", "gap_bound"]
-    rows = []
     if args.seeds:
-        # per-seed rows at one fixed N
+        # per-seed rows at one N: one policy and bound report for all seeds
         seeds = _parse_seed_range(args.seeds)
-        config = _scenario(args)
-        for s in seeds:
-            row = _fig2_row(config, [s])
-            rows.append((s,) + row)
+        config = _point(config, N, alpha, p)
+        policy, bounds, results = _fig2_runs(config, seeds)
+        rows = [(s,) + _fig2_cells(config, policy, bounds, [r])
+                for s, r in zip(seeds, results)]
         header = ["seed"] + header
-        doc = _config_doc(config)
     else:
-        sweep = [args.N] if args.N is not None else list(FIG2_N_SWEEP)
-        runs = args.runs if args.runs is not None else 5
-        seeds = list(range(base_seed, base_seed + runs))
-        for N in sweep:
-            config = _scenario(args, N=N)
-            log.info("schedule: N=%d over %d seeds", N, len(seeds))
+        seeds = range(base_seed, base_seed + (5 if args.runs is None else args.runs))
+        rows = []
+        for n in FIG2_N_SWEEP if args.N is None else [N]:
+            config = _point(config, n, alpha, p)
+            log.info("schedule: N=%d over %d seeds", n, len(seeds))
             rows.append(_fig2_row(config, seeds))
-        doc = _config_doc(config)
-    if config.p == 0.0:  # the same test as _fig2_row, which adds the cell
-        header = header + ["max_aoi"]
-
-    csv_path = out_dir / "fig2.csv"
-    _write_csv(csv_path, header, rows)
-    _write_manifest(out_dir, "schedule", doc, base_seed, [csv_path], started)
-    print(f"wrote {csv_path}")
-    return 0
+    if config.p == 0.0:  # the same test as _fig2_cells, which adds the cell
+        header.append("max_aoi")
+    path = out_dir / "fig2.csv"
+    _write_csv(path, header, rows)
+    print(f"wrote {path}")
+    return config, base_seed, [path], None
 
 
-def _quartiles(costs: np.ndarray):
-    q1, med, q3 = np.percentile(costs, [25.0, 50.0, 75.0])
-    return float(q1), float(med), float(q3)
-
-
-def _game_setting(args, mfe, N, alpha, p, T, runs, base_seed):
-    config = _scenario(args, N=N, alpha=alpha, p=p, T=T, mc_runs=runs)
+def _game_setting(config: ScenarioConfig, mfe) -> tuple:
+    """Quartiles of the per-agent costs over the point's mc_runs seeds."""
     policy = bisection_lambda(population_for(config), config.p, config.capacity)
-    jobs = [(config, mfe, policy, s) for s in range(base_seed, base_seed + runs)]
-    results = _map_runs(_game_run, jobs)
+    seeds = range(config.seed, config.seed + config.mc_runs)
+    results = _map_runs(_game_run, [(config, mfe, policy, s) for s in seeds])
     costs = np.concatenate([m.per_agent_cost for m in results])
-    return _quartiles(costs), config
+    return tuple(float(c) for c in np.percentile(costs, [25.0, 50.0, 75.0]))
 
 
-def cmd_game(args) -> int:
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    started = time.time()
-
-    base = load_scenario(args.config) if args.config else game_scenario()
-    N = args.N if args.N is not None else base.N
-    T = base.T
-    runs = args.runs if args.runs is not None else base.mc_runs
-    base_seed = args.seed if args.seed is not None else base.seed
-    p_fixed = args.p if args.p is not None else 0.2
-    alpha_fixed = args.alpha if args.alpha is not None else 0.45
-
-    mfe = solve_mfe(base.types)
-
-    rows_a = []
-    for alpha in FIG3_ALPHA_SWEEP:
-        (q1, med, q3), config = _game_setting(args, mfe, N, alpha, p_fixed,
-                                              T, runs, base_seed)
-        log.info("game: alpha=%.2f median cost %.4f", alpha, med)
-        rows_a.append((alpha, q1, med, q3))
-    rows_b = []
-    for p in FIG3_P_SWEEP:
-        (q1, med, q3), config = _game_setting(args, mfe, N, alpha_fixed, p,
-                                              T, runs, base_seed)
-        log.info("game: p=%.2f median cost %.4f", p, med)
-        rows_b.append((p, q1, med, q3))
-
-    path_a = out_dir / "fig3a.csv"
-    path_b = out_dir / "fig3b.csv"
-    _write_csv(path_a, ["alpha", "cost_q1", "cost_median", "cost_q3"], rows_a)
-    _write_csv(path_b, ["p", "cost_q1", "cost_median", "cost_q3"], rows_b)
-    _write_manifest(out_dir, "game", _config_doc(config), base_seed,
-                    [path_a, path_b], started, {"mfe": mfe.diagnostics()})
-    print(f"wrote {path_a} and {path_b}")
-    return 0
+def cmd_game(args, base, out_dir):
+    config, N, _, _ = _resolve(args, base)
+    mfe = solve_mfe(config.types)
+    # each sweep fixes the other coordinate; the scenario's own p and capacity are unused
+    p_fixed = 0.2 if args.p is None else args.p
+    alpha_fixed = 0.45 if args.alpha is None else args.alpha
+    points = ([("alpha", a, a, p_fixed) for a in FIG3_ALPHA_SWEEP]
+              + [("p", p, alpha_fixed, p) for p in FIG3_P_SWEEP])
+    rows = {"alpha": [], "p": []}
+    for column, value, alpha, p in points:
+        config = _point(config, N, alpha, p)
+        q1, med, q3 = _game_setting(config, mfe)
+        log.info("game: %s=%.2f median cost %.4f", column, value, med)
+        rows[column].append((value, q1, med, q3))
+    paths = [out_dir / "fig3a.csv", out_dir / "fig3b.csv"]
+    for path, (column, table) in zip(paths, rows.items()):
+        _write_csv(path, [column, "cost_q1", "cost_median", "cost_q3"], table)
+    print(f"wrote {paths[0]} and {paths[1]}")
+    return config, config.seed, paths, {"mfe": mfe.diagnostics()}
 
 
-def cmd_mfe(args) -> int:
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    started = time.time()
-    base = load_scenario(args.config) if args.config else game_scenario()
+def cmd_mfe(args, base, out_dir):
+    """The equilibrium of the scenario's types; flags other than --config and --out are unused."""
     sol = solve_mfe(base.types)
     report = sol.report()
     path = out_dir / "mfe_report.json"
     _write_json(path, report)
     print(json.dumps({k: report[k] for k in ("contraction_constant", "residual",
                                              "iterations")}, indent=2, sort_keys=True))
-    _write_manifest(out_dir, "mfe", _config_doc(base), base.seed, [path], started,
-                    {"mfe": sol.diagnostics()})
-    return 0
+    return base, base.seed, [path], {"mfe": sol.diagnostics()}
 
 
-def cmd_bounds(args) -> int:
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    started = time.time()
-    config = _scenario(args)
+def cmd_bounds(args, base, out_dir):
+    config = _point(*_resolve(args, base))
     policy = bisection_lambda(population_for(config), config.p, config.capacity)
     report = bound_report(config, policy).to_dict()
     path = out_dir / "bounds_report.json"
     _write_json(path, report)
     print(json.dumps(report, indent=2, sort_keys=True))
-    _write_manifest(out_dir, "bounds", _config_doc(config), config.seed, [path], started)
+    return config, config.seed, [path], None
+
+
+def _run(args) -> int:
+    """A command's shared start and finish: the output directory, the start
+    time, the one read of the scenario (--config, else the command's preset)
+    and the run manifest beside the data files."""
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    started = time.time()
+    base = load_scenario(args.config) if args.config else args.preset()
+    config, seed, outputs, diagnostics = args.fn(args, base, out_dir)
+    doc = _config_doc(config)
+    manifest = {
+        "command": args.command,
+        "config_hash": hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest(),
+        "seed": seed,
+        "version": __version__,
+        "outputs": [str(p) for p in outputs],
+        "started_unix": started,
+        "duration_s": time.time() - started,
+    }
+    if diagnostics is not None:
+        manifest["diagnostics"] = diagnostics
+    _write_json(out_dir / f"{args.command}_manifest.json", manifest)
     return 0
 
 
@@ -334,19 +303,19 @@ def build_parser() -> argparse.ArgumentParser:
                    help="inclusive seed range 'a..b' for per-seed rows")
     s.add_argument("--report", action="store_true",
                    help="print the solved relaxed policy instead of simulating")
-    s.set_defaults(fn=cmd_schedule)
+    s.set_defaults(fn=cmd_schedule, preset=scheduling_scenario)
 
     g = subs.add_parser("game", help="consensus-game cost sweeps")
     _add_common(g)
-    g.set_defaults(fn=cmd_game)
+    g.set_defaults(fn=cmd_game, preset=game_scenario)
 
     m = subs.add_parser("mfe", help="mean-field equilibrium report")
     _add_common(m)
-    m.set_defaults(fn=cmd_mfe)
+    m.set_defaults(fn=cmd_mfe, preset=game_scenario)
 
     b = subs.add_parser("bounds", help="analytic bound report")
     _add_common(b)
-    b.set_defaults(fn=cmd_bounds)
+    b.set_defaults(fn=cmd_bounds, preset=scheduling_scenario)
     return parser
 
 
@@ -356,7 +325,7 @@ def main(argv=None) -> int:
                         format="%(levelname)s %(name)s: %(message)s")
     try:
         _check_counts(args)
-        return args.fn(args)
+        return _run(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

@@ -369,10 +369,8 @@ def cost_upper_bound(atype, kappa_hat: int, p: float, gains: TrackingGains,
     tail in ||A||_F^2 p. The ||A||_F = 1 case evaluates the tail series in
     its limiting form directly.
     """
+    atype.check_erasure_compatibility(p)
     a = atype.a_frob2
-    if a * p >= 1.0:
-        from .errors import AssumptionViolationError
-        raise AssumptionViolationError(atype.label, a * p)
     term_noise = float(np.trace(gains.K @ atype.C_W))
 
     H = mu.shape[0]

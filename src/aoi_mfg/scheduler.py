@@ -10,11 +10,12 @@ coin per agent per step.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InfeasibleCapacityError
+from .errors import InfeasibleCapacityError, NumericOverflowError
 from .model import Population
 from .threshold import KappaScan, transmission_rate
 
@@ -93,6 +94,7 @@ def bisection_lambda(population: Population, p: float, C: float) -> RelaxedPolic
     breakpoint b, advances every type whose breakpoint is b past it, and
     stops at the first b with R(just above b) <= C: klow = kappa(b), kbar =
     kappa just above b, lambda* = b. If R(0) <= C, lambda* = 0 and q = 1.
+    A smallest next breakpoint outside float64 raises NumericOverflowError.
     """
     if C <= 0:
         raise InfeasibleCapacityError(f"capacity must be positive, got {C}")
@@ -105,6 +107,9 @@ def bisection_lambda(population: Population, p: float, C: float) -> RelaxedPolic
     while rate_high > C:
         kap_low, rate_low = list(kap_high), rate_high
         lam = min(nxt)
+        if not math.isfinite(lam):  # inf, or inf - inf: no price left to walk to
+            raise NumericOverflowError(
+                f"price breakpoint overflows float64 with R = {rate_high} > C = {C}")
         for i, scan in enumerate(scans):
             if nxt[i] == lam:
                 while nxt[i] <= lam:
@@ -120,17 +125,9 @@ def bisection_lambda(population: Population, p: float, C: float) -> RelaxedPolic
                          rate_low=rate_low, rate_high=rate_high, per_type=per_type)
 
 
-def relaxed_decision(tau: int, klow: int, kbar: int, q: float, coin: float) -> int:
-    """Mixture policy: follow the lower threshold when coin < q, else the upper."""
-    if klow > kbar:
-        raise ValueError(f"need klow <= kbar, got ({klow}, {kbar})")
-    threshold = klow if coin < q else kbar
-    return int(tau >= threshold)
-
-
 def relaxed_decisions(tau: np.ndarray, policy: RelaxedPolicy,
                       coins: np.ndarray) -> np.ndarray:
-    """Vectorized relaxed_decision over all agents."""
+    """Mixture policy per agent: follow klow when its coin < q, else kbar."""
     thresholds = np.where(coins < policy.q, policy.klow, policy.kbar)
     return (tau >= thresholds).astype(np.int8)
 

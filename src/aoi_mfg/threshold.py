@@ -67,7 +67,7 @@ class AoIChain:
         return head + top
 
 
-def _check_assumption(A, C_W, p):
+def _check_assumption(A, p):
     a = float(np.sum(np.atleast_2d(np.asarray(A, dtype=float)) ** 2))
     if a * p >= 1.0:
         raise AssumptionViolationError("<inline>", a * p)
@@ -133,7 +133,7 @@ class KappaScan:
         if not 0.0 <= p < 1.0:
             raise ValueError(f"p must lie in [0, 1), got {p}")
         self.p = p
-        self._a = _check_assumption(A, C_W, p)
+        self._a = _check_assumption(A, p)
         self._table = WeightTable(A, C_W)
         sa, sc = _scalar_of(A), _scalar_of(C_W)
         self._scalar = (sa * sa, sc) if sa is not None and sc is not None else None
@@ -218,7 +218,7 @@ def value_iteration_oracle(A, C_W, p: float, lam: float, state_cap: int = 500,
     truncation is audited post hoc: residual stationary mass above the cap
     must be < 1e-9.
     """
-    _check_assumption(A, C_W, p)
+    _check_assumption(A, p)
     table = WeightTable(A, C_W)
     c = table.c_table(state_cap)
     S = state_cap + 1

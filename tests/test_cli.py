@@ -4,8 +4,9 @@ from pathlib import Path
 
 import pytest
 
-from aoi_mfg import load_scenario, solve_mfe
+from aoi_mfg import cli, load_scenario, solve_mfe
 from aoi_mfg.cli import main
+from aoi_mfg.model import capacity_for
 
 TINY_SCHED = {
     "N": 6, "capacity": 2, "p": 0.2, "T": 150, "seed": 0,
@@ -109,6 +110,75 @@ class TestSchedule:
         assert len(manifest["config_hash"]) == 64
         paths = [Path(p).name for p in manifest["outputs"]]
         assert paths == ["fig2.csv"]
+
+
+def _read_csv(path):
+    with open(path, newline="", encoding="utf-8") as fh:
+        return list(csv.reader(fh))
+
+
+class TestSeedRows:
+    @pytest.mark.parametrize("p", ["0.2", "0"])
+    def test_row_equals_single_seed_run(self, p, sched_cfg, tmp_path):
+        # one policy for the whole seed range gives each seed's own --runs 1 row
+        assert main(["schedule", "--config", sched_cfg, "--p", p, "--seeds", "2..4",
+                     "--out", str(tmp_path / "seeds")]) == 0
+        header, *rows = _read_csv(tmp_path / "seeds" / "fig2.csv")
+        assert header[0] == "seed" and (header[-1] == "max_aoi") == (p == "0")
+        assert [row[0] for row in rows] == ["2", "3", "4"]
+        for row in rows:
+            out = tmp_path / f"seed{row[0]}"
+            assert main(["schedule", "--config", sched_cfg, "--p", p, "--N", "6",
+                         "--runs", "1", "--seed", row[0], "--out", str(out)]) == 0
+            assert _read_csv(out / "fig2.csv") == [header[1:], row[1:]]
+
+
+class TestCallContract:
+    """One scenario read per command, one simulation per point and seed."""
+
+    @staticmethod
+    def _record(monkeypatch, *names):
+        calls = {name: [] for name in names}
+        for name in names:
+            def wrapper(*args, fn=getattr(cli, name), name=name):
+                result = fn(*args)
+                calls[name].append((args, result))
+                return result
+            monkeypatch.setattr(cli, name, wrapper)
+        return calls
+
+    def test_schedule_sweep(self, sched_cfg, tmp_path, monkeypatch):
+        calls = self._record(monkeypatch, "load_scenario", "run_scheduling_experiment")
+        assert main(["schedule", "--config", sched_cfg, "--runs", "2", "--seed", "3",
+                     "--out", str(tmp_path / "o")]) == 0
+        assert len(calls["load_scenario"]) == 1
+        runs = [(cfg.N, cfg.capacity, kind, seed)
+                for (cfg, _, kind, seed), _ in calls["run_scheduling_experiment"]]
+        # every point's capacity from the file's ratio 2/6, not a rounded one
+        assert runs == [(N, capacity_for(2 / 6, N), "both", s)
+                        for N in cli.FIG2_N_SWEEP for s in (3, 4)]
+
+    def test_schedule_seeds_solve_once(self, sched_cfg, tmp_path, monkeypatch):
+        calls = self._record(monkeypatch, "load_scenario", "bisection_lambda", "bound_report",
+                             "run_scheduling_experiment")
+        assert main(["schedule", "--config", sched_cfg, "--seeds", "1..3",
+                     "--out", str(tmp_path / "o")]) == 0
+        assert [len(calls[name]) for name in ("load_scenario", "bisection_lambda",
+                                              "bound_report")] == [1, 1, 1]
+        policy = calls["bisection_lambda"][0][1]
+        assert [(p, seed) for (_, p, _, seed), _ in calls["run_scheduling_experiment"]] == [
+            (policy, 1), (policy, 2), (policy, 3)]
+
+    def test_game(self, game_cfg, tmp_path, monkeypatch):
+        calls = self._record(monkeypatch, "load_scenario", "solve_mfe", "run_game_experiment")
+        assert main(["game", "--config", game_cfg, "--runs", "2", "--out", str(tmp_path / "o")]) == 0
+        assert len(calls["load_scenario"]) == 1
+        [(_, mfe)] = calls["solve_mfe"]
+        runs = [(cfg.N, cfg.capacity, cfg.p, m is mfe, seed)
+                for (cfg, m, _, seed), _ in calls["run_game_experiment"]]
+        points = ([(capacity_for(a, 6), 0.2) for a in cli.FIG3_ALPHA_SWEEP]
+                  + [(capacity_for(0.45, 6), p) for p in cli.FIG3_P_SWEEP])
+        assert runs == [(6, c, p, True, s) for c, p in points for s in (0, 1)]
 
 
 class TestGame:
@@ -224,6 +294,15 @@ class TestErrors:
         assert rc == 4
         err = capsys.readouterr().err
         assert "Traceback" in err and "internal error: RuntimeError('boom')" in err
+
+    def test_price_overflow_exits_2(self, tmp_path, capsys):
+        # one unstable type whose breakpoint price leaves float64 before R <= C
+        doc = dict(TINY_SCHED, N=2500, capacity=1,
+                   types=[dict(TINY_SCHED["types"][0], A=1.15, prob=1.0)])
+        rc = main(["schedule", "--config", json.dumps(doc), "--report",
+                   "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "numeric error: price breakpoint overflows float64" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["schedule", "game"])
     @pytest.mark.parametrize("flag,value", [("--runs", "-1"), ("--runs", "0"), ("--N", "0")])

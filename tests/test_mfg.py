@@ -17,7 +17,7 @@ from aoi_mfg import (
     solve_riccati,
 )
 from aoi_mfg import mfg
-from aoi_mfg.errors import RankDeficientError, UnstableClosedLoopError
+from aoi_mfg.errors import AssumptionViolationError, RankDeficientError, UnstableClosedLoopError
 from aoi_mfg.mfg import TrackingGains
 
 
@@ -318,3 +318,8 @@ class TestCostUpperBound:
         b0 = cost_upper_bound(t, 4, 0.0, G, mfe.g[t.label], mfe.mu)
         b1 = cost_upper_bound(t, 4, 0.3, G, mfe.g[t.label], mfe.mu)
         assert b1 > b0
+
+    def test_erasure_incompatible_type_rejected(self, mfe):
+        t = default_types()[2]  # ||A||_F^2 p = 1.3225 * 0.8 >= 1
+        with pytest.raises(AssumptionViolationError, match="'unstable': .* = 1.058 >= 1"):
+            cost_upper_bound(t, 4, 0.8, mfe.gains[t.label], mfe.g[t.label], mfe.mu)

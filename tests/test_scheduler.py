@@ -3,17 +3,17 @@ import pytest
 
 from aoi_mfg import (
     KappaScan,
+    RelaxedPolicy,
     aggregate_rate,
     assign_types,
     bisection_lambda,
     default_types,
     matb_select,
     randomization_q,
-    relaxed_decision,
     relaxed_decisions,
     transmission_rate,
 )
-from aoi_mfg.errors import InfeasibleCapacityError
+from aoi_mfg.errors import InfeasibleCapacityError, NumericOverflowError
 from aoi_mfg.model import AgentType
 
 
@@ -171,21 +171,25 @@ class TestBisection:
         with pytest.raises(InfeasibleCapacityError):
             bisection_lambda(identical_pop, 0.2, 0.0)
 
+    def test_price_overflow_raises(self):
+        # the one type's breakpoint price leaves float64 near kappa = 2473 while
+        # R = 1.26 > C: no finite price meets the capacity
+        population = assign_types(2500, [make_type("u", A=1.15)])
+        with pytest.raises(NumericOverflowError, match="overflows float64"):
+            bisection_lambda(population, 0.2, 1.0)
+
     def test_report_keys(self, identical_pop):
         report = bisection_lambda(identical_pop, 0.2, 25.0).report()
         assert set(report) == {"lambda", "q", "rate_low", "rate_high",
                                "per_type_thresholds"}
 
 
-class TestRelaxedDecision:
+class TestRelaxedDecisions:
     def test_coin_selects_threshold(self):
-        assert relaxed_decision(3, klow=3, kbar=5, q=0.5, coin=0.2) == 1
-        assert relaxed_decision(3, klow=3, kbar=5, q=0.5, coin=0.8) == 0
-        assert relaxed_decision(5, klow=3, kbar=5, q=0.5, coin=0.8) == 1
-
-    def test_ordering_enforced(self):
-        with pytest.raises(ValueError):
-            relaxed_decision(3, klow=5, kbar=3, q=0.5, coin=0.2)
+        policy = RelaxedPolicy(klow=np.array([3, 3, 3]), kbar=np.array([5, 5, 5]), q=0.5,
+                               lam=0.0, rate_low=0.0, rate_high=0.0, per_type={})
+        got = relaxed_decisions(np.array([3, 3, 5]), policy, np.array([0.2, 0.8, 0.8]))
+        assert got.tolist() == [1, 0, 1]
 
     def test_vectorized_matches_scalar(self, identical_pop):
         policy = bisection_lambda(identical_pop, 0.2, 25.0)
@@ -194,8 +198,8 @@ class TestRelaxedDecision:
         coins = rng.random(100)
         vec = relaxed_decisions(tau, policy, coins)
         for i in range(100):
-            want = relaxed_decision(int(tau[i]), int(policy.klow[i]),
-                                    int(policy.kbar[i]), policy.q, float(coins[i]))
+            klow, kbar = int(policy.klow[i]), int(policy.kbar[i])
+            want = int(tau[i] >= (klow if coins[i] < policy.q else kbar))
             assert vec[i] == want
 
 
