@@ -131,6 +131,8 @@ def _parse_seed_range(text: str):
         lo, hi = int(lo), int(hi)
     except ValueError:
         raise ConfigError(f"--seeds expects 'a..b', got {text!r}")
+    if lo < 0:
+        raise ConfigError(f"--seeds must be >= 0, got {text!r}")
     if hi < lo:
         raise ConfigError(f"--seeds range is empty: {text!r}")
     return list(range(lo, hi + 1))
@@ -171,7 +173,6 @@ def cmd_schedule(args, base, out_dir):
         print(json.dumps(report, indent=2, sort_keys=True))
         return config, config.seed, [path], None
 
-    base_seed = 0 if args.seed is None else args.seed  # not the scenario's seed
     header = ["N", "J_relaxed", "J_matb", "gap", "gap_bound"]
     if args.seeds:
         # per-seed rows at one N: one policy and bound report for all seeds
@@ -182,7 +183,7 @@ def cmd_schedule(args, base, out_dir):
                 for s, r in zip(seeds, results)]
         header = ["seed"] + header
     else:
-        seeds = range(base_seed, base_seed + (5 if args.runs is None else args.runs))
+        seeds = range(config.seed, config.seed + config.mc_runs)
         rows = []
         for n in FIG2_N_SWEEP if args.N is None else [N]:
             config = _point(config, n, alpha, p)
@@ -193,7 +194,7 @@ def cmd_schedule(args, base, out_dir):
     path = out_dir / "fig2.csv"
     _write_csv(path, header, rows)
     print(f"wrote {path}")
-    return config, base_seed, [path], None
+    return config, config.seed, [path], None
 
 
 def _game_setting(config: ScenarioConfig, mfe) -> tuple:
@@ -283,14 +284,21 @@ def _add_common(sub):
 
 
 def _check_counts(args) -> None:
-    for flag in ("N", "runs"):
+    for flag, least in (("N", 1), ("runs", 1), ("seed", 0)):
         value = getattr(args, flag)
-        if value is not None and value < 1:
-            raise ConfigError(f"--{flag} must be >= 1, got {value}")
+        if value is not None and value < least:
+            raise ConfigError(f"--{flag} must be >= {least}, got {value}")
+
+
+class _Parser(argparse.ArgumentParser):
+    """A usage error is a config error (exit 1), not argparse's exit 2."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="aoi-mfg",
         description="AoI scheduling and mean-field consensus game experiments")
     parser.add_argument("--version", action="version", version=__version__)
@@ -320,10 +328,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    logging.basicConfig(level=logging.INFO if args.verbose else logging.WARNING,
-                        format="%(levelname)s %(name)s: %(message)s")
     try:
+        args = build_parser().parse_args(argv)
+        logging.basicConfig(level=logging.INFO if args.verbose else logging.WARNING,
+                            format="%(levelname)s %(name)s: %(message)s")
         _check_counts(args)
         return _run(args)
     except ConfigError as exc:

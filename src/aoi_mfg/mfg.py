@@ -9,16 +9,19 @@ pass for the type means), which equals the literal double-sum expansion.
 Exactness contract: `mf_operator` and `g_trajectory` return the same bits as
 a per-type loop of one NumPy matrix-vector product per step, so mu*, g, the
 Picard iteration count and K3 do not depend on how the recursions are run.
-Each type keeps its own float operations in their order:
-- n == 1 runs both recursions on Python floats. `a*g - q*mu` rounds each
-  product once and then subtracts, as the 1x1 `matmul` and the subtraction
-  do.
+Both recursions run through `_recursion`, x_{j+1} = M x_j - D u_j for a stack
+of types, which keeps each type's float operations in their order:
+- n == 1 runs on Python floats. `a*x - d*u` rounds each product once and then
+  subtracts, as the 1x1 `matmul` and the subtraction do (up to the sign of a
+  zero product, which `matmul` adds to +0.0).
 - n > 1 runs one step loop for all types on stacked (m, n, n) matrices, and
-  applies Q mu and B K2 g to the whole window in one batched `matmul`. A
-  stacked `matmul` computes each matrix-vector product with the same kernel
-  as a single one; `einsum` and element-wise sums do not (the kernel fuses
-  the multiply and the add), and on random 2x2 inputs they differ in the
-  last bit in about 40 % of cases.
+  applies D to the whole window in one batched `matmul`. A stacked `matmul`
+  computes each matrix-vector product with the same kernel as a single one;
+  `einsum` and element-wise sums do not (the kernel fuses the multiply and
+  the add), and on random 2x2 inputs they differ in the last bit in about
+  40 % of cases. `matmul` also picks its kernel by memory order, so the
+  matrices are C-ordered, as `load_scenario`, `solve_riccati` and `np.stack`
+  make them.
 - The recursions are not handed to `scipy.signal.lfilter`: it gives the same
   bits, but importing `scipy.signal` on top of this package takes ~1.3 s
   and ~47 MB more.
@@ -170,39 +173,50 @@ def solve_riccati(A, B, Q, R, tol: float = 1e-12, max_iter: int = 100000) -> Tra
     return gains
 
 
+def _recursion(M: np.ndarray, x0: np.ndarray, D: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """x_{j+1} = M x_j - D u_j for a stack of types, from x_0 = x0.
+
+    M and D have shape (m, n, n), x0 (m, n), and u (J, m, n), or (J, 1, n)
+    for a drive shared by every type; the result has shape (J+1, m, n).
+    Each type sees the float operations of a one-type NumPy loop, in their
+    order (the exactness contract in the module docstring)."""
+    m, n = x0.shape
+    J = u.shape[0]
+    x = np.empty((J + 1, m, n, 1))
+    x[0, :, :, 0] = x0
+    if n == 1:
+        drives = u[:, :, 0].T.tolist()
+        if len(drives) == 1:  # one drive shared by every type
+            drives *= m
+        for i, drive in enumerate(drives):
+            a, d, v = float(M[i, 0, 0]), float(D[i, 0, 0]), float(x0[i, 0])
+            col = [v]
+            for u_j in drive:
+                v = a * v - d * u_j
+                col.append(v)
+            x[:, i, 0, 0] = col
+        return x[..., 0]
+    Du = D @ u[..., None]                       # (J, m, n, 1): D u_j per type
+    for j in range(J):
+        np.matmul(M, x[j], out=x[j + 1])
+        np.subtract(x[j + 1], Du[j], out=x[j + 1])
+    return x[..., 0]
+
+
 def _backward(mu: np.ndarray, A_cl: np.ndarray, Q: np.ndarray, tail: str) -> np.ndarray:
     """g_k = A_cl' g_{k+1} - Q mu_k for a stack of types, from g_H down to g_0.
 
     A_cl and Q have shape (m, n, n), mu has shape (H, n); the result has
-    shape (H+1, m, n). Every type sees the same float operations, in the
-    same order, as the one-type NumPy loop it replaces (module docstring),
-    given C-ordered matrices as `load_scenario` and `solve_riccati` make
-    them: `matmul` picks its kernel by memory order, and `np.stack` copies
-    into C order.
-    """
+    shape (H+1, m, n)."""
     H, n = mu.shape
-    m = A_cl.shape[0]
     A_T = A_cl.transpose(0, 2, 1)
-    g = np.zeros((H + 1, m, n, 1))
     if tail == "constant":
-        g[H, :, :, 0] = -np.linalg.solve(np.eye(n) - A_T, (Q @ mu[H - 1])[..., None])[..., 0]
-    elif tail != "zero":
+        g_H = -np.linalg.solve(np.eye(n) - A_T, (Q @ mu[H - 1])[..., None])[..., 0]
+    elif tail == "zero":
+        g_H = np.zeros((A_cl.shape[0], n))
+    else:
         raise ValueError(f"unknown tail mode {tail!r}")
-    if n == 1:
-        mu_k = mu[:, 0].tolist()
-        for i in range(m):
-            a, q, v = float(A_cl[i, 0, 0]), float(Q[i, 0, 0]), float(g[H, i, 0, 0])
-            col = [v] * (H + 1)
-            for k in range(H - 1, -1, -1):
-                v = a * v - q * mu_k[k]
-                col[k] = v
-            g[:, i, 0, 0] = col
-        return g[..., 0]
-    Q_mu = Q @ mu[:, None, :, None]               # (H, m, n, 1): Q mu_k per type
-    for k in range(H - 1, -1, -1):
-        np.matmul(A_T, g[k + 1], out=g[k])
-        np.subtract(g[k], Q_mu[k], out=g[k])
-    return g[..., 0]
+    return _recursion(A_T, g_H, Q, mu[::-1, None, :])[::-1]
 
 
 def _check_stable(A_cl: np.ndarray) -> None:
@@ -240,30 +254,15 @@ def mf_operator(mu: np.ndarray, types, gains: dict) -> np.ndarray:
     the probability-weighted average over types.
     """
     mu = np.atleast_2d(np.asarray(mu, dtype=float))
-    H, n = mu.shape
+    H = mu.shape[0]
     A_cl = np.stack([gains[t.label].A_cl for t in types])
     _check_stable(A_cl)
     g = _backward(mu, A_cl, np.stack([t.Q for t in types]), "constant")
     BK2 = np.stack([t.B @ gains[t.label].K2 for t in types])
-    nu = np.empty((H, len(types), n, 1))
-    nu[0, :, :, 0] = [t.x0_mean for t in types]
-    if n == 1:
-        for i in range(len(types)):
-            a, bk2, v = float(A_cl[i, 0, 0]), float(BK2[i, 0, 0]), float(nu[0, i, 0, 0])
-            g_k = g[:, i, 0].tolist()
-            col = [v] * H
-            for k in range(1, H):
-                v = a * v - bk2 * g_k[k]
-                col[k] = v
-            nu[:, i, 0, 0] = col
-    else:
-        BK2_g = BK2 @ g[1:H, :, :, None]          # (H-1, m, n, 1): B K2 g_{k+1} per type
-        for k in range(H - 1):
-            np.matmul(A_cl, nu[k], out=nu[k + 1])
-            np.subtract(nu[k + 1], BK2_g[k], out=nu[k + 1])
+    nu = _recursion(A_cl, np.array([t.x0_mean for t in types]), BK2, g[1:H])
     out = np.zeros_like(mu)
     for i, t in enumerate(types):
-        out += t.prob * nu[:, i, :, 0]
+        out += t.prob * nu[:, i]
     return out
 
 
@@ -314,7 +313,6 @@ def solve_mfe(types, tol: float = 1e-8, max_iter: int = 500,
             f"contraction constant {cc:.4f} >= 1: fixed-point convergence is "
             "not guaranteed by the sufficient condition; proceeding anyway",
             stacklevel=2)
-    n = types[0].A.shape[0]
     mu0 = sum(t.prob * t.x0_mean for t in types)
     rho = max(gains[t.label].rho_cl for t in types)
     if horizon is None:

@@ -127,14 +127,13 @@ class ScenarioConfig:
     mc_runs: int = 1
 
     def __post_init__(self):
-        if self.N < 1:
-            raise ConfigError(f"N must be >= 1, got {self.N}")
+        for key, least in (("N", 1), ("T", 1), ("seed", 0), ("mc_runs", 1)):
+            if getattr(self, key) < least:
+                raise ConfigError(f"{key} must be >= {least}, got {getattr(self, key)}")
         if not 1 <= self.capacity < self.N:
             raise ConfigError(f"capacity must satisfy 1 <= C < N, got C={self.capacity}, N={self.N}")
         if not 0.0 <= self.p < 1.0:
             raise ConfigError(f"p must lie in [0, 1), got {self.p}")
-        if self.T < 1:
-            raise ConfigError(f"T must be >= 1, got {self.T}")
         total = sum(t.prob for t in self.types)
         if abs(total - 1.0) > _PROB_TOL:
             raise ConfigError(f"type probabilities sum to {total!r}, expected 1")

@@ -25,7 +25,7 @@ def scheduling_scenario(N: int = 100, alpha: float = 0.25, p: float = 0.2,
                         T: int = 5000, seed: int = 0) -> ScenarioConfig:
     """Scheduling-layer benchmark: WAoI cost under the capacity constraint."""
     return ScenarioConfig(N=N, capacity=capacity_for(alpha, N), p=p, T=T,
-                          types=default_types(), seed=seed)
+                          types=default_types(), seed=seed, mc_runs=5)
 
 
 def game_scenario(N: int = 90, alpha: float = 0.45, p: float = 0.2,

@@ -7,14 +7,16 @@ decoder update with the current state, control, plant advance, AoI update.
 Scheduling ignores plant state, so `_schedule_block` advances the AoI a block
 of whole steps at once and the plant loops replay its receptions step by step.
 
-The plant loops (game and estimator) pick their form from the plant shape.
-Scalar plants (1x1 A and B, every CLI workload) run on per-agent coefficient
-columns: each step is a few ufuncs over all agents, with no per-type loop.
-Other plants run one matrix product per type and step. Exactness contract:
-the columns give the bits of the per-type loop. A 1x1 `@` rounds one product,
-as a broadcast multiply does; the one-term `einsum` dev'Q dev is dev*q*dev;
-sums keep their order; `X.sum() / N` is `X.mean()`. Vector plants stay per
-type, because a matrix product there fuses multiplies and adds that
+The plant loops (game and estimator) are written once for every plant
+shape; `_per_agent` decides how a per-type matrix acts on the agents. Scalar
+plants (1x1 A and B, every CLI workload) use per-agent columns, a few ufuncs
+per step; others one matrix product per type slice. Exactness contract: both
+give the bits of a loop of one matrix product per type and step (the
+reference in `tests/test_sim.py`). A 1x1 `@` rounds one product, as an
+element-wise multiply does; the one-term `einsum` dev'Q dev is dev*q*dev;
+sums keep their order; `X.sum(axis=0) / N` is `X.mean(axis=0)`; a stacked
+`matmul` (a block of noise, the K2 g table) uses the kernel of a single one.
+Vector plants keep matrix products: `matmul` fuses multiplies and adds that
 element-wise ops would round differently.
 
 One run is single-threaded and deterministic given (config, seed); RNG
@@ -27,6 +29,7 @@ the numbers one draw per step would, so a seed maps to the same numbers.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -183,11 +186,44 @@ def _scalar_plants(types) -> bool:
     return all(t.A.shape == (1, 1) and t.B.shape == (1, 1) for t in types)
 
 
-def _agent_columns(population: Population, per_type) -> np.ndarray:
-    """Per-agent columns of per-type 1x1 values: per_type[i] holds type i's
-    values, and row j of the result is value j for every agent (type_index)."""
-    table = np.array(per_type, dtype=float).reshape(len(per_type), -1)
-    return table.T[:, population.type_index]
+def _per_agent(population: Population):
+    """(rows, linear, quadratic) for the plant loops. `rows(x)` puts per-agent
+    vectors, shape (..., N, k), into the loops' layout; given one matrix M_phi
+    per type, `linear(Ms)` is x -> M_phi x and `quadratic(Ms)` x -> x' M_phi x
+    over every agent in that layout. Scalar plants: a 1-D per-agent column
+    and element-wise products. Others: (N, k) rows and one `x[s] @ M.T` or
+    `einsum` per type slice s; a type with fewer controls than k uses the
+    leading entries of its rows."""
+    slices = population.slices()
+    if _scalar_plants(population.types):
+        def column(Ms):
+            return np.array([M.item() for M in Ms])[population.type_index]
+
+        def linear(Ms):
+            # c * x has the bits of x * c; a ufunc partial adds no Python frame per call
+            return partial(np.multiply, column(Ms))
+
+        def quadratic(Ms):
+            c = column(Ms)
+            return lambda x: x * c * x
+        return (lambda x: x[..., 0]), linear, quadratic
+
+    def linear(Ms):
+        def apply(x):
+            out = np.zeros(x.shape[:-1] + (max(M.shape[0] for M in Ms),))
+            for s, M in zip(slices, Ms):
+                out[..., s, :M.shape[0]] = x[..., s, :M.shape[1]] @ M.T
+            return out
+        return apply
+
+    def quadratic(Ms):
+        def apply(x):
+            out = np.empty(x.shape[0])
+            for s, M in zip(slices, Ms):
+                out[s] = np.einsum("ij,jk,ik->i", x[s, :M.shape[0]], M, x[s, :M.shape[0]])
+            return out
+        return apply
+    return (lambda x: x), linear, quadratic
 
 
 def run_game_experiment(config: ScenarioConfig, mfe, policy: RelaxedPolicy,
@@ -200,74 +236,36 @@ def run_game_experiment(config: ScenarioConfig, mfe, policy: RelaxedPolicy,
     """
     rng = make_streams(config.seed if seed is None else seed)
     population = population_for(config)
+    types, N, T, n = population.types, config.N, config.T, population.types[0].n
     run = _ScheduleRun(config, policy, rng)
-    X = _sample_initial_states(population, rng["init"])
-    loop = _game_on_columns if _scalar_plants(population.types) else _game_per_type
-    game_cost, mu_N = loop(run, population, mfe, X, rng["noise"], config.T)
-    cons_err = np.sum((mu_N - mfe.mu_padded(config.T)) ** 2, axis=1)
-    return run.metrics(per_agent_cost=game_cost / config.T, consensus_error=cons_err,
-                       mean_field_gap=float(cons_err.mean()))
-
-
-def _game_on_columns(run, population, mfe, X, noise_rng, T):
-    """The closed loop for scalar plants, a few ufuncs per step over all
-    agents. Returns the summed per-agent cost and mu^N per step, shape (T, 1)."""
-    types, N = population.types, population.N
-    gains = [mfe.gains[t.label] for t in types]
-    a, b, k1, cw, q, r = _agent_columns(population, [
-        (t.A, t.B, G.K1, np.linalg.cholesky(t.C_W), t.Q, t.R) for t, G in zip(types, gains)])
-    # K2 g_{k+1} of each type at every step, gathered per agent a block at a time
-    k2g = np.stack([G.K2.item() * mfe.g_padded(t.label, T + 1)[:, 0]
-                    for t, G in zip(types, gains)], axis=1)
-    X = X[:, 0]
-    Z, U = X.copy(), np.zeros(N)
-    game_cost, mu_N = np.zeros(N), np.empty(T)
-    for k0, taus in run.blocks():
-        rows = len(taus) - 1
-        W_block = noise_rng.standard_normal((rows, N, 1))[..., 0] * cw
-        k2g_block = k2g[k0 + 1:k0 + rows + 1][:, population.type_index]
-        for k, recv, W, k2g_next in zip(range(k0, T), taus[1:] == 0, W_block, k2g_block):
-            if k > 0:
-                Z = np.where(recv, X, Z * a + U * b)
-            mu_N[k] = mu = X.sum() / N  # X.mean()'s bits without its Python overhead
-            dev = X - mu
-            U = -(Z * k1) - k2g_next
-            game_cost += dev * q * dev + U * r * U
-            X = X * a + U * b + W
-    return game_cost, mu_N[:, None]
-
-
-def _game_per_type(run, population, mfe, X, noise_rng, T):
-    """The closed loop for vector plants, one matrix product per type and
-    step. Returns the summed per-agent cost and mu^N per step, shape (T, n)."""
-    types, slices, N = population.types, population.slices(), population.N
-    n = X.shape[1]
-    gains = [mfe.gains[t.label] for t in types]
-    g_by_type = [mfe.g_padded(t.label, T + 1) for t in types]
-    chol_w = [np.linalg.cholesky(t.C_W) for t in types]
-    Z = X.copy()
-    U_prev = [np.zeros((s.stop - s.start, t.B.shape[1])) for t, s in zip(types, slices)]
-    game_cost, mu_N = np.zeros(N), np.empty((T, n))
+    rows, linear, quadratic = _per_agent(population)
+    A, B, K1, chol_w = (linear(Ms) for Ms in zip(*[
+        (t.A, t.B, mfe.gains[t.label].K1, np.linalg.cholesky(t.C_W)) for t in types]))
+    Q, R = quadratic([t.Q for t in types]), quadratic([t.R for t in types])
+    # K2 g_k per type for k in [0, T], one stacked matmul each; 0 past a type's m
+    k2g = np.zeros((T + 1, len(types), max(t.m for t in types)))
+    for i, t in enumerate(types):
+        k2g[:, i, :t.m] = (mfe.gains[t.label].K2 @ mfe.g_padded(t.label, T + 1)[..., None])[..., 0]
+    k2g = rows(k2g)
+    X = rows(_sample_initial_states(population, rng["init"]))
+    Z, U = X.copy(), np.zeros((N,) + k2g.shape[2:])
+    game_cost, mu_N = np.zeros(N), np.empty((T,) + X.shape[1:])
     # scheduling ignores plant state, so a block's receptions are known up front
     for k0, taus in run.blocks():
-        noise_block = noise_rng.standard_normal((len(taus) - 1, N, n))
-        for k, recv, noise in zip(range(k0, T), taus[1:] == 0, noise_block):
+        received = rows((taus[1:] == 0)[..., None])
+        W_block = chol_w(rows(rng["noise"].standard_normal((len(received), N, n))))
+        k2g_block = k2g[k0 + 1:k0 + len(received) + 1][:, population.type_index]
+        for k, recv, W, k2g_next in zip(range(k0, T), received, W_block, k2g_block):
             if k > 0:
-                for i, s in enumerate(slices):
-                    prop = Z[s] @ types[i].A.T + U_prev[i] @ types[i].B.T
-                    Z[s] = np.where(recv[s, None], X[s], prop)
-
-            mu_N[k] = X.mean(axis=0)
-            dev = X - mu_N[k]
-            for i, s in enumerate(slices):
-                t = types[i]
-                U = -(Z[s] @ gains[i].K1.T) - gains[i].K2 @ g_by_type[i][k + 1]
-                game_cost[s] += (np.einsum("ij,jk,ik->i", dev[s], t.Q, dev[s])
-                                 + np.einsum("ij,jk,ik->i", U, t.R, U))
-                W = noise[s] @ chol_w[i].T
-                X[s] = X[s] @ t.A.T + U @ t.B.T + W
-                U_prev[i] = U
-    return game_cost, mu_N
+                Z = np.where(recv, X, A(Z) + B(U))
+            mu_N[k] = mu = X.sum(axis=0) / N  # X.mean(axis=0)'s bits, less overhead
+            dev = X - mu
+            U = -K1(Z) - k2g_next
+            game_cost += Q(dev) + R(U)
+            X = A(X) + B(U) + W
+    cons_err = np.sum((mu_N.reshape(T, n) - mfe.mu_padded(T)) ** 2, axis=1)
+    return run.metrics(per_agent_cost=game_cost / T, consensus_error=cons_err,
+                       mean_field_gap=float(cons_err.mean()))
 
 
 def run_estimator_experiment(config: ScenarioConfig, policy: RelaxedPolicy,
@@ -284,13 +282,12 @@ def run_estimator_experiment(config: ScenarioConfig, policy: RelaxedPolicy,
     N, T = config.N, config.T
     slices = population.slices()
     types = population.types
-    n = types[0].A.shape[0]
-    chol_w = [np.linalg.cholesky(t.C_W) for t in types]
-    columns = _scalar_plants(types)
-    if columns:
-        a, cw = _agent_columns(population, list(zip((t.A for t in types), chol_w)))[..., None]
+    n = types[0].n
+    rows, linear, _ = _per_agent(population)
+    A = linear([t.A for t in types])
+    chol_w = linear([np.linalg.cholesky(t.C_W) for t in types])
 
-    e = np.zeros((N, n))  # Z_0 = X_0
+    e = rows(np.zeros((N, n)))  # Z_0 = X_0
     # age of the decoder estimate: tracks e exactly, including the free
     # X_0 the decoders start from (the scheduler AoI diverges from it only
     # until an agent's first reception)
@@ -299,20 +296,17 @@ def run_estimator_experiment(config: ScenarioConfig, policy: RelaxedPolicy,
     sums = np.zeros((len(types), tau_cap + 1))
     counts = np.zeros((len(types), tau_cap + 1), dtype=np.int64)
     for k0, taus in _ScheduleRun(config, policy, rng).blocks():
-        noise_block = rng["noise"].standard_normal((len(taus) - 1, N, n))
-        for k, recv, noise in zip(range(k0, T), taus[1:] == 0, noise_block):
+        received = taus[1:] == 0
+        W_block = chol_w(rows(rng["noise"].standard_normal((len(received), N, n))))
+        for k, recv, mask, W in zip(range(k0, T), received, rows(received[..., None]), W_block):
             if k > 0:
-                if columns:
-                    e = np.where(recv[:, None], 0.0, e * a + noise * cw)
-                else:
-                    for i, s in enumerate(slices):
-                        W = noise[s] @ chol_w[i].T
-                        e[s] = np.where(recv[s, None], 0.0, e[s] @ types[i].A.T + W)
+                e = np.where(mask, 0.0, A(e) + W)
                 age = np.where(recv, 0, age + 1)
 
+            e_rows = e.reshape(N, n)
             if k in sample_ks:
-                snapshots[k] = e.copy()
-            sq = np.sum(e * e, axis=1)
+                snapshots[k] = e_rows.copy()
+            sq = np.sum(e_rows * e_rows, axis=1)
             for i, s in enumerate(slices):
                 small = age[s] <= tau_cap
                 sums[i] += np.bincount(age[s][small], sq[s][small], tau_cap + 1)

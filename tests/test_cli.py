@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 from pathlib import Path
 
@@ -115,6 +116,33 @@ class TestSchedule:
 def _read_csv(path):
     with open(path, newline="", encoding="utf-8") as fh:
         return list(csv.reader(fh))
+
+
+class TestSweepSeeds:
+    """A sweep runs mc_runs seeds from the scenario's seed; --seed and --runs override them."""
+
+    def test_scenario_seed_and_runs(self, sched_cfg, tmp_path):
+        cfg = tmp_path / "seeded.json"
+        cfg.write_text(json.dumps(dict(TINY_SCHED, seed=3, mc_runs=2)))
+        assert main(["schedule", "--config", str(cfg), "--N", "6",
+                     "--out", str(tmp_path / "file")]) == 0
+        assert main(["schedule", "--config", sched_cfg, "--N", "6", "--seed", "3", "--runs", "2",
+                     "--out", str(tmp_path / "flags")]) == 0
+        assert ((tmp_path / "file" / "fig2.csv").read_bytes()
+                == (tmp_path / "flags" / "fig2.csv").read_bytes())
+
+    @pytest.mark.parametrize("flags,seeds", [([], [0, 1, 2, 3, 4]),
+                                             (["--seed", "3"], [3, 4, 5, 6, 7])])
+    def test_preset_runs_five_seeds(self, flags, seeds, tmp_path, monkeypatch):
+        seen, run = [], cli.run_scheduling_experiment
+
+        def short_run(config, policy, kind, seed):
+            seen.append(seed)
+            return run(dataclasses.replace(config, T=20), policy, kind, seed)
+
+        monkeypatch.setattr(cli, "run_scheduling_experiment", short_run)
+        assert main(["schedule", "--N", "10", "--out", str(tmp_path / "o")] + flags) == 0
+        assert seen == seeds
 
 
 class TestSeedRows:
@@ -311,3 +339,42 @@ class TestErrors:
         assert rc == 1
         assert f"{flag} must be >= 1" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["schedule", "game"])
+    def test_negative_seed_exits_1(self, command, sched_cfg, tmp_path, capsys):
+        rc = main([command, "--config", sched_cfg, "--seed", "-1", "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert "config error: --seed must be >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_negative_seed_range_exits_1(self, sched_cfg, tmp_path, capsys):
+        rc = main(["schedule", "--config", sched_cfg, "--seeds=-2..-1",
+                   "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert "config error: --seeds must be >= 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key,value,message", [
+        ("seed", -1, "seed must be >= 0"), ("mc_runs", 0, "mc_runs must be >= 1")])
+    def test_scenario_seed_and_runs_out_of_range_exit_1(self, key, value, message,
+                                                         tmp_path, capsys):
+        doc = dict(TINY_GAME, **{key: value})
+        rc = main(["game", "--config", json.dumps(doc), "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert f"config error: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv,named", [
+        (["schedule", "--seed", "abc"], "argument --seed: invalid int value: 'abc'"),
+        (["game", "--bogus"], "unrecognized arguments: --bogus"),
+        (["frob"], "argument command: invalid choice"),
+        ([], "the following arguments are required: command"),
+    ])
+    def test_usage_error_exits_1(self, argv, named, capsys):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: aoi-mfg") and named in err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["game", "--help"], ["--version"]])
+    def test_help_and_version_exit_0(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0

@@ -67,6 +67,12 @@ class TestScenarioConfig:
         with pytest.raises(ConfigError):
             ScenarioConfig(N=10, capacity=2, p=0.0, T=10, types=bad)
 
+    @pytest.mark.parametrize("key,value,message", [
+        ("seed", -1, "seed must be >= 0"), ("mc_runs", 0, "mc_runs must be >= 1")])
+    def test_seed_and_runs_domain(self, key, value, message):
+        with pytest.raises(ConfigError, match=message):
+            ScenarioConfig(N=10, capacity=2, p=0.0, T=10, types=(make_type(),), **{key: value})
+
     def test_incompatible_type_rejected(self):
         with pytest.raises(AssumptionViolationError):
             ScenarioConfig(N=10, capacity=2, p=0.3, T=10, types=(make_type(A=2.0),))

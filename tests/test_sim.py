@@ -309,7 +309,35 @@ TWO_STATE_TYPES = tuple(
               Q=[[2.0, 0.0], [0.0, 2.0]], R=2.0, x0_mean=[x, 1.0], x0_cov=[[1.0, 0.0], [0.0, 1.0]],
               prob=0.5)
     for label, a, x in (("stable", 0.5, 6.0), ("marginal", 1.0, 3.0)))
-TYPE_SETS = {"default": default_types(), "mixed": MIXED_TYPES, "two-state": TWO_STATE_TYPES}
+# Vector types that differ in A, B, C_W, Q and R, with unequal shares, so a
+# product with another type's matrix or over the wrong agent slice shows.
+TWO_INPUT_TYPES = (
+    AgentType(label="coupled", A=[[0.9, 0.2], [0.0, 0.7]], B=[[0.3, 0.0], [0.1, 0.2]],
+              C_W=[[2.0, 0.3], [0.3, 1.0]], Q=[[2.0, 0.5], [0.5, 1.0]], R=[[1.0, 0.2], [0.2, 2.0]],
+              x0_mean=[3.0, -1.0], x0_cov=[[1.0, 0.0], [0.0, 2.0]], prob=0.6),
+    AgentType(label="drifting", A=[[0.95, 0.0], [0.3, 0.8]], B=[[0.2, 0.1], [0.0, 0.4]],
+              C_W=[[4.0, 0.0], [0.0, 0.5]], Q=[[1.0, 0.0], [0.0, 3.0]], R=[[3.0, 0.0], [0.0, 0.5]],
+              x0_mean=[-2.0, 2.0], x0_cov=[[0.5, 0.1], [0.1, 1.0]], prob=0.4),
+)
+THREE_STATE_TYPES = (
+    AgentType(label="damped", A=[[0.8, 0.1, 0.0], [0.0, 0.9, 0.1], [0.0, 0.0, 0.7]],
+              B=[[0.0], [0.1], [0.3]], C_W=np.diag([1.0, 2.0, 0.5]), Q=np.diag([2.0, 1.0, 1.0]),
+              R=2.0, x0_mean=[4.0, 0.0, -1.0], x0_cov=np.eye(3), prob=0.5),
+    AgentType(label="rotating", A=[[0.6, -0.5, 0.0], [0.5, 0.6, 0.0], [0.1, 0.0, 1.0]],
+              B=[[0.2], [0.0], [0.25]], C_W=[[3.0, 0.5, 0.0], [0.5, 1.0, 0.0], [0.0, 0.0, 2.0]],
+              Q=[[1.0, 0.2, 0.0], [0.2, 1.5, 0.0], [0.0, 0.0, 0.5]], R=0.5,
+              x0_mean=[-3.0, 1.0, 2.0], x0_cov=np.diag([1.0, 0.5, 2.0]), prob=0.3),
+    AgentType(label="unstable", A=[[1.1, 0.0, 0.2], [0.0, 0.5, 0.0], [0.0, 0.3, 0.9]],
+              B=[[0.4], [0.1], [0.0]], C_W=np.diag([0.5, 4.0, 1.0]), Q=np.diag([4.0, 0.5, 2.0]),
+              R=1.0, x0_mean=[1.0, -2.0, 0.5], x0_cov=np.eye(3), prob=0.2),
+)
+TYPE_SETS = {"default": default_types(), "mixed": MIXED_TYPES, "two-state": TWO_STATE_TYPES,
+             "two-input": TWO_INPUT_TYPES, "three-state": THREE_STATE_TYPES,
+             # one type with two controls, one with a single control
+             "mixed-input": (TWO_INPUT_TYPES[0], AgentType(
+                 label="single", A=[[0.7, 0.4], [0.0, 1.0]], B=[[0.0], [0.3]],
+                 C_W=[[1.0, 0.0], [0.0, 3.0]], Q=[[1.0, 0.0], [0.0, 2.0]], R=1.5,
+                 x0_mean=[0.0, 5.0], x0_cov=np.eye(2), prob=0.4))}
 
 
 @pytest.fixture(scope="module")
@@ -320,8 +348,9 @@ def equilibria():
 
 
 def _game_reference(config, mfe, policy, seed):
-    """The closed loop as one matrix product per type and step, for every
-    state dimension: the loop the per-agent columns replaced for n = 1."""
+    """The closed loop written per type: one matrix product per type and
+    step, the noise transformed step by step and K2 g_{k+1} formed at each
+    step. `run_game_experiment` must give its bits for every plant shape."""
     rng = make_streams(seed)
     population = population_for(config)
     run = sim._ScheduleRun(config, policy, rng)
@@ -451,7 +480,8 @@ class TestPlantLoops:
         for field in dataclasses.fields(sim.Metrics):
             assert np.array_equal(getattr(got, field.name), getattr(want, field.name)), field.name
 
-    @pytest.mark.parametrize("types", ["mixed", "two-state"])
+    @pytest.mark.parametrize("types", ["mixed", "two-state", "two-input", "three-state",
+                                       "mixed-input"])
     def test_game_matches_per_agent_oracle(self, equilibria, types):
         cfg = _scenario(TYPE_SETS[types], N=9, T=40)
         policy = bisection_lambda(population_for(cfg), cfg.p, cfg.capacity)
