@@ -8,8 +8,6 @@ equilibrium through decoder estimates over the erasure channel.
 Run: python demos/03_mean_field_game.py
 """
 
-import warnings
-
 import numpy as np
 
 from aoi_mfg import (
@@ -21,9 +19,7 @@ from aoi_mfg import (
     solve_mfe,
 )
 
-with warnings.catch_warnings():
-    warnings.simplefilter("ignore")  # sufficient contraction condition fails; iteration still converges
-    mfe = solve_mfe(default_types())
+mfe = solve_mfe(default_types())
 
 print("Per-type tracking gains:")
 for label, G in mfe.gains.items():

@@ -126,6 +126,7 @@ def _point(config: ScenarioConfig, N: int, alpha: float, p: float) -> ScenarioCo
 
 
 def _parse_seed_range(text: str):
+    """--seeds 'a..b' as a list, an argparse `type` (argparse lets ConfigError through)."""
     try:
         lo, hi = text.split("..")
         lo, hi = int(lo), int(hi)
@@ -176,11 +177,10 @@ def cmd_schedule(args, base, out_dir):
     header = ["N", "J_relaxed", "J_matb", "gap", "gap_bound"]
     if args.seeds:
         # per-seed rows at one N: one policy and bound report for all seeds
-        seeds = _parse_seed_range(args.seeds)
         config = _point(config, N, alpha, p)
-        policy, bounds, results = _fig2_runs(config, seeds)
+        policy, bounds, results = _fig2_runs(config, args.seeds)
         rows = [(s,) + _fig2_cells(config, policy, bounds, [r])
-                for s, r in zip(seeds, results)]
+                for s, r in zip(args.seeds, results)]
         header = ["seed"] + header
     else:
         seeds = range(config.seed, config.seed + config.mc_runs)
@@ -307,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = subs.add_parser("schedule", help="capacity-sweep scheduling comparison")
     _add_common(s)
-    s.add_argument("--seeds", type=str, default=None,
+    s.add_argument("--seeds", type=_parse_seed_range, default=None,
                    help="inclusive seed range 'a..b' for per-seed rows")
     s.add_argument("--report", action="store_true",
                    help="print the solved relaxed policy instead of simulating")

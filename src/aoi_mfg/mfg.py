@@ -30,16 +30,17 @@ of types, which keeps each type's float operations in their order:
 from __future__ import annotations
 
 import logging
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import sqrtm
 
 from .errors import NoConvergenceError, RankDeficientError, UnstableClosedLoopError
 from .estimator import WeightTable
 
 log = logging.getLogger(__name__)
+
+RICCATI_TOL, RICCATI_MAX_ITER = 1e-12, 100000  # Frobenius step, iterations
+MFE_TOL, MFE_MAX_ITER = 1e-8, 500  # Picard gap (tail below MFE_TOL/10), iterations per window
 
 
 @dataclass(frozen=True)
@@ -125,45 +126,41 @@ class MeanFieldSolution:
         }
 
 
-def _ctrb_obs_check(A, B, Q):
-    n = A.shape[0]
-    blocks, M = [B], B
-    for _ in range(n - 1):
-        M = A @ M
-        blocks.append(M)
-    if np.linalg.matrix_rank(np.hstack(blocks)) < n:
-        raise RankDeficientError("(A, B) is not controllable")
-    C = np.real(sqrtm(Q)) if np.any(Q) else np.zeros_like(Q)
-    blocks, M = [C], C
-    for _ in range(n - 1):
-        M = M @ A
-        blocks.append(M)
-    if np.any(Q) and np.linalg.matrix_rank(np.vstack(blocks)) < n:
-        raise RankDeficientError("(A, sqrt(Q)) is not observable")
+def _full_krylov_rank(A: np.ndarray, B: np.ndarray) -> bool:
+    """rank [B, AB, ..., A^{n-1} B] = n, the controllability test of (A, B)."""
+    blocks = [B]
+    for _ in range(A.shape[0] - 1):
+        blocks.append(A @ blocks[-1])
+    return np.linalg.matrix_rank(np.hstack(blocks)) == A.shape[0]
 
 
-def solve_riccati(A, B, Q, R, tol: float = 1e-12, max_iter: int = 100000) -> TrackingGains:
+def solve_riccati(A, B, Q, R) -> TrackingGains:
     """Fixed-point iteration of the discrete algebraic Riccati recursion.
 
     Returns K plus the tracking gains K2 = (R + B'KB)^-1 B', K1 = K2 K A and
-    the closed loop A_cl = A - B K1 (spectral radius < 1).
+    the closed loop A_cl = A - B K1 (spectral radius < 1). (A, B) must be
+    controllable and, unless Q = 0, (A, sqrt(Q)) observable; the latter is
+    the controllability of (A', Q'), since Q and sqrt(Q) share their kernel.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     B = np.atleast_2d(np.asarray(B, dtype=float))
     Q = np.atleast_2d(np.asarray(Q, dtype=float))
     R = np.atleast_2d(np.asarray(R, dtype=float))
-    _ctrb_obs_check(A, B, Q)
+    if not _full_krylov_rank(A, B):
+        raise RankDeficientError("(A, B) is not controllable")
+    if np.any(Q) and not _full_krylov_rank(A.T, Q.T):
+        raise RankDeficientError("(A, sqrt(Q)) is not observable")
     K = Q.copy()
-    for _ in range(max_iter):
+    for _ in range(RICCATI_MAX_ITER):
         gain = np.linalg.solve(R + B.T @ K @ B, B.T @ K @ A)
         K_next = Q + A.T @ K @ A - A.T @ K @ B @ gain
         K_next = 0.5 * (K_next + K_next.T)
-        if np.linalg.norm(K_next - K, "fro") < tol:
+        if np.linalg.norm(K_next - K, "fro") < RICCATI_TOL:
             K = K_next
             break
         K = K_next
     else:
-        raise NoConvergenceError(f"Riccati iteration did not reach tol {tol}")
+        raise NoConvergenceError(f"Riccati iteration did not reach tol {RICCATI_TOL}")
     K2 = np.linalg.solve(R + B.T @ K @ B, B.T)
     K1 = K2 @ K @ A
     A_cl = A - B @ K1
@@ -203,19 +200,15 @@ def _recursion(M: np.ndarray, x0: np.ndarray, D: np.ndarray, u: np.ndarray) -> n
     return x[..., 0]
 
 
-def _backward(mu: np.ndarray, A_cl: np.ndarray, Q: np.ndarray, tail: str) -> np.ndarray:
+def _backward(mu: np.ndarray, A_cl: np.ndarray, Q: np.ndarray) -> np.ndarray:
     """g_k = A_cl' g_{k+1} - Q mu_k for a stack of types, from g_H down to g_0.
 
     A_cl and Q have shape (m, n, n), mu has shape (H, n); the result has
-    shape (H+1, m, n)."""
+    shape (H+1, m, n). g_H is the geometric closed form for mu held at
+    mu_{H-1} beyond the window."""
     H, n = mu.shape
     A_T = A_cl.transpose(0, 2, 1)
-    if tail == "constant":
-        g_H = -np.linalg.solve(np.eye(n) - A_T, (Q @ mu[H - 1])[..., None])[..., 0]
-    elif tail == "zero":
-        g_H = np.zeros((A_cl.shape[0], n))
-    else:
-        raise ValueError(f"unknown tail mode {tail!r}")
+    g_H = -np.linalg.solve(np.eye(n) - A_T, (Q @ mu[H - 1])[..., None])[..., 0]
     return _recursion(A_T, g_H, Q, mu[::-1, None, :])[::-1]
 
 
@@ -224,19 +217,19 @@ def _check_stable(A_cl: np.ndarray) -> None:
         raise UnstableClosedLoopError("g series diverges: rho(A_cl) >= 1")
 
 
-def g_trajectory(mu: np.ndarray, A_cl, Q, tail: str = "constant") -> np.ndarray:
+def g_trajectory(mu: np.ndarray, A_cl, Q) -> np.ndarray:
     """Feedforward trajectory g_k = -sum_{j>=k} (A_cl^{j-k})' Q mu_j.
 
     mu has shape (H, n); the result has shape (H+1, n) so g_{k+1} is
     available for every k in the window. Beyond the window mu is taken
-    constant at mu_{H-1} ("constant") or zero ("zero"); the terminal value
-    then has the geometric closed form.
+    constant at mu_{H-1}; the terminal value then has the geometric closed
+    form.
     """
     mu = np.atleast_2d(np.asarray(mu, dtype=float))
     A_cl = np.atleast_2d(np.asarray(A_cl, dtype=float))
     Q = np.atleast_2d(np.asarray(Q, dtype=float))
     _check_stable(A_cl)
-    return _backward(mu, A_cl[None], Q[None], tail)[:, 0]
+    return _backward(mu, A_cl[None], Q[None])[:, 0]
 
 
 def control_action(Z, g_next, gains: TrackingGains) -> np.ndarray:
@@ -257,7 +250,7 @@ def mf_operator(mu: np.ndarray, types, gains: dict) -> np.ndarray:
     H = mu.shape[0]
     A_cl = np.stack([gains[t.label].A_cl for t in types])
     _check_stable(A_cl)
-    g = _backward(mu, A_cl, np.stack([t.Q for t in types]), "constant")
+    g = _backward(mu, A_cl, np.stack([t.Q for t in types]))
     BK2 = np.stack([t.B @ gains[t.label].K2 for t in types])
     nu = _recursion(A_cl, np.array([t.x0_mean for t in types]), BK2, g[1:H])
     out = np.zeros_like(mu)
@@ -297,40 +290,36 @@ def _estimate_k3(mu: np.ndarray) -> np.ndarray:
     return K3.T
 
 
-def solve_mfe(types, tol: float = 1e-8, max_iter: int = 500,
-              horizon: int | None = None) -> MeanFieldSolution:
+def solve_mfe(types, horizon: int | None = None) -> MeanFieldSolution:
     """Picard iteration mu <- M_F(mu) from the constant mu_0 trajectory.
 
     mu_0 = sum_phi x0_mean(phi) P(phi) is preserved by the operator. The
-    window auto-grows until the stored tail is below tol/10, so geometric
-    extrapolation error stays an order below the solver tolerance.
+    window (`horizon`, else sized from the slowest pole) doubles until the
+    stored tail is below MFE_TOL/10, so geometric extrapolation error stays an
+    order below the solver tolerance; a doubling must shrink the tail.
     """
     types = tuple(types)
     gains = {t.label: solve_riccati(t.A, t.B, t.Q, t.R) for t in types}
     cc = contraction_constant(types, gains)
-    if cc >= 1.0:
-        warnings.warn(
-            f"contraction constant {cc:.4f} >= 1: fixed-point convergence is "
-            "not guaranteed by the sufficient condition; proceeding anyway",
-            stacklevel=2)
     mu0 = sum(t.prob * t.x0_mean for t in types)
     rho = max(gains[t.label].rho_cl for t in types)
     if horizon is None:
-        horizon = max(32, int(np.ceil(np.log(max(tol, 1e-300) / 10.0) / np.log(max(rho, 0.1)))))
+        horizon = max(32, int(np.ceil(np.log(MFE_TOL / 10.0) / np.log(max(rho, 0.1)))))
 
     H = horizon
     scale = max(1.0, float(np.linalg.norm(mu0)))
     # iterate well past tol: leftover iteration noise sits at the gap level
     # across the whole window, and the stored-tail check below must see the
     # true trajectory tail, not that noise floor
-    inner_tol = min(tol, 0.01 * tol * scale)
+    inner_tol = min(MFE_TOL, 0.01 * MFE_TOL * scale)
     total_iters = 0
     doublings = 0
+    prev_tail = np.inf
     while True:
         mu = np.tile(mu0, (H, 1))
         gap_ratios = []
         prev_gap = None
-        for _ in range(max_iter):
+        for _ in range(MFE_MAX_ITER):
             new = mf_operator(mu, types, gains)
             gap = float(np.linalg.norm(new - mu, axis=1).max())
             if prev_gap is not None and prev_gap > 1e-12 * scale:
@@ -342,17 +331,24 @@ def solve_mfe(types, tol: float = 1e-8, max_iter: int = 500,
                 break
         else:
             raise NoConvergenceError(
-                f"mean-field Picard iteration: gap {gap:.3e} after {max_iter} iters "
+                f"mean-field Picard iteration: gap {gap:.3e} after {MFE_MAX_ITER} iters "
                 f"(contraction constant {cc:.4f})")
-        if float(np.linalg.norm(mu[-1])) <= tol / 10.0 * scale:
+        tail = float(np.linalg.norm(mu[-1]))
+        if tail <= MFE_TOL / 10.0 * scale:
             break
+        if tail >= prev_tail:
+            raise NoConvergenceError(f"mean-field window H={H}: stored tail {tail:.6e} did "
+                                     f"not shrink from {prev_tail:.6e} at H={H // 2}")
+        prev_tail = tail
         H *= 2
         doublings += 1
         log.info("mean-field window grown to %d (slow trajectory decay)", H)
 
     residual = float(np.linalg.norm(mf_operator(mu, types, gains) - mu, axis=1).max())
-    g = {t.label: g_trajectory(mu, gains[t.label].A_cl, t.Q, tail="constant") for t in types}
-    return MeanFieldSolution(mu=mu, g=g, gains=gains, residual=residual,
+    g = _backward(mu, np.stack([gains[t.label].A_cl for t in types]),
+                  np.stack([t.Q for t in types]))
+    return MeanFieldSolution(mu=mu, g={t.label: g[:, i] for i, t in enumerate(types)},
+                             gains=gains, residual=residual,
                              contraction_constant=cc, gap_ratios=gap_ratios,
                              K3=_estimate_k3(mu), iterations=total_iters,
                              window_doublings=doublings)

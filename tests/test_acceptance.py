@@ -7,7 +7,6 @@ prints a single pass/fail line (visible even under output capture).
 import json
 import math
 import time
-import warnings
 
 import numpy as np
 import pytest
@@ -47,9 +46,7 @@ def announce(capsys):
 
 @pytest.fixture(scope="module")
 def mfe():
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return solve_mfe(default_types())
+    return solve_mfe(default_types())
 
 
 def test_criterion_01_threshold_oracle_equivalence(announce):

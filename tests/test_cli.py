@@ -1,10 +1,14 @@
 import csv
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import aoi_mfg
 from aoi_mfg import cli, load_scenario, solve_mfe
 from aoi_mfg.cli import main
 from aoi_mfg.model import capacity_for
@@ -352,6 +356,17 @@ class TestErrors:
                    "--out", str(tmp_path / "o")])
         assert rc == 1
         assert "config error: --seeds must be >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("seeds,message", [("3..1", "range is empty"),
+                                               ("1-3", "expects 'a..b'")])
+    def test_bad_seed_range_makes_no_output_dir(self, seeds, message, sched_cfg, tmp_path,
+                                                capsys):
+        rc = main(["schedule", "--config", sched_cfg, "--seeds", seeds,
+                   "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert f"config error: --seeds {message}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("key,value,message", [
         ("seed", -1, "seed must be >= 0"), ("mc_runs", 0, "mc_runs must be >= 1")])
@@ -378,3 +393,13 @@ class TestErrors:
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 0
+
+
+def test_import_loads_no_scipy():
+    # SciPy is a test oracle only; importing it would double the CLI's start-up
+    code = ("import sys, aoi_mfg, aoi_mfg.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    src = str(Path(aoi_mfg.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

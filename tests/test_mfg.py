@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.linalg import solve_discrete_are
+from scipy.linalg import solve_discrete_are, sqrtm
 
 from aoi_mfg import (
     AgentType,
@@ -17,6 +17,7 @@ from aoi_mfg import (
     solve_riccati,
 )
 from aoi_mfg import mfg
+from aoi_mfg.cli import main
 from aoi_mfg.errors import AssumptionViolationError, RankDeficientError, UnstableClosedLoopError
 from aoi_mfg.mfg import TrackingGains
 
@@ -72,9 +73,23 @@ def _random_case(rng, n, m, H):
 
 @pytest.fixture(scope="module")
 def mfe():
+    return solve_mfe(default_types())
+
+
+def _observable_by_sqrtm(A, Q):
+    """The observability test of (A, sqrt(Q)) with SciPy's square root, the
+    rule `solve_riccati` used before its Krylov rank test: rank of the
+    stacked C, CA, ..., CA^{n-1} with C = sqrt(Q), and Q = 0 passes."""
+    if not np.any(Q):
+        return True
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return solve_mfe(default_types())
+        # sqrtm warns that a singular Q is singular; that is the case under test
+        warnings.filterwarnings("ignore", message="Matrix is singular")
+        C = np.real(sqrtm(Q))
+    blocks = [C]
+    for _ in range(A.shape[0] - 1):
+        blocks.append(blocks[-1] @ A)
+    return np.linalg.matrix_rank(np.vstack(blocks)) == A.shape[0]
 
 
 class TestRiccati:
@@ -124,6 +139,32 @@ class TestRiccati:
         with pytest.raises(RankDeficientError):
             solve_riccati(np.eye(2), np.zeros((2, 1)), np.eye(2), np.eye(1))
 
+    def test_unobservable_unstable_mode_rejected(self):
+        # Q does not see the unstable mode 1.2, so nothing drives it to zero
+        with pytest.raises(RankDeficientError, match="not observable"):
+            solve_riccati(np.diag([1.2, 0.5]), np.eye(2), np.diag([0.0, 1.0]), np.eye(2))
+
+    def test_observability_matches_sqrtm_rule(self):
+        # random PSD Q of every rank, and axis-aligned A and Q whose zero
+        # pattern decides observability exactly
+        rng = np.random.default_rng(11)
+        cases = []
+        for n in (1, 2, 3):
+            for rank in range(n + 1):
+                for _ in range(40):
+                    F = rng.normal(size=(n, rank))
+                    cases.append((rng.uniform(-1.5, 1.5, size=(n, n)), F @ F.T))
+            for _ in range(60):
+                A = np.diag(rng.choice([0.0, 0.5, 1.2], size=n))
+                A[np.triu_indices(n, 1)] = rng.choice([0.0, 0.3], size=n * (n - 1) // 2)
+                cases.append((A, np.diag(rng.choice([0.0, 2.0], size=n))))
+        unobservable = 0
+        for A, Q in cases:
+            want = _observable_by_sqrtm(A, Q)
+            unobservable += not want
+            assert (not np.any(Q) or mfg._full_krylov_rank(A.T, Q.T)) == want, (A, Q)
+        assert 0 < unobservable < len(cases)
+
 
 class TestGTrajectory:
     def test_recursion_residual(self):
@@ -144,15 +185,6 @@ class TestGTrajectory:
         want = -2.0 * 3.0 / (1.0 - 0.6)
         for k in range(16):
             assert g[k, 0] == pytest.approx(want, rel=1e-12)
-
-    def test_zero_tail_mode(self):
-        mu = np.array([[1.0], [2.0]])
-        A_cl = np.array([[0.5]])
-        Q = np.array([[1.0]])
-        g = g_trajectory(mu, A_cl, Q, tail="zero")
-        assert g[2, 0] == 0.0
-        assert g[1, 0] == pytest.approx(-2.0)
-        assert g[0, 0] == pytest.approx(0.5 * -2.0 - 1.0)
 
     def test_unstable_loop_rejected(self):
         with pytest.raises(UnstableClosedLoopError):
@@ -240,28 +272,35 @@ class TestSolveMfe:
                                C_W=np.eye(2) * 5.0, Q=np.eye(2) * 2.0, R=2.0,
                                x0_mean=[x, 1.0], x0_cov=np.eye(2), prob=0.5)
                      for t, a, x in (("s", 0.5, 6.0), ("m", 1.0, 3.0))]
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            new = solve_mfe(types)
-            monkeypatch.setattr(mfg, "mf_operator", _mf_operator_reference)
-            ref = solve_mfe(types)
+        new = solve_mfe(types)
+        monkeypatch.setattr(mfg, "mf_operator", _mf_operator_reference)
+        ref = solve_mfe(types)
         assert np.array_equal(new.mu, ref.mu)
         assert np.array_equal(new.K3, ref.K3)
         assert all(np.array_equal(new.g[t.label], ref.g[t.label]) for t in types)
         assert (new.iterations, new.gap_ratios, new.residual) == \
             (ref.iterations, ref.gap_ratios, ref.residual)
 
-    def test_warns_when_sufficient_condition_fails(self):
-        with pytest.warns(UserWarning, match="contraction constant"):
-            solve_mfe(default_types(), tol=1e-6)
+    def test_g_matches_per_type_trajectory(self, mfe):
+        for t in default_types():
+            assert np.array_equal(mfe.g[t.label],
+                                  g_trajectory(mfe.mu, mfe.gains[t.label].A_cl, t.Q))
+
+    def test_no_warning_on_defaults(self, tmp_path, capsys):
+        # the sufficient contraction condition fails here (constant 1.37)
+        # while Picard converges at rate 0.49: nothing to warn about
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            solve_mfe(default_types())
+            assert main(["mfe", "--out", str(tmp_path)]) == 0
+        assert caught == []
+        assert capsys.readouterr().err == ""
 
     def test_fixed_point_residual(self, mfe):
         assert mfe.residual <= 1e-8
 
     def test_window_doublings_counted(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            sol = solve_mfe(default_types(), horizon=8)
+        sol = solve_mfe(default_types(), horizon=8)
         assert sol.window_doublings >= 1
         assert sol.horizon == 8 * 2 ** sol.window_doublings
         diag = sol.diagnostics()

@@ -1,5 +1,4 @@
 import dataclasses
-import warnings
 
 import numpy as np
 import pytest
@@ -27,7 +26,7 @@ from aoi_mfg import (
     update_aoi,
 )
 from aoi_mfg import sim
-from aoi_mfg.errors import CapacityViolationError
+from aoi_mfg.errors import CapacityViolationError, NoConvergenceError
 from aoi_mfg.model import AgentType, ScenarioConfig
 from aoi_mfg.scheduler import RelaxedPolicy
 
@@ -126,9 +125,7 @@ class TestSchedulingExperiment:
 
 @pytest.fixture(scope="module")
 def mfe():
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return solve_mfe(default_types())
+    return solve_mfe(default_types())
 
 
 class TestGameExperiment:
@@ -145,9 +142,7 @@ class TestGameExperiment:
         # deterministic mean trajectory, so the consensus error vanishes
         t = AgentType(label="only", A=0.5, B=0.1269, C_W=1e-12, Q=2.0, R=2.0,
                       x0_mean=3.0, x0_cov=1e-16, prob=1.0)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            sol = solve_mfe((t,))
+        sol = solve_mfe((t,))
         cfg = ScenarioConfig(N=8, capacity=7, p=0.0, T=150, types=(t,))
         policy = fixed_policy(8, 0)
         m = run_game_experiment(cfg, sol, policy, seed=0)
@@ -342,9 +337,16 @@ TYPE_SETS = {"default": default_types(), "mixed": MIXED_TYPES, "two-state": TWO_
 
 @pytest.fixture(scope="module")
 def equilibria():
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return {name: solve_mfe(types) for name, types in TYPE_SETS.items()}
+    return {name: solve_mfe(types) for name, types in TYPE_SETS.items()}
+
+
+def test_mfe_window_that_stops_shrinking_raises():
+    # `drifting` with an unstable mode: the stored tail stays at 1.024e-9,
+    # just above MFE_TOL/10 * |mu_0|, however far the window grows
+    drifting = dataclasses.replace(TWO_INPUT_TYPES[1], A=[[1.05, 0.0], [0.3, 0.8]])
+    with pytest.raises(NoConvergenceError,
+                       match=r"H=1000: stored tail 1\.024076e-09 did not shrink"):
+        solve_mfe((TWO_INPUT_TYPES[0], drifting), horizon=500)
 
 
 def _game_reference(config, mfe, policy, seed):
