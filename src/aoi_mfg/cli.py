@@ -51,6 +51,7 @@ def _fmt(value) -> str:
 
 
 def _write_csv(path: Path, header, rows) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
@@ -59,6 +60,7 @@ def _write_csv(path: Path, header, rows) -> None:
 
 
 def _write_json(path: Path, obj) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
@@ -249,11 +251,13 @@ def cmd_bounds(args, base, out_dir):
 
 
 def _run(args) -> int:
-    """A command's shared start and finish: the output directory, the start
-    time, the one read of the scenario (--config, else the command's preset)
-    and the run manifest beside the data files."""
+    """A command's shared start and finish: the start time, the one read of
+    the scenario (--config, else the command's preset) and the run manifest
+    beside the data files. The output directory is made at the first write,
+    so a run stopped by bad input leaves none."""
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    if out_dir.exists() and not out_dir.is_dir():  # fail before the work, not at its first write
+        raise NotADirectoryError(f"--out {out_dir} is not a directory")
     started = time.time()
     base = load_scenario(args.config) if args.config else args.preset()
     config, seed, outputs, diagnostics = args.fn(args, base, out_dir)

@@ -21,9 +21,13 @@ element-wise ops would round differently.
 
 One run is single-threaded and deterministic given (config, seed); RNG
 substreams for channel, policy coin, noise, and initial states are spawned
-from the seed in a fixed order, so policy comparisons on the same seed use
-common random numbers. Draws are taken in blocks of whole steps, which yield
-the numbers one draw per step would, so a seed maps to the same numbers.
+from the seed in a fixed order. Draws are taken in blocks of whole steps,
+which yield the numbers one draw per step would, so a seed maps to the same
+numbers. The relaxed and MATB runs of a seed (`"both"`) are one pass on
+common random numbers: the scheduling state stacks K chains of N agents,
+K * N in all, with the projected chain last; each block's coin and channel
+numbers are drawn once and applied to every chain, so each chain gives the
+bits of its run alone.
 """
 
 from __future__ import annotations
@@ -64,89 +68,116 @@ class Metrics:
     N: int = 0
 
 
-_BLOCK_ELEMENTS = 2**15  # agent-steps drawn at once: bounds a block's memory
+_BLOCK_ELEMENTS = 2**15  # agent-steps drawn at once, over every chain: bounds a block's memory
 
 
 def _project(a, tau, C):
     """Keep the C intents with the largest age, equal ages to the lower index:
-    the C largest keys tau*N - i, the first C of a stable sort on -tau."""
-    candidates = np.flatnonzero(a)
+    the C largest keys tau*N - i, the first C of a stable sort on -tau.
+    Clears the dropped intents of `a` in place and returns it."""
+    candidates = a.nonzero()[0]
     drop = candidates.size - C
-    if drop <= 0:
-        return a
-    key = tau[candidates] * a.size - candidates
-    zeta = a.copy()
-    zeta[candidates[np.argpartition(key, drop)[:drop]]] = False
-    return zeta
+    if drop > 0:
+        key = tau[candidates] * a.size - candidates
+        a[candidates[key.argpartition(drop)[:drop]]] = False
+    return a
 
 
 def _schedule_block(tau, policy: RelaxedPolicy, C, p, rng, rows):
-    """Advance the AoI vector tau through `rows` steps of intents, capacity
-    projection (none if C is None), erasure channel and AoI update.
+    """Advance the stacked AoI vector tau through `rows` steps of intents,
+    capacity projection, erasure channel and AoI update.
 
-    Returns (taus, attempts): taus[j] is the AoI at the start of step j and
-    taus[rows] the AoI after the block, so taus[j + 1] == 0 marks step j's
-    receptions."""
-    N = tau.size
-    thresholds = np.where(rng["coin"].random((rows, N)) < policy.q, policy.klow, policy.kbar)
-    delivered = rng["channel"].random((rows, N)) >= p
-    taus = np.empty((rows + 1, N), dtype=np.int64)
+    tau holds K chains of the policy's N agents, one after another. The coin
+    and channel numbers are drawn once and applied to every chain. With a
+    capacity C the last chain is projected; the others (all, if C is None)
+    are not.
+
+    Returns (taus, attempts): taus[j] is the stacked AoI at the start of step
+    j and taus[rows] the AoI after the block, so taus[j + 1] == 0 marks step
+    j's receptions; attempts[i] is the number of transmissions of chain i."""
+    N = policy.kbar.size
+    K = tau.size // N
+    thresholds = np.tile(np.where(rng["coin"].random((rows, N)) < policy.q,
+                                  policy.klow, policy.kbar), K)
+    delivered = np.tile(rng["channel"].random((rows, N)) >= p, K)
+    free = tau.size if C is None else tau.size - N  # agents of the unprojected chains
+    taus = np.empty((rows + 1, tau.size), dtype=np.int64)
     taus[0] = tau
-    attempts = 0
+    sent = 0
     for thr, ok, nxt in zip(thresholds, delivered, taus[1:]):
         a = tau >= thr
-        sent = int(np.count_nonzero(a))
-        if C is not None and sent > C:
-            a = _project(a, tau, C)
-            sent = int(np.count_nonzero(a))
-            if sent > C:
-                raise CapacityViolationError(sent, C)
-        attempts += sent
+        if C is not None:
+            last = a[free:]
+            n = int(np.count_nonzero(last))
+            if n > C:
+                n = int(np.count_nonzero(_project(last, tau[free:], C)))
+                if n > C:
+                    raise CapacityViolationError(n, C)
+            sent += n
+        a &= ok  # the receptions
         # age by one, times 0 on reception: no data-dependent branch
-        tau = np.multiply(tau + 1, ~(a & ok), out=nxt)
-    return taus, attempts
+        tau = np.multiply(tau + 1, ~a, out=nxt)
+    # an unprojected chain transmits every intent: count them once per block
+    attempts = [int(np.count_nonzero(taus[:-1, i:i + N] >= thresholds[:, i:i + N]))
+                for i in range(0, free, N)]
+    return taus, attempts + ([sent] if C is not None else [])
 
 
 class _ScheduleRun:
-    """The scheduling layer of one run: advanced by `_schedule_block` a block
-    of whole steps at a time, its counters filled from each block's rows."""
+    """The scheduling layer of one run: one chain per entry of `kinds`
+    ("relaxed", or "matb" for the projected chain, which comes last), stacked
+    on common random numbers and advanced by `_schedule_block` a block of
+    whole steps at a time; each chain's counters are filled from its columns
+    of each block's rows."""
 
-    def __init__(self, config: ScenarioConfig, policy: RelaxedPolicy, rng, project=True):
+    def __init__(self, config: ScenarioConfig, policy: RelaxedPolicy, rng, kinds=("matb",)):
         population = population_for(config)
         self.config, self.policy, self.rng = config, policy, rng
-        self.C = config.capacity if project else None
+        self.K = len(kinds)
+        self.C = config.capacity if kinds[-1] == "matb" else None
         self.tables = [WeightTable(t.A, t.C_W) for t in population.types]
         self.slices = population.slices()
-        self.cost_sum, self.attempts, self.successes, self.max_aoi = 0.0, 0, 0, 0
-        self.hist = np.zeros(1, dtype=np.int64)
+        self.cost_sum, self.attempts = [0.0] * self.K, [0] * self.K
+        self.successes, self.max_aoi = [0] * self.K, [0] * self.K
+        self.hist = [np.zeros(1, dtype=np.int64) for _ in kinds]
 
     def blocks(self):
-        """Yield (k0, taus) for each block of the config.T steps from tau = 0."""
-        N, T = self.config.N, self.config.T
-        rows = max(1, min(T, _BLOCK_ELEMENTS // N))
-        tau = np.zeros(N, dtype=np.int64)
+        """Yield (k0, taus) for each block of the config.T steps from tau = 0;
+        taus has the K chains side by side, K * N columns."""
+        N, T, K = self.config.N, self.config.T, self.K
+        rows = max(1, min(T, _BLOCK_ELEMENTS // (K * N)))
+        tau = np.zeros(K * N, dtype=np.int64)
         for k0 in range(0, T, rows):
             taus, attempts = _schedule_block(tau, self.policy, self.C, self.config.p,
                                              self.rng, min(rows, T - k0))
             tau, ages = taus[-1], taus[:-1]
-            hi = int(ages.max())
-            step_cost = sum(table.c_table(hi)[ages[:, s]].sum(axis=1)
+            chains = ages.reshape(len(ages), K, N)
+            his = chains.max(axis=(0, 2)).tolist()
+            top = max(his)
+            # per step and chain, each type's slice sum added in type order
+            step_cost = sum(table.c_table(top)[chains[:, :, s]].sum(axis=2)
                             for table, s in zip(self.tables, self.slices))
-            for c in step_cost.tolist():  # in step order: the pinned float order
-                self.cost_sum += c
-            self.attempts += attempts
-            self.successes += int(np.count_nonzero(taus[1:] == 0))
-            self.max_aoi = max(self.max_aoi, hi)
-            counts = np.bincount(ages.ravel(), minlength=self.hist.size)
-            counts[: self.hist.size] += self.hist
-            self.hist = counts
+            received = np.count_nonzero((taus[1:] == 0).reshape(-1, K, N), axis=(0, 2))
+            for i in range(K):
+                for c in step_cost[:, i].tolist():  # in step order: the pinned float order
+                    self.cost_sum[i] += c
+                self.attempts[i] += attempts[i]
+                self.successes[i] += int(received[i])
+                self.max_aoi[i] = max(self.max_aoi[i], his[i])
+                counts = np.bincount(chains[:, i].ravel(), minlength=self.hist[i].size)
+                counts[: self.hist[i].size] += self.hist[i]
+                self.hist[i] = counts
             yield k0, taus
 
-    def metrics(self, **extra) -> Metrics:
+    def metrics(self, chain=-1, **extra) -> Metrics:
         T, N = self.config.T, self.config.N
-        return Metrics(j_bs=self.cost_sum / (T * N), attempt_rate=self.attempts / T,
-                       max_aoi=self.max_aoi, aoi_hist=self.hist,
-                       attempts=self.attempts, successes=self.successes, T=T, N=N, **extra)
+        return Metrics(j_bs=self.cost_sum[chain] / (T * N),
+                       attempt_rate=self.attempts[chain] / T, max_aoi=self.max_aoi[chain],
+                       aoi_hist=self.hist[chain], attempts=self.attempts[chain],
+                       successes=self.successes[chain], T=T, N=N, **extra)
+
+
+_KINDS = {"relaxed": ("relaxed",), "matb": ("matb",), "both": ("relaxed", "matb")}
 
 
 def run_scheduling_experiment(config: ScenarioConfig, policy: RelaxedPolicy,
@@ -154,21 +185,17 @@ def run_scheduling_experiment(config: ScenarioConfig, policy: RelaxedPolicy,
     """Simulate the AoI/scheduling layer only (no plants needed).
 
     policy_kind: "relaxed" leaves intents unprojected (average-constraint
-    mode), "matb" applies the capacity projection, "both" runs the two on
-    common random numbers and returns (relaxed, matb).
+    mode), "matb" applies the capacity projection, "both" runs the two side
+    by side on common random numbers and returns (relaxed, matb).
     """
-    if policy_kind == "both":
-        s = config.seed if seed is None else seed
-        return (run_scheduling_experiment(config, policy, "relaxed", s),
-                run_scheduling_experiment(config, policy, "matb", s))
-    if policy_kind not in ("relaxed", "matb"):
+    if policy_kind not in _KINDS:
         raise ValueError(f"unknown policy_kind {policy_kind!r}")
-
-    rng = make_streams(config.seed if seed is None else seed)
-    run = _ScheduleRun(config, policy, rng, project=policy_kind == "matb")
+    kinds = _KINDS[policy_kind]
+    run = _ScheduleRun(config, policy, make_streams(config.seed if seed is None else seed), kinds)
     for _ in run.blocks():
         pass
-    return run.metrics()
+    results = tuple(run.metrics(i) for i in range(len(kinds)))
+    return results if policy_kind == "both" else results[0]
 
 
 def _sample_initial_states(population: Population, rng) -> np.ndarray:

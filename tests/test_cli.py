@@ -368,6 +368,27 @@ class TestErrors:
         assert f"config error: --seeds {message}" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("argv,code", [
+        (["schedule", "--alpha", "2", "--N", "5"], 1),
+        (["bounds", "--p", "1.5"], 1),
+        (["schedule", "--config", "{cfg_dir}/missing.json"], 1),
+        (["mfe", "--config", "{cfg_dir}"], 3),  # a directory: unreadable
+    ])
+    def test_failed_run_makes_no_output_dir(self, argv, code, tmp_path, capsys):
+        cfg_dir = tmp_path / "cfg"
+        cfg_dir.mkdir()
+        argv = [a.format(cfg_dir=cfg_dir) for a in argv]
+        assert main(argv + ["--out", str(tmp_path / "o")]) == code
+        assert not (tmp_path / "o").exists()
+
+    def test_out_naming_a_file_exits_3(self, sched_cfg, tmp_path, capsys):
+        out = tmp_path / "file"
+        out.write_text("keep")
+        assert main(["schedule", "--config", sched_cfg, "--out", str(out)]) == 3
+        # refused before the sweep runs, not at its first write
+        assert f"io error: --out {out} is not a directory" in capsys.readouterr().err
+        assert out.read_text() == "keep"
+
     @pytest.mark.parametrize("key,value,message", [
         ("seed", -1, "seed must be >= 0"), ("mc_runs", 0, "mc_runs must be >= 1")])
     def test_scenario_seed_and_runs_out_of_range_exit_1(self, key, value, message,

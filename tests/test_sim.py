@@ -227,13 +227,37 @@ class TestBlockKernel:
             rng = make_streams(4)
             tau, blocks, attempts = start, [start[None]], 0
             for k0 in range(0, cfg.T, rows):
-                taus, sent = sim._schedule_block(tau, policy, C, p, rng,
-                                                 min(rows, cfg.T - k0))
+                taus, (sent,) = sim._schedule_block(tau, policy, C, p, rng,
+                                                    min(rows, cfg.T - k0))
                 tau = taus[-1]
                 blocks.append(taus[1:])
                 attempts += sent
             assert np.array_equal(np.concatenate(blocks), want)
             assert attempts == want_attempts
+
+    @pytest.mark.parametrize("N,alpha,p", [(5, 0.2, 0.2), (20, 0.25, 0.0), (37, 0.4, 0.3)])
+    @pytest.mark.parametrize("projected", [True, False])
+    def test_stacked_chains_match_per_step_reference(self, N, alpha, p, projected):
+        # two chains on one draw: the first never projected, the last
+        # projected when the kernel is given a capacity
+        cfg = scheduling_scenario(N=N, alpha=alpha, p=p, T=60)
+        policy = bisection_lambda(population_for(cfg), p, cfg.capacity)
+        C = cfg.capacity if projected else None
+        start = np.arange(N, dtype=np.int64) % 4
+        wants = [reference_schedule(start, policy, c, p, make_streams(4), cfg.T)
+                 for c in (None, C)]
+        for rows in (1, 7, cfg.T):
+            rng = make_streams(4)
+            tau, blocks, attempts = np.tile(start, 2), [np.tile(start, 2)[None]], [0, 0]
+            for k0 in range(0, cfg.T, rows):
+                taus, sent = sim._schedule_block(tau, policy, C, p, rng, min(rows, cfg.T - k0))
+                tau = taus[-1]
+                blocks.append(taus[1:])
+                attempts = [x + y for x, y in zip(attempts, sent)]
+            got = np.concatenate(blocks)
+            for chain, (want, want_attempts) in enumerate(wants):
+                assert np.array_equal(got[:, chain * N:(chain + 1) * N], want)
+                assert attempts[chain] == want_attempts
 
     @pytest.mark.parametrize("kind", ["relaxed", "matb"])
     def test_metrics_match_reference(self, kind):
@@ -467,6 +491,71 @@ def _per_agent_oracle(config, mfe, policy, seed):
 
 def _scenario(types, N, T, p=0.2, alpha=0.25, seed=0):
     return ScenarioConfig(N=N, capacity=max(1, round(alpha * N)), p=p, T=T, types=types, seed=seed)
+
+
+# The 2-state set of the benchmark's solver-grid workload: three poles, one unstable.
+BENCH_TWO_STATE_TYPES = tuple(
+    AgentType(label=label, A=[[a, 0.1], [0.0, 0.9]], B=[[0.1269], [0.2]], C_W=5.0 * np.eye(2),
+              Q=2.0 * np.eye(2), R=2.0, x0_mean=[x, 1.0], x0_cov=np.eye(2), prob=1.0 / 3.0)
+    for label, a, x in (("stable", 0.5, 6.0), ("marginal", 1.0, 3.0), ("unstable", 1.15, -3.0)))
+
+
+class _DrawSpy:
+    """A generator that records the shape of every `random` draw."""
+
+    def __init__(self, gen, shapes):
+        self.gen, self.shapes = gen, shapes
+
+    def random(self, shape):
+        self.shapes.append(shape)
+        return self.gen.random(shape)
+
+
+class TestStackedPair:
+    """`"both"` runs the relaxed and MATB chains of a seed in one pass."""
+
+    POINTS = [(default_types(), 5, 0.2, 0.2), (default_types(), 20, 0.25, 0.0),
+              (default_types(), 37, 0.4, 0.3), (BENCH_TWO_STATE_TYPES, 30, 0.25, 0.2)]
+
+    @staticmethod
+    def _assert_pair_equals_separate_runs(cfg, seed):
+        policy = bisection_lambda(population_for(cfg), cfg.p, cfg.capacity)
+        pair = run_scheduling_experiment(cfg, policy, "both", seed=seed)
+        alone = [run_scheduling_experiment(cfg, policy, kind, seed=seed)
+                 for kind in ("relaxed", "matb")]
+        for got, want in zip(pair, alone):
+            for field in dataclasses.fields(sim.Metrics):
+                assert np.array_equal(getattr(got, field.name), getattr(want, field.name)), \
+                    field.name
+
+    @pytest.mark.parametrize("types,N,alpha,p", POINTS)
+    def test_pair_equals_separate_runs(self, types, N, alpha, p):
+        cfg = _scenario(types, N, T=300, p=p, alpha=alpha)
+        for seed in (0, 7):
+            self._assert_pair_equals_separate_runs(cfg, seed)
+
+    @pytest.mark.parametrize("types,N,alpha,p", POINTS)
+    def test_block_height_does_not_change_the_pair(self, types, N, alpha, p, monkeypatch):
+        cfg = _scenario(types, N, T=80, p=p, alpha=alpha)
+        for elements in (1, 7 * N, 2**15):
+            monkeypatch.setattr(sim, "_BLOCK_ELEMENTS", elements)
+            self._assert_pair_equals_separate_runs(cfg, seed=5)
+
+    def test_pair_draws_once_per_block(self, monkeypatch):
+        cfg = scheduling_scenario(N=20, T=100)
+        policy = bisection_lambda(population_for(cfg), cfg.p, cfg.capacity)
+        shapes = {"coin": [], "channel": []}
+
+        def spied_streams(seed, make=sim.make_streams):
+            rng = make(seed)
+            return dict(rng, **{name: _DrawSpy(rng[name], shapes[name]) for name in shapes})
+
+        monkeypatch.setattr(sim, "make_streams", spied_streams)
+        monkeypatch.setattr(sim, "_BLOCK_ELEMENTS", 2 * cfg.N * 30)
+        run_scheduling_experiment(cfg, policy, "both", seed=1)
+        for name in shapes:
+            # blocks of 30 steps over both chains, one draw of N numbers per step
+            assert shapes[name] == [(30, cfg.N)] * 3 + [(10, cfg.N)], name
 
 
 class TestPlantLoops:
