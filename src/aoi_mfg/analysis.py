@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .estimator import WeightTable
+from .estimator import WeightTable, weight_table
 from .threshold import f_tail
 
 
@@ -155,7 +155,7 @@ def bound_report(config, policy, delta: float = 0.05) -> BoundReport:
     alpha = config.alpha
     q = policy.q
     cap = p0_aoi_cap(policy.kbar_max, alpha)
-    U = max(WeightTable(t.A, t.C_W).c(cap) for t in config.types)
+    U = max(weight_table(t.A, t.C_W).c(cap) for t in config.types)
     vacuous = (alpha == q) or not (0.0 < q < 1.0)
     exponent = 0.0 if vacuous else kl_divergence(alpha, q)
     bound = U if vacuous else gap_bound(alpha, q, U, config.N)

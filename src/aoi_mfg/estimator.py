@@ -10,6 +10,7 @@ sample only, through `error_weight`.
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,6 +84,40 @@ class WeightTable:
         self._extend(max_tau)
         w = np.asarray(self._w[: max_tau + 1])
         return w * np.arange(max_tau + 1)
+
+
+# Per-type objects shared by value: `WeightTable` by (A, C_W) and
+# `threshold.KappaScan` by (A, C_W, p). Beyond _MEMO_ENTRIES the least recently
+# used entry goes first. The memo is per process (workers build their own).
+_MEMO_ENTRIES = 64
+_memo: OrderedDict = OrderedDict()
+
+
+def shared(cls, A, C_W, *args):
+    """`cls(A, C_W, *args)`, built once per value of the arguments (the shape
+    and bytes of A and C_W) and shared while it stays in the memo."""
+    A = np.atleast_2d(np.asarray(A, dtype=float))
+    C_W = np.atleast_2d(np.asarray(C_W, dtype=float))
+    key = (cls, A.shape, A.tobytes(), C_W.shape, C_W.tobytes(), *args)
+    if key in _memo:
+        _memo.move_to_end(key)
+        return _memo[key]
+    value = _memo[key] = cls(A.copy(), C_W.copy(), *args)
+    if len(_memo) > _MEMO_ENTRIES:
+        _memo.popitem(last=False)
+    return value
+
+
+def forget(*values) -> None:
+    """Drop the memo entries that hold any of `values`."""
+    for key in [k for k, v in _memo.items() if any(v is x for x in values)]:
+        del _memo[key]
+
+
+def weight_table(A, C_W) -> WeightTable:
+    """The shared `WeightTable` of (A, C_W). Its entries do not depend on how
+    far it has grown, so they equal a fresh table's bit for bit."""
+    return shared(WeightTable, A, C_W)
 
 
 def error_weight(tau: int, A, C_W) -> float:

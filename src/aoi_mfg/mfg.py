@@ -9,13 +9,18 @@ pass for the type means), which equals the literal double-sum expansion.
 Exactness contract: `mf_operator` and `g_trajectory` return the same bits as
 a per-type loop of one NumPy matrix-vector product per step, so mu*, g, the
 Picard iteration count and K3 do not depend on how the recursions are run.
+`solve_mfe` builds the operator once per solve (`_operator`: the stacked
+matrices and the rho(A_cl) < 1 check, fixed while it iterates) and
+`mf_operator` is that builder applied once, so both see the same operator.
 Both recursions run through `_recursion`, x_{j+1} = M x_j - D u_j for a stack
 of types, which keeps each type's float operations in their order:
 - n == 1 runs on Python floats. `a*x - d*u` rounds each product once and then
   subtracts, as the 1x1 `matmul` and the subtraction do (up to the sign of a
   zero product, which `matmul` adds to +0.0).
 - n > 1 runs one step loop for all types on stacked (m, n, n) matrices, and
-  applies D to the whole window in one batched `matmul`. A stacked `matmul`
+  applies D to the whole window in one batched `matmul`. Each step is one
+  `matmul` into the next step's view and one in-place subtraction (the
+  `np.subtract` ufunc). A stacked `matmul`
   computes each matrix-vector product with the same kernel as a single one;
   `einsum` and element-wise sums do not (the kernel fuses the multiply and
   the add), and on random 2x2 inputs they differ in the last bit in about
@@ -194,9 +199,10 @@ def _recursion(M: np.ndarray, x0: np.ndarray, D: np.ndarray, u: np.ndarray) -> n
             x[:, i, 0, 0] = col
         return x[..., 0]
     Du = D @ u[..., None]                       # (J, m, n, 1): D u_j per type
-    for j in range(J):
-        np.matmul(M, x[j], out=x[j + 1])
-        np.subtract(x[j + 1], Du[j], out=x[j + 1])
+    steps = list(x)                             # the per-step views, made once
+    for prev, nxt, du in zip(steps, steps[1:], Du):
+        np.matmul(M, prev, out=nxt)
+        nxt -= du
     return x[..., 0]
 
 
@@ -239,6 +245,31 @@ def control_action(Z, g_next, gains: TrackingGains) -> np.ndarray:
     return -(gains.K1 @ Z) - (gains.K2 @ g_next)
 
 
+def _operator(types, gains: dict):
+    """The mean-field operator of one type set, as a function mu -> M_F(mu).
+
+    The stacked A_cl, Q, B K2, the x0 means and the probabilities are built,
+    and rho(A_cl) < 1 is checked, once: they are fixed while `solve_mfe`
+    iterates."""
+    A_cl = np.stack([gains[t.label].A_cl for t in types])
+    _check_stable(A_cl)
+    Q = np.stack([t.Q for t in types])
+    BK2 = np.stack([t.B @ gains[t.label].K2 for t in types])
+    x0 = np.array([t.x0_mean for t in types])
+    probs = [t.prob for t in types]
+
+    def apply(mu: np.ndarray) -> np.ndarray:
+        mu = np.atleast_2d(np.asarray(mu, dtype=float))
+        g = _backward(mu, A_cl, Q)
+        nu = _recursion(A_cl, x0, BK2, g[1:mu.shape[0]])
+        out = np.zeros_like(mu)
+        for i, prob in enumerate(probs):
+            out += prob * nu[:, i]
+        return out
+
+    return apply
+
+
 def mf_operator(mu: np.ndarray, types, gains: dict) -> np.ndarray:
     """One application of the mean-field operator.
 
@@ -246,17 +277,7 @@ def mf_operator(mu: np.ndarray, types, gains: dict) -> np.ndarray:
     nu_{k+1} = A_cl nu_k - B K2 g_{k+1} from nu_0 = x0_mean; the output is
     the probability-weighted average over types.
     """
-    mu = np.atleast_2d(np.asarray(mu, dtype=float))
-    H = mu.shape[0]
-    A_cl = np.stack([gains[t.label].A_cl for t in types])
-    _check_stable(A_cl)
-    g = _backward(mu, A_cl, np.stack([t.Q for t in types]))
-    BK2 = np.stack([t.B @ gains[t.label].K2 for t in types])
-    nu = _recursion(A_cl, np.array([t.x0_mean for t in types]), BK2, g[1:H])
-    out = np.zeros_like(mu)
-    for i, t in enumerate(types):
-        out += t.prob * nu[:, i]
-    return out
+    return _operator(types, gains)(mu)
 
 
 def contraction_constant(types, gains: dict) -> float:
@@ -315,12 +336,13 @@ def solve_mfe(types, horizon: int | None = None) -> MeanFieldSolution:
     total_iters = 0
     doublings = 0
     prev_tail = np.inf
+    operator = _operator(types, gains)
     while True:
         mu = np.tile(mu0, (H, 1))
         gap_ratios = []
         prev_gap = None
         for _ in range(MFE_MAX_ITER):
-            new = mf_operator(mu, types, gains)
+            new = operator(mu)
             gap = float(np.linalg.norm(new - mu, axis=1).max())
             if prev_gap is not None and prev_gap > 1e-12 * scale:
                 gap_ratios.append(gap / prev_gap)
@@ -344,7 +366,7 @@ def solve_mfe(types, horizon: int | None = None) -> MeanFieldSolution:
         doublings += 1
         log.info("mean-field window grown to %d (slow trajectory decay)", H)
 
-    residual = float(np.linalg.norm(mf_operator(mu, types, gains) - mu, axis=1).max())
+    residual = float(np.linalg.norm(operator(mu) - mu, axis=1).max())
     g = _backward(mu, np.stack([gains[t.label].A_cl for t in types]),
                   np.stack([t.Q for t in types]))
     return MeanFieldSolution(mu=mu, g={t.label: g[:, i] for i, t in enumerate(types)},

@@ -221,13 +221,15 @@ def integer(value) -> int:
 def load_scenario(source) -> ScenarioConfig:
     """Build a validated ScenarioConfig from a dict, JSON string, or file path.
 
+    A string that starts with `{` is JSON text; any other string, and every
+    `Path`, is a file to read, so a missing file raises an OSError naming it.
     Matrices are row-major nested arrays; scalars are accepted and promoted
     to 1x1. Either `capacity` or `alpha` must be present.
     """
     if isinstance(source, (str, Path)):
         text = str(source)
         # JSON text first: a long document is no valid path to test for
-        if not text.lstrip().startswith("{") and Path(text).exists():
+        if isinstance(source, Path) or not text.lstrip().startswith("{"):
             text = Path(text).read_text()
         try:
             doc = json.loads(text)

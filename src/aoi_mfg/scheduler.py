@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import InfeasibleCapacityError, NumericOverflowError
 from .model import Population
-from .threshold import KappaScan, transmission_rate
+from .threshold import kappa_scan, transmission_rate
 
 log = logging.getLogger(__name__)
 
@@ -70,7 +70,7 @@ def _rate_term(count: int, kappa: int, p: float) -> float:
 def aggregate_rate(population: Population, p: float, lam: float) -> float:
     """R(lambda): total attempt rate when every agent runs its single
     threshold kappa(lambda), summed in type order."""
-    return sum(_rate_term(count, KappaScan(t.A, t.C_W, p).solve(lam).kappa, p)
+    return sum(_rate_term(count, kappa_scan(t.A, t.C_W, p).solve(lam).kappa, p)
                for count, t in zip(population.counts, population.types))
 
 
@@ -98,7 +98,7 @@ def bisection_lambda(population: Population, p: float, C: float) -> RelaxedPolic
     """
     if C <= 0:
         raise InfeasibleCapacityError(f"capacity must be positive, got {C}")
-    scans = [KappaScan(t.A, t.C_W, p) for t in population.types]
+    scans = [kappa_scan(t.A, t.C_W, p) for t in population.types]
     lam = 0.0
     kap_low = kap_high = [scan.solve(lam).kappa for scan in scans]
     nxt = [scan.price(k) for scan, k in zip(scans, kap_high)]  # next breakpoint per type

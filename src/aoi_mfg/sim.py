@@ -38,7 +38,7 @@ from functools import partial
 import numpy as np
 
 from .errors import CapacityViolationError
-from .estimator import WeightTable
+from .estimator import weight_table
 from .model import Population, ScenarioConfig, population_for
 from .scheduler import RelaxedPolicy
 
@@ -135,7 +135,7 @@ class _ScheduleRun:
         self.config, self.policy, self.rng = config, policy, rng
         self.K = len(kinds)
         self.C = config.capacity if kinds[-1] == "matb" else None
-        self.tables = [WeightTable(t.A, t.C_W) for t in population.types]
+        self.tables = [weight_table(t.A, t.C_W) for t in population.types]
         self.slices = population.slices()
         self.cost_sum, self.attempts = [0.0] * self.K, [0] * self.K
         self.successes, self.max_aoi = [0] * self.K, [0] * self.K

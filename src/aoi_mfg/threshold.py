@@ -5,7 +5,8 @@ transmission attempt; an attempt succeeds (AoI resets to 0) with probability
 1 - p. The optimal policy transmits iff tau >= kappa. `KappaScan` computes
 kappa from the implicit interpolated-cost equation, at as many prices as a
 caller asks for, and the breakpoint prices at which kappa steps up;
-`solve_kappa` is its one-shot form. `value_iteration_oracle` is the
+`kappa_scan` shares one scan per (A, C_W, p) value across callers, and
+`solve_kappa` is the one-shot form. `value_iteration_oracle` is the
 independent truncated-MDP check.
 """
 
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AssumptionViolationError, NoConvergenceError, NumericOverflowError
-from .estimator import WeightTable
+from .estimator import WeightTable, forget, shared, weight_table
 
 _KAPPA_CAP = 10**6
 
@@ -126,7 +127,10 @@ class KappaScan:
 
     Memoizes f(k) and sum_{i<k} c(i) as the scan grows, so solving at many
     prices (a price search) computes each of them once. The memo lives as
-    long as the object; results equal a fresh scan's bit for bit.
+    long as the object, and `kappa_scan` keeps the object for every caller
+    that asks for the same (A, C_W, p); the running costs come from the
+    shared `estimator.weight_table`. Results do not depend on how far the
+    memo has grown: they equal a fresh scan's bit for bit.
     """
 
     def __init__(self, A, C_W, p: float):
@@ -134,7 +138,7 @@ class KappaScan:
             raise ValueError(f"p must lie in [0, 1), got {p}")
         self.p = p
         self._a = _check_assumption(A, p)
-        self._table = WeightTable(A, C_W)
+        self._table = weight_table(A, C_W)
         sa, sc = _scalar_of(A), _scalar_of(C_W)
         self._scalar = (sa * sa, sc) if sa is not None and sc is not None else None
         self._f = []      # f(0), f(1), ...
@@ -147,8 +151,12 @@ class KappaScan:
         return _f_tail_series(x, self._table, self._a, self.p)
 
     def _grow(self, k: int) -> None:
-        """Extend the memo to f(0..k+1) and sum_{i<j} c(i) for j = 0..k+1."""
+        """Extend the memo to f(0..k+1) and sum_{i<j} c(i) for j = 0..k+1.
+
+        At the cap the scan and its table leave the shared memo: they have
+        grown to the cap and no later search should hold on to them."""
         if k >= _KAPPA_CAP:
+            forget(self, self._table)
             raise NoConvergenceError("kappa scan exceeded cap; inputs are likely mis-scaled")
         f, cum = self._f, self._cum
         if not f:
@@ -188,6 +196,12 @@ class KappaScan:
         self._grow(k)
         p = self.p
         return (1.0 - p) * ((1.0 + k * (1.0 - p)) * self._f[k + 1] - self._f[k] - self._cum[k])
+
+
+def kappa_scan(A, C_W, p: float) -> KappaScan:
+    """The shared `KappaScan` of (A, C_W, p), built once per value: the
+    scan's memo then serves every price search and rate of that type."""
+    return shared(KappaScan, A, C_W, float(p))
 
 
 def solve_kappa(A, C_W, p: float, lam: float) -> ThresholdSolution:

@@ -371,7 +371,7 @@ class TestErrors:
     @pytest.mark.parametrize("argv,code", [
         (["schedule", "--alpha", "2", "--N", "5"], 1),
         (["bounds", "--p", "1.5"], 1),
-        (["schedule", "--config", "{cfg_dir}/missing.json"], 1),
+        (["schedule", "--config", "{cfg_dir}/missing.json"], 3),
         (["mfe", "--config", "{cfg_dir}"], 3),  # a directory: unreadable
     ])
     def test_failed_run_makes_no_output_dir(self, argv, code, tmp_path, capsys):
@@ -380,6 +380,12 @@ class TestErrors:
         argv = [a.format(cfg_dir=cfg_dir) for a in argv]
         assert main(argv + ["--out", str(tmp_path / "o")]) == code
         assert not (tmp_path / "o").exists()
+
+    def test_missing_config_file_exits_3(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["schedule", "--config", "nope.json", "--out", "o"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("io error:") and "nope.json" in err
 
     def test_out_naming_a_file_exits_3(self, sched_cfg, tmp_path, capsys):
         out = tmp_path / "file"

@@ -211,6 +211,20 @@ class TestMfOperator:
                     assert np.array_equal(mf_operator(mu, types, gains),
                                           _mf_operator_reference(mu, types, gains))
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_hoisted_operator_equals_public(self, n):
+        # the seeded cases above; one built operator applied to several windows,
+        # as solve_mfe applies it across iterations and window doublings
+        rng = np.random.default_rng(n)
+        for m in (1, 2, 3, 4):
+            for H in (1, 2, 3, 17, 328):
+                for _ in range(3):
+                    mu, types, gains = _random_case(rng, n, m, H)
+                    operator = mfg._operator(types, gains)
+                    for window in (mu, mu[: (H + 1) // 2], np.vstack([mu, mu])):
+                        assert np.array_equal(operator(window),
+                                              mf_operator(window, types, gains))
+
     def test_unstable_closed_loop_rejected(self):
         rng = np.random.default_rng(5)
         mu, types, gains = _random_case(rng, 2, 2, 10)
@@ -273,7 +287,9 @@ class TestSolveMfe:
                                x0_mean=[x, 1.0], x0_cov=np.eye(2), prob=0.5)
                      for t, a, x in (("s", 0.5, 6.0), ("m", 1.0, 3.0))]
         new = solve_mfe(types)
-        monkeypatch.setattr(mfg, "mf_operator", _mf_operator_reference)
+        # solve_mfe builds its operator once per solve through mfg._operator
+        monkeypatch.setattr(mfg, "_operator",
+                            lambda types, gains: lambda mu: _mf_operator_reference(mu, types, gains))
         ref = solve_mfe(types)
         assert np.array_equal(new.mu, ref.mu)
         assert np.array_equal(new.K3, ref.K3)

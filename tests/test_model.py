@@ -174,6 +174,13 @@ class TestLoadScenario:
         with pytest.raises(ConfigError):
             load_scenario("{not json")
 
+    @pytest.mark.parametrize("as_path", [False, True])
+    def test_missing_file_is_an_io_error_naming_it(self, as_path, tmp_path):
+        # not read as JSON text: the error names the file, not a JSON position
+        missing = tmp_path / "nope.json"
+        with pytest.raises(FileNotFoundError, match="nope.json"):
+            load_scenario(missing if as_path else str(missing))
+
     def test_alpha_rounds_as_the_presets_do(self):
         # 0.29 * 10 = 2.9: the presets and the CLI round it to 3, not floor it to 2
         doc = dict(SCENARIO_DOC, alpha=0.29)

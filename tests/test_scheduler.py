@@ -13,6 +13,7 @@ from aoi_mfg import (
     relaxed_decisions,
     transmission_rate,
 )
+from aoi_mfg import estimator
 from aoi_mfg.errors import InfeasibleCapacityError, NumericOverflowError
 from aoi_mfg.model import AgentType
 
@@ -121,6 +122,21 @@ class TestBisection:
         for _, p, C, population in PRICE_GRID:
             policy = bisection_lambda(population, p, C)
             assert (policy.per_type, policy.q) == _bisection_reference(population, p, C)
+
+    def test_grid_order_does_not_change_the_policy(self):
+        # the shared scans grow in another order; every policy keeps its bits
+        def fields(policy):
+            return (policy.lam, policy.q, policy.rate_low, policy.rate_high, policy.per_type,
+                    policy.klow.tolist(), policy.kbar.tolist())
+
+        estimator._memo.clear()
+        in_order = [fields(bisection_lambda(pop, p, C)) for _, p, C, pop in PRICE_GRID]
+        estimator._memo.clear()
+        shuffled = {}
+        for i in np.random.default_rng(11).permutation(len(PRICE_GRID)):
+            _, p, C, pop = PRICE_GRID[i]
+            shuffled[i] = fields(bisection_lambda(pop, p, C))
+        assert [shuffled[i] for i in range(len(PRICE_GRID))] == in_order
 
     def test_price_is_the_rate_crossing(self):
         # independent of the walk: kappa from KappaScan.solve, R from aggregate_rate

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,6 +6,8 @@ import pytest
 
 from aoi_mfg import (
     KappaScan,
+    assign_types,
+    bisection_lambda,
     default_types,
     f_tail,
     solve_kappa,
@@ -12,9 +15,11 @@ from aoi_mfg import (
     transmission_rate,
     value_iteration_oracle,
 )
-from aoi_mfg.errors import AssumptionViolationError, NumericOverflowError
-from aoi_mfg.estimator import WeightTable
-from aoi_mfg.threshold import _f_tail_series
+from aoi_mfg import estimator, threshold
+from aoi_mfg.errors import AssumptionViolationError, NoConvergenceError, NumericOverflowError
+from aoi_mfg.estimator import WeightTable, weight_table
+from aoi_mfg.model import AgentType
+from aoi_mfg.threshold import _f_tail_series, kappa_scan
 
 
 class TestFTail:
@@ -145,6 +150,78 @@ class TestKappaScan:
         assert math.isfinite(scan.f(2000))
         with pytest.raises(NumericOverflowError, match="overflows"):
             scan.f(3000)
+
+
+@pytest.fixture
+def cold_memo():
+    """The shared per-type memo, empty before and after the test."""
+    estimator._memo.clear()
+    yield estimator._memo
+    estimator._memo.clear()
+
+
+class TestSharedMemo:
+    LAMS = (8.0, 0.0, 2.5, 1e3, 2.5, 0.3)
+
+    def _results(self, scan):
+        return ([scan.price(k) for k in range(12)], [scan.solve(lam) for lam in self.LAMS],
+                [scan.f(k) for k in range(12)])
+
+    @pytest.mark.parametrize("p", [0.0, 0.2])
+    @pytest.mark.parametrize("kind", ["stable", "unstable", "two-state"])
+    def test_warm_memo_equals_fresh_scan(self, kind, p, cold_memo):
+        types = {t.label: (t.A, t.C_W) for t in default_types()}
+        A, C_W = TestKappaScan.TWO_STATE if kind == "two-state" else types[kind]
+        want = self._results(KappaScan(A, C_W, p))  # its table is fresh too
+        cold_memo.clear()
+        shared = kappa_scan(A, C_W, p)
+        shared.solve(1e5)   # grow the scan and its table past what is read below,
+        shared.price(30)    # out of order
+        assert kappa_scan(A, C_W, p) is shared
+        assert self._results(shared) == want
+
+    def test_equal_values_share_one_entry(self, cold_memo):
+        kw = dict(B=0.1, Q=1.0, R=1.0, x0_mean=0.0, x0_cov=1.0, prob=0.5)
+        a = AgentType(label="a", A=1.15, C_W=5.0, **kw)
+        b = AgentType(label="b", A=[[1.15]], C_W=[[5]], **kw)
+        policy = bisection_lambda(assign_types(20, [a, b]), 0.2, 4)
+        assert policy.per_type["a"] == policy.per_type["b"]
+        assert kappa_scan(a.A, a.C_W, 0.2) is kappa_scan(b.A, b.C_W, 0.2)
+        assert weight_table(a.A, a.C_W) is weight_table(1.15, 5.0)
+        # one table and one scan; another p is another scan on the same table
+        assert len(cold_memo) == 2
+        other = kappa_scan(a.A, a.C_W, 0.3)
+        assert other is not kappa_scan(a.A, a.C_W, 0.2)
+        assert other._table is weight_table(a.A, a.C_W)
+        assert len(cold_memo) == 3
+
+    @pytest.mark.parametrize("limit", [3, estimator._MEMO_ENTRIES])
+    def test_entries_stay_within_the_bound(self, limit, cold_memo, monkeypatch):
+        monkeypatch.setattr(estimator, "_MEMO_ENTRIES", limit)
+        for i in range(2 * estimator._MEMO_ENTRIES):
+            kappa_scan(1.0, 5.0 + i, 0.2).price(2)
+            assert len(cold_memo) <= limit
+        # the least recently used entry goes first: a full memo, its oldest
+        # entry used again, then one more entry
+        cold_memo.clear()
+        first = weight_table(1.0, 1.0)
+        for i in range(2, limit + 1):
+            weight_table(1.0, float(i))
+        assert weight_table(1.0, 1.0) is first
+        weight_table(1.0, 0.5)
+        assert len(cold_memo) == limit and weight_table(1.0, 1.0) is first
+
+    def test_search_at_the_cap_leaves_no_grown_scan(self, cold_memo, monkeypatch):
+        monkeypatch.setattr(threshold, "_KAPPA_CAP", 5)
+        t = dataclasses.replace(default_types()[0], prob=1.0)
+        kept = weight_table(2.0 * t.A, t.C_W)  # another type's entry stays
+        grown = kappa_scan(t.A, t.C_W, 0.2)
+        with pytest.raises(NoConvergenceError, match="cap"):
+            bisection_lambda(assign_types(1000, [t]), 0.2, 1)
+        assert len(grown._f) == 6  # f(0..5): the scan reached the cap
+        assert all(v is not grown and v is not grown._table for v in cold_memo.values())
+        assert list(cold_memo.values()) == [kept]
+        assert kappa_scan(t.A, t.C_W, 0.2) is not grown
 
 
 class TestValueIterationOracle:
