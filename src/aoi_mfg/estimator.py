@@ -86,23 +86,30 @@ class WeightTable:
         return w * np.arange(max_tau + 1)
 
 
-# Per-type objects shared by value: `WeightTable` by (A, C_W) and
-# `threshold.KappaScan` by (A, C_W, p). Beyond _MEMO_ENTRIES the least recently
-# used entry goes first. The memo is per process (workers build their own).
+# Per-type objects shared by value: `WeightTable` by (A, C_W),
+# `threshold.KappaScan` by (A, C_W, p) and the Riccati gains of `mfg.solve_mfe`
+# by (A, B, Q, R). Beyond _MEMO_ENTRIES the least recently used entry goes
+# first. The memo is per process (workers build their own).
 _MEMO_ENTRIES = 64
 _memo: OrderedDict = OrderedDict()
 
 
-def shared(cls, A, C_W, *args):
-    """`cls(A, C_W, *args)`, built once per value of the arguments (the shape
-    and bytes of A and C_W) and shared while it stays in the memo."""
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    C_W = np.atleast_2d(np.asarray(C_W, dtype=float))
-    key = (cls, A.shape, A.tobytes(), C_W.shape, C_W.tobytes(), *args)
+def as_matrix(M) -> np.ndarray:
+    """M as a 2-D float array, the form a memo key is taken from."""
+    return np.atleast_2d(np.asarray(M, dtype=float))
+
+
+def shared(fn, *args):
+    """`fn(*args)`, built once per value of the arguments and shared while it
+    stays in the memo. An array argument counts by its shape, dtype and bytes
+    (`fn` gets a copy of it), any other by its value. A call of `fn` that
+    raises leaves no entry."""
+    key = (fn, *((a.shape, a.dtype.str, a.tobytes()) if isinstance(a, np.ndarray) else a
+                 for a in args))
     if key in _memo:
         _memo.move_to_end(key)
         return _memo[key]
-    value = _memo[key] = cls(A.copy(), C_W.copy(), *args)
+    value = _memo[key] = fn(*(a.copy() if isinstance(a, np.ndarray) else a for a in args))
     if len(_memo) > _MEMO_ENTRIES:
         _memo.popitem(last=False)
     return value
@@ -117,7 +124,7 @@ def forget(*values) -> None:
 def weight_table(A, C_W) -> WeightTable:
     """The shared `WeightTable` of (A, C_W). Its entries do not depend on how
     far it has grown, so they equal a fresh table's bit for bit."""
-    return shared(WeightTable, A, C_W)
+    return shared(WeightTable, as_matrix(A), as_matrix(C_W))
 
 
 def error_weight(tau: int, A, C_W) -> float:

@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NoConvergenceError, RankDeficientError, UnstableClosedLoopError
-from .estimator import WeightTable
+from .estimator import WeightTable, as_matrix, shared
 
 log = logging.getLogger(__name__)
 
@@ -172,6 +172,16 @@ def solve_riccati(A, B, Q, R) -> TrackingGains:
     gains = TrackingGains(K=K, K1=K1, K2=K2, A_cl=A_cl)
     if gains.rho_cl >= 1.0:
         raise UnstableClosedLoopError(f"rho(A_cl) = {gains.rho_cl:.6f} >= 1")
+    return gains
+
+
+def _read_only_gains(A, B, Q, R) -> TrackingGains:
+    """`solve_riccati` with read-only arrays, the form `solve_mfe` shares by
+    value (`estimator.shared`): no caller can change the gains the next one
+    gets."""
+    gains = solve_riccati(A, B, Q, R)
+    for M in (gains.K, gains.K1, gains.K2, gains.A_cl):
+        M.flags.writeable = False
     return gains
 
 
@@ -318,9 +328,12 @@ def solve_mfe(types, horizon: int | None = None) -> MeanFieldSolution:
     window (`horizon`, else sized from the slowest pole) doubles until the
     stored tail is below MFE_TOL/10, so geometric extrapolation error stays an
     order below the solver tolerance; a doubling must shrink the tail.
+    Each type's gains are solved once per value of (A, B, Q, R) and shared
+    across solves (`estimator.shared`); their arrays are read-only.
     """
     types = tuple(types)
-    gains = {t.label: solve_riccati(t.A, t.B, t.Q, t.R) for t in types}
+    gains = {t.label: shared(_read_only_gains, *map(as_matrix, (t.A, t.B, t.Q, t.R)))
+             for t in types}
     cc = contraction_constant(types, gains)
     mu0 = sum(t.prob * t.x0_mean for t in types)
     rho = max(gains[t.label].rho_cl for t in types)

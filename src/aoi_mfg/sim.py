@@ -10,14 +10,21 @@ of whole steps at once and the plant loops replay its receptions step by step.
 The plant loops (game and estimator) are written once for every plant
 shape; `_per_agent` decides how a per-type matrix acts on the agents. Scalar
 plants (1x1 A and B, every CLI workload) use per-agent columns, a few ufuncs
-per step; others one matrix product per type slice. Exactness contract: both
-give the bits of a loop of one matrix product per type and step (the
-reference in `tests/test_sim.py`). A 1x1 `@` rounds one product, as an
-element-wise multiply does; the one-term `einsum` dev'Q dev is dev*q*dev;
-sums keep their order; `X.sum(axis=0) / N` is `X.mean(axis=0)`; a stacked
-`matmul` (a block of noise, the K2 g table) uses the kernel of a single one.
-Vector plants keep matrix products: `matmul` fuses multiplies and adds that
-element-wise ops would round differently.
+per step; others one matrix product per type slice. Only the sequential
+recursion runs step by step in the game loop: the decoders' Z (a `copyto`
+of X on reception), U = -K2 g - K1 Z, B U once for both Z and X, and X. The
+mean mu^N, the deviation X - mu^N and the running cost Q(dev) + R(U) are
+taken once per block from the block's X and U rows. Exactness contract: all
+of this gives the bits of a loop of one matrix product per type and step
+(the reference in `tests/test_sim.py`), whatever the block height. A 1x1 `@`
+rounds one product, as an element-wise multiply does; the one-term `einsum`
+dev'Q dev is dev*q*dev; sums keep their order: a block's row sum over the
+agents, divided by N, is each step's `X.mean(axis=0)`, and `np.add.reduce`
+over game_cost and the block's cost rows adds them one step after another;
+a stacked `matmul` or `einsum` (a block of noise or of costs, the K2 g
+table) uses the kernel of a single one. Vector plants keep matrix products:
+`matmul` fuses multiplies and adds that element-wise ops would round
+differently.
 
 One run is single-threaded and deterministic given (config, seed); RNG
 substreams for channel, policy coin, noise, and initial states are spawned
@@ -127,8 +134,13 @@ class _ScheduleRun:
     """The scheduling layer of one run: one chain per entry of `kinds`
     ("relaxed", or "matb" for the projected chain, which comes last), stacked
     on common random numbers and advanced by `_schedule_block` a block of
-    whole steps at a time; each chain's counters are filled from its columns
-    of each block's rows."""
+    whole steps at a time; each chain's cost, attempts and AoI histogram are
+    filled from its columns of each block's rows.
+
+    Successes and the largest age follow from the histogram: every run starts
+    at age 0 and a reception at step j is a zero age at step j + 1, so a chain
+    with histogram h and current ages tau has received h[0] - N + #(tau == 0)
+    packets, and its largest age is h.size - 1."""
 
     def __init__(self, config: ScenarioConfig, policy: RelaxedPolicy, rng, kinds=("matb",)):
         population = population_for(config)
@@ -138,43 +150,49 @@ class _ScheduleRun:
         self.tables = [weight_table(t.A, t.C_W) for t in population.types]
         self.slices = population.slices()
         self.cost_sum, self.attempts = [0.0] * self.K, [0] * self.K
-        self.successes, self.max_aoi = [0] * self.K, [0] * self.K
         self.hist = [np.zeros(1, dtype=np.int64) for _ in kinds]
+        self.tau = np.zeros(self.K * config.N, dtype=np.int64)
 
     def blocks(self):
         """Yield (k0, taus) for each block of the config.T steps from tau = 0;
-        taus has the K chains side by side, K * N columns."""
+        taus has the K chains side by side, K * N columns. The run keeps no
+        reference to a block's taus once it is yielded."""
         N, T, K = self.config.N, self.config.T, self.K
         rows = max(1, min(T, _BLOCK_ELEMENTS // (K * N)))
-        tau = np.zeros(K * N, dtype=np.int64)
         for k0 in range(0, T, rows):
-            taus, attempts = _schedule_block(tau, self.policy, self.C, self.config.p,
-                                             self.rng, min(rows, T - k0))
-            tau, ages = taus[-1], taus[:-1]
-            chains = ages.reshape(len(ages), K, N)
-            his = chains.max(axis=(0, 2)).tolist()
-            top = max(his)
-            # per step and chain, each type's slice sum added in type order
-            step_cost = sum(table.c_table(top)[chains[:, :, s]].sum(axis=2)
-                            for table, s in zip(self.tables, self.slices))
-            received = np.count_nonzero((taus[1:] == 0).reshape(-1, K, N), axis=(0, 2))
-            for i in range(K):
-                for c in step_cost[:, i].tolist():  # in step order: the pinned float order
-                    self.cost_sum[i] += c
-                self.attempts[i] += attempts[i]
-                self.successes[i] += int(received[i])
-                self.max_aoi[i] = max(self.max_aoi[i], his[i])
-                counts = np.bincount(chains[:, i].ravel(), minlength=self.hist[i].size)
-                counts[: self.hist[i].size] += self.hist[i]
-                self.hist[i] = counts
-            yield k0, taus
+            yield k0, self._advance(min(rows, T - k0))
+
+    def _advance(self, rows):
+        """One block of `rows` steps from self.tau: fills the counters and
+        returns the block's taus."""
+        K, N = self.K, self.config.N
+        taus, attempts = _schedule_block(self.tau, self.policy, self.C, self.config.p,
+                                         self.rng, rows)
+        self.tau = taus[-1].copy()
+        chains = taus[:-1].reshape(rows, K, N)
+        for i in range(K):
+            counts = np.bincount(chains[:, i].ravel(), minlength=self.hist[i].size)
+            counts[: self.hist[i].size] += self.hist[i]
+            self.hist[i] = counts
+        top = max(h.size for h in self.hist) - 1
+        # per step and chain, each type's slice sum added in type order
+        step_cost = sum(np.take(table.c_table(top), chains[:, :, s]).sum(axis=2)
+                        for table, s in zip(self.tables, self.slices))
+        for i in range(K):
+            for c in step_cost[:, i].tolist():  # in step order: the pinned float order
+                self.cost_sum[i] += c
+            self.attempts[i] += attempts[i]
+        return taus
 
     def metrics(self, chain=-1, **extra) -> Metrics:
         T, N = self.config.T, self.config.N
+        hist = self.hist[chain]
+        tau = self.tau.reshape(self.K, N)[chain]
         return Metrics(j_bs=self.cost_sum[chain] / (T * N),
-                       attempt_rate=self.attempts[chain] / T, max_aoi=self.max_aoi[chain],
-                       aoi_hist=self.hist[chain], attempts=self.attempts[chain],
-                       successes=self.successes[chain], T=T, N=N, **extra)
+                       attempt_rate=self.attempts[chain] / T, max_aoi=hist.size - 1,
+                       aoi_hist=hist, attempts=self.attempts[chain],
+                       successes=int(hist[0]) - N + int(np.count_nonzero(tau == 0)),
+                       T=T, N=N, **extra)
 
 
 _KINDS = {"relaxed": ("relaxed",), "matb": ("matb",), "both": ("relaxed", "matb")}
@@ -216,11 +234,13 @@ def _scalar_plants(types) -> bool:
 def _per_agent(population: Population):
     """(rows, linear, quadratic) for the plant loops. `rows(x)` puts per-agent
     vectors, shape (..., N, k), into the loops' layout; given one matrix M_phi
-    per type, `linear(Ms)` is x -> M_phi x and `quadratic(Ms)` x -> x' M_phi x
-    over every agent in that layout. Scalar plants: a 1-D per-agent column
-    and element-wise products. Others: (N, k) rows and one `x[s] @ M.T` or
-    `einsum` per type slice s; a type with fewer controls than k uses the
-    leading entries of its rows."""
+    per type, `linear(Ms)` is (x[, out]) -> M_phi x and `quadratic(Ms)`
+    (x, out) -> x' M_phi x over every agent in that layout, for any leading
+    dimensions. `out` shares no memory with x, except that `linear` may write
+    into x itself when every M_phi is square. Scalar plants: a 1-D per-agent
+    column and element-wise products. Others: (N, k) rows and one
+    `x[..., s, :] @ M.T` or `einsum` per type slice s; a type with fewer
+    controls than k uses the leading entries of its rows."""
     slices = population.slices()
     if _scalar_plants(population.types):
         def column(Ms):
@@ -232,22 +252,23 @@ def _per_agent(population: Population):
 
         def quadratic(Ms):
             c = column(Ms)
-            return lambda x: x * c * x
+            return lambda x, out: np.multiply(np.multiply(x, c, out), x, out)  # x * c * x
         return (lambda x: x[..., 0]), linear, quadratic
 
     def linear(Ms):
-        def apply(x):
-            out = np.zeros(x.shape[:-1] + (max(M.shape[0] for M in Ms),))
+        def apply(x, out=None):
+            if out is None:
+                out = np.zeros(x.shape[:-1] + (max(M.shape[0] for M in Ms),))
             for s, M in zip(slices, Ms):
                 out[..., s, :M.shape[0]] = x[..., s, :M.shape[1]] @ M.T
             return out
         return apply
 
     def quadratic(Ms):
-        def apply(x):
-            out = np.empty(x.shape[0])
+        def apply(x, out):
             for s, M in zip(slices, Ms):
-                out[s] = np.einsum("ij,jk,ik->i", x[s, :M.shape[0]], M, x[s, :M.shape[0]])
+                v = x[..., s, :M.shape[0]]
+                out[..., s] = np.einsum("...ij,jk,...ik->...i", v, M, v)
             return out
         return apply
     return (lambda x: x), linear, quadratic
@@ -269,28 +290,56 @@ def run_game_experiment(config: ScenarioConfig, mfe, policy: RelaxedPolicy,
     A, B, K1, chol_w = (linear(Ms) for Ms in zip(*[
         (t.A, t.B, mfe.gains[t.label].K1, np.linalg.cholesky(t.C_W)) for t in types]))
     Q, R = quadratic([t.Q for t in types]), quadratic([t.R for t in types])
-    # K2 g_k per type for k in [0, T], one stacked matmul each; 0 past a type's m
-    k2g = np.zeros((T + 1, len(types), max(t.m for t in types)))
+    # -K2 g_k per type for k in [0, T], one stacked matmul each; 0 past a type's m.
+    # U = -K2 g - K1 Z has the bits of -(K1 Z) - K2 g: both round -(K1 Z + K2 g)
+    nk2g = np.zeros((T + 1, len(types), max(t.m for t in types)))
     for i, t in enumerate(types):
-        k2g[:, i, :t.m] = (mfe.gains[t.label].K2 @ mfe.g_padded(t.label, T + 1)[..., None])[..., 0]
-    k2g = rows(k2g)
+        nk2g[:, i, :t.m] = (mfe.gains[t.label].K2 @ mfe.g_padded(t.label, T + 1)[..., None])[..., 0]
+    nk2g = rows(np.negative(nk2g, out=nk2g))
+    game_cost = np.zeros(N)
+    mu_N = np.empty((T, n))
+
+    def block(k0, received, X, P):
+        """Steps k0 .. k0 + h - 1 from X_k0 and the decoders' proposal P
+        (A Z + B U of the step before, X_0 at step 0): the recursion step by
+        step, then the block's mu^N and running cost at once. Returns X and P
+        after the block; the block's buffers go with the call."""
+        h = len(received)
+        # buf[0] is X_k0; buf[j + 1] holds step j's noise until it becomes X_{k0+j+1}
+        buf = np.empty((h + 1,) + X.shape)
+        buf[0] = X
+        rng["noise"].standard_normal(out=buf[1:])
+        chol_w(buf[1:], buf[1:])
+        Us = nk2g[k0 + 1:k0 + h + 1][:, population.type_index]  # -K2 g_{k+1}, then U_k
+        for recv, X, W, U in zip(received, buf, buf[1:], Us):
+            np.copyto(P, X, where=recv)  # Z_k
+            np.subtract(U, K1(P), U)
+            BU = B(U)
+            P = A(P) + BU
+            np.add(A(X) + BU, W, W)
+        X = buf[h].copy()
+        # mu^N, deviation and running cost of the whole block: a row sum over
+        # the agents has the bits of each step's X.sum(axis=0), and the cost
+        # rows are added to game_cost one after another, in step order
+        dev = buf[:h]
+        mu = dev.sum(axis=1) / N
+        mu_N[k0:k0 + h] = mu.reshape(h, -1)
+        dev -= mu[:, None]
+        cost = np.empty((h + 1, N))
+        cost[0] = game_cost
+        Q(dev, cost[1:])
+        cost[1:] += R(Us, dev.reshape(-1)[:h * N].reshape(h, N))  # dev is spent: R in its memory
+        np.add.reduce(cost, axis=0, out=game_cost)
+        return X, P
+
     X = rows(_sample_initial_states(population, rng["init"]))
-    Z, U = X.copy(), np.zeros((N,) + k2g.shape[2:])
-    game_cost, mu_N = np.zeros(N), np.empty((T,) + X.shape[1:])
+    P = X.copy()
     # scheduling ignores plant state, so a block's receptions are known up front
     for k0, taus in run.blocks():
         received = rows((taus[1:] == 0)[..., None])
-        W_block = chol_w(rows(rng["noise"].standard_normal((len(received), N, n))))
-        k2g_block = k2g[k0 + 1:k0 + len(received) + 1][:, population.type_index]
-        for k, recv, W, k2g_next in zip(range(k0, T), received, W_block, k2g_block):
-            if k > 0:
-                Z = np.where(recv, X, A(Z) + B(U))
-            mu_N[k] = mu = X.sum(axis=0) / N  # X.mean(axis=0)'s bits, less overhead
-            dev = X - mu
-            U = -K1(Z) - k2g_next
-            game_cost += Q(dev) + R(U)
-            X = A(X) + B(U) + W
-    cons_err = np.sum((mu_N.reshape(T, n) - mfe.mu_padded(T)) ** 2, axis=1)
+        del taus  # spent: freed before the block's plant buffers are made, not beside them
+        X, P = block(k0, received, X, P)
+    cons_err = np.sum((mu_N - mfe.mu_padded(T)) ** 2, axis=1)
     return run.metrics(per_agent_cost=game_cost / T, consensus_error=cons_err,
                        mean_field_gap=float(cons_err.mean()))
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AssumptionViolationError, NoConvergenceError, NumericOverflowError
-from .estimator import WeightTable, forget, shared, weight_table
+from .estimator import WeightTable, as_matrix, forget, shared, weight_table
 
 _KAPPA_CAP = 10**6
 
@@ -201,7 +201,7 @@ class KappaScan:
 def kappa_scan(A, C_W, p: float) -> KappaScan:
     """The shared `KappaScan` of (A, C_W, p), built once per value: the
     scan's memo then serves every price search and rate of that type."""
-    return shared(KappaScan, A, C_W, float(p))
+    return shared(KappaScan, as_matrix(A), as_matrix(C_W), float(p))
 
 
 def solve_kappa(A, C_W, p: float, lam: float) -> ThresholdSolution:

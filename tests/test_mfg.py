@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -16,7 +17,7 @@ from aoi_mfg import (
     solve_mfe,
     solve_riccati,
 )
-from aoi_mfg import mfg
+from aoi_mfg import estimator, mfg
 from aoi_mfg.cli import main
 from aoi_mfg.errors import AssumptionViolationError, RankDeficientError, UnstableClosedLoopError
 from aoi_mfg.mfg import TrackingGains
@@ -348,6 +349,72 @@ class TestSolveMfe:
         import json
         text = json.dumps(mfe.report(), sort_keys=True)
         assert "contraction_constant" in text
+
+
+TWO_STATE_TYPES = [AgentType(label=t, A=[[a, 0.1], [0.0, 0.9]], B=[[0.1269], [0.2]],
+                             C_W=np.eye(2) * 5.0, Q=np.eye(2) * 2.0, R=2.0,
+                             x0_mean=[x, 1.0], x0_cov=np.eye(2), prob=0.5)
+                   for t, a, x in (("s", 0.5, 6.0), ("m", 1.0, 3.0))]
+
+
+@pytest.fixture
+def cold_memo():
+    """The shared per-type memo, empty before and after the test."""
+    estimator._memo.clear()
+    yield estimator._memo
+    estimator._memo.clear()
+
+
+def _gain_entries(memo):
+    return [v for k, v in memo.items() if k[0] is mfg._read_only_gains]
+
+
+class TestSharedGains:
+    """`solve_mfe` solves each (A, B, Q, R) once and shares the gains."""
+
+    @pytest.mark.parametrize("two_state", [False, True])
+    def test_warm_memo_equals_fresh_solve(self, two_state, cold_memo):
+        types = TWO_STATE_TYPES if two_state else default_types()
+        first, again = solve_mfe(types), solve_mfe(types)
+        for t in types:
+            fresh = solve_riccati(t.A, t.B, t.Q, t.R)
+            assert again.gains[t.label] is first.gains[t.label]
+            for name in ("K", "K1", "K2", "A_cl"):
+                assert np.array_equal(getattr(again.gains[t.label], name), getattr(fresh, name))
+        assert np.array_equal(again.mu, first.mu)
+        assert len(_gain_entries(cold_memo)) == len(types)
+
+    def test_equal_values_share_one_entry(self, cold_memo):
+        kw = dict(B=0.1269, C_W=5.0, Q=2.0, R=2.0, x0_cov=1.0, prob=0.5)
+        a = AgentType(label="a", A=0.9, x0_mean=1.0, **kw)
+        b = AgentType(label="b", A=[[0.9]], x0_mean=3.0, **kw)
+        sol = solve_mfe([a, b])
+        assert sol.gains["a"] is sol.gains["b"]
+        assert _gain_entries(cold_memo) == [sol.gains["a"]]
+        other = solve_mfe([a, AgentType(label="b", A=0.95, x0_mean=3.0, **kw)])
+        assert other.gains["a"] is sol.gains["a"]
+        assert len(_gain_entries(cold_memo)) == 2
+
+    def test_shared_arrays_are_read_only(self, cold_memo):
+        sol = solve_mfe(default_types())
+        for G in sol.gains.values():
+            for name in ("K", "K1", "K2", "A_cl"):
+                with pytest.raises(ValueError, match="read-only"):
+                    getattr(G, name)[0, 0] = 1.0
+        # a fresh solve stays writable
+        assert solve_riccati(1.0, 0.5, 1.0, 1.0).K1.flags.writeable
+
+    @pytest.mark.parametrize("B,Q,error", [(0.0, 1.0, RankDeficientError),
+                                           (1.0, 0.0, UnstableClosedLoopError)])
+    def test_failed_solve_leaves_no_entry(self, B, Q, error, cold_memo):
+        # B = 0: not controllable; Q = 0: K = 0, so A_cl = A = 1.2
+        bad = AgentType(label="bad", A=1.2, B=B, C_W=1.0, Q=Q, R=1.0, x0_mean=1.0,
+                        x0_cov=1.0, prob=0.5)
+        good = dataclasses.replace(bad, label="good", A=0.5, B=1.0, Q=1.0)
+        for _ in range(2):
+            with pytest.raises(error):
+                solve_mfe([good, bad])
+        assert len(_gain_entries(cold_memo)) == 1
 
 
 class TestControlAction:

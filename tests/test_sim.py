@@ -259,33 +259,76 @@ class TestBlockKernel:
                 assert np.array_equal(got[:, chain * N:(chain + 1) * N], want)
                 assert attempts[chain] == want_attempts
 
+    @staticmethod
+    def _assert_metrics_match_reference(cfg, policy, kind, resets_last=False):
+        got = run_scheduling_experiment(cfg, policy, kind, seed=2)
+        capacities = {"relaxed": [None], "matb": [cfg.capacity], "both": [None, cfg.capacity]}
+        pop = population_for(cfg)
+        for m, C in zip(got if kind == "both" else [got], capacities[kind]):
+            taus, attempts = reference_schedule(np.zeros(cfg.N, dtype=np.int64), policy, C,
+                                                cfg.p, make_streams(2), cfg.T)
+            if resets_last:
+                assert np.count_nonzero(taus[-1] == 0) > 0
+            ages = taus[:-1]
+            cost = sum(running_cost(int(t), pop.types[i].A, pop.types[i].C_W)
+                       for row in ages for t, i in zip(row, pop.type_index))
+            # the float order the outputs are pinned to: per step, each type's
+            # slice sum added in type order, then the steps one after another
+            tables = [WeightTable(t.A, t.C_W).c_table(int(ages.max())) for t in pop.types]
+            ordered = 0.0
+            for row in ages:
+                step = 0.0
+                for c, s in zip(tables, pop.slices()):
+                    step += float(c[row[s]].sum())
+                ordered += step
+            assert m.j_bs == pytest.approx(cost / (cfg.T * cfg.N), rel=1e-12)
+            assert m.j_bs == ordered / (cfg.T * cfg.N)
+            assert m.attempts == attempts
+            assert m.successes == int(np.count_nonzero(taus[1:] == 0))
+            assert m.max_aoi == int(ages.max())
+            assert np.array_equal(m.aoi_hist, np.bincount(ages.ravel()))
+
     @pytest.mark.parametrize("kind", ["relaxed", "matb"])
     def test_metrics_match_reference(self, kind):
         cfg = scheduling_scenario(N=30, alpha=0.25, p=0.2, T=80)
         policy = bisection_lambda(population_for(cfg), cfg.p, cfg.capacity)
-        C = cfg.capacity if kind == "matb" else None
-        taus, attempts = reference_schedule(np.zeros(30, dtype=np.int64), policy, C,
-                                            cfg.p, make_streams(2), cfg.T)
-        ages = taus[:-1]
-        pop = population_for(cfg)
-        cost = sum(running_cost(int(t), pop.types[i].A, pop.types[i].C_W)
-                   for row in ages for t, i in zip(row, pop.type_index))
-        # the float order the outputs are pinned to: per step, each type's
-        # slice sum added in type order, then the steps one after another
-        tables = [WeightTable(t.A, t.C_W).c_table(int(ages.max())) for t in pop.types]
-        ordered = 0.0
-        for row in ages:
-            step = 0.0
-            for c, s in zip(tables, pop.slices()):
-                step += float(c[row[s]].sum())
-            ordered += step
-        m = run_scheduling_experiment(cfg, policy, kind, seed=2)
-        assert m.j_bs == pytest.approx(cost / (cfg.T * cfg.N), rel=1e-12)
-        assert m.j_bs == ordered / (cfg.T * cfg.N)
-        assert m.attempts == attempts
-        assert m.successes == int(np.count_nonzero(taus[1:] == 0))
-        assert m.max_aoi == int(ages.max())
-        assert np.array_equal(m.aoi_hist, np.bincount(ages.ravel()))
+        self._assert_metrics_match_reference(cfg, policy, kind)
+
+    # successes and max_aoi come from the histogram and the final ages: T = 1
+    # is a run of one step, p = 0 loses no packet, and threshold 0 has every
+    # agent want to send at every step, so the last step resets agents
+    @pytest.mark.parametrize("threshold,T,p", [(None, 1, 0.2), (None, 80, 0.0), (0, 1, 0.2),
+                                               (0, 80, 0.0), (0, 80, 0.2)])
+    @pytest.mark.parametrize("kind", ["matb", "both"])
+    def test_histogram_counters_at_the_edges(self, kind, threshold, T, p):
+        cfg = scheduling_scenario(N=30, alpha=0.25, p=p, T=T)
+        policy = (bisection_lambda(population_for(cfg), cfg.p, cfg.capacity) if threshold is None
+                  else fixed_policy(cfg.N, threshold))
+        self._assert_metrics_match_reference(cfg, policy, kind, resets_last=threshold == 0)
+
+    @pytest.mark.parametrize("kind", ["matb", "both"])
+    def test_counters_cover_the_blocks_read(self, kind, monkeypatch):
+        # metrics() read after any block counts exactly the steps read so far
+        cfg = scheduling_scenario(N=30, alpha=0.25, p=0.2, T=80)
+        policy = bisection_lambda(population_for(cfg), cfg.p, cfg.capacity)
+        kinds = sim._KINDS[kind]
+        monkeypatch.setattr(sim, "_BLOCK_ELEMENTS", 7 * len(kinds) * cfg.N)
+        want = [reference_schedule(np.zeros(cfg.N, dtype=np.int64), policy,
+                                   cfg.capacity if chain == "matb" else None, cfg.p,
+                                   make_streams(2), cfg.T)[0] for chain in kinds]
+        run = sim._ScheduleRun(cfg, policy, make_streams(2), kinds)
+        m = run.metrics(0)
+        assert (m.successes, m.max_aoi, m.aoi_hist.tolist()) == (0, 0, [0])
+        steps = []
+        for k0, taus in run.blocks():
+            k = k0 + len(taus) - 1
+            steps.append(k)
+            for i, taus_ref in enumerate(want):
+                m = run.metrics(i)
+                assert m.successes == int(np.count_nonzero(taus_ref[1:k + 1] == 0))
+                assert m.max_aoi == int(taus_ref[:k].max())
+                assert np.array_equal(m.aoi_hist, np.bincount(taus_ref[:k].ravel()))
+        assert steps == list(range(7, cfg.T, 7)) + [cfg.T]
 
 
 class TestEstimatorExperiment:
@@ -558,18 +601,36 @@ class TestStackedPair:
             assert shapes[name] == [(30, cfg.N)] * 3 + [(10, cfg.N)], name
 
 
+def _assert_game_equals_reference(equilibria, types, N, T):
+    cfg = _scenario(TYPE_SETS[types], N, T)
+    policy = bisection_lambda(population_for(cfg), cfg.p, cfg.capacity)
+    got = run_game_experiment(cfg, equilibria[types], policy, seed=N + T)
+    want = _game_reference(cfg, equilibria[types], policy, seed=N + T)
+    for field in dataclasses.fields(sim.Metrics):
+        assert np.array_equal(getattr(got, field.name), getattr(want, field.name)), field.name
+
+
+def _assert_estimator_equals_reference(types, N, T):
+    cfg = _scenario(TYPE_SETS[types], N, T)
+    policy = bisection_lambda(population_for(cfg), cfg.p, cfg.capacity)
+    args = dict(seed=N + T, sample_ks=(0, 10, 100, 400), tau_cap=8)
+    got = run_estimator_experiment(cfg, policy, **args)
+    want = _estimator_reference(cfg, policy, **args)
+    assert got["snapshots"].keys() == want["snapshots"].keys()
+    for k, e in want["snapshots"].items():
+        assert got["snapshots"][k].shape == e.shape
+        assert np.array_equal(got["snapshots"][k], e)
+    assert np.array_equal(got["cond_sum_sq"], want["cond_sum_sq"])
+    assert np.array_equal(got["cond_count"], want["cond_count"])
+
+
 class TestPlantLoops:
     # N = 400 spans several scheduling blocks; T = 1 is a run of one step
     @pytest.mark.parametrize("T", [1, 50, 300])
     @pytest.mark.parametrize("N", [7, 30, 90, 400])
     @pytest.mark.parametrize("types", list(TYPE_SETS))
     def test_game_equals_per_type_reference(self, equilibria, types, N, T):
-        cfg = _scenario(TYPE_SETS[types], N, T)
-        policy = bisection_lambda(population_for(cfg), cfg.p, cfg.capacity)
-        got = run_game_experiment(cfg, equilibria[types], policy, seed=N + T)
-        want = _game_reference(cfg, equilibria[types], policy, seed=N + T)
-        for field in dataclasses.fields(sim.Metrics):
-            assert np.array_equal(getattr(got, field.name), getattr(want, field.name)), field.name
+        _assert_game_equals_reference(equilibria, types, N, T)
 
     @pytest.mark.parametrize("types", ["mixed", "two-state", "two-input", "three-state",
                                        "mixed-input"])
@@ -585,14 +646,21 @@ class TestPlantLoops:
     @pytest.mark.parametrize("N", [7, 90, 400])
     @pytest.mark.parametrize("types", list(TYPE_SETS))
     def test_estimator_equals_per_type_reference(self, types, N, T):
-        cfg = _scenario(TYPE_SETS[types], N, T)
-        policy = bisection_lambda(population_for(cfg), cfg.p, cfg.capacity)
-        args = dict(seed=N + T, sample_ks=(0, 10, 100, 400), tau_cap=8)
-        got = run_estimator_experiment(cfg, policy, **args)
-        want = _estimator_reference(cfg, policy, **args)
-        assert got["snapshots"].keys() == want["snapshots"].keys()
-        for k, e in want["snapshots"].items():
-            assert got["snapshots"][k].shape == e.shape
-            assert np.array_equal(got["snapshots"][k], e)
-        assert np.array_equal(got["cond_sum_sq"], want["cond_sum_sq"])
-        assert np.array_equal(got["cond_count"], want["cond_count"])
+        _assert_estimator_equals_reference(types, N, T)
+
+    # blocks of one step, of seven and of the whole run: the game's mean and
+    # running cost are taken per block and must not depend on where blocks end
+    HEIGHTS = pytest.mark.parametrize("elements", [lambda N: 1, lambda N: 7 * N,
+                                                   lambda N: 2**15], ids=["1", "7N", "2**15"])
+
+    @HEIGHTS
+    @pytest.mark.parametrize("types", ["mixed", "two-input"])
+    def test_game_block_height_equals_reference(self, equilibria, types, elements, monkeypatch):
+        monkeypatch.setattr(sim, "_BLOCK_ELEMENTS", elements(30))
+        _assert_game_equals_reference(equilibria, types, N=30, T=50)
+
+    @HEIGHTS
+    @pytest.mark.parametrize("types", ["mixed", "two-input"])
+    def test_estimator_block_height_equals_reference(self, types, elements, monkeypatch):
+        monkeypatch.setattr(sim, "_BLOCK_ELEMENTS", elements(30))
+        _assert_estimator_equals_reference(types, N=30, T=50)
