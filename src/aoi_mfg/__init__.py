@@ -2,13 +2,13 @@
 the mean-field LQ consensus game layer on top.
 
 Public surface: scenario loading, threshold/price solvers, the randomized
-relaxed policy with its max-age-first projection, Riccati tracking gains and
-the mean-field fixed point, simulation experiments, and the analytic bounds.
+relaxed policy, Riccati tracking gains and the mean-field fixed point,
+simulation experiments (which apply the max-age-first capacity projection),
+and the analytic bounds.
 """
 
 from .analysis import (
     BoundReport,
-    aux_penalty,
     bound_report,
     gap_bound,
     kl_divergence,
@@ -30,14 +30,11 @@ from .errors import (
     RankDeficientError,
     UnstableClosedLoopError,
 )
-from .estimator import DecoderState, WeightTable, decoder_update, error_weight, running_cost
+from .estimator import WeightTable, error_weight, running_cost
 from .mfg import (
     MeanFieldSolution,
     TrackingGains,
     contraction_constant,
-    control_action,
-    cost_upper_bound,
-    g_trajectory,
     mf_operator,
     solve_mfe,
     solve_riccati,
@@ -53,12 +50,9 @@ from .model import (
 from .presets import default_types, game_scenario, scheduling_scenario
 from .scheduler import (
     RelaxedPolicy,
-    ScheduleDecision,
     aggregate_rate,
     bisection_lambda,
-    matb_select,
     randomization_q,
-    relaxed_decisions,
 )
 from .sim import (
     Metrics,
@@ -66,8 +60,6 @@ from .sim import (
     run_estimator_experiment,
     run_game_experiment,
     run_scheduling_experiment,
-    step_channel,
-    update_aoi,
 )
 from .threshold import (
     AoIChain,

@@ -1,6 +1,5 @@
 """Analytic bound evaluators: optimality-gap exponent, the erasure-free AoI
-cap, tail thresholds with their population-size conditions, and the
-auxiliary penalty used in the optimality-gap argument.
+cap, and tail thresholds with their population-size conditions.
 """
 
 from __future__ import annotations
@@ -8,11 +7,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import DomainError
-from .estimator import WeightTable, weight_table
-from .threshold import f_tail
+from .estimator import weight_table
 
 
 def std_normal_cdf(z: float) -> float:
@@ -98,22 +94,6 @@ def tail_threshold(delta: float, p: float, alpha: float) -> TailThreshold:
     n_min_gauss = alpha * p * (1.0 - p) * z * z
     return TailThreshold(x=x, aoi_threshold=2 * x, n_min_clt=n_min_clt,
                          n_min_gauss=n_min_gauss, delta=delta)
-
-
-def aux_penalty(tau: int, y: int, A, C_W, p: float, n_lambda: int, C: int,
-                delta_bar: int) -> float:
-    """Penalty charged per unscheduled over-threshold agent.
-
-    Zero unless n_lambda > C and tau >= y. With a perfect channel the charge
-    is the capped running cost c(delta_bar); with erasures it is the series
-    sum_{l>=1} p^l c(tau+l) = p f(tau+1), finite under the erasure
-    compatibility condition.
-    """
-    if n_lambda <= C or tau < y:
-        return 0.0
-    if p == 0.0:
-        return WeightTable(A, C_W).c(delta_bar)
-    return p * f_tail(tau + 1, A, C_W, p)
 
 
 @dataclass(frozen=True)

@@ -1,46 +1,22 @@
-"""Decoder-side state estimation and the AoI-to-error weight map.
+"""The AoI-to-error weight map of the decoder's estimate, and the memo that
+shares per-type objects by value.
 
 The decoder keeps the minimum mean-squared estimate of the plant state: a
 received packet replaces the estimate with the exact state, otherwise the
-estimate is propagated open-loop through the known dynamics. The expected
-squared estimation error then depends on the age of the newest received
-sample only, through `error_weight`.
+estimate is propagated open-loop through the known dynamics (the decoder
+step of the plant loops in `sim`). The expected squared estimation error
+then depends on the age of the newest received sample only, through
+`error_weight`.
 """
 
 from __future__ import annotations
 
 import math
 from collections import OrderedDict
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionMismatchError, NumericOverflowError
-
-
-@dataclass
-class DecoderState:
-    """Estimate Z, last applied control, and the current AoI."""
-
-    Z: np.ndarray
-    last_U: np.ndarray
-    tau: int = 0
-
-
-def decoder_update(state: DecoderState, X, U_prev, received: int, A, B) -> DecoderState:
-    """One decoder step: adopt X on reception, else propagate Z through (A, B)."""
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    B = np.atleast_2d(np.asarray(B, dtype=float))
-    X = np.atleast_1d(np.asarray(X, dtype=float)).ravel()
-    U_prev = np.atleast_1d(np.asarray(U_prev, dtype=float)).ravel()
-    Z = np.atleast_1d(np.asarray(state.Z, dtype=float)).ravel()
-    if A.shape[0] != A.shape[1] or A.shape[0] != Z.size or X.size != Z.size:
-        raise DimensionMismatchError(f"A {A.shape} vs state dim {Z.size} / X {X.size}")
-    if B.shape[0] != A.shape[0] or B.shape[1] != U_prev.size:
-        raise DimensionMismatchError(f"B {B.shape} vs U dim {U_prev.size}")
-    if received:
-        return DecoderState(Z=X.copy(), last_U=U_prev.copy(), tau=0)
-    return DecoderState(Z=A @ Z + B @ U_prev, last_U=U_prev.copy(), tau=state.tau + 1)
 
 
 class WeightTable:

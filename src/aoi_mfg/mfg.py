@@ -6,9 +6,10 @@ population reproduces under its own optimal tracking controls. The operator
 is evaluated through the feedforward recursion (backward pass for g, forward
 pass for the type means), which equals the literal double-sum expansion.
 
-Exactness contract: `mf_operator` and `g_trajectory` return the same bits as
-a per-type loop of one NumPy matrix-vector product per step, so mu*, g, the
-Picard iteration count and K3 do not depend on how the recursions are run.
+Exactness contract: `mf_operator` and the g of `solve_mfe` are the bits of a
+per-type loop of one NumPy matrix-vector product per step (the references in
+`tests/reference.py`), so mu*, g, the Picard iteration count and K3 do not
+depend on how the recursions are run.
 `solve_mfe` builds the operator once per solve (`_operator`: the stacked
 matrices and the rho(A_cl) < 1 check, fixed while it iterates) and
 `mf_operator` is that builder applied once, so both see the same operator.
@@ -40,7 +41,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NoConvergenceError, RankDeficientError, UnstableClosedLoopError
-from .estimator import WeightTable, as_matrix, shared
+from .estimator import as_matrix, shared
 
 log = logging.getLogger(__name__)
 
@@ -233,28 +234,6 @@ def _check_stable(A_cl: np.ndarray) -> None:
         raise UnstableClosedLoopError("g series diverges: rho(A_cl) >= 1")
 
 
-def g_trajectory(mu: np.ndarray, A_cl, Q) -> np.ndarray:
-    """Feedforward trajectory g_k = -sum_{j>=k} (A_cl^{j-k})' Q mu_j.
-
-    mu has shape (H, n); the result has shape (H+1, n) so g_{k+1} is
-    available for every k in the window. Beyond the window mu is taken
-    constant at mu_{H-1}; the terminal value then has the geometric closed
-    form.
-    """
-    mu = np.atleast_2d(np.asarray(mu, dtype=float))
-    A_cl = np.atleast_2d(np.asarray(A_cl, dtype=float))
-    Q = np.atleast_2d(np.asarray(Q, dtype=float))
-    _check_stable(A_cl)
-    return _backward(mu, A_cl[None], Q[None])[:, 0]
-
-
-def control_action(Z, g_next, gains: TrackingGains) -> np.ndarray:
-    """Tracking control U = -K1 Z - K2 g_{k+1}."""
-    Z = np.atleast_1d(np.asarray(Z, dtype=float)).ravel()
-    g_next = np.atleast_1d(np.asarray(g_next, dtype=float)).ravel()
-    return -(gains.K1 @ Z) - (gains.K2 @ g_next)
-
-
 def _operator(types, gains: dict):
     """The mean-field operator of one type set, as a function mu -> M_F(mu).
 
@@ -388,35 +367,3 @@ def solve_mfe(types, horizon: int | None = None) -> MeanFieldSolution:
                              K3=_estimate_k3(mu), iterations=total_iters,
                              window_doublings=doublings)
 
-
-def cost_upper_bound(atype, kappa_hat: int, p: float, gains: TrackingGains,
-                     g: np.ndarray, mu: np.ndarray) -> float:
-    """Analytic upper bound on the per-agent tracking cost at the equilibrium.
-
-    tr(K C_W) plus the windowed time-average of the mu/g cross terms plus the
-    estimation-error envelope: a finite sum up to kappa_hat and a geometric
-    tail in ||A||_F^2 p. The ||A||_F = 1 case evaluates the tail series in
-    its limiting form directly.
-    """
-    atype.check_erasure_compatibility(p)
-    a = atype.a_frob2
-    term_noise = float(np.trace(gains.K @ atype.C_W))
-
-    H = mu.shape[0]
-    BK2 = atype.B @ gains.K2
-    mid = 0.0
-    for k in range(H):
-        mid += float(mu[k] @ atype.Q @ mu[k]) - float(g[k + 1] @ BK2 @ g[k + 1])
-    mid /= max(H, 1)
-
-    factor = float(np.linalg.norm(atype.A.T @ gains.K.T @ atype.B @ gains.K1, 2))
-    table = WeightTable(atype.A, atype.C_W)
-    head = sum(table.w(m) for m in range(1, kappa_hat + 1))
-    cw_f = float(np.linalg.norm(atype.C_W, "fro"))
-    if p == 0.0:
-        tail = 0.0
-    elif a == 1.0:
-        tail = cw_f * (kappa_hat * p / (1.0 - p) + p / (1.0 - p) ** 2)
-    else:
-        tail = cw_f / (a - 1.0) * (a ** (kappa_hat + 1) * p / (1.0 - a * p) - p / (1.0 - p))
-    return term_noise + mid + factor * (head + tail)

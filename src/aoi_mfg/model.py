@@ -218,6 +218,14 @@ def integer(value) -> int:
     raise TypeError(f"not an integer: {value!r}")
 
 
+def real(value) -> float:
+    """value as a float: an int or a float. Booleans, numeric strings and
+    other non-numbers raise TypeError."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        return float(value)
+    raise TypeError(f"not a real number: {value!r}")
+
+
 def load_scenario(source) -> ScenarioConfig:
     """Build a validated ScenarioConfig from a dict, JSON string, or file path.
 
@@ -252,7 +260,7 @@ def load_scenario(source) -> ScenarioConfig:
     if "capacity" in doc:
         capacity = _read(doc, "capacity", integer)
     else:
-        capacity = capacity_for(_read(doc, "alpha", float), N)
+        capacity = capacity_for(_read(doc, "alpha", real), N)
 
     if not isinstance(doc["types"], list):
         raise ConfigError(f"types: expected a list of type objects, got {doc['types']!r}")
@@ -267,13 +275,13 @@ def load_scenario(source) -> ScenarioConfig:
             label=str(tdoc["label"]),
             A=tdoc["A"], B=tdoc["B"], C_W=tdoc["C_W"], Q=tdoc["Q"], R=tdoc["R"],
             x0_mean=tdoc["x0_mean"], x0_cov=tdoc["x0_cov"],
-            prob=_read(tdoc, "prob", float, name=f"types[{i}].prob"),
+            prob=_read(tdoc, "prob", real, name=f"types[{i}].prob"),
         ))
 
     return ScenarioConfig(
         N=N,
         capacity=capacity,
-        p=_read(doc, "p", float),
+        p=_read(doc, "p", real),
         T=_read(doc, "T", integer),
         types=tuple(types),
         seed=_read(doc, "seed", integer, 0),

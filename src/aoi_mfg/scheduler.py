@@ -1,5 +1,6 @@
-"""Population-level scheduling: the exact transmission price, the randomized
-relaxed policy, and the maximum-age-first capacity projection.
+"""Population-level scheduling: the exact transmission price and the
+randomized relaxed policy. Its maximum-age-first capacity projection runs
+inside the simulation's step loop (`sim._project`).
 
 All agents share one price lambda; heterogeneous types get different
 thresholds through their (A, C_W). The relaxed policy mixes the threshold
@@ -51,16 +52,6 @@ class RelaxedPolicy:
             "rate_high": self.rate_high,
             "per_type_thresholds": {k: list(v) for k, v in self.per_type.items()},
         }
-
-
-@dataclass(frozen=True)
-class ScheduleDecision:
-    """Relaxed intents a, actual transmissions zeta, and the projection set."""
-
-    a: np.ndarray
-    zeta: np.ndarray
-    n_lambda: int
-    selected: np.ndarray | None  # indices kept by the projection, else None
 
 
 def _rate_term(count: int, kappa: int, p: float) -> float:
@@ -124,31 +115,3 @@ def bisection_lambda(population: Population, p: float, C: float) -> RelaxedPolic
                          kbar=np.repeat(kap_high, population.counts), q=q, lam=lam,
                          rate_low=rate_low, rate_high=rate_high, per_type=per_type)
 
-
-def relaxed_decisions(tau: np.ndarray, policy: RelaxedPolicy,
-                      coins: np.ndarray) -> np.ndarray:
-    """Mixture policy per agent: follow klow when its coin < q, else kbar."""
-    thresholds = np.where(coins < policy.q, policy.klow, policy.kbar)
-    return (tau >= thresholds).astype(np.int8)
-
-
-def matb_select(a: np.ndarray, tau: np.ndarray, C: int) -> ScheduleDecision:
-    """Project the intents a onto the hard capacity C.
-
-    If at most C agents intend to transmit, all of them do; otherwise the C
-    with the largest AoI are kept, equal ages broken by lowest agent index.
-    """
-    a = np.asarray(a).astype(np.int8)
-    tau = np.asarray(tau)
-    if a.shape != tau.shape:
-        raise ValueError(f"length mismatch: a {a.shape} vs tau {tau.shape}")
-    n_lambda = int(a.sum())
-    if n_lambda <= C:
-        return ScheduleDecision(a=a, zeta=a.copy(), n_lambda=n_lambda, selected=None)
-    candidates = np.flatnonzero(a)
-    # stable sort on descending age keeps lower indices first among ties
-    order = candidates[np.argsort(-tau[candidates], kind="stable")]
-    selected = order[:C]
-    zeta = np.zeros_like(a)
-    zeta[selected] = 1
-    return ScheduleDecision(a=a, zeta=zeta, n_lambda=n_lambda, selected=np.sort(selected))

@@ -16,7 +16,7 @@ of X on reception), U = -K2 g - K1 Z, B U once for both Z and X, and X. The
 mean mu^N, the deviation X - mu^N and the running cost Q(dev) + R(U) are
 taken once per block from the block's X and U rows. Exactness contract: all
 of this gives the bits of a loop of one matrix product per type and step
-(the reference in `tests/test_sim.py`), whatever the block height. A 1x1 `@`
+(the reference in `tests/reference.py`), whatever the block height. A 1x1 `@`
 rounds one product, as an element-wise multiply does; the one-term `einsum`
 dev'Q dev is dev*q*dev; sums keep their order: a block's row sum over the
 agents, divided by N, is each step's `X.mean(axis=0)`, and `np.add.reduce`
@@ -390,15 +390,3 @@ def run_estimator_experiment(config: ScenarioConfig, policy: RelaxedPolicy,
 
     return {"snapshots": snapshots, "cond_sum_sq": sums, "cond_count": counts}
 
-
-def update_aoi(tau: int, received: int) -> int:
-    """AoI evolution: reset on reception, else age by one."""
-    if tau < 0:
-        raise ValueError(f"tau must be >= 0, got {tau}")
-    return 0 if received else tau + 1
-
-
-def step_channel(zeta: np.ndarray, p: float, rng) -> np.ndarray:
-    """Bernoulli erasure: a transmitted packet survives with probability 1-p."""
-    zeta = np.asarray(zeta).astype(bool)
-    return zeta & (rng.random(zeta.shape) >= p)

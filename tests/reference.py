@@ -1,0 +1,230 @@
+"""Scalar and per-type references for the differential tests.
+
+Each reference does one thing of the package the slow, obvious way: one step,
+one type or one agent at a time. The package keeps one implementation per
+concept; the tests require it to give these references' bits (the per-agent
+oracle: their values to 1e-12).
+"""
+
+import numpy as np
+
+from aoi_mfg import KappaScan, make_streams, population_for, randomization_q, transmission_rate
+from aoi_mfg import sim
+
+
+def matb_select(a, tau, C):
+    """The transmissions of the intents a projected onto the capacity C: the
+    C intents with the largest age, equal ages to the lowest index (all of
+    them when there are at most C)."""
+    candidates = np.flatnonzero(a)
+    zeta = np.zeros(len(a), dtype=bool)
+    # a stable sort on descending age keeps lower indices first among ties
+    zeta[candidates[np.argsort(-tau[candidates], kind="stable")[:C]]] = True
+    return zeta
+
+
+def reference_schedule(tau, policy, C, p, rng, steps):
+    """The scheduling layer one step at a time, the AoI one agent at a time:
+    returns the AoI rows (start of every step, then the end) and the number
+    of attempts."""
+    taus, attempts = [tau.copy()], 0
+    for _ in range(steps):
+        # the mixture policy: each agent follows klow when its coin < q, else kbar
+        a = tau >= np.where(rng["coin"].random(tau.size) < policy.q, policy.klow, policy.kbar)
+        zeta = a if C is None else matb_select(a, tau, C)
+        attempts += int(zeta.sum())
+        recv = zeta & (rng["channel"].random(tau.size) >= p)  # a packet survives w.p. 1 - p
+        tau = np.array([0 if r else t + 1 for t, r in zip(tau, recv)])  # reset, else age
+        taus.append(tau)
+    return np.array(taus), attempts
+
+
+def decoder_update(Z, X, U_prev, received, A, B):
+    """One decoder step: adopt X on reception, else propagate Z through (A, B)."""
+    return X.copy() if received else A @ Z + B @ U_prev
+
+
+def _bisection_reference(population, p, C, eps=1e-6):
+    """(per_type, q) from the 40-step price bisection the exact price replaced."""
+    scans = [KappaScan(t.A, t.C_W, p) for t in population.types]
+
+    def kappas(lam):
+        return [scan.solve(lam).kappa for scan in scans]
+
+    def rate(lam):
+        return sum(c * transmission_rate(k, k, 1.0, p)
+                   for c, k in zip(population.counts, kappas(lam)))
+
+    lam_low = lam_high = 0.0
+    if rate(0.0) > C:
+        lam_high = 1.0
+        while rate(lam_high) > C:
+            lam_high *= 2.0
+        while lam_high - lam_low > eps:
+            mid = 0.5 * (lam_low + lam_high)
+            if rate(mid) > C:
+                lam_low = mid
+            else:
+                lam_high = mid
+    rate_low, rate_high = rate(lam_low), rate(lam_high)
+    q = 1.0 if rate_low <= C else randomization_q(C, rate_low, rate_high)
+    per_type = {t.label: (kl, kh) for t, kl, kh in
+                zip(population.types, kappas(lam_low), kappas(lam_high))}
+    return per_type, q
+
+
+def _cycle_reference(klow, kbar, q, p):
+    """(rate, head) from the O(kbar) renewal-cycle arrays the O(kbar - klow) ones replaced."""
+    s = 1.0 - q * (1.0 - p)
+    rho = np.empty(kbar + 1)
+    rho[: klow + 1] = 1.0
+    if kbar > klow:
+        rho[klow: kbar + 1] = s ** np.arange(kbar - klow + 1)
+    mid_sum = float(rho[klow:kbar].sum())
+    top = rho[kbar] / (1.0 - p)
+    length = klow + mid_sum + top
+    return (q * mid_sum + top) / length, rho / length
+
+
+def _g_reference(mu, A_cl, Q):
+    """The one-type NumPy backward loop that `mfg._backward` replaced."""
+    H, n = mu.shape
+    g = np.zeros((H + 1, n))
+    g[H] = -np.linalg.solve(np.eye(n) - A_cl.T, Q @ mu[H - 1])
+    for k in range(H - 1, -1, -1):
+        g[k] = A_cl.T @ g[k + 1] - Q @ mu[k]
+    return g
+
+
+def _mf_operator_reference(mu, types, gains):
+    """The per-type, per-step NumPy loop that `mf_operator` replaced; the
+    differential tests require its exact bits from the new operator."""
+    mu = np.atleast_2d(np.asarray(mu, dtype=float))
+    H, n = mu.shape
+    out = np.zeros_like(mu)
+    for t in types:
+        G = gains[t.label]
+        g = _g_reference(mu, G.A_cl, t.Q)
+        nu = np.empty((H, n))
+        nu[0] = t.x0_mean
+        BK2 = t.B @ G.K2
+        for k in range(H - 1):
+            nu[k + 1] = G.A_cl @ nu[k] - BK2 @ g[k + 1]
+        out += t.prob * nu
+    return out
+
+
+def _game_reference(config, mfe, policy, seed):
+    """The closed loop written per type: one matrix product per type and
+    step, the noise transformed step by step and K2 g_{k+1} formed at each
+    step. `run_game_experiment` must give its bits for every plant shape."""
+    rng = make_streams(seed)
+    population = population_for(config)
+    run = sim._ScheduleRun(config, policy, rng)
+    N, T = config.N, config.T
+    slices = population.slices()
+    types = population.types
+    n = types[0].A.shape[0]
+
+    gains = [mfe.gains[t.label] for t in types]
+    g_by_type = [mfe.g_padded(t.label, T + 1) for t in types]
+    mu_star = mfe.mu_padded(T)
+    chol_w = [np.linalg.cholesky(t.C_W) for t in types]
+
+    X = sim._sample_initial_states(population, rng["init"])
+    Z = X.copy()
+    U_prev = [np.zeros((s.stop - s.start, t.B.shape[1])) for t, s in zip(types, slices)]
+
+    game_cost = np.zeros(N)
+    cons_err = np.zeros(T)
+    for k0, taus in run.blocks():
+        noise_block = rng["noise"].standard_normal((len(taus) - 1, N, n))
+        for k, recv, noise in zip(range(k0, T), taus[1:] == 0, noise_block):
+            if k > 0:
+                for i, s in enumerate(slices):
+                    prop = Z[s] @ types[i].A.T + U_prev[i] @ types[i].B.T
+                    Z[s] = np.where(recv[s, None], X[s], prop)
+
+            mu_N = X.mean(axis=0)
+            cons_err[k] = float(np.sum((mu_N - mu_star[k]) ** 2))
+
+            dev = X - mu_N
+            for i, s in enumerate(slices):
+                t = types[i]
+                U = -(Z[s] @ gains[i].K1.T) - gains[i].K2 @ g_by_type[i][k + 1]
+                game_cost[s] += (np.einsum("ij,jk,ik->i", dev[s], t.Q, dev[s])
+                                 + np.einsum("ij,jk,ik->i", U, t.R, U))
+                W = noise[s] @ chol_w[i].T
+                X[s] = X[s] @ t.A.T + U @ t.B.T + W
+                U_prev[i] = U
+
+    return run.metrics(per_agent_cost=game_cost / T, consensus_error=cons_err,
+                       mean_field_gap=float(cons_err.mean()))
+
+
+def _estimator_reference(config, policy, seed, sample_ks, tau_cap):
+    """`run_estimator_experiment` as one matrix product per type and step."""
+    rng = make_streams(seed)
+    population = population_for(config)
+    N, T = config.N, config.T
+    slices = population.slices()
+    types = population.types
+    n = types[0].A.shape[0]
+    chol_w = [np.linalg.cholesky(t.C_W) for t in types]
+
+    e = np.zeros((N, n))
+    age = np.zeros(N, dtype=np.int64)
+    snapshots = {}
+    sums = np.zeros((len(types), tau_cap + 1))
+    counts = np.zeros((len(types), tau_cap + 1), dtype=np.int64)
+    for k0, taus in sim._ScheduleRun(config, policy, rng).blocks():
+        noise_block = rng["noise"].standard_normal((len(taus) - 1, N, n))
+        for k, recv, noise in zip(range(k0, T), taus[1:] == 0, noise_block):
+            if k > 0:
+                for i, s in enumerate(slices):
+                    W = noise[s] @ chol_w[i].T
+                    e[s] = np.where(recv[s, None], 0.0, e[s] @ types[i].A.T + W)
+                age = np.where(recv, 0, age + 1)
+
+            if k in sample_ks:
+                snapshots[k] = e.copy()
+            sq = np.sum(e * e, axis=1)
+            for i, s in enumerate(slices):
+                small = age[s] <= tau_cap
+                sums[i] += np.bincount(age[s][small], sq[s][small], tau_cap + 1)
+                counts[i] += np.bincount(age[s][small], minlength=tau_cap + 1)
+
+    return {"snapshots": snapshots, "cond_sum_sq": sums, "cond_count": counts}
+
+
+def _per_agent_oracle(config, mfe, policy, seed):
+    """The closed loop one agent at a time: receptions from the scalar
+    scheduling reference, estimates from `decoder_update`, controls
+    U = -K1 Z - K2 g_{k+1}. Returns (per_agent_cost, consensus_error)."""
+    rng = make_streams(seed)
+    population = population_for(config)
+    N, T = config.N, config.T
+    agent_types = [population.types[i] for i in population.type_index]
+    n = agent_types[0].n
+    taus, _ = reference_schedule(np.zeros(N, dtype=np.int64), policy, config.capacity,
+                                 config.p, rng, T)
+    z0 = rng["init"].standard_normal((N, n))
+    noise = rng["noise"].standard_normal((T, N, n))
+    X = [t.x0_mean + np.linalg.cholesky(t.x0_cov) @ z for t, z in zip(agent_types, z0)]
+    Z = [x.copy() for x in X]
+    U = [np.zeros(t.m) for t in agent_types]
+    mu_star = mfe.mu_padded(T)
+    cost, cons = np.zeros(N), np.zeros(T)
+    for k in range(T):
+        for i, t in enumerate(agent_types):
+            if k > 0:
+                Z[i] = decoder_update(Z[i], X[i], U[i], taus[k + 1][i] == 0, t.A, t.B)
+        mu = np.mean(X, axis=0)
+        cons[k] = np.sum((mu - mu_star[k]) ** 2)
+        for i, t in enumerate(agent_types):
+            G = mfe.gains[t.label]
+            U[i] = -(G.K1 @ Z[i]) - G.K2 @ mfe.g_padded(t.label, T + 1)[k + 1]
+            dev = X[i] - mu
+            cost[i] += dev @ t.Q @ dev + U[i] @ t.R @ U[i]
+            X[i] = t.A @ X[i] + t.B @ U[i] + np.linalg.cholesky(t.C_W) @ noise[k, i]
+    return cost / T, cons

@@ -5,14 +5,12 @@ import pytest
 from scipy.special import ndtr
 
 from aoi_mfg import (
-    aux_penalty,
     bisection_lambda,
     bound_report,
     gap_bound,
     kl_divergence,
     p0_aoi_cap,
     population_for,
-    running_cost,
     scheduling_scenario,
     tail_threshold,
 )
@@ -100,28 +98,6 @@ class TestTailThreshold:
             tail_threshold(0.05, 0.0, 0.25)
         with pytest.raises(DomainError):
             tail_threshold(0.05, 0.2, 1.5)
-
-
-class TestAuxPenalty:
-    def test_indicator_off(self):
-        assert aux_penalty(5, 3, 1.0, 5.0, 0.5, n_lambda=2, C=4, delta_bar=8) == 0.0
-        assert aux_penalty(2, 3, 1.0, 5.0, 0.5, n_lambda=9, C=4, delta_bar=8) == 0.0
-
-    def test_perfect_channel_charge(self):
-        got = aux_penalty(5, 3, 1.0, 5.0, 0.0, n_lambda=9, C=4, delta_bar=8)
-        assert got == pytest.approx(running_cost(8, 1.0, 5.0), rel=1e-12)
-
-    def test_erasure_series_golden(self):
-        # A=1, C_W=5, p=0.5, tau=1: sum_{l>=1} 0.5^l c(1+l)
-        got = aux_penalty(1, 1, 1.0, 5.0, 0.5, n_lambda=9, C=4, delta_bar=8)
-        partial = sum(0.5**l * running_cost(1 + l, 1.0, 5.0) for l in range(1, 200))
-        assert got == pytest.approx(partial, rel=1e-10)
-        assert got == pytest.approx(55.0, rel=1e-10)
-
-    def test_perfect_channel_dominates_running_cost(self):
-        for tau in range(1, 8):
-            got = aux_penalty(tau, 1, 1.15, 5.0, 0.0, n_lambda=9, C=4, delta_bar=8)
-            assert got >= running_cost(tau, 1.15, 5.0)
 
 
 class TestNormalCdf:

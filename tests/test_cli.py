@@ -1,7 +1,9 @@
 import csv
 import dataclasses
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -288,9 +290,15 @@ class TestErrors:
         # int() used to truncate these: N=10.9 loaded as 10, T=true as 1
         ("N", 10.9, "N"), ("N", "10", "N"), ("capacity", 3.99, "capacity"), ("T", True, "T"),
         ("seed", 2.5, "seed"), ("mc_runs", False, "mc_runs"),
+        # float() used to accept these: p=false loaded as 0.0, alpha="0.25" as 0.25
+        ("p", False, "p"), ("alpha", "0.25", "alpha"),
+        ("types", [dict(TINY_SCHED["types"][0], prob=True), dict(TINY_SCHED["types"][1], prob=0.0)],
+         "types[0].prob"),
     ])
     def test_ill_typed_value_exits_1(self, key, value, named, tmp_path, capsys):
         doc = dict(TINY_SCHED, **{key: value})
+        if key == "alpha":
+            del doc["capacity"]  # alpha is read only without a capacity
         rc = main(["mfe", "--config", json.dumps(doc), "--out", str(tmp_path / "o")])
         assert rc == 1
         assert f"config error: {named}:" in capsys.readouterr().err
@@ -430,3 +438,17 @@ def test_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+# the scalar per-step references and the helpers no report used; the first
+# live on in tests/reference.py, so the package keeps one path per concept
+REMOVED = ("update_aoi", "step_channel", "ScheduleDecision", "relaxed_decisions", "matb_select",
+           "DecoderState", "decoder_update", "control_action", "g_trajectory",
+           "cost_upper_bound", "aux_penalty")
+
+
+def test_removed_helpers_stay_out_of_the_package():
+    modules = [aoi_mfg] + [importlib.import_module(f"aoi_mfg.{info.name}")
+                           for info in pkgutil.iter_modules(aoi_mfg.__path__)]
+    for module in modules:
+        assert not set(REMOVED) & set(vars(module)), module.__name__

@@ -3,8 +3,10 @@ import warnings
 import numpy as np
 import pytest
 
-from aoi_mfg import DecoderState, WeightTable, decoder_update, error_weight, running_cost
-from aoi_mfg.errors import AoiMfgError, ConfigError, DimensionMismatchError
+from aoi_mfg import WeightTable, error_weight, running_cost
+from aoi_mfg.errors import AoiMfgError, ConfigError
+
+from reference import decoder_update
 
 
 class TestErrorWeight:
@@ -70,45 +72,35 @@ class TestRunningCost:
 
 
 class TestDecoderUpdate:
+    """The decoder step of the per-agent oracle (`tests/reference.py`)."""
+
     def test_reception_adopts_state(self):
-        st = DecoderState(Z=np.array([3.0]), last_U=np.array([0.0]), tau=5)
-        out = decoder_update(st, X=np.array([7.0]), U_prev=np.array([1.0]),
-                             received=1, A=1.0, B=0.1)
-        assert out.Z == pytest.approx(7.0)
-        assert out.tau == 0
+        Z = decoder_update(np.array([3.0]), X=np.array([7.0]), U_prev=np.array([1.0]),
+                           received=1, A=np.array([[1.0]]), B=np.array([[0.1]]))
+        assert Z == pytest.approx(7.0)
 
     def test_propagation(self):
-        st = DecoderState(Z=np.array([2.0]), last_U=np.array([0.0]), tau=1)
-        out = decoder_update(st, X=np.array([9.0]), U_prev=np.array([3.0]),
-                             received=0, A=0.5, B=0.1)
-        assert out.Z == pytest.approx(0.5 * 2.0 + 0.1 * 3.0)
-        assert out.tau == 2
+        Z = decoder_update(np.array([2.0]), X=np.array([9.0]), U_prev=np.array([3.0]),
+                           received=0, A=np.array([[0.5]]), B=np.array([[0.1]]))
+        assert Z == pytest.approx(0.5 * 2.0 + 0.1 * 3.0)
 
     def test_matrix_propagation(self):
         A = np.array([[0.9, 0.1], [0.0, 0.8]])
         B = np.array([[0.0], [1.0]])
-        st = DecoderState(Z=np.array([1.0, 2.0]), last_U=np.array([0.5]), tau=0)
-        out = decoder_update(st, X=np.zeros(2), U_prev=np.array([0.5]),
-                             received=0, A=A, B=B)
-        assert out.Z == pytest.approx(A @ np.array([1.0, 2.0]) + B.ravel() * 0.5)
-
-    def test_dimension_mismatch(self):
-        st = DecoderState(Z=np.array([1.0, 2.0]), last_U=np.array([0.0]), tau=0)
-        with pytest.raises(DimensionMismatchError):
-            decoder_update(st, X=np.zeros(2), U_prev=np.zeros(1),
-                           received=0, A=1.0, B=0.1)
+        Z = decoder_update(np.array([1.0, 2.0]), X=np.zeros(2), U_prev=np.array([0.5]),
+                           received=0, A=A, B=B)
+        assert Z == pytest.approx(A @ np.array([1.0, 2.0]) + B.ravel() * 0.5)
 
     def test_noiseless_decoder_tracks_plant_exactly(self):
         # no process noise and synchronized start: Z equals X forever,
         # whether or not packets arrive
         rng = np.random.default_rng(1)
-        A, B = 1.1, 0.3
-        X = 4.0
-        st = DecoderState(Z=np.array([X]), last_U=np.array([0.0]), tau=0)
+        A, B = np.array([[1.1]]), np.array([[0.3]])
+        X = np.array([4.0])
+        Z = X.copy()
         for k in range(30):
-            U = float(rng.normal())
+            U = np.array([rng.normal()])
             recv = int(rng.random() < 0.5)
-            X = A * X + B * U
-            st = decoder_update(st, X=np.array([X]), U_prev=np.array([U]),
-                                received=recv, A=A, B=B)
-            assert st.Z == pytest.approx(X, rel=1e-12)
+            X = A @ X + B @ U
+            Z = decoder_update(Z, X=X, U_prev=U, received=recv, A=A, B=B)
+            assert Z == pytest.approx(X, rel=1e-12)

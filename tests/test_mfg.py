@@ -9,46 +9,17 @@ from scipy.linalg import solve_discrete_are, sqrtm
 from aoi_mfg import (
     AgentType,
     contraction_constant,
-    control_action,
-    cost_upper_bound,
     default_types,
-    g_trajectory,
     mf_operator,
     solve_mfe,
     solve_riccati,
 )
 from aoi_mfg import estimator, mfg
 from aoi_mfg.cli import main
-from aoi_mfg.errors import AssumptionViolationError, RankDeficientError, UnstableClosedLoopError
+from aoi_mfg.errors import RankDeficientError, UnstableClosedLoopError
 from aoi_mfg.mfg import TrackingGains
 
-
-def _g_reference(mu, A_cl, Q):
-    """The one-type NumPy backward loop that `mfg._backward` replaced."""
-    H, n = mu.shape
-    g = np.zeros((H + 1, n))
-    g[H] = -np.linalg.solve(np.eye(n) - A_cl.T, Q @ mu[H - 1])
-    for k in range(H - 1, -1, -1):
-        g[k] = A_cl.T @ g[k + 1] - Q @ mu[k]
-    return g
-
-
-def _mf_operator_reference(mu, types, gains):
-    """The per-type, per-step NumPy loop that `mf_operator` replaced; the
-    differential tests require its exact bits from the new operator."""
-    mu = np.atleast_2d(np.asarray(mu, dtype=float))
-    H, n = mu.shape
-    out = np.zeros_like(mu)
-    for t in types:
-        G = gains[t.label]
-        g = _g_reference(mu, G.A_cl, t.Q)
-        nu = np.empty((H, n))
-        nu[0] = t.x0_mean
-        BK2 = t.B @ G.K2
-        for k in range(H - 1):
-            nu[k + 1] = G.A_cl @ nu[k] - BK2 @ g[k + 1]
-        out += t.prob * nu
-    return out
+from reference import _g_reference, _mf_operator_reference
 
 
 def _random_case(rng, n, m, H):
@@ -167,13 +138,18 @@ class TestRiccati:
         assert 0 < unobservable < len(cases)
 
 
+def _g(mu, A_cl, Q):
+    """The feedforward g of one type through `mfg._backward`, which `solve_mfe` runs."""
+    return mfg._backward(mu, A_cl[None], Q[None])[:, 0]
+
+
 class TestGTrajectory:
     def test_recursion_residual(self):
         rng = np.random.default_rng(9)
         mu = rng.normal(size=(20, 2))
         A_cl = np.array([[0.5, 0.1], [0.0, 0.7]])
         Q = np.diag([2.0, 1.0])
-        g = g_trajectory(mu, A_cl, Q)
+        g = _g(mu, A_cl, Q)
         for k in range(20):
             res = g[k] - (A_cl.T @ g[k + 1] - Q @ mu[k])
             assert np.linalg.norm(res) <= 1e-10
@@ -182,14 +158,17 @@ class TestGTrajectory:
         mu = np.tile([3.0], (15, 1))
         A_cl = np.array([[0.6]])
         Q = np.array([[2.0]])
-        g = g_trajectory(mu, A_cl, Q)
+        g = _g(mu, A_cl, Q)
         want = -2.0 * 3.0 / (1.0 - 0.6)
         for k in range(16):
             assert g[k, 0] == pytest.approx(want, rel=1e-12)
 
     def test_unstable_loop_rejected(self):
+        # the g series diverges for rho(A_cl) >= 1: the operator refuses it
+        mu, types, gains = _random_case(np.random.default_rng(3), 1, 1, 4)
+        gains["t0"] = dataclasses.replace(gains["t0"], A_cl=np.array([[1.01]]))
         with pytest.raises(UnstableClosedLoopError):
-            g_trajectory(np.ones((4, 1)), np.array([[1.01]]), np.array([[1.0]]))
+            mf_operator(mu, types, gains)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_bit_identical_to_reference_loop(self, n):
@@ -197,7 +176,7 @@ class TestGTrajectory:
         for H in (1, 2, 3, 17, 328):
             mu, types, gains = _random_case(rng, n, 1, H)
             A_cl, Q = gains["t0"].A_cl, types[0].Q
-            assert np.array_equal(g_trajectory(mu, A_cl, Q), _g_reference(mu, A_cl, Q))
+            assert np.array_equal(_g(mu, A_cl, Q), _g_reference(mu, A_cl, Q))
 
 
 class TestMfOperator:
@@ -301,7 +280,7 @@ class TestSolveMfe:
     def test_g_matches_per_type_trajectory(self, mfe):
         for t in default_types():
             assert np.array_equal(mfe.g[t.label],
-                                  g_trajectory(mfe.mu, mfe.gains[t.label].A_cl, t.Q))
+                                  _g_reference(mfe.mu, mfe.gains[t.label].A_cl, t.Q))
 
     def test_no_warning_on_defaults(self, tmp_path, capsys):
         # the sufficient contraction condition fails here (constant 1.37)
@@ -415,33 +394,3 @@ class TestSharedGains:
             with pytest.raises(error):
                 solve_mfe([good, bad])
         assert len(_gain_entries(cold_memo)) == 1
-
-
-class TestControlAction:
-    def test_formula(self):
-        G = solve_riccati(1.0, 0.5, 1.0, 1.0)
-        u = control_action([2.0], [3.0], G)
-        want = -(G.K1 @ [2.0]) - (G.K2 @ [3.0])
-        assert u == pytest.approx(want)
-
-
-class TestCostUpperBound:
-    def test_exceeds_noise_floor(self, mfe):
-        for t in default_types():
-            G = mfe.gains[t.label]
-            bound = cost_upper_bound(t, kappa_hat=4, p=0.2, gains=G,
-                                     g=mfe.g[t.label], mu=mfe.mu)
-            assert bound >= float(np.trace(G.K @ t.C_W)) - 1e-9
-            assert np.isfinite(bound)
-
-    def test_grows_with_erasure(self, mfe):
-        t = default_types()[2]
-        G = mfe.gains[t.label]
-        b0 = cost_upper_bound(t, 4, 0.0, G, mfe.g[t.label], mfe.mu)
-        b1 = cost_upper_bound(t, 4, 0.3, G, mfe.g[t.label], mfe.mu)
-        assert b1 > b0
-
-    def test_erasure_incompatible_type_rejected(self, mfe):
-        t = default_types()[2]  # ||A||_F^2 p = 1.3225 * 0.8 >= 1
-        with pytest.raises(AssumptionViolationError, match="'unstable': .* = 1.058 >= 1"):
-            cost_upper_bound(t, 4, 0.8, mfe.gains[t.label], mfe.g[t.label], mfe.mu)

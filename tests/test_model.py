@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from aoi_mfg import AgentType, ScenarioConfig, assign_types, load_scenario
+from aoi_mfg import AgentType, ScenarioConfig, assign_types, default_types, load_scenario
 from aoi_mfg.model import capacity_for
 from aoi_mfg.errors import AssumptionViolationError, ConfigError, MissingKeyError, NonPositiveDefiniteError
 
@@ -47,6 +47,12 @@ class TestAgentType:
         with pytest.raises(AssumptionViolationError):
             t.check_erasure_compatibility(0.3)
         t.check_erasure_compatibility(0.2)  # 4 * 0.2 < 1
+
+    def test_erasure_incompatible_type_rejected(self):
+        # the error names the type and the value ||A||_F^2 p
+        t = default_types()[2]  # ||A||_F^2 p = 1.3225 * 0.8 >= 1
+        with pytest.raises(AssumptionViolationError, match="'unstable': .* = 1.058 >= 1"):
+            t.check_erasure_compatibility(0.8)
 
 
 class TestScenarioConfig:

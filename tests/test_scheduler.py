@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -8,14 +10,13 @@ from aoi_mfg import (
     assign_types,
     bisection_lambda,
     default_types,
-    matb_select,
     randomization_q,
-    relaxed_decisions,
-    transmission_rate,
 )
-from aoi_mfg import estimator
+from aoi_mfg import estimator, sim
 from aoi_mfg.errors import InfeasibleCapacityError, NumericOverflowError
 from aoi_mfg.model import AgentType
+
+from reference import _bisection_reference
 
 
 def make_type(label="t", A=1.0, prob=1.0, **kw):
@@ -38,35 +39,6 @@ TWO_STATE_TYPES = tuple(make_type(
 PRICE_GRID = [(types, p, max(1, round(alpha * N)), assign_types(N, types))
               for types in (default_types(), TWO_STATE_TYPES) for p in (0.0, 0.2)
               for alpha in (0.05, 0.15, 0.25, 0.45, 0.75, 1.0) for N in (5, 10, 40, 100, 1000)]
-
-
-def _bisection_reference(population, p, C, eps=1e-6):
-    """(per_type, q) from the 40-step price bisection the exact price replaced."""
-    scans = [KappaScan(t.A, t.C_W, p) for t in population.types]
-
-    def kappas(lam):
-        return [scan.solve(lam).kappa for scan in scans]
-
-    def rate(lam):
-        return sum(c * transmission_rate(k, k, 1.0, p)
-                   for c, k in zip(population.counts, kappas(lam)))
-
-    lam_low = lam_high = 0.0
-    if rate(0.0) > C:
-        lam_high = 1.0
-        while rate(lam_high) > C:
-            lam_high *= 2.0
-        while lam_high - lam_low > eps:
-            mid = 0.5 * (lam_low + lam_high)
-            if rate(mid) > C:
-                lam_low = mid
-            else:
-                lam_high = mid
-    rate_low, rate_high = rate(lam_low), rate(lam_high)
-    q = 1.0 if rate_low <= C else randomization_q(C, rate_low, rate_high)
-    per_type = {t.label: (kl, kh) for t, kl, kh in
-                zip(population.types, kappas(lam_low), kappas(lam_high))}
-    return per_type, q
 
 
 class TestAggregateRate:
@@ -200,57 +172,66 @@ class TestBisection:
                                "per_type_thresholds"}
 
 
+def _senders(tau, policy, coins):
+    """The agents that send at one step of the block kernel from ages tau,
+    given the policy coins, with no capacity and a lossless channel."""
+    rng = {"coin": SimpleNamespace(random=lambda shape: np.reshape(coins, shape)),
+           "channel": np.random.default_rng(0)}
+    taus, _ = sim._schedule_block(np.asarray(tau, dtype=np.int64), policy, None, 0.0, rng, 1)
+    return taus[1] == 0
+
+
 class TestRelaxedDecisions:
     def test_coin_selects_threshold(self):
         policy = RelaxedPolicy(klow=np.array([3, 3, 3]), kbar=np.array([5, 5, 5]), q=0.5,
                                lam=0.0, rate_low=0.0, rate_high=0.0, per_type={})
-        got = relaxed_decisions(np.array([3, 3, 5]), policy, np.array([0.2, 0.8, 0.8]))
-        assert got.tolist() == [1, 0, 1]
+        got = _senders([3, 3, 5], policy, [0.2, 0.8, 0.8])
+        assert got.tolist() == [True, False, True]
 
     def test_vectorized_matches_scalar(self, identical_pop):
         policy = bisection_lambda(identical_pop, 0.2, 25.0)
         rng = np.random.default_rng(2)
         tau = rng.integers(0, 8, size=100)
         coins = rng.random(100)
-        vec = relaxed_decisions(tau, policy, coins)
+        vec = _senders(tau, policy, coins)
         for i in range(100):
             klow, kbar = int(policy.klow[i]), int(policy.kbar[i])
-            want = int(tau[i] >= (klow if coins[i] < policy.q else kbar))
+            want = tau[i] >= (klow if coins[i] < policy.q else kbar)
             assert vec[i] == want
 
 
 class TestMatbSelect:
+    """The capacity projection of the block kernel, `sim._project`; it works
+    in place, so each case hands it a copy of the intents."""
+
     def test_within_capacity_passthrough(self):
-        a = np.array([1, 0, 1, 0])
-        out = matb_select(a, np.array([5, 1, 3, 2]), C=3)
-        assert np.array_equal(out.zeta, a)
-        assert out.selected is None
-        assert out.n_lambda == 2
+        a = np.array([1, 0, 1, 0], dtype=bool)
+        out = sim._project(a.copy(), np.array([5, 1, 3, 2]), 3)
+        assert np.array_equal(out, a)
 
     def test_keeps_largest_ages(self):
-        a = np.ones(5, dtype=int)
+        a = np.ones(5, dtype=bool)
         tau = np.array([2, 9, 4, 7, 1])
-        out = matb_select(a, tau, C=2)
-        assert np.array_equal(np.flatnonzero(out.zeta), [1, 3])
-        assert out.n_lambda == 5
+        out = sim._project(a, tau, 2)
+        assert np.array_equal(np.flatnonzero(out), [1, 3])
 
     def test_tie_breaks_to_lowest_index(self):
-        a = np.ones(4, dtype=int)
+        a = np.ones(4, dtype=bool)
         tau = np.array([5, 5, 5, 5])
-        out = matb_select(a, tau, C=2)
-        assert np.array_equal(np.flatnonzero(out.zeta), [0, 1])
+        out = sim._project(a, tau, 2)
+        assert np.array_equal(np.flatnonzero(out), [0, 1])
 
     def test_non_intending_never_selected(self):
-        a = np.array([0, 1, 0, 1, 1])
+        a = np.array([0, 1, 0, 1, 1], dtype=bool)
         tau = np.array([100, 1, 100, 2, 3])
-        out = matb_select(a, tau, C=2)
-        assert np.array_equal(np.flatnonzero(out.zeta), [3, 4])
+        out = sim._project(a, tau, 2)
+        assert np.array_equal(np.flatnonzero(out), [3, 4])
 
     def test_capacity_exact(self):
         rng = np.random.default_rng(11)
         for _ in range(20):
-            a = rng.integers(0, 2, size=30)
+            a = rng.integers(0, 2, size=30).astype(bool)
             tau = rng.integers(0, 20, size=30)
-            out = matb_select(a, tau, C=4)
-            assert out.zeta.sum() == min(4, a.sum())
-            assert np.all(out.zeta <= a)
+            out = sim._project(a.copy(), tau, 4)
+            assert out.sum() == min(4, a.sum())
+            assert np.all(out <= a)

@@ -4,31 +4,32 @@ import numpy as np
 import pytest
 
 from aoi_mfg import (
-    DecoderState,
     WeightTable,
     bisection_lambda,
-    control_action,
-    decoder_update,
     default_types,
     error_weight,
     game_scenario,
     make_streams,
-    matb_select,
     population_for,
-    relaxed_decisions,
     run_estimator_experiment,
     run_game_experiment,
     run_scheduling_experiment,
     running_cost,
     scheduling_scenario,
     solve_mfe,
-    step_channel,
-    update_aoi,
 )
 from aoi_mfg import sim
 from aoi_mfg.errors import CapacityViolationError, NoConvergenceError
 from aoi_mfg.model import AgentType, ScenarioConfig
 from aoi_mfg.scheduler import RelaxedPolicy
+
+from reference import (
+    _estimator_reference,
+    _game_reference,
+    _per_agent_oracle,
+    matb_select,
+    reference_schedule,
+)
 
 
 def fixed_policy(N, threshold, q=1.0, klow=None):
@@ -45,30 +46,31 @@ def sched_setup():
     return cfg, policy
 
 
+def _ages_after(tau, thresholds, p, rows=1):
+    """The ages after `rows` steps of the block kernel from ages tau, each
+    agent on its fixed threshold, with no capacity."""
+    policy = fixed_policy(len(tau), np.asarray(thresholds))
+    taus, _ = sim._schedule_block(np.asarray(tau, dtype=np.int64), policy, None, p,
+                                  make_streams(0), rows)
+    return taus[1:]
+
+
 class TestPrimitives:
     def test_update_aoi(self):
-        assert update_aoi(5, 1) == 0
-        assert update_aoi(5, 0) == 6
-        with pytest.raises(ValueError):
-            update_aoi(-1, 0)
+        # a reception resets the age, anything else ages it by one
+        assert _ages_after([5, 5], [0, 10], 0.0)[0].tolist() == [0, 6]
 
     def test_channel_perfect(self):
-        rng = np.random.default_rng(0)
-        zeta = np.array([1, 0, 1], dtype=bool)
-        assert np.array_equal(step_channel(zeta, 0.0, rng), zeta)
+        assert _ages_after([0, 0, 0], [0, 1, 0], 0.0)[0].tolist() == [0, 1, 0]
 
     def test_channel_total_loss(self):
-        rng = np.random.default_rng(0)
-        zeta = np.ones(10, dtype=bool)
         # p -> 1: survival requires draw >= p, which has probability 0 at p=1
-        out = step_channel(zeta, 1.0 - 1e-12, rng)
-        assert not out.any()
+        assert not (_ages_after(np.zeros(10), 0, 1.0 - 1e-12) == 0).any()
 
     def test_channel_success_rate(self):
-        rng = np.random.default_rng(123)
-        zeta = np.ones(10**6, dtype=bool)
-        out = step_channel(zeta, 0.2, rng)
-        assert out.mean() == pytest.approx(0.8, abs=0.002)
+        # every agent sends at every step: the received share is 1 - p
+        received = _ages_after(np.zeros(1000), 0, 0.2, rows=1000) == 0
+        assert received.mean() == pytest.approx(0.8, abs=0.002)
 
     def test_streams_deterministic_and_distinct(self):
         a = make_streams(99)
@@ -188,21 +190,6 @@ class TestGameExperiment:
                                                         runs[0].max_aoi)
 
 
-def reference_schedule(tau, policy, C, p, rng, steps):
-    """The scheduling layer one step and one agent at a time, from the scalar
-    helpers: returns the AoI rows (start of every step, then the end) and the
-    number of attempts."""
-    taus, attempts = [tau.copy()], 0
-    for _ in range(steps):
-        a = relaxed_decisions(tau, policy, rng["coin"].random(tau.size))
-        zeta = a if C is None else matb_select(a, tau, C).zeta
-        attempts += int(zeta.sum())
-        recv = step_channel(zeta, p, rng["channel"])
-        tau = np.array([update_aoi(int(t), int(r)) for t, r in zip(tau, recv)])
-        taus.append(tau)
-    return np.array(taus), attempts
-
-
 class TestBlockKernel:
     def test_projection_matches_matb_select(self):
         # heavy age ties: ages drawn from a handful of values
@@ -212,7 +199,7 @@ class TestBlockKernel:
             C = int(rng.integers(1, N))
             a = rng.random(N) < rng.random()
             tau = rng.integers(0, int(rng.integers(1, 5)), size=N)
-            want = matb_select(a, tau, C).zeta.astype(bool)
+            want = matb_select(a, tau, C)
             assert np.array_equal(sim._project(a, tau, C), want)
 
     @pytest.mark.parametrize("N,alpha,p", [(5, 0.2, 0.2), (20, 0.25, 0.0), (37, 0.4, 0.3)])
@@ -414,122 +401,6 @@ def test_mfe_window_that_stops_shrinking_raises():
     with pytest.raises(NoConvergenceError,
                        match=r"H=1000: stored tail 1\.024076e-09 did not shrink"):
         solve_mfe((TWO_INPUT_TYPES[0], drifting), horizon=500)
-
-
-def _game_reference(config, mfe, policy, seed):
-    """The closed loop written per type: one matrix product per type and
-    step, the noise transformed step by step and K2 g_{k+1} formed at each
-    step. `run_game_experiment` must give its bits for every plant shape."""
-    rng = make_streams(seed)
-    population = population_for(config)
-    run = sim._ScheduleRun(config, policy, rng)
-    N, T = config.N, config.T
-    slices = population.slices()
-    types = population.types
-    n = types[0].A.shape[0]
-
-    gains = [mfe.gains[t.label] for t in types]
-    g_by_type = [mfe.g_padded(t.label, T + 1) for t in types]
-    mu_star = mfe.mu_padded(T)
-    chol_w = [np.linalg.cholesky(t.C_W) for t in types]
-
-    X = sim._sample_initial_states(population, rng["init"])
-    Z = X.copy()
-    U_prev = [np.zeros((s.stop - s.start, t.B.shape[1])) for t, s in zip(types, slices)]
-
-    game_cost = np.zeros(N)
-    cons_err = np.zeros(T)
-    for k0, taus in run.blocks():
-        noise_block = rng["noise"].standard_normal((len(taus) - 1, N, n))
-        for k, recv, noise in zip(range(k0, T), taus[1:] == 0, noise_block):
-            if k > 0:
-                for i, s in enumerate(slices):
-                    prop = Z[s] @ types[i].A.T + U_prev[i] @ types[i].B.T
-                    Z[s] = np.where(recv[s, None], X[s], prop)
-
-            mu_N = X.mean(axis=0)
-            cons_err[k] = float(np.sum((mu_N - mu_star[k]) ** 2))
-
-            dev = X - mu_N
-            for i, s in enumerate(slices):
-                t = types[i]
-                U = -(Z[s] @ gains[i].K1.T) - gains[i].K2 @ g_by_type[i][k + 1]
-                game_cost[s] += (np.einsum("ij,jk,ik->i", dev[s], t.Q, dev[s])
-                                 + np.einsum("ij,jk,ik->i", U, t.R, U))
-                W = noise[s] @ chol_w[i].T
-                X[s] = X[s] @ t.A.T + U @ t.B.T + W
-                U_prev[i] = U
-
-    return run.metrics(per_agent_cost=game_cost / T, consensus_error=cons_err,
-                       mean_field_gap=float(cons_err.mean()))
-
-
-def _estimator_reference(config, policy, seed, sample_ks, tau_cap):
-    """`run_estimator_experiment` as one matrix product per type and step."""
-    rng = make_streams(seed)
-    population = population_for(config)
-    N, T = config.N, config.T
-    slices = population.slices()
-    types = population.types
-    n = types[0].A.shape[0]
-    chol_w = [np.linalg.cholesky(t.C_W) for t in types]
-
-    e = np.zeros((N, n))
-    age = np.zeros(N, dtype=np.int64)
-    snapshots = {}
-    sums = np.zeros((len(types), tau_cap + 1))
-    counts = np.zeros((len(types), tau_cap + 1), dtype=np.int64)
-    for k0, taus in sim._ScheduleRun(config, policy, rng).blocks():
-        noise_block = rng["noise"].standard_normal((len(taus) - 1, N, n))
-        for k, recv, noise in zip(range(k0, T), taus[1:] == 0, noise_block):
-            if k > 0:
-                for i, s in enumerate(slices):
-                    W = noise[s] @ chol_w[i].T
-                    e[s] = np.where(recv[s, None], 0.0, e[s] @ types[i].A.T + W)
-                age = np.where(recv, 0, age + 1)
-
-            if k in sample_ks:
-                snapshots[k] = e.copy()
-            sq = np.sum(e * e, axis=1)
-            for i, s in enumerate(slices):
-                small = age[s] <= tau_cap
-                sums[i] += np.bincount(age[s][small], sq[s][small], tau_cap + 1)
-                counts[i] += np.bincount(age[s][small], minlength=tau_cap + 1)
-
-    return {"snapshots": snapshots, "cond_sum_sq": sums, "cond_count": counts}
-
-
-def _per_agent_oracle(config, mfe, policy, seed):
-    """The closed loop one agent at a time: receptions from the scalar
-    scheduling reference, estimates from `decoder_update`, controls from
-    `control_action`. Returns (per_agent_cost, consensus_error)."""
-    rng = make_streams(seed)
-    population = population_for(config)
-    N, T = config.N, config.T
-    agent_types = [population.types[i] for i in population.type_index]
-    n = agent_types[0].n
-    taus, _ = reference_schedule(np.zeros(N, dtype=np.int64), policy, config.capacity,
-                                 config.p, rng, T)
-    z0 = rng["init"].standard_normal((N, n))
-    noise = rng["noise"].standard_normal((T, N, n))
-    X = [t.x0_mean + np.linalg.cholesky(t.x0_cov) @ z for t, z in zip(agent_types, z0)]
-    decoders = [DecoderState(Z=x.copy(), last_U=np.zeros(t.m)) for x, t in zip(X, agent_types)]
-    U = [np.zeros(t.m) for t in agent_types]
-    mu_star = mfe.mu_padded(T)
-    cost, cons = np.zeros(N), np.zeros(T)
-    for k in range(T):
-        for i, t in enumerate(agent_types):
-            if k > 0:
-                decoders[i] = decoder_update(decoders[i], X[i], U[i], taus[k + 1][i] == 0, t.A, t.B)
-        mu = np.mean(X, axis=0)
-        cons[k] = np.sum((mu - mu_star[k]) ** 2)
-        for i, t in enumerate(agent_types):
-            U[i] = control_action(decoders[i].Z, mfe.g_padded(t.label, T + 1)[k + 1],
-                                  mfe.gains[t.label])
-            dev = X[i] - mu
-            cost[i] += dev @ t.Q @ dev + U[i] @ t.R @ U[i]
-            X[i] = t.A @ X[i] + t.B @ U[i] + np.linalg.cholesky(t.C_W) @ noise[k, i]
-    return cost / T, cons
 
 
 def _scenario(types, N, T, p=0.2, alpha=0.25, seed=0):

@@ -21,6 +21,8 @@ from aoi_mfg.estimator import WeightTable, weight_table
 from aoi_mfg.model import AgentType
 from aoi_mfg.threshold import _f_tail_series, kappa_scan
 
+from reference import _cycle_reference
+
 
 class TestFTail:
     def test_p_zero_is_running_cost(self):
@@ -255,19 +257,6 @@ class TestTransmissionRate:
     def test_decreasing_in_threshold(self):
         rates = [transmission_rate(k, k, 1.0, 0.2) for k in range(8)]
         assert all(b < a for a, b in zip(rates, rates[1:]))
-
-
-def _cycle_reference(klow, kbar, q, p):
-    """(rate, head) from the O(kbar) renewal-cycle arrays the O(kbar - klow) ones replaced."""
-    s = 1.0 - q * (1.0 - p)
-    rho = np.empty(kbar + 1)
-    rho[: klow + 1] = 1.0
-    if kbar > klow:
-        rho[klow: kbar + 1] = s ** np.arange(kbar - klow + 1)
-    mid_sum = float(rho[klow:kbar].sum())
-    top = rho[kbar] / (1.0 - p)
-    length = klow + mid_sum + top
-    return (q * mid_sum + top) / length, rho / length
 
 
 def test_cycle_stats_equal_the_full_arrays():
