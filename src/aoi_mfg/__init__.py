@@ -1,10 +1,11 @@
 """AoI-driven scheduling over a capacity-constrained erasure channel, with
 the mean-field LQ consensus game layer on top.
 
-Public surface: scenario loading, threshold/price solvers, the randomized
-relaxed policy, Riccati tracking gains and the mean-field fixed point,
-simulation experiments (which apply the max-age-first capacity projection),
-and the analytic bounds.
+Public surface: scenario loading, the per-type age-to-error weights
+(`WeightTable`) and priced threshold problem (`KappaScan`), the exact price
+and its randomized relaxed policy, Riccati tracking gains and the
+mean-field fixed point, the scheduling and game simulations (which apply the
+max-age-first capacity projection), and the analytic bounds.
 """
 
 from .analysis import (
@@ -30,7 +31,7 @@ from .errors import (
     RankDeficientError,
     UnstableClosedLoopError,
 )
-from .estimator import WeightTable, error_weight, running_cost
+from .estimator import WeightTable
 from .mfg import (
     MeanFieldSolution,
     TrackingGains,
@@ -50,14 +51,12 @@ from .model import (
 from .presets import default_types, game_scenario, scheduling_scenario
 from .scheduler import (
     RelaxedPolicy,
-    aggregate_rate,
     bisection_lambda,
     randomization_q,
 )
 from .sim import (
     Metrics,
     make_streams,
-    run_estimator_experiment,
     run_game_experiment,
     run_scheduling_experiment,
 )
@@ -65,8 +64,6 @@ from .threshold import (
     AoIChain,
     KappaScan,
     ThresholdSolution,
-    f_tail,
-    solve_kappa,
     stationary_distribution,
     transmission_rate,
     value_iteration_oracle,

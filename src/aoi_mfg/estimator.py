@@ -4,9 +4,10 @@ shares per-type objects by value.
 The decoder keeps the minimum mean-squared estimate of the plant state: a
 received packet replaces the estimate with the exact state, otherwise the
 estimate is propagated open-loop through the known dynamics (the decoder
-step of the plant loops in `sim`). The expected squared estimation error
-then depends on the age of the newest received sample only, through
-`error_weight`.
+step of the game loop in `sim`). The expected squared estimation error
+then depends on the age of the newest received sample only, through the
+weight w(tau) of `WeightTable`, and the scheduling cost of that age is
+c(tau) = w(tau) * tau.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ class WeightTable:
     """Memoized error weights w(tau) and running costs c(tau) for one type.
 
     Accumulates matrix powers incrementally (M <- A M), extending the cache
-    on demand; no truncation.
+    on demand; no truncation. A negative age raises ValueError.
     """
 
     def __init__(self, A, C_W):
@@ -36,6 +37,8 @@ class WeightTable:
         self._power = np.eye(self.A.shape[0])
 
     def _extend(self, tau: int) -> None:
+        if tau < 0:
+            raise ValueError(f"tau must be >= 0, got {tau}")
         if tau < len(self._w):
             return
         with np.errstate(over="ignore", invalid="ignore"):
@@ -49,7 +52,8 @@ class WeightTable:
                 self._power = self.A @ self._power
 
     def w(self, tau: int) -> float:
-        self._extend(tau)
+        if not 0 <= tau < len(self._w):
+            self._extend(tau)
         return self._w[tau]
 
     def c(self, tau: int) -> float:
@@ -102,18 +106,3 @@ def weight_table(A, C_W) -> WeightTable:
     far it has grown, so they equal a fresh table's bit for bit."""
     return shared(WeightTable, as_matrix(A), as_matrix(C_W))
 
-
-def error_weight(tau: int, A, C_W) -> float:
-    """Expected squared estimation error at age tau:
-    w(tau) = sum_{l=1}^{tau} tr((A^{l-1})' A^{l-1} C_W); w(0) = 0.
-    """
-    if tau < 0:
-        raise ValueError(f"tau must be >= 0, got {tau}")
-    return WeightTable(A, C_W).w(int(tau))
-
-
-def running_cost(tau: int, A, C_W) -> float:
-    """Per-step scheduling cost c(tau) = w(tau) * tau."""
-    if tau < 0:
-        raise ValueError(f"tau must be >= 0, got {tau}")
-    return WeightTable(A, C_W).c(int(tau))

@@ -42,6 +42,7 @@ import numpy as np
 
 from .errors import NoConvergenceError, RankDeficientError, UnstableClosedLoopError
 from .estimator import as_matrix, shared
+from .model import check_labels
 
 log = logging.getLogger(__name__)
 
@@ -308,9 +309,11 @@ def solve_mfe(types, horizon: int | None = None) -> MeanFieldSolution:
     stored tail is below MFE_TOL/10, so geometric extrapolation error stays an
     order below the solver tolerance; a doubling must shrink the tail.
     Each type's gains are solved once per value of (A, B, Q, R) and shared
-    across solves (`estimator.shared`); their arrays are read-only.
+    across solves (`estimator.shared`); their arrays are read-only. Two
+    types with one label raise ConfigError: the gains and g are keyed by it.
     """
     types = tuple(types)
+    check_labels(types)
     gains = {t.label: shared(_read_only_gains, *map(as_matrix, (t.A, t.B, t.Q, t.R)))
              for t in types}
     cc = contraction_constant(types, gains)

@@ -104,9 +104,26 @@ class AgentType:
         return float(np.sum(self.A * self.A))
 
     def check_erasure_compatibility(self, p: float) -> None:
-        value = self.a_frob2 * p
-        if value >= 1.0:
-            raise AssumptionViolationError(self.label, value)
+        check_erasure(self.A, p, self.label)
+
+
+def check_erasure(A: np.ndarray, p: float, label: str = "<inline>") -> float:
+    """||A||_F^2 of the 2-D float matrix A, checked against the erasure
+    assumption ||A||_F^2 * p < 1, without which the estimation-error series
+    diverges (AssumptionViolationError)."""
+    a = float(np.sum(A * A))
+    if a * p >= 1.0:
+        raise AssumptionViolationError(label, a * p)
+    return a
+
+
+def check_labels(types) -> None:
+    """Results are keyed by type label, so two types with one label would
+    share one set of them: ConfigError naming the label."""
+    labels = [t.label for t in types]
+    for label in labels:
+        if labels.count(label) > 1:
+            raise ConfigError(f"types: duplicate type label {label!r}")
 
 
 def capacity_for(alpha: float, N: int) -> int:
@@ -134,6 +151,7 @@ class ScenarioConfig:
             raise ConfigError(f"capacity must satisfy 1 <= C < N, got C={self.capacity}, N={self.N}")
         if not 0.0 <= self.p < 1.0:
             raise ConfigError(f"p must lie in [0, 1), got {self.p}")
+        check_labels(self.types)
         total = sum(t.prob for t in self.types)
         if abs(total - 1.0) > _PROB_TOL:
             raise ConfigError(f"type probabilities sum to {total!r}, expected 1")
@@ -179,6 +197,7 @@ def assign_types(N: int, types) -> Population:
     types = tuple(types)
     if N < 1:
         raise ConfigError(f"N must be >= 1, got {N}")
+    check_labels(types)
     total = sum(t.prob for t in types)
     if abs(total - 1.0) > _PROB_TOL:
         raise ConfigError(f"type probabilities sum to {total!r}, expected 1")
@@ -271,8 +290,10 @@ def load_scenario(source) -> ScenarioConfig:
         for key in _REQUIRED_TYPE:
             if key not in tdoc:
                 raise MissingKeyError(f"types[{i}].{key}")
+        if not isinstance(tdoc["label"], str):
+            raise ConfigError(f"types[{i}].label: expected a string, got {tdoc['label']!r}")
         types.append(AgentType(
-            label=str(tdoc["label"]),
+            label=tdoc["label"],
             A=tdoc["A"], B=tdoc["B"], C_W=tdoc["C_W"], Q=tdoc["Q"], R=tdoc["R"],
             x0_mean=tdoc["x0_mean"], x0_cov=tdoc["x0_cov"],
             prob=_read(tdoc, "prob", real, name=f"types[{i}].prob"),

@@ -58,13 +58,6 @@ def _rate_term(count: int, kappa: int, p: float) -> float:
     return count * transmission_rate(kappa, kappa, 1.0, p)
 
 
-def aggregate_rate(population: Population, p: float, lam: float) -> float:
-    """R(lambda): total attempt rate when every agent runs its single
-    threshold kappa(lambda), summed in type order."""
-    return sum(_rate_term(count, kappa_scan(t.A, t.C_W, p).solve(lam).kappa, p)
-               for count, t in zip(population.counts, population.types))
-
-
 def randomization_q(C: float, C_low: float, C_high: float) -> float:
     """q = (C - C_high) / (C_low - C_high); q = 1 when the two rates are equal."""
     if C_low == C_high:
@@ -80,8 +73,9 @@ def bisection_lambda(population: Population, p: float, C: float) -> RelaxedPolic
 
     The name is kept from the bisection this replaced; the price is now
     exact. Each type's threshold kappa(lam) = min{k : lam <= lambda_k} steps
-    up at the breakpoints of `KappaScan.price`, so R(lam) steps down only at
-    their merge. Starting from kappa(0), the walk takes the smallest next
+    up at the breakpoints of `KappaScan.price`, so R(lam), the total attempt
+    rate when every agent runs its threshold kappa(lam) (summed term by term
+    in type order), steps down only at their merge. Starting from kappa(0), the walk takes the smallest next
     breakpoint b, advances every type whose breakpoint is b past it, and
     stops at the first b with R(just above b) <= C: klow = kappa(b), kbar =
     kappa just above b, lambda* = b. If R(0) <= C, lambda* = 0 and q = 1.

@@ -5,12 +5,12 @@ in lockstep; all empirical acceptance checks bottom out here. Event order
 within a step: intents from the current AoI, capacity projection, channel,
 decoder update with the current state, control, plant advance, AoI update.
 Scheduling ignores plant state, so `_schedule_block` advances the AoI a block
-of whole steps at once and the plant loops replay its receptions step by step.
+of whole steps at once and the game loop replays its receptions step by step.
 
-The plant loops (game and estimator) are written once for every plant
-shape; `_per_agent` decides how a per-type matrix acts on the agents. Scalar
-plants (1x1 A and B, every CLI workload) use per-agent columns, a few ufuncs
-per step; others one matrix product per type slice. Only the sequential
+The game loop is written once for every plant shape; `_per_agent` decides
+how a per-type matrix acts on the agents. Scalar plants (1x1 A and B, every
+CLI workload) use per-agent columns, a few ufuncs per step; others one
+matrix product per type slice. Only the sequential
 recursion runs step by step in the game loop: the decoders' Z (a `copyto`
 of X on reception), U = -K2 g - K1 Z, B U once for both Z and X, and X. The
 mean mu^N, the deviation X - mu^N and the running cost Q(dev) + R(U) are
@@ -44,7 +44,7 @@ from functools import partial
 
 import numpy as np
 
-from .errors import CapacityViolationError
+from .errors import CapacityViolationError, DimensionMismatchError
 from .estimator import weight_table
 from .model import Population, ScenarioConfig, population_for
 from .scheduler import RelaxedPolicy
@@ -143,6 +143,9 @@ class _ScheduleRun:
     packets, and its largest age is h.size - 1."""
 
     def __init__(self, config: ScenarioConfig, policy: RelaxedPolicy, rng, kinds=("matb",)):
+        if policy.kbar.size != config.N:
+            raise DimensionMismatchError(
+                f"policy solved for N = {policy.kbar.size}, config has N = {config.N}")
         population = population_for(config)
         self.config, self.policy, self.rng = config, policy, rng
         self.K = len(kinds)
@@ -227,13 +230,13 @@ def _sample_initial_states(population: Population, rng) -> np.ndarray:
 
 
 def _scalar_plants(types) -> bool:
-    """True when every A and B is 1x1: the plant loops then run on columns."""
+    """True when every A and B is 1x1: the game loop then runs on columns."""
     return all(t.A.shape == (1, 1) and t.B.shape == (1, 1) for t in types)
 
 
 def _per_agent(population: Population):
-    """(rows, linear, quadratic) for the plant loops. `rows(x)` puts per-agent
-    vectors, shape (..., N, k), into the loops' layout; given one matrix M_phi
+    """(rows, linear, quadratic) for the game loop. `rows(x)` puts per-agent
+    vectors, shape (..., N, k), into the loop's layout; given one matrix M_phi
     per type, `linear(Ms)` is (x[, out]) -> M_phi x and `quadratic(Ms)`
     (x, out) -> x' M_phi x over every agent in that layout, for any leading
     dimensions. `out` shares no memory with x, except that `linear` may write
@@ -342,51 +345,4 @@ def run_game_experiment(config: ScenarioConfig, mfe, policy: RelaxedPolicy,
     cons_err = np.sum((mu_N - mfe.mu_padded(T)) ** 2, axis=1)
     return run.metrics(per_agent_cost=game_cost / T, consensus_error=cons_err,
                        mean_field_gap=float(cons_err.mean()))
-
-
-def run_estimator_experiment(config: ScenarioConfig, policy: RelaxedPolicy,
-                             seed: int | None = None, sample_ks=(10, 100, 400),
-                             tau_cap: int = 10):
-    """Track raw estimation errors under the scheduling loop (no control).
-
-    Returns per-sampled-step error snapshots (agents x dim) and, per type,
-    the conditional sum and count of ||e||^2 given the estimate age, for
-    ages up to tau_cap. Used by the estimator soundness checks.
-    """
-    rng = make_streams(config.seed if seed is None else seed)
-    population = population_for(config)
-    N, T = config.N, config.T
-    slices = population.slices()
-    types = population.types
-    n = types[0].n
-    rows, linear, _ = _per_agent(population)
-    A = linear([t.A for t in types])
-    chol_w = linear([np.linalg.cholesky(t.C_W) for t in types])
-
-    e = rows(np.zeros((N, n)))  # Z_0 = X_0
-    # age of the decoder estimate: tracks e exactly, including the free
-    # X_0 the decoders start from (the scheduler AoI diverges from it only
-    # until an agent's first reception)
-    age = np.zeros(N, dtype=np.int64)
-    snapshots = {}
-    sums = np.zeros((len(types), tau_cap + 1))
-    counts = np.zeros((len(types), tau_cap + 1), dtype=np.int64)
-    for k0, taus in _ScheduleRun(config, policy, rng).blocks():
-        received = taus[1:] == 0
-        W_block = chol_w(rows(rng["noise"].standard_normal((len(received), N, n))))
-        for k, recv, mask, W in zip(range(k0, T), received, rows(received[..., None]), W_block):
-            if k > 0:
-                e = np.where(mask, 0.0, A(e) + W)
-                age = np.where(recv, 0, age + 1)
-
-            e_rows = e.reshape(N, n)
-            if k in sample_ks:
-                snapshots[k] = e_rows.copy()
-            sq = np.sum(e_rows * e_rows, axis=1)
-            for i, s in enumerate(slices):
-                small = age[s] <= tau_cap
-                sums[i] += np.bincount(age[s][small], sq[s][small], tau_cap + 1)
-                counts[i] += np.bincount(age[s][small], minlength=tau_cap + 1)
-
-    return {"snapshots": snapshots, "cond_sum_sq": sums, "cond_count": counts}
 

@@ -4,10 +4,10 @@ The agent pays the running cost c(tau) every step plus a price lambda per
 transmission attempt; an attempt succeeds (AoI resets to 0) with probability
 1 - p. The optimal policy transmits iff tau >= kappa. `KappaScan` computes
 kappa from the implicit interpolated-cost equation, at as many prices as a
-caller asks for, and the breakpoint prices at which kappa steps up;
-`kappa_scan` shares one scan per (A, C_W, p) value across callers, and
-`solve_kappa` is the one-shot form. `value_iteration_oracle` is the
-independent truncated-MDP check.
+caller asks for, the tail costs f(x) it rests on, and the breakpoint prices
+at which kappa steps up; `kappa_scan` shares one scan per (A, C_W, p) value
+across callers. `value_iteration_oracle` is the independent truncated-MDP
+check.
 """
 
 from __future__ import annotations
@@ -18,18 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AssumptionViolationError, NoConvergenceError, NumericOverflowError
+from .errors import NoConvergenceError, NumericOverflowError
 from .estimator import WeightTable, as_matrix, forget, shared, weight_table
+from .model import check_erasure
 
 _KAPPA_CAP = 10**6
-
-
-def _scalar_of(M):
-    """Return the scalar if M is effectively 1x1, else None."""
-    m = np.atleast_2d(np.asarray(M, dtype=float))
-    if m.size == 1:
-        return float(m.ravel()[0])
-    return None
 
 
 @dataclass(frozen=True)
@@ -68,25 +61,6 @@ class AoIChain:
         return head + top
 
 
-def _check_assumption(A, p):
-    a = float(np.sum(np.atleast_2d(np.asarray(A, dtype=float)) ** 2))
-    if a * p >= 1.0:
-        raise AssumptionViolationError("<inline>", a * p)
-    return a
-
-
-def f_tail(x: int, A, C_W, p: float) -> float:
-    """Discounted-by-erasure tail cost f(x) = sum_{r>=0} c(x+r) p^r.
-
-    Scalar systems use the closed form (with the series-consistent
-    p/(1-p)^2 term); matrix systems sum the series until the geometric
-    tail bound drops below 1e-12 relative.
-    """
-    if x < 0:
-        raise ValueError(f"x must be >= 0, got {x}")
-    return KappaScan(A, C_W, p).f(x)
-
-
 def _f_tail_scalar(x, a, cw, p):
     try:
         a_x = a**x
@@ -119,7 +93,7 @@ def _f_tail_series(x, table, a, p, rel=1e-12):
         # remaining tail is geometric in max(p, a*p) up to the linear tau factor
         if acc > 0 and term * ratio / (1.0 - ratio) < rel * acc and r > 2:
             return acc
-    raise NoConvergenceError("f_tail series did not meet its tail bound (mis-scaled inputs?)")
+    raise NoConvergenceError("tail-cost series did not meet its tail bound (mis-scaled inputs?)")
 
 
 class KappaScan:
@@ -137,15 +111,23 @@ class KappaScan:
         if not 0.0 <= p < 1.0:
             raise ValueError(f"p must lie in [0, 1), got {p}")
         self.p = p
-        self._a = _check_assumption(A, p)
         self._table = weight_table(A, C_W)
-        sa, sc = _scalar_of(A), _scalar_of(C_W)
-        self._scalar = (sa * sa, sc) if sa is not None and sc is not None else None
+        A, C_W = self._table.A, self._table.C_W
+        self._a = check_erasure(A, p)
+        # a 1x1 type squares a Python float for the closed form
+        self._scalar = (A.item() * A.item(), C_W.item()) if A.size == 1 else None
         self._f = []      # f(0), f(1), ...
         self._cum = []    # _cum[k] = sum_{i<k} c(i)
 
     def f(self, x: int) -> float:
-        """Tail cost f(x); see `f_tail`."""
+        """Discounted-by-erasure tail cost f(x) = sum_{r>=0} c(x+r) p^r.
+
+        Scalar systems use the closed form (with the series-consistent
+        p/(1-p)^2 term); matrix systems sum the series until the geometric
+        tail bound drops below 1e-12 relative.
+        """
+        if x < 0:
+            raise ValueError(f"x must be >= 0, got {x}")
         if self._scalar is not None:
             return _f_tail_scalar(x, *self._scalar, self.p)
         return _f_tail_series(x, self._table, self._a, self.p)
@@ -193,6 +175,8 @@ class KappaScan:
         """Breakpoint lambda_k = (1-p)[(1 + k(1-p)) f(k+1) - f(k) - sum_{i<k} c(i)],
         the largest price at which threshold k solves `solve`'s equation:
         kappa(lam) = min{k : lam <= lambda_k}."""
+        if k < 0:
+            raise ValueError(f"k must be >= 0, got {k}")
         self._grow(k)
         p = self.p
         return (1.0 - p) * ((1.0 + k * (1.0 - p)) * self._f[k + 1] - self._f[k] - self._cum[k])
@@ -202,11 +186,6 @@ def kappa_scan(A, C_W, p: float) -> KappaScan:
     """The shared `KappaScan` of (A, C_W, p), built once per value: the
     scan's memo then serves every price search and rate of that type."""
     return shared(KappaScan, as_matrix(A), as_matrix(C_W), float(p))
-
-
-def solve_kappa(A, C_W, p: float, lam: float) -> ThresholdSolution:
-    """Threshold solution at price lam for one type; see `KappaScan.solve`."""
-    return KappaScan(A, C_W, p).solve(lam)
 
 
 def _solve_eta(f0, f1, target):
@@ -232,7 +211,7 @@ def value_iteration_oracle(A, C_W, p: float, lam: float, state_cap: int = 500,
     truncation is audited post hoc: residual stationary mass above the cap
     must be < 1e-9.
     """
-    _check_assumption(A, p)
+    check_erasure(as_matrix(A), p)
     table = WeightTable(A, C_W)
     c = table.c_table(state_cap)
     S = state_cap + 1

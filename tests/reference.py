@@ -1,15 +1,19 @@
-"""Scalar and per-type references for the differential tests.
+"""Scalar and per-type references for the differential tests, and the
+estimator-soundness experiment.
 
 Each reference does one thing of the package the slow, obvious way: one step,
 one type or one agent at a time. The package keeps one implementation per
 concept; the tests require it to give these references' bits (the per-agent
-oracle: their values to 1e-12).
+oracle: their values to 1e-12). `estimator_soundness_experiment` measures
+the decoders' estimation errors for the tests that compare them with the
+age weights.
 """
 
 import numpy as np
 
 from aoi_mfg import KappaScan, make_streams, population_for, randomization_q, transmission_rate
 from aoi_mfg import sim
+from aoi_mfg.threshold import kappa_scan
 
 
 def matb_select(a, tau, C):
@@ -42,6 +46,14 @@ def reference_schedule(tau, policy, C, p, rng, steps):
 def decoder_update(Z, X, U_prev, received, A, B):
     """One decoder step: adopt X on reception, else propagate Z through (A, B)."""
     return X.copy() if received else A @ Z + B @ U_prev
+
+
+def aggregate_rate(population, p, lam):
+    """R(lambda): total attempt rate when every agent runs its single
+    threshold kappa(lambda), summed in type order."""
+    kappas = [kappa_scan(t.A, t.C_W, p).solve(lam).kappa for t in population.types]
+    return sum(count * transmission_rate(k, k, 1.0, p)
+               for count, k in zip(population.counts, kappas))
 
 
 def _bisection_reference(population, p, C, eps=1e-6):
@@ -162,8 +174,16 @@ def _game_reference(config, mfe, policy, seed):
                        mean_field_gap=float(cons_err.mean()))
 
 
-def _estimator_reference(config, policy, seed, sample_ks, tau_cap):
-    """`run_estimator_experiment` as one matrix product per type and step."""
+def estimator_soundness_experiment(config, policy, seed, sample_ks=(10, 100, 400), tau_cap=10):
+    """Raw estimation errors e = X - Z under the scheduling loop, with no
+    control: each step, e resets to 0 on reception and otherwise becomes
+    A e + W, one matrix product per type. Returns the snapshots of e (agents
+    x dim) at the steps `sample_ks` and, per type, the conditional sum and
+    count of ||e||^2 given the estimate age, for ages up to tau_cap.
+
+    The age tracks e exactly, including the free X_0 the decoders start from
+    (Z_0 = X_0, so e_0 = 0): the scheduler's AoI differs from it only until
+    an agent's first reception."""
     rng = make_streams(seed)
     population = population_for(config)
     N, T = config.N, config.T
@@ -194,6 +214,41 @@ def _estimator_reference(config, policy, seed, sample_ks, tau_cap):
                 sums[i] += np.bincount(age[s][small], sq[s][small], tau_cap + 1)
                 counts[i] += np.bincount(age[s][small], minlength=tau_cap + 1)
 
+    return {"snapshots": snapshots, "cond_sum_sq": sums, "cond_count": counts}
+
+
+def _estimator_per_agent_oracle(config, policy, seed, sample_ks, tau_cap):
+    """`estimator_soundness_experiment` with every agent carrying its own A
+    and noise factor: receptions from the scalar scheduling reference, the
+    noise drawn for the whole run at once, e_i <- A_i e_i + L_i w_i unless
+    agent i receives, and ||e_i||^2 added to the (type, age) cell of agent i."""
+    rng = make_streams(seed)
+    population = population_for(config)
+    N, T = config.N, config.T
+    types, agent_type = population.types, population.type_index
+    taus, _ = reference_schedule(np.zeros(N, dtype=np.int64), policy, config.capacity,
+                                 config.p, rng, T)
+    noise = rng["noise"].standard_normal((T, N, types[0].n))
+    A = np.stack([types[i].A for i in agent_type])
+    L = np.stack([np.linalg.cholesky(types[i].C_W) for i in agent_type])
+
+    e = np.zeros(noise.shape[1:])
+    age = np.zeros(N, dtype=np.int64)
+    snapshots = {}
+    sums = np.zeros((len(types), tau_cap + 1))
+    counts = np.zeros((len(types), tau_cap + 1), dtype=np.int64)
+    for k in range(T):
+        if k > 0:
+            recv = taus[k + 1] == 0
+            prop = np.einsum("aij,aj->ai", A, e) + np.einsum("aij,aj->ai", L, noise[k])
+            e = np.where(recv[:, None], 0.0, prop)
+            age = np.where(recv, 0, age + 1)
+        if k in sample_ks:
+            snapshots[k] = e.copy()
+        small = age <= tau_cap
+        cells = (agent_type[small], age[small])
+        np.add.at(sums, cells, np.sum(e * e, axis=1)[small])
+        np.add.at(counts, cells, 1)
     return {"snapshots": snapshots, "cond_sum_sq": sums, "cond_count": counts}
 
 

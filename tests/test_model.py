@@ -83,6 +83,11 @@ class TestScenarioConfig:
         with pytest.raises(AssumptionViolationError):
             ScenarioConfig(N=10, capacity=2, p=0.3, T=10, types=(make_type(A=2.0),))
 
+    def test_duplicate_label_rejected(self):
+        types = (make_type("a", prob=0.5), make_type("a", A=0.5, prob=0.5))
+        with pytest.raises(ConfigError, match="duplicate type label 'a'"):
+            ScenarioConfig(N=10, capacity=2, p=0.2, T=10, types=types)
+
     def test_mixed_state_dimensions_rejected(self):
         two_state = make_type("v", A=[[0.5, 0.1], [0.0, 0.9]], B=[[1.0], [0.5]],
                               C_W=np.eye(2), Q=np.eye(2), x0_mean=[0.0, 0.0],
@@ -115,6 +120,11 @@ class TestAssignTypes:
             assert sum(pop.counts) == N
             for c, p in zip(pop.counts, probs):
                 assert abs(c - N * p) < 1.0
+
+    def test_duplicate_label_rejected(self):
+        types = (make_type("a", prob=0.5), make_type("a", A=0.5, prob=0.5))
+        with pytest.raises(ConfigError, match="duplicate type label 'a'"):
+            assign_types(10, types)
 
     def test_contiguous_slices(self):
         types = (make_type("a", prob=0.5), make_type("b", prob=0.5))

@@ -6,7 +6,6 @@ import pytest
 from aoi_mfg import (
     KappaScan,
     RelaxedPolicy,
-    aggregate_rate,
     assign_types,
     bisection_lambda,
     default_types,
@@ -16,7 +15,7 @@ from aoi_mfg import estimator, sim
 from aoi_mfg.errors import InfeasibleCapacityError, NumericOverflowError
 from aoi_mfg.model import AgentType
 
-from reference import _bisection_reference
+from reference import _bisection_reference, aggregate_rate
 
 
 def make_type(label="t", A=1.0, prob=1.0, **kw):
@@ -42,6 +41,8 @@ PRICE_GRID = [(types, p, max(1, round(alpha * N)), assign_types(N, types))
 
 
 class TestAggregateRate:
+    """The rate oracle of `test_price_is_the_rate_crossing` (`tests/reference.py`)."""
+
     def test_free_price_full_rate(self, identical_pop):
         # lam = 0: kappa = 0, every agent transmits each step
         assert aggregate_rate(identical_pop, 0.2, 0.0) == pytest.approx(100.0)

@@ -7,26 +7,24 @@ from aoi_mfg import (
     WeightTable,
     bisection_lambda,
     default_types,
-    error_weight,
     game_scenario,
     make_streams,
     population_for,
-    run_estimator_experiment,
     run_game_experiment,
     run_scheduling_experiment,
-    running_cost,
     scheduling_scenario,
     solve_mfe,
 )
 from aoi_mfg import sim
-from aoi_mfg.errors import CapacityViolationError, NoConvergenceError
+from aoi_mfg.errors import CapacityViolationError, DimensionMismatchError, NoConvergenceError
 from aoi_mfg.model import AgentType, ScenarioConfig
 from aoi_mfg.scheduler import RelaxedPolicy
 
 from reference import (
-    _estimator_reference,
+    _estimator_per_agent_oracle,
     _game_reference,
     _per_agent_oracle,
+    estimator_soundness_experiment,
     matb_select,
     reference_schedule,
 )
@@ -124,6 +122,15 @@ class TestSchedulingExperiment:
         with pytest.raises(ValueError):
             run_scheduling_experiment(cfg, policy, "other")
 
+    @pytest.mark.parametrize("kind", ["relaxed", "matb", "both"])
+    @pytest.mark.parametrize("policy_N", [50, 200])
+    def test_policy_for_another_N_rejected(self, kind, policy_N):
+        # a policy of 50 agents on a config of 100 used to run as stacked
+        # chains of 50; one of 200 raised a bare ValueError or IndexError
+        cfg = scheduling_scenario(N=100, T=20)
+        with pytest.raises(DimensionMismatchError, match=f"policy solved for N = {policy_N}"):
+            run_scheduling_experiment(cfg, fixed_policy(policy_N, 3), kind)
+
 
 @pytest.fixture(scope="module")
 def mfe():
@@ -131,6 +138,12 @@ def mfe():
 
 
 class TestGameExperiment:
+    @pytest.mark.parametrize("policy_N", [15, 60])
+    def test_policy_for_another_N_rejected(self, mfe, policy_N):
+        cfg = game_scenario(N=30, T=20)
+        with pytest.raises(DimensionMismatchError, match=f"policy solved for N = {policy_N}"):
+            run_game_experiment(cfg, mfe, fixed_policy(policy_N, 3))
+
     def test_deterministic(self, mfe):
         cfg = game_scenario(N=30, T=120)
         policy = bisection_lambda(population_for(cfg), cfg.p, cfg.capacity)
@@ -257,8 +270,8 @@ class TestBlockKernel:
             if resets_last:
                 assert np.count_nonzero(taus[-1] == 0) > 0
             ages = taus[:-1]
-            cost = sum(running_cost(int(t), pop.types[i].A, pop.types[i].C_W)
-                       for row in ages for t, i in zip(row, pop.type_index))
+            weights = [WeightTable(t.A, t.C_W) for t in pop.types]
+            cost = sum(weights[i].c(int(t)) for row in ages for t, i in zip(row, pop.type_index))
             # the float order the outputs are pinned to: per step, each type's
             # slice sum added in type order, then the steps one after another
             tables = [WeightTable(t.A, t.C_W).c_table(int(ages.max())) for t in pop.types]
@@ -322,29 +335,29 @@ class TestEstimatorExperiment:
     def test_conditional_error_matches_weight(self):
         cfg = scheduling_scenario(N=100, T=4000, seed=11)
         policy = fixed_policy(100, 12)
-        out = run_estimator_experiment(cfg, policy, seed=11, tau_cap=6)
+        out = estimator_soundness_experiment(cfg, policy, seed=11, tau_cap=6)
         pop = population_for(cfg)
         cond = out["cond_sum_sq"] / np.maximum(out["cond_count"], 1)
         for i, t in enumerate(pop.types):
+            table = WeightTable(t.A, t.C_W)
             for tau in range(1, 7):
-                want = error_weight(tau, t.A, t.C_W)
-                assert cond[i, tau] == pytest.approx(want, rel=0.1)
+                assert cond[i, tau] == pytest.approx(table.w(tau), rel=0.1)
 
     def test_zero_age_zero_error(self):
         cfg = scheduling_scenario(N=50, T=500, seed=2)
         policy = fixed_policy(50, 2)
-        out = run_estimator_experiment(cfg, policy, seed=2, tau_cap=4)
+        out = estimator_soundness_experiment(cfg, policy, seed=2, tau_cap=4)
         assert np.all(out["cond_sum_sq"][:, 0] == 0.0)
 
     def test_snapshots_shape(self):
         cfg = scheduling_scenario(N=50, T=200, seed=3)
         policy = fixed_policy(50, 3)
-        out = run_estimator_experiment(cfg, policy, seed=3, sample_ks=(10, 50))
+        out = estimator_soundness_experiment(cfg, policy, seed=3, sample_ks=(10, 50))
         assert set(out["snapshots"]) == {10, 50}
         assert out["snapshots"][10].shape == (50, 1)
 
 
-# Scalar types that differ in every coefficient the plant loops read per
+# Scalar types that differ in every coefficient the game loop reads per
 # agent (A, B, C_W, Q, R), with unequal shares, so a column built in the wrong
 # type order shows; the default types share B, C_W, Q and R.
 MIXED_TYPES = (
@@ -482,16 +495,19 @@ def _assert_game_equals_reference(equilibria, types, N, T):
 
 
 def _assert_estimator_equals_reference(types, N, T):
+    """The estimator-soundness experiment (per type, on the package's
+    scheduling blocks) against its per-agent oracle (the scalar scheduling
+    reference): equal counts, errors equal to 1e-12 of their scale."""
     cfg = _scenario(TYPE_SETS[types], N, T)
     policy = bisection_lambda(population_for(cfg), cfg.p, cfg.capacity)
     args = dict(seed=N + T, sample_ks=(0, 10, 100, 400), tau_cap=8)
-    got = run_estimator_experiment(cfg, policy, **args)
-    want = _estimator_reference(cfg, policy, **args)
+    got = estimator_soundness_experiment(cfg, policy, **args)
+    want = _estimator_per_agent_oracle(cfg, policy, **args)
     assert got["snapshots"].keys() == want["snapshots"].keys()
     for k, e in want["snapshots"].items():
-        assert got["snapshots"][k].shape == e.shape
-        assert np.array_equal(got["snapshots"][k], e)
-    assert np.array_equal(got["cond_sum_sq"], want["cond_sum_sq"])
+        np.testing.assert_allclose(got["snapshots"][k], e, rtol=1e-12,
+                                   atol=1e-12 * np.abs(e).max())
+    np.testing.assert_allclose(got["cond_sum_sq"], want["cond_sum_sq"], rtol=1e-12)
     assert np.array_equal(got["cond_count"], want["cond_count"])
 
 

@@ -9,8 +9,6 @@ from aoi_mfg import (
     assign_types,
     bisection_lambda,
     default_types,
-    f_tail,
-    solve_kappa,
     stationary_distribution,
     transmission_rate,
     value_iteration_oracle,
@@ -29,7 +27,7 @@ class TestFTail:
         for A in (0.5, 1.0, 1.3):
             for x in range(6):
                 table = WeightTable(A, 5.0)
-                assert f_tail(x, A, 5.0, 0.0) == pytest.approx(table.c(x), rel=1e-12)
+                assert KappaScan(A, 5.0, 0.0).f(x) == pytest.approx(table.c(x), rel=1e-12)
 
     def test_closed_form_matches_series(self):
         rng = np.random.default_rng(0)
@@ -40,14 +38,14 @@ class TestFTail:
             if A * A * p >= 1.0:
                 continue
             x = int(rng.integers(0, 25))
-            closed = f_tail(x, A, cw, p)
+            closed = KappaScan(A, cw, p).f(x)
             series = _f_tail_series(x, WeightTable(A, cw), A * A, p)
             assert closed == pytest.approx(series, rel=1e-9)
 
     def test_marginal_closed_form(self):
         # A = 1, C_W = 5, p = 0.5, x = 1:
         # sum_r 5 (1+r)^2 0.5^r = 5 * 12 = 60
-        assert f_tail(1, 1.0, 5.0, 0.5) == pytest.approx(60.0, rel=1e-12)
+        assert KappaScan(1.0, 5.0, 0.5).f(1) == pytest.approx(60.0, rel=1e-12)
 
     def test_matrix_inputs_use_series(self):
         A = np.diag([0.5, 0.9])
@@ -55,34 +53,37 @@ class TestFTail:
         p = 0.3
         table = WeightTable(A, C)
         manual = sum(table.c(2 + r) * p**r for r in range(200))
-        assert f_tail(2, A, C, p) == pytest.approx(manual, rel=1e-9)
+        assert KappaScan(A, C, p).f(2) == pytest.approx(manual, rel=1e-9)
 
     def test_assumption_guard(self):
-        with pytest.raises(AssumptionViolationError):
-            f_tail(1, 2.0, 1.0, 0.3)
+        # ||A||_F^2 p >= 1, scalar and matrix: the check AgentType makes
+        for A, C_W in ((2.0, 1.0), (np.diag([2.0, 0.5]), np.eye(2))):
+            with pytest.raises(AssumptionViolationError):
+                KappaScan(A, C_W, 0.3)
 
     def test_increasing_in_x(self):
-        vals = [f_tail(x, 1.1, 4.0, 0.2) for x in range(1, 10)]
+        scan = KappaScan(1.1, 4.0, 0.2)
+        vals = [scan.f(x) for x in range(1, 10)]
         assert all(b > a for a, b in zip(vals, vals[1:]))
 
 
 class TestSolveKappa:
     def test_closed_case(self):
         # A=1, C_W=5, p=0, lam=10: first threshold where waiting stops paying
-        sol = solve_kappa(1.0, 5.0, 0.0, 10.0)
+        sol = KappaScan(1.0, 5.0, 0.0).solve(10.0)
         assert sol.kappa == 1
         assert sol.eta == pytest.approx(1.0 / 6.0, abs=1e-6)
         assert sol.sigma_star == pytest.approx(7.5, abs=1e-6)
 
     def test_free_transmission(self):
-        sol = solve_kappa(1.0, 5.0, 0.0, 0.0)
+        sol = KappaScan(1.0, 5.0, 0.0).solve(0.0)
         assert sol.kappa == 0
         assert sol.sigma_star == pytest.approx(0.0, abs=1e-9)
 
     def test_monotone_in_price(self):
         last = -1
         for lam in (0.0, 1.0, 5.0, 20.0, 80.0, 300.0):
-            k = solve_kappa(1.0, 5.0, 0.2, lam).kappa
+            k = KappaScan(1.0, 5.0, 0.2).solve(lam).kappa
             assert k >= last
             last = k
 
@@ -95,7 +96,7 @@ class TestSolveKappa:
             if A * A * p >= 1.0:
                 p = 0.9 / (A * A) * float(rng.uniform(0, 1))
             lam = float(rng.uniform(0, 20))
-            sol = solve_kappa(A, cw, p, lam)
+            sol = KappaScan(A, cw, p).solve(lam)
             policy, sigma = value_iteration_oracle(A, cw, p, lam)
             ones = np.flatnonzero(policy)
             assert sol.kappa == int(ones[0])
@@ -103,7 +104,7 @@ class TestSolveKappa:
 
     def test_golden_erasure_instance(self):
         # frozen against value_iteration_oracle
-        sol = solve_kappa(1.15, 5.0, 0.2, 2.0)
+        sol = KappaScan(1.15, 5.0, 0.2).solve(2.0)
         assert sol.kappa == 0
         assert sol.sigma_star == pytest.approx(4.188469486939765, rel=1e-6)
 
@@ -114,12 +115,12 @@ class TestKappaScan:
     @pytest.mark.parametrize("p", [0.0, 0.2])
     @pytest.mark.parametrize("kind", ["stable", "marginal", "unstable", "two-state"])
     def test_reused_scan_equals_one_shot(self, kind, p):
-        # one scan over prices out of order against a fresh solve per price
+        # one scan over prices out of order against a fresh scan per price
         types = {t.label: (t.A, t.C_W) for t in default_types()}
         A, C_W = self.TWO_STATE if kind == "two-state" else types[kind]
         scan = KappaScan(A, C_W, p)
         for lam in (8.0, 0.0, 2.5, 1e3, 2.5, 0.3):
-            got, want = scan.solve(lam), solve_kappa(A, C_W, p, lam)
+            got, want = scan.solve(lam), KappaScan(A, C_W, p).solve(lam)
             assert (got.kappa, got.eta, got.sigma_star) == (want.kappa, want.eta, want.sigma_star)
 
     @pytest.mark.parametrize("p", [0.0, 0.2])
@@ -140,6 +141,20 @@ class TestKappaScan:
     def test_negative_price_rejected(self):
         with pytest.raises(ValueError):
             KappaScan(1.0, 5.0, 0.2).solve(-1.0)
+
+    @pytest.mark.parametrize("kind", ["unstable", "two-state"])
+    def test_negative_age_and_threshold_rejected(self, kind):
+        # f(-1) used to give 4.33 (closed form) or 0.18 (series), and
+        # price(-1) -1.75, read off the memo's last entries
+        A, C_W = self.TWO_STATE if kind == "two-state" else (1.15, 5.0)
+        scan = KappaScan(A, C_W, 0.2)
+        for grown in (False, True):
+            if grown:
+                scan.price(5)
+            with pytest.raises(ValueError, match="x must be >= 0"):
+                scan.f(-1)
+            with pytest.raises(ValueError, match="k must be >= 0"):
+                scan.price(-1)
 
     @pytest.mark.parametrize("p", [0.0, 0.2])
     @pytest.mark.parametrize("kind", ["unstable", "two-state"])
