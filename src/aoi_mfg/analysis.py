@@ -1,5 +1,8 @@
 """Analytic bound evaluators: optimality-gap exponent, the erasure-free AoI
 cap, and tail thresholds with their population-size conditions.
+`bound_report` collects them in a `BoundReport`, whose fields are the keys
+of the CLI's bound report document; `tail` is None, and left out of it, on
+a perfect channel.
 """
 
 from __future__ import annotations
@@ -107,27 +110,6 @@ class BoundReport:
     q: float
     N: int
     vacuous: bool
-
-    def to_dict(self) -> dict:
-        out = {
-            "kl_exponent": self.kl_exponent,
-            "gap_bound": self.gap_bound,
-            "p0_aoi_cap": self.p0_aoi_cap,
-            "U": self.U,
-            "alpha": self.alpha,
-            "q": self.q,
-            "N": self.N,
-            "vacuous": self.vacuous,
-        }
-        if self.tail is not None:
-            out["tail"] = {
-                "x": self.tail.x,
-                "aoi_threshold": self.tail.aoi_threshold,
-                "n_min_clt": self.tail.n_min_clt,
-                "n_min_gauss": self.tail.n_min_gauss,
-                "delta": self.tail.delta,
-            }
-        return out
 
 
 def bound_report(config, policy, delta: float = 0.05) -> BoundReport:

@@ -8,6 +8,9 @@ report), `bounds` (analytic bound report). Each command reads its scenario
 once (`--config`, else its preset), resolves the flags over it once and
 derives every sweep point from that. All data files are deterministic
 given config + seed; wall-clock information lives only in the run manifest.
+The manifest's `config_hash` is the SHA-256 of the resolved scenario's
+`_document`: its `ScenarioConfig` record, field by field, which
+`load_scenario` reads back. `bounds_report.json` is `BoundReport`'s.
 """
 
 from __future__ import annotations
@@ -21,8 +24,9 @@ import os
 import sys
 import time
 import traceback
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import replace
+from dataclasses import asdict, replace
+from functools import partial
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -59,29 +63,25 @@ def _write_csv(path: Path, header, rows) -> None:
             writer.writerow([_fmt(v) for v in row])
 
 
+def _document(record) -> dict:
+    """A record dataclass as a document: its fields by name, None ones left out."""
+    return asdict(record, dict_factory=lambda items: {k: v for k, v in items if v is not None})
+
+
+# JSON with sorted keys; NumPy arrays and scalars as lists and numbers
+_dumps = partial(json.dumps, sort_keys=True, default=lambda a: a.tolist())
+
+
 def _write_json(path: Path, obj) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    path.write_text(_dumps(obj, indent=2) + "\n", encoding="utf-8")
 
 
-def _config_doc(config: ScenarioConfig) -> dict:
-    return {
-        "N": config.N,
-        "capacity": config.capacity,
-        "p": config.p,
-        "T": config.T,
-        "seed": config.seed,
-        "mc_runs": config.mc_runs,
-        "types": [
-            {
-                "label": t.label, "A": t.A.tolist(), "B": t.B.tolist(),
-                "C_W": t.C_W.tolist(), "Q": t.Q.tolist(), "R": t.R.tolist(),
-                "x0_mean": t.x0_mean.tolist(), "x0_cov": t.x0_cov.tolist(),
-                "prob": t.prob,
-            }
-            for t in config.types
-        ],
-    }
+def _report(path: Path, doc: dict, shown=None) -> Path:
+    """Write doc to path, then print it, or only its keys `shown`."""
+    _write_json(path, doc)
+    print(_dumps(doc if shown is None else {k: doc[k] for k in shown}, indent=2))
+    return path
 
 
 def _worker_count() -> int:
@@ -91,23 +91,16 @@ def _worker_count() -> int:
         raise ConfigError("AOI_MFG_THREADS must be an integer")
 
 
-def _map_runs(fn, jobs):
-    """Run jobs across the worker pool; results come back in job order."""
+def _map_runs(fn, args, seeds):
+    """fn(*args, seed) for each seed, across the worker pool; results come
+    back in seed order. The pool is imported here, on use: a top-level
+    import of it would double this module's import time."""
     workers = _worker_count()
-    if workers == 1 or len(jobs) <= 1:
-        return [fn(job) for job in jobs]
-    with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
-        return list(pool.map(fn, jobs))
-
-
-def _sched_pair(job):
-    config, policy, seed = job
-    return run_scheduling_experiment(config, policy, "both", seed)
-
-
-def _game_run(job):
-    config, mfe, policy, seed = job
-    return run_game_experiment(config, mfe, policy, seed)
+    if workers == 1 or len(seeds) <= 1:
+        return [fn(*args, seed) for seed in seeds]
+    from concurrent.futures import ProcessPoolExecutor
+    with ProcessPoolExecutor(max_workers=min(workers, len(seeds))) as pool:
+        return list(pool.map(fn, *map(repeat, args), seeds))
 
 
 def _resolve(args, base: ScenarioConfig):
@@ -144,7 +137,7 @@ def _parse_seed_range(text: str):
 def _fig2_runs(config: ScenarioConfig, seeds):
     """The relaxed policy, its bound report and one (relaxed, MATB) pair per seed."""
     policy = bisection_lambda(population_for(config), config.p, config.capacity)
-    results = _map_runs(_sched_pair, [(config, policy, s) for s in seeds])
+    results = _map_runs(run_scheduling_experiment, (config, policy, "both"), seeds)
     return policy, bound_report(config, policy), results
 
 
@@ -170,10 +163,8 @@ def cmd_schedule(args, base, out_dir):
     config, N, alpha, p = _resolve(args, base)
     if args.report:
         config = _point(config, N, alpha, p)
-        report = bisection_lambda(population_for(config), config.p, config.capacity).report()
-        path = out_dir / "schedule_report.json"
-        _write_json(path, report)
-        print(json.dumps(report, indent=2, sort_keys=True))
+        policy = bisection_lambda(population_for(config), config.p, config.capacity)
+        path = _report(out_dir / "schedule_report.json", policy.report())
         return config, config.seed, [path], None
 
     header = ["N", "J_relaxed", "J_matb", "gap", "gap_bound"]
@@ -203,7 +194,7 @@ def _game_setting(config: ScenarioConfig, mfe) -> tuple:
     """Quartiles of the per-agent costs over the point's mc_runs seeds."""
     policy = bisection_lambda(population_for(config), config.p, config.capacity)
     seeds = range(config.seed, config.seed + config.mc_runs)
-    results = _map_runs(_game_run, [(config, mfe, policy, s) for s in seeds])
+    results = _map_runs(run_game_experiment, (config, mfe, policy), seeds)
     costs = np.concatenate([m.per_agent_cost for m in results])
     return tuple(float(c) for c in np.percentile(costs, [25.0, 50.0, 75.0]))
 
@@ -232,21 +223,15 @@ def cmd_game(args, base, out_dir):
 def cmd_mfe(args, base, out_dir):
     """The equilibrium of the scenario's types; flags other than --config and --out are unused."""
     sol = solve_mfe(base.types)
-    report = sol.report()
-    path = out_dir / "mfe_report.json"
-    _write_json(path, report)
-    print(json.dumps({k: report[k] for k in ("contraction_constant", "residual",
-                                             "iterations")}, indent=2, sort_keys=True))
+    path = _report(out_dir / "mfe_report.json", sol.report(),
+                   ("contraction_constant", "residual", "iterations"))
     return base, base.seed, [path], {"mfe": sol.diagnostics()}
 
 
 def cmd_bounds(args, base, out_dir):
     config = _point(*_resolve(args, base))
     policy = bisection_lambda(population_for(config), config.p, config.capacity)
-    report = bound_report(config, policy).to_dict()
-    path = out_dir / "bounds_report.json"
-    _write_json(path, report)
-    print(json.dumps(report, indent=2, sort_keys=True))
+    path = _report(out_dir / "bounds_report.json", _document(bound_report(config, policy)))
     return config, config.seed, [path], None
 
 
@@ -261,10 +246,9 @@ def _run(args) -> int:
     started = time.time()
     base = load_scenario(args.config) if args.config else args.preset()
     config, seed, outputs, diagnostics = args.fn(args, base, out_dir)
-    doc = _config_doc(config)
     manifest = {
         "command": args.command,
-        "config_hash": hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest(),
+        "config_hash": hashlib.sha256(_dumps(_document(config)).encode()).hexdigest(),
         "seed": seed,
         "version": __version__,
         "outputs": [str(p) for p in outputs],

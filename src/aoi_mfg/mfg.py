@@ -70,6 +70,7 @@ class MeanFieldSolution:
     K3 (least-squares one-step propagator with ||K3|| < 1) extrapolates.
     """
 
+    types: tuple                     # the AgentTypes it was solved for
     mu: np.ndarray                   # (H, n)
     g: dict                          # label -> (H+1, n)
     gains: dict                      # label -> TrackingGains
@@ -364,7 +365,8 @@ def solve_mfe(types, horizon: int | None = None) -> MeanFieldSolution:
     residual = float(np.linalg.norm(operator(mu) - mu, axis=1).max())
     g = _backward(mu, np.stack([gains[t.label].A_cl for t in types]),
                   np.stack([t.Q for t in types]))
-    return MeanFieldSolution(mu=mu, g={t.label: g[:, i] for i, t in enumerate(types)},
+    return MeanFieldSolution(types=types, mu=mu,
+                             g={t.label: g[:, i] for i, t in enumerate(types)},
                              gains=gains, residual=residual,
                              contraction_constant=cc, gap_ratios=gap_ratios,
                              K3=_estimate_k3(mu), iterations=total_iters,

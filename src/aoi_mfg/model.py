@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -97,11 +97,6 @@ class AgentType:
     @property
     def m(self) -> int:
         return self.B.shape[1]
-
-    @property
-    def a_frob2(self) -> float:
-        """||A||_F^2, the growth factor of the per-step estimation error."""
-        return float(np.sum(self.A * self.A))
 
     def check_erasure_compatibility(self, p: float) -> None:
         check_erasure(self.A, p, self.label)
@@ -214,13 +209,12 @@ def assign_types(N: int, types) -> Population:
 
 
 _REQUIRED_TOP = ("N", "p", "T", "types")
-_REQUIRED_TYPE = ("label", "A", "B", "C_W", "Q", "R", "x0_mean", "x0_cov", "prob")
 
 
-def _read(doc: dict, key: str, convert, default=None, name: str | None = None):
-    """doc[key] (or default) through convert; a value of the wrong type is a
-    ConfigError naming the key, not a bare TypeError/ValueError."""
-    value = doc.get(key, default)
+def _read(doc: dict, key: str, convert, name: str | None = None):
+    """doc[key] through convert; a value of the wrong type is a ConfigError
+    naming the key, not a bare TypeError/ValueError."""
+    value = doc[key]
     try:
         return convert(value)
     except (TypeError, ValueError) as exc:
@@ -251,7 +245,8 @@ def load_scenario(source) -> ScenarioConfig:
     A string that starts with `{` is JSON text; any other string, and every
     `Path`, is a file to read, so a missing file raises an OSError naming it.
     Matrices are row-major nested arrays; scalars are accepted and promoted
-    to 1x1. Either `capacity` or `alpha` must be present.
+    to 1x1. Either `capacity` or `alpha` must be present. A type's keys are
+    `AgentType`'s fields, all required.
     """
     if isinstance(source, (str, Path)):
         text = str(source)
@@ -287,27 +282,20 @@ def load_scenario(source) -> ScenarioConfig:
     for i, tdoc in enumerate(doc["types"]):
         if not isinstance(tdoc, dict):
             raise ConfigError(f"types[{i}]: expected an object, got {tdoc!r}")
-        for key in _REQUIRED_TYPE:
-            if key not in tdoc:
-                raise MissingKeyError(f"types[{i}].{key}")
-        if not isinstance(tdoc["label"], str):
-            raise ConfigError(f"types[{i}].label: expected a string, got {tdoc['label']!r}")
-        types.append(AgentType(
-            label=tdoc["label"],
-            A=tdoc["A"], B=tdoc["B"], C_W=tdoc["C_W"], Q=tdoc["Q"], R=tdoc["R"],
-            x0_mean=tdoc["x0_mean"], x0_cov=tdoc["x0_cov"],
-            prob=_read(tdoc, "prob", real, name=f"types[{i}].prob"),
-        ))
+        kwargs = {}
+        for f in fields(AgentType):
+            if f.name not in tdoc:
+                raise MissingKeyError(f"types[{i}].{f.name}")
+            kwargs[f.name] = tdoc[f.name]
+        if not isinstance(kwargs["label"], str):
+            raise ConfigError(f"types[{i}].label: expected a string, got {kwargs['label']!r}")
+        kwargs["prob"] = _read(tdoc, "prob", real, f"types[{i}].prob")
+        types.append(AgentType(**kwargs))
 
-    return ScenarioConfig(
-        N=N,
-        capacity=capacity,
-        p=_read(doc, "p", real),
-        T=_read(doc, "T", integer),
-        types=tuple(types),
-        seed=_read(doc, "seed", integer, 0),
-        mc_runs=_read(doc, "mc_runs", integer, 1),
-    )
+    p, T = _read(doc, "p", real), _read(doc, "T", integer)
+    # seed and mc_runs, where given; ScenarioConfig holds their defaults
+    given = {key: _read(doc, key, integer) for key in ("seed", "mc_runs") if key in doc}
+    return ScenarioConfig(N=N, capacity=capacity, p=p, T=T, types=tuple(types), **given)
 
 
 def population_for(config: ScenarioConfig) -> Population:

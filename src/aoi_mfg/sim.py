@@ -277,6 +277,19 @@ def _per_agent(population: Population):
     return (lambda x: x), linear, quadratic
 
 
+def _check_equilibrium(solved, types) -> None:
+    """DimensionMismatchError unless the equilibrium is for the config's types:
+    the labels in order, and A, B, Q, R, x0_mean and prob equal as arrays."""
+    labels = [t.label for t in solved], [t.label for t in types]
+    if labels[0] != labels[1]:
+        raise DimensionMismatchError("equilibrium solved for types %s, config has %s" % labels)
+    for s, t in zip(solved, types):
+        for name in ("A", "B", "Q", "R", "x0_mean", "prob"):
+            if not np.array_equal(getattr(s, name), getattr(t, name)):
+                raise DimensionMismatchError(f"equilibrium solved for another type "
+                                             f"{t.label!r}: its {name} differs from the config's")
+
+
 def run_game_experiment(config: ScenarioConfig, mfe, policy: RelaxedPolicy,
                         seed: int | None = None) -> Metrics:
     """Full closed loop: MATB-P scheduling, decoders, tracking controllers.
@@ -285,6 +298,7 @@ def run_game_experiment(config: ScenarioConfig, mfe, policy: RelaxedPolicy,
     uses the empirical average mu^N, with the equilibrium trajectory mu*
     recorded separately through the consensus-error series.
     """
+    _check_equilibrium(mfe.types, config.types)
     rng = make_streams(config.seed if seed is None else seed)
     population = population_for(config)
     types, N, T, n = population.types, config.N, config.T, population.types[0].n

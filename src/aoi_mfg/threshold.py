@@ -55,11 +55,6 @@ class AoIChain:
             return float(self.head[tau])
         return float(self.head[self.kbar] * self.tail_ratio ** (tau - self.kbar))
 
-    def total_mass(self) -> float:
-        head = float(self.head[:-1].sum())
-        top = float(self.head[-1]) / (1.0 - self.tail_ratio) if self.tail_ratio < 1 else math.inf
-        return head + top
-
 
 def _f_tail_scalar(x, a, cw, p):
     try:

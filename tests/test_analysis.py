@@ -131,7 +131,8 @@ class TestBoundReport:
         assert report.gap_bound == pytest.approx(want, rel=1e-12)
 
     def test_serializable(self, report):
+        import dataclasses
         import json
-        doc = json.loads(json.dumps(report.to_dict()))
+        doc = json.loads(json.dumps(dataclasses.asdict(report)))
         assert doc["N"] == 40
         assert "tail" in doc

@@ -8,12 +8,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import aoi_mfg
-from aoi_mfg import cli, load_scenario, solve_mfe
+from aoi_mfg import cli, game_scenario, load_scenario, scheduling_scenario, solve_mfe
 from aoi_mfg.cli import main
-from aoi_mfg.model import capacity_for
+from aoi_mfg.model import AgentType, ScenarioConfig, capacity_for
+
+from test_golden import TWO_STATE_TYPES
 
 TINY_SCHED = {
     "N": 6, "capacity": 2, "p": 0.2, "T": 150, "seed": 0,
@@ -32,6 +35,11 @@ TINY_GAME = {
          "x0_mean": 2.0, "x0_cov": 1.0, "prob": 1.0},
     ],
 }
+
+
+# seed and mc_runs away from their defaults, so the round trip reads them too
+TWO_STATE = {"N": 20, "capacity": 9, "p": 0.2, "T": 80, "seed": 3, "mc_runs": 2,
+             "types": TWO_STATE_TYPES}
 
 
 @pytest.fixture
@@ -265,6 +273,24 @@ class TestMfeAndBounds:
         assert {"kl_exponent", "gap_bound", "p0_aoi_cap", "tail"} <= set(doc)
 
 
+class TestConfigDocument:
+    """The manifest's scenario document is the ScenarioConfig written field by
+    field; `load_scenario` reads it back as the scenario it was written from."""
+
+    @pytest.mark.parametrize("name", ["scheduling-preset", "game-preset", "two-state"])
+    def test_round_trip(self, name):
+        config = {"scheduling-preset": scheduling_scenario, "game-preset": game_scenario,
+                  "two-state": lambda: load_scenario(TWO_STATE)}[name]()
+        back = load_scenario(json.loads(cli._dumps(cli._document(config))))
+        for f in dataclasses.fields(ScenarioConfig):
+            if f.name != "types":
+                assert getattr(back, f.name) == getattr(config, f.name), f.name
+        assert len(back.types) == len(config.types)
+        for got, want in zip(back.types, config.types):
+            for f in dataclasses.fields(AgentType):
+                assert np.array_equal(getattr(got, f.name), getattr(want, f.name)), f.name
+
+
 class TestErrors:
     def test_invalid_config_exits_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -454,6 +480,16 @@ def test_import_loads_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
+def test_import_loads_no_process_pool():
+    # the pool serves AOI_MFG_THREADS > 1 only; it is loaded on its first use
+    code = ("import sys, aoi_mfg, aoi_mfg.cli; print(sorted(m for m in sys.modules "
+            "if m in ('multiprocessing', 'concurrent.futures.process')))")
+    src = str(Path(aoi_mfg.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
 # the scalar per-step references and the helpers no report used; the first
 # live on in tests/reference.py, so the package keeps one path per concept
 REMOVED = ("update_aoi", "step_channel", "ScheduleDecision", "relaxed_decisions", "matb_select",
@@ -462,7 +498,12 @@ REMOVED = ("update_aoi", "step_channel", "ScheduleDecision", "relaxed_decisions"
            # second entries to KappaScan, WeightTable and the price walk; a
            # plant loop that only tests ran
            "solve_kappa", "f_tail", "error_weight", "running_cost", "aggregate_rate",
-           "run_estimator_experiment")
+           "run_estimator_experiment",
+           # hand-written copies of a record's fields, and per-run argument packers
+           "_config_doc", "_sched_pair", "_game_run", "_REQUIRED_TYPE")
+# members that only tests read, and a second statement of a record's document
+REMOVED_MEMBERS = {"BoundReport": ("to_dict",), "AgentType": ("a_frob2",),
+                   "AoIChain": ("total_mass",)}
 
 
 def test_removed_helpers_stay_out_of_the_package():
@@ -470,3 +511,5 @@ def test_removed_helpers_stay_out_of_the_package():
                            for info in pkgutil.iter_modules(aoi_mfg.__path__)]
     for module in modules:
         assert not set(REMOVED) & set(vars(module)), module.__name__
+    for cls, members in REMOVED_MEMBERS.items():
+        assert not [m for m in members if hasattr(getattr(aoi_mfg, cls), m)], cls

@@ -9,8 +9,12 @@ build. The `bounds_report.json` hashes were computed with the price
 bisection that the exact breakpoint price replaced; the report depends on
 the price search only through q and the upper thresholds. The equilibrium
 report holds the mu window, K3, the gains, the residual and the Picard
-iteration count, so it pins every bit of the fixed-point solve. A failure
-here means the output changed: find out why before re-pinning.
+iteration count, so it pins every bit of the fixed-point solve. The
+`bounds-p0` hash and the manifests' `config_hash`es were computed with the
+hand-written documents that the record dataclasses' own fields replaced, so
+they pin the documents' keys and values, and a p = 0 report without a
+`tail` key. A failure here means the output changed: find out why before
+re-pinning.
 """
 
 import hashlib
@@ -65,6 +69,9 @@ GOLDEN = {
     "bounds-two-state": {
         "bounds_report.json": "1cfcba96f9a761446862a61ce4249aa1dfcf0a70818763d577b43f4c87c41013",
     },
+    "bounds-p0": {
+        "bounds_report.json": "f377cdc44c72d9d7150a2f3fc23dd239495a23cece939f37d36f60937f008167",
+    },
 }
 
 CASES = {
@@ -90,6 +97,9 @@ CASES = {
                           "types": DEFAULT_TYPES}, []),
     "bounds-two-state": ("bounds", {"N": 20, "capacity": 9, "p": 0.2, "T": 80,
                                     "types": TWO_STATE_TYPES}, []),
+    # a perfect channel: no tail threshold, so the report has no `tail` key
+    "bounds-p0": ("bounds", {"N": 100, "capacity": 25, "p": 0.0, "T": 300,
+                             "types": DEFAULT_TYPES}, []),
 }
 
 
@@ -105,3 +115,28 @@ def _digests(tmp_path, name):
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_output_bytes_pinned(name, tmp_path):
     assert _digests(tmp_path, name) == GOLDEN[name]
+
+
+# the manifest's config_hash: SHA-256 of the scenario document a run resolved,
+# for a preset sweep point, a preset equilibrium and a vector-state file
+CONFIG_HASHES = {
+    "schedule-preset-N10": (["schedule", "--N", "10", "--runs", "1"], None,
+                            "67903f7ec166e307ffd2eab26e6ec57e1993e3c096adef505ba5aafb42785be3"),
+    "mfe-preset": (["mfe"], None,
+                   "574e0a9325b96dc135ecf69c2cd0f34131a2c223b13f1b6e3633dfa8d035cd03"),
+    "bounds-two-state": (["bounds"], CASES["bounds-two-state"][1],
+                         "12d2988f46a829c182ba446dc8c854f452951be2e22bbd4bec084977abc72d57"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONFIG_HASHES))
+def test_config_hash_pinned(name, tmp_path):
+    argv, doc, want = CONFIG_HASHES[name]
+    if doc is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        argv = argv + ["--config", str(cfg)]
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 0
+    manifest = json.loads((out / f"{argv[0]}_manifest.json").read_text())
+    assert manifest["config_hash"] == want

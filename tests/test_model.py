@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from aoi_mfg import AgentType, ScenarioConfig, assign_types, default_types, load_scenario
-from aoi_mfg.model import capacity_for
+from aoi_mfg.model import capacity_for, check_erasure
 from aoi_mfg.errors import AssumptionViolationError, ConfigError, MissingKeyError, NonPositiveDefiniteError
 
 
@@ -29,8 +29,9 @@ class TestAgentType:
         assert t.R.shape == (1, 1)
 
     def test_frobenius_growth(self):
+        # ||A||_F^2, the growth factor of the per-step estimation error
         t = make_type(A=1.5)
-        assert t.a_frob2 == pytest.approx(2.25)
+        assert check_erasure(t.A, 0.0) == pytest.approx(2.25)
 
     def test_bad_R_shape(self):
         with pytest.raises(ConfigError):

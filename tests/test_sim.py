@@ -144,6 +144,26 @@ class TestGameExperiment:
         with pytest.raises(DimensionMismatchError, match=f"policy solved for N = {policy_N}"):
             run_game_experiment(cfg, mfe, fixed_policy(policy_N, 3))
 
+    def test_equilibrium_for_other_labels_rejected(self):
+        # it raised a bare KeyError on the first label lookup
+        cfg = game_scenario(N=30, T=20, mc_runs=1)
+        policy = bisection_lambda(population_for(cfg), cfg.p, cfg.capacity)
+        renamed = solve_mfe([dataclasses.replace(t, label=t.label + "-2") for t in cfg.types])
+        with pytest.raises(DimensionMismatchError, match="equilibrium solved for types"):
+            run_game_experiment(cfg, renamed, policy)
+
+    @pytest.mark.parametrize("field", ["A", "B", "Q", "R", "x0_mean", "prob"])
+    def test_equilibrium_for_other_dynamics_rejected(self, field):
+        # with every A at 0.6 it ran silently, at about 3.8 times the mean cost
+        cfg = game_scenario(N=30, T=20, mc_runs=1)
+        policy = bisection_lambda(population_for(cfg), cfg.p, cfg.capacity)
+        values = {"A": [0.6] * 3, "B": [0.2, 0.1269, 0.1269], "Q": [3.0, 2.0, 2.0],
+                  "R": [3.0, 2.0, 2.0], "x0_mean": [6.0, 3.0, 3.0], "prob": [0.5, 0.25, 0.25]}
+        other = solve_mfe([dataclasses.replace(t, **{field: v})
+                           for t, v in zip(cfg.types, values[field])])
+        with pytest.raises(DimensionMismatchError, match=f"its {field} differs"):
+            run_game_experiment(cfg, other, policy)
+
     def test_deterministic(self, mfe):
         cfg = game_scenario(N=30, T=120)
         policy = bisection_lambda(population_for(cfg), cfg.p, cfg.capacity)

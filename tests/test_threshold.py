@@ -287,7 +287,9 @@ def test_cycle_stats_equal_the_full_arrays():
 class TestStationaryDistribution:
     def test_mass_normalized(self):
         chain = stationary_distribution(2, 4, 0.3, 0.2)
-        assert chain.total_mass() == pytest.approx(1.0, rel=1e-12)
+        # pi(0..kbar-1), then the geometric tail from pi(kbar) with ratio p
+        mass = chain.head[:-1].sum() + chain.head[-1] / (1.0 - chain.tail_ratio)
+        assert mass == pytest.approx(1.0, rel=1e-12)
 
     def test_uniform_below_single_threshold(self):
         # q = 1, p = 0: deterministic cycle 0,1,...,kappa
