@@ -11,7 +11,6 @@ max-age-first capacity projection), and the analytic bounds.
 from .analysis import (
     BoundReport,
     bound_report,
-    gap_bound,
     kl_divergence,
     p0_aoi_cap,
     tail_threshold,
@@ -36,7 +35,6 @@ from .mfg import (
     MeanFieldSolution,
     TrackingGains,
     contraction_constant,
-    mf_operator,
     solve_mfe,
     solve_riccati,
 )

@@ -40,16 +40,6 @@ def kl_divergence(x: float, y: float) -> float:
     return x * math.log(x / y) + (1.0 - x) * math.log((1.0 - x) / (1.0 - y))
 
 
-def gap_bound(alpha: float, q: float, U: float, N: int) -> float:
-    """Exponential optimality-gap bound U * exp(-D(alpha||q) N).
-
-    Vacuous (equal to U) when alpha == q.
-    """
-    if alpha == q:
-        return U
-    return U * math.exp(-kl_divergence(alpha, q) * N)
-
-
 def p0_aoi_cap(kbar_max: int, alpha: float) -> int:
     """Uniform AoI cap for the erasure-free channel: 2 max(kbar_max, ceil(1/alpha))."""
     if alpha <= 0:
@@ -112,15 +102,21 @@ class BoundReport:
     vacuous: bool
 
 
-def bound_report(config, policy, delta: float = 0.05) -> BoundReport:
-    """Assemble the analytic bounds for one scenario and its relaxed policy."""
+TAIL_DELTA = 0.05  # the probability the tail threshold allows AoI above it
+
+
+def bound_report(config, policy) -> BoundReport:
+    """Assemble the analytic bounds for one scenario and its relaxed policy.
+
+    The optimality-gap bound is U * exp(-D(alpha||q) N); it is vacuous, equal
+    to U, when alpha == q or q is not in (0, 1)."""
     alpha = config.alpha
     q = policy.q
     cap = p0_aoi_cap(policy.kbar_max, alpha)
     U = max(weight_table(t.A, t.C_W).c(cap) for t in config.types)
     vacuous = (alpha == q) or not (0.0 < q < 1.0)
     exponent = 0.0 if vacuous else kl_divergence(alpha, q)
-    bound = U if vacuous else gap_bound(alpha, q, U, config.N)
-    tail = tail_threshold(delta, config.p, alpha) if config.p > 0 else None
+    bound = U * math.exp(-exponent * config.N)
+    tail = tail_threshold(TAIL_DELTA, config.p, alpha) if config.p > 0 else None
     return BoundReport(kl_exponent=exponent, gap_bound=bound, p0_aoi_cap=cap,
                        tail=tail, U=U, alpha=alpha, q=q, N=config.N, vacuous=vacuous)

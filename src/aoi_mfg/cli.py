@@ -32,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analysis import bound_report, p0_aoi_cap
+from .analysis import bound_report
 from .errors import AoiMfgError, ConfigError
 from .model import ScenarioConfig, capacity_for, load_scenario, population_for
 from .mfg import solve_mfe
@@ -135,22 +135,21 @@ def _parse_seed_range(text: str):
 
 
 def _fig2_runs(config: ScenarioConfig, seeds):
-    """The relaxed policy, its bound report and one (relaxed, MATB) pair per seed."""
+    """The relaxed policy's bound report and one (relaxed, MATB) pair per seed."""
     policy = bisection_lambda(population_for(config), config.p, config.capacity)
     results = _map_runs(run_scheduling_experiment, (config, policy, "both"), seeds)
-    return policy, bound_report(config, policy), results
+    return bound_report(config, policy), results
 
 
-def _fig2_cells(config: ScenarioConfig, policy, bounds, results) -> tuple:
+def _fig2_cells(config: ScenarioConfig, bounds, results) -> tuple:
     """One fig2 row from the runs it averages."""
     j_rel = float(np.mean([r.j_bs for r, _ in results]))
     j_matb = float(np.mean([m.j_bs for _, m in results]))
     row = [config.N, j_rel, j_matb, j_matb - j_rel, bounds.gap_bound]
     if config.p == 0.0:
         max_aoi = max(m.max_aoi for _, m in results)
-        cap = p0_aoi_cap(policy.kbar_max, config.alpha)
-        if max_aoi > cap:
-            raise AoiMfgError(f"AoI cap violated at N={config.N}: {max_aoi} > {cap}")
+        if max_aoi > bounds.p0_aoi_cap:
+            raise AoiMfgError(f"AoI cap violated at N={config.N}: {max_aoi} > {bounds.p0_aoi_cap}")
         row.append(max_aoi)
     return tuple(row)
 
@@ -165,14 +164,14 @@ def cmd_schedule(args, base, out_dir):
         config = _point(config, N, alpha, p)
         policy = bisection_lambda(population_for(config), config.p, config.capacity)
         path = _report(out_dir / "schedule_report.json", policy.report())
-        return config, config.seed, [path], None
+        return config, [path], None
 
     header = ["N", "J_relaxed", "J_matb", "gap", "gap_bound"]
     if args.seeds:
         # per-seed rows at one N: one policy and bound report for all seeds
         config = _point(config, N, alpha, p)
-        policy, bounds, results = _fig2_runs(config, args.seeds)
-        rows = [(s,) + _fig2_cells(config, policy, bounds, [r])
+        bounds, results = _fig2_runs(config, args.seeds)
+        rows = [(s,) + _fig2_cells(config, bounds, [r])
                 for s, r in zip(args.seeds, results)]
         header = ["seed"] + header
     else:
@@ -187,7 +186,7 @@ def cmd_schedule(args, base, out_dir):
     path = out_dir / "fig2.csv"
     _write_csv(path, header, rows)
     print(f"wrote {path}")
-    return config, config.seed, [path], None
+    return config, [path], None
 
 
 def _game_setting(config: ScenarioConfig, mfe) -> tuple:
@@ -217,7 +216,7 @@ def cmd_game(args, base, out_dir):
     for path, (column, table) in zip(paths, rows.items()):
         _write_csv(path, [column, "cost_q1", "cost_median", "cost_q3"], table)
     print(f"wrote {paths[0]} and {paths[1]}")
-    return config, config.seed, paths, {"mfe": mfe.diagnostics()}
+    return config, paths, {"mfe": mfe.diagnostics()}
 
 
 def cmd_mfe(args, base, out_dir):
@@ -225,14 +224,14 @@ def cmd_mfe(args, base, out_dir):
     sol = solve_mfe(base.types)
     path = _report(out_dir / "mfe_report.json", sol.report(),
                    ("contraction_constant", "residual", "iterations"))
-    return base, base.seed, [path], {"mfe": sol.diagnostics()}
+    return base, [path], {"mfe": sol.diagnostics()}
 
 
 def cmd_bounds(args, base, out_dir):
     config = _point(*_resolve(args, base))
     policy = bisection_lambda(population_for(config), config.p, config.capacity)
     path = _report(out_dir / "bounds_report.json", _document(bound_report(config, policy)))
-    return config, config.seed, [path], None
+    return config, [path], None
 
 
 def _run(args) -> int:
@@ -245,11 +244,11 @@ def _run(args) -> int:
         raise NotADirectoryError(f"--out {out_dir} is not a directory")
     started = time.time()
     base = load_scenario(args.config) if args.config else args.preset()
-    config, seed, outputs, diagnostics = args.fn(args, base, out_dir)
+    config, outputs, diagnostics = args.fn(args, base, out_dir)
     manifest = {
         "command": args.command,
         "config_hash": hashlib.sha256(_dumps(_document(config)).encode()).hexdigest(),
-        "seed": seed,
+        "seed": config.seed,
         "version": __version__,
         "outputs": [str(p) for p in outputs],
         "started_unix": started,

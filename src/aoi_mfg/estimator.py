@@ -28,8 +28,7 @@ class WeightTable:
     """
 
     def __init__(self, A, C_W):
-        self.A = np.atleast_2d(np.asarray(A, dtype=float))
-        self.C_W = np.atleast_2d(np.asarray(C_W, dtype=float))
+        self.A, self.C_W = as_matrix(A), as_matrix(C_W)
         if self.A.shape != self.C_W.shape or self.A.shape[0] != self.A.shape[1]:
             raise DimensionMismatchError(f"A {self.A.shape} vs C_W {self.C_W.shape}")
         # _w[t] = sum_{l=1..t} tr((A^{l-1})' A^{l-1} C_W); _w[0] = 0

@@ -6,13 +6,12 @@ population reproduces under its own optimal tracking controls. The operator
 is evaluated through the feedforward recursion (backward pass for g, forward
 pass for the type means), which equals the literal double-sum expansion.
 
-Exactness contract: `mf_operator` and the g of `solve_mfe` are the bits of a
+Exactness contract: the operator and the g of `solve_mfe` are the bits of a
 per-type loop of one NumPy matrix-vector product per step (the references in
 `tests/reference.py`), so mu*, g, the Picard iteration count and K3 do not
 depend on how the recursions are run.
 `solve_mfe` builds the operator once per solve (`_operator`: the stacked
-matrices and the rho(A_cl) < 1 check, fixed while it iterates) and
-`mf_operator` is that builder applied once, so both see the same operator.
+matrices, fixed while it iterates).
 Both recursions run through `_recursion`, x_{j+1} = M x_j - D u_j for a stack
 of types, which keeps each type's float operations in their order:
 - n == 1 runs on Python floats. `a*x - d*u` rounds each product once and then
@@ -150,10 +149,7 @@ def solve_riccati(A, B, Q, R) -> TrackingGains:
     controllable and, unless Q = 0, (A, sqrt(Q)) observable; the latter is
     the controllability of (A', Q'), since Q and sqrt(Q) share their kernel.
     """
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    B = np.atleast_2d(np.asarray(B, dtype=float))
-    Q = np.atleast_2d(np.asarray(Q, dtype=float))
-    R = np.atleast_2d(np.asarray(R, dtype=float))
+    A, B, Q, R = map(as_matrix, (A, B, Q, R))
     if not _full_krylov_rank(A, B):
         raise RankDeficientError("(A, B) is not controllable")
     if np.any(Q) and not _full_krylov_rank(A.T, Q.T):
@@ -231,26 +227,23 @@ def _backward(mu: np.ndarray, A_cl: np.ndarray, Q: np.ndarray) -> np.ndarray:
     return _recursion(A_T, g_H, Q, mu[::-1, None, :])[::-1]
 
 
-def _check_stable(A_cl: np.ndarray) -> None:
-    if float(np.abs(np.linalg.eigvals(A_cl)).max()) >= 1.0:
-        raise UnstableClosedLoopError("g series diverges: rho(A_cl) >= 1")
-
-
 def _operator(types, gains: dict):
     """The mean-field operator of one type set, as a function mu -> M_F(mu).
 
-    The stacked A_cl, Q, B K2, the x0 means and the probabilities are built,
-    and rho(A_cl) < 1 is checked, once: they are fixed while `solve_mfe`
-    iterates."""
+    Per type: the backward pass for g, then the forward mean recursion
+    nu_{k+1} = A_cl nu_k - B K2 g_{k+1} from nu_0 = x0_mean; the output is
+    the probability-weighted average over types. The gains are
+    `solve_riccati`'s, so rho(A_cl) < 1 and the g series converges. The
+    stacked A_cl, Q, B K2, the x0 means and the probabilities are built
+    once: they are fixed while `solve_mfe` iterates."""
     A_cl = np.stack([gains[t.label].A_cl for t in types])
-    _check_stable(A_cl)
     Q = np.stack([t.Q for t in types])
     BK2 = np.stack([t.B @ gains[t.label].K2 for t in types])
     x0 = np.array([t.x0_mean for t in types])
     probs = [t.prob for t in types]
 
     def apply(mu: np.ndarray) -> np.ndarray:
-        mu = np.atleast_2d(np.asarray(mu, dtype=float))
+        mu = as_matrix(mu)
         g = _backward(mu, A_cl, Q)
         nu = _recursion(A_cl, x0, BK2, g[1:mu.shape[0]])
         out = np.zeros_like(mu)
@@ -259,16 +252,6 @@ def _operator(types, gains: dict):
         return out
 
     return apply
-
-
-def mf_operator(mu: np.ndarray, types, gains: dict) -> np.ndarray:
-    """One application of the mean-field operator.
-
-    Per type: backward pass for g, then the forward mean recursion
-    nu_{k+1} = A_cl nu_k - B K2 g_{k+1} from nu_0 = x0_mean; the output is
-    the probability-weighted average over types.
-    """
-    return _operator(types, gains)(mu)
 
 
 def contraction_constant(types, gains: dict) -> float:

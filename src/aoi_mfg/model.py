@@ -98,9 +98,6 @@ class AgentType:
     def m(self) -> int:
         return self.B.shape[1]
 
-    def check_erasure_compatibility(self, p: float) -> None:
-        check_erasure(self.A, p, self.label)
-
 
 def check_erasure(A: np.ndarray, p: float, label: str = "<inline>") -> float:
     """||A||_F^2 of the 2-D float matrix A, checked against the erasure
@@ -154,7 +151,7 @@ class ScenarioConfig:
         if len(set(dims.values())) > 1:
             raise ConfigError(f"all types need one state dimension, got {dims}")
         for t in self.types:
-            t.check_erasure_compatibility(self.p)
+            check_erasure(t.A, self.p, t.label)
 
     @property
     def alpha(self) -> float:
@@ -209,6 +206,10 @@ def assign_types(N: int, types) -> Population:
 
 
 _REQUIRED_TOP = ("N", "p", "T", "types")
+# the keys load_scenario reads; bisection_eps, the retired price-search
+# tolerance, is passed over so that scenarios which still set it load
+_TOP_KEYS = {f.name for f in fields(ScenarioConfig)} | {"alpha", "bisection_eps"}
+_TYPE_KEYS = {f.name for f in fields(AgentType)}
 
 
 def _read(doc: dict, key: str, convert, name: str | None = None):
@@ -246,7 +247,9 @@ def load_scenario(source) -> ScenarioConfig:
     `Path`, is a file to read, so a missing file raises an OSError naming it.
     Matrices are row-major nested arrays; scalars are accepted and promoted
     to 1x1. Either `capacity` or `alpha` must be present. A type's keys are
-    `AgentType`'s fields, all required.
+    `AgentType`'s fields, all required. A key it does not read raises
+    ConfigError naming it, so a misspelt optional key cannot load as its
+    default; only the retired `bisection_eps` is passed over.
     """
     if isinstance(source, (str, Path)):
         text = str(source)
@@ -270,18 +273,25 @@ def load_scenario(source) -> ScenarioConfig:
     if "capacity" not in doc and "alpha" not in doc:
         raise MissingKeyError("capacity | alpha")
 
+    if not isinstance(doc["types"], list):
+        raise ConfigError(f"types: expected a list of type objects, got {doc['types']!r}")
+    for i, tdoc in enumerate(doc["types"]):
+        if not isinstance(tdoc, dict):
+            raise ConfigError(f"types[{i}]: expected an object, got {tdoc!r}")
+    unknown = [str(key) for key in doc if key not in _TOP_KEYS] + [
+        f"types[{i}].{key}" for i, tdoc in enumerate(doc["types"])
+        for key in tdoc if key not in _TYPE_KEYS]
+    if unknown:
+        raise ConfigError(f"unknown keys: {', '.join(unknown)}")
+
     N = _read(doc, "N", integer)
     if "capacity" in doc:
         capacity = _read(doc, "capacity", integer)
     else:
         capacity = capacity_for(_read(doc, "alpha", real), N)
 
-    if not isinstance(doc["types"], list):
-        raise ConfigError(f"types: expected a list of type objects, got {doc['types']!r}")
     types = []
     for i, tdoc in enumerate(doc["types"]):
-        if not isinstance(tdoc, dict):
-            raise ConfigError(f"types[{i}]: expected an object, got {tdoc!r}")
         kwargs = {}
         for f in fields(AgentType):
             if f.name not in tdoc:

@@ -33,8 +33,9 @@ which yield the numbers one draw per step would, so a seed maps to the same
 numbers. The relaxed and MATB runs of a seed (`"both"`) are one pass on
 common random numbers: the scheduling state stacks K chains of N agents,
 K * N in all, with the projected chain last; each block's coin and channel
-numbers are drawn once and applied to every chain, so each chain gives the
-bits of its run alone.
+numbers are drawn once and applied to every chain, so the MATB chain gives
+the bits of the `"matb"` run and the relaxed chain those of the relaxed
+policy run alone on the seed's streams.
 """
 
 from __future__ import annotations
@@ -95,9 +96,8 @@ def _schedule_block(tau, policy: RelaxedPolicy, C, p, rng, rows):
     capacity projection, erasure channel and AoI update.
 
     tau holds K chains of the policy's N agents, one after another. The coin
-    and channel numbers are drawn once and applied to every chain. With a
-    capacity C the last chain is projected; the others (all, if C is None)
-    are not.
+    and channel numbers are drawn once and applied to every chain. The last
+    chain is projected onto the capacity C; the others are not.
 
     Returns (taus, attempts): taus[j] is the stacked AoI at the start of step
     j and taus[rows] the AoI after the block, so taus[j + 1] == 0 marks step
@@ -107,54 +107,51 @@ def _schedule_block(tau, policy: RelaxedPolicy, C, p, rng, rows):
     thresholds = np.tile(np.where(rng["coin"].random((rows, N)) < policy.q,
                                   policy.klow, policy.kbar), K)
     delivered = np.tile(rng["channel"].random((rows, N)) >= p, K)
-    free = tau.size if C is None else tau.size - N  # agents of the unprojected chains
+    free = tau.size - N  # agents of the unprojected chains
     taus = np.empty((rows + 1, tau.size), dtype=np.int64)
     taus[0] = tau
     sent = 0
     for thr, ok, nxt in zip(thresholds, delivered, taus[1:]):
         a = tau >= thr
-        if C is not None:
-            last = a[free:]
-            n = int(np.count_nonzero(last))
+        last = a[free:]
+        n = int(np.count_nonzero(last))
+        if n > C:
+            n = int(np.count_nonzero(_project(last, tau[free:], C)))
             if n > C:
-                n = int(np.count_nonzero(_project(last, tau[free:], C)))
-                if n > C:
-                    raise CapacityViolationError(n, C)
-            sent += n
+                raise CapacityViolationError(n, C)
+        sent += n
         a &= ok  # the receptions
         # age by one, times 0 on reception: no data-dependent branch
         tau = np.multiply(tau + 1, ~a, out=nxt)
     # an unprojected chain transmits every intent: count them once per block
     attempts = [int(np.count_nonzero(taus[:-1, i:i + N] >= thresholds[:, i:i + N]))
                 for i in range(0, free, N)]
-    return taus, attempts + ([sent] if C is not None else [])
+    return taus, attempts + [sent]
 
 
 class _ScheduleRun:
-    """The scheduling layer of one run: one chain per entry of `kinds`
-    ("relaxed", or "matb" for the projected chain, which comes last), stacked
-    on common random numbers and advanced by `_schedule_block` a block of
-    whole steps at a time; each chain's cost, attempts and AoI histogram are
-    filled from its columns of each block's rows.
+    """The scheduling layer of one run: K chains stacked on common random
+    numbers, the relaxed policy's unprojected ones first and the projected
+    (MATB) one last, advanced by `_schedule_block` a block of whole steps at
+    a time; each chain's cost, attempts and AoI histogram are filled from
+    its columns of each block's rows.
 
     Successes and the largest age follow from the histogram: every run starts
     at age 0 and a reception at step j is a zero age at step j + 1, so a chain
     with histogram h and current ages tau has received h[0] - N + #(tau == 0)
     packets, and its largest age is h.size - 1."""
 
-    def __init__(self, config: ScenarioConfig, policy: RelaxedPolicy, rng, kinds=("matb",)):
+    def __init__(self, config: ScenarioConfig, policy: RelaxedPolicy, rng, K=1):
         if policy.kbar.size != config.N:
             raise DimensionMismatchError(
                 f"policy solved for N = {policy.kbar.size}, config has N = {config.N}")
         population = population_for(config)
-        self.config, self.policy, self.rng = config, policy, rng
-        self.K = len(kinds)
-        self.C = config.capacity if kinds[-1] == "matb" else None
+        self.config, self.policy, self.rng, self.K = config, policy, rng, K
         self.tables = [weight_table(t.A, t.C_W) for t in population.types]
         self.slices = population.slices()
-        self.cost_sum, self.attempts = [0.0] * self.K, [0] * self.K
-        self.hist = [np.zeros(1, dtype=np.int64) for _ in kinds]
-        self.tau = np.zeros(self.K * config.N, dtype=np.int64)
+        self.cost_sum, self.attempts = [0.0] * K, [0] * K
+        self.hist = [np.zeros(1, dtype=np.int64) for _ in range(K)]
+        self.tau = np.zeros(K * config.N, dtype=np.int64)
 
     def blocks(self):
         """Yield (k0, taus) for each block of the config.T steps from tau = 0;
@@ -169,8 +166,8 @@ class _ScheduleRun:
         """One block of `rows` steps from self.tau: fills the counters and
         returns the block's taus."""
         K, N = self.K, self.config.N
-        taus, attempts = _schedule_block(self.tau, self.policy, self.C, self.config.p,
-                                         self.rng, rows)
+        taus, attempts = _schedule_block(self.tau, self.policy, self.config.capacity,
+                                         self.config.p, self.rng, rows)
         self.tau = taus[-1].copy()
         chains = taus[:-1].reshape(rows, K, N)
         for i in range(K):
@@ -198,25 +195,25 @@ class _ScheduleRun:
                        T=T, N=N, **extra)
 
 
-_KINDS = {"relaxed": ("relaxed",), "matb": ("matb",), "both": ("relaxed", "matb")}
+_CHAINS = {"matb": 1, "both": 2}
 
 
 def run_scheduling_experiment(config: ScenarioConfig, policy: RelaxedPolicy,
                               policy_kind: str = "matb", seed: int | None = None):
     """Simulate the AoI/scheduling layer only (no plants needed).
 
-    policy_kind: "relaxed" leaves intents unprojected (average-constraint
-    mode), "matb" applies the capacity projection, "both" runs the two side
-    by side on common random numbers and returns (relaxed, matb).
+    policy_kind: "matb" applies the capacity projection to the relaxed
+    policy's intents; "both" also runs the relaxed policy unprojected
+    (average-constraint mode) beside it, on common random numbers, and
+    returns (relaxed, matb).
     """
-    if policy_kind not in _KINDS:
+    if policy_kind not in _CHAINS:
         raise ValueError(f"unknown policy_kind {policy_kind!r}")
-    kinds = _KINDS[policy_kind]
-    run = _ScheduleRun(config, policy, make_streams(config.seed if seed is None else seed), kinds)
+    K = _CHAINS[policy_kind]
+    run = _ScheduleRun(config, policy, make_streams(config.seed if seed is None else seed), K)
     for _ in run.blocks():
         pass
-    results = tuple(run.metrics(i) for i in range(len(kinds)))
-    return results if policy_kind == "both" else results[0]
+    return tuple(run.metrics(i) for i in range(K)) if K > 1 else run.metrics()
 
 
 def _sample_initial_states(population: Population, rng) -> np.ndarray:

@@ -48,12 +48,11 @@ class AoIChain:
     q: float
     p: float
     head: np.ndarray  # pi(0..kbar)
-    tail_ratio: float
 
     def pmf(self, tau: int) -> float:
         if tau <= self.kbar:
             return float(self.head[tau])
-        return float(self.head[self.kbar] * self.tail_ratio ** (tau - self.kbar))
+        return float(self.head[self.kbar] * self.p ** (tau - self.kbar))
 
 
 def _f_tail_scalar(x, a, cw, p):
@@ -192,9 +191,11 @@ def _solve_eta(f0, f1, target):
     return (target - f0) / (f1 - f0)
 
 
-def value_iteration_oracle(A, C_W, p: float, lam: float, state_cap: int = 500,
-                           tol: float = 1e-9, max_iter: int = 200000):
-    """Relative value iteration on the truncated AoI MDP {0..state_cap}.
+ORACLE_STATE_CAP, ORACLE_TOL, ORACLE_MAX_ITER = 500, 1e-9, 200000  # largest age, tol, iterations
+
+
+def value_iteration_oracle(A, C_W, p: float, lam: float):
+    """Relative value iteration on the truncated AoI MDP {0..ORACLE_STATE_CAP}.
 
     Returns (policy, sigma_star): the optimal action per state (ties broken
     toward transmitting) and the average cost. Uses a 0.5 damping step so the
@@ -208,13 +209,13 @@ def value_iteration_oracle(A, C_W, p: float, lam: float, state_cap: int = 500,
     """
     check_erasure(as_matrix(A), p)
     table = WeightTable(A, C_W)
-    c = table.c_table(state_cap)
-    S = state_cap + 1
+    c = table.c_table(ORACLE_STATE_CAP)
+    S = ORACLE_STATE_CAP + 1
     V = np.zeros(S)
-    nxt = np.minimum(np.arange(S) + 1, state_cap)
+    nxt = np.minimum(np.arange(S) + 1, ORACLE_STATE_CAP)
     damping = 0.5
     sigma = math.nan
-    for _ in range(max_iter):
+    for _ in range(ORACLE_MAX_ITER):
         q0 = c + V[nxt]
         q1 = c + lam + p * V[nxt] + (1.0 - p) * V[0]
         tv = np.minimum(q0, q1)
@@ -225,17 +226,18 @@ def value_iteration_oracle(A, C_W, p: float, lam: float, state_cap: int = 500,
         err = float(np.max(np.abs(diff - sigma) / scale))
         V = V + damping * diff
         V -= V[0]
-        if (err < tol and sigma_prev == sigma_prev
-                and abs(sigma - sigma_prev) < tol * max(1.0, abs(sigma))):
+        if (err < ORACLE_TOL and sigma_prev == sigma_prev
+                and abs(sigma - sigma_prev) < ORACLE_TOL * max(1.0, abs(sigma))):
             break
     else:
-        raise NoConvergenceError(f"relative value iteration: error {err:.3e} after {max_iter} iters")
+        raise NoConvergenceError(
+            f"relative value iteration: error {err:.3e} after {ORACLE_MAX_ITER} iters")
     q0 = c + V[nxt]
     q1 = c + lam + p * V[nxt] + (1.0 - p) * V[0]
     policy = (q1 <= q0 + 1e-12 * np.maximum(1.0, np.abs(q0))).astype(int)
     ones = np.flatnonzero(policy)
-    kappa = int(ones[0]) if ones.size else state_cap
-    residual = p ** (state_cap - kappa) if p > 0 else 0.0
+    kappa = int(ones[0]) if ones.size else ORACLE_STATE_CAP
+    residual = p ** (ORACLE_STATE_CAP - kappa) if p > 0 else 0.0
     if residual >= 1e-9:
         raise NoConvergenceError(
             f"truncation audit failed: stationary mass above cap ~{residual:.2e}")
@@ -285,5 +287,5 @@ def stationary_distribution(klow: int, kbar: int, q: float, p: float) -> AoIChai
     _validate_chain_args(klow, kbar, q, p)
     length, _, rho = _cycle_stats(klow, kbar, q, p)
     head = np.concatenate((np.ones(klow), rho)) / length
-    return AoIChain(klow=klow, kbar=kbar, q=q, p=p, head=head, tail_ratio=p)
+    return AoIChain(klow=klow, kbar=kbar, q=q, p=p, head=head)
 

@@ -109,8 +109,8 @@ def _g_reference(mu, A_cl, Q):
 
 
 def _mf_operator_reference(mu, types, gains):
-    """The per-type, per-step NumPy loop that `mf_operator` replaced; the
-    differential tests require its exact bits from the new operator."""
+    """The per-type, per-step NumPy loop that `mfg._operator`'s recursions
+    replaced; the differential tests require its exact bits from them."""
     mu = np.atleast_2d(np.asarray(mu, dtype=float))
     H, n = mu.shape
     out = np.zeros_like(mu)

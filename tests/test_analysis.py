@@ -7,7 +7,6 @@ from scipy.special import ndtr
 from aoi_mfg import (
     bisection_lambda,
     bound_report,
-    gap_bound,
     kl_divergence,
     p0_aoi_cap,
     population_for,
@@ -16,6 +15,7 @@ from aoi_mfg import (
 )
 from aoi_mfg.analysis import std_normal_cdf
 from aoi_mfg.errors import DomainError
+from aoi_mfg.scheduler import RelaxedPolicy
 
 
 class TestKlDivergence:
@@ -35,17 +35,32 @@ class TestKlDivergence:
                 kl_divergence(x, y)
 
 
+def _report_for(N, q):
+    """`bound_report` at capacity ratio 0.25 for a policy with mixing
+    probability q and thresholds 3 and 4, so U is the same at every N."""
+    cfg = scheduling_scenario(N=N, alpha=0.25, T=10)
+    policy = RelaxedPolicy(klow=np.full(N, 3), kbar=np.full(N, 4), q=q, lam=0.0,
+                           rate_low=0.0, rate_high=0.0, per_type={})
+    return bound_report(cfg, policy)
+
+
 class TestGapBound:
     def test_vacuous_when_equal(self):
-        assert gap_bound(0.25, 0.25, 7.0, 100) == 7.0
+        # q == alpha, or q outside (0, 1): the bound is U itself
+        for q in (0.25, 0.0, 1.0):
+            report = _report_for(100, q)
+            assert report.vacuous and report.kl_exponent == 0.0
+            assert report.gap_bound == report.U
 
     def test_exponent_algebra(self):
-        b1 = gap_bound(0.25, 0.4, 3.0, 100)
-        b2 = gap_bound(0.25, 0.4, 3.0, 200)
-        assert b2 / b1 == pytest.approx(math.exp(-kl_divergence(0.25, 0.4) * 100), rel=1e-10)
+        b1, b2 = (_report_for(N, 0.4) for N in (100, 200))
+        assert b1.U == b2.U
+        assert b1.kl_exponent == kl_divergence(0.25, 0.4)
+        assert b2.gap_bound / b1.gap_bound == pytest.approx(
+            math.exp(-kl_divergence(0.25, 0.4) * 100), rel=1e-10)
 
     def test_decreasing_in_N(self):
-        vals = [gap_bound(0.25, 0.4, 3.0, N) for N in (10, 50, 100, 500)]
+        vals = [_report_for(N, 0.4).gap_bound for N in (20, 40, 100, 400)]
         assert all(b < a for a, b in zip(vals, vals[1:]))
 
 

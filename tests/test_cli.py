@@ -1,3 +1,4 @@
+import ast
 import csv
 import dataclasses
 import importlib
@@ -334,6 +335,15 @@ class TestErrors:
         assert rc == 1
         assert f"config error: {named}:" in capsys.readouterr().err
 
+    def test_unknown_keys_exit_1(self, tmp_path, capsys):
+        # misspelt keys used to load as their defaults: mc_runs=1, seed=0
+        doc = dict(TINY_GAME, mc_run=4, sed=5,
+                   types=[dict(TINY_GAME["types"][0], X0_mean=2.0)])
+        rc = main(["mfe", "--config", json.dumps(doc), "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert ("config error: unknown keys: mc_run, sed, types[0].X0_mean"
+                in capsys.readouterr().err)
+
     def test_duplicate_type_label_exits_1(self, tmp_path, capsys):
         # two types labelled "a" used to load, and share one set of gains
         doc = dict(TINY_SCHED, types=[TINY_SCHED["types"][0],
@@ -500,10 +510,14 @@ REMOVED = ("update_aoi", "step_channel", "ScheduleDecision", "relaxed_decisions"
            "solve_kappa", "f_tail", "error_weight", "running_cost", "aggregate_rate",
            "run_estimator_experiment",
            # hand-written copies of a record's fields, and per-run argument packers
-           "_config_doc", "_sched_pair", "_game_run", "_REQUIRED_TYPE")
-# members that only tests read, and a second statement of a record's document
-REMOVED_MEMBERS = {"BoundReport": ("to_dict",), "AgentType": ("a_frob2",),
-                   "AoIChain": ("total_mass",)}
+           "_config_doc", "_sched_pair", "_game_run", "_REQUIRED_TYPE",
+           # entries only tests called, and the check kept for them alone
+           "mf_operator", "_check_stable", "gap_bound")
+# members and fields that only tests read, and a second statement of a
+# record's document
+REMOVED_MEMBERS = {"BoundReport": ("to_dict",),
+                   "AgentType": ("a_frob2", "check_erasure_compatibility"),
+                   "AoIChain": ("total_mass", "tail_ratio")}
 
 
 def test_removed_helpers_stay_out_of_the_package():
@@ -511,5 +525,15 @@ def test_removed_helpers_stay_out_of_the_package():
                            for info in pkgutil.iter_modules(aoi_mfg.__path__)]
     for module in modules:
         assert not set(REMOVED) & set(vars(module)), module.__name__
-    for cls, members in REMOVED_MEMBERS.items():
-        assert not [m for m in members if hasattr(getattr(aoi_mfg, cls), m)], cls
+    for name, members in REMOVED_MEMBERS.items():
+        cls = getattr(aoi_mfg, name)
+        present = set(dir(cls)) | {f.name for f in dataclasses.fields(cls)}
+        assert not set(members) & present, name
+
+
+def test_package_has_no_assert_statements():
+    # `python -O` strips asserts: an invariant of the package is a real check
+    src = Path(aoi_mfg.__file__).parent
+    found = [f"{path.name}:{node.lineno}" for path in sorted(src.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.Assert)]
+    assert found == []

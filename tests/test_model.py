@@ -46,14 +46,14 @@ class TestAgentType:
     def test_erasure_compatibility(self):
         t = make_type(A=2.0)
         with pytest.raises(AssumptionViolationError):
-            t.check_erasure_compatibility(0.3)
-        t.check_erasure_compatibility(0.2)  # 4 * 0.2 < 1
+            check_erasure(t.A, 0.3, t.label)
+        check_erasure(t.A, 0.2, t.label)  # 4 * 0.2 < 1
 
     def test_erasure_incompatible_type_rejected(self):
         # the error names the type and the value ||A||_F^2 p
         t = default_types()[2]  # ||A||_F^2 p = 1.3225 * 0.8 >= 1
         with pytest.raises(AssumptionViolationError, match="'unstable': .* = 1.058 >= 1"):
-            t.check_erasure_compatibility(0.8)
+            check_erasure(t.A, 0.8, t.label)
 
 
 class TestScenarioConfig:
@@ -183,7 +183,7 @@ class TestLoadScenario:
 
     def test_long_json_text(self):
         # longer than a file name may be; must not be tested as a path first
-        text = json.dumps(dict(SCENARIO_DOC, comment="x" * 300))
+        text = json.dumps(SCENARIO_DOC) + " " * 300
         assert len(text) > 255
         assert load_scenario(text).capacity == 3
 
@@ -209,8 +209,15 @@ class TestLoadScenario:
         assert all(type(v) is int for v in (cfg.N, cfg.capacity, cfg.T, cfg.seed))
 
     def test_dropped_bisection_eps_key_still_loads(self):
-        # unknown keys are ignored, so scenario files that still set it load
+        # the retired key is passed over, so scenario files that still set it load
         assert load_scenario(dict(SCENARIO_DOC, bisection_eps=1e-3)).capacity == 3
+
+    def test_unknown_keys_named(self):
+        # misspelt keys used to load as their defaults: mc_runs=1, seed=0
+        doc = json.loads(json.dumps(dict(SCENARIO_DOC, mc_run=4, sed=5)))
+        doc["types"][1]["X0_mean"] = 1.0
+        with pytest.raises(ConfigError, match=r"^unknown keys: mc_run, sed, types\[1\]\.X0_mean$"):
+            load_scenario(doc)
 
     def test_explicit_capacity_wins(self):
         doc = dict(SCENARIO_DOC)

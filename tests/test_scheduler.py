@@ -175,10 +175,12 @@ class TestBisection:
 
 def _senders(tau, policy, coins):
     """The agents that send at one step of the block kernel from ages tau,
-    given the policy coins, with no capacity and a lossless channel."""
+    given the policy coins, with a capacity that never binds and a lossless
+    channel."""
     rng = {"coin": SimpleNamespace(random=lambda shape: np.reshape(coins, shape)),
            "channel": np.random.default_rng(0)}
-    taus, _ = sim._schedule_block(np.asarray(tau, dtype=np.int64), policy, None, 0.0, rng, 1)
+    taus, _ = sim._schedule_block(np.asarray(tau, dtype=np.int64), policy, len(tau), 0.0,
+                                  rng, 1)
     return taus[1] == 0
 
 

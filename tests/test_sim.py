@@ -46,9 +46,9 @@ def sched_setup():
 
 def _ages_after(tau, thresholds, p, rows=1):
     """The ages after `rows` steps of the block kernel from ages tau, each
-    agent on its fixed threshold, with no capacity."""
+    agent on its fixed threshold, with a capacity that never binds."""
     policy = fixed_policy(len(tau), np.asarray(thresholds))
-    taus, _ = sim._schedule_block(np.asarray(tau, dtype=np.int64), policy, None, p,
+    taus, _ = sim._schedule_block(np.asarray(tau, dtype=np.int64), policy, len(tau), p,
                                   make_streams(0), rows)
     return taus[1:]
 
@@ -96,7 +96,7 @@ class TestSchedulingExperiment:
     def test_always_transmit_zero_cost_in_relaxed_mode(self):
         # perfect channel, threshold 0, no projection: AoI pinned at 0
         cfg = scheduling_scenario(N=4, alpha=0.5, p=0.0, T=100)
-        m = run_scheduling_experiment(cfg, fixed_policy(4, 0), "relaxed", seed=0)
+        m, _ = run_scheduling_experiment(cfg, fixed_policy(4, 0), "both", seed=0)
         assert m.j_bs == 0.0
         assert m.max_aoi == 0
 
@@ -118,11 +118,13 @@ class TestSchedulingExperiment:
             run_scheduling_experiment(cfg, fixed_policy(4, 0), "matb", seed=0)
 
     def test_unknown_mode_rejected(self, sched_setup):
+        # the relaxed chain runs only beside MATB, as the first of "both"
         cfg, policy = sched_setup
-        with pytest.raises(ValueError):
-            run_scheduling_experiment(cfg, policy, "other")
+        for kind in ("other", "relaxed"):
+            with pytest.raises(ValueError):
+                run_scheduling_experiment(cfg, policy, kind)
 
-    @pytest.mark.parametrize("kind", ["relaxed", "matb", "both"])
+    @pytest.mark.parametrize("kind", ["matb", "both"])
     @pytest.mark.parametrize("policy_N", [50, 200])
     def test_policy_for_another_N_rejected(self, kind, policy_N):
         # a policy of 50 agents on a config of 100 used to run as stacked
@@ -240,6 +242,8 @@ class TestBlockKernel:
     def test_kernel_matches_per_step_reference(self, N, alpha, p, projected):
         cfg = scheduling_scenario(N=N, alpha=alpha, p=p, T=60)
         policy = bisection_lambda(population_for(cfg), p, cfg.capacity)
+        # unprojected: the reference without a capacity, the kernel with one of
+        # N, which never binds
         C = cfg.capacity if projected else None
         start = np.arange(N, dtype=np.int64) % 4
         want, want_attempts = reference_schedule(start, policy, C, p, make_streams(4), cfg.T)
@@ -247,7 +251,7 @@ class TestBlockKernel:
             rng = make_streams(4)
             tau, blocks, attempts = start, [start[None]], 0
             for k0 in range(0, cfg.T, rows):
-                taus, (sent,) = sim._schedule_block(tau, policy, C, p, rng,
+                taus, (sent,) = sim._schedule_block(tau, policy, N if C is None else C, p, rng,
                                                     min(rows, cfg.T - k0))
                 tau = taus[-1]
                 blocks.append(taus[1:])
@@ -259,7 +263,7 @@ class TestBlockKernel:
     @pytest.mark.parametrize("projected", [True, False])
     def test_stacked_chains_match_per_step_reference(self, N, alpha, p, projected):
         # two chains on one draw: the first never projected, the last
-        # projected when the kernel is given a capacity
+        # projected onto the capacity, or given one of N that never binds
         cfg = scheduling_scenario(N=N, alpha=alpha, p=p, T=60)
         policy = bisection_lambda(population_for(cfg), p, cfg.capacity)
         C = cfg.capacity if projected else None
@@ -270,7 +274,8 @@ class TestBlockKernel:
             rng = make_streams(4)
             tau, blocks, attempts = np.tile(start, 2), [np.tile(start, 2)[None]], [0, 0]
             for k0 in range(0, cfg.T, rows):
-                taus, sent = sim._schedule_block(tau, policy, C, p, rng, min(rows, cfg.T - k0))
+                taus, sent = sim._schedule_block(tau, policy, N if C is None else C, p, rng,
+                                                 min(rows, cfg.T - k0))
                 tau = taus[-1]
                 blocks.append(taus[1:])
                 attempts = [x + y for x, y in zip(attempts, sent)]
@@ -280,13 +285,15 @@ class TestBlockKernel:
                 assert attempts[chain] == want_attempts
 
     @staticmethod
-    def _assert_metrics_match_reference(cfg, policy, kind, resets_last=False):
-        got = run_scheduling_experiment(cfg, policy, kind, seed=2)
-        capacities = {"relaxed": [None], "matb": [cfg.capacity], "both": [None, cfg.capacity]}
+    def _assert_metrics_match_reference(cfg, policy, kind, resets_last=False, seed=2):
+        # "relaxed" is the first chain of "both"
+        got = run_scheduling_experiment(cfg, policy, "both" if kind == "relaxed" else kind,
+                                        seed=seed)
+        runs = [(got, cfg.capacity)] if kind == "matb" else list(zip(got, [None, cfg.capacity]))
         pop = population_for(cfg)
-        for m, C in zip(got if kind == "both" else [got], capacities[kind]):
+        for m, C in runs[:1] if kind == "relaxed" else runs:
             taus, attempts = reference_schedule(np.zeros(cfg.N, dtype=np.int64), policy, C,
-                                                cfg.p, make_streams(2), cfg.T)
+                                                cfg.p, make_streams(seed), cfg.T)
             if resets_last:
                 assert np.count_nonzero(taus[-1] == 0) > 0
             ages = taus[:-1]
@@ -331,12 +338,13 @@ class TestBlockKernel:
         # metrics() read after any block counts exactly the steps read so far
         cfg = scheduling_scenario(N=30, alpha=0.25, p=0.2, T=80)
         policy = bisection_lambda(population_for(cfg), cfg.p, cfg.capacity)
-        kinds = sim._KINDS[kind]
-        monkeypatch.setattr(sim, "_BLOCK_ELEMENTS", 7 * len(kinds) * cfg.N)
-        want = [reference_schedule(np.zeros(cfg.N, dtype=np.int64), policy,
-                                   cfg.capacity if chain == "matb" else None, cfg.p,
-                                   make_streams(2), cfg.T)[0] for chain in kinds]
-        run = sim._ScheduleRun(cfg, policy, make_streams(2), kinds)
+        K = sim._CHAINS[kind]
+        monkeypatch.setattr(sim, "_BLOCK_ELEMENTS", 7 * K * cfg.N)
+        # the relaxed chains unprojected, the last one projected
+        want = [reference_schedule(np.zeros(cfg.N, dtype=np.int64), policy, C, cfg.p,
+                                   make_streams(2), cfg.T)[0]
+                for C in [None] * (K - 1) + [cfg.capacity]]
+        run = sim._ScheduleRun(cfg, policy, make_streams(2), K)
         m = run.metrics(0)
         assert (m.successes, m.max_aoi, m.aoi_hist.tolist()) == (0, 0, [0])
         steps = []
@@ -466,14 +474,15 @@ class TestStackedPair:
 
     @staticmethod
     def _assert_pair_equals_separate_runs(cfg, seed):
+        # the MATB chain equals the "matb" run, field by field; the relaxed
+        # chain equals the relaxed policy run alone on the seed's streams
         policy = bisection_lambda(population_for(cfg), cfg.p, cfg.capacity)
-        pair = run_scheduling_experiment(cfg, policy, "both", seed=seed)
-        alone = [run_scheduling_experiment(cfg, policy, kind, seed=seed)
-                 for kind in ("relaxed", "matb")]
-        for got, want in zip(pair, alone):
-            for field in dataclasses.fields(sim.Metrics):
-                assert np.array_equal(getattr(got, field.name), getattr(want, field.name)), \
-                    field.name
+        _, got = run_scheduling_experiment(cfg, policy, "both", seed=seed)
+        want = run_scheduling_experiment(cfg, policy, "matb", seed=seed)
+        for field in dataclasses.fields(sim.Metrics):
+            assert np.array_equal(getattr(got, field.name), getattr(want, field.name)), \
+                field.name
+        TestBlockKernel._assert_metrics_match_reference(cfg, policy, "relaxed", seed=seed)
 
     @pytest.mark.parametrize("types,N,alpha,p", POINTS)
     def test_pair_equals_separate_runs(self, types, N, alpha, p):

@@ -288,7 +288,7 @@ class TestStationaryDistribution:
     def test_mass_normalized(self):
         chain = stationary_distribution(2, 4, 0.3, 0.2)
         # pi(0..kbar-1), then the geometric tail from pi(kbar) with ratio p
-        mass = chain.head[:-1].sum() + chain.head[-1] / (1.0 - chain.tail_ratio)
+        mass = chain.head[:-1].sum() + chain.head[-1] / (1.0 - chain.p)
         assert mass == pytest.approx(1.0, rel=1e-12)
 
     def test_uniform_below_single_threshold(self):
