@@ -14,25 +14,6 @@ from .errors import DomainError
 from .estimator import weight_table
 
 
-def std_normal_cdf(z: float) -> float:
-    """Standard normal CDF via erfc (deterministic, |error| well below 1e-12)."""
-    return 0.5 * math.erfc(-z / math.sqrt(2.0))
-
-
-def _std_normal_ppf(prob: float) -> float:
-    """Inverse CDF by bisection on std_normal_cdf."""
-    if not 0.0 < prob < 1.0:
-        raise DomainError(f"quantile argument must lie in (0, 1), got {prob}")
-    lo, hi = -40.0, 40.0
-    while hi - lo > 1e-12:
-        mid = 0.5 * (lo + hi)
-        if std_normal_cdf(mid) < prob:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def kl_divergence(x: float, y: float) -> float:
     """Bernoulli Kullback-Leibler divergence D(x||y)."""
     if not (0.0 < x < 1.0 and 0.0 < y < 1.0):
@@ -82,8 +63,10 @@ def tail_threshold(delta: float, p: float, alpha: float) -> TailThreshold:
 
     # Berry-Esseen: 0.3354 (1-p+0.415)/sqrt(x alpha N) <= delta/4
     n_min_clt = (0.3354 * (1.0 - p + 0.415) * 4.0 / delta) ** 2 / (x * alpha)
-    # Gaussian centering: Phi(-sqrt(N/(alpha p (1-p)))) <= delta/4
-    z = -_std_normal_ppf(delta / 4.0)
+    # Gaussian centering: Phi(-sqrt(N/(alpha p (1-p)))) <= delta/4; imported
+    # here, as `statistics` loads `fractions` and `decimal` with it
+    from statistics import NormalDist
+    z = -NormalDist().inv_cdf(delta / 4.0)
     n_min_gauss = alpha * p * (1.0 - p) * z * z
     return TailThreshold(x=x, aoi_threshold=2 * x, n_min_clt=n_min_clt,
                          n_min_gauss=n_min_gauss, delta=delta)
@@ -109,7 +92,9 @@ def bound_report(config, policy) -> BoundReport:
     """Assemble the analytic bounds for one scenario and its relaxed policy.
 
     The optimality-gap bound is U * exp(-D(alpha||q) N); it is vacuous, equal
-    to U, when alpha == q or q is not in (0, 1)."""
+    to U, when alpha == q or q is not in (0, 1). A policy solved for another N
+    raises DimensionMismatchError."""
+    policy.check_size(config.N)
     alpha = config.alpha
     q = policy.q
     cap = p0_aoi_cap(policy.kbar_max, alpha)

@@ -76,9 +76,9 @@ class MeanFieldSolution:
     residual: float
     contraction_constant: float
     gap_ratios: list = field(repr=False)
-    K3: np.ndarray = None
-    iterations: int = 0
-    window_doublings: int = 0
+    K3: np.ndarray
+    iterations: int
+    window_doublings: int
 
     @property
     def horizon(self) -> int:
@@ -285,13 +285,15 @@ def _estimate_k3(mu: np.ndarray) -> np.ndarray:
     return K3.T
 
 
-def solve_mfe(types, horizon: int | None = None) -> MeanFieldSolution:
+def solve_mfe(types) -> MeanFieldSolution:
     """Picard iteration mu <- M_F(mu) from the constant mu_0 trajectory.
 
     mu_0 = sum_phi x0_mean(phi) P(phi) is preserved by the operator. The
-    window (`horizon`, else sized from the slowest pole) doubles until the
-    stored tail is below MFE_TOL/10, so geometric extrapolation error stays an
-    order below the solver tolerance; a doubling must shrink the tail.
+    window starts at H = max(32, ceil(log(MFE_TOL/10) / log(max(rho, 0.1)))),
+    sized from the slowest closed-loop pole rho, and doubles until the stored
+    tail is below MFE_TOL/10, so geometric extrapolation error stays an order
+    below the solver tolerance; a doubling must shrink the tail, else
+    NoConvergenceError.
     Each type's gains are solved once per value of (A, B, Q, R) and shared
     across solves (`estimator.shared`); their arrays are read-only. Two
     types with one label raise ConfigError: the gains and g are keyed by it.
@@ -303,10 +305,7 @@ def solve_mfe(types, horizon: int | None = None) -> MeanFieldSolution:
     cc = contraction_constant(types, gains)
     mu0 = sum(t.prob * t.x0_mean for t in types)
     rho = max(gains[t.label].rho_cl for t in types)
-    if horizon is None:
-        horizon = max(32, int(np.ceil(np.log(MFE_TOL / 10.0) / np.log(max(rho, 0.1)))))
-
-    H = horizon
+    H = max(32, int(np.ceil(np.log(MFE_TOL / 10.0) / np.log(max(rho, 0.1)))))
     scale = max(1.0, float(np.linalg.norm(mu0)))
     # iterate well past tol: leftover iteration noise sits at the gap level
     # across the whole window, and the stored-tail check below must see the

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InfeasibleCapacityError, NumericOverflowError
+from .errors import DimensionMismatchError, InfeasibleCapacityError, NumericOverflowError
 from .model import Population
 from .threshold import kappa_scan, transmission_rate
 
@@ -28,8 +28,11 @@ class RelaxedPolicy:
     """Per-agent dual thresholds and the randomization probability q.
 
     rate_low/rate_high are the aggregate attempt rates of the two threshold
-    policies (C-underline and C-overline); q * rate_low + (1-q) * rate_high
-    equals the capacity C.
+    policies (C-underline and C-overline); the linear mix q * rate_low +
+    (1-q) * rate_high equals the capacity C. The rate of the mixture that the
+    simulation runs, a fresh coin per agent per step, does not: summed over
+    the agents, `transmission_rate(klow, kbar, q, p)` is a renewal ratio, not
+    linear in q, and falls short of C (24.909 for C = 25 at N = 100, p = 0.2).
     """
 
     klow: np.ndarray   # per-agent lower threshold, kappa(lambda*)
@@ -39,6 +42,11 @@ class RelaxedPolicy:
     rate_low: float
     rate_high: float
     per_type: dict     # label -> (klow, kbar)
+
+    def check_size(self, N: int) -> None:
+        """DimensionMismatchError unless the policy was solved for N agents."""
+        if self.kbar.size != N:
+            raise DimensionMismatchError(f"policy solved for N = {self.kbar.size}, config has N = {N}")
 
     @property
     def kbar_max(self) -> int:
@@ -75,7 +83,9 @@ def bisection_lambda(population: Population, p: float, C: float) -> RelaxedPolic
     exact. Each type's threshold kappa(lam) = min{k : lam <= lambda_k} steps
     up at the breakpoints of `KappaScan.price`, so R(lam), the total attempt
     rate when every agent runs its threshold kappa(lam) (summed term by term
-    in type order), steps down only at their merge. Starting from kappa(0), the walk takes the smallest next
+    in type order), steps down only at their merge. The walk starts at
+    kappa(0) = 0 for every type, without a solve: c(0) = 0 gives f(0) =
+    p f(1), so lambda_0 = (1-p)^2 f(1) > 0. It takes the smallest next
     breakpoint b, advances every type whose breakpoint is b past it, and
     stops at the first b with R(just above b) <= C: klow = kappa(b), kbar =
     kappa just above b, lambda* = b. If R(0) <= C, lambda* = 0 and q = 1.
@@ -85,7 +95,7 @@ def bisection_lambda(population: Population, p: float, C: float) -> RelaxedPolic
         raise InfeasibleCapacityError(f"capacity must be positive, got {C}")
     scans = [kappa_scan(t.A, t.C_W, p) for t in population.types]
     lam = 0.0
-    kap_low = kap_high = [scan.solve(lam).kappa for scan in scans]
+    kap_low = kap_high = [0] * len(scans)
     nxt = [scan.price(k) for scan, k in zip(scans, kap_high)]  # next breakpoint per type
     terms = [_rate_term(c, k, p) for c, k in zip(population.counts, kap_high)]
     rate_low = rate_high = sum(terms)

@@ -142,9 +142,7 @@ class _ScheduleRun:
     packets, and its largest age is h.size - 1."""
 
     def __init__(self, config: ScenarioConfig, policy: RelaxedPolicy, rng, K=1):
-        if policy.kbar.size != config.N:
-            raise DimensionMismatchError(
-                f"policy solved for N = {policy.kbar.size}, config has N = {config.N}")
+        policy.check_size(config.N)
         population = population_for(config)
         self.config, self.policy, self.rng, self.K = config, policy, rng, K
         self.tables = [weight_table(t.A, t.C_W) for t in population.types]

@@ -23,6 +23,7 @@ from .estimator import WeightTable, as_matrix, forget, shared, weight_table
 from .model import check_erasure
 
 _KAPPA_CAP = 10**6
+_SERIES_REL = 1e-12  # the series stops once its geometric tail bound is below this share
 
 
 @dataclass(frozen=True)
@@ -74,7 +75,7 @@ def _f_tail_scalar(x, a, cw, p):
     return f
 
 
-def _f_tail_series(x, table, a, p, rel=1e-12):
+def _f_tail_series(x, table, a, p):
     if p == 0.0:
         return table.c(x)
     ratio = max(p, a * p)
@@ -85,7 +86,7 @@ def _f_tail_series(x, table, a, p, rel=1e-12):
         acc += term
         term_p *= p
         # remaining tail is geometric in max(p, a*p) up to the linear tau factor
-        if acc > 0 and term * ratio / (1.0 - ratio) < rel * acc and r > 2:
+        if acc > 0 and term * ratio / (1.0 - ratio) < _SERIES_REL * acc and r > 2:
             return acc
     raise NoConvergenceError("tail-cost series did not meet its tail bound (mis-scaled inputs?)")
 

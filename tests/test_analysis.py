@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import ndtr
+from scipy.special import ndtri
 
 from aoi_mfg import (
     bisection_lambda,
@@ -13,8 +13,7 @@ from aoi_mfg import (
     scheduling_scenario,
     tail_threshold,
 )
-from aoi_mfg.analysis import std_normal_cdf
-from aoi_mfg.errors import DomainError
+from aoi_mfg.errors import DimensionMismatchError, DomainError
 from aoi_mfg.scheduler import RelaxedPolicy
 
 
@@ -106,6 +105,13 @@ class TestTailThreshold:
         assert tt.conditions_met(500)
         assert not tt.conditions_met(10)
 
+    @pytest.mark.parametrize("delta", [0.05, 0.02, 1e-6])
+    @pytest.mark.parametrize("p, alpha", [(0.2, 0.25), (0.5, 0.1), (0.05, 0.9)])
+    def test_gaussian_condition_matches_ndtri(self, delta, p, alpha):
+        # N >= alpha p (1-p) z^2 with Phi(-z) = delta/4, against SciPy's quantile
+        want = alpha * p * (1.0 - p) * float(ndtri(delta / 4.0)) ** 2
+        assert tail_threshold(delta, p, alpha).n_min_gauss == pytest.approx(want, rel=1e-14, abs=0.0)
+
     def test_domains(self):
         with pytest.raises(DomainError):
             tail_threshold(0.0, 0.2, 0.25)
@@ -113,17 +119,6 @@ class TestTailThreshold:
             tail_threshold(0.05, 0.0, 0.25)
         with pytest.raises(DomainError):
             tail_threshold(0.05, 0.2, 1.5)
-
-
-class TestNormalCdf:
-    def test_key_values(self):
-        assert std_normal_cdf(0.0) == pytest.approx(0.5, abs=1e-15)
-        assert std_normal_cdf(1.96) == pytest.approx(float(ndtr(1.96)), abs=1e-13)
-        assert std_normal_cdf(-3.0) == pytest.approx(float(ndtr(-3.0)), rel=1e-12)
-
-    def test_symmetry(self):
-        for z in (0.3, 1.1, 2.7):
-            assert std_normal_cdf(z) + std_normal_cdf(-z) == pytest.approx(1.0, abs=1e-14)
 
 
 @pytest.fixture(scope="module")
@@ -144,6 +139,14 @@ class TestBoundReport:
     def test_bound_matches_formula(self, report):
         want = report.U * math.exp(-report.kl_exponent * report.N)
         assert report.gap_bound == pytest.approx(want, rel=1e-12)
+
+    def test_policy_for_another_N_rejected(self):
+        # a policy solved at N = 100 gave q = 0.146 for N = 40, where the
+        # N = 40 policy gives q = 0.197
+        cfg = scheduling_scenario(N=100, T=100)
+        policy = bisection_lambda(population_for(cfg), cfg.p, cfg.capacity)
+        with pytest.raises(DimensionMismatchError, match="policy solved for N = 100, config has N = 40"):
+            bound_report(scheduling_scenario(N=40, T=100), policy)
 
     def test_serializable(self, report):
         import dataclasses

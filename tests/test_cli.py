@@ -2,6 +2,7 @@ import ast
 import csv
 import dataclasses
 import importlib
+import inspect
 import json
 import os
 import pkgutil
@@ -480,24 +481,30 @@ class TestErrors:
         assert exc.value.code == 0
 
 
-def test_import_loads_no_scipy():
-    # SciPy is a test oracle only; importing it would double the CLI's start-up
-    code = ("import sys, aoi_mfg, aoi_mfg.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+def _loaded_on_import(condition):
+    """The modules m meeting `condition` that `import aoi_mfg, aoi_mfg.cli`
+    loads, in a fresh interpreter."""
+    code = f"import sys, aoi_mfg, aoi_mfg.cli; print(sorted(m for m in sys.modules if {condition}))"
     src = str(Path(aoi_mfg.__file__).resolve().parents[1])
     out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
                          capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()
+
+
+def test_import_loads_no_scipy():
+    # SciPy is a test oracle only; importing it would double the CLI's start-up
+    assert _loaded_on_import("m.split('.')[0] == 'scipy'") == "[]"
 
 
 def test_import_loads_no_process_pool():
     # the pool serves AOI_MFG_THREADS > 1 only; it is loaded on its first use
-    code = ("import sys, aoi_mfg, aoi_mfg.cli; print(sorted(m for m in sys.modules "
-            "if m in ('multiprocessing', 'concurrent.futures.process')))")
-    src = str(Path(aoi_mfg.__file__).resolve().parents[1])
-    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
-                         capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    assert _loaded_on_import("m in ('multiprocessing', 'concurrent.futures.process')") == "[]"
+
+
+def test_import_loads_no_statistics():
+    # `statistics` brings `fractions` and `decimal`; only the tail threshold
+    # needs it, and imports it when it runs
+    assert _loaded_on_import("m == 'statistics'") == "[]"
 
 
 # the scalar per-step references and the helpers no report used; the first
@@ -512,7 +519,9 @@ REMOVED = ("update_aoi", "step_channel", "ScheduleDecision", "relaxed_decisions"
            # hand-written copies of a record's fields, and per-run argument packers
            "_config_doc", "_sched_pair", "_game_run", "_REQUIRED_TYPE",
            # entries only tests called, and the check kept for them alone
-           "mf_operator", "_check_stable", "gap_bound")
+           "mf_operator", "_check_stable", "gap_bound",
+           # a hand-rolled normal CDF and its bisection quantile
+           "std_normal_cdf", "_std_normal_ppf")
 # members and fields that only tests read, and a second statement of a
 # record's document
 REMOVED_MEMBERS = {"BoundReport": ("to_dict",),
@@ -529,6 +538,13 @@ def test_removed_helpers_stay_out_of_the_package():
         cls = getattr(aoi_mfg, name)
         present = set(dir(cls)) | {f.name for f in dataclasses.fields(cls)}
         assert not set(members) & present, name
+
+
+def test_solve_mfe_takes_only_the_types():
+    # its start window is always the one sized from the slowest pole
+    assert list(inspect.signature(solve_mfe).parameters) == ["types"]
+    with pytest.raises(TypeError):
+        solve_mfe(aoi_mfg.default_types(), horizon=8)
 
 
 def test_package_has_no_assert_statements():

@@ -138,6 +138,19 @@ class TestKappaScan:
         # the memo the solves grew gives the same prices as a fresh scan
         assert [KappaScan(A, C_W, p).price(k) for k in range(8)] == prices
 
+    @pytest.mark.parametrize("p", [0.0, 0.2])
+    @pytest.mark.parametrize("a", [0.5, 1.0, 1.15])
+    @pytest.mark.parametrize("two_state", [False, True])
+    def test_threshold_at_price_zero_is_zero(self, two_state, a, p):
+        # c(0) = 0 gives f(0) = p f(1), so lambda_0 = (1-p)^2 f(1) > 0 and
+        # kappa(0) = 0: `bisection_lambda` starts its walk there unsolved.
+        # The default types and the benchmark's 2-state types.
+        A, C_W = (np.array([[a, 0.1], [0.0, 0.9]]), 5.0 * np.eye(2)) if two_state else (a, 5.0)
+        scan = KappaScan(A, C_W, p)
+        assert scan.price(0) > 0.0
+        assert scan.price(0) == pytest.approx((1.0 - p) ** 2 * scan.f(1), rel=1e-12)
+        assert scan.solve(0.0).kappa == 0
+
     def test_negative_price_rejected(self):
         with pytest.raises(ValueError):
             KappaScan(1.0, 5.0, 0.2).solve(-1.0)
