@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError
+from .errors import DomainError, NumericOverflowError
 from .estimator import weight_table
 
 
@@ -49,7 +49,8 @@ def tail_threshold(delta: float, p: float, alpha: float) -> TailThreshold:
     x = ceil(max((2/(alpha(1-p)))^2, log(2/delta)/log(1/p))); the AoI
     threshold is 2x. The Berry-Esseen N-condition is evaluated at x (the
     sqrt(x alpha N) form), the Gaussian condition requires
-    Phi(-sqrt(N/(alpha p (1-p)))) <= delta/4.
+    Phi(-sqrt(N/(alpha p (1-p)))) <= delta/4. A delta below about 1e-154
+    takes the Berry-Esseen condition out of float64: NumericOverflowError.
     """
     if not 0.0 < delta < 1.0:
         raise DomainError(f"delta must lie in (0, 1), got {delta}")
@@ -59,10 +60,12 @@ def tail_threshold(delta: float, p: float, alpha: float) -> TailThreshold:
         raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
     x_clt = (2.0 / (alpha * (1.0 - p))) ** 2
     x_geom = math.log(2.0 / delta) / math.log(1.0 / p)
-    x = math.ceil(max(x_clt, x_geom))
-
-    # Berry-Esseen: 0.3354 (1-p+0.415)/sqrt(x alpha N) <= delta/4
-    n_min_clt = (0.3354 * (1.0 - p + 0.415) * 4.0 / delta) ** 2 / (x * alpha)
+    try:
+        x = math.ceil(max(x_clt, x_geom))
+        # Berry-Esseen: 0.3354 (1-p+0.415)/sqrt(x alpha N) <= delta/4
+        n_min_clt = (0.3354 * (1.0 - p + 0.415) * 4.0 / delta) ** 2 / (x * alpha)
+    except OverflowError:  # 2/delta or its square leaves float64
+        raise NumericOverflowError(f"tail threshold at delta = {delta} overflows float64") from None
     # Gaussian centering: Phi(-sqrt(N/(alpha p (1-p)))) <= delta/4; imported
     # here, as `statistics` loads `fractions` and `decimal` with it
     from statistics import NormalDist

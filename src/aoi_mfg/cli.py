@@ -84,18 +84,14 @@ def _report(path: Path, doc: dict, shown=None) -> Path:
     return path
 
 
-def _worker_count() -> int:
-    try:
-        return max(1, int(os.environ.get("AOI_MFG_THREADS", "1")))
-    except ValueError:
-        raise ConfigError("AOI_MFG_THREADS must be an integer")
-
-
 def _map_runs(fn, args, seeds):
     """fn(*args, seed) for each seed, across the worker pool; results come
     back in seed order. The pool is imported here, on use: a top-level
     import of it would double this module's import time."""
-    workers = _worker_count()
+    try:
+        workers = max(1, int(os.environ.get("AOI_MFG_THREADS", "1")))
+    except ValueError:
+        raise ConfigError("AOI_MFG_THREADS must be an integer")
     if workers == 1 or len(seeds) <= 1:
         return [fn(*args, seed) for seed in seeds]
     from concurrent.futures import ProcessPoolExecutor
@@ -220,7 +216,7 @@ def cmd_game(args, base, out_dir):
 
 
 def cmd_mfe(args, base, out_dir):
-    """The equilibrium of the scenario's types; flags other than --config and --out are unused."""
+    """The equilibrium of the scenario's types, which is all `mfe` reads."""
     sol = solve_mfe(base.types)
     path = _report(out_dir / "mfe_report.json", sol.report(),
                    ("contraction_constant", "residual", "iterations"))
@@ -262,8 +258,13 @@ def _run(args) -> int:
 
 def _add_common(sub):
     sub.add_argument("--config", type=str, default=None, help="scenario JSON path")
-    sub.add_argument("--seed", type=int, default=None)
     sub.add_argument("--out", type=str, default=".", help="output directory")
+
+
+def _add_overrides(sub):
+    """--config and --out, and the flags over the scenario's values."""
+    _add_common(sub)
+    sub.add_argument("--seed", type=int, default=None)
     sub.add_argument("--p", type=float, default=None, help="erasure probability override")
     sub.add_argument("--alpha", type=float, default=None, help="capacity ratio override")
     sub.add_argument("--runs", type=int, default=None, help="Monte-Carlo repetitions")
@@ -272,7 +273,7 @@ def _add_common(sub):
 
 def _check_counts(args) -> None:
     for flag, least in (("N", 1), ("runs", 1), ("seed", 0)):
-        value = getattr(args, flag)
+        value = getattr(args, flag, None)  # None too where the command has no such flag
         if value is not None and value < least:
             raise ConfigError(f"--{flag} must be >= {least}, got {value}")
 
@@ -293,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     s = subs.add_parser("schedule", help="capacity-sweep scheduling comparison")
-    _add_common(s)
+    _add_overrides(s)
     s.add_argument("--seeds", type=_parse_seed_range, default=None,
                    help="inclusive seed range 'a..b' for per-seed rows")
     s.add_argument("--report", action="store_true",
@@ -301,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(fn=cmd_schedule, preset=scheduling_scenario)
 
     g = subs.add_parser("game", help="consensus-game cost sweeps")
-    _add_common(g)
+    _add_overrides(g)
     g.set_defaults(fn=cmd_game, preset=game_scenario)
 
     m = subs.add_parser("mfe", help="mean-field equilibrium report")
@@ -309,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     m.set_defaults(fn=cmd_mfe, preset=game_scenario)
 
     b = subs.add_parser("bounds", help="analytic bound report")
-    _add_common(b)
+    _add_overrides(b)
     b.set_defaults(fn=cmd_bounds, preset=scheduling_scenario)
     return parser
 

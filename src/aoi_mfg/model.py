@@ -1,7 +1,9 @@
 """Agent types, scenario configuration, and the type-to-agent assignment.
 
-Everything here is immutable after load and safe to share across parallel
-Monte-Carlo workers.
+`AgentType` and `ScenarioConfig` convert and check their own fields, however
+they are built (int fields through `integer`, float ones through `real`);
+`load_scenario` only parses a document, checks its keys and builds them.
+The records are immutable and safe to share across Monte-Carlo workers.
 """
 
 from __future__ import annotations
@@ -10,6 +12,7 @@ import json
 import math
 import numbers
 from dataclasses import dataclass, field, fields
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -38,11 +41,31 @@ def _as_matrix(value, name):
     return m
 
 
-def _as_vector(value, n, name):
-    v = np.atleast_1d(_as_float_array(value, name)).ravel()
-    if v.size != n:
-        raise ConfigError(f"{name}: expected length {n}, got {v.size}")
-    return v
+def _read(value, convert, name: str):
+    """value through convert; a value of the wrong type is a ConfigError
+    naming it, not a bare TypeError/ValueError."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{name}: expected {convert.__name__}, got {value!r}") from exc
+
+
+def integer(value) -> int:
+    """value as an int: an integer, or a float with an integral value.
+    Booleans, fractions and non-numbers raise TypeError."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise TypeError(f"not an integer: {value!r}")
+
+
+def real(value) -> float:
+    """value as a float: an int or a float. Booleans, numeric strings and
+    other non-numbers raise TypeError."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        return float(value)
+    raise TypeError(f"not a real number: {value!r}")
 
 
 def _check_spd(m, name, strict=True):
@@ -71,6 +94,9 @@ class AgentType:
     prob: float
 
     def __post_init__(self):
+        if not isinstance(self.label, str):
+            raise ConfigError(f"label: expected a string, got {self.label!r}")
+        object.__setattr__(self, "prob", _read(self.prob, real, f"type {self.label!r}: prob"))
         object.__setattr__(self, "A", _as_matrix(self.A, f"type {self.label!r}: A"))
         n = self.A.shape[0]
         if self.A.shape != (n, n):
@@ -86,7 +112,10 @@ class AgentType:
                 raise ConfigError(f"type {self.label!r}: {name} has shape {m.shape}, expected {want}")
             _check_spd(m, f"{self.label}.{name}", strict=strict)
             object.__setattr__(self, name, m)
-        object.__setattr__(self, "x0_mean", _as_vector(self.x0_mean, n, f"type {self.label!r}: x0_mean"))
+        x0 = np.atleast_1d(_as_float_array(self.x0_mean, f"type {self.label!r}: x0_mean")).ravel()
+        if x0.size != n:
+            raise ConfigError(f"type {self.label!r}: x0_mean: expected length {n}, got {x0.size}")
+        object.__setattr__(self, "x0_mean", x0)
         if not 0.0 <= self.prob <= 1.0:
             raise ConfigError(f"type {self.label!r}: prob {self.prob} outside [0, 1]")
 
@@ -118,6 +147,14 @@ def check_labels(types) -> None:
             raise ConfigError(f"types: duplicate type label {label!r}")
 
 
+def _check_mix(types) -> None:
+    """A type distribution: unique labels and probabilities that sum to 1."""
+    check_labels(types)
+    total = sum(t.prob for t in types)
+    if abs(total - 1.0) > _PROB_TOL:
+        raise ConfigError(f"type probabilities sum to {total!r}, expected 1")
+
+
 def capacity_for(alpha: float, N: int) -> int:
     """Channel capacity C = round(alpha * N), at least 1, for a finite alpha > 0."""
     if not 0.0 < alpha < math.inf:
@@ -136,6 +173,13 @@ class ScenarioConfig:
     mc_runs: int = 1
 
     def __post_init__(self):
+        for key in ("N", "capacity", "T", "seed", "mc_runs"):
+            object.__setattr__(self, key, _read(getattr(self, key), integer, key))
+        object.__setattr__(self, "p", _read(self.p, real, "p"))
+        object.__setattr__(self, "types", _read(self.types, tuple, "types"))
+        for i, t in enumerate(self.types):
+            if not isinstance(t, AgentType):
+                raise ConfigError(f"types[{i}]: expected an AgentType, got {t!r}")
         for key, least in (("N", 1), ("T", 1), ("seed", 0), ("mc_runs", 1)):
             if getattr(self, key) < least:
                 raise ConfigError(f"{key} must be >= {least}, got {getattr(self, key)}")
@@ -143,10 +187,7 @@ class ScenarioConfig:
             raise ConfigError(f"capacity must satisfy 1 <= C < N, got C={self.capacity}, N={self.N}")
         if not 0.0 <= self.p < 1.0:
             raise ConfigError(f"p must lie in [0, 1), got {self.p}")
-        check_labels(self.types)
-        total = sum(t.prob for t in self.types)
-        if abs(total - 1.0) > _PROB_TOL:
-            raise ConfigError(f"type probabilities sum to {total!r}, expected 1")
+        _check_mix(self.types)
         dims = {t.label: t.n for t in self.types}
         if len(set(dims.values())) > 1:
             raise ConfigError(f"all types need one state dimension, got {dims}")
@@ -172,12 +213,7 @@ class Population:
 
     def slices(self):
         """Contiguous agent slice per type, in type order."""
-        out = []
-        start = 0
-        for c in self.counts:
-            out.append(slice(start, start + c))
-            start += c
-        return out
+        return [slice(end - c, end) for c, end in zip(self.counts, accumulate(self.counts))]
 
 
 def assign_types(N: int, types) -> Population:
@@ -189,10 +225,7 @@ def assign_types(N: int, types) -> Population:
     types = tuple(types)
     if N < 1:
         raise ConfigError(f"N must be >= 1, got {N}")
-    check_labels(types)
-    total = sum(t.prob for t in types)
-    if abs(total - 1.0) > _PROB_TOL:
-        raise ConfigError(f"type probabilities sum to {total!r}, expected 1")
+    _check_mix(types)
     exact = np.array([N * t.prob for t in types])
     counts = np.floor(exact).astype(int)
     short = N - int(counts.sum())
@@ -209,47 +242,19 @@ _REQUIRED_TOP = ("N", "p", "T", "types")
 # the keys load_scenario reads; bisection_eps, the retired price-search
 # tolerance, is passed over so that scenarios which still set it load
 _TOP_KEYS = {f.name for f in fields(ScenarioConfig)} | {"alpha", "bisection_eps"}
-_TYPE_KEYS = {f.name for f in fields(AgentType)}
-
-
-def _read(doc: dict, key: str, convert, name: str | None = None):
-    """doc[key] through convert; a value of the wrong type is a ConfigError
-    naming the key, not a bare TypeError/ValueError."""
-    value = doc[key]
-    try:
-        return convert(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{name or key}: expected {convert.__name__}, got {value!r}") from exc
-
-
-def integer(value) -> int:
-    """value as an int: an integer, or a float with an integral value.
-    Booleans, fractions and non-numbers raise TypeError."""
-    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
-        return int(value)
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    raise TypeError(f"not an integer: {value!r}")
-
-
-def real(value) -> float:
-    """value as a float: an int or a float. Booleans, numeric strings and
-    other non-numbers raise TypeError."""
-    if isinstance(value, numbers.Real) and not isinstance(value, bool):
-        return float(value)
-    raise TypeError(f"not a real number: {value!r}")
+_TYPE_KEYS = tuple(f.name for f in fields(AgentType))
 
 
 def load_scenario(source) -> ScenarioConfig:
-    """Build a validated ScenarioConfig from a dict, JSON string, or file path.
+    """A ScenarioConfig from a dict, JSON string, or file path.
 
     A string that starts with `{` is JSON text; any other string, and every
     `Path`, is a file to read, so a missing file raises an OSError naming it.
-    Matrices are row-major nested arrays; scalars are accepted and promoted
-    to 1x1. Either `capacity` or `alpha` must be present. A type's keys are
-    `AgentType`'s fields, all required. A key it does not read raises
-    ConfigError naming it, so a misspelt optional key cannot load as its
-    default; only the retired `bisection_eps` is passed over.
+    The keys are `ScenarioConfig`'s fields, `alpha` standing in for a missing
+    `capacity`, and a type's are `AgentType`'s, all required. Any other key
+    raises ConfigError naming it, so a misspelt optional key cannot load as
+    its default; only the retired `bisection_eps` is passed over. The records
+    convert and check the values (matrices as row-major nested arrays).
     """
     if isinstance(source, (str, Path)):
         text = str(source)
@@ -284,28 +289,17 @@ def load_scenario(source) -> ScenarioConfig:
     if unknown:
         raise ConfigError(f"unknown keys: {', '.join(unknown)}")
 
-    N = _read(doc, "N", integer)
-    if "capacity" in doc:
-        capacity = _read(doc, "capacity", integer)
-    else:
-        capacity = capacity_for(_read(doc, "alpha", real), N)
+    missing = [f"types[{i}].{key}" for i, tdoc in enumerate(doc["types"])
+               for key in _TYPE_KEYS if key not in tdoc]
+    if missing:
+        raise MissingKeyError(missing[0])
 
-    types = []
-    for i, tdoc in enumerate(doc["types"]):
-        kwargs = {}
-        for f in fields(AgentType):
-            if f.name not in tdoc:
-                raise MissingKeyError(f"types[{i}].{f.name}")
-            kwargs[f.name] = tdoc[f.name]
-        if not isinstance(kwargs["label"], str):
-            raise ConfigError(f"types[{i}].label: expected a string, got {kwargs['label']!r}")
-        kwargs["prob"] = _read(tdoc, "prob", real, f"types[{i}].prob")
-        types.append(AgentType(**kwargs))
-
-    p, T = _read(doc, "p", real), _read(doc, "T", integer)
-    # seed and mc_runs, where given; ScenarioConfig holds their defaults
-    given = {key: _read(doc, key, integer) for key in ("seed", "mc_runs") if key in doc}
-    return ScenarioConfig(N=N, capacity=capacity, p=p, T=T, types=tuple(types), **given)
+    top = {f.name: doc[f.name] for f in fields(ScenarioConfig) if f.name in doc}
+    if "capacity" not in doc:
+        top["capacity"] = capacity_for(_read(doc["alpha"], real, "alpha"),
+                                       _read(doc["N"], integer, "N"))
+    top["types"] = tuple(AgentType(**tdoc) for tdoc in doc["types"])
+    return ScenarioConfig(**top)
 
 
 def population_for(config: ScenarioConfig) -> Population:

@@ -13,7 +13,7 @@ from aoi_mfg import (
     scheduling_scenario,
     tail_threshold,
 )
-from aoi_mfg.errors import DimensionMismatchError, DomainError
+from aoi_mfg.errors import DimensionMismatchError, DomainError, NumericOverflowError
 from aoi_mfg.scheduler import RelaxedPolicy
 
 
@@ -111,6 +111,16 @@ class TestTailThreshold:
         # N >= alpha p (1-p) z^2 with Phi(-z) = delta/4, against SciPy's quantile
         want = alpha * p * (1.0 - p) * float(ndtri(delta / 4.0)) ** 2
         assert tail_threshold(delta, p, alpha).n_min_gauss == pytest.approx(want, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("delta", [1e-160, 5e-324])
+    def test_delta_too_small_for_float64(self, delta):
+        # these raised a bare OverflowError: 1e-160 squaring the Berry-Esseen
+        # term, 5e-324 taking the ceiling of an infinite x
+        with pytest.raises(NumericOverflowError, match=f"delta = {delta}"):
+            tail_threshold(delta, 0.2, 0.25)
+
+    def test_tiny_delta_within_float64(self):
+        assert tail_threshold(1e-150, 0.2, 0.25).n_min_clt == pytest.approx(4.92e298, rel=1e-3)
 
     def test_domains(self):
         with pytest.raises(DomainError):

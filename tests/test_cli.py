@@ -279,11 +279,18 @@ class TestConfigDocument:
     """The manifest's scenario document is the ScenarioConfig written field by
     field; `load_scenario` reads it back as the scenario it was written from."""
 
-    @pytest.mark.parametrize("name", ["scheduling-preset", "game-preset", "two-state"])
+    @pytest.mark.parametrize("name", ["scheduling-preset", "game-preset", "two-state",
+                                      "library-built"])
     def test_round_trip(self, name):
         config = {"scheduling-preset": scheduling_scenario, "game-preset": game_scenario,
-                  "two-state": lambda: load_scenario(TWO_STATE)}[name]()
-        back = load_scenario(json.loads(cli._dumps(cli._document(config))))
+                  "two-state": lambda: load_scenario(TWO_STATE),
+                  # an int p, a float capacity and a NumPy N: one scenario, one document
+                  "library-built": lambda: ScenarioConfig(
+                      N=np.int64(10), capacity=2.0, p=0, T=50, types=game_scenario().types),
+                  }[name]()
+        text = cli._dumps(cli._document(config))
+        back = load_scenario(json.loads(text))
+        assert cli._dumps(cli._document(back)) == text
         for f in dataclasses.fields(ScenarioConfig):
             if f.name != "types":
                 assert getattr(back, f.name) == getattr(config, f.name), f.name
@@ -320,13 +327,12 @@ class TestErrors:
         ("seed", 2.5, "seed"), ("mc_runs", False, "mc_runs"),
         # float() used to accept these: p=false loaded as 0.0, alpha="0.25" as 0.25
         ("p", False, "p"), ("alpha", "0.25", "alpha"),
+        # the records check these, and name their own fields
         ("types", [dict(TINY_SCHED["types"][0], prob=True), dict(TINY_SCHED["types"][1], prob=0.0)],
-         "types[0].prob"),
+         "type 'a': prob"),
         # str() used to accept these: a null label loaded as "None"
-        ("types", [TINY_SCHED["types"][0], dict(TINY_SCHED["types"][1], label=None)],
-         "types[1].label"),
-        ("types", [dict(TINY_SCHED["types"][0], label=7), TINY_SCHED["types"][1]],
-         "types[0].label"),
+        ("types", [TINY_SCHED["types"][0], dict(TINY_SCHED["types"][1], label=None)], "label"),
+        ("types", [dict(TINY_SCHED["types"][0], label=7), TINY_SCHED["types"][1]], "label"),
     ])
     def test_ill_typed_value_exits_1(self, key, value, named, tmp_path, capsys):
         doc = dict(TINY_SCHED, **{key: value})
@@ -462,6 +468,14 @@ class TestErrors:
         rc = main(["game", "--config", json.dumps(doc), "--out", str(tmp_path / "o")])
         assert rc == 1
         assert f"config error: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag,value", [("--p", "0.3"), ("--seed", "1"), ("--alpha", "0.3"),
+                                            ("--runs", "2"), ("--N", "10")])
+    def test_mfe_takes_no_scenario_flags(self, flag, value, tmp_path, capsys):
+        # mfe reads only the scenario's types: these flags used to be accepted and ignored
+        assert main(["mfe", flag, value, "--out", str(tmp_path / "o")]) == 1
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("argv,named", [
         (["schedule", "--seed", "abc"], "argument --seed: invalid int value: 'abc'"),

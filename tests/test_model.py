@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -135,6 +137,46 @@ class TestAssignTypes:
         assert s1.stop == 7
         assert np.all(pop.type_index[s0] == 0)
         assert np.all(pop.type_index[s1] == 1)
+
+
+def _record_kwargs(record):
+    """Valid keyword arguments for AgentType or ScenarioConfig."""
+    if record is AgentType:
+        return dict(label="t", A=1.0, B=0.1, C_W=5.0, Q=1.0, R=1.0, x0_mean=0.0, x0_cov=1.0,
+                    prob=1.0)
+    return dict(N=10, capacity=2, p=0.2, T=10, types=(make_type(),), seed=0, mc_runs=1)
+
+
+class TestRecordFields:
+    """The records convert and check their own fields, however they are built."""
+
+    @pytest.mark.parametrize("record,key,value,named", [
+        (ScenarioConfig, "N", 10.5, "N"), (ScenarioConfig, "N", True, "N"),
+        (ScenarioConfig, "T", 10.5, "T"), (ScenarioConfig, "seed", 1.5, "seed"),
+        (ScenarioConfig, "capacity", 3.99, "capacity"),
+        (ScenarioConfig, "mc_runs", False, "mc_runs"), (ScenarioConfig, "p", "0.2", "p"),
+        (AgentType, "prob", "0.5", "type 't': prob"), (AgentType, "label", 7, "label"),
+        (AgentType, "label", None, "label"),
+        (ScenarioConfig, "types", ({"label": "t", "prob": 1.0},), "types[0]"),
+    ])
+    def test_ill_typed_field_named(self, record, key, value, named):
+        with pytest.raises(ConfigError, match=rf"^{re.escape(named)}: expected"):
+            record(**dict(_record_kwargs(record), **{key: value}))
+
+    @pytest.mark.parametrize("record", [AgentType, ScenarioConfig])
+    def test_every_number_field_rejects_bool(self, record):
+        # a number field added later is converted too, or this fails
+        numeric = [f.name for f in dataclasses.fields(record) if f.type in ("int", "float")]
+        assert numeric
+        for name in numeric:
+            with pytest.raises(ConfigError, match=rf"\b{name}: expected"):
+                record(**dict(_record_kwargs(record), **{name: True}))
+
+    def test_converted_values(self):
+        cfg = ScenarioConfig(N=np.int64(10), capacity=2.0, p=0, T=10.0, types=[make_type()])
+        assert [type(v) for v in (cfg.N, cfg.capacity, cfg.p, cfg.T)] == [int, int, float, int]
+        assert isinstance(cfg.types, tuple)
+        assert type(make_type(prob=np.float64(1.0)).prob) is float
 
 
 SCENARIO_DOC = {
