@@ -101,11 +101,13 @@ def _map_runs(fn, args, seeds):
 
 def _resolve(args, base: ScenarioConfig):
     """The flags over the scenario, resolved once: the scenario with --seed
-    and --runs applied, and its points' N, capacity ratio and p (--N,
-    --alpha, --p, else the scenario's own). The ratio is the scenario's
-    capacity/N, never that of a point whose capacity was already rounded."""
-    config = replace(base, seed=base.seed if args.seed is None else args.seed,
-                     mc_runs=base.mc_runs if args.runs is None else args.runs)
+    and --runs applied where the command has them, and its points' N,
+    capacity ratio and p (--N, --alpha, --p, else the scenario's own). The
+    ratio is the scenario's capacity/N, never that of a point whose capacity
+    was already rounded."""
+    seed, runs = getattr(args, "seed", None), getattr(args, "runs", None)
+    config = replace(base, seed=base.seed if seed is None else seed,
+                     mc_runs=base.mc_runs if runs is None else runs)
     return (config, base.N if args.N is None else args.N,
             base.alpha if args.alpha is None else args.alpha,
             base.p if args.p is None else args.p)
@@ -261,14 +263,19 @@ def _add_common(sub):
     sub.add_argument("--out", type=str, default=".", help="output directory")
 
 
-def _add_overrides(sub):
-    """--config and --out, and the flags over the scenario's values."""
+def _add_point(sub):
+    """--config and --out, and the flags over the scenario's point."""
     _add_common(sub)
-    sub.add_argument("--seed", type=int, default=None)
     sub.add_argument("--p", type=float, default=None, help="erasure probability override")
     sub.add_argument("--alpha", type=float, default=None, help="capacity ratio override")
-    sub.add_argument("--runs", type=int, default=None, help="Monte-Carlo repetitions")
     sub.add_argument("--N", type=int, default=None, help="population size override")
+
+
+def _add_overrides(sub):
+    """The point's flags, and the seeds of the runs that simulate it."""
+    _add_point(sub)
+    sub.add_argument("--seed", type=int, default=None)
+    sub.add_argument("--runs", type=int, default=None, help="Monte-Carlo repetitions")
 
 
 def _check_counts(args) -> None:
@@ -310,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     m.set_defaults(fn=cmd_mfe, preset=game_scenario)
 
     b = subs.add_parser("bounds", help="analytic bound report")
-    _add_overrides(b)
+    _add_point(b)  # no simulation: --seed and --runs would change no byte
     b.set_defaults(fn=cmd_bounds, preset=scheduling_scenario)
     return parser
 

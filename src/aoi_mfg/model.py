@@ -156,7 +156,9 @@ def _check_mix(types) -> None:
 
 
 def capacity_for(alpha: float, N: int) -> int:
-    """Channel capacity C = round(alpha * N), at least 1, for a finite alpha > 0."""
+    """Channel capacity C = round(alpha * N), at least 1, for a finite alpha > 0.
+    alpha goes through `real` and N through `integer`: ConfigError naming them."""
+    alpha, N = _read(alpha, real, "alpha"), _read(N, integer, "N")
     if not 0.0 < alpha < math.inf:
         raise ConfigError(f"alpha must be finite and > 0, got {alpha}")
     return max(1, round(alpha * N))
@@ -221,7 +223,9 @@ def assign_types(N: int, types) -> Population:
 
     Deterministic: |N_phi - N * P(phi)| < 1 for every type, ties broken by
     lower type index. Agents of one type occupy a contiguous index block.
+    N goes through `integer`: ConfigError naming it.
     """
+    N = _read(N, integer, "N")
     types = tuple(types)
     if N < 1:
         raise ConfigError(f"N must be >= 1, got {N}")
@@ -296,8 +300,7 @@ def load_scenario(source) -> ScenarioConfig:
 
     top = {f.name: doc[f.name] for f in fields(ScenarioConfig) if f.name in doc}
     if "capacity" not in doc:
-        top["capacity"] = capacity_for(_read(doc["alpha"], real, "alpha"),
-                                       _read(doc["N"], integer, "N"))
+        top["capacity"] = capacity_for(doc["alpha"], doc["N"])
     top["types"] = tuple(AgentType(**tdoc) for tdoc in doc["types"])
     return ScenarioConfig(**top)
 

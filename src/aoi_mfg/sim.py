@@ -6,6 +6,9 @@ within a step: intents from the current AoI, capacity projection, channel,
 decoder update with the current state, control, plant advance, AoI update.
 Scheduling ignores plant state, so `_schedule_block` advances the AoI a block
 of whole steps at once and the game loop replays its receptions step by step.
+The block keeps every step's intents (after projection) and counts each
+chain's attempts from them once per block; an agent's age is kept, one step
+older, unless it sent and its packet survived, which resets it to 0.
 
 The game loop is written once for every plant shape; `_per_agent` decides
 how a per-type matrix acts on the agents. Scalar plants (1x1 A and B, every
@@ -97,7 +100,13 @@ def _schedule_block(tau, policy: RelaxedPolicy, C, p, rng, rows):
 
     tau holds K chains of the policy's N agents, one after another. The coin
     and channel numbers are drawn once and applied to every chain. The last
-    chain is projected onto the capacity C; the others are not.
+    chain is projected onto the capacity C, step by step; the others are not.
+    The block keeps every step's intents, the projected chain's as they are
+    after projection, and each chain's attempts are counted from them once
+    per block. An agent's age is kept, one step older, unless it sent and
+    its packet survived: the channel draws `lost = u < p` (the complement of
+    a survival `u >= p`), and a step multiplies the aged tau by the keep mask
+    `a <= lost`, false exactly on a reception.
 
     Returns (taus, attempts): taus[j] is the stacked AoI at the start of step
     j and taus[rows] the AoI after the block, so taus[j + 1] == 0 marks step
@@ -106,27 +115,23 @@ def _schedule_block(tau, policy: RelaxedPolicy, C, p, rng, rows):
     K = tau.size // N
     thresholds = np.tile(np.where(rng["coin"].random((rows, N)) < policy.q,
                                   policy.klow, policy.kbar), K)
-    delivered = np.tile(rng["channel"].random((rows, N)) >= p, K)
+    losses = np.tile(rng["channel"].random((rows, N)) < p, K)
     free = tau.size - N  # agents of the unprojected chains
     taus = np.empty((rows + 1, tau.size), dtype=np.int64)
     taus[0] = tau
-    sent = 0
-    for thr, ok, nxt in zip(thresholds, delivered, taus[1:]):
-        a = tau >= thr
-        last = a[free:]
-        n = int(np.count_nonzero(last))
-        if n > C:
-            n = int(np.count_nonzero(_project(last, tau[free:], C)))
+    intents = np.empty((rows, tau.size), dtype=bool)
+    one = np.ones((), dtype=np.int64)  # a 0-d array: no per-call conversion of the scalar 1
+    for cur, thr, a, last, ages, lost, nxt in zip(taus[:-1], thresholds, intents, intents[:, free:],
+                                                  taus[:-1, free:], losses, taus[1:]):
+        np.greater_equal(cur, thr, a)
+        if np.count_nonzero(last) > C:
+            n = int(np.count_nonzero(_project(last, ages, C)))
             if n > C:
                 raise CapacityViolationError(n, C)
-        sent += n
-        a &= ok  # the receptions
         # age by one, times 0 on reception: no data-dependent branch
-        tau = np.multiply(tau + 1, ~a, out=nxt)
-    # an unprojected chain transmits every intent: count them once per block
-    attempts = [int(np.count_nonzero(taus[:-1, i:i + N] >= thresholds[:, i:i + N]))
-                for i in range(0, free, N)]
-    return taus, attempts + [sent]
+        np.add(cur, one, nxt)
+        np.multiply(nxt, a <= lost, nxt)
+    return taus, [int(np.count_nonzero(intents[:, i:i + N])) for i in range(0, tau.size, N)]
 
 
 class _ScheduleRun:
@@ -324,7 +329,7 @@ def run_game_experiment(config: ScenarioConfig, mfe, policy: RelaxedPolicy,
         chol_w(buf[1:], buf[1:])
         Us = nk2g[k0 + 1:k0 + h + 1][:, population.type_index]  # -K2 g_{k+1}, then U_k
         for recv, X, W, U in zip(received, buf, buf[1:], Us):
-            np.copyto(P, X, where=recv)  # Z_k
+            np.copyto(P, X, "same_kind", recv)  # Z_k
             np.subtract(U, K1(P), U)
             BU = B(U)
             P = A(P) + BU

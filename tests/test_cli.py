@@ -477,6 +477,13 @@ class TestErrors:
         assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("flag,value", [("--seed", "5"), ("--runs", "7")])
+    def test_bounds_takes_no_seed_flags(self, flag, value, tmp_path, capsys):
+        # bounds runs no simulation: these flags moved only the manifest's seed and hash
+        assert main(["bounds", flag, value, "--out", str(tmp_path / "o")]) == 1
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("argv,named", [
         (["schedule", "--seed", "abc"], "argument --seed: invalid int value: 'abc'"),
         (["game", "--bogus"], "unrecognized arguments: --bogus"),

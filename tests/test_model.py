@@ -5,7 +5,8 @@ import re
 import numpy as np
 import pytest
 
-from aoi_mfg import AgentType, ScenarioConfig, assign_types, default_types, load_scenario
+from aoi_mfg import (AgentType, ScenarioConfig, assign_types, default_types, load_scenario,
+                     scheduling_scenario)
 from aoi_mfg.model import capacity_for, check_erasure
 from aoi_mfg.errors import AssumptionViolationError, ConfigError, MissingKeyError, NonPositiveDefiniteError
 
@@ -137,6 +138,38 @@ class TestAssignTypes:
         assert s1.stop == 7
         assert np.all(pop.type_index[s0] == 0)
         assert np.all(pop.type_index[s1] == 1)
+
+    @pytest.mark.parametrize("N", [10.5, True, "10"])
+    def test_ill_typed_count_named(self, N):
+        with pytest.raises(ConfigError, match=r"^N: expected integer"):
+            assign_types(N, default_types())
+
+    def test_integral_count_converted(self):
+        pop = assign_types(np.int64(10), default_types())
+        assert pop.counts == assign_types(10.0, default_types()).counts == (4, 3, 3)
+
+
+class TestCapacityFor:
+    @pytest.mark.parametrize("alpha,N,named", [
+        ("0.25", 10, "alpha: expected real"), (True, 10, "alpha: expected real"),
+        (0.25, 10.5, "N: expected integer"), (0.25, True, "N: expected integer"),
+        (0.25, "10", "N: expected integer"),
+    ])
+    def test_ill_typed_argument_named(self, alpha, N, named):
+        with pytest.raises(ConfigError, match=rf"^{named}"):
+            capacity_for(alpha, N)
+
+    def test_preset_alpha_named(self):
+        with pytest.raises(ConfigError, match=r"^alpha: expected real"):
+            scheduling_scenario(alpha="0.25")
+
+    @pytest.mark.parametrize("alpha,N,want", [
+        (0.25, 10, 2), (0.25, 100, 25), (0.29, 10, 3), (0.01, 10, 1), (1, 7, 7),
+        (np.float64(0.25), np.int64(100), 25), (0.25, 100.0, 25),
+    ])
+    def test_values(self, alpha, N, want):
+        got = capacity_for(alpha, N)
+        assert got == want and type(got) is int
 
 
 def _record_kwargs(record):

@@ -237,6 +237,24 @@ class TestBlockKernel:
             want = matb_select(a, tau, C)
             assert np.array_equal(sim._project(a, tau, C), want)
 
+    @pytest.mark.parametrize("K", [1, 2])
+    def test_capacity_checked_at_each_step_of_a_long_block(self, K, monkeypatch):
+        # a projection that keeps C - 1 intents, but C + 1 at one step of 600:
+        # the block sends fewer than C per step on average, and still raises
+        N, C, rows, bad = 10, 4, 600, 300
+        calls = []
+
+        def project(a, tau, C):
+            calls.append(C)
+            a[a.nonzero()[0][C + 1 if len(calls) == bad else C - 1:]] = False
+            return a
+        monkeypatch.setattr(sim, "_project", project)
+        with pytest.raises(CapacityViolationError) as exc:
+            sim._schedule_block(np.zeros(K * N, dtype=np.int64), fixed_policy(N, 0), C, 0.2,
+                                make_streams(0), rows)
+        assert (exc.value.sent, exc.value.capacity, len(calls)) == (C + 1, C, bad)
+        assert (C - 1) * (rows - 1) + C + 1 < C * rows
+
     @pytest.mark.parametrize("N,alpha,p", [(5, 0.2, 0.2), (20, 0.25, 0.0), (37, 0.4, 0.3)])
     @pytest.mark.parametrize("projected", [True, False])
     def test_kernel_matches_per_step_reference(self, N, alpha, p, projected):
