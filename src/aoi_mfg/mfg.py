@@ -12,11 +12,15 @@ per-type loop of one NumPy matrix-vector product per step (the references in
 depend on how the recursions are run.
 `solve_mfe` builds the operator once per solve (`_operator`: the stacked
 matrices, fixed while it iterates).
-Both recursions run through `_recursion`, x_{j+1} = M x_j - D u_j for a stack
+Both recursions are x_{j+1} = M x_j - D u_j, run by `_recursion` for a stack
 of types, which keeps each type's float operations in their order:
-- n == 1 runs on Python floats. `a*x - d*u` rounds each product once and then
-  subtracts, as the 1x1 `matmul` and the subtraction do (up to the sign of a
-  zero product, which `matmul` adds to +0.0).
+- n == 1 runs on Python floats (`_scalar_steps`). `a*x - d*u` rounds each
+  product once and then subtracts, as the 1x1 `matmul` and the subtraction
+  do (up to the sign of a zero product, which `matmul` adds to +0.0). The
+  operator's scalar pass calls `_scalar_steps` directly: mu becomes a list
+  once, g_H is the stacked solve `_backward` uses, each type's g and mean
+  stay Python floats, and the means become one array for the
+  probability-weighted sum, the same NumPy adds in type order.
 - n > 1 runs one step loop for all types on stacked (m, n, n) matrices, and
   applies D to the whole window in one batched `matmul`. Each step is one
   `matmul` into the next step's view and one in-place subtraction (the
@@ -184,6 +188,15 @@ def _read_only_gains(A, B, Q, R) -> TrackingGains:
     return gains
 
 
+def _scalar_steps(a: float, v: float, d: float, drive: list) -> list:
+    """[x_0, ..., x_J] of x_{j+1} = a x_j - d u_j from x_0 = v, on Python floats."""
+    col = [v]
+    for u_j in drive:
+        v = a * v - d * u_j
+        col.append(v)
+    return col
+
+
 def _recursion(M: np.ndarray, x0: np.ndarray, D: np.ndarray, u: np.ndarray) -> np.ndarray:
     """x_{j+1} = M x_j - D u_j for a stack of types, from x_0 = x0.
 
@@ -200,12 +213,8 @@ def _recursion(M: np.ndarray, x0: np.ndarray, D: np.ndarray, u: np.ndarray) -> n
         if len(drives) == 1:  # one drive shared by every type
             drives *= m
         for i, drive in enumerate(drives):
-            a, d, v = float(M[i, 0, 0]), float(D[i, 0, 0]), float(x0[i, 0])
-            col = [v]
-            for u_j in drive:
-                v = a * v - d * u_j
-                col.append(v)
-            x[:, i, 0, 0] = col
+            x[:, i, 0, 0] = _scalar_steps(float(M[i, 0, 0]), float(x0[i, 0]),
+                                          float(D[i, 0, 0]), drive)
         return x[..., 0]
     Du = D @ u[..., None]                       # (J, m, n, 1): D u_j per type
     steps = list(x)                             # the per-step views, made once
@@ -221,10 +230,15 @@ def _backward(mu: np.ndarray, A_cl: np.ndarray, Q: np.ndarray) -> np.ndarray:
     A_cl and Q have shape (m, n, n), mu has shape (H, n); the result has
     shape (H+1, m, n). g_H is the geometric closed form for mu held at
     mu_{H-1} beyond the window."""
-    H, n = mu.shape
     A_T = A_cl.transpose(0, 2, 1)
-    g_H = -np.linalg.solve(np.eye(n) - A_T, (Q @ mu[H - 1])[..., None])[..., 0]
-    return _recursion(A_T, g_H, Q, mu[::-1, None, :])[::-1]
+    return _recursion(A_T, _g_end(mu, A_T, Q), Q, mu[::-1, None, :])[::-1]
+
+
+def _g_end(mu: np.ndarray, A_T: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """g_H of every type, shape (m, n): one stacked solve of
+    (I - A_cl') g_H = -Q mu_{H-1}."""
+    n = mu.shape[1]
+    return -np.linalg.solve(np.eye(n) - A_T, (Q @ mu[-1])[..., None])[..., 0]
 
 
 def _operator(types, gains: dict):
@@ -235,17 +249,31 @@ def _operator(types, gains: dict):
     the probability-weighted average over types. The gains are
     `solve_riccati`'s, so rho(A_cl) < 1 and the g series converges. The
     stacked A_cl, Q, B K2, the x0 means and the probabilities are built
-    once: they are fixed while `solve_mfe` iterates."""
+    once: they are fixed while `solve_mfe` iterates. For n == 1 both
+    recursions run on Python floats in one pass per type (`_scalar_steps`),
+    after one stacked solve for g_H; the types' means become one array for
+    the weighted sum."""
     A_cl = np.stack([gains[t.label].A_cl for t in types])
     Q = np.stack([t.Q for t in types])
     BK2 = np.stack([t.B @ gains[t.label].K2 for t in types])
     x0 = np.array([t.x0_mean for t in types])
     probs = [t.prob for t in types]
 
+    # n == 1: (a, q, bk2, x0) per type as Python floats
+    scalars = list(zip(*(X.ravel().tolist() for X in (A_cl, Q, BK2, x0)))) \
+        if x0.shape[1] == 1 else None
+
     def apply(mu: np.ndarray) -> np.ndarray:
         mu = as_matrix(mu)
-        g = _backward(mu, A_cl, Q)
-        nu = _recursion(A_cl, x0, BK2, g[1:mu.shape[0]])
+        H = mu.shape[0]
+        if scalars is not None:
+            drive = mu[::-1, 0].tolist()
+            ends = _g_end(mu, A_cl, Q).ravel().tolist()  # a 1x1 A_cl is its own transpose
+            # per type: g_H, ..., g_0 backward, then nu driven by g_1, ..., g_{H-1}
+            nu = np.array([_scalar_steps(a, x, bk2, _scalar_steps(a, end, q, drive)[H - 1:0:-1])
+                           for (a, q, bk2, x), end in zip(scalars, ends)]).T[..., None]
+        else:
+            nu = _recursion(A_cl, x0, BK2, _backward(mu, A_cl, Q)[1:H])
         out = np.zeros_like(mu)
         for i, prob in enumerate(probs):
             out += prob * nu[:, i]

@@ -13,12 +13,14 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 
 import numpy as np
 
 from .errors import DimensionMismatchError, InfeasibleCapacityError, NumericOverflowError
 from .model import Population
-from .threshold import kappa_scan, transmission_rate
+from .threshold import kappa_scan
 
 log = logging.getLogger(__name__)
 
@@ -63,7 +65,12 @@ class RelaxedPolicy:
 
 
 def _rate_term(count: int, kappa: int, p: float) -> float:
-    return count * transmission_rate(kappa, kappa, 1.0, p)
+    """count * transmission_rate(kappa, kappa, 1.0, p), on Python floats."""
+    # `_cycle_stats` at klow = kbar = kappa, q = 1 has rho = [1.0] and
+    # mid_sum = 0.0, so top = 1.0 / (1.0 - p), length = kappa + 0.0 + top and
+    # attempts = 0.0 + top = top: the same float operations, in their order
+    top = 1.0 / (1.0 - p)
+    return count * (top / (kappa + 0.0 + top))
 
 
 def randomization_q(C: float, C_low: float, C_high: float) -> float:
@@ -98,7 +105,9 @@ def bisection_lambda(population: Population, p: float, C: float) -> RelaxedPolic
     kap_low = kap_high = [0] * len(scans)
     nxt = [scan.price(k) for scan, k in zip(scans, kap_high)]  # next breakpoint per type
     terms = [_rate_term(c, k, p) for c, k in zip(population.counts, kap_high)]
-    rate_low = rate_high = sum(terms)
+    # added left to right: from Python 3.12 on, `sum` of Python floats is
+    # compensated and can differ in the last bit
+    rate_low = rate_high = reduce(add, terms)
     while rate_high > C:
         kap_low, rate_low = list(kap_high), rate_high
         lam = min(nxt)
@@ -111,7 +120,7 @@ def bisection_lambda(population: Population, p: float, C: float) -> RelaxedPolic
                     kap_high[i] += 1
                     nxt[i] = scan.price(kap_high[i])
                 terms[i] = _rate_term(population.counts[i], kap_high[i], p)
-        rate_high = sum(terms)
+        rate_high = reduce(add, terms)
     q = 1.0 if rate_low <= C else randomization_q(C, rate_low, rate_high)
     per_type = {t.label: (kl, kh)
                 for t, kl, kh in zip(population.types, kap_low, kap_high)}

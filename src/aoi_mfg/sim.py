@@ -89,7 +89,8 @@ def _project(a, tau, C):
     candidates = a.nonzero()[0]
     drop = candidates.size - C
     if drop > 0:
-        key = tau[candidates] * a.size - candidates
+        key = tau[candidates] * np.array(a.size)  # a 0-d array: no Python-int conversion
+        key -= candidates
         a[candidates[key.argpartition(drop)[:drop]]] = False
     return a
 

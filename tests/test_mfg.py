@@ -246,15 +246,25 @@ class TestMfOperator:
         assert out[0, 0] == pytest.approx(float(mu0[0]), rel=1e-12)
 
 
+# the defaults with their unstable type's pole moved (the benchmark's solver
+# grid solves these too: 102 and 52 iterations, one window doubling each),
+# and two 2-state types
+MFE_TYPE_SETS = {
+    "default": default_types(),
+    **{f"pole-{pole}": tuple(dataclasses.replace(t, A=pole) if t.label == "unstable" else t
+                             for t in default_types())
+       for pole in (1.05, 1.3)},
+    "two-state": tuple(AgentType(label=t, A=[[a, 0.1], [0.0, 0.9]], B=[[0.1269], [0.2]],
+                                 C_W=np.eye(2) * 5.0, Q=np.eye(2) * 2.0, R=2.0,
+                                 x0_mean=[x, 1.0], x0_cov=np.eye(2), prob=0.5)
+                       for t, a, x in (("s", 0.5, 6.0), ("m", 1.0, 3.0))),
+}
+
+
 class TestSolveMfe:
-    @pytest.mark.parametrize("two_state", [False, True])
-    def test_identical_through_reference_operator(self, two_state, monkeypatch):
-        types = default_types()
-        if two_state:
-            types = [AgentType(label=t, A=[[a, 0.1], [0.0, 0.9]], B=[[0.1269], [0.2]],
-                               C_W=np.eye(2) * 5.0, Q=np.eye(2) * 2.0, R=2.0,
-                               x0_mean=[x, 1.0], x0_cov=np.eye(2), prob=0.5)
-                     for t, a, x in (("s", 0.5, 6.0), ("m", 1.0, 3.0))]
+    @pytest.mark.parametrize("name", list(MFE_TYPE_SETS))
+    def test_identical_through_reference_operator(self, name, monkeypatch):
+        types = MFE_TYPE_SETS[name]
         new = solve_mfe(types)
         # solve_mfe builds its operator once per solve through mfg._operator
         monkeypatch.setattr(mfg, "_operator",
@@ -263,8 +273,8 @@ class TestSolveMfe:
         assert np.array_equal(new.mu, ref.mu)
         assert np.array_equal(new.K3, ref.K3)
         assert all(np.array_equal(new.g[t.label], ref.g[t.label]) for t in types)
-        assert (new.iterations, new.gap_ratios, new.residual) == \
-            (ref.iterations, ref.gap_ratios, ref.residual)
+        assert (new.iterations, new.window_doublings, new.gap_ratios, new.residual) == \
+            (ref.iterations, ref.window_doublings, ref.gap_ratios, ref.residual)
 
     def test_g_matches_per_type_trajectory(self, mfe):
         for t in default_types():
