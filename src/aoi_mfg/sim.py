@@ -10,6 +10,15 @@ The block keeps every step's intents (after projection) and counts each
 chain's attempts from them once per block; an agent's age is kept, one step
 older, unless it sent and its packet survived, which resets it to 0.
 
+Ages are held in the smallest unsigned dtype that holds T + 1,
+`np.min_scalar_type(T + 1)`: uint8 up to T = 254, uint16 up to T = 65534.
+A run starts at age 0 and ages at most one per step, so no age exceeds T;
+the thresholds are clipped to T + 1 in the same dtype, which leaves every
+comparison as it was (a threshold above T never binds). A large-N step is
+bound by memory traffic, and the narrow ages move a fraction of the bytes.
+Only the projection key tau*N - i outgrows the dtype; `_project` forms it in
+int64. Whatever the age dtype, histograms are int64 and counters Python ints.
+
 The game loop is written once for every plant shape; `_per_agent` decides
 how a per-type matrix acts on the agents. Scalar plants (1x1 A and B, every
 CLI workload) use per-agent columns, a few ufuncs per step; others one
@@ -43,7 +52,7 @@ policy run alone on the seed's streams.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
@@ -85,11 +94,16 @@ _BLOCK_ELEMENTS = 2**15  # agent-steps drawn at once, over every chain: bounds a
 def _project(a, tau, C):
     """Keep the C intents with the largest age, equal ages to the lower index:
     the C largest keys tau*N - i, the first C of a stable sort on -tau.
-    Clears the dropped intents of `a` in place and returns it."""
+    Clears the dropped intents of `a` in place and returns it.
+
+    tau may be any integer dtype; the key is int64 whatever it is. The 0-d
+    int64 array `np.array(a.size)` is a strong operand under NEP 50, so a
+    uint8 or uint16 tau is promoted before the multiply; a Python int would
+    keep the narrow dtype and wrap (200 * 100 -> 32 in uint8) or raise."""
     candidates = a.nonzero()[0]
     drop = candidates.size - C
     if drop > 0:
-        key = tau[candidates] * np.array(a.size)  # a 0-d array: no Python-int conversion
+        key = tau[candidates] * np.array(a.size)  # int64 0-d: promotes narrow ages, no Python int
         key -= candidates
         a[candidates[key.argpartition(drop)[:drop]]] = False
     return a
@@ -109,6 +123,11 @@ def _schedule_block(tau, policy: RelaxedPolicy, C, p, rng, rows):
     a survival `u >= p`), and a step multiplies the aged tau by the keep mask
     `a <= lost`, false exactly on a reception.
 
+    Ages keep tau's dtype: taus and the step's 0-d `one` are made in it, so
+    the caller picks the width (`_ScheduleRun` a narrow one, with the
+    policy's thresholds narrowed to match; int64 ages and thresholds work
+    unchanged). The dtype must hold every age the block reaches.
+
     Returns (taus, attempts): taus[j] is the stacked AoI at the start of step
     j and taus[rows] the AoI after the block, so taus[j + 1] == 0 marks step
     j's receptions; attempts[i] is the number of transmissions of chain i."""
@@ -118,10 +137,10 @@ def _schedule_block(tau, policy: RelaxedPolicy, C, p, rng, rows):
                                   policy.klow, policy.kbar), K)
     losses = np.tile(rng["channel"].random((rows, N)) < p, K)
     free = tau.size - N  # agents of the unprojected chains
-    taus = np.empty((rows + 1, tau.size), dtype=np.int64)
+    taus = np.empty((rows + 1, tau.size), dtype=tau.dtype)
     taus[0] = tau
     intents = np.empty((rows, tau.size), dtype=bool)
-    one = np.ones((), dtype=np.int64)  # a 0-d array: no per-call conversion of the scalar 1
+    one = np.ones((), dtype=tau.dtype)  # a 0-d array: no per-call conversion of the scalar 1
     for cur, thr, a, last, ages, lost, nxt in zip(taus[:-1], thresholds, intents, intents[:, free:],
                                                   taus[:-1, free:], losses, taus[1:]):
         np.greater_equal(cur, thr, a)
@@ -145,17 +164,26 @@ class _ScheduleRun:
     Successes and the largest age follow from the histogram: every run starts
     at age 0 and a reception at step j is a zero age at step j + 1, so a chain
     with histogram h and current ages tau has received h[0] - N + #(tau == 0)
-    packets, and its largest age is h.size - 1."""
+    packets, and its largest age is h.size - 1.
+
+    The ages are kept in `np.min_scalar_type(T + 1)`, chosen once per run,
+    and so are the policy's klow and kbar, clipped to [0, T + 1]. Clipping is
+    exact: no age exceeds T, so a threshold above T never binds, as T + 1
+    does not, and ages are never negative (kappa may reach the scan's cap of
+    10**6, which no narrow dtype holds)."""
 
     def __init__(self, config: ScenarioConfig, policy: RelaxedPolicy, rng, K=1):
         policy.check_size(config.N)
         population = population_for(config)
-        self.config, self.policy, self.rng, self.K = config, policy, rng, K
+        age = np.min_scalar_type(config.T + 1)
+        self.config, self.rng, self.K = config, rng, K
+        self.policy = replace(policy, klow=np.clip(policy.klow, 0, config.T + 1).astype(age),
+                              kbar=np.clip(policy.kbar, 0, config.T + 1).astype(age))
         self.tables = [weight_table(t.A, t.C_W) for t in population.types]
         self.slices = population.slices()
         self.cost_sum, self.attempts = [0.0] * K, [0] * K
         self.hist = [np.zeros(1, dtype=np.int64) for _ in range(K)]
-        self.tau = np.zeros(K * config.N, dtype=np.int64)
+        self.tau = np.zeros(K * config.N, dtype=age)
 
     def blocks(self):
         """Yield (k0, taus) for each block of the config.T steps from tau = 0;

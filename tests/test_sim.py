@@ -235,7 +235,13 @@ class TestBlockKernel:
             a = rng.random(N) < rng.random()
             tau = rng.integers(0, int(rng.integers(1, 5)), size=N)
             want = matb_select(a, tau, C)
-            assert np.array_equal(sim._project(a, tau, C), want)
+            assert np.array_equal(sim._project(a.copy(), tau, C), want)
+            # narrow ages near their dtype's top: tau * N is far outside the
+            # dtype, so the key must be formed in int64
+            for dtype in (np.uint8, np.uint16):
+                narrow = np.iinfo(dtype).max - tau * 50
+                want = matb_select(a, narrow, C)
+                assert np.array_equal(sim._project(a.copy(), narrow.astype(dtype), C), want)
 
     @pytest.mark.parametrize("K", [1, 2])
     def test_capacity_checked_at_each_step_of_a_long_block(self, K, monkeypatch):
@@ -332,6 +338,9 @@ class TestBlockKernel:
             assert m.successes == int(np.count_nonzero(taus[1:] == 0))
             assert m.max_aoi == int(ages.max())
             assert np.array_equal(m.aoi_hist, np.bincount(ages.ravel()))
+            # the run's narrow ages stay inside it
+            assert m.aoi_hist.dtype == np.int64
+            assert all(type(x) is int for x in (m.attempts, m.successes, m.max_aoi))
 
     @pytest.mark.parametrize("kind", ["relaxed", "matb"])
     def test_metrics_match_reference(self, kind):
@@ -341,15 +350,28 @@ class TestBlockKernel:
 
     # successes and max_aoi come from the histogram and the final ages: T = 1
     # is a run of one step, p = 0 loses no packet, and threshold 0 has every
-    # agent want to send at every step, so the last step resets agents
+    # agent want to send at every step, so the last step resets agents.
+    # T = 254 is the last run with uint8 ages and T = 255 the first with
+    # uint16; threshold 10**6, clipped to T + 1, never sends, so every age
+    # reaches T = 254, the top of the uint8 run
     @pytest.mark.parametrize("threshold,T,p", [(None, 1, 0.2), (None, 80, 0.0), (0, 1, 0.2),
-                                               (0, 80, 0.0), (0, 80, 0.2)])
+                                               (0, 80, 0.0), (0, 80, 0.2), (None, 254, 0.2),
+                                               (None, 255, 0.2), (10**6, 254, 0.2)])
     @pytest.mark.parametrize("kind", ["matb", "both"])
     def test_histogram_counters_at_the_edges(self, kind, threshold, T, p):
         cfg = scheduling_scenario(N=30, alpha=0.25, p=p, T=T)
         policy = (bisection_lambda(population_for(cfg), cfg.p, cfg.capacity) if threshold is None
                   else fixed_policy(cfg.N, threshold))
         self._assert_metrics_match_reference(cfg, policy, kind, resets_last=threshold == 0)
+
+    @pytest.mark.parametrize("T,dtype", [(254, np.uint8), (255, np.uint16), (65534, np.uint16),
+                                         (65535, np.uint32)])
+    def test_ages_in_the_smallest_unsigned_dtype_that_holds_T(self, T, dtype):
+        cfg = scheduling_scenario(N=30, alpha=0.25, p=0.2, T=T)
+        run = sim._ScheduleRun(cfg, fixed_policy(cfg.N, 10**6, klow=-1), make_streams(0), 2)
+        assert run.tau.dtype == run.policy.klow.dtype == run.policy.kbar.dtype == dtype
+        # thresholds clipped to [0, T + 1]
+        assert (int(run.policy.klow.min()), int(run.policy.kbar.max())) == (0, T + 1)
 
     @pytest.mark.parametrize("kind", ["matb", "both"])
     def test_counters_cover_the_blocks_read(self, kind, monkeypatch):
@@ -567,10 +589,13 @@ class TestPlantLoops:
     def test_game_equals_per_type_reference(self, equilibria, types, N, T):
         _assert_game_equals_reference(equilibria, types, N, T)
 
-    @pytest.mark.parametrize("types", ["mixed", "two-state", "two-input", "three-state",
-                                       "mixed-input"])
-    def test_game_matches_per_agent_oracle(self, equilibria, types):
-        cfg = _scenario(TYPE_SETS[types], N=9, T=40)
+    # mixed-uint16: T = 300 keeps the run's ages in uint16, the oracle's in int64
+    @pytest.mark.parametrize("types,T", [("mixed", 40), ("two-state", 40), ("two-input", 40),
+                                         ("three-state", 40), ("mixed-input", 40), ("mixed", 300)],
+                             ids=["mixed", "two-state", "two-input", "three-state",
+                                  "mixed-input", "mixed-uint16"])
+    def test_game_matches_per_agent_oracle(self, equilibria, types, T):
+        cfg = _scenario(TYPE_SETS[types], N=9, T=T)
         policy = bisection_lambda(population_for(cfg), cfg.p, cfg.capacity)
         m = run_game_experiment(cfg, equilibria[types], policy, seed=6)
         cost, cons = _per_agent_oracle(cfg, equilibria[types], policy, seed=6)
