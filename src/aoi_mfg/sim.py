@@ -19,6 +19,14 @@ bound by memory traffic, and the narrow ages move a fraction of the bytes.
 Only the projection key tau*N - i outgrows the dtype; `_project` forms it in
 int64. Whatever the age dtype, histograms are int64 and counters Python ints.
 
+A select on a random mask is integer arithmetic, not `np.where`, as the aging
+is: no data-dependent branch. The step's thresholds are kbar - coin * (kbar -
+klow). In an unsigned dtype the difference and the subtraction may wrap, but
+arithmetic modulo 2**bits gives klow exactly where the coin is set, whatever
+the order of klow and kbar. The block writes the K chains' copies of the
+thresholds and the losses with one broadcast ufunc each into a (rows, K, N)
+buffer, read as (rows, K * N).
+
 The game loop is written once for every plant shape; `_per_agent` decides
 how a per-type matrix acts on the agents. Scalar plants (1x1 A and B, every
 CLI workload) use per-agent columns, a few ufuncs per step; others one
@@ -128,21 +136,35 @@ def _schedule_block(tau, policy: RelaxedPolicy, C, p, rng, rows):
     policy's thresholds narrowed to match; int64 ages and thresholds work
     unchanged). The dtype must hold every age the block reaches.
 
+    The coin picks klow by arithmetic, kbar - coin * (kbar - klow), not by
+    `np.where`, which branches on every element of a random mask.
+    In a narrow unsigned dtype kbar - klow wraps when klow > kbar, and
+    kbar - (kbar - klow) wraps back: modulo 2**bits it is klow exactly, so
+    the thresholds are those of the select for any klow and kbar. They and
+    the losses are written for all K chains by one broadcast ufunc each into
+    a (rows, K, N) buffer, read a step at a time as the stacked K * N agents.
+
     Returns (taus, attempts): taus[j] is the stacked AoI at the start of step
     j and taus[rows] the AoI after the block, so taus[j + 1] == 0 marks step
     j's receptions; attempts[i] is the number of transmissions of chain i."""
-    N = policy.kbar.size
+    kbar = policy.kbar
+    N = kbar.size
     K = tau.size // N
-    thresholds = np.tile(np.where(rng["coin"].random((rows, N)) < policy.q,
-                                  policy.klow, policy.kbar), K)
-    losses = np.tile(rng["channel"].random((rows, N)) < p, K)
+    # klow where the coin is set, else kbar: a multiply-subtract, not a select
+    d = kbar - policy.klow
+    thresholds = np.empty((rows, K, N), dtype=d.dtype)
+    np.subtract(kbar, (rng["coin"].random((rows, N)) < policy.q)[:, None] * d, thresholds)
+    losses = np.empty((rows, K, N), dtype=bool)
+    np.less(rng["channel"].random((rows, N))[:, None], p, losses)
     free = tau.size - N  # agents of the unprojected chains
     taus = np.empty((rows + 1, tau.size), dtype=tau.dtype)
     taus[0] = tau
     intents = np.empty((rows, tau.size), dtype=bool)
+    keep = np.empty(tau.size, dtype=bool)
     one = np.ones((), dtype=tau.dtype)  # a 0-d array: no per-call conversion of the scalar 1
-    for cur, thr, a, last, ages, lost, nxt in zip(taus[:-1], thresholds, intents, intents[:, free:],
-                                                  taus[:-1, free:], losses, taus[1:]):
+    for cur, thr, a, last, ages, lost, nxt in zip(taus[:-1], thresholds.reshape(rows, -1), intents,
+                                                  intents[:, free:], taus[:-1, free:],
+                                                  losses.reshape(rows, -1), taus[1:]):
         np.greater_equal(cur, thr, a)
         if np.count_nonzero(last) > C:
             n = int(np.count_nonzero(_project(last, ages, C)))
@@ -150,7 +172,8 @@ def _schedule_block(tau, policy: RelaxedPolicy, C, p, rng, rows):
                 raise CapacityViolationError(n, C)
         # age by one, times 0 on reception: no data-dependent branch
         np.add(cur, one, nxt)
-        np.multiply(nxt, a <= lost, nxt)
+        np.less_equal(a, lost, keep)
+        np.multiply(nxt, keep, nxt)
     return taus, [int(np.count_nonzero(intents[:, i:i + N])) for i in range(0, tau.size, N)]
 
 
@@ -170,7 +193,11 @@ class _ScheduleRun:
     and so are the policy's klow and kbar, clipped to [0, T + 1]. Clipping is
     exact: no age exceeds T, so a threshold above T never binds, as T + 1
     does not, and ages are never negative (kappa may reach the scan's cap of
-    10**6, which no narrow dtype holds)."""
+    10**6, which no narrow dtype holds).
+
+    Each type's cost table c(0..top) is kept between blocks and rebuilt only
+    when the run's largest age outgrows it; an entry's value does not depend
+    on the table's length, so the gathered costs are those of a fresh table."""
 
     def __init__(self, config: ScenarioConfig, policy: RelaxedPolicy, rng, K=1):
         policy.check_size(config.N)
@@ -180,6 +207,7 @@ class _ScheduleRun:
         self.policy = replace(policy, klow=np.clip(policy.klow, 0, config.T + 1).astype(age),
                               kbar=np.clip(policy.kbar, 0, config.T + 1).astype(age))
         self.tables = [weight_table(t.A, t.C_W) for t in population.types]
+        self.c_tables = [table.c_table(0) for table in self.tables]
         self.slices = population.slices()
         self.cost_sum, self.attempts = [0.0] * K, [0] * K
         self.hist = [np.zeros(1, dtype=np.int64) for _ in range(K)]
@@ -207,9 +235,11 @@ class _ScheduleRun:
             counts[: self.hist[i].size] += self.hist[i]
             self.hist[i] = counts
         top = max(h.size for h in self.hist) - 1
+        if top >= self.c_tables[0].size:
+            self.c_tables = [table.c_table(top) for table in self.tables]
         # per step and chain, each type's slice sum added in type order
-        step_cost = sum(np.take(table.c_table(top), chains[:, :, s]).sum(axis=2)
-                        for table, s in zip(self.tables, self.slices))
+        step_cost = sum(np.take(c, chains[:, :, s]).sum(axis=2)
+                        for c, s in zip(self.c_tables, self.slices))
         for i in range(K):
             for c in step_cost[:, i].tolist():  # in step order: the pinned float order
                 self.cost_sum[i] += c

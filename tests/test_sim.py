@@ -308,6 +308,32 @@ class TestBlockKernel:
                 assert np.array_equal(got[:, chain * N:(chain + 1) * N], want)
                 assert attempts[chain] == want_attempts
 
+    # the kernel takes klow where the coin is set by kbar - coin * (kbar - klow),
+    # which wraps in the unsigned dtypes and is still exact; the reference
+    # selects with np.where on int64 copies. Ages run up to the dtype's top
+    # (uint8 at T = 254, uint16) or, for a direct int64 caller, to kappa's cap
+    @pytest.mark.parametrize("dtype,top", [(np.uint8, 254), (np.uint16, 65534), (np.int64, 10**6)])
+    @pytest.mark.parametrize("order", ["klow < kbar", "klow == kbar", "klow > kbar"])
+    @pytest.mark.parametrize("q", [0.0, 0.5, 1.0])
+    def test_thresholds_match_the_select_at_the_dtype_edges(self, dtype, top, order, q):
+        N, C, rows = 40, 10, 20
+        draw = np.random.default_rng(3)
+        lo, hi = np.sort(draw.integers(0, top + 2, size=(2, N)), axis=0)
+        klow, kbar = {"klow < kbar": (lo, hi), "klow == kbar": (hi, hi),
+                      "klow > kbar": (hi, lo)}[order]
+        policy = fixed_policy(N, kbar, q=q, klow=klow)
+        narrow = dataclasses.replace(policy, klow=klow.astype(dtype), kbar=kbar.astype(dtype))
+        start = draw.integers(0, top + 1 - rows, size=N)
+        # the first chain unprojected, the last projected onto C
+        wants = [reference_schedule(start, policy, c, 0.2, make_streams(4), rows)
+                 for c in (None, C)]
+        taus, attempts = sim._schedule_block(np.tile(start, 2).astype(dtype), narrow, C, 0.2,
+                                             make_streams(4), rows)
+        assert taus.dtype == dtype
+        for chain, (want, want_attempts) in enumerate(wants):
+            assert np.array_equal(taus[:, chain * N:(chain + 1) * N], want)
+            assert attempts[chain] == want_attempts
+
     @staticmethod
     def _assert_metrics_match_reference(cfg, policy, kind, resets_last=False, seed=2):
         # "relaxed" is the first chain of "both"
@@ -363,6 +389,15 @@ class TestBlockKernel:
         policy = (bisection_lambda(population_for(cfg), cfg.p, cfg.capacity) if threshold is None
                   else fixed_policy(cfg.N, threshold))
         self._assert_metrics_match_reference(cfg, policy, kind, resets_last=threshold == 0)
+
+    # a policy that never sends: every age climbs in every block, so the run's
+    # cost tables must grow with each block of height 1 or 7
+    @pytest.mark.parametrize("rows", [1, 7])
+    @pytest.mark.parametrize("kind", ["matb", "both"])
+    def test_cost_tables_grow_with_the_ages(self, kind, rows, monkeypatch):
+        cfg = scheduling_scenario(N=30, alpha=0.25, p=0.2, T=40)
+        monkeypatch.setattr(sim, "_BLOCK_ELEMENTS", rows * sim._CHAINS[kind] * cfg.N)
+        self._assert_metrics_match_reference(cfg, fixed_policy(cfg.N, 10**6), kind)
 
     @pytest.mark.parametrize("T,dtype", [(254, np.uint8), (255, np.uint16), (65534, np.uint16),
                                          (65535, np.uint32)])
