@@ -16,8 +16,9 @@ A run starts at age 0 and ages at most one per step, so no age exceeds T;
 the thresholds are clipped to T + 1 in the same dtype, which leaves every
 comparison as it was (a threshold above T never binds). A large-N step is
 bound by memory traffic, and the narrow ages move a fraction of the bytes.
-Only the projection key tau*N - i outgrows the dtype; `_project` forms it in
-int64. Whatever the age dtype, histograms are int64 and counters Python ints.
+`_project` sorts a step's few candidates' ages directly, in any dtype; only
+past `_SORT_CANDIDATES` candidates does it form the key tau*N - i, in int64.
+Whatever the age dtype, histograms are int64 and counters Python ints.
 
 A select on a random mask is integer arithmetic, not `np.where`, as the aging
 is: no data-dependent branch. The step's thresholds are kbar - coin * (kbar -
@@ -97,23 +98,35 @@ class Metrics:
 
 
 _BLOCK_ELEMENTS = 2**15  # agent-steps drawn at once, over every chain: bounds a block's memory
+# `_project` sorts up to this many candidates and partitions the key past it.
+# A stable sort of uint32 or int64 ages (timsort) reaches the partition's cost
+# near 300 candidates; uint16 (two radix passes) near 2000.
+_SORT_CANDIDATES = 256
 
 
 def _project(a, tau, C):
-    """Keep the C intents with the largest age, equal ages to the lower index:
-    the C largest keys tau*N - i, the first C of a stable sort on -tau.
-    Clears the dropped intents of `a` in place and returns it.
+    """Keep the C intents with the largest age, equal ages to the lower index,
+    and clear the others of `a` in place; returns `a`.
 
-    tau may be any integer dtype; the key is int64 whatever it is. The 0-d
-    int64 array `np.array(a.size)` is a strong operand under NEP 50, so a
-    uint8 or uint16 tau is promoted before the multiply; a Python int would
-    keep the narrow dtype and wrap (200 * 100 -> 32 in uint8) or raise."""
+    The dropped intents are the youngest, equal ages from the higher index.
+    Up to `_SORT_CANDIDATES` candidates, their ages are sorted directly: read
+    in reverse index order, the first `drop` entries of a stable sort are the
+    youngest, higher index first among ties. Past it a sort costs more than a
+    partition (timsort for wide ages, two radix passes for uint16), so the
+    candidates form the unique key tau*N - i and partition it. The 0-d int64
+    array `np.array(a.size)` is a strong operand under NEP 50, so the key is
+    int64 whatever tau's dtype; a Python int would keep a narrow tau's dtype
+    and wrap (200 * 100 -> 32 in uint8) or raise."""
     candidates = a.nonzero()[0]
     drop = candidates.size - C
     if drop > 0:
-        key = tau[candidates] * np.array(a.size)  # int64 0-d: promotes narrow ages, no Python int
-        key -= candidates
-        a[candidates[key.argpartition(drop)[:drop]]] = False
+        if candidates.size <= _SORT_CANDIDATES:
+            rev = candidates[::-1]
+            a[rev[tau[rev].argsort(kind="stable")[:drop]]] = False
+        else:
+            key = tau[candidates] * np.array(a.size)  # int64 0-d: promotes narrow ages, no Python int
+            key -= candidates
+            a[candidates[key.argpartition(drop)[:drop]]] = False
     return a
 
 

@@ -22,8 +22,9 @@ def matb_select(a, tau, C):
     them when there are at most C)."""
     candidates = np.flatnonzero(a)
     zeta = np.zeros(len(a), dtype=bool)
-    # a stable sort on descending age keeps lower indices first among ties
-    zeta[candidates[np.argsort(-tau[candidates], kind="stable")[:C]]] = True
+    # a stable sort on descending age keeps lower indices first among ties;
+    # the ages are negated in int64, where an unsigned age cannot wrap
+    zeta[candidates[np.argsort(-tau[candidates].astype(np.int64), kind="stable")[:C]]] = True
     return zeta
 
 

@@ -226,22 +226,55 @@ class TestGameExperiment:
 
 
 class TestBlockKernel:
-    def test_projection_matches_matb_select(self):
-        # heavy age ties: ages drawn from a handful of values
+    # every age dtype, on both sides of `_SORT_CANDIDATES` (small N sorts,
+    # N = 2000 and 20000 at density 0.5 or more partition the key)
+    @pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.uint32, np.int64])
+    def test_projection_matches_matb_select(self, dtype):
         rng = np.random.default_rng(17)
-        for _ in range(400):
-            N = int(rng.integers(2, 201))
-            C = int(rng.integers(1, N))
-            a = rng.random(N) < rng.random()
-            tau = rng.integers(0, int(rng.integers(1, 5)), size=N)
-            want = matb_select(a, tau, C)
-            assert np.array_equal(sim._project(a.copy(), tau, C), want)
-            # narrow ages near their dtype's top: tau * N is far outside the
-            # dtype, so the key must be formed in int64
-            for dtype in (np.uint8, np.uint16):
-                narrow = np.iinfo(dtype).max - tau * 50
-                want = matb_select(a, narrow, C)
-                assert np.array_equal(sim._project(a.copy(), narrow.astype(dtype), C), want)
+        # ages near the dtype's top, as `_ScheduleRun` keeps them: tau * N is
+        # far outside a narrow dtype, so the key must be formed in int64
+        top = 10**6 if dtype is np.int64 else int(np.iinfo(dtype).max)
+        cases = [(int(rng.integers(2, 201)), rng.random()) for _ in range(400)]
+        cases += [(N, density) for N in (2000, 20000) for density in (0.1, 0.5, 1.0)]
+        for N, density in cases:
+            a = rng.random(N) < density
+            count = int(np.count_nonzero(a))
+            # heavy age ties: five ages, from the top down to near 0
+            tau = (top - rng.integers(0, 5, size=N) * (top // 4)).astype(dtype)
+            # drop from 1 to count - 1, and a C that may not bind
+            capacities = {int(rng.integers(1, N))}
+            if count >= 2:
+                capacities |= {count - 1, count - int(rng.integers(1, count)), 1}
+            for C in capacities:
+                want = matb_select(a, tau, C)
+                assert np.array_equal(sim._project(a.copy(), tau, C), want)
+
+    def test_matb_select_orders_unsigned_ages_as_numbers(self):
+        # an unsigned age negated in its own dtype wraps (-1 is 255 in uint8),
+        # which would keep the age-0 agent
+        a = np.ones(2, dtype=bool)
+        for dtype in (np.uint8, np.uint16, np.uint32, np.int64):
+            assert matb_select(a, np.array([0, 1], dtype=dtype), 1).tolist() == [False, True]
+
+    # T = 65535 is the first T whose ages `_ScheduleRun` keeps in uint32, which
+    # `_project` sorts with timsort at this N; the policy's thresholds stay int64
+    @pytest.mark.parametrize("K", [1, 2])
+    def test_kernel_on_wide_ages_matches_reference(self, K):
+        assert np.min_scalar_type(65535 + 1) == np.uint32
+        N, p, rows = 30, 0.2, 25
+        cfg = scheduling_scenario(N=N, alpha=0.25, p=p, T=rows)
+        policy = bisection_lambda(population_for(cfg), p, cfg.capacity)
+        # tied ages from 0 to T - rows: more intents than the capacity
+        start = np.array([0, 7, 40000, 65535 - rows])[np.random.default_rng(5).integers(0, 4, N)]
+        wants = [reference_schedule(start, policy, c, p, make_streams(4), rows)
+                 for c in (None, cfg.capacity)]
+        assert wants[1][1] < wants[0][1]  # the capacity binds
+        taus, attempts = sim._schedule_block(np.tile(start, K).astype(np.uint32), policy,
+                                             cfg.capacity, p, make_streams(4), rows)
+        assert taus.dtype == np.uint32
+        for chain, (want, want_attempts) in enumerate(wants[-K:]):
+            assert np.array_equal(taus[:, chain * N:(chain + 1) * N], want)
+            assert attempts[chain] == want_attempts
 
     @pytest.mark.parametrize("K", [1, 2])
     def test_capacity_checked_at_each_step_of_a_long_block(self, K, monkeypatch):
