@@ -71,6 +71,13 @@ class MeanFieldSolution:
 
     mu is stored on a finite window; beyond it mu decays geometrically and
     K3 (least-squares one-step propagator with ||K3|| < 1) extrapolates.
+
+    The horizon tables a closed-loop run of length L reads, `mu_padded`,
+    `g_padded` and `feedforward`, are built once per length and kept in a
+    private cache, read-only: every seed of a sweep point reads the same
+    arrays, and no caller can change them, or mu and g through a view. The
+    cache is not an `__init__` field, so `dataclasses.replace` starts an
+    empty one and a solution with another mu or g builds its own tables.
     """
 
     types: tuple                     # the AgentTypes it was solved for
@@ -83,31 +90,56 @@ class MeanFieldSolution:
     K3: np.ndarray
     iterations: int
     window_doublings: int
+    _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def horizon(self) -> int:
         return self.mu.shape[0]
 
+    def _table(self, key, build) -> np.ndarray:
+        """The cached table under key, made read-only by its first build()."""
+        table = self._tables.get(key)
+        if table is None:
+            table = self._tables[key] = build()
+            table.flags.writeable = False
+        return table
+
     def mu_padded(self, length: int) -> np.ndarray:
         """mu on [0, length), extrapolated by K3 powers beyond the window."""
-        H, n = self.mu.shape
-        if length <= H:
-            return self.mu[:length]
-        out = np.empty((length, n))
-        out[:H] = self.mu
-        last = self.mu[-1]
-        for k in range(H, length):
-            last = self.K3 @ last
-            out[k] = last
-        return out
+        def build():
+            H, n = self.mu.shape
+            if length <= H:
+                return self.mu[:length]
+            out = np.empty((length, n))
+            out[:H] = self.mu
+            last = self.mu[-1]
+            for k in range(H, length):
+                last = self.K3 @ last
+                out[k] = last
+            return out
+        return self._table(("mu", length), build)
 
     def g_padded(self, label: str, length: int) -> np.ndarray:
-        g = self.g[label]
-        if length <= g.shape[0]:
-            return g[:length]
-        out = np.zeros((length, g.shape[1]))
-        out[: g.shape[0]] = g
-        return out
+        """g of one type on [0, length), 0 beyond the window."""
+        def build():
+            g = self.g[label]
+            if length <= g.shape[0]:
+                return g[:length]
+            out = np.zeros((length, g.shape[1]))
+            out[: g.shape[0]] = g
+            return out
+        return self._table(("g", label, length), build)
+
+    def feedforward(self, length: int) -> np.ndarray:
+        """-K2 g_k of every type for k in [0, length), shape (length, types,
+        largest m), 0 past a type's m: one stacked matmul per type."""
+        def build():
+            out = np.zeros((length, len(self.types), max(t.m for t in self.types)))
+            for i, t in enumerate(self.types):
+                out[:, i, :t.m] = (self.gains[t.label].K2
+                                   @ self.g_padded(t.label, length)[..., None])[..., 0]
+            return np.negative(out, out=out)
+        return self._table(("-K2 g", length), build)
 
     def report(self) -> dict:
         return {

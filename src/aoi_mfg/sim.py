@@ -31,15 +31,21 @@ buffer, read as (rows, K * N).
 The game loop is written once for every plant shape; `_per_agent` decides
 how a per-type matrix acts on the agents. Scalar plants (1x1 A and B, every
 CLI workload) use per-agent columns, a few ufuncs per step; others one
-matrix product per type slice. Only the sequential
-recursion runs step by step in the game loop: the decoders' Z (a `copyto`
-of X on reception), U = -K2 g - K1 Z, B U once for both Z and X, and X. The
-mean mu^N, the deviation X - mu^N and the running cost Q(dev) + R(U) are
-taken once per block from the block's X and U rows. Exactness contract: all
-of this gives the bits of a loop of one matrix product per type and step
-(the reference in `tests/reference.py`), whatever the block height. A 1x1 `@`
-rounds one product, as an element-wise multiply does; the one-term `einsum`
-dev'Q dev is dev*q*dev; sums keep their order: a block's row sum over the
+matrix product per type slice. Only the sequential recursion runs step by
+step in the game loop: the decoders' Z (a `copyto` of X on reception),
+U = -K2 g - K1 Z, B U once for both Z and X, and X. A step allocates
+nothing: it writes K1 Z, B U, A Z and A X into per-run buffers, zeroed once
+(entries past a type's controls stay 0), with the float operations of the
+expressions A Z + B U and (A X + B U) + W in their order. The -K2 g table
+and mu* are the equilibrium's horizon tables (`MeanFieldSolution.feedforward`
+and `mu_padded`), built once per length and read-only; a run builds its
+population once, for its plants and its `_ScheduleRun`. The mean mu^N, the
+deviation X - mu^N and the running cost Q(dev) + R(U) are taken once per
+block from the block's X and U rows. Exactness contract: all of this gives
+the bits of a loop of one matrix product per type and step (the reference
+in `tests/reference.py`), whatever the block height. A 1x1 `@` rounds one
+product, as an element-wise multiply does; the one-term `einsum` dev'Q dev
+is dev*q*dev; sums keep their order: a block's row sum over the
 agents, divided by N, is each step's `X.mean(axis=0)`, and `np.add.reduce`
 over game_cost and the block's cost rows adds them one step after another;
 a stacked `matmul` or `einsum` (a block of noise or of costs, the K2 g
@@ -175,18 +181,20 @@ def _schedule_block(tau, policy: RelaxedPolicy, C, p, rng, rows):
     intents = np.empty((rows, tau.size), dtype=bool)
     keep = np.empty(tau.size, dtype=bool)
     one = np.ones((), dtype=tau.dtype)  # a 0-d array: no per-call conversion of the scalar 1
-    for cur, thr, a, last, ages, lost, nxt in zip(taus[:-1], thresholds.reshape(rows, -1), intents,
-                                                  intents[:, free:], taus[:-1, free:],
-                                                  losses.reshape(rows, -1), taus[1:]):
-        np.greater_equal(cur, thr, a)
-        if np.count_nonzero(last) > C:
-            n = int(np.count_nonzero(_project(last, ages, C)))
+    # the ufuncs, bound once per block: a step looks none of them up
+    greater_equal, add, less_equal, multiply = np.greater_equal, np.add, np.less_equal, np.multiply
+    count = np.count_nonzero
+    for cur, thr, a, last, lost, nxt in zip(taus[:-1], thresholds.reshape(rows, -1), intents,
+                                            intents[:, free:], losses.reshape(rows, -1), taus[1:]):
+        greater_equal(cur, thr, a)
+        if count(last) > C:  # the projected chain's ages are viewed only on a binding step
+            n = int(count(_project(last, cur[free:], C)))
             if n > C:
                 raise CapacityViolationError(n, C)
         # age by one, times 0 on reception: no data-dependent branch
-        np.add(cur, one, nxt)
-        np.less_equal(a, lost, keep)
-        np.multiply(nxt, keep, nxt)
+        add(cur, one, nxt)
+        less_equal(a, lost, keep)
+        multiply(nxt, keep, nxt)
     return taus, [int(np.count_nonzero(intents[:, i:i + N])) for i in range(0, tau.size, N)]
 
 
@@ -212,9 +220,9 @@ class _ScheduleRun:
     when the run's largest age outgrows it; an entry's value does not depend
     on the table's length, so the gathered costs are those of a fresh table."""
 
-    def __init__(self, config: ScenarioConfig, policy: RelaxedPolicy, rng, K=1):
+    def __init__(self, config: ScenarioConfig, population: Population, policy: RelaxedPolicy,
+                 rng, K=1):
         policy.check_size(config.N)
-        population = population_for(config)
         age = np.min_scalar_type(config.T + 1)
         self.config, self.rng, self.K = config, rng, K
         self.policy = replace(policy, klow=np.clip(policy.klow, 0, config.T + 1).astype(age),
@@ -285,7 +293,8 @@ def run_scheduling_experiment(config: ScenarioConfig, policy: RelaxedPolicy,
     if policy_kind not in _CHAINS:
         raise ValueError(f"unknown policy_kind {policy_kind!r}")
     K = _CHAINS[policy_kind]
-    run = _ScheduleRun(config, policy, make_streams(config.seed if seed is None else seed), K)
+    run = _ScheduleRun(config, population_for(config), policy,
+                       make_streams(config.seed if seed is None else seed), K)
     for _ in run.blocks():
         pass
     return tuple(run.metrics(i) for i in range(K)) if K > 1 else run.metrics()
@@ -309,7 +318,7 @@ def _scalar_plants(types) -> bool:
 def _per_agent(population: Population):
     """(rows, linear, quadratic) for the game loop. `rows(x)` puts per-agent
     vectors, shape (..., N, k), into the loop's layout; given one matrix M_phi
-    per type, `linear(Ms)` is (x[, out]) -> M_phi x and `quadratic(Ms)`
+    per type, `linear(Ms)` is (x, out) -> M_phi x and `quadratic(Ms)`
     (x, out) -> x' M_phi x over every agent in that layout, for any leading
     dimensions. `out` shares no memory with x, except that `linear` may write
     into x itself when every M_phi is square. Scalar plants: a 1-D per-agent
@@ -331,9 +340,7 @@ def _per_agent(population: Population):
         return (lambda x: x[..., 0]), linear, quadratic
 
     def linear(Ms):
-        def apply(x, out=None):
-            if out is None:
-                out = np.zeros(x.shape[:-1] + (max(M.shape[0] for M in Ms),))
+        def apply(x, out):
             for s, M in zip(slices, Ms):
                 out[..., s, :M.shape[0]] = x[..., s, :M.shape[1]] @ M.T
             return out
@@ -351,7 +358,11 @@ def _per_agent(population: Population):
 
 def _check_equilibrium(solved, types) -> None:
     """DimensionMismatchError unless the equilibrium is for the config's types:
-    the labels in order, and A, B, Q, R, x0_mean and prob equal as arrays."""
+    the labels in order, and A, B, Q, R, x0_mean and prob equal as arrays.
+    The tuple the equilibrium was solved for, which the CLI passes, matches
+    without a look at the fields."""
+    if solved is types:
+        return
     labels = [t.label for t in solved], [t.label for t in types]
     if labels[0] != labels[1]:
         raise DimensionMismatchError("equilibrium solved for types %s, config has %s" % labels)
@@ -374,19 +385,19 @@ def run_game_experiment(config: ScenarioConfig, mfe, policy: RelaxedPolicy,
     rng = make_streams(config.seed if seed is None else seed)
     population = population_for(config)
     types, N, T, n = population.types, config.N, config.T, population.types[0].n
-    run = _ScheduleRun(config, policy, rng)
+    run = _ScheduleRun(config, population, policy, rng)
     rows, linear, quadratic = _per_agent(population)
     A, B, K1, chol_w = (linear(Ms) for Ms in zip(*[
         (t.A, t.B, mfe.gains[t.label].K1, np.linalg.cholesky(t.C_W)) for t in types]))
     Q, R = quadratic([t.Q for t in types]), quadratic([t.R for t in types])
-    # -K2 g_k per type for k in [0, T], one stacked matmul each; 0 past a type's m.
+    # -K2 g_k per type for k in [0, T], the equilibrium's table (read-only).
     # U = -K2 g - K1 Z has the bits of -(K1 Z) - K2 g: both round -(K1 Z + K2 g)
-    nk2g = np.zeros((T + 1, len(types), max(t.m for t in types)))
-    for i, t in enumerate(types):
-        nk2g[:, i, :t.m] = (mfe.gains[t.label].K2 @ mfe.g_padded(t.label, T + 1)[..., None])[..., 0]
-    nk2g = rows(np.negative(nk2g, out=nk2g))
+    nk2g = rows(mfe.feedforward(T + 1))
     game_cost = np.zeros(N)
     mu_N = np.empty((T, n))
+    # a step's products K1 Z, B U and A X, written in place; entries past a
+    # type's controls are never written and stay 0
+    K1Z, BU, AX = (rows(np.zeros((N, k))) for k in (max(t.m for t in types), n, n))
 
     def block(k0, received, X, P):
         """Steps k0 .. k0 + h - 1 from X_k0 and the decoders' proposal P
@@ -400,12 +411,14 @@ def run_game_experiment(config: ScenarioConfig, mfe, policy: RelaxedPolicy,
         rng["noise"].standard_normal(out=buf[1:])
         chol_w(buf[1:], buf[1:])
         Us = nk2g[k0 + 1:k0 + h + 1][:, population.type_index]  # -K2 g_{k+1}, then U_k
+        copyto, subtract, add = np.copyto, np.subtract, np.add  # bound once per block
         for recv, X, W, U in zip(received, buf, buf[1:], Us):
-            np.copyto(P, X, "same_kind", recv)  # Z_k
-            np.subtract(U, K1(P), U)
-            BU = B(U)
-            P = A(P) + BU
-            np.add(A(X) + BU, W, W)
+            copyto(P, X, "same_kind", recv)  # Z_k
+            subtract(U, K1(P, K1Z), U)
+            B(U, BU)
+            add(A(P, P), BU, P)  # P = A Z + B U
+            add(A(X, AX), BU, AX)
+            add(AX, W, W)  # X_{k+1} = A X + B U + W
         X = buf[h].copy()
         # mu^N, deviation and running cost of the whole block: a row sum over
         # the agents has the bits of each step's X.sum(axis=0), and the cost

@@ -133,7 +133,7 @@ def _game_reference(config, mfe, policy, seed):
     step. `run_game_experiment` must give its bits for every plant shape."""
     rng = make_streams(seed)
     population = population_for(config)
-    run = sim._ScheduleRun(config, policy, rng)
+    run = sim._ScheduleRun(config, population, policy, rng)
     N, T = config.N, config.T
     slices = population.slices()
     types = population.types
@@ -198,7 +198,7 @@ def estimator_soundness_experiment(config, policy, seed, sample_ks=(10, 100, 400
     snapshots = {}
     sums = np.zeros((len(types), tau_cap + 1))
     counts = np.zeros((len(types), tau_cap + 1), dtype=np.int64)
-    for k0, taus in sim._ScheduleRun(config, policy, rng).blocks():
+    for k0, taus in sim._ScheduleRun(config, population, policy, rng).blocks():
         noise_block = rng["noise"].standard_normal((len(taus) - 1, N, n))
         for k, recv, noise in zip(range(k0, T), taus[1:] == 0, noise_block):
             if k > 0:

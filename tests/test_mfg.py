@@ -402,3 +402,67 @@ class TestSharedGains:
             with pytest.raises(error):
                 solve_mfe([good, bad])
         assert len(_gain_entries(cold_memo)) == 1
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _fresh_tables(sol, L):
+    """mu on [0, L) and the stacked -K2 g table of [0, L), built from the
+    solution's fields as a closed-loop run once built them for itself."""
+    H, n = sol.mu.shape
+    mu = np.empty((L, n))
+    mu[:min(L, H)] = sol.mu[:L]
+    last = sol.mu[-1]
+    for k in range(H, L):
+        last = sol.K3 @ last
+        mu[k] = last
+    ff = np.zeros((L, len(sol.types), max(t.m for t in sol.types)))
+    for i, t in enumerate(sol.types):
+        g = np.zeros((L, n))
+        g[:min(L, H + 1)] = sol.g[t.label][:L]
+        ff[:, i, :t.m] = (sol.gains[t.label].K2 @ g[..., None])[..., 0]
+    return mu, np.negative(ff, out=ff)
+
+
+class TestHorizonTables:
+    """The tables a run of length L reads: built once per (solution, L),
+    read-only, and never carried over to another solution."""
+
+    SETS = {"default": default_types(), "two-state": tuple(TWO_STATE_TYPES)}
+
+    @pytest.mark.parametrize("offset", [-5, 0, 40], ids=["L<H", "L=H", "L>H"])
+    @pytest.mark.parametrize("name", list(SETS))
+    def test_tables_equal_a_fresh_build(self, name, offset):
+        sol = solve_mfe(self.SETS[name])
+        L = sol.horizon + offset
+        mu, ff = _fresh_tables(sol, L)
+        built = sol.mu_padded(L), sol.feedforward(L)
+        assert _same_bits(built[0], mu) and _same_bits(built[1], ff)
+        # the second read is the cached table itself
+        assert sol.mu_padded(L) is built[0] and sol.feedforward(L) is built[1]
+
+    @pytest.mark.parametrize("offset", [-5, 40], ids=["L<H", "L>H"])
+    def test_tables_are_read_only(self, offset):
+        sol = solve_mfe(default_types())
+        L = sol.horizon + offset
+        mu, g = sol.mu.copy(), sol.g["stable"].copy()
+        for table in (sol.mu_padded(L), sol.g_padded("stable", L), sol.feedforward(L)):
+            with pytest.raises(ValueError, match="read-only"):
+                table[0] = 1.0
+        assert _same_bits(sol.mu, mu) and _same_bits(sol.g["stable"], g)
+
+    @pytest.mark.parametrize("offset", [-5, 40], ids=["L<H", "L>H"])
+    def test_replace_builds_its_own_tables(self, offset):
+        sol = solve_mfe(default_types())
+        L = sol.horizon + offset
+        old = sol.mu_padded(L), sol.feedforward(L)  # cached on sol
+        doubled = dataclasses.replace(sol, mu=2 * sol.mu)
+        assert _same_bits(doubled.mu_padded(L), _fresh_tables(doubled, L)[0])
+        assert not np.array_equal(doubled.mu_padded(L), old[0])
+        shifted = dataclasses.replace(sol, g={k: g + 1.0 for k, g in sol.g.items()})
+        assert _same_bits(shifted.feedforward(L), _fresh_tables(shifted, L)[1])
+        assert not np.array_equal(shifted.feedforward(L), old[1])
+        assert _same_bits(sol.mu_padded(L), old[0]) and _same_bits(sol.feedforward(L), old[1])

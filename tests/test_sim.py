@@ -166,6 +166,20 @@ class TestGameExperiment:
         with pytest.raises(DimensionMismatchError, match=f"its {field} differs"):
             run_game_experiment(cfg, other, policy)
 
+    def test_equal_types_in_another_tuple_give_the_same_run(self):
+        # the CLI hands a run the tuple the equilibrium was solved for, which
+        # passes at once; equal types in another tuple pass field by field
+        cfg = game_scenario(N=30, T=60)
+        sol = solve_mfe(cfg.types)
+        copies = dataclasses.replace(cfg, types=tuple(dataclasses.replace(t) for t in cfg.types))
+        assert sol.types is cfg.types and copies.types is not cfg.types
+        policy = bisection_lambda(population_for(cfg), cfg.p, cfg.capacity)
+        shared = run_game_experiment(cfg, sol, policy, seed=4)
+        equal = run_game_experiment(copies, sol, policy, seed=4)
+        for field in dataclasses.fields(sim.Metrics):
+            a, b = np.asarray(getattr(shared, field.name)), np.asarray(getattr(equal, field.name))
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), field.name
+
     def test_deterministic(self, mfe):
         cfg = game_scenario(N=30, T=120)
         policy = bisection_lambda(population_for(cfg), cfg.p, cfg.capacity)
@@ -436,7 +450,8 @@ class TestBlockKernel:
                                          (65535, np.uint32)])
     def test_ages_in_the_smallest_unsigned_dtype_that_holds_T(self, T, dtype):
         cfg = scheduling_scenario(N=30, alpha=0.25, p=0.2, T=T)
-        run = sim._ScheduleRun(cfg, fixed_policy(cfg.N, 10**6, klow=-1), make_streams(0), 2)
+        run = sim._ScheduleRun(cfg, population_for(cfg), fixed_policy(cfg.N, 10**6, klow=-1),
+                               make_streams(0), 2)
         assert run.tau.dtype == run.policy.klow.dtype == run.policy.kbar.dtype == dtype
         # thresholds clipped to [0, T + 1]
         assert (int(run.policy.klow.min()), int(run.policy.kbar.max())) == (0, T + 1)
@@ -452,7 +467,7 @@ class TestBlockKernel:
         want = [reference_schedule(np.zeros(cfg.N, dtype=np.int64), policy, C, cfg.p,
                                    make_streams(2), cfg.T)[0]
                 for C in [None] * (K - 1) + [cfg.capacity]]
-        run = sim._ScheduleRun(cfg, policy, make_streams(2), K)
+        run = sim._ScheduleRun(cfg, population_for(cfg), policy, make_streams(2), K)
         m = run.metrics(0)
         assert (m.successes, m.max_aoi, m.aoi_hist.tolist()) == (0, 0, [0])
         steps = []
@@ -681,8 +696,9 @@ class TestPlantLoops:
     HEIGHTS = pytest.mark.parametrize("elements", [lambda N: 1, lambda N: 7 * N,
                                                    lambda N: 2**15], ids=["1", "7N", "2**15"])
 
+    # mixed-input: one type leaves a control entry of the run's buffers unused
     @HEIGHTS
-    @pytest.mark.parametrize("types", ["mixed", "two-input"])
+    @pytest.mark.parametrize("types", ["mixed", "two-input", "mixed-input"])
     def test_game_block_height_equals_reference(self, equilibria, types, elements, monkeypatch):
         monkeypatch.setattr(sim, "_BLOCK_ELEMENTS", elements(30))
         _assert_game_equals_reference(equilibria, types, N=30, T=50)
@@ -692,3 +708,19 @@ class TestPlantLoops:
     def test_estimator_block_height_equals_reference(self, types, elements, monkeypatch):
         monkeypatch.setattr(sim, "_BLOCK_ELEMENTS", elements(30))
         _assert_estimator_equals_reference(types, N=30, T=50)
+
+    @pytest.mark.parametrize("types", ["default", "mixed-input"])
+    def test_run_leaves_the_equilibrium_unchanged(self, equilibria, types):
+        # T past the window: mu* is extrapolated and g padded with zeros
+        sol = equilibria[types]
+        T = sol.horizon + 40
+        cfg = _scenario(sol.types, N=30, T=T)
+        tables = [sol.mu_padded(T), sol.feedforward(T + 1)]
+        tables += [sol.g_padded(t.label, T + 1) for t in sol.types]
+        arrays = [sol.mu, *sol.g.values(), *tables]
+        before = [a.copy() for a in arrays]
+        policy = bisection_lambda(population_for(cfg), cfg.p, cfg.capacity)
+        run_game_experiment(cfg, sol, policy, seed=2)
+        assert sol.mu_padded(T) is tables[0] and sol.feedforward(T + 1) is tables[1]
+        for a, b in zip(arrays, before):
+            assert a.tobytes() == b.tobytes()
