@@ -8,13 +8,7 @@ mean-field fixed point, the scheduling and game simulations (which apply the
 max-age-first capacity projection), and the analytic bounds.
 """
 
-from .analysis import (
-    BoundReport,
-    bound_report,
-    kl_divergence,
-    p0_aoi_cap,
-    tail_threshold,
-)
+from .analysis import BoundReport, bound_report, tail_threshold
 from .errors import (
     AoiMfgError,
     AssumptionViolationError,
@@ -31,13 +25,7 @@ from .errors import (
     UnstableClosedLoopError,
 )
 from .estimator import WeightTable
-from .mfg import (
-    MeanFieldSolution,
-    TrackingGains,
-    contraction_constant,
-    solve_mfe,
-    solve_riccati,
-)
+from .mfg import MeanFieldSolution, TrackingGains, solve_mfe, solve_riccati
 from .model import (
     AgentType,
     Population,
@@ -47,11 +35,7 @@ from .model import (
     population_for,
 )
 from .presets import default_types, game_scenario, scheduling_scenario
-from .scheduler import (
-    RelaxedPolicy,
-    bisection_lambda,
-    randomization_q,
-)
+from .scheduler import RelaxedPolicy, bisection_lambda
 from .sim import (
     Metrics,
     make_streams,

@@ -14,20 +14,6 @@ from .errors import DomainError, NumericOverflowError
 from .estimator import weight_table
 
 
-def kl_divergence(x: float, y: float) -> float:
-    """Bernoulli Kullback-Leibler divergence D(x||y)."""
-    if not (0.0 < x < 1.0 and 0.0 < y < 1.0):
-        raise DomainError(f"kl_divergence needs arguments in (0, 1), got ({x}, {y})")
-    return x * math.log(x / y) + (1.0 - x) * math.log((1.0 - x) / (1.0 - y))
-
-
-def p0_aoi_cap(kbar_max: int, alpha: float) -> int:
-    """Uniform AoI cap for the erasure-free channel: 2 max(kbar_max, ceil(1/alpha))."""
-    if alpha <= 0:
-        raise DomainError(f"alpha must be > 0, got {alpha}")
-    return 2 * max(int(kbar_max), math.ceil(1.0 / alpha))
-
-
 @dataclass(frozen=True)
 class TailThreshold:
     """Half-event threshold x; AoI exceeds 2x with probability at most delta
@@ -94,16 +80,19 @@ TAIL_DELTA = 0.05  # the probability the tail threshold allows AoI above it
 def bound_report(config, policy) -> BoundReport:
     """Assemble the analytic bounds for one scenario and its relaxed policy.
 
-    The optimality-gap bound is U * exp(-D(alpha||q) N); it is vacuous, equal
-    to U, when alpha == q or q is not in (0, 1). A policy solved for another N
-    raises DimensionMismatchError."""
+    The optimality-gap bound is U * exp(-D(alpha||q) N), D the Bernoulli
+    Kullback-Leibler divergence; it is vacuous, equal to U, when alpha == q or
+    q is not in (0, 1). The erasure-free AoI cap is 2 max(kbar_max,
+    ceil(1/alpha)). A config has 1 <= C < N, so alpha lies in (0, 1). A
+    policy solved for another N raises DimensionMismatchError."""
     policy.check_size(config.N)
     alpha = config.alpha
     q = policy.q
-    cap = p0_aoi_cap(policy.kbar_max, alpha)
+    cap = 2 * max(policy.kbar_max, math.ceil(1.0 / alpha))
     U = max(weight_table(t.A, t.C_W).c(cap) for t in config.types)
     vacuous = (alpha == q) or not (0.0 < q < 1.0)
-    exponent = 0.0 if vacuous else kl_divergence(alpha, q)
+    exponent = 0.0 if vacuous else (alpha * math.log(alpha / q)
+                                    + (1.0 - alpha) * math.log((1.0 - alpha) / (1.0 - q)))
     bound = U * math.exp(-exponent * config.N)
     tail = tail_threshold(TAIL_DELTA, config.p, alpha) if config.p > 0 else None
     return BoundReport(kl_exponent=exponent, gap_bound=bound, p0_aoi_cap=cap,

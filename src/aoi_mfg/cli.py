@@ -166,8 +166,9 @@ def cmd_schedule(args, base, out_dir):
 
     header = ["N", "J_relaxed", "J_matb", "gap", "gap_bound"]
     if args.seeds:
-        # per-seed rows at one N: one policy and bound report for all seeds
-        config = _point(config, N, alpha, p)
+        # per-seed rows at one N: one policy and bound report for all seeds,
+        # which the config records as its seed and runs
+        config = _point(replace(config, seed=args.seeds[0], mc_runs=len(args.seeds)), N, alpha, p)
         bounds, results = _fig2_runs(config, args.seeds)
         rows = [(s,) + _fig2_cells(config, bounds, [r])
                 for s, r in zip(args.seeds, results)]

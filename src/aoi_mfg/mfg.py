@@ -72,10 +72,10 @@ class MeanFieldSolution:
     mu is stored on a finite window; beyond it mu decays geometrically and
     K3 (least-squares one-step propagator with ||K3|| < 1) extrapolates.
 
-    The horizon tables a closed-loop run of length L reads, `mu_padded`,
-    `g_padded` and `feedforward`, are built once per length and kept in a
-    private cache, read-only: every seed of a sweep point reads the same
-    arrays, and no caller can change them, or mu and g through a view. The
+    The horizon tables a closed-loop run of length L reads, `mu_padded` and
+    `feedforward`, are built once per length and kept in a private cache,
+    read-only: every seed of a sweep point reads the same arrays, and no
+    caller can change them, or mu and g through a view. The
     cache is not an `__init__` field, so `dataclasses.replace` starts an
     empty one and a solution with another mu or g builds its own tables.
     """
@@ -119,25 +119,17 @@ class MeanFieldSolution:
             return out
         return self._table(("mu", length), build)
 
-    def g_padded(self, label: str, length: int) -> np.ndarray:
-        """g of one type on [0, length), 0 beyond the window."""
-        def build():
-            g = self.g[label]
-            if length <= g.shape[0]:
-                return g[:length]
-            out = np.zeros((length, g.shape[1]))
-            out[: g.shape[0]] = g
-            return out
-        return self._table(("g", label, length), build)
-
     def feedforward(self, length: int) -> np.ndarray:
         """-K2 g_k of every type for k in [0, length), shape (length, types,
-        largest m), 0 past a type's m: one stacked matmul per type."""
+        largest m), 0 past a type's m: one stacked matmul per type, with g
+        taken as 0 beyond the window."""
         def build():
             out = np.zeros((length, len(self.types), max(t.m for t in self.types)))
             for i, t in enumerate(self.types):
-                out[:, i, :t.m] = (self.gains[t.label].K2
-                                   @ self.g_padded(t.label, length)[..., None])[..., 0]
+                g = self.g[t.label]
+                if length > g.shape[0]:
+                    g = np.concatenate((g, np.zeros((length - g.shape[0], g.shape[1]))))
+                out[:, i, :t.m] = (self.gains[t.label].K2 @ g[:length, :, None])[..., 0]
             return np.negative(out, out=out)
         return self._table(("-K2 g", length), build)
 
@@ -314,7 +306,7 @@ def _operator(types, gains: dict):
     return apply
 
 
-def contraction_constant(types, gains: dict) -> float:
+def _contraction_constant(types, gains: dict) -> float:
     """Left-hand side of the contraction condition: max over types of
     ||A_cl|| + sum_phi ||Q|| ||B K2|| (1 - ||A_cl||)^-2 P(phi), spectral norms.
     """
@@ -362,7 +354,7 @@ def solve_mfe(types) -> MeanFieldSolution:
     check_labels(types)
     gains = {t.label: shared(_read_only_gains, *map(as_matrix, (t.A, t.B, t.Q, t.R)))
              for t in types}
-    cc = contraction_constant(types, gains)
+    cc = _contraction_constant(types, gains)
     mu0 = sum(t.prob * t.x0_mean for t in types)
     rho = max(gains[t.label].rho_cl for t in types)
     H = max(32, int(np.ceil(np.log(MFE_TOL / 10.0) / np.log(max(rho, 0.1)))))

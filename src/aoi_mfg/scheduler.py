@@ -10,7 +10,6 @@ coin per agent per step.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 from functools import reduce
@@ -21,8 +20,6 @@ import numpy as np
 from .errors import DimensionMismatchError, InfeasibleCapacityError, NumericOverflowError
 from .model import Population
 from .threshold import kappa_scan
-
-log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -73,16 +70,6 @@ def _rate_term(count: int, kappa: int, p: float) -> float:
     return count * (top / (kappa + 0.0 + top))
 
 
-def randomization_q(C: float, C_low: float, C_high: float) -> float:
-    """q = (C - C_high) / (C_low - C_high); q = 1 when the two rates are equal."""
-    if C_low == C_high:
-        log.info("both threshold policies have one rate (C_low == C_high); q set to 1")
-        return 1.0
-    if not C_high <= C <= C_low:
-        raise ValueError(f"need C_high <= C <= C_low, got ({C_high}, {C}, {C_low})")
-    return (C - C_high) / (C_low - C_high)
-
-
 def bisection_lambda(population: Population, p: float, C: float) -> RelaxedPolicy:
     """Exact transmission price lambda* and the randomized dual-threshold policy.
 
@@ -98,7 +85,7 @@ def bisection_lambda(population: Population, p: float, C: float) -> RelaxedPolic
     kappa just above b, lambda* = b. If R(0) <= C, lambda* = 0 and q = 1.
     A smallest next breakpoint outside float64 raises NumericOverflowError.
     """
-    if C <= 0:
+    if not C > 0:  # NaN too
         raise InfeasibleCapacityError(f"capacity must be positive, got {C}")
     scans = [kappa_scan(t.A, t.C_W, p) for t in population.types]
     lam = 0.0
@@ -121,7 +108,8 @@ def bisection_lambda(population: Population, p: float, C: float) -> RelaxedPolic
                     nxt[i] = scan.price(kap_high[i])
                 terms[i] = _rate_term(population.counts[i], kap_high[i], p)
         rate_high = reduce(add, terms)
-    q = 1.0 if rate_low <= C else randomization_q(C, rate_low, rate_high)
+    # the walk stops with rate_low > C >= rate_high unless R(0) <= C
+    q = 1.0 if rate_low <= C else (C - rate_high) / (rate_low - rate_high)
     per_type = {t.label: (kl, kh)
                 for t, kl, kh in zip(population.types, kap_low, kap_high)}
     return RelaxedPolicy(klow=np.repeat(kap_low, population.counts),

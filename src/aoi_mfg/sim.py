@@ -11,11 +11,14 @@ chain's attempts from them once per block; an agent's age is kept, one step
 older, unless it sent and its packet survived, which resets it to 0.
 
 Ages are held in the smallest unsigned dtype that holds T + 1,
-`np.min_scalar_type(T + 1)`: uint8 up to T = 254, uint16 up to T = 65534.
-A run starts at age 0 and ages at most one per step, so no age exceeds T;
-the thresholds are clipped to T + 1 in the same dtype, which leaves every
-comparison as it was (a threshold above T never binds). A large-N step is
-bound by memory traffic, and the narrow ages move a fraction of the bytes.
+`np.min_scalar_type(T + 1)`, chosen once per run by `_ScheduleRun`: uint8
+up to T = 254, uint16 up to T = 65534. A run starts at age 0 and ages at
+most one per step, so no age exceeds T. The thresholds, which may reach the
+kappa scan's cap of 10**6, are clipped to [0, T + 1] in the same dtype;
+that leaves every comparison as it was, since a threshold above T never
+binds. A large-N step is bound by memory traffic, and the narrow ages move
+a fraction of the bytes. `_schedule_block` makes its ages in tau's dtype,
+so int64 ages and thresholds work unchanged.
 `_project` sorts a step's few candidates' ages directly, in any dtype; only
 past `_SORT_CANDIDATES` candidates does it form the key tau*N - i, in int64.
 Whatever the age dtype, histograms are int64 and counters Python ints.
@@ -150,18 +153,7 @@ def _schedule_block(tau, policy: RelaxedPolicy, C, p, rng, rows):
     a survival `u >= p`), and a step multiplies the aged tau by the keep mask
     `a <= lost`, false exactly on a reception.
 
-    Ages keep tau's dtype: taus and the step's 0-d `one` are made in it, so
-    the caller picks the width (`_ScheduleRun` a narrow one, with the
-    policy's thresholds narrowed to match; int64 ages and thresholds work
-    unchanged). The dtype must hold every age the block reaches.
-
-    The coin picks klow by arithmetic, kbar - coin * (kbar - klow), not by
-    `np.where`, which branches on every element of a random mask.
-    In a narrow unsigned dtype kbar - klow wraps when klow > kbar, and
-    kbar - (kbar - klow) wraps back: modulo 2**bits it is klow exactly, so
-    the thresholds are those of the select for any klow and kbar. They and
-    the losses are written for all K chains by one broadcast ufunc each into
-    a (rows, K, N) buffer, read a step at a time as the stacked K * N agents.
+    Ages keep tau's dtype, which must hold every age the block reaches.
 
     Returns (taus, attempts): taus[j] is the stacked AoI at the start of step
     j and taus[rows] the AoI after the block, so taus[j + 1] == 0 marks step
@@ -210,11 +202,8 @@ class _ScheduleRun:
     with histogram h and current ages tau has received h[0] - N + #(tau == 0)
     packets, and its largest age is h.size - 1.
 
-    The ages are kept in `np.min_scalar_type(T + 1)`, chosen once per run,
-    and so are the policy's klow and kbar, clipped to [0, T + 1]. Clipping is
-    exact: no age exceeds T, so a threshold above T never binds, as T + 1
-    does not, and ages are never negative (kappa may reach the scan's cap of
-    10**6, which no narrow dtype holds).
+    The ages and the policy's klow and kbar are held in the run's narrow
+    age dtype.
 
     Each type's cost table c(0..top) is kept between blocks and rebuilt only
     when the run's largest age outgrows it; an entry's value does not depend
@@ -310,11 +299,6 @@ def _sample_initial_states(population: Population, rng) -> np.ndarray:
     return X
 
 
-def _scalar_plants(types) -> bool:
-    """True when every A and B is 1x1: the game loop then runs on columns."""
-    return all(t.A.shape == (1, 1) and t.B.shape == (1, 1) for t in types)
-
-
 def _per_agent(population: Population):
     """(rows, linear, quadratic) for the game loop. `rows(x)` puts per-agent
     vectors, shape (..., N, k), into the loop's layout; given one matrix M_phi
@@ -326,7 +310,7 @@ def _per_agent(population: Population):
     `x[..., s, :] @ M.T` or `einsum` per type slice s; a type with fewer
     controls than k uses the leading entries of its rows."""
     slices = population.slices()
-    if _scalar_plants(population.types):
+    if all(t.A.shape == (1, 1) and t.B.shape == (1, 1) for t in population.types):
         def column(Ms):
             return np.array([M.item() for M in Ms])[population.type_index]
 

@@ -11,7 +11,7 @@ age weights.
 
 import numpy as np
 
-from aoi_mfg import KappaScan, make_streams, population_for, randomization_q, transmission_rate
+from aoi_mfg import KappaScan, make_streams, population_for, transmission_rate
 from aoi_mfg import sim
 from aoi_mfg.threshold import kappa_scan
 
@@ -80,7 +80,7 @@ def _bisection_reference(population, p, C, eps=1e-6):
             else:
                 lam_high = mid
     rate_low, rate_high = rate(lam_low), rate(lam_high)
-    q = 1.0 if rate_low <= C else randomization_q(C, rate_low, rate_high)
+    q = 1.0 if rate_low <= C else (C - rate_high) / (rate_low - rate_high)
     per_type = {t.label: (kl, kh) for t, kl, kh in
                 zip(population.types, kappas(lam_low), kappas(lam_high))}
     return per_type, q
@@ -127,6 +127,13 @@ def _mf_operator_reference(mu, types, gains):
     return out
 
 
+def _g_padded(mfe, label, length):
+    """g of one type on [0, length), 0 beyond the equilibrium's window."""
+    g = np.zeros((length, mfe.g[label].shape[1]))
+    g[:min(length, mfe.horizon + 1)] = mfe.g[label][:length]
+    return g
+
+
 def _game_reference(config, mfe, policy, seed):
     """The closed loop written per type: one matrix product per type and
     step, the noise transformed step by step and K2 g_{k+1} formed at each
@@ -140,7 +147,7 @@ def _game_reference(config, mfe, policy, seed):
     n = types[0].A.shape[0]
 
     gains = [mfe.gains[t.label] for t in types]
-    g_by_type = [mfe.g_padded(t.label, T + 1) for t in types]
+    g_by_type = [_g_padded(mfe, t.label, T + 1) for t in types]
     mu_star = mfe.mu_padded(T)
     chol_w = [np.linalg.cholesky(t.C_W) for t in types]
 
@@ -270,6 +277,7 @@ def _per_agent_oracle(config, mfe, policy, seed):
     Z = [x.copy() for x in X]
     U = [np.zeros(t.m) for t in agent_types]
     mu_star = mfe.mu_padded(T)
+    g = {t.label: _g_padded(mfe, t.label, T + 1) for t in population.types}
     cost, cons = np.zeros(N), np.zeros(T)
     for k in range(T):
         for i, t in enumerate(agent_types):
@@ -279,7 +287,7 @@ def _per_agent_oracle(config, mfe, policy, seed):
         cons[k] = np.sum((mu - mu_star[k]) ** 2)
         for i, t in enumerate(agent_types):
             G = mfe.gains[t.label]
-            U[i] = -(G.K1 @ Z[i]) - G.K2 @ mfe.g_padded(t.label, T + 1)[k + 1]
+            U[i] = -(G.K1 @ Z[i]) - G.K2 @ g[t.label][k + 1]
             dev = X[i] - mu
             cost[i] += dev @ t.Q @ dev + U[i] @ t.R @ U[i]
             X[i] = t.A @ X[i] + t.B @ U[i] + np.linalg.cholesky(t.C_W) @ noise[k, i]

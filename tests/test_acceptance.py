@@ -26,7 +26,7 @@ from aoi_mfg import (
     value_iteration_oracle,
 )
 from aoi_mfg import mfg
-from aoi_mfg.analysis import p0_aoi_cap, tail_threshold
+from aoi_mfg.analysis import bound_report, tail_threshold
 from aoi_mfg.cli import main as cli_main
 from aoi_mfg.model import AgentType
 from aoi_mfg.scheduler import RelaxedPolicy
@@ -111,7 +111,7 @@ def test_criterion_04_p0_hard_cap(announce):
     cfg = scheduling_scenario(N=100, alpha=0.25, p=0.0, T=10**4)
     policy = bisection_lambda(population_for(cfg), 0.0, cfg.capacity)
     m = run_scheduling_experiment(cfg, policy, "matb", seed=0)
-    cap = p0_aoi_cap(policy.kbar_max, cfg.alpha)
+    cap = bound_report(cfg, policy).p0_aoi_cap
     announce(4, "perfect-channel AoI never exceeds the uniform cap",
              m.max_aoi <= cap, f"max AoI {m.max_aoi} <= {cap}")
 

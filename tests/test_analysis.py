@@ -7,8 +7,6 @@ from scipy.special import ndtri
 from aoi_mfg import (
     bisection_lambda,
     bound_report,
-    kl_divergence,
-    p0_aoi_cap,
     population_for,
     scheduling_scenario,
     tail_threshold,
@@ -17,30 +15,33 @@ from aoi_mfg.errors import DimensionMismatchError, DomainError, NumericOverflowE
 from aoi_mfg.scheduler import RelaxedPolicy
 
 
-class TestKlDivergence:
-    def test_zero_iff_equal(self):
-        assert kl_divergence(0.3, 0.3) == 0.0
-        assert kl_divergence(0.3, 0.31) > 0.0
-
-    def test_golden_value(self):
-        assert kl_divergence(0.25, 0.5) == pytest.approx(0.13081203594113697, rel=1e-12)
-
-    def test_monotone_away_from_reference(self):
-        assert kl_divergence(0.25, 0.75) > kl_divergence(0.25, 0.5)
-
-    def test_boundary_rejected(self):
-        for x, y in ((0.0, 0.5), (1.0, 0.5), (0.5, 0.0), (0.5, 1.0)):
-            with pytest.raises(DomainError):
-                kl_divergence(x, y)
-
-
-def _report_for(N, q):
-    """`bound_report` at capacity ratio 0.25 for a policy with mixing
-    probability q and thresholds 3 and 4, so U is the same at every N."""
-    cfg = scheduling_scenario(N=N, alpha=0.25, T=10)
-    policy = RelaxedPolicy(klow=np.full(N, 3), kbar=np.full(N, 4), q=q, lam=0.0,
+def _report_for(N, q, alpha=0.25, kbar=4):
+    """`bound_report` at capacity ratio alpha for a policy with mixing
+    probability q and thresholds kbar - 1 and kbar, so U is the same at
+    every N."""
+    cfg = scheduling_scenario(N=N, alpha=alpha, T=10)
+    policy = RelaxedPolicy(klow=np.full(N, kbar - 1), kbar=np.full(N, kbar), q=q, lam=0.0,
                            rate_low=0.0, rate_high=0.0, per_type={})
     return bound_report(cfg, policy)
+
+
+def _kl(x, y):
+    """The Bernoulli Kullback-Leibler divergence D(x||y), written out."""
+    return x * math.log(x / y) + (1.0 - x) * math.log((1.0 - x) / (1.0 - y))
+
+
+class TestKlDivergence:
+    """D(alpha||q) of `bound_report`, at capacity ratio 0.25 unless stated."""
+
+    def test_zero_iff_equal(self):
+        assert _report_for(100, 0.25).kl_exponent == 0.0
+        assert _report_for(100, 0.26).kl_exponent > 0.0
+
+    def test_golden_value(self):
+        assert _report_for(100, 0.5).kl_exponent == pytest.approx(0.13081203594113697, rel=1e-12)
+
+    def test_monotone_away_from_reference(self):
+        assert _report_for(100, 0.75).kl_exponent > _report_for(100, 0.5).kl_exponent
 
 
 class TestGapBound:
@@ -54,9 +55,9 @@ class TestGapBound:
     def test_exponent_algebra(self):
         b1, b2 = (_report_for(N, 0.4) for N in (100, 200))
         assert b1.U == b2.U
-        assert b1.kl_exponent == kl_divergence(0.25, 0.4)
+        assert b1.kl_exponent == _kl(0.25, 0.4)
         assert b2.gap_bound / b1.gap_bound == pytest.approx(
-            math.exp(-kl_divergence(0.25, 0.4) * 100), rel=1e-10)
+            math.exp(-_kl(0.25, 0.4) * 100), rel=1e-10)
 
     def test_decreasing_in_N(self):
         vals = [_report_for(N, 0.4).gap_bound for N in (20, 40, 100, 400)]
@@ -64,18 +65,17 @@ class TestGapBound:
 
 
 class TestP0AoiCap:
+    """2 max(kbar_max, ceil(1/alpha)), as `bound_report` forms it."""
+
     def test_threshold_dominates(self):
-        assert p0_aoi_cap(4, 0.25) == 8
+        assert _report_for(100, 0.4).p0_aoi_cap == 8
 
     def test_capacity_dominates(self):
-        assert p0_aoi_cap(2, 0.1) == 20
+        assert _report_for(100, 0.4, alpha=0.1, kbar=2).p0_aoi_cap == 20
 
-    def test_full_capacity(self):
-        assert p0_aoi_cap(1, 1.0) == 2
-
-    def test_alpha_positive(self):
-        with pytest.raises(DomainError):
-            p0_aoi_cap(1, 0.0)
+    def test_large_capacity(self):
+        # 1/0.9 rounds up to 2: the largest ratio a config allows at N = 10
+        assert _report_for(10, 0.4, alpha=0.9, kbar=1).p0_aoi_cap == 4
 
 
 class TestTailThreshold:

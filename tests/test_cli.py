@@ -176,6 +176,16 @@ class TestSeedRows:
                          "--runs", "1", "--seed", row[0], "--out", str(out)]) == 0
             assert _read_csv(out / "fig2.csv") == [header[1:], row[1:]]
 
+    def test_manifest_records_the_seed_range(self, tmp_path):
+        # --seeds 3..4 runs the preset's point on seeds 3 and 4: its manifest
+        # records the config of --seed 3 --runs 2, not the preset's 5 seeds from 0
+        manifests = []
+        for name, flags in (("seeds", ["--seeds", "3..4"]), ("runs", ["--seed", "3", "--runs", "2"])):
+            assert main(["schedule", "--N", "10", "--out", str(tmp_path / name)] + flags) == 0
+            manifests.append(json.loads((tmp_path / name / "schedule_manifest.json").read_text()))
+        assert manifests[0]["seed"] == 3
+        assert manifests[0]["config_hash"] == manifests[1]["config_hash"]
+
 
 class TestCallContract:
     """One scenario read per command, one simulation per point and seed."""
@@ -542,12 +552,16 @@ REMOVED = ("update_aoi", "step_channel", "ScheduleDecision", "relaxed_decisions"
            # entries only tests called, and the check kept for them alone
            "mf_operator", "_check_stable", "gap_bound",
            # a hand-rolled normal CDF and its bisection quantile
-           "std_normal_cdf", "_std_normal_ppf")
+           "std_normal_cdf", "_std_normal_ppf",
+           # formulas with one caller each, folded into it with their guards
+           "randomization_q", "kl_divergence", "p0_aoi_cap", "contraction_constant",
+           "_scalar_plants")
 # members and fields that only tests read, and a second statement of a
 # record's document
 REMOVED_MEMBERS = {"BoundReport": ("to_dict",),
                    "AgentType": ("a_frob2", "check_erasure_compatibility"),
-                   "AoIChain": ("total_mass", "tail_ratio")}
+                   "AoIChain": ("total_mass", "tail_ratio"),
+                   "MeanFieldSolution": ("g_padded",)}
 
 
 def test_removed_helpers_stay_out_of_the_package():

@@ -8,7 +8,6 @@ from scipy.linalg import solve_discrete_are, sqrtm
 
 from aoi_mfg import (
     AgentType,
-    contraction_constant,
     default_types,
     solve_mfe,
     solve_riccati,
@@ -312,9 +311,15 @@ class TestSolveMfe:
         assert "gap_ratios" not in sol.report()
 
     def test_contraction_constant_value(self, mfe):
+        # max_phi ||A_cl|| + sum_phi ||Q|| ||B K2|| (1 - ||A_cl||)^-2 P(phi), the
+        # spectral norms as largest singular values
+        def norm(M):
+            return float(np.linalg.svd(M, compute_uv=False).max())
         types = default_types()
-        assert mfe.contraction_constant == pytest.approx(
-            contraction_constant(types, mfe.gains), rel=1e-12)
+        a = [norm(mfe.gains[t.label].A_cl) for t in types]
+        want = max(a) + sum(norm(t.Q) * norm(t.B @ mfe.gains[t.label].K2) / (1.0 - na) ** 2 * t.prob
+                            for t, na in zip(types, a))
+        assert mfe.contraction_constant == pytest.approx(want, rel=1e-12)
         assert mfe.contraction_constant > 1.0  # known for these types
 
     def test_gap_ratios_geometric(self, mfe):
@@ -449,7 +454,7 @@ class TestHorizonTables:
         sol = solve_mfe(default_types())
         L = sol.horizon + offset
         mu, g = sol.mu.copy(), sol.g["stable"].copy()
-        for table in (sol.mu_padded(L), sol.g_padded("stable", L), sol.feedforward(L)):
+        for table in (sol.mu_padded(L), sol.feedforward(L)):
             with pytest.raises(ValueError, match="read-only"):
                 table[0] = 1.0
         assert _same_bits(sol.mu, mu) and _same_bits(sol.g["stable"], g)

@@ -9,7 +9,6 @@ from aoi_mfg import (
     assign_types,
     bisection_lambda,
     default_types,
-    randomization_q,
 )
 from aoi_mfg import estimator, scheduler, sim
 from aoi_mfg.errors import InfeasibleCapacityError, NumericOverflowError
@@ -67,15 +66,12 @@ class TestRateTerm:
 
 
 class TestRandomizationQ:
-    def test_formula(self):
-        assert randomization_q(25.0, 30.0, 20.0) == pytest.approx(0.5)
-
-    def test_degenerate_bracket(self):
-        assert randomization_q(25.0, 25.0, 25.0) == 1.0
-
-    def test_bracket_order_enforced(self):
-        with pytest.raises(ValueError):
-            randomization_q(25.0, 20.0, 30.0)
+    def test_formula(self, identical_pop):
+        # q mixes the two threshold rates linearly to the capacity
+        policy = bisection_lambda(identical_pop, 0.2, 25.0)
+        assert policy.rate_low > 25.0 >= policy.rate_high
+        assert policy.q == (25.0 - policy.rate_high) / (policy.rate_low - policy.rate_high)
+        assert policy.q * policy.rate_low + (1.0 - policy.q) * policy.rate_high == pytest.approx(25.0)
 
 
 class TestBisection:
@@ -170,8 +166,10 @@ class TestBisection:
         assert policy.per_type["u"][1] <= policy.per_type["m"][1] <= policy.per_type["s"][1]
 
     def test_positive_capacity_required(self, identical_pop):
-        with pytest.raises(InfeasibleCapacityError):
-            bisection_lambda(identical_pop, 0.2, 0.0)
+        # a NaN capacity, too, which would reach q's formula with equal rates
+        for C in (0.0, float("nan")):
+            with pytest.raises(InfeasibleCapacityError):
+                bisection_lambda(identical_pop, 0.2, C)
 
     def test_price_overflow_raises(self):
         # the one type's breakpoint price leaves float64 near kappa = 2473 while

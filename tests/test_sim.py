@@ -716,7 +716,6 @@ class TestPlantLoops:
         T = sol.horizon + 40
         cfg = _scenario(sol.types, N=30, T=T)
         tables = [sol.mu_padded(T), sol.feedforward(T + 1)]
-        tables += [sol.g_padded(t.label, T + 1) for t in sol.types]
         arrays = [sol.mu, *sol.g.values(), *tables]
         before = [a.copy() for a in arrays]
         policy = bisection_lambda(population_for(cfg), cfg.p, cfg.capacity)
