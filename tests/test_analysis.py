@@ -11,7 +11,7 @@ from aoi_mfg import (
     scheduling_scenario,
     tail_threshold,
 )
-from aoi_mfg.errors import DimensionMismatchError, DomainError, NumericOverflowError
+from aoi_mfg.errors import ConfigError, DimensionMismatchError, DomainError, NumericOverflowError
 from aoi_mfg.scheduler import RelaxedPolicy
 
 
@@ -42,6 +42,17 @@ class TestKlDivergence:
 
     def test_monotone_away_from_reference(self):
         assert _report_for(100, 0.75).kl_exponent > _report_for(100, 0.5).kl_exponent
+
+    def test_boundary_rejected(self):
+        # q at 0, at 1 or NaN never reaches the logarithms: the report is
+        # vacuous; q close to either end gives the finite D(alpha||q)
+        for q in (0.0, 1.0, math.nan):
+            report = _report_for(100, q)
+            assert report.vacuous and report.kl_exponent == 0.0
+        for q in (1e-300, math.nextafter(1.0, 0.0)):
+            report = _report_for(100, q)
+            assert not report.vacuous
+            assert math.isfinite(report.kl_exponent) and report.kl_exponent == _kl(0.25, q)
 
 
 class TestGapBound:
@@ -76,6 +87,12 @@ class TestP0AoiCap:
     def test_large_capacity(self):
         # 1/0.9 rounds up to 2: the largest ratio a config allows at N = 10
         assert _report_for(10, 0.4, alpha=0.9, kbar=1).p0_aoi_cap == 4
+
+    def test_alpha_positive(self):
+        # the cap divides by alpha; a config keeps alpha in (0, 1)
+        for alpha in (0.0, -0.25, math.nan, 1.0):
+            with pytest.raises(ConfigError):
+                scheduling_scenario(N=10, alpha=alpha, T=10)
 
 
 class TestTailThreshold:

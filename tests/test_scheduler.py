@@ -73,6 +73,29 @@ class TestRandomizationQ:
         assert policy.q == (25.0 - policy.rate_high) / (policy.rate_low - policy.rate_high)
         assert policy.q * policy.rate_low + (1.0 - policy.q) * policy.rate_high == pytest.approx(25.0)
 
+    def test_degenerate_bracket(self, identical_pop):
+        # a capacity at or above R(0) stops the walk before it starts: the two
+        # rates are equal, the price is 0 and q is 1
+        R0 = bisection_lambda(identical_pop, 0.2, 1e9).rate_low
+        for C in (R0, R0 + 1.0, 1e9):
+            policy = bisection_lambda(identical_pop, 0.2, C)
+            assert policy.rate_low == policy.rate_high == R0
+            assert policy.q == 1.0 and policy.lam == 0.0
+
+    def test_bracket_order_enforced(self):
+        # wherever the capacity binds, the walk stops with the rates around it,
+        # so q's formula lands in [0, 1)
+        binding = 0
+        for _, p, C, pop in PRICE_GRID:
+            policy = bisection_lambda(pop, p, C)
+            if policy.rate_low <= C:
+                assert policy.rate_low == policy.rate_high and policy.q == 1.0
+                continue
+            binding += 1
+            assert policy.rate_low > C >= policy.rate_high
+            assert 0.0 <= policy.q < 1.0
+        assert binding > 0
+
 
 class TestBisection:
     def test_golden_identical_population(self, identical_pop):
