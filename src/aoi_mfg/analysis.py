@@ -63,6 +63,10 @@ def tail_threshold(delta: float, p: float, alpha: float) -> TailThreshold:
 
 @dataclass(frozen=True)
 class BoundReport:
+    """The analytic bounds of one scenario (`bound_report`). U and gap_bound
+    are inf, and vacuous is true, when some type's c(p0_aoi_cap) overflows
+    float64; the JSON report then writes `Infinity`."""
+
     kl_exponent: float
     gap_bound: float
     p0_aoi_cap: int
@@ -81,19 +85,26 @@ def bound_report(config, policy) -> BoundReport:
     """Assemble the analytic bounds for one scenario and its relaxed policy.
 
     The optimality-gap bound is U * exp(-D(alpha||q) N), D the Bernoulli
-    Kullback-Leibler divergence; it is vacuous, equal to U, when alpha == q or
-    q is not in (0, 1). The erasure-free AoI cap is 2 max(kbar_max,
-    ceil(1/alpha)). A config has 1 <= C < N, so alpha lies in (0, 1). A
-    policy solved for another N raises DimensionMismatchError."""
+    Kullback-Leibler divergence, and U = max_t c_t(cap) at the erasure-free
+    AoI cap = 2 max(kbar_max, ceil(1/alpha)). The bound is vacuous, equal to
+    U, when alpha == q or q is not in (0, 1). When some c_t(cap) overflows
+    float64 (an unstable type at a small alpha, whose cap is large), U and
+    the bound are inf and the report is vacuous; the exponent keeps its value.
+    A config has 1 <= C < N, so alpha lies in (0, 1). A policy solved for
+    another N raises DimensionMismatchError."""
     policy.check_size(config.N)
     alpha = config.alpha
     q = policy.q
     cap = 2 * max(policy.kbar_max, math.ceil(1.0 / alpha))
-    U = max(weight_table(t.A, t.C_W).c(cap) for t in config.types)
     vacuous = (alpha == q) or not (0.0 < q < 1.0)
     exponent = 0.0 if vacuous else (alpha * math.log(alpha / q)
                                     + (1.0 - alpha) * math.log((1.0 - alpha) / (1.0 - q)))
-    bound = U * math.exp(-exponent * config.N)
+    try:
+        U = max(weight_table(t.A, t.C_W).c(cap) for t in config.types)
+        bound = U * math.exp(-exponent * config.N)
+    except NumericOverflowError:  # some c_t(cap) leaves float64: no finite bound
+        U = bound = math.inf
+        vacuous = True
     tail = tail_threshold(TAIL_DELTA, config.p, alpha) if config.p > 0 else None
     return BoundReport(kl_exponent=exponent, gap_bound=bound, p0_aoi_cap=cap,
                        tail=tail, U=U, alpha=alpha, q=q, N=config.N, vacuous=vacuous)

@@ -12,25 +12,25 @@ per-type loop of one NumPy matrix-vector product per step (the references in
 depend on how the recursions are run.
 `solve_mfe` builds the operator once per solve (`_operator`: the stacked
 matrices, fixed while it iterates).
-Both recursions are x_{j+1} = M x_j - D u_j, run by `_recursion` for a stack
-of types, which keeps each type's float operations in their order:
-- n == 1 runs on Python floats (`_scalar_steps`). `a*x - d*u` rounds each
-  product once and then subtracts, as the 1x1 `matmul` and the subtraction
-  do (up to the sign of a zero product, which `matmul` adds to +0.0). The
-  operator's scalar pass calls `_scalar_steps` directly: mu becomes a list
-  once, g_H is the stacked solve `_backward` uses, each type's g and mean
-  stay Python floats, and the means become one array for the
-  probability-weighted sum, the same NumPy adds in type order.
-- n > 1 runs one step loop for all types on stacked (m, n, n) matrices, and
-  applies D to the whole window in one batched `matmul`. Each step is one
-  `matmul` into the next step's view and one in-place subtraction (the
-  `np.subtract` ufunc). A stacked `matmul`
+Both recursions are x_{j+1} = M x_j - D u_j, run so that each type sees its
+float operations in their order:
+- `_recursion` runs one step loop for all types on stacked (m, n, n)
+  matrices, and applies D to the whole window in one batched `matmul`. Each
+  step is one `matmul` into the next step's view and one in-place
+  subtraction (the `np.subtract` ufunc). A stacked `matmul`
   computes each matrix-vector product with the same kernel as a single one;
   `einsum` and element-wise sums do not (the kernel fuses the multiply and
   the add), and on random 2x2 inputs they differ in the last bit in about
   40 % of cases. `matmul` also picks its kernel by memory order, so the
   matrices are C-ordered, as `load_scenario`, `solve_riccati` and `np.stack`
   make them.
+- Only the operator's scalar pass (n == 1) runs on Python floats
+  (`_scalar_steps`). `a*x - d*u` rounds each product once and then
+  subtracts, as the 1x1 `matmul` and the subtraction do (up to the sign of
+  a zero product, which `matmul` adds to +0.0). mu becomes a list once,
+  g_H is the stacked solve `_backward` uses, each type's g and mean stay
+  Python floats, and the means become one array for the
+  probability-weighted sum, the same NumPy adds in type order.
 - The recursions are not handed to `scipy.signal.lfilter`: it gives the same
   bits, but importing `scipy.signal` on top of this package takes ~1.3 s
   and ~47 MB more.
@@ -232,14 +232,6 @@ def _recursion(M: np.ndarray, x0: np.ndarray, D: np.ndarray, u: np.ndarray) -> n
     J = u.shape[0]
     x = np.empty((J + 1, m, n, 1))
     x[0, :, :, 0] = x0
-    if n == 1:
-        drives = u[:, :, 0].T.tolist()
-        if len(drives) == 1:  # one drive shared by every type
-            drives *= m
-        for i, drive in enumerate(drives):
-            x[:, i, 0, 0] = _scalar_steps(float(M[i, 0, 0]), float(x0[i, 0]),
-                                          float(D[i, 0, 0]), drive)
-        return x[..., 0]
     Du = D @ u[..., None]                       # (J, m, n, 1): D u_j per type
     steps = list(x)                             # the per-step views, made once
     for prev, nxt, du in zip(steps, steps[1:], Du):
@@ -329,8 +321,6 @@ def _estimate_k3(mu: np.ndarray) -> np.ndarray:
     keep = np.linalg.norm(mu, axis=1) > 1e-9 * scale
     keep[-1] = False
     idx = np.flatnonzero(keep[:-1])
-    if idx.size == 0:
-        return np.zeros((n, n))
     X = mu[idx]
     Y = mu[idx + 1]
     K3, *_ = np.linalg.lstsq(X, Y, rcond=None)

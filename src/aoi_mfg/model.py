@@ -255,7 +255,8 @@ def load_scenario(source) -> ScenarioConfig:
     A string that starts with `{` is JSON text; any other string, and every
     `Path`, is a file to read, so a missing file raises an OSError naming it.
     The keys are `ScenarioConfig`'s fields, `alpha` standing in for a missing
-    `capacity`, and a type's are `AgentType`'s, all required. Any other key
+    `capacity` (a given capacity wins, but a given alpha is checked all the
+    same), and a type's are `AgentType`'s, all required. Any other key
     raises ConfigError naming it, so a misspelt optional key cannot load as
     its default; only the retired `bisection_eps` is passed over. The records
     convert and check the values (matrices as row-major nested arrays).
@@ -299,8 +300,8 @@ def load_scenario(source) -> ScenarioConfig:
         raise MissingKeyError(missing[0])
 
     top = {f.name: doc[f.name] for f in fields(ScenarioConfig) if f.name in doc}
-    if "capacity" not in doc:
-        top["capacity"] = capacity_for(doc["alpha"], doc["N"])
+    if "alpha" in doc:  # checked even where an explicit capacity wins
+        top.setdefault("capacity", capacity_for(doc["alpha"], doc["N"]))
     top["types"] = tuple(AgentType(**tdoc) for tdoc in doc["types"])
     return ScenarioConfig(**top)
 

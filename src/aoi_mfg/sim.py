@@ -205,9 +205,12 @@ class _ScheduleRun:
     The ages and the policy's klow and kbar are held in the run's narrow
     age dtype.
 
-    Each type's cost table c(0..top) is kept between blocks and rebuilt only
-    when the run's largest age outgrows it; an entry's value does not depend
-    on the table's length, so the gathered costs are those of a fresh table."""
+    Each type's cost table c(0..top) is kept between blocks and rebuilt up
+    to that type's oldest age when one of its ages outgrows it (the
+    IndexError of `np.take`: no per-block maximum is taken), so no type
+    builds a cost, which may overflow, past its own ages. An entry's value
+    does not depend on the table's length, so the gathered costs are those
+    of a fresh table."""
 
     def __init__(self, config: ScenarioConfig, population: Population, policy: RelaxedPolicy,
                  rng, K=1):
@@ -244,12 +247,16 @@ class _ScheduleRun:
             counts = np.bincount(chains[:, i].ravel(), minlength=self.hist[i].size)
             counts[: self.hist[i].size] += self.hist[i]
             self.hist[i] = counts
-        top = max(h.size for h in self.hist) - 1
-        if top >= self.c_tables[0].size:
-            self.c_tables = [table.c_table(top) for table in self.tables]
         # per step and chain, each type's slice sum added in type order
-        step_cost = sum(np.take(c, chains[:, :, s]).sum(axis=2)
-                        for c, s in zip(self.c_tables, self.slices))
+        step_cost = 0
+        for i, s in enumerate(self.slices):
+            ages = chains[:, :, s]
+            try:
+                costs = np.take(self.c_tables[i], ages)
+            except IndexError:  # an age past the type's table: grow it to the oldest
+                self.c_tables[i] = self.tables[i].c_table(int(ages.max()))
+                costs = np.take(self.c_tables[i], ages)
+            step_cost += costs.sum(axis=2)
         for i in range(K):
             for c in step_cost[:, i].tolist():  # in step order: the pinned float order
                 self.cost_sum[i] += c

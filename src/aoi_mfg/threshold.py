@@ -162,7 +162,9 @@ class KappaScan:
             rhs = lam / (1.0 - p) + f_k + cum[kappa]
             target = rhs / (1.0 + kappa * (1.0 - p))  # = sigma(kappa) / (1-p)
             if f_k1 >= target - 1e-12 * max(1.0, abs(target)):
-                eta = _solve_eta(f_k, f_k1, target)
+                # (1-eta) f_k + eta f_k1 = target, clamped to [0, 1]
+                eta = (0.0 if target <= f_k else 1.0 if target >= f_k1
+                       else (target - f_k) / (f_k1 - f_k))
                 f_interp = (1.0 - eta) * f_k + eta * f_k1
                 return ThresholdSolution(kappa=kappa, eta=eta, sigma_star=(1.0 - p) * f_interp, lam=lam)
 
@@ -181,15 +183,6 @@ def kappa_scan(A, C_W, p: float) -> KappaScan:
     """The shared `KappaScan` of (A, C_W, p), built once per value: the
     scan's memo then serves every price search and rate of that type."""
     return shared(KappaScan, as_matrix(A), as_matrix(C_W), float(p))
-
-
-def _solve_eta(f0, f1, target):
-    """eta with (1-eta) f0 + eta f1 = target, clamped to [0, 1]."""
-    if target <= f0:
-        return 0.0
-    if target >= f1:
-        return 1.0
-    return (target - f0) / (f1 - f0)
 
 
 ORACLE_STATE_CAP, ORACLE_TOL, ORACLE_MAX_ITER = 500, 1e-9, 200000  # largest age, tol, iterations

@@ -175,6 +175,20 @@ class TestBoundReport:
         with pytest.raises(DimensionMismatchError, match="policy solved for N = 100, config has N = 40"):
             bound_report(scheduling_scenario(N=40, T=100), policy)
 
+    def test_cost_overflow_at_the_cap_makes_the_bound_infinite(self):
+        # alpha = 0.02: the stable type's kbar puts the cap near 3000, past
+        # 2502, where the unstable type's c(tau) leaves float64
+        cfg = scheduling_scenario(N=100, alpha=0.02, T=10)
+        policy = bisection_lambda(population_for(cfg), cfg.p, cfg.capacity)
+        report = bound_report(cfg, policy)
+        assert report.p0_aoi_cap > 2502
+        assert report.U == report.gap_bound == math.inf and report.vacuous
+        assert report.kl_exponent == _kl(0.02, report.q)
+        import dataclasses
+        import json
+        doc = json.loads(json.dumps(dataclasses.asdict(report)))
+        assert doc["U"] == doc["gap_bound"] == math.inf
+
     def test_serializable(self, report):
         import dataclasses
         import json

@@ -285,6 +285,23 @@ class TestMfeAndBounds:
         assert {"kl_exponent", "gap_bound", "p0_aoi_cap", "tail"} <= set(doc)
 
 
+    def test_bounds_with_an_overflowing_cap_cost(self, tmp_path):
+        # the preset at alpha = 0.02: the unstable type's c at the AoI cap
+        # leaves float64, so U and the gap bound are inf and say nothing
+        assert main(["bounds", "--alpha", "0.02", "--out", str(tmp_path / "o")]) == 0
+        doc = json.loads((tmp_path / "o" / "bounds_report.json").read_text())
+        assert doc["U"] == doc["gap_bound"] == float("inf") and doc["vacuous"] is True
+
+    def test_schedule_with_an_overflowing_cap_cost(self, tmp_path):
+        # the run itself stays finite; its gap-bound cell is inf
+        assert main(["schedule", "--N", "60", "--alpha", "0.02", "--runs", "1",
+                     "--out", str(tmp_path / "o")]) == 0
+        with open(tmp_path / "o" / "fig2.csv", newline="") as fh:
+            (row,) = list(csv.DictReader(fh))
+        assert row["gap_bound"] == "inf"
+        assert 0.0 < float(row["J_relaxed"]) < float(row["J_matb"]) < float("inf")
+
+
 class TestConfigDocument:
     """The manifest's scenario document is the ScenarioConfig written field by
     field; `load_scenario` reads it back as the scenario it was written from."""
@@ -555,7 +572,7 @@ REMOVED = ("update_aoi", "step_channel", "ScheduleDecision", "relaxed_decisions"
            "std_normal_cdf", "_std_normal_ppf",
            # formulas with one caller each, folded into it with their guards
            "randomization_q", "kl_divergence", "p0_aoi_cap", "contraction_constant",
-           "_scalar_plants")
+           "_scalar_plants", "_solve_eta")
 # members and fields that only tests read, and a second statement of a
 # record's document
 REMOVED_MEMBERS = {"BoundReport": ("to_dict",),

@@ -278,6 +278,13 @@ class TestLoadScenario:
         doc = dict(SCENARIO_DOC, alpha=0.29)
         assert load_scenario(doc).capacity == 3 == capacity_for(0.29, 10)
 
+    @pytest.mark.parametrize("alpha,named", [("junk", "alpha: expected real"),
+                                             (-0.3, "alpha must be finite and > 0")])
+    def test_alpha_checked_beside_an_explicit_capacity(self, alpha, named):
+        # capacity wins, but a bad alpha beside it used to load unread
+        with pytest.raises(ConfigError, match=named):
+            load_scenario(dict(SCENARIO_DOC, capacity=3, alpha=alpha))
+
     def test_integral_float_count_accepted(self):
         cfg = load_scenario(dict(SCENARIO_DOC, N=10.0, capacity=3.0, T=50.0, seed=7.0))
         assert (cfg.N, cfg.capacity, cfg.T, cfg.seed) == (10, 3, 50, 7)

@@ -446,6 +446,34 @@ class TestBlockKernel:
         monkeypatch.setattr(sim, "_BLOCK_ELEMENTS", rows * sim._CHAINS[kind] * cfg.N)
         self._assert_metrics_match_reference(cfg, fixed_policy(cfg.N, 10**6), kind)
 
+    # C = 1 of N = 60: in the preset's 5000 steps the stable type's ages pass
+    # 3000, while the unstable type's, whose c(tau) leaves float64 at 2502,
+    # stay far below; a type's table must not grow to another type's ages
+    def test_each_type_table_grows_to_its_own_oldest_age(self):
+        cfg = scheduling_scenario(N=60, alpha=0.02)
+        pop = population_for(cfg)
+        policy = bisection_lambda(pop, cfg.p, cfg.capacity)
+        run = sim._ScheduleRun(cfg, pop, policy, make_streams(0), 2)
+        tops = [0] * len(pop.types)
+        for _, taus in run.blocks():
+            chains = taus[:-1].reshape(len(taus) - 1, 2, cfg.N)
+            tops = [max(top, int(chains[:, :, s].max())) for top, s in zip(tops, pop.slices())]
+        assert [c.size - 1 for c in run.c_tables] == tops
+        assert [t.label for t in pop.types] == ["stable", "marginal", "unstable"]
+        assert tops[0] > 2502 > tops[2]
+        relaxed, matb = run_scheduling_experiment(cfg, policy, "both", seed=0)
+        assert (relaxed.j_bs, matb.j_bs) == (run.metrics(0).j_bs, run.metrics(1).j_bs)
+        assert 0.0 < relaxed.j_bs < matb.j_bs < np.inf
+
+    def test_low_capacity_run_below_the_overflow_keeps_its_values(self):
+        # T = 2400: every age of every type stays below 2502, so no table reaches
+        # the unstable type's overflow; the run's values are pinned
+        cfg = scheduling_scenario(N=60, alpha=0.02, T=2400)
+        policy = bisection_lambda(population_for(cfg), cfg.p, cfg.capacity)
+        relaxed, matb = run_scheduling_experiment(cfg, policy, "both", seed=0)
+        assert [(m.j_bs, m.attempts, m.successes, m.max_aoi) for m in (relaxed, matb)] == [
+            (68700.15008130405, 2357, 1883, 2399), (9706483.54568387, 2075, 1646, 2399)]
+
     @pytest.mark.parametrize("T,dtype", [(254, np.uint8), (255, np.uint16), (65534, np.uint16),
                                          (65535, np.uint32)])
     def test_ages_in_the_smallest_unsigned_dtype_that_holds_T(self, T, dtype):
