@@ -48,7 +48,6 @@ from .threshold import (
     ThresholdSolution,
     stationary_distribution,
     transmission_rate,
-    value_iteration_oracle,
 )
 
 __version__ = "0.1.0"

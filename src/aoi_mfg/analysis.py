@@ -17,16 +17,13 @@ from .estimator import weight_table
 @dataclass(frozen=True)
 class TailThreshold:
     """Half-event threshold x; AoI exceeds 2x with probability at most delta
-    once the population-size conditions hold."""
+    once the population-size conditions hold, N >= max(n_min_clt, n_min_gauss)."""
 
     x: int
     aoi_threshold: int          # 2x, from the union of the two half events
     n_min_clt: float            # Berry-Esseen condition, at the evaluation point x
     n_min_gauss: float          # Gaussian-tail condition on the centering term
     delta: float
-
-    def conditions_met(self, N: int) -> bool:
-        return N >= self.n_min_clt and N >= self.n_min_gauss
 
 
 def tail_threshold(delta: float, p: float, alpha: float) -> TailThreshold:
@@ -86,7 +83,7 @@ def bound_report(config, policy) -> BoundReport:
 
     The optimality-gap bound is U * exp(-D(alpha||q) N), D the Bernoulli
     Kullback-Leibler divergence, and U = max_t c_t(cap) at the erasure-free
-    AoI cap = 2 max(kbar_max, ceil(1/alpha)). The bound is vacuous, equal to
+    AoI cap = 2 max(max kbar, ceil(1/alpha)). The bound is vacuous, equal to
     U, when alpha == q or q is not in (0, 1). When some c_t(cap) overflows
     float64 (an unstable type at a small alpha, whose cap is large), U and
     the bound are inf and the report is vacuous; the exponent keeps its value.
@@ -95,7 +92,7 @@ def bound_report(config, policy) -> BoundReport:
     policy.check_size(config.N)
     alpha = config.alpha
     q = policy.q
-    cap = 2 * max(policy.kbar_max, math.ceil(1.0 / alpha))
+    cap = 2 * max(int(policy.kbar.max()), math.ceil(1.0 / alpha))
     vacuous = (alpha == q) or not (0.0 < q < 1.0)
     exponent = 0.0 if vacuous else (alpha * math.log(alpha / q)
                                     + (1.0 - alpha) * math.log((1.0 - alpha) / (1.0 - q)))

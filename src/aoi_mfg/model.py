@@ -29,9 +29,12 @@ _PROB_TOL = 1e-12
 
 def _as_float_array(value, name):
     try:
-        return np.asarray(value, dtype=float)
+        arr = np.asarray(value, dtype=float)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{name}: not a number or numeric array ({exc})") from exc
+    if not np.isfinite(arr).all():  # json reads NaN and Infinity
+        raise ConfigError(f"{name}: entries must be finite, got {value!r}")
+    return arr
 
 
 def _as_matrix(value, name):

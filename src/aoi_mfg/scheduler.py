@@ -47,10 +47,6 @@ class RelaxedPolicy:
         if self.kbar.size != N:
             raise DimensionMismatchError(f"policy solved for N = {self.kbar.size}, config has N = {N}")
 
-    @property
-    def kbar_max(self) -> int:
-        return int(self.kbar.max())
-
     def report(self) -> dict:
         return {
             "lambda": self.lam,

@@ -6,8 +6,7 @@ transmission attempt; an attempt succeeds (AoI resets to 0) with probability
 kappa from the implicit interpolated-cost equation, at as many prices as a
 caller asks for, the tail costs f(x) it rests on, and the breakpoint prices
 at which kappa steps up; `kappa_scan` shares one scan per (A, C_W, p) value
-across callers. `value_iteration_oracle` is the independent truncated-MDP
-check.
+across callers.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoConvergenceError, NumericOverflowError
-from .estimator import WeightTable, as_matrix, forget, shared, weight_table
+from .estimator import as_matrix, forget, shared, weight_table
 from .model import check_erasure
 
 _KAPPA_CAP = 10**6
@@ -183,59 +182,6 @@ def kappa_scan(A, C_W, p: float) -> KappaScan:
     """The shared `KappaScan` of (A, C_W, p), built once per value: the
     scan's memo then serves every price search and rate of that type."""
     return shared(KappaScan, as_matrix(A), as_matrix(C_W), float(p))
-
-
-ORACLE_STATE_CAP, ORACLE_TOL, ORACLE_MAX_ITER = 500, 1e-9, 200000  # largest age, tol, iterations
-
-
-def value_iteration_oracle(A, C_W, p: float, lam: float):
-    """Relative value iteration on the truncated AoI MDP {0..ORACLE_STATE_CAP}.
-
-    Returns (policy, sigma_star): the optimal action per state (ties broken
-    toward transmitting) and the average cost. Uses a 0.5 damping step so the
-    iteration also converges on the periodic p = 0 chains. Convergence is
-    measured per state relative to the value scale there (values span many
-    orders of magnitude for unstable dynamics, so an absolute span can sit
-    permanently at the float64 resolution of the largest entries); the
-    average cost is read off state 0, where values are well scaled. The
-    truncation is audited post hoc: residual stationary mass above the cap
-    must be < 1e-9.
-    """
-    check_erasure(as_matrix(A), p)
-    table = WeightTable(A, C_W)
-    c = table.c_table(ORACLE_STATE_CAP)
-    S = ORACLE_STATE_CAP + 1
-    V = np.zeros(S)
-    nxt = np.minimum(np.arange(S) + 1, ORACLE_STATE_CAP)
-    damping = 0.5
-    sigma = math.nan
-    for _ in range(ORACLE_MAX_ITER):
-        q0 = c + V[nxt]
-        q1 = c + lam + p * V[nxt] + (1.0 - p) * V[0]
-        tv = np.minimum(q0, q1)
-        diff = tv - V
-        sigma_prev = sigma
-        sigma = float(diff[0])
-        scale = np.maximum(1.0, np.abs(V))
-        err = float(np.max(np.abs(diff - sigma) / scale))
-        V = V + damping * diff
-        V -= V[0]
-        if (err < ORACLE_TOL and sigma_prev == sigma_prev
-                and abs(sigma - sigma_prev) < ORACLE_TOL * max(1.0, abs(sigma))):
-            break
-    else:
-        raise NoConvergenceError(
-            f"relative value iteration: error {err:.3e} after {ORACLE_MAX_ITER} iters")
-    q0 = c + V[nxt]
-    q1 = c + lam + p * V[nxt] + (1.0 - p) * V[0]
-    policy = (q1 <= q0 + 1e-12 * np.maximum(1.0, np.abs(q0))).astype(int)
-    ones = np.flatnonzero(policy)
-    kappa = int(ones[0]) if ones.size else ORACLE_STATE_CAP
-    residual = p ** (ORACLE_STATE_CAP - kappa) if p > 0 else 0.0
-    if residual >= 1e-9:
-        raise NoConvergenceError(
-            f"truncation audit failed: stationary mass above cap ~{residual:.2e}")
-    return policy, sigma
 
 
 def transmission_rate(klow: int, kbar: int, q: float, p: float) -> float:

@@ -4,15 +4,21 @@ estimator-soundness experiment.
 Each reference does one thing of the package the slow, obvious way: one step,
 one type or one agent at a time. The package keeps one implementation per
 concept; the tests require it to give these references' bits (the per-agent
-oracle: their values to 1e-12). `estimator_soundness_experiment` measures
-the decoders' estimation errors for the tests that compare them with the
-age weights.
+oracle: their values to 1e-12). `value_iteration_oracle` solves the priced
+single-agent MDP by brute force, the check of `KappaScan`'s thresholds.
+`estimator_soundness_experiment` measures the decoders' estimation errors
+for the tests that compare them with the age weights.
 """
+
+import math
 
 import numpy as np
 
 from aoi_mfg import KappaScan, make_streams, population_for, transmission_rate
 from aoi_mfg import sim
+from aoi_mfg.errors import NoConvergenceError
+from aoi_mfg.estimator import WeightTable, as_matrix
+from aoi_mfg.model import check_erasure
 from aoi_mfg.threshold import kappa_scan
 
 
@@ -84,6 +90,59 @@ def _bisection_reference(population, p, C, eps=1e-6):
     per_type = {t.label: (kl, kh) for t, kl, kh in
                 zip(population.types, kappas(lam_low), kappas(lam_high))}
     return per_type, q
+
+
+ORACLE_STATE_CAP, ORACLE_TOL, ORACLE_MAX_ITER = 500, 1e-9, 200000  # largest age, tol, iterations
+
+
+def value_iteration_oracle(A, C_W, p: float, lam: float):
+    """Relative value iteration on the truncated AoI MDP {0..ORACLE_STATE_CAP}.
+
+    Returns (policy, sigma_star): the optimal action per state (ties broken
+    toward transmitting) and the average cost. Uses a 0.5 damping step so the
+    iteration also converges on the periodic p = 0 chains. Convergence is
+    measured per state relative to the value scale there (values span many
+    orders of magnitude for unstable dynamics, so an absolute span can sit
+    permanently at the float64 resolution of the largest entries); the
+    average cost is read off state 0, where values are well scaled. The
+    truncation is audited post hoc: residual stationary mass above the cap
+    must be < 1e-9.
+    """
+    check_erasure(as_matrix(A), p)
+    table = WeightTable(A, C_W)
+    c = table.c_table(ORACLE_STATE_CAP)
+    S = ORACLE_STATE_CAP + 1
+    V = np.zeros(S)
+    nxt = np.minimum(np.arange(S) + 1, ORACLE_STATE_CAP)
+    damping = 0.5
+    sigma = math.nan
+    for _ in range(ORACLE_MAX_ITER):
+        q0 = c + V[nxt]
+        q1 = c + lam + p * V[nxt] + (1.0 - p) * V[0]
+        tv = np.minimum(q0, q1)
+        diff = tv - V
+        sigma_prev = sigma
+        sigma = float(diff[0])
+        scale = np.maximum(1.0, np.abs(V))
+        err = float(np.max(np.abs(diff - sigma) / scale))
+        V = V + damping * diff
+        V -= V[0]
+        if (err < ORACLE_TOL and sigma_prev == sigma_prev
+                and abs(sigma - sigma_prev) < ORACLE_TOL * max(1.0, abs(sigma))):
+            break
+    else:
+        raise NoConvergenceError(
+            f"relative value iteration: error {err:.3e} after {ORACLE_MAX_ITER} iters")
+    q0 = c + V[nxt]
+    q1 = c + lam + p * V[nxt] + (1.0 - p) * V[0]
+    policy = (q1 <= q0 + 1e-12 * np.maximum(1.0, np.abs(q0))).astype(int)
+    ones = np.flatnonzero(policy)
+    kappa = int(ones[0]) if ones.size else ORACLE_STATE_CAP
+    residual = p ** (ORACLE_STATE_CAP - kappa) if p > 0 else 0.0
+    if residual >= 1e-9:
+        raise NoConvergenceError(
+            f"truncation audit failed: stationary mass above cap ~{residual:.2e}")
+    return policy, sigma
 
 
 def _cycle_reference(klow, kbar, q, p):

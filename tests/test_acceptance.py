@@ -23,7 +23,6 @@ from aoi_mfg import (
     scheduling_scenario,
     solve_mfe,
     solve_riccati,
-    value_iteration_oracle,
 )
 from aoi_mfg import mfg
 from aoi_mfg.analysis import bound_report, tail_threshold
@@ -31,7 +30,7 @@ from aoi_mfg.cli import main as cli_main
 from aoi_mfg.model import AgentType
 from aoi_mfg.scheduler import RelaxedPolicy
 
-from reference import estimator_soundness_experiment
+from reference import estimator_soundness_experiment, value_iteration_oracle
 
 
 @pytest.fixture
@@ -125,7 +124,7 @@ def test_criterion_05_tail_bound(announce):
     hist = m.aoi_hist
     exceed = float(hist[tt.aoi_threshold + 1:].sum()) if hist.size > tt.aoi_threshold else 0.0
     frac = exceed / float(hist.sum())
-    ok = tt.conditions_met(cfg.N) and frac <= delta
+    ok = cfg.N >= max(tt.n_min_clt, tt.n_min_gauss) and frac <= delta
     announce(5, "empirical AoI tail complies with the analytic threshold", ok,
              f"P(tau > {tt.aoi_threshold}) = {frac:.2e} <= {delta}, size conditions met")
 

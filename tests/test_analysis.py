@@ -76,7 +76,7 @@ class TestGapBound:
 
 
 class TestP0AoiCap:
-    """2 max(kbar_max, ceil(1/alpha)), as `bound_report` forms it."""
+    """2 max(max kbar, ceil(1/alpha)), as `bound_report` forms it."""
 
     def test_threshold_dominates(self):
         assert _report_for(100, 0.4).p0_aoi_cap == 8
@@ -119,8 +119,8 @@ class TestTailThreshold:
 
     def test_reference_scenario_conditions(self):
         tt = tail_threshold(0.05, 0.2, 0.25)
-        assert tt.conditions_met(500)
-        assert not tt.conditions_met(10)
+        assert 500 >= max(tt.n_min_clt, tt.n_min_gauss)
+        assert 10 < max(tt.n_min_clt, tt.n_min_gauss)
 
     @pytest.mark.parametrize("delta", [0.05, 0.02, 1e-6])
     @pytest.mark.parametrize("p, alpha", [(0.2, 0.25), (0.5, 0.1), (0.05, 0.9)])

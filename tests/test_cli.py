@@ -394,6 +394,21 @@ class TestErrors:
         assert rc == 1
         assert "config error: type 'b': A:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, key, value", [
+        ("bounds", "B", float("nan")), ("bounds", "x0_mean", float("nan")),
+        ("mfe", "A", float("nan")), ("mfe", "B", float("inf"))])
+    def test_non_finite_matrix_exits_1(self, command, key, value, tmp_path, capsys):
+        # json reads NaN and Infinity: B = NaN used to give a bounds report
+        # with exit 0, and A = NaN an mfe failure with exit 2 seconds later
+        doc = json.loads(json.dumps(TINY_SCHED))
+        doc["types"][0][key] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        rc = main([command, "--config", str(bad), "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert f"config error: type 'a': {key}: entries must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("alpha", ["nan", "inf", "-0.5", "0"])
     def test_alpha_not_finite_positive_exits_1(self, alpha, sched_cfg, tmp_path, capsys):
         rc = main(["schedule", "--config", sched_cfg, "--alpha", alpha, "--N", "10",
@@ -572,13 +587,17 @@ REMOVED = ("update_aoi", "step_channel", "ScheduleDecision", "relaxed_decisions"
            "std_normal_cdf", "_std_normal_ppf",
            # formulas with one caller each, folded into it with their guards
            "randomization_q", "kl_divergence", "p0_aoi_cap", "contraction_constant",
-           "_scalar_plants", "_solve_eta")
+           "_scalar_plants", "_solve_eta",
+           # the brute-force threshold oracle, now in tests/reference.py
+           "value_iteration_oracle", "ORACLE_STATE_CAP", "ORACLE_TOL", "ORACLE_MAX_ITER")
 # members and fields that only tests read, and a second statement of a
 # record's document
 REMOVED_MEMBERS = {"BoundReport": ("to_dict",),
                    "AgentType": ("a_frob2", "check_erasure_compatibility"),
                    "AoIChain": ("total_mass", "tail_ratio"),
-                   "MeanFieldSolution": ("g_padded",)}
+                   "MeanFieldSolution": ("g_padded",),
+                   "TailThreshold": ("conditions_met",),
+                   "RelaxedPolicy": ("kbar_max",)}
 
 
 def test_removed_helpers_stay_out_of_the_package():
@@ -587,7 +606,7 @@ def test_removed_helpers_stay_out_of_the_package():
     for module in modules:
         assert not set(REMOVED) & set(vars(module)), module.__name__
     for name, members in REMOVED_MEMBERS.items():
-        cls = getattr(aoi_mfg, name)
+        cls = next(vars(module)[name] for module in modules if name in vars(module))
         present = set(dir(cls)) | {f.name for f in dataclasses.fields(cls)}
         assert not set(members) & present, name
 

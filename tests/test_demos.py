@@ -1,4 +1,5 @@
-"""Smoke test: every script in demos/ runs to completion."""
+"""Smoke test: every script in demos/ runs to completion, warnings as errors
+(the suite's own warning filter does not reach a subprocess)."""
 
 import os
 import subprocess
@@ -15,6 +16,6 @@ SRC = str(Path(__file__).resolve().parent.parent / "src")
 def test_demo_runs(demo):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [SRC, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, str(demo)], env=env, capture_output=True,
+    done = subprocess.run([sys.executable, "-W", "error", str(demo)], env=env, capture_output=True,
                           text=True, timeout=300)
     assert done.returncode == 0, done.stderr

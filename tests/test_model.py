@@ -46,6 +46,20 @@ class TestAgentType:
         with pytest.raises(NonPositiveDefiniteError):
             make_type(C_W=-1.0)
 
+    @pytest.mark.parametrize("name", ["A", "B", "C_W", "Q", "R", "x0_mean", "x0_cov"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_entry_named(self, name, value):
+        # json reads NaN and Infinity; B = NaN used to give a bounds report,
+        # A = NaN a Riccati failure seconds later
+        with pytest.raises(ConfigError, match=f"^type 't': {name}: entries must be finite"):
+            make_type(**{name: value})
+
+    def test_non_finite_matrix_entry_named(self):
+        with pytest.raises(ConfigError, match="^type 'mat': A: entries must be finite"):
+            AgentType(label="mat", A=[[0.5, float("nan")], [0.0, 0.9]], B=[[1.0], [0.5]],
+                      C_W=np.eye(2), Q=np.eye(2), R=[[2.0]],
+                      x0_mean=[1.0, -1.0], x0_cov=np.eye(2), prob=1.0)
+
     def test_erasure_compatibility(self):
         t = make_type(A=2.0)
         with pytest.raises(AssumptionViolationError):

@@ -11,7 +11,6 @@ from aoi_mfg import (
     default_types,
     stationary_distribution,
     transmission_rate,
-    value_iteration_oracle,
 )
 from aoi_mfg import estimator, threshold
 from aoi_mfg.errors import AssumptionViolationError, NoConvergenceError, NumericOverflowError
@@ -19,7 +18,7 @@ from aoi_mfg.estimator import WeightTable, weight_table
 from aoi_mfg.model import AgentType
 from aoi_mfg.threshold import _f_tail_series, kappa_scan
 
-from reference import _cycle_reference
+from reference import _cycle_reference, value_iteration_oracle
 
 
 class TestFTail:
