@@ -24,6 +24,14 @@ float operations in their order:
   40 % of cases. `matmul` also picks its kernel by memory order, so the
   matrices are C-ordered, as `load_scenario`, `solve_riccati` and `np.stack`
   make them.
+- `_recursion` runs in a workspace (`_workspace`): the buffers for x and
+  D u and the list of per-step views (x_j, x_{j+1}, D u_j). The operator
+  keeps one backward and one forward workspace for the window length it was
+  last applied to and builds new ones when the length changes, so a Picard
+  iteration builds them once per window, not once per application. Every
+  entry is written before it is read, so the workspace moves no bit and the
+  exactness contract holds unchanged. The operator's output is a fresh
+  array, and the g of a solution runs in a workspace of its own.
 - Only the operator's scalar pass (n == 1) runs on Python floats
   (`_scalar_steps`). `a*x - d*u` rounds each product once and then
   subtracts, as the 1x1 `matmul` and the subtraction do (up to the sign of
@@ -221,33 +229,48 @@ def _scalar_steps(a: float, v: float, d: float, drive: list) -> list:
     return col
 
 
-def _recursion(M: np.ndarray, x0: np.ndarray, D: np.ndarray, u: np.ndarray) -> np.ndarray:
+def _workspace(J: int, m: int, n: int) -> tuple:
+    """The buffers of a J-step recursion of m types of dimension n, with its
+    per-step views: x (J+1, m, n, 1), Du (J, m, n, 1), and the list of
+    (x_j, x_{j+1}, Du_j) triples the step loop runs over."""
+    x = np.empty((J + 1, m, n, 1))
+    Du = np.empty((J, m, n, 1))
+    steps = list(x)
+    return x, Du, list(zip(steps, steps[1:], Du))
+
+
+def _recursion(M: np.ndarray, x0: np.ndarray, D: np.ndarray, u: np.ndarray,
+               work: tuple) -> np.ndarray:
     """x_{j+1} = M x_j - D u_j for a stack of types, from x_0 = x0.
 
     M and D have shape (m, n, n), x0 (m, n), and u (J, m, n), or (J, 1, n)
-    for a drive shared by every type; the result has shape (J+1, m, n).
-    Each type sees the float operations of a one-type NumPy loop, in their
-    order (the exactness contract in the module docstring)."""
-    m, n = x0.shape
-    J = u.shape[0]
-    x = np.empty((J + 1, m, n, 1))
+    for a drive shared by every type; work is a `_workspace(J, m, n)`, whose
+    every entry is written before it is read. The result has shape
+    (J+1, m, n) and is a view of the workspace: the next recursion on it
+    overwrites it. Each type sees the float operations of a one-type NumPy
+    loop, in their order (the exactness contract in the module docstring)."""
+    x, Du, steps = work
     x[0, :, :, 0] = x0
-    Du = D @ u[..., None]                       # (J, m, n, 1): D u_j per type
-    steps = list(x)                             # the per-step views, made once
-    for prev, nxt, du in zip(steps, steps[1:], Du):
-        np.matmul(M, prev, out=nxt)
-        nxt -= du
+    np.matmul(D, u[..., None], Du)              # D u_j per type, the whole window
+    matmul, subtract = np.matmul, np.subtract
+    for prev, nxt, du in steps:
+        matmul(M, prev, nxt)
+        subtract(nxt, du, nxt)
     return x[..., 0]
 
 
-def _backward(mu: np.ndarray, A_cl: np.ndarray, Q: np.ndarray) -> np.ndarray:
+def _backward(mu: np.ndarray, A_cl: np.ndarray, Q: np.ndarray,
+              work: tuple | None = None) -> np.ndarray:
     """g_k = A_cl' g_{k+1} - Q mu_k for a stack of types, from g_H down to g_0.
 
     A_cl and Q have shape (m, n, n), mu has shape (H, n); the result has
     shape (H+1, m, n). g_H is the geometric closed form for mu held at
-    mu_{H-1} beyond the window."""
+    mu_{H-1} beyond the window. Without a workspace (`_workspace(H, m, n)`)
+    it runs in a fresh one, so the result shares memory with nothing else."""
     A_T = A_cl.transpose(0, 2, 1)
-    return _recursion(A_T, _g_end(mu, A_T, Q), Q, mu[::-1, None, :])[::-1]
+    if work is None:
+        work = _workspace(mu.shape[0], *Q.shape[:2])
+    return _recursion(A_T, _g_end(mu, A_T, Q), Q, mu[::-1, None, :], work)[::-1]
 
 
 def _g_end(mu: np.ndarray, A_T: np.ndarray, Q: np.ndarray) -> np.ndarray:
@@ -268,16 +291,19 @@ def _operator(types, gains: dict):
     once: they are fixed while `solve_mfe` iterates. For n == 1 both
     recursions run on Python floats in one pass per type (`_scalar_steps`),
     after one stacked solve for g_H; the types' means become one array for
-    the weighted sum."""
+    the weighted sum. For n > 1 it keeps the backward and forward workspaces
+    of the last window length it was applied to."""
     A_cl = np.stack([gains[t.label].A_cl for t in types])
     Q = np.stack([t.Q for t in types])
     BK2 = np.stack([t.B @ gains[t.label].K2 for t in types])
     x0 = np.array([t.x0_mean for t in types])
     probs = [t.prob for t in types]
 
+    m, n = x0.shape
     # n == 1: (a, q, bk2, x0) per type as Python floats
     scalars = list(zip(*(X.ravel().tolist() for X in (A_cl, Q, BK2, x0)))) \
-        if x0.shape[1] == 1 else None
+        if n == 1 else None
+    work = {}  # window length H -> its (backward, forward) workspaces; one H at a time
 
     def apply(mu: np.ndarray) -> np.ndarray:
         mu = as_matrix(mu)
@@ -287,9 +313,13 @@ def _operator(types, gains: dict):
             ends = _g_end(mu, A_cl, Q).ravel().tolist()  # a 1x1 A_cl is its own transpose
             # per type: g_H, ..., g_0 backward, then nu driven by g_1, ..., g_{H-1}
             nu = np.array([_scalar_steps(a, x, bk2, _scalar_steps(a, end, q, drive)[H - 1:0:-1])
-                           for (a, q, bk2, x), end in zip(scalars, ends)]).T[..., None]
+                           for (a, q, bk2, x), end in zip(scalars, ends)], dtype=float).T[..., None]
         else:
-            nu = _recursion(A_cl, x0, BK2, _backward(mu, A_cl, Q)[1:H])
+            if H not in work:
+                work.clear()
+                work[H] = _workspace(H, m, n), _workspace(H - 1, m, n)
+            back, forward = work[H]
+            nu = _recursion(A_cl, x0, BK2, _backward(mu, A_cl, Q, back)[1:H], forward)
         out = np.zeros_like(mu)
         for i, prob in enumerate(probs):
             out += prob * nu[:, i]
@@ -325,6 +355,13 @@ def _estimate_k3(mu: np.ndarray) -> np.ndarray:
     Y = mu[idx + 1]
     K3, *_ = np.linalg.lstsq(X, Y, rcond=None)
     return K3.T
+
+
+def _gap(d: np.ndarray) -> float:
+    """The largest row norm of the (H, n) array d: the expression
+    `np.linalg.norm(d, axis=1).max()` evaluates for real d, without its
+    Python wrapper."""
+    return float(np.sqrt(np.add.reduce(d * d, axis=1)).max())
 
 
 def solve_mfe(types) -> MeanFieldSolution:
@@ -363,7 +400,7 @@ def solve_mfe(types) -> MeanFieldSolution:
         prev_gap = None
         for _ in range(MFE_MAX_ITER):
             new = operator(mu)
-            gap = float(np.linalg.norm(new - mu, axis=1).max())
+            gap = _gap(new - mu)
             if prev_gap is not None and prev_gap > 1e-12 * scale:
                 gap_ratios.append(gap / prev_gap)
             prev_gap = gap
@@ -386,7 +423,7 @@ def solve_mfe(types) -> MeanFieldSolution:
         doublings += 1
         log.info("mean-field window grown to %d (slow trajectory decay)", H)
 
-    residual = float(np.linalg.norm(operator(mu) - mu, axis=1).max())
+    residual = _gap(operator(mu) - mu)
     g = _backward(mu, np.stack([gains[t.label].A_cl for t in types]),
                   np.stack([t.Q for t in types]))
     return MeanFieldSolution(types=types, mu=mu,

@@ -202,6 +202,24 @@ class TestMfOperator:
                         assert np.array_equal(operator(window),
                                               _apply(window, types, gains))
 
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_workspace_reuse_never_leaks(self, n):
+        # one built operator applied to windows H, H again, H//2, 2H and H once
+        # more reuses its workspaces for a repeated H and rebuilds them when H
+        # changes (H = 1 runs a forward pass of 0 steps); every result equals a
+        # fresh operator's, and the first one is not overwritten by the later
+        rng = np.random.default_rng(60 + n)
+        for H in (1, 2, 3, 17, 328):
+            _, types, gains = _random_case(rng, n, 3, H)
+            operator = mfg._operator(types, gains)
+            windows = [rng.normal(size=(h, n)) * 3.0 for h in (H, H, max(H // 2, 1), 2 * H, H)]
+            first = operator(windows[0])
+            held = first.copy()
+            assert _same_bits(first, _apply(windows[0], types, gains))
+            for window in windows[1:]:
+                assert _same_bits(operator(window), _apply(window, types, gains))
+            assert _same_bits(first, held)
+
     def test_matches_literal_double_sum(self):
         # forward/backward pass vs the expanded double sum, scalar types
         rng = np.random.default_rng(17)
@@ -274,6 +292,44 @@ class TestSolveMfe:
         assert all(np.array_equal(new.g[t.label], ref.g[t.label]) for t in types)
         assert (new.iterations, new.window_doublings, new.gap_ratios, new.residual) == \
             (ref.iterations, ref.window_doublings, ref.gap_ratios, ref.residual)
+
+    def test_repeat_solve_identical_and_unshared(self):
+        # each solve builds its own operator and workspaces, and the stored g
+        # runs in a fresh one: two solves give the same bits in separate memory
+        types = MFE_TYPE_SETS["two-state"]
+        first, second = solve_mfe(types), solve_mfe(types)
+        assert _same_bits(first.mu, second.mu)
+        for t in types:
+            assert _same_bits(first.g[t.label], second.g[t.label])
+            assert not np.shares_memory(first.g[t.label], second.g[t.label])
+
+    def test_workspaces_built_per_window_not_per_application(self, monkeypatch):
+        # a backward and a forward workspace per window, then one for the
+        # stored g: not one per operator application
+        calls = []
+        build = mfg._workspace
+        monkeypatch.setattr(mfg, "_workspace", lambda *shape: calls.append(shape) or build(*shape))
+        types = MFE_TYPE_SETS["two-state"]
+        sol = solve_mfe(types)
+        assert (sol.iterations, sol.window_doublings, sol.horizon) == (94, 1, 224)
+        m, n = len(types), sol.mu.shape[1]
+        assert calls == [(112, m, n), (111, m, n), (224, m, n), (223, m, n), (224, m, n)]
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_gap_is_linalg_norm(self, n):
+        # the Picard gap and the residual take the largest row norm as
+        # np.linalg.norm(d, axis=1) computes it, bit for bit, with zeros,
+        # negative zeros and entries whose squares are subnormal or 0
+        rng = np.random.default_rng(80 + n)
+        for H in (1, 2, 17, 328):
+            for _ in range(5):
+                d = rng.normal(size=(H, n)) * 10.0 ** rng.integers(-170, 3, size=(H, n))
+                d[rng.random((H, n)) < 0.2] = 0.0
+                d[rng.random((H, n)) < 0.2] = -0.0
+                want = np.linalg.norm(d, axis=1).max()
+                assert _same_bits(mfg._gap(d), want)
+        for d in (np.zeros((3, n)), np.full((3, n), -0.0), np.full((2, n), 5e-324)):
+            assert _same_bits(mfg._gap(d), np.linalg.norm(d, axis=1).max())
 
     def test_g_matches_per_type_trajectory(self, mfe):
         for t in default_types():

@@ -7,7 +7,7 @@ import pytest
 
 from aoi_mfg import (AgentType, ScenarioConfig, assign_types, default_types, load_scenario,
                      scheduling_scenario)
-from aoi_mfg.model import capacity_for, check_erasure
+from aoi_mfg.model import _check_spd, capacity_for, check_erasure
 from aoi_mfg.errors import AssumptionViolationError, ConfigError, MissingKeyError, NonPositiveDefiniteError
 
 
@@ -15,6 +15,13 @@ def make_type(label="t", A=1.0, prob=1.0, **kw):
     base = dict(B=0.1, C_W=5.0, Q=1.0, R=1.0, x0_mean=0.0, x0_cov=1.0)
     base.update(kw)
     return AgentType(label=label, A=A, prob=prob, **base)
+
+
+def _ulps(x, k):
+    """x moved k ulps up (k > 0) or down (k < 0)."""
+    for _ in range(abs(k)):
+        x = np.nextafter(x, np.inf if k > 0 else -np.inf)
+    return float(x)
 
 
 class TestAgentType:
@@ -59,6 +66,36 @@ class TestAgentType:
             AgentType(label="mat", A=[[0.5, float("nan")], [0.0, 0.9]], B=[[1.0], [0.5]],
                       C_W=np.eye(2), Q=np.eye(2), R=[[2.0]],
                       x0_mean=[1.0, -1.0], x0_cov=np.eye(2), prob=1.0)
+
+    @pytest.mark.parametrize("size", [2, 3])
+    def test_symmetry_tolerance_is_allclose(self, size):
+        # an asymmetry at 1e-10 + 1e-5 |b| from b, and a few ulps either side
+        # of it, is accepted or rejected exactly as np.allclose(m, m.T,
+        # atol=1e-10) decides. Away from zero that is the edge; towards zero
+        # the smaller entry's tolerance binds first, and both reject
+        for i, j in [(i, j) for i in range(size) for j in range(size) if i != j]:
+            for b in (0.0, 1e-6, 0.3, -1.0, 7.0):
+                decided = set()
+                for sign in (1.0, -1.0):
+                    edge = b + sign * (1e-10 + 1e-05 * abs(b))
+                    for k in range(-3, 4):
+                        m = 10.0 * np.eye(size)
+                        m[j, i] = b
+                        m[i, j] = _ulps(edge, k)
+                        symmetric = np.allclose(m, m.T, atol=1e-10)
+                        decided.add(symmetric)
+                        if symmetric:
+                            _check_spd(m, "M")
+                        else:
+                            with pytest.raises(NonPositiveDefiniteError, match=r"eigenvalue nan"):
+                                _check_spd(m, "M")
+                assert decided == {True, False}, (i, j, b)
+
+    @pytest.mark.parametrize("value", [1e-300, 0.3, 7.0, 1e300])
+    def test_one_by_one_is_symmetric(self, value):
+        m = np.array([[value]])
+        assert np.allclose(m, m.T, atol=1e-10)
+        _check_spd(m, "M")
 
     def test_erasure_compatibility(self):
         t = make_type(A=2.0)
