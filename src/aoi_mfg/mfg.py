@@ -332,14 +332,12 @@ def _contraction_constant(types, gains: dict) -> float:
     """Left-hand side of the contraction condition: max over types of
     ||A_cl|| + sum_phi ||Q|| ||B K2|| (1 - ||A_cl||)^-2 P(phi), spectral norms.
     """
+    norms_a = [float(np.linalg.norm(gains[t.label].A_cl, 2)) for t in types]
     coupling = 0.0
-    for t in types:
-        G = gains[t.label]
-        na = float(np.linalg.norm(G.A_cl, 2))
-        coupling += (float(np.linalg.norm(t.Q, 2)) * float(np.linalg.norm(t.B @ G.K2, 2))
-                     / (1.0 - na) ** 2 * t.prob)
-    worst_a = max(float(np.linalg.norm(gains[t.label].A_cl, 2)) for t in types)
-    return worst_a + coupling
+    for t, na in zip(types, norms_a):
+        nbk = float(np.linalg.norm(t.B @ gains[t.label].K2, 2))
+        coupling += float(np.linalg.norm(t.Q, 2)) * nbk / (1.0 - na) ** 2 * t.prob
+    return max(norms_a) + coupling
 
 
 def _estimate_k3(mu: np.ndarray) -> np.ndarray:

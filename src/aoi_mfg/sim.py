@@ -8,7 +8,14 @@ Scheduling ignores plant state, so `_schedule_block` advances the AoI a block
 of whole steps at once and the game loop replays its receptions step by step.
 The block keeps every step's intents (after projection) and counts each
 chain's attempts from them once per block; an agent's age is kept, one step
-older, unless it sent and its packet survived, which resets it to 0.
+older, unless it sent and its packet survived, which resets it to 0. A step
+takes the indices of the projected chain's intents with one `nonzero`: the
+capacity binds when there are more than C, and `_project` selects among
+those indices. The aging multiplies by the keep mask read as 0/1 in uint8,
+a same-type loop for uint8 ages where a bool mask would be cast on every
+call. Each chain's cost total takes a block's step costs in one
+`np.add.accumulate`, which adds them one after another in step order, the
+float additions of a loop.
 
 Ages are held in the smallest unsigned dtype that holds T + 1,
 `np.min_scalar_type(T + 1)`, chosen once per run by `_ScheduleRun`: uint8
@@ -113,9 +120,11 @@ _BLOCK_ELEMENTS = 2**15  # agent-steps drawn at once, over every chain: bounds a
 _SORT_CANDIDATES = 256
 
 
-def _project(a, tau, C):
+def _project(a, candidates, tau, C):
     """Keep the C intents with the largest age, equal ages to the lower index,
-    and clear the others of `a` in place; returns `a`.
+    and clear the others of `a` in place; returns `a`. `candidates` are the
+    indices of a's set entries, `a.nonzero()[0]`, which the caller has taken
+    to see whether the capacity binds; at C or fewer nothing is cleared.
 
     The dropped intents are the youngest, equal ages from the higher index.
     Up to `_SORT_CANDIDATES` candidates, their ages are sorted directly: read
@@ -126,7 +135,6 @@ def _project(a, tau, C):
     array `np.array(a.size)` is a strong operand under NEP 50, so the key is
     int64 whatever tau's dtype; a Python int would keep a narrow tau's dtype
     and wrap (200 * 100 -> 32 in uint8) or raise."""
-    candidates = a.nonzero()[0]
     drop = candidates.size - C
     if drop > 0:
         if candidates.size <= _SORT_CANDIDATES:
@@ -148,10 +156,15 @@ def _schedule_block(tau, policy: RelaxedPolicy, C, p, rng, rows):
     chain is projected onto the capacity C, step by step; the others are not.
     The block keeps every step's intents, the projected chain's as they are
     after projection, and each chain's attempts are counted from them once
-    per block. An agent's age is kept, one step older, unless it sent and
-    its packet survived: the channel draws `lost = u < p` (the complement of
-    a survival `u >= p`), and a step multiplies the aged tau by the keep mask
-    `a <= lost`, false exactly on a reception.
+    per block. A step takes the indices of the projected chain's intents
+    once; the capacity binds when there are more than C of them, and only
+    then are they handed to `_project` and the kept intents recounted. An
+    agent's age is kept, one step older, unless it sent and its packet
+    survived: the channel draws `lost = u < p` (the complement of a survival
+    `u >= p`), and a step multiplies the aged tau by the keep mask
+    `a <= lost`, 0 exactly on a reception. The mask is read as uint8 0/1,
+    so uint8 ages multiply in their own type: bool x uint8 has no loop of
+    its own and casts the mask on every call.
 
     Ages keep tau's dtype, which must hold every age the block reaches.
 
@@ -172,6 +185,7 @@ def _schedule_block(tau, policy: RelaxedPolicy, C, p, rng, rows):
     taus[0] = tau
     intents = np.empty((rows, tau.size), dtype=bool)
     keep = np.empty(tau.size, dtype=bool)
+    keep01 = keep.view(np.uint8)  # the mask as 0/1 in uint8: a same-type multiply for uint8 ages
     one = np.ones((), dtype=tau.dtype)  # a 0-d array: no per-call conversion of the scalar 1
     # the ufuncs, bound once per block: a step looks none of them up
     greater_equal, add, less_equal, multiply = np.greater_equal, np.add, np.less_equal, np.multiply
@@ -179,14 +193,15 @@ def _schedule_block(tau, policy: RelaxedPolicy, C, p, rng, rows):
     for cur, thr, a, last, lost, nxt in zip(taus[:-1], thresholds.reshape(rows, -1), intents,
                                             intents[:, free:], losses.reshape(rows, -1), taus[1:]):
         greater_equal(cur, thr, a)
-        if count(last) > C:  # the projected chain's ages are viewed only on a binding step
-            n = int(count(_project(last, cur[free:], C)))
+        candidates = last.nonzero()[0]
+        if candidates.size > C:  # the projected chain's ages are viewed only on a binding step
+            n = int(count(_project(last, candidates, cur[free:], C)))
             if n > C:
                 raise CapacityViolationError(n, C)
         # age by one, times 0 on reception: no data-dependent branch
         add(cur, one, nxt)
         less_equal(a, lost, keep)
-        multiply(nxt, keep, nxt)
+        multiply(nxt, keep01, nxt)
     return taus, [int(np.count_nonzero(intents[:, i:i + N])) for i in range(0, tau.size, N)]
 
 
@@ -247,8 +262,10 @@ class _ScheduleRun:
             counts = np.bincount(chains[:, i].ravel(), minlength=self.hist[i].size)
             counts[: self.hist[i].size] += self.hist[i]
             self.hist[i] = counts
-        # per step and chain, each type's slice sum added in type order
-        step_cost = 0
+        # totals[0] is each chain's total so far; totals[1 + j] step j's cost,
+        # per chain each type's slice sum added in type order
+        totals = np.zeros((rows + 1, K))
+        totals[0] = self.cost_sum
         for i, s in enumerate(self.slices):
             ages = chains[:, :, s]
             try:
@@ -256,10 +273,11 @@ class _ScheduleRun:
             except IndexError:  # an age past the type's table: grow it to the oldest
                 self.c_tables[i] = self.tables[i].c_table(int(ages.max()))
                 costs = np.take(self.c_tables[i], ages)
-            step_cost += costs.sum(axis=2)
+            totals[1:] += costs.sum(axis=2)
+        # an accumulate adds the step costs to the total one after another, in
+        # step order: the pinned float order
+        self.cost_sum = np.add.accumulate(totals, axis=0)[-1].tolist()
         for i in range(K):
-            for c in step_cost[:, i].tolist():  # in step order: the pinned float order
-                self.cost_sum[i] += c
             self.attempts[i] += attempts[i]
         return taus
 

@@ -243,25 +243,25 @@ class TestMatbSelect:
 
     def test_within_capacity_passthrough(self):
         a = np.array([1, 0, 1, 0], dtype=bool)
-        out = sim._project(a.copy(), np.array([5, 1, 3, 2]), 3)
+        out = sim._project(a.copy(), a.nonzero()[0], np.array([5, 1, 3, 2]), 3)
         assert np.array_equal(out, a)
 
     def test_keeps_largest_ages(self):
         a = np.ones(5, dtype=bool)
         tau = np.array([2, 9, 4, 7, 1])
-        out = sim._project(a, tau, 2)
+        out = sim._project(a, a.nonzero()[0], tau, 2)
         assert np.array_equal(np.flatnonzero(out), [1, 3])
 
     def test_tie_breaks_to_lowest_index(self):
         a = np.ones(4, dtype=bool)
         tau = np.array([5, 5, 5, 5])
-        out = sim._project(a, tau, 2)
+        out = sim._project(a, a.nonzero()[0], tau, 2)
         assert np.array_equal(np.flatnonzero(out), [0, 1])
 
     def test_non_intending_never_selected(self):
         a = np.array([0, 1, 0, 1, 1], dtype=bool)
         tau = np.array([100, 1, 100, 2, 3])
-        out = sim._project(a, tau, 2)
+        out = sim._project(a, a.nonzero()[0], tau, 2)
         assert np.array_equal(np.flatnonzero(out), [3, 4])
 
     def test_capacity_exact(self):
@@ -269,6 +269,6 @@ class TestMatbSelect:
         for _ in range(20):
             a = rng.integers(0, 2, size=30).astype(bool)
             tau = rng.integers(0, 20, size=30)
-            out = sim._project(a.copy(), tau, 4)
+            out = sim._project(a.copy(), a.nonzero()[0], tau, 4)
             assert out.sum() == min(4, a.sum())
             assert np.all(out <= a)

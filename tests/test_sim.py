@@ -113,7 +113,7 @@ class TestSchedulingExperiment:
     def test_capacity_violation_raises(self, monkeypatch):
         # a projection that keeps every intent: the check, not an assert, stops it
         cfg = scheduling_scenario(N=4, alpha=0.5, p=0.0, T=5)
-        monkeypatch.setattr(sim, "_project", lambda a, tau, C: a)
+        monkeypatch.setattr(sim, "_project", lambda a, candidates, tau, C: a)
         with pytest.raises(CapacityViolationError):
             run_scheduling_experiment(cfg, fixed_policy(4, 0), "matb", seed=0)
 
@@ -201,7 +201,7 @@ class TestGameExperiment:
 
     def test_capacity_violation_raises(self, mfe, monkeypatch):
         cfg = game_scenario(N=4, alpha=0.5, p=0.0, T=5)
-        monkeypatch.setattr(sim, "_project", lambda a, tau, C: a)
+        monkeypatch.setattr(sim, "_project", lambda a, candidates, tau, C: a)
         with pytest.raises(CapacityViolationError):
             run_game_experiment(cfg, mfe, fixed_policy(4, 0), seed=0)
 
@@ -261,7 +261,7 @@ class TestBlockKernel:
                 capacities |= {count - 1, count - int(rng.integers(1, count)), 1}
             for C in capacities:
                 want = matb_select(a, tau, C)
-                assert np.array_equal(sim._project(a.copy(), tau, C), want)
+                assert np.array_equal(sim._project(a.copy(), a.nonzero()[0], tau, C), want)
 
     def test_matb_select_orders_unsigned_ages_as_numbers(self):
         # an unsigned age negated in its own dtype wraps (-1 is 255 in uint8),
@@ -297,9 +297,9 @@ class TestBlockKernel:
         N, C, rows, bad = 10, 4, 600, 300
         calls = []
 
-        def project(a, tau, C):
+        def project(a, candidates, tau, C):
             calls.append(C)
-            a[a.nonzero()[0][C + 1 if len(calls) == bad else C - 1:]] = False
+            a[candidates[C + 1 if len(calls) == bad else C - 1:]] = False
             return a
         monkeypatch.setattr(sim, "_project", project)
         with pytest.raises(CapacityViolationError) as exc:
@@ -307,6 +307,31 @@ class TestBlockKernel:
                                 make_streams(0), rows)
         assert (exc.value.sent, exc.value.capacity, len(calls)) == (C + 1, C, bad)
         assert (C - 1) * (rows - 1) + C + 1 < C * rows
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int64])
+    def test_projection_sees_only_the_projected_chain(self, dtype, monkeypatch):
+        # every packet lost (p = 1), so ages only grow and the intents are
+        # known: the relaxed chain starts at the threshold N and intends with
+        # all N agents at every step, while the projected chain's ages 0..N-1
+        # bring one agent to the threshold per step, j intents at step j. Only
+        # steps C + 1 .. N - 1 bind; a kernel that counted the whole stack
+        # would project at every step
+        N, C, rows = 10, 4, 10
+        seen = []
+        project = sim._project
+
+        def spy(a, candidates, tau, C):
+            assert a.size == tau.size == N
+            assert np.array_equal(candidates, a.nonzero()[0]) and candidates.size > C
+            seen.append(candidates.size)
+            return project(a, candidates, tau, C)
+        monkeypatch.setattr(sim, "_project", spy)
+        start = np.concatenate([np.full(N, N), np.arange(N)]).astype(dtype)
+        taus, attempts = sim._schedule_block(start, fixed_policy(N, N), C, 1.0,
+                                             make_streams(0), rows)
+        assert seen == list(range(C + 1, N))
+        assert attempts == [N * rows, sum(min(j, C) for j in range(rows))]
+        assert np.array_equal(taus, start + np.arange(rows + 1, dtype=dtype)[:, None])
 
     @pytest.mark.parametrize("N,alpha,p", [(5, 0.2, 0.2), (20, 0.25, 0.0), (37, 0.4, 0.3)])
     @pytest.mark.parametrize("projected", [True, False])
