@@ -10,7 +10,13 @@ derives every sweep point from that. All data files are deterministic
 given config + seed; wall-clock information lives only in the run manifest.
 The manifest's `config_hash` is the SHA-256 of the resolved scenario's
 `_document`: its `ScenarioConfig` record, field by field, which
-`load_scenario` reads back. `bounds_report.json` is `BoundReport`'s.
+`load_scenario` reads back. Every JSON document is built here from its
+record's fields: `bounds_report.json` is `BoundReport`'s, and
+`schedule_report.json`, `mfe_report.json` and the manifest's
+`diagnostics.mfe` are read from `RelaxedPolicy` and `MeanFieldSolution`,
+under the field's name but for `lambda` (`lam`), `per_type_thresholds`
+(`per_type`), `mu_window` (`mu`) and `window_h` (`horizon`). Arrays go
+through `_dumps`' `ndarray` default.
 """
 
 from __future__ import annotations
@@ -75,6 +81,31 @@ _dumps = partial(json.dumps, sort_keys=True, default=lambda a: a.tolist())
 def _write_json(path: Path, obj) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(_dumps(obj, indent=2) + "\n", encoding="utf-8")
+
+
+def _fields(record, *names) -> dict:
+    """Some of a record's fields or properties, keyed by their names."""
+    return {name: getattr(record, name) for name in names}
+
+
+def _policy_report(policy) -> dict:
+    """schedule_report.json: the relaxed policy's price, mix, rates and per-type thresholds."""
+    return {"lambda": policy.lam, "per_type_thresholds": policy.per_type,
+            **_fields(policy, "q", "rate_low", "rate_high")}
+
+
+def _mfe_report(sol) -> dict:
+    """mfe_report.json: the equilibrium's mu window, K3 and solve summary, and
+    each type's gains with the spectral radius of its closed loop."""
+    gains = {label: dict(_document(G), rho_cl=G.rho_cl) for label, G in sol.gains.items()}
+    return {"mu_window": sol.mu, "gains": gains,
+            **_fields(sol, "K3", "contraction_constant", "residual", "iterations")}
+
+
+def _mfe_diagnostics(sol) -> dict:
+    """How the equilibrium solve went, for the run manifest; not in mfe_report.json."""
+    return {"window_h": sol.horizon, **_fields(
+        sol, "iterations", "window_doublings", "contraction_constant", "gap_ratios")}
 
 
 def _report(path: Path, doc: dict, shown=None) -> Path:
@@ -161,7 +192,7 @@ def cmd_schedule(args, base, out_dir):
     if args.report:
         config = _point(config, N, alpha, p)
         policy = bisection_lambda(population_for(config), config.p, config.capacity)
-        path = _report(out_dir / "schedule_report.json", policy.report())
+        path = _report(out_dir / "schedule_report.json", _policy_report(policy))
         return config, [path], None
 
     header = ["N", "J_relaxed", "J_matb", "gap", "gap_bound"]
@@ -215,15 +246,15 @@ def cmd_game(args, base, out_dir):
     for path, (column, table) in zip(paths, rows.items()):
         _write_csv(path, [column, "cost_q1", "cost_median", "cost_q3"], table)
     print(f"wrote {paths[0]} and {paths[1]}")
-    return config, paths, {"mfe": mfe.diagnostics()}
+    return config, paths, {"mfe": _mfe_diagnostics(mfe)}
 
 
 def cmd_mfe(args, base, out_dir):
     """The equilibrium of the scenario's types, which is all `mfe` reads."""
     sol = solve_mfe(base.types)
-    path = _report(out_dir / "mfe_report.json", sol.report(),
+    path = _report(out_dir / "mfe_report.json", _mfe_report(sol),
                    ("contraction_constant", "residual", "iterations"))
-    return base, [path], {"mfe": sol.diagnostics()}
+    return base, [path], {"mfe": _mfe_diagnostics(sol)}
 
 
 def cmd_bounds(args, base, out_dir):

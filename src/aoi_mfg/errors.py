@@ -22,8 +22,9 @@ class NonPositiveDefiniteError(ConfigError):
         self.min_eig = min_eig
 
 
-class AssumptionViolationError(AoiMfgError):
-    """||A||_F^2 * p >= 1; the estimation-error series diverges."""
+class AssumptionViolationError(ConfigError):
+    """||A||_F^2 * p >= 1; the estimation-error series diverges. The
+    scenario's A and p are at fault, so it is a ConfigError."""
 
     def __init__(self, label, value):
         super().__init__(

@@ -141,33 +141,6 @@ class MeanFieldSolution:
             return np.negative(out, out=out)
         return self._table(("-K2 g", length), build)
 
-    def report(self) -> dict:
-        return {
-            "contraction_constant": self.contraction_constant,
-            "residual": self.residual,
-            "iterations": self.iterations,
-            "K3": self.K3.tolist(),
-            "mu_window": self.mu.tolist(),
-            "gains": {
-                label: {
-                    "K": G.K.tolist(), "K1": G.K1.tolist(),
-                    "K2": G.K2.tolist(), "A_cl": G.A_cl.tolist(),
-                    "rho_cl": G.rho_cl,
-                }
-                for label, G in self.gains.items()
-            },
-        }
-
-    def diagnostics(self) -> dict:
-        """How the solve went, for the run manifest (not part of report())."""
-        return {
-            "iterations": self.iterations,
-            "window_h": self.horizon,
-            "window_doublings": self.window_doublings,
-            "contraction_constant": self.contraction_constant,
-            "gap_ratios": list(self.gap_ratios),
-        }
-
 
 def _full_krylov_rank(A: np.ndarray, B: np.ndarray) -> bool:
     """rank [B, AB, ..., A^{n-1} B] = n, the controllability test of (A, B)."""

@@ -25,6 +25,9 @@ from .errors import (
 )
 
 _PROB_TOL = 1e-12
+# N is apportioned in float64, and ages and T meet float arithmetic: both
+# are exact only below 2**53
+_EXACT_BOUND = 2 ** 53
 
 
 def _as_float_array(value, name):
@@ -191,6 +194,9 @@ class ScenarioConfig:
         for key, least in (("N", 1), ("T", 1), ("seed", 0), ("mc_runs", 1)):
             if getattr(self, key) < least:
                 raise ConfigError(f"{key} must be >= {least}, got {getattr(self, key)}")
+        for key in ("N", "T"):
+            if getattr(self, key) >= _EXACT_BOUND:
+                raise ConfigError(f"{key} must be < 2**53, got {getattr(self, key)}")
         if not 1 <= self.capacity < self.N:
             raise ConfigError(f"capacity must satisfy 1 <= C < N, got C={self.capacity}, N={self.N}")
         if not 0.0 <= self.p < 1.0:
@@ -229,12 +235,12 @@ def assign_types(N: int, types) -> Population:
 
     Deterministic: |N_phi - N * P(phi)| < 1 for every type, ties broken by
     lower type index. Agents of one type occupy a contiguous index block.
-    N goes through `integer`: ConfigError naming it.
+    N goes through `integer` and must lie in [1, 2**53): ConfigError naming it.
     """
     N = _read(N, integer, "N")
     types = tuple(types)
-    if N < 1:
-        raise ConfigError(f"N must be >= 1, got {N}")
+    if not 1 <= N < _EXACT_BOUND:
+        raise ConfigError(f"N must lie in [1, 2**53), got {N}")
     _check_mix(types)
     exact = np.array([N * t.prob for t in types])
     counts = np.floor(exact).astype(int)

@@ -47,15 +47,6 @@ class RelaxedPolicy:
         if self.kbar.size != N:
             raise DimensionMismatchError(f"policy solved for N = {self.kbar.size}, config has N = {N}")
 
-    def report(self) -> dict:
-        return {
-            "lambda": self.lam,
-            "q": self.q,
-            "rate_low": self.rate_low,
-            "rate_high": self.rate_high,
-            "per_type_thresholds": {k: list(v) for k, v in self.per_type.items()},
-        }
-
 
 def _rate_term(count: int, kappa: int, p: float) -> float:
     """count * transmission_rate(kappa, kappa, 1.0, p), on Python floats."""

@@ -14,11 +14,13 @@ import numpy as np
 import pytest
 
 import aoi_mfg
-from aoi_mfg import cli, game_scenario, load_scenario, scheduling_scenario, solve_mfe
+from aoi_mfg import (bisection_lambda, cli, game_scenario, load_scenario, population_for,
+                     scheduling_scenario, solve_mfe)
 from aoi_mfg.cli import main
 from aoi_mfg.model import AgentType, ScenarioConfig, capacity_for
 
-from test_golden import TWO_STATE_TYPES
+from test_golden import DEFAULT_TYPES, TWO_STATE_TYPES
+from test_sim import TYPE_SETS
 
 TINY_SCHED = {
     "N": 6, "capacity": 2, "p": 0.2, "T": 150, "seed": 0,
@@ -327,6 +329,42 @@ class TestConfigDocument:
                 assert np.array_equal(getattr(got, f.name), getattr(want, f.name)), f.name
 
 
+def _bits(a):
+    """An array's shape and float64 bytes: equal only bit for bit, sign of zero too."""
+    return np.shape(a), np.asarray(a, dtype=float).tobytes()
+
+
+class TestDocumentFields:
+    """Each JSON report holds its record's fields: JSON reads back every
+    float exactly."""
+
+    @pytest.mark.parametrize("flags", [[], ["--p", "0", "--N", "40"]], ids=["preset", "p0-N40"])
+    def test_schedule_report(self, flags, tmp_path):
+        assert main(["schedule", "--report", *flags, "--out", str(tmp_path)]) == 0
+        doc = json.loads((tmp_path / "schedule_report.json").read_text())
+        config = scheduling_scenario()
+        if flags:
+            config = dataclasses.replace(config, N=40, capacity=capacity_for(config.alpha, 40), p=0.0)
+        policy = bisection_lambda(population_for(config), config.p, config.capacity)
+        assert doc == {"lambda": policy.lam, "q": policy.q, "rate_low": policy.rate_low,
+                       "rate_high": policy.rate_high,
+                       "per_type_thresholds": {k: list(v) for k, v in policy.per_type.items()}}
+
+    def test_mfe_report(self, tmp_path):
+        # two types, one with two controls: no golden hash covers it
+        config = ScenarioConfig(N=20, capacity=9, p=0.2, T=80, types=TYPE_SETS["mixed-input"])
+        assert main(["mfe", "--config", cli._dumps(cli._document(config)),
+                     "--out", str(tmp_path)]) == 0
+        doc = json.loads((tmp_path / "mfe_report.json").read_text())
+        sol = solve_mfe(config.types)
+        assert _bits(doc["mu_window"]) == _bits(sol.mu) and _bits(doc["K3"]) == _bits(sol.K3)
+        assert doc["gains"].keys() == sol.gains.keys()
+        for label, gains in sol.gains.items():
+            for name in ("K", "K1", "K2", "A_cl"):
+                assert _bits(doc["gains"][label][name]) == _bits(getattr(gains, name)), name
+            assert doc["gains"][label]["rho_cl"] == gains.rho_cl
+
+
 class TestErrors:
     def test_invalid_config_exits_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -488,6 +526,32 @@ class TestErrors:
         assert main(argv + ["--out", str(tmp_path / "o")]) == code
         assert not (tmp_path / "o").exists()
 
+    # the presets' unstable type has ||A||_F^2 p = 1.3225 * 0.9 >= 1: a bad
+    # scenario value, which ScenarioConfig rejects
+    @pytest.mark.parametrize("argv", [
+        ["schedule", "--p", "0.9", "--runs", "1"], ["bounds", "--p", "0.9"],
+        ["game", "--p", "0.9", "--runs", "1"],
+        ["schedule", "--config", json.dumps({"N": 100, "capacity": 25, "p": 0.9, "T": 300,
+                                             "types": DEFAULT_TYPES})]],
+        ids=["schedule", "bounds", "game", "scenario"])
+    def test_erasure_assumption_exits_1(self, argv, tmp_path, capsys):
+        assert main(argv + ["--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: type 'unstable'")
+        assert "erasure compatibility fails" in err
+        assert not (tmp_path / "o").exists()
+
+    # N is apportioned in float64, and ages and T meet float arithmetic
+    @pytest.mark.parametrize("argv,named", [
+        (["bounds", "--N", "100000000000000000000"], "N"),
+        (["schedule", "--report", "--N", "10000000000000000000"], "N"),
+        (["schedule", "--config", json.dumps(dict(TINY_SCHED, T=1e300))], "T")],
+        ids=["bounds-N", "schedule-N", "scenario-T"])
+    def test_count_at_2_53_exits_1(self, argv, named, tmp_path, capsys):
+        assert main(argv + ["--out", str(tmp_path / "o")]) == 1
+        assert f"config error: {named} must be < 2**53" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_missing_config_file_exits_3(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
         assert main(["schedule", "--config", "nope.json", "--out", "o"]) == 3
@@ -595,9 +659,9 @@ REMOVED = ("update_aoi", "step_channel", "ScheduleDecision", "relaxed_decisions"
 REMOVED_MEMBERS = {"BoundReport": ("to_dict",),
                    "AgentType": ("a_frob2", "check_erasure_compatibility"),
                    "AoIChain": ("total_mass", "tail_ratio"),
-                   "MeanFieldSolution": ("g_padded",),
+                   "MeanFieldSolution": ("g_padded", "report", "diagnostics"),
                    "TailThreshold": ("conditions_met",),
-                   "RelaxedPolicy": ("kbar_max",)}
+                   "RelaxedPolicy": ("kbar_max", "report")}
 
 
 def test_removed_helpers_stay_out_of_the_package():

@@ -12,7 +12,7 @@ from aoi_mfg import (
     solve_mfe,
     solve_riccati,
 )
-from aoi_mfg import estimator, mfg
+from aoi_mfg import cli, estimator, mfg
 from aoi_mfg.cli import main
 from aoi_mfg.errors import ConfigError, RankDeficientError, UnstableClosedLoopError
 from aoi_mfg.mfg import TrackingGains
@@ -362,9 +362,9 @@ class TestSolveMfe:
         # and double once
         sol = solve_mfe(default_types())
         assert (sol.horizon, sol.window_doublings, sol.iterations) == (328, 1, 66)
-        diag = sol.diagnostics()
+        diag = cli._mfe_diagnostics(sol)
         assert (diag["window_h"], diag["window_doublings"]) == (sol.horizon, sol.window_doublings)
-        assert "gap_ratios" not in sol.report()
+        assert "gap_ratios" not in cli._mfe_report(sol)
 
     def test_contraction_constant_value(self, mfe):
         # max_phi ||A_cl|| + sum_phi ||Q|| ||B K2|| (1 - ||A_cl||)^-2 P(phi), the
@@ -394,8 +394,7 @@ class TestSolveMfe:
         assert np.linalg.norm(ext[-1]) < np.linalg.norm(ext[mfe.horizon - 1]) + 1e-15
 
     def test_report_serializable(self, mfe):
-        import json
-        text = json.dumps(mfe.report(), sort_keys=True)
+        text = cli._dumps(cli._mfe_report(mfe))
         assert "contraction_constant" in text
 
 

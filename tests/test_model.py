@@ -138,6 +138,14 @@ class TestScenarioConfig:
         with pytest.raises(AssumptionViolationError):
             ScenarioConfig(N=10, capacity=2, p=0.3, T=10, types=(make_type(A=2.0),))
 
+    @pytest.mark.parametrize("key", ["N", "T"])
+    def test_count_below_2_53(self, key):
+        # records only: no population or run is built at these sizes
+        fields = dict(N=2**53 - 1, capacity=1, p=0.0, T=2**53 - 1, types=(make_type(),))
+        ScenarioConfig(**fields)
+        with pytest.raises(ConfigError, match=rf"{key} must be < 2\*\*53, got {2**53}"):
+            ScenarioConfig(**dict(fields, **{key: 2**53}))
+
     def test_duplicate_label_rejected(self):
         types = (make_type("a", prob=0.5), make_type("a", A=0.5, prob=0.5))
         with pytest.raises(ConfigError, match="duplicate type label 'a'"):
@@ -194,6 +202,11 @@ class TestAssignTypes:
     def test_ill_typed_count_named(self, N):
         with pytest.raises(ConfigError, match=r"^N: expected integer"):
             assign_types(N, default_types())
+
+    def test_count_below_2_53(self):
+        # raised before the apportionment: no population is built
+        with pytest.raises(ConfigError, match=r"N must lie in \[1, 2\*\*53\), got 9007199254740992"):
+            assign_types(2**53, default_types())
 
     def test_integral_count_converted(self):
         pop = assign_types(np.int64(10), default_types())

@@ -10,7 +10,7 @@ from aoi_mfg import (
     bisection_lambda,
     default_types,
 )
-from aoi_mfg import estimator, scheduler, sim
+from aoi_mfg import cli, estimator, scheduler, sim
 from aoi_mfg.errors import InfeasibleCapacityError, NumericOverflowError
 from aoi_mfg.model import AgentType
 from aoi_mfg.threshold import transmission_rate
@@ -202,7 +202,7 @@ class TestBisection:
             bisection_lambda(population, 0.2, 1.0)
 
     def test_report_keys(self, identical_pop):
-        report = bisection_lambda(identical_pop, 0.2, 25.0).report()
+        report = cli._policy_report(bisection_lambda(identical_pop, 0.2, 25.0))
         assert set(report) == {"lambda", "q", "rate_low", "rate_high",
                                "per_type_thresholds"}
 
