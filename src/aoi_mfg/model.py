@@ -30,6 +30,17 @@ _PROB_TOL = 1e-12
 _EXACT_BOUND = 2 ** 53
 
 
+def _count(value: int) -> str:
+    """An integer for a message: in full below 2**53, else to six
+    significant digits, so that a rejected 1e300 is not 301 digits long.
+    Decimal takes an int of any size, where float() overflows past 1.8e308;
+    it is imported on this error path only, not by every import."""
+    if abs(value) < _EXACT_BOUND:
+        return str(value)
+    from decimal import Decimal
+    return f"{Decimal(value):.6g}"
+
+
 def _as_float_array(value, name):
     try:
         arr = np.asarray(value, dtype=float)
@@ -193,12 +204,13 @@ class ScenarioConfig:
                 raise ConfigError(f"types[{i}]: expected an AgentType, got {t!r}")
         for key, least in (("N", 1), ("T", 1), ("seed", 0), ("mc_runs", 1)):
             if getattr(self, key) < least:
-                raise ConfigError(f"{key} must be >= {least}, got {getattr(self, key)}")
+                raise ConfigError(f"{key} must be >= {least}, got {_count(getattr(self, key))}")
         for key in ("N", "T"):
             if getattr(self, key) >= _EXACT_BOUND:
-                raise ConfigError(f"{key} must be < 2**53, got {getattr(self, key)}")
+                raise ConfigError(f"{key} must be < 2**53, got {_count(getattr(self, key))}")
         if not 1 <= self.capacity < self.N:
-            raise ConfigError(f"capacity must satisfy 1 <= C < N, got C={self.capacity}, N={self.N}")
+            raise ConfigError(f"capacity must satisfy 1 <= C < N, "
+                              f"got C={_count(self.capacity)}, N={_count(self.N)}")
         if not 0.0 <= self.p < 1.0:
             raise ConfigError(f"p must lie in [0, 1), got {self.p}")
         _check_mix(self.types)
@@ -240,7 +252,7 @@ def assign_types(N: int, types) -> Population:
     N = _read(N, integer, "N")
     types = tuple(types)
     if not 1 <= N < _EXACT_BOUND:
-        raise ConfigError(f"N must lie in [1, 2**53), got {N}")
+        raise ConfigError(f"N must lie in [1, 2**53), got {_count(N)}")
     _check_mix(types)
     exact = np.array([N * t.prob for t in types])
     counts = np.floor(exact).astype(int)

@@ -67,12 +67,19 @@ One run is single-threaded and deterministic given (config, seed); RNG
 substreams for channel, policy coin, noise, and initial states are spawned
 from the seed in a fixed order. Draws are taken in blocks of whole steps,
 which yield the numbers one draw per step would, so a seed maps to the same
-numbers. The relaxed and MATB runs of a seed (`"both"`) are one pass on
-common random numbers: the scheduling state stacks K chains of N agents,
-K * N in all, with the projected chain last; each block's coin and channel
-numbers are drawn once and applied to every chain, so the MATB chain gives
-the bits of the `"matb"` run and the relaxed chain those of the relaxed
-policy run alone on the seed's streams.
+numbers. The policy coins keep the per-step layout, N numbers a step in
+agent order, but only the agents whose two thresholds differ read theirs:
+the mixing span, one agent range since types are contiguous index blocks
+(a third of the agents for the default types, one type mixing). A block
+draws from step 0's first span agent to the last step's last one and skips
+the numbers before and after with `bit_generator.advance`, so each coin it
+reads is the number a full draw would give that agent and step; with no
+mixing agent the coin stream is not read at all. The relaxed and MATB runs
+of a seed (`"both"`) are one pass on common random numbers: the scheduling
+state stacks K chains of N agents, K * N in all, with the projected chain
+last; each block's coin and channel numbers are drawn once and applied to
+every chain, so the MATB chain gives the bits of the `"matb"` run and the
+relaxed chain those of the relaxed policy run alone on the seed's streams.
 """
 
 from __future__ import annotations
@@ -147,37 +154,73 @@ def _project(a, candidates, tau, C):
     return a
 
 
-def _schedule_block(tau, policy: RelaxedPolicy, C, p, rng, rows):
+def _mixing_span(klow, kbar):
+    """(lo, hi): the agent range from the first to the last agent whose two
+    thresholds differ, the only agents whose policy coin is read; (0, 0)
+    when no agent's do. Types are contiguous index blocks, so the mixing
+    types' agents lie in one range even when the types are not adjacent."""
+    mixing = np.flatnonzero(klow != kbar)
+    return (int(mixing[0]), int(mixing[-1]) + 1) if mixing.size else (0, 0)
+
+
+def _set_coins(coin, q, N, rows, span):
+    """The policy coins of a block, coin < q, as a (rows, 1, N) mask in the
+    per-step layout, N numbers a step in agent order; drawn over the mixing
+    span [lo, hi) = `span` only. The coin stream skips lo numbers, draws the
+    (rows - 1) * N + hi - lo numbers from step 0's agent lo to the last
+    step's agent hi - 1 (those between two steps' spans are drawn and not
+    needed), and skips N - hi, so it ends where a draw of rows * N would:
+    PCG64 makes one 64-bit output per double, and `advance(k)` skips exactly
+    k of them. Each drawn number's coin goes to its place in the mask, which
+    is False where nothing is drawn; with no mixing agent the stream is not
+    touched. Outside the span klow == kbar, so the thresholds are those of
+    full rows of coins."""
+    lo, hi = span
+    mask = np.zeros(rows * N, dtype=bool)
+    if hi > lo:
+        coin.bit_generator.advance(lo)
+        np.less(coin.random((rows - 1) * N + hi - lo), q, mask[lo:rows * N - N + hi])
+        coin.bit_generator.advance(N - hi)
+    return mask.reshape(rows, 1, N)
+
+
+def _schedule_block(tau, policy: RelaxedPolicy, C, p, rng, rows, span=None):
     """Advance the stacked AoI vector tau through `rows` steps of intents,
     capacity projection, erasure channel and AoI update.
 
     tau holds K chains of the policy's N agents, one after another. The coin
-    and channel numbers are drawn once and applied to every chain. The last
-    chain is projected onto the capacity C, step by step; the others are not.
-    The block keeps every step's intents, the projected chain's as they are
-    after projection, and each chain's attempts are counted from them once
-    per block. A step takes the indices of the projected chain's intents
-    once; the capacity binds when there are more than C of them, and only
-    then are they handed to `_project` and the kept intents recounted. An
-    agent's age is kept, one step older, unless it sent and its packet
-    survived: the channel draws `lost = u < p` (the complement of a survival
-    `u >= p`), and a step multiplies the aged tau by the keep mask
-    `a <= lost`, 0 exactly on a reception. The mask is read as uint8 0/1,
-    so uint8 ages multiply in their own type: bool x uint8 has no loop of
-    its own and casts the mask on every call.
+    and channel numbers are drawn once and applied to every chain. Of the
+    coins' per-step layout, N numbers a step, the block draws from step 0's
+    agent lo to the last step's agent hi - 1 and skips the lo numbers before
+    and the N - hi after (`_set_coins`); [lo, hi) is the mixing span, `span`
+    or else `_mixing_span` of the policy. The last chain is projected onto
+    the capacity C, step by step; the others are not. The block keeps every
+    step's intents, the projected chain's as they are after projection, and
+    each chain's attempts are counted from them once per block. A step takes
+    the indices of the projected chain's intents once; the capacity binds
+    when there are more than C of them, and only then are they handed to
+    `_project` and the kept intents recounted. An agent's age is kept, one
+    step older, unless it sent and its packet survived: the channel draws
+    `lost = u < p` (the complement of a survival `u >= p`), and a step
+    multiplies the aged tau by the keep mask `a <= lost`, 0 exactly on a
+    reception. The mask is read as uint8 0/1, so uint8 ages multiply in
+    their own type: bool x uint8 has no loop of its own and casts the mask
+    on every call.
 
     Ages keep tau's dtype, which must hold every age the block reaches.
 
     Returns (taus, attempts): taus[j] is the stacked AoI at the start of step
     j and taus[rows] the AoI after the block, so taus[j + 1] == 0 marks step
     j's receptions; attempts[i] is the number of transmissions of chain i."""
-    kbar = policy.kbar
+    kbar, klow = policy.kbar, policy.klow
     N = kbar.size
     K = tau.size // N
+    if span is None:
+        span = _mixing_span(klow, kbar)
     # klow where the coin is set, else kbar: a multiply-subtract, not a select
-    d = kbar - policy.klow
+    d = kbar - klow
     thresholds = np.empty((rows, K, N), dtype=d.dtype)
-    np.subtract(kbar, (rng["coin"].random((rows, N)) < policy.q)[:, None] * d, thresholds)
+    np.subtract(kbar, _set_coins(rng["coin"], policy.q, N, rows, span) * d, thresholds)
     losses = np.empty((rows, K, N), dtype=bool)
     np.less(rng["channel"].random((rows, N))[:, None], p, losses)
     free = tau.size - N  # agents of the unprojected chains
@@ -218,7 +261,8 @@ class _ScheduleRun:
     packets, and its largest age is h.size - 1.
 
     The ages and the policy's klow and kbar are held in the run's narrow
-    age dtype.
+    age dtype. The mixing span, the agents whose clipped thresholds differ,
+    is found once per run.
 
     Each type's cost table c(0..top) is kept between blocks and rebuilt up
     to that type's oldest age when one of its ages outgrows it (the
@@ -232,8 +276,11 @@ class _ScheduleRun:
         policy.check_size(config.N)
         age = np.min_scalar_type(config.T + 1)
         self.config, self.rng, self.K = config, rng, K
-        self.policy = replace(policy, klow=np.clip(policy.klow, 0, config.T + 1).astype(age),
-                              kbar=np.clip(policy.kbar, 0, config.T + 1).astype(age))
+        klow, kbar = (np.clip(k, 0, config.T + 1) for k in (policy.klow, policy.kbar))
+        # the span before the narrow copies are made: found after them, its
+        # temporaries raised a large-N run's peak RSS by 0.07 MB
+        self.span = _mixing_span(klow, kbar)
+        self.policy = replace(policy, klow=klow.astype(age), kbar=kbar.astype(age))
         self.tables = [weight_table(t.A, t.C_W) for t in population.types]
         self.c_tables = [table.c_table(0) for table in self.tables]
         self.slices = population.slices()
@@ -255,7 +302,7 @@ class _ScheduleRun:
         returns the block's taus."""
         K, N = self.K, self.config.N
         taus, attempts = _schedule_block(self.tau, self.policy, self.config.capacity,
-                                         self.config.p, self.rng, rows)
+                                         self.config.p, self.rng, rows, self.span)
         self.tau = taus[-1].copy()
         chains = taus[:-1].reshape(rows, K, N)
         for i in range(K):

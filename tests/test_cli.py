@@ -552,6 +552,20 @@ class TestErrors:
         assert f"config error: {named} must be < 2**53" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    # a count far past 2**53 is shown to six significant digits, not in its
+    # 301 digits
+    @pytest.mark.parametrize("key,named", [("T", "T must be < 2**53"),
+                                           ("N", "N must be < 2**53"),
+                                           ("capacity", "capacity must satisfy")],
+                             ids=["T", "N", "capacity"])
+    def test_huge_count_gives_one_short_line(self, key, named, tmp_path, capsys):
+        argv = ["schedule", "--config", json.dumps(dict(TINY_SCHED, **{key: 1e300}))]
+        assert main(argv + ["--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {named}") and "1.00000e+300" in err
+        assert len(err.splitlines()) == 1 and len(err) < 100
+        assert not (tmp_path / "o").exists()
+
     def test_missing_config_file_exits_3(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
         assert main(["schedule", "--config", "nope.json", "--out", "o"]) == 3

@@ -143,8 +143,11 @@ class TestScenarioConfig:
         # records only: no population or run is built at these sizes
         fields = dict(N=2**53 - 1, capacity=1, p=0.0, T=2**53 - 1, types=(make_type(),))
         ScenarioConfig(**fields)
-        with pytest.raises(ConfigError, match=rf"{key} must be < 2\*\*53, got {2**53}"):
+        with pytest.raises(ConfigError, match=rf"{key} must be < 2\*\*53, got 9\.00720e\+15$"):
             ScenarioConfig(**dict(fields, **{key: 2**53}))
+        # below the bound a count is shown in full
+        with pytest.raises(ConfigError, match=r"got C=9007199254740991, N=9007199254740991$"):
+            ScenarioConfig(**dict(fields, capacity=2**53 - 1))
 
     def test_duplicate_label_rejected(self):
         types = (make_type("a", prob=0.5), make_type("a", A=0.5, prob=0.5))
@@ -205,8 +208,11 @@ class TestAssignTypes:
 
     def test_count_below_2_53(self):
         # raised before the apportionment: no population is built
-        with pytest.raises(ConfigError, match=r"N must lie in \[1, 2\*\*53\), got 9007199254740992"):
+        with pytest.raises(ConfigError, match=r"N must lie in \[1, 2\*\*53\), got 9\.00720e\+15$"):
             assign_types(2**53, default_types())
+        # a count far past the bound is shown to six digits, not in full
+        with pytest.raises(ConfigError, match=r"got 1\.00000e\+300$"):
+            assign_types(10**300, default_types())
 
     def test_integral_count_converted(self):
         pop = assign_types(np.int64(10), default_types())

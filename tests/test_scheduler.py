@@ -207,14 +207,32 @@ class TestBisection:
                                "per_type_thresholds"}
 
 
+class _FixedCoins:
+    """A coin stream that yields the given numbers in order, N a step:
+    `bit_generator.advance(k)` skips k of them and `random(n)` returns the
+    next n, as a PCG64 generator does with its own numbers."""
+
+    def __init__(self, numbers):
+        self.numbers, self.at = np.asarray(numbers, dtype=float), 0
+        self.bit_generator = SimpleNamespace(advance=self._advance)
+
+    def _advance(self, k):
+        self.at += k
+
+    def random(self, n):
+        self.at += n
+        assert self.at <= self.numbers.size
+        return self.numbers[self.at - n:self.at]
+
+
 def _senders(tau, policy, coins):
     """The agents that send at one step of the block kernel from ages tau,
-    given the policy coins, with a capacity that never binds and a lossless
-    channel."""
-    rng = {"coin": SimpleNamespace(random=lambda shape: np.reshape(coins, shape)),
-           "channel": np.random.default_rng(0)}
+    given the policy coins (one per agent, read only by the mixing span's),
+    with a capacity that never binds and a lossless channel."""
+    rng = {"coin": _FixedCoins(coins), "channel": np.random.default_rng(0)}
     taus, _ = sim._schedule_block(np.asarray(tau, dtype=np.int64), policy, len(tau), 0.0,
                                   rng, 1)
+    assert rng["coin"].at in (0, len(tau))  # the step's N numbers, none if no agent mixes
     return taus[1] == 0
 
 

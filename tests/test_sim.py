@@ -1,4 +1,5 @@
 import dataclasses
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -76,6 +77,17 @@ class TestPrimitives:
         assert a["channel"].random(5) == pytest.approx(b["channel"].random(5))
         c = make_streams(99)
         assert not np.allclose(c["channel"].random(5), c["noise"].random(5))
+
+    # the block kernel draws only the mixing span's coins and skips the rest of
+    # the per-step layout with `advance`: the numbers must be those of one draw
+    @pytest.mark.parametrize("k,n", [(0, 5), (1, 1), (7, 20), (6667, 6666), (13333, 6667)])
+    def test_advance_then_draw_is_a_slice_of_one_draw(self, k, n):
+        for name in sim._STREAMS:
+            skipped, whole = make_streams(3)[name], make_streams(3)[name]
+            skipped.bit_generator.advance(k)
+            assert np.array_equal(skipped.random(n), whole.random(k + n)[k:]), name
+            # and both streams go on from the same place
+            assert np.array_equal(skipped.random(4), whole.random(4)), name
 
 
 class TestSchedulingExperiment:
@@ -406,6 +418,43 @@ class TestBlockKernel:
             assert np.array_equal(taus[:, chain * N:(chain + 1) * N], want)
             assert attempts[chain] == want_attempts
 
+    # which types mix (klow < kbar), their thresholds inside T or both above it
+    # (clipped to T + 1 and equal, so no agent mixes); the type counts are
+    # 11, 10 and 10 at N = 31
+    SPANS = {"first": ({0: 6}, (0, 11)), "middle": ({1: 4}, (11, 21)),
+             "last": ({2: 5}, (21, 31)), "non-adjacent": ({0: 6, 2: 5}, (0, 31)),
+             "none": ({}, (0, 0)), "clipped": ({1: 40 + 9}, (0, 0))}
+
+    @pytest.mark.parametrize("mixing", list(SPANS))
+    @pytest.mark.parametrize("rows", [1, 7, 40])
+    def test_run_draws_only_the_mixing_span(self, mixing, rows, monkeypatch):
+        # a run draws the coins of its mixing span alone, at their places in
+        # the per-step layout; the reference draws every step's full row of
+        # coins. Both chains, every age and the attempts must agree bit for bit
+        cfg = _scenario(default_types(), N=31, T=40, alpha=0.25, p=0.2)
+        pop = population_for(cfg)
+        assert pop.counts == (11, 10, 10)
+        kbar = np.array([3, 4, 2])
+        klow = kbar.copy()
+        mixes, span = self.SPANS[mixing]
+        for i, top in mixes.items():
+            kbar[i], klow[i] = top, top - 3
+        policy = fixed_policy(cfg.N, kbar[pop.type_index], q=0.4, klow=klow[pop.type_index])
+        monkeypatch.setattr(sim, "_BLOCK_ELEMENTS", 2 * cfg.N * rows)
+        run = sim._ScheduleRun(cfg, pop, policy, make_streams(6), K=2)
+        assert run.span == span
+        got = np.concatenate([np.zeros((1, 2 * cfg.N), dtype=run.tau.dtype)]
+                             + [taus[1:] for _, taus in run.blocks()])
+        for chain, C in enumerate([None, cfg.capacity]):
+            want, attempts = reference_schedule(np.zeros(cfg.N, dtype=np.int64), policy, C,
+                                                cfg.p, make_streams(6), cfg.T)
+            assert np.array_equal(got[:, chain * cfg.N:(chain + 1) * cfg.N], want)
+            assert run.attempts[chain] == attempts
+        assert run.attempts[1] < run.attempts[0]  # the capacity binds
+        if span == (0, 0):  # no agent mixes: the coin stream is not read
+            unread = make_streams(6)["coin"].bit_generator.state
+            assert run.rng["coin"].bit_generator.state == unread
+
     @staticmethod
     def _assert_metrics_match_reference(cfg, policy, kind, resets_last=False, seed=2):
         # "relaxed" is the first chain of "both"
@@ -633,14 +682,20 @@ BENCH_TWO_STATE_TYPES = tuple(
 
 
 class _DrawSpy:
-    """A generator that records the shape of every `random` draw."""
+    """A generator that records its draws: ("random", size) for every
+    `random` and ("advance", k) for every `bit_generator.advance`."""
 
-    def __init__(self, gen, shapes):
-        self.gen, self.shapes = gen, shapes
+    def __init__(self, gen, calls):
+        self.gen, self.calls = gen, calls
+        self.bit_generator = SimpleNamespace(advance=self._advance)
 
-    def random(self, shape):
-        self.shapes.append(shape)
-        return self.gen.random(shape)
+    def _advance(self, k):
+        self.calls.append(("advance", k))
+        return self.gen.bit_generator.advance(k)
+
+    def random(self, size):
+        self.calls.append(("random", size))
+        return self.gen.random(size)
 
 
 class TestStackedPair:
@@ -686,9 +741,18 @@ class TestStackedPair:
         monkeypatch.setattr(sim, "make_streams", spied_streams)
         monkeypatch.setattr(sim, "_BLOCK_ELEMENTS", 2 * cfg.N * 30)
         run_scheduling_experiment(cfg, policy, "both", seed=1)
-        for name in shapes:
-            # blocks of 30 steps over both chains, one draw of N numbers per step
-            assert shapes[name] == [(30, cfg.N)] * 3 + [(10, cfg.N)], name
+        # blocks of 30 steps over both chains: the channel draws N numbers a
+        # step; the coin stream draws the mixing agents' span [lo, hi) of
+        # each step, the numbers between them, and skips the rest of the
+        # block's N numbers a step
+        assert shapes["channel"] == [("random", (30, cfg.N))] * 3 + [("random", (10, cfg.N))]
+        mixing = np.flatnonzero(policy.klow != policy.kbar)
+        lo, hi = mixing[0], mixing[-1] + 1
+        assert 0 < lo < hi  # a type past the first mixes: the first skip is taken
+        assert shapes["coin"] == [
+            call for rows in (30, 30, 30, 10)
+            for call in (("advance", lo), ("random", (rows - 1) * cfg.N + hi - lo),
+                         ("advance", cfg.N - hi))]
 
 
 def _assert_game_equals_reference(equilibria, types, N, T):
