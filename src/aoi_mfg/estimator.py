@@ -51,8 +51,7 @@ class WeightTable:
                 self._power = self.A @ self._power
 
     def w(self, tau: int) -> float:
-        if not 0 <= tau < len(self._w):
-            self._extend(tau)
+        self._extend(tau)
         return self._w[tau]
 
     def c(self, tau: int) -> float:

@@ -320,19 +320,11 @@ def _estimate_k3(mu: np.ndarray) -> np.ndarray:
     if scale == 0.0:
         return np.zeros((n, n))
     keep = np.linalg.norm(mu, axis=1) > 1e-9 * scale
-    keep[-1] = False
     idx = np.flatnonzero(keep[:-1])
     X = mu[idx]
     Y = mu[idx + 1]
     K3, *_ = np.linalg.lstsq(X, Y, rcond=None)
     return K3.T
-
-
-def _gap(d: np.ndarray) -> float:
-    """The largest row norm of the (H, n) array d: the expression
-    `np.linalg.norm(d, axis=1).max()` evaluates for real d, without its
-    Python wrapper."""
-    return float(np.sqrt(np.add.reduce(d * d, axis=1)).max())
 
 
 def solve_mfe(types) -> MeanFieldSolution:
@@ -371,7 +363,7 @@ def solve_mfe(types) -> MeanFieldSolution:
         prev_gap = None
         for _ in range(MFE_MAX_ITER):
             new = operator(mu)
-            gap = _gap(new - mu)
+            gap = float(np.linalg.norm(new - mu, axis=1).max())
             if prev_gap is not None and prev_gap > 1e-12 * scale:
                 gap_ratios.append(gap / prev_gap)
             prev_gap = gap
@@ -394,7 +386,7 @@ def solve_mfe(types) -> MeanFieldSolution:
         doublings += 1
         log.info("mean-field window grown to %d (slow trajectory decay)", H)
 
-    residual = _gap(operator(mu) - mu)
+    residual = float(np.linalg.norm(operator(mu) - mu, axis=1).max())
     g = _backward(mu, np.stack([gains[t.label].A_cl for t in types]),
                   np.stack([t.Q for t in types]))
     return MeanFieldSolution(types=types, mu=mu,

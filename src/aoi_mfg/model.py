@@ -86,10 +86,7 @@ def real(value) -> float:
 
 
 def _check_spd(m, name, strict=True):
-    # np.allclose(m, m.T, atol=1e-10) without its wrapper: np.isclose's test,
-    # less its isfinite(y) and x == y terms, which add nothing for the finite
-    # entries `_as_float_array` lets through
-    if not (np.abs(m - m.T) <= 1e-10 + 1e-05 * np.abs(m.T)).all():
+    if not np.allclose(m, m.T, atol=1e-10):
         raise NonPositiveDefiniteError(name, float("nan"))
     min_eig = float(np.linalg.eigvalsh(m).min())
     if (strict and min_eig <= 0.0) or (not strict and min_eig < -1e-12):
@@ -278,6 +275,7 @@ def load_scenario(source) -> ScenarioConfig:
 
     A string that starts with `{` is JSON text; any other string, and every
     `Path`, is a file to read, so a missing file raises an OSError naming it.
+    Text that does not parse as JSON (a file's as UTF-8) raises ConfigError.
     The keys are `ScenarioConfig`'s fields, `alpha` standing in for a missing
     `capacity` (a given capacity wins, but a given alpha is checked all the
     same), and a type's are `AgentType`'s, all required. Any other key
@@ -289,10 +287,12 @@ def load_scenario(source) -> ScenarioConfig:
         text = str(source)
         # JSON text first: a long document is no valid path to test for
         if isinstance(source, Path) or not text.lstrip().startswith("{"):
-            text = Path(text).read_text()
+            text = Path(text).read_bytes()
         try:
             doc = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
+            # bad JSON, bytes that are not UTF-8, an integer literal longer
+            # than int() converts, or arrays nested past the recursion limit
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
     elif isinstance(source, dict):
         doc = source

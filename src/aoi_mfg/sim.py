@@ -67,19 +67,15 @@ One run is single-threaded and deterministic given (config, seed); RNG
 substreams for channel, policy coin, noise, and initial states are spawned
 from the seed in a fixed order. Draws are taken in blocks of whole steps,
 which yield the numbers one draw per step would, so a seed maps to the same
-numbers. The policy coins keep the per-step layout, N numbers a step in
-agent order, but only the agents whose two thresholds differ read theirs:
-the mixing span, one agent range since types are contiguous index blocks
-(a third of the agents for the default types, one type mixing). A block
-draws from step 0's first span agent to the last step's last one and skips
-the numbers before and after with `bit_generator.advance`, so each coin it
-reads is the number a full draw would give that agent and step; with no
-mixing agent the coin stream is not read at all. The relaxed and MATB runs
-of a seed (`"both"`) are one pass on common random numbers: the scheduling
-state stacks K chains of N agents, K * N in all, with the projected chain
-last; each block's coin and channel numbers are drawn once and applied to
-every chain, so the MATB chain gives the bits of the `"matb"` run and the
-relaxed chain those of the relaxed policy run alone on the seed's streams.
+numbers. A block reads the policy coins of the mixing span alone, the
+agents whose two thresholds differ (a third of the agents for the default
+types, one type mixing), as the numbers a full draw would give them
+(`_set_coins`). The relaxed and MATB runs of a seed (`"both"`) are one pass
+on common random numbers: the scheduling state stacks K chains of N agents,
+K * N in all, with the projected chain last; each block's coin and channel
+numbers are drawn once and applied to every chain, so the MATB chain gives
+the bits of the `"matb"` run and the relaxed chain those of the relaxed
+policy run alone on the seed's streams.
 """
 
 from __future__ import annotations
@@ -189,11 +185,9 @@ def _schedule_block(tau, policy: RelaxedPolicy, C, p, rng, rows, span=None):
     capacity projection, erasure channel and AoI update.
 
     tau holds K chains of the policy's N agents, one after another. The coin
-    and channel numbers are drawn once and applied to every chain. Of the
-    coins' per-step layout, N numbers a step, the block draws from step 0's
-    agent lo to the last step's agent hi - 1 and skips the lo numbers before
-    and the N - hi after (`_set_coins`); [lo, hi) is the mixing span, `span`
-    or else `_mixing_span` of the policy. The last chain is projected onto
+    and channel numbers are drawn once and applied to every chain, the coins
+    over the mixing span, `span` or else `_mixing_span` of the policy
+    (`_set_coins`). The last chain is projected onto
     the capacity C, step by step; the others are not. The block keeps every
     step's intents, the projected chain's as they are after projection, and
     each chain's attempts are counted from them once per block. A step takes
@@ -414,11 +408,7 @@ def _per_agent(population: Population):
 
 def _check_equilibrium(solved, types) -> None:
     """DimensionMismatchError unless the equilibrium is for the config's types:
-    the labels in order, and A, B, Q, R, x0_mean and prob equal as arrays.
-    The tuple the equilibrium was solved for, which the CLI passes, matches
-    without a look at the fields."""
-    if solved is types:
-        return
+    the labels in order, and A, B, Q, R, x0_mean and prob equal as arrays."""
     labels = [t.label for t in solved], [t.label for t in types]
     if labels[0] != labels[1]:
         raise DimensionMismatchError("equilibrium solved for types %s, config has %s" % labels)

@@ -566,6 +566,27 @@ class TestErrors:
         assert len(err.splitlines()) == 1 and len(err) < 100
         assert not (tmp_path / "o").exists()
 
+    # text that does not parse used to exit 4 with a traceback
+    @pytest.mark.parametrize("where,text,named", [
+        ("file", b'{"N": 6, "label": "\xff"}', "can't decode byte 0xff"),
+        ("file", b'{"N": ' + b"1" * 5001 + b"}", "Exceeds the limit (4300 digits)"),
+        ("inline", b'{"N": ' + b"1" * 5001 + b"}", "Exceeds the limit (4300 digits)"),
+        ("file", b'{"N": ' + b"[" * 10000 + b"]" * 10000 + b"}", "maximum recursion depth"),
+        ("inline", b'{"N": ' + b"[" * 10000 + b"]" * 10000 + b"}", "maximum recursion depth")],
+        ids=["file-not-utf8", "file-long-int", "inline-long-int", "file-deep", "inline-deep"])
+    def test_malformed_text_exits_1(self, where, text, named, tmp_path, capsys):
+        if where == "file":
+            (tmp_path / "bad.json").write_bytes(text)
+            config = str(tmp_path / "bad.json")
+        else:
+            config = text.decode()
+        rc = main(["schedule", "--report", "--config", config, "--out", str(tmp_path / "o")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: config is not valid JSON: ") and named in err
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
     def test_missing_config_file_exits_3(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
         assert main(["schedule", "--config", "nope.json", "--out", "o"]) == 3
@@ -667,7 +688,9 @@ REMOVED = ("update_aoi", "step_channel", "ScheduleDecision", "relaxed_decisions"
            "randomization_q", "kl_divergence", "p0_aoi_cap", "contraction_constant",
            "_scalar_plants", "_solve_eta",
            # the brute-force threshold oracle, now in tests/reference.py
-           "value_iteration_oracle", "ORACLE_STATE_CAP", "ORACLE_TOL", "ORACLE_MAX_ITER")
+           "value_iteration_oracle", "ORACLE_STATE_CAP", "ORACLE_TOL", "ORACLE_MAX_ITER",
+           # a hand-written copy of np.linalg.norm(d, axis=1).max()
+           "_gap")
 # members and fields that only tests read, and a second statement of a
 # record's document
 REMOVED_MEMBERS = {"BoundReport": ("to_dict",),

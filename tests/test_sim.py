@@ -179,8 +179,8 @@ class TestGameExperiment:
             run_game_experiment(cfg, other, policy)
 
     def test_equal_types_in_another_tuple_give_the_same_run(self):
-        # the CLI hands a run the tuple the equilibrium was solved for, which
-        # passes at once; equal types in another tuple pass field by field
+        # the CLI hands a run the tuple the equilibrium was solved for; equal
+        # types in another tuple pass the same field-by-field check
         cfg = game_scenario(N=30, T=60)
         sol = solve_mfe(cfg.types)
         copies = dataclasses.replace(cfg, types=tuple(dataclasses.replace(t) for t in cfg.types))
