@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import reprlib
 from dataclasses import dataclass, field, fields
 from itertools import accumulate
 from pathlib import Path
@@ -44,10 +45,10 @@ def _count(value: int) -> str:
 def _as_float_array(value, name):
     try:
         arr = np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:  # an int past float's range overflows
         raise ConfigError(f"{name}: not a number or numeric array ({exc})") from exc
     if not np.isfinite(arr).all():  # json reads NaN and Infinity
-        raise ConfigError(f"{name}: entries must be finite, got {value!r}")
+        raise ConfigError(f"{name}: entries must be finite, got {reprlib.repr(value)}")
     return arr
 
 
@@ -59,12 +60,15 @@ def _as_matrix(value, name):
 
 
 def _read(value, convert, name: str):
-    """value through convert; a value of the wrong type is a ConfigError
-    naming it, not a bare TypeError/ValueError."""
+    """value through convert; a value of the wrong type, or an int past
+    float's range, is a ConfigError naming it, not a bare TypeError,
+    ValueError or OverflowError. The value is shown clipped by
+    `reprlib.repr`, so a long or deeply nested one gives a short line."""
     try:
         return convert(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{name}: expected {convert.__name__}, got {value!r}") from exc
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(
+            f"{name}: expected {convert.__name__}, got {reprlib.repr(value)}") from exc
 
 
 def integer(value) -> int:
@@ -112,7 +116,7 @@ class AgentType:
 
     def __post_init__(self):
         if not isinstance(self.label, str):
-            raise ConfigError(f"label: expected a string, got {self.label!r}")
+            raise ConfigError(f"label: expected a string, got {reprlib.repr(self.label)}")
         object.__setattr__(self, "prob", _read(self.prob, real, f"type {self.label!r}: prob"))
         object.__setattr__(self, "A", _as_matrix(self.A, f"type {self.label!r}: A"))
         n = self.A.shape[0]
@@ -198,7 +202,7 @@ class ScenarioConfig:
         object.__setattr__(self, "types", _read(self.types, tuple, "types"))
         for i, t in enumerate(self.types):
             if not isinstance(t, AgentType):
-                raise ConfigError(f"types[{i}]: expected an AgentType, got {t!r}")
+                raise ConfigError(f"types[{i}]: expected an AgentType, got {reprlib.repr(t)}")
         for key, least in (("N", 1), ("T", 1), ("seed", 0), ("mc_runs", 1)):
             if getattr(self, key) < least:
                 raise ConfigError(f"{key} must be >= {least}, got {_count(getattr(self, key))}")
@@ -308,10 +312,11 @@ def load_scenario(source) -> ScenarioConfig:
         raise MissingKeyError("capacity | alpha")
 
     if not isinstance(doc["types"], list):
-        raise ConfigError(f"types: expected a list of type objects, got {doc['types']!r}")
+        raise ConfigError(
+            f"types: expected a list of type objects, got {reprlib.repr(doc['types'])}")
     for i, tdoc in enumerate(doc["types"]):
         if not isinstance(tdoc, dict):
-            raise ConfigError(f"types[{i}]: expected an object, got {tdoc!r}")
+            raise ConfigError(f"types[{i}]: expected an object, got {reprlib.repr(tdoc)}")
     unknown = [str(key) for key in doc if key not in _TOP_KEYS] + [
         f"types[{i}].{key}" for i, tdoc in enumerate(doc["types"])
         for key in tdoc if key not in _TYPE_KEYS]

@@ -6,16 +6,6 @@ within a step: intents from the current AoI, capacity projection, channel,
 decoder update with the current state, control, plant advance, AoI update.
 Scheduling ignores plant state, so `_schedule_block` advances the AoI a block
 of whole steps at once and the game loop replays its receptions step by step.
-The block keeps every step's intents (after projection) and counts each
-chain's attempts from them once per block; an agent's age is kept, one step
-older, unless it sent and its packet survived, which resets it to 0. A step
-takes the indices of the projected chain's intents with one `nonzero`: the
-capacity binds when there are more than C, and `_project` selects among
-those indices. The aging multiplies by the keep mask read as 0/1 in uint8,
-a same-type loop for uint8 ages where a bool mask would be cast on every
-call. Each chain's cost total takes a block's step costs in one
-`np.add.accumulate`, which adds them one after another in step order, the
-float additions of a loop.
 
 Ages are held in the smallest unsigned dtype that holds T + 1,
 `np.min_scalar_type(T + 1)`, chosen once per run by `_ScheduleRun`: uint8
@@ -25,43 +15,24 @@ kappa scan's cap of 10**6, are clipped to [0, T + 1] in the same dtype;
 that leaves every comparison as it was, since a threshold above T never
 binds. A large-N step is bound by memory traffic, and the narrow ages move
 a fraction of the bytes. `_schedule_block` makes its ages in tau's dtype,
-so int64 ages and thresholds work unchanged.
-`_project` sorts a step's few candidates' ages directly, in any dtype; only
-past `_SORT_CANDIDATES` candidates does it form the key tau*N - i, in int64.
-Whatever the age dtype, histograms are int64 and counters Python ints.
+so int64 ages and thresholds work unchanged. Where narrow arithmetic could
+wrap, the kernels say why it stays exact: `_schedule_block` for its
+thresholds, `_project` for its key. Whatever the age dtype, histograms are
+int64 and counters Python ints.
 
-A select on a random mask is integer arithmetic, not `np.where`, as the aging
-is: no data-dependent branch. The step's thresholds are kbar - coin * (kbar -
-klow). In an unsigned dtype the difference and the subtraction may wrap, but
-arithmetic modulo 2**bits gives klow exactly where the coin is set, whatever
-the order of klow and kbar. The block writes the K chains' copies of the
-thresholds and the losses with one broadcast ufunc each into a (rows, K, N)
-buffer, read as (rows, K * N).
-
-The game loop is written once for every plant shape; `_per_agent` decides
-how a per-type matrix acts on the agents. Scalar plants (1x1 A and B, every
-CLI workload) use per-agent columns, a few ufuncs per step; others one
-matrix product per type slice. Only the sequential recursion runs step by
-step in the game loop: the decoders' Z (a `copyto` of X on reception),
-U = -K2 g - K1 Z, B U once for both Z and X, and X. A step allocates
-nothing: it writes K1 Z, B U, A Z and A X into per-run buffers, zeroed once
-(entries past a type's controls stay 0), with the float operations of the
-expressions A Z + B U and (A X + B U) + W in their order. The -K2 g table
-and mu* are the equilibrium's horizon tables (`MeanFieldSolution.feedforward`
-and `mu_padded`), built once per length and read-only; a run builds its
-population once, for its plants and its `_ScheduleRun`. The mean mu^N, the
-deviation X - mu^N and the running cost Q(dev) + R(U) are taken once per
-block from the block's X and U rows. Exactness contract: all of this gives
-the bits of a loop of one matrix product per type and step (the reference
-in `tests/reference.py`), whatever the block height. A 1x1 `@` rounds one
-product, as an element-wise multiply does; the one-term `einsum` dev'Q dev
-is dev*q*dev; sums keep their order: a block's row sum over the
-agents, divided by N, is each step's `X.mean(axis=0)`, and `np.add.reduce`
-over game_cost and the block's cost rows adds them one step after another;
-a stacked `matmul` or `einsum` (a block of noise or of costs, the K2 g
-table) uses the kernel of a single one. Vector plants keep matrix products:
-`matmul` fuses multiplies and adds that element-wise ops would round
-differently.
+Exactness contract: a block gives the bits of one step at a time, whatever
+its height. The scheduling layer gives the ages and attempts of a per-step
+loop, and each chain's cost total the float additions of one
+(`_ScheduleRun._advance`). The game loop gives the bits of a loop of one
+matrix product per type and step (the reference in `tests/reference.py`).
+A 1x1 `@` rounds one product, as an element-wise multiply does; the
+one-term `einsum` dev'Q dev is dev*q*dev; sums keep their order: a block's
+row sum over the agents, divided by N, is each step's `X.mean(axis=0)`, and
+`np.add.reduce` over game_cost and the block's cost rows adds them one step
+after another; a stacked `matmul` or `einsum` (a block of noise or of
+costs, the K2 g table) uses the kernel of a single one. Vector plants keep
+matrix products: `matmul` fuses multiplies and adds that element-wise ops
+would round differently.
 
 One run is single-threaded and deterministic given (config, seed); RNG
 substreams for channel, policy coin, noise, and initial states are spawned
@@ -130,14 +101,15 @@ def _project(a, candidates, tau, C):
     to see whether the capacity binds; at C or fewer nothing is cleared.
 
     The dropped intents are the youngest, equal ages from the higher index.
-    Up to `_SORT_CANDIDATES` candidates, their ages are sorted directly: read
-    in reverse index order, the first `drop` entries of a stable sort are the
-    youngest, higher index first among ties. Past it a sort costs more than a
-    partition (timsort for wide ages, two radix passes for uint16), so the
-    candidates form the unique key tau*N - i and partition it. The 0-d int64
-    array `np.array(a.size)` is a strong operand under NEP 50, so the key is
-    int64 whatever tau's dtype; a Python int would keep a narrow tau's dtype
-    and wrap (200 * 100 -> 32 in uint8) or raise."""
+    Up to `_SORT_CANDIDATES` candidates, their ages are sorted directly, in
+    tau's dtype: read in reverse index order, the first `drop` entries of a
+    stable sort are the youngest, higher index first among ties. Past it a
+    sort costs more than a partition (timsort for wide ages, two radix passes
+    for uint16), so the candidates form the unique key tau*N - i and
+    partition it. The 0-d int64 array `np.array(a.size)` is a strong operand
+    under NEP 50, so the key is int64 whatever tau's dtype; a Python int
+    would keep a narrow tau's dtype and wrap (200 * 100 -> 32 in uint8) or
+    raise."""
     drop = candidates.size - C
     if drop > 0:
         if candidates.size <= _SORT_CANDIDATES:
@@ -200,6 +172,14 @@ def _schedule_block(tau, policy: RelaxedPolicy, C, p, rng, rows, span=None):
     reception. The mask is read as uint8 0/1, so uint8 ages multiply in
     their own type: bool x uint8 has no loop of its own and casts the mask
     on every call.
+
+    A select on a random mask is integer arithmetic, not `np.where`, as the
+    aging is: no data-dependent branch. The step's thresholds are kbar -
+    coin * (kbar - klow). In an unsigned dtype the difference and the
+    subtraction may wrap, but arithmetic modulo 2**bits gives klow exactly
+    where the coin is set, whatever the order of klow and kbar. The block
+    writes the K chains' copies of the thresholds and the losses with one
+    broadcast ufunc each into a (rows, K, N) buffer, read as (rows, K * N).
 
     Ages keep tau's dtype, which must hold every age the block reaches.
 
@@ -316,7 +296,7 @@ class _ScheduleRun:
                 costs = np.take(self.c_tables[i], ages)
             totals[1:] += costs.sum(axis=2)
         # an accumulate adds the step costs to the total one after another, in
-        # step order: the pinned float order
+        # step order: the float additions of a loop, the pinned float order
         self.cost_sum = np.add.accumulate(totals, axis=0)[-1].tolist()
         for i in range(K):
             self.attempts[i] += attempts[i]
@@ -371,8 +351,9 @@ def _per_agent(population: Population):
     per type, `linear(Ms)` is (x, out) -> M_phi x and `quadratic(Ms)`
     (x, out) -> x' M_phi x over every agent in that layout, for any leading
     dimensions. `out` shares no memory with x, except that `linear` may write
-    into x itself when every M_phi is square. Scalar plants: a 1-D per-agent
-    column and element-wise products. Others: (N, k) rows and one
+    into x itself when every M_phi is square. Scalar plants (1x1 A and B,
+    every CLI workload): a 1-D per-agent column and element-wise products, a
+    few ufuncs per step. Others: (N, k) rows and one
     `x[..., s, :] @ M.T` or `einsum` per type slice s; a type with fewer
     controls than k uses the leading entries of its rows."""
     slices = population.slices()
@@ -426,6 +407,17 @@ def run_game_experiment(config: ScenarioConfig, mfe, policy: RelaxedPolicy,
     Decoders start synchronized (Z_0 = X_0, tau_0 = 0); the per-agent cost
     uses the empirical average mu^N, with the equilibrium trajectory mu*
     recorded separately through the consensus-error series.
+
+    Written once for every plant shape: `_per_agent` decides how a per-type
+    matrix acts on the agents. Only the sequential recursion runs step by
+    step: the decoders' Z (a `copyto` of X on reception), U = -K2 g - K1 Z,
+    B U once for both Z and X, and X. A step allocates nothing, and keeps
+    the float operations of the expressions A Z + B U and (A X + B U) + W in
+    their order. The -K2 g table and mu* are the equilibrium's horizon
+    tables (`MeanFieldSolution.feedforward` and `mu_padded`), built once per
+    length; a run builds its population once, for its plants and its
+    `_ScheduleRun`. The mean mu^N, the deviation X - mu^N and the running
+    cost Q(dev) + R(U) are taken once per block from the block's X and U rows.
     """
     _check_equilibrium(mfe.types, config.types)
     rng = make_streams(config.seed if seed is None else seed)

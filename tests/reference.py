@@ -14,7 +14,8 @@ import math
 
 import numpy as np
 
-from aoi_mfg import KappaScan, make_streams, population_for, transmission_rate
+from aoi_mfg import (AgentType, KappaScan, make_streams, population_for, solve_riccati,
+                     transmission_rate)
 from aoi_mfg import sim
 from aoi_mfg.errors import NoConvergenceError
 from aoi_mfg.estimator import WeightTable, as_matrix
@@ -184,6 +185,36 @@ def _mf_operator_reference(mu, types, gains):
             nu[k + 1] = G.A_cl @ nu[k] - BK2 @ g[k + 1]
         out += t.prob * nu
     return out
+
+
+def scalar_operator_case(rng, H=5):
+    """A random scalar type "x", its gains and a random window mu (H x 1),
+    drawn in the order A, B, Q, R, x0_mean, mu: one case for
+    `double_sum_operator`."""
+    A = float(rng.uniform(0.2, 1.2))
+    B = float(rng.uniform(0.3, 1.5))
+    Q = float(rng.uniform(0.5, 3.0))
+    R = float(rng.uniform(0.5, 3.0))
+    x0 = float(rng.normal())
+    t = AgentType(label="x", A=A, B=B, C_W=1.0, Q=Q, R=R, x0_mean=x0, x0_cov=1.0, prob=1.0)
+    return t, {"x": solve_riccati(A, B, Q, R)}, rng.normal(size=(H, 1))
+
+
+def double_sum_operator(t, G, mu):
+    """The mean-field operator of one scalar type t with gains G on the
+    window mu (H x 1), its recursions written out as the literal double sum:
+    nu_0 = x0, nu_{k+1} = a_cl nu_k - B K2 g_{k+1}, where
+    g_k = -sum_{j=k}^{H-1} a_cl^{j-k} Q mu_j - a_cl^{H-k} Q mu_{H-1} / (1 - a_cl)."""
+    H = len(mu)
+    a_cl, bk2 = float(G.A_cl[0, 0]), float((t.B @ G.K2)[0, 0])
+    Q = float(t.Q[0, 0])
+    nu = np.zeros(H)
+    nu[0] = t.x0_mean[0]
+    for k in range(H - 1):
+        g_next = -sum(a_cl ** (j - k - 1) * Q * mu[j, 0] for j in range(k + 1, H))
+        g_next -= a_cl ** (H - k - 1) * Q * mu[H - 1, 0] / (1.0 - a_cl)
+        nu[k + 1] = a_cl * nu[k] - bk2 * g_next
+    return nu
 
 
 def _g_padded(mfe, label, length):

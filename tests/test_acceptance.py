@@ -4,6 +4,7 @@ Each test exercises one advertised guarantee at its stated tolerance and
 prints a single pass/fail line (visible even under output capture).
 """
 
+import csv
 import json
 import math
 import time
@@ -21,16 +22,15 @@ from aoi_mfg import (
     run_game_experiment,
     run_scheduling_experiment,
     scheduling_scenario,
-    solve_mfe,
     solve_riccati,
 )
 from aoi_mfg import mfg
 from aoi_mfg.analysis import bound_report, tail_threshold
 from aoi_mfg.cli import main as cli_main
-from aoi_mfg.model import AgentType
 from aoi_mfg.scheduler import RelaxedPolicy
 
-from reference import estimator_soundness_experiment, value_iteration_oracle
+from reference import (double_sum_operator, estimator_soundness_experiment,
+                       scalar_operator_case, value_iteration_oracle)
 
 
 @pytest.fixture
@@ -42,11 +42,6 @@ def announce(capsys):
                   flush=True)
         assert ok, f"acceptance {num:02d} {name}: {detail}"
     return _announce
-
-
-@pytest.fixture(scope="module")
-def mfe():
-    return solve_mfe(default_types())
 
 
 def test_criterion_01_threshold_oracle_equivalence(announce):
@@ -149,25 +144,9 @@ def test_criterion_07_forward_pass_equals_double_sum(announce):
     rng = np.random.default_rng(7)
     worst = 0.0
     for _ in range(10):
-        H = 5
-        A = float(rng.uniform(0.2, 1.2))
-        B = float(rng.uniform(0.3, 1.5))
-        Q = float(rng.uniform(0.5, 3.0))
-        R = float(rng.uniform(0.5, 3.0))
-        x0 = float(rng.normal())
-        t = AgentType(label="x", A=A, B=B, C_W=1.0, Q=Q, R=R,
-                      x0_mean=x0, x0_cov=1.0, prob=1.0)
-        gains = {"x": solve_riccati(A, B, Q, R)}
-        a_cl = float(gains["x"].A_cl[0, 0])
-        bk2 = float((t.B @ gains["x"].K2)[0, 0])
-        mu = rng.normal(size=(H, 1))
+        t, gains, mu = scalar_operator_case(rng)
         out = mfg._operator([t], gains)(mu)
-        nu = np.zeros(H)
-        nu[0] = x0
-        for k in range(H - 1):
-            g_next = -sum(a_cl ** (j - k - 1) * Q * mu[j, 0] for j in range(k + 1, H))
-            g_next -= a_cl ** (H - k - 1) * Q * mu[H - 1, 0] / (1.0 - a_cl)
-            nu[k + 1] = a_cl * nu[k] - bk2 * g_next
+        nu = double_sum_operator(t, gains["x"], mu)
         worst = max(worst, float(np.max(np.abs(out[:, 0] - nu))))
     announce(7, "mean-field forward pass equals the literal double sum",
              worst <= 1e-12, f"worst deviation {worst:.2e}")
@@ -186,23 +165,18 @@ def test_criterion_08_mean_field_approximation_rate(announce, mfe):
              0.3 <= ratio <= 0.8, f"ratio {ratio:.3f} in [0.3, 0.8]")
 
 
-def test_criterion_09_cost_trends(announce, mfe):
+def test_criterion_09_cost_trends(announce, tmp_path):
+    # the game preset's sweeps: N = 90, T = 500, seeds 0-19, alpha over
+    # 0.15..0.45 at p = 0.2 (fig3a) and p over 0.1..0.3 at alpha = 0.45 (fig3b)
     t0 = time.time()
-
-    def median_cost(alpha, p):
-        cfg = game_scenario(N=90, alpha=alpha, p=p, T=500)
-        policy = bisection_lambda(population_for(cfg), cfg.p, cfg.capacity)
-        costs = np.concatenate([
-            run_game_experiment(cfg, mfe, policy, seed=s).per_agent_cost
-            for s in range(20)])
-        return float(np.median(costs))
-
-    alpha_curve = [median_cost(a, 0.2) for a in (0.15, 0.25, 0.35, 0.45)]
-    p_curve = [median_cost(0.45, p) for p in (0.1, 0.2, 0.3)]
+    assert cli_main(["game", "--runs", "20", "--out", str(tmp_path)]) == 0
+    alpha_curve, p_curve = ([float(row["cost_median"]) for row in
+                             csv.DictReader((tmp_path / name).read_text().splitlines())]
+                            for name in ("fig3a.csv", "fig3b.csv"))
     dec = all(b < a for a, b in zip(alpha_curve, alpha_curve[1:]))
     inc = all(b > a for a, b in zip(p_curve, p_curve[1:]))
     elapsed = time.time() - t0
-    ok = dec and inc and elapsed <= 600.0
+    ok = dec and inc and (len(alpha_curve), len(p_curve)) == (4, 3) and elapsed <= 600.0
     announce(9, "median cost falls with capacity and rises with erasures", ok,
              f"alpha curve {[round(v, 1) for v in alpha_curve]}, "
              f"p curve {[round(v, 1) for v in p_curve]}, {elapsed:.0f}s")

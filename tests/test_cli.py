@@ -4,6 +4,7 @@ import dataclasses
 import importlib
 import inspect
 import json
+import math
 import os
 import pkgutil
 import subprocess
@@ -398,6 +399,21 @@ class TestErrors:
         # str() used to accept these: a null label loaded as "None"
         ("types", [TINY_SCHED["types"][0], dict(TINY_SCHED["types"][1], label=None)], "label"),
         ("types", [dict(TINY_SCHED["types"][0], label=7), TINY_SCHED["types"][1]], "label"),
+        # an integer past float's range used to exit 4 with a traceback
+        # (OverflowError: int too large to convert to float)
+        pytest.param("p", 10**400, "p", id="p-past-float"),
+        pytest.param("alpha", 10**400, "alpha", id="alpha-past-float"),
+        pytest.param("types", [dict(TINY_SCHED["types"][0], prob=10**400), TINY_SCHED["types"][1]],
+                     "type 'a': prob", id="prob-past-float"),
+        pytest.param("types", [dict(TINY_SCHED["types"][0], A=[[10**400]]), TINY_SCHED["types"][1]],
+                     "type 'a': A", id="A-past-float"),
+        # a rejected value used to be shown in full: 1,841 characters for N
+        # nested 900 deep, about 500,000 for B or a label of 10**5 entries
+        pytest.param("N", json.loads("[" * 900 + "6" + "]" * 900), "N", id="N-nested"),
+        pytest.param("types", [dict(TINY_SCHED["types"][0], B=[0.1] * (10**5 - 1) + [math.nan]),
+                               TINY_SCHED["types"][1]], "type 'a': B", id="B-long"),
+        pytest.param("types", [dict(TINY_SCHED["types"][0], label=["x"] * 10**5),
+                               TINY_SCHED["types"][1]], "label", id="label-long"),
     ])
     def test_ill_typed_value_exits_1(self, key, value, named, tmp_path, capsys):
         doc = dict(TINY_SCHED, **{key: value})
@@ -405,7 +421,10 @@ class TestErrors:
             del doc["capacity"]  # alpha is read only without a capacity
         rc = main(["mfe", "--config", json.dumps(doc), "--out", str(tmp_path / "o")])
         assert rc == 1
-        assert f"config error: {named}:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"config error: {named}:" in err
+        assert len(err.splitlines()) == 1 and len(err) < 200
+        assert not (tmp_path / "o").exists()
 
     def test_unknown_keys_exit_1(self, tmp_path, capsys):
         # misspelt keys used to load as their defaults: mc_runs=1, seed=0
@@ -643,30 +662,31 @@ class TestErrors:
         assert exc.value.code == 0
 
 
-def _loaded_on_import(condition):
-    """The modules m meeting `condition` that `import aoi_mfg, aoi_mfg.cli`
-    loads, in a fresh interpreter."""
-    code = f"import sys, aoi_mfg, aoi_mfg.cli; print(sorted(m for m in sys.modules if {condition}))"
+@pytest.fixture(scope="module")
+def loaded_on_import():
+    """The modules that `import aoi_mfg, aoi_mfg.cli` loads, in one fresh interpreter."""
+    code = "import sys, aoi_mfg, aoi_mfg.cli; print(*sorted(sys.modules))"
     src = str(Path(aoi_mfg.__file__).resolve().parents[1])
     out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
                          capture_output=True, text=True, check=True)
-    return out.stdout.strip()
+    return out.stdout.split()
 
 
-def test_import_loads_no_scipy():
+def test_import_loads_no_scipy(loaded_on_import):
     # SciPy is a test oracle only; importing it would double the CLI's start-up
-    assert _loaded_on_import("m.split('.')[0] == 'scipy'") == "[]"
+    assert [m for m in loaded_on_import if m.split(".")[0] == "scipy"] == []
 
 
-def test_import_loads_no_process_pool():
+def test_import_loads_no_process_pool(loaded_on_import):
     # the pool serves AOI_MFG_THREADS > 1 only; it is loaded on its first use
-    assert _loaded_on_import("m in ('multiprocessing', 'concurrent.futures.process')") == "[]"
+    assert [m for m in loaded_on_import
+            if m in ("multiprocessing", "concurrent.futures.process")] == []
 
 
-def test_import_loads_no_statistics():
+def test_import_loads_no_statistics(loaded_on_import):
     # `statistics` brings `fractions` and `decimal`; only the tail threshold
     # needs it, and imports it when it runs
-    assert _loaded_on_import("m == 'statistics'") == "[]"
+    assert "statistics" not in loaded_on_import
 
 
 # the scalar per-step references and the helpers no report used; the first

@@ -12,12 +12,13 @@ from aoi_mfg import (
     solve_mfe,
     solve_riccati,
 )
-from aoi_mfg import cli, estimator, mfg
+from aoi_mfg import cli, mfg
 from aoi_mfg.cli import main
 from aoi_mfg.errors import ConfigError, RankDeficientError, UnstableClosedLoopError
 from aoi_mfg.mfg import TrackingGains
 
-from reference import _g_reference, _mf_operator_reference
+from reference import (_g_reference, _mf_operator_reference, double_sum_operator,
+                       scalar_operator_case)
 
 
 def _random_case(rng, n, m, H):
@@ -39,11 +40,6 @@ def _random_case(rng, n, m, H):
         gains[label] = TrackingGains(K=np.eye(n), K1=np.zeros((n_u, n)),
                                      K2=rng.normal(size=(n_u, n)), A_cl=A_cl)
     return rng.normal(size=(H, n)) * 3.0, types, gains
-
-
-@pytest.fixture(scope="module")
-def mfe():
-    return solve_mfe(default_types())
 
 
 def _observable_by_sqrtm(A, Q):
@@ -224,34 +220,9 @@ class TestMfOperator:
         # forward/backward pass vs the expanded double sum, scalar types
         rng = np.random.default_rng(17)
         for _ in range(10):
-            H = 5
-            A = float(rng.uniform(0.2, 1.2))
-            B = float(rng.uniform(0.3, 1.5))
-            Q = float(rng.uniform(0.5, 3.0))
-            R = float(rng.uniform(0.5, 3.0))
-            x0 = float(rng.normal())
-            from aoi_mfg.model import AgentType
-            t = AgentType(label="x", A=A, B=B, C_W=1.0, Q=Q, R=R,
-                          x0_mean=x0, x0_cov=1.0, prob=1.0)
-            gains = {"x": solve_riccati(A, B, Q, R)}
-            G = gains["x"]
-            a_cl = float(G.A_cl[0, 0])
-            bk2 = float((t.B @ G.K2)[0, 0])
-            mu = rng.normal(size=(H, 1))
+            t, gains, mu = scalar_operator_case(rng)
             out = _apply(mu, [t], gains)
-            # literal: g_k = -sum_{j=k}^{H-1} a_cl^{j-k} Q mu_j
-            #               - a_cl^{H-k} Q mu_{H-1} / (1 - a_cl)
-            g = np.zeros(H + 1)
-            for k in range(H + 1):
-                acc = 0.0
-                for j in range(k, H):
-                    acc -= a_cl ** (j - k) * Q * mu[j, 0]
-                acc -= a_cl ** (H - k) * Q * mu[H - 1, 0] / (1.0 - a_cl)
-                g[k] = acc
-            nu = np.zeros(H)
-            nu[0] = x0
-            for k in range(H - 1):
-                nu[k + 1] = a_cl * nu[k] - bk2 * g[k + 1]
+            nu = double_sum_operator(t, gains["x"], mu)
             assert np.allclose(out[:, 0], nu, rtol=1e-12, atol=1e-12)
 
     def test_preserves_initial_mean(self):
@@ -386,14 +357,6 @@ TWO_STATE_TYPES = [AgentType(label=t, A=[[a, 0.1], [0.0, 0.9]], B=[[0.1269], [0.
                              C_W=np.eye(2) * 5.0, Q=np.eye(2) * 2.0, R=2.0,
                              x0_mean=[x, 1.0], x0_cov=np.eye(2), prob=0.5)
                    for t, a, x in (("s", 0.5, 6.0), ("m", 1.0, 3.0))]
-
-
-@pytest.fixture
-def cold_memo():
-    """The shared per-type memo, empty before and after the test."""
-    estimator._memo.clear()
-    yield estimator._memo
-    estimator._memo.clear()
 
 
 def _gain_entries(memo):

@@ -146,11 +146,6 @@ class TestSchedulingExperiment:
             run_scheduling_experiment(cfg, fixed_policy(policy_N, 3), kind)
 
 
-@pytest.fixture(scope="module")
-def mfe():
-    return solve_mfe(default_types())
-
-
 class TestGameExperiment:
     @pytest.mark.parametrize("policy_N", [15, 60])
     def test_policy_for_another_N_rejected(self, mfe, policy_N):

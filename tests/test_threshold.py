@@ -12,13 +12,14 @@ from aoi_mfg import (
     stationary_distribution,
     transmission_rate,
 )
-from aoi_mfg import estimator, threshold
+from aoi_mfg import estimator, make_streams, sim, threshold
 from aoi_mfg.errors import AssumptionViolationError, NoConvergenceError, NumericOverflowError
 from aoi_mfg.estimator import WeightTable, weight_table
 from aoi_mfg.model import AgentType
 from aoi_mfg.threshold import _f_tail_series, kappa_scan
 
 from reference import _cycle_reference, value_iteration_oracle
+from test_sim import fixed_policy
 
 
 class TestFTail:
@@ -181,14 +182,6 @@ class TestKappaScan:
             scan.f(3000)
 
 
-@pytest.fixture
-def cold_memo():
-    """The shared per-type memo, empty before and after the test."""
-    estimator._memo.clear()
-    yield estimator._memo
-    estimator._memo.clear()
-
-
 class TestSharedMemo:
     LAMS = (8.0, 0.0, 2.5, 1e3, 2.5, 0.3)
 
@@ -316,22 +309,15 @@ class TestStationaryDistribution:
             assert chain.pmf(tau) == pytest.approx(chain.pmf(3) * 0.3 ** (tau - 3), rel=1e-12)
 
     def test_monte_carlo_total_variation(self):
-        # simulate the dual-threshold chain and compare to the closed form
+        # the scheduling kernel's ages against the closed form: 1000 agents on
+        # the dual-threshold policy, a capacity that never binds, 1100 steps
+        # and the first 100 dropped
         klow, kbar, q, p = 2, 4, 0.3, 0.2
-        steps = 10**6
-        rng = np.random.default_rng(5)
-        coins = rng.random(steps)
-        draws = rng.random(steps)
-        hist = np.zeros(128, dtype=np.int64)
-        tau = 0
-        for k in range(steps):
-            hist[tau] += 1
-            threshold = klow if coins[k] < q else kbar
-            if tau >= threshold and draws[k] >= p:
-                tau = 0
-            else:
-                tau += 1
-        emp = hist / steps
+        N = 1000
+        taus, _ = sim._schedule_block(np.zeros(N, dtype=np.int64), fixed_policy(N, kbar, q, klow),
+                                      N, p, make_streams(5), 1100)
+        hist = np.bincount(taus[100:-1].ravel(), minlength=128)
+        emp = hist / hist.sum()
         chain = stationary_distribution(klow, kbar, q, p)
         exact = np.array([chain.pmf(t) for t in range(hist.size)])
         tv = 0.5 * (np.abs(emp - exact).sum() + (1.0 - exact.sum()))
