@@ -1,5 +1,7 @@
 """Exception hierarchy shared across the library."""
 
+import reprlib
+
 
 class AoiMfgError(Exception):
     """Base class for all library errors."""
@@ -17,7 +19,8 @@ class MissingKeyError(ConfigError):
 
 class NonPositiveDefiniteError(ConfigError):
     def __init__(self, name, min_eig):
-        super().__init__(f"matrix {name!r} fails definiteness check (min eigenvalue {min_eig:.3e})")
+        super().__init__(f"matrix {reprlib.repr(name)} fails definiteness check "
+                         f"(min eigenvalue {min_eig:.3e})")
         self.name = name
         self.min_eig = min_eig
 
@@ -28,7 +31,8 @@ class AssumptionViolationError(ConfigError):
 
     def __init__(self, label, value):
         super().__init__(
-            f"type {label!r}: ||A||_F^2 * p = {value:.6g} >= 1; erasure compatibility fails"
+            f"type {reprlib.repr(label)}: ||A||_F^2 * p = {value:.6g} >= 1; "
+            "erasure compatibility fails"
         )
         self.label = label
         self.value = value

@@ -117,28 +117,29 @@ class AgentType:
     def __post_init__(self):
         if not isinstance(self.label, str):
             raise ConfigError(f"label: expected a string, got {reprlib.repr(self.label)}")
-        object.__setattr__(self, "prob", _read(self.prob, real, f"type {self.label!r}: prob"))
-        object.__setattr__(self, "A", _as_matrix(self.A, f"type {self.label!r}: A"))
+        typ = f"type {reprlib.repr(self.label)}"  # a long label is clipped, as values are
+        object.__setattr__(self, "prob", _read(self.prob, real, f"{typ}: prob"))
+        object.__setattr__(self, "A", _as_matrix(self.A, f"{typ}: A"))
         n = self.A.shape[0]
         if self.A.shape != (n, n):
-            raise ConfigError(f"type {self.label!r}: A must be square, got {self.A.shape}")
-        B = _as_matrix(self.B, f"type {self.label!r}: B")
+            raise ConfigError(f"{typ}: A must be square, got {self.A.shape}")
+        B = _as_matrix(self.B, f"{typ}: B")
         if B.shape[0] != n:
-            raise ConfigError(f"type {self.label!r}: B has {B.shape[0]} rows, expected {n}")
+            raise ConfigError(f"{typ}: B has {B.shape[0]} rows, expected {n}")
         object.__setattr__(self, "B", B)
         for name, strict in (("C_W", True), ("Q", False), ("R", True), ("x0_cov", True)):
-            m = _as_matrix(getattr(self, name), f"type {self.label!r}: {name}")
+            m = _as_matrix(getattr(self, name), f"{typ}: {name}")
             want = (B.shape[1], B.shape[1]) if name == "R" else (n, n)
             if m.shape != want:
-                raise ConfigError(f"type {self.label!r}: {name} has shape {m.shape}, expected {want}")
+                raise ConfigError(f"{typ}: {name} has shape {m.shape}, expected {want}")
             _check_spd(m, f"{self.label}.{name}", strict=strict)
             object.__setattr__(self, name, m)
-        x0 = np.atleast_1d(_as_float_array(self.x0_mean, f"type {self.label!r}: x0_mean")).ravel()
+        x0 = np.atleast_1d(_as_float_array(self.x0_mean, f"{typ}: x0_mean")).ravel()
         if x0.size != n:
-            raise ConfigError(f"type {self.label!r}: x0_mean: expected length {n}, got {x0.size}")
+            raise ConfigError(f"{typ}: x0_mean: expected length {n}, got {x0.size}")
         object.__setattr__(self, "x0_mean", x0)
         if not 0.0 <= self.prob <= 1.0:
-            raise ConfigError(f"type {self.label!r}: prob {self.prob} outside [0, 1]")
+            raise ConfigError(f"{typ}: prob {self.prob} outside [0, 1]")
 
     @property
     def n(self) -> int:
@@ -165,7 +166,7 @@ def check_labels(types) -> None:
     labels = [t.label for t in types]
     for label in labels:
         if labels.count(label) > 1:
-            raise ConfigError(f"types: duplicate type label {label!r}")
+            raise ConfigError(f"types: duplicate type label {reprlib.repr(label)}")
 
 
 def _check_mix(types) -> None:
@@ -217,7 +218,8 @@ class ScenarioConfig:
         _check_mix(self.types)
         dims = {t.label: t.n for t in self.types}
         if len(set(dims.values())) > 1:
-            raise ConfigError(f"all types need one state dimension, got {dims}")
+            shown = ", ".join(f"{reprlib.repr(label)}: {n}" for label, n in dims.items())
+            raise ConfigError(f"all types need one state dimension, got {{{shown}}}")
         for t in self.types:
             check_erasure(t.A, self.p, t.label)
 

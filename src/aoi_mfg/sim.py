@@ -51,6 +51,7 @@ policy run alone on the seed's streams.
 
 from __future__ import annotations
 
+import reprlib
 from dataclasses import dataclass, replace
 from functools import partial
 
@@ -92,6 +93,13 @@ _BLOCK_ELEMENTS = 2**15  # agent-steps drawn at once, over every chain: bounds a
 # A stable sort of uint32 or int64 ages (timsort) reaches the partition's cost
 # near 300 candidates; uint16 (two radix passes) near 2000.
 _SORT_CANDIDATES = 256
+# The longest row, in agents N, on which `_schedule_block` indexes a step's
+# projected intents first and checks the capacity once per block; on longer
+# rows it counts them first and checks at each binding step. The two meet
+# near N = 400, for one chain and two: a block's count costs about 1 ns per
+# agent-step and a step's check about 0.5 us, and from a few hundred agents
+# on a `nonzero` on a step that does not bind costs more than a count.
+_SHORT_ROW = 384
 
 
 def _project(a, candidates, tau, C):
@@ -159,19 +167,25 @@ def _schedule_block(tau, policy: RelaxedPolicy, C, p, rng, rows, span=None):
     tau holds K chains of the policy's N agents, one after another. The coin
     and channel numbers are drawn once and applied to every chain, the coins
     over the mixing span, `span` or else `_mixing_span` of the policy
-    (`_set_coins`). The last chain is projected onto
-    the capacity C, step by step; the others are not. The block keeps every
-    step's intents, the projected chain's as they are after projection, and
-    each chain's attempts are counted from them once per block. A step takes
-    the indices of the projected chain's intents once; the capacity binds
-    when there are more than C of them, and only then are they handed to
-    `_project` and the kept intents recounted. An agent's age is kept, one
-    step older, unless it sent and its packet survived: the channel draws
-    `lost = u < p` (the complement of a survival `u >= p`), and a step
-    multiplies the aged tau by the keep mask `a <= lost`, 0 exactly on a
-    reception. The mask is read as uint8 0/1, so uint8 ages multiply in
-    their own type: bool x uint8 has no loop of its own and casts the mask
-    on every call.
+    (`_set_coins`). The last chain is projected onto the capacity C, step by
+    step; the others are not. The block keeps every step's intents, the
+    projected chain's as they are after projection, and each chain's
+    attempts are counted from them once per block. The capacity binds when
+    the projected chain has more than C intents, and only then are their
+    indices handed to `_project`. On rows of up to `_SHORT_ROW` agents a
+    step takes those indices once to see whether it binds, and the kept
+    intents are counted after the step loop, every step's at once; on longer
+    rows a step counts its intents first, builds their indices only when it
+    binds, and counts the kept ones then. Either way a step that keeps more
+    than C raises `CapacityViolationError` with the count of the first such
+    step.
+
+    An agent's age is kept, one step older, unless it sent and its packet
+    survived: the channel draws `lost = u < p` (the complement of a survival
+    `u >= p`), and a step multiplies the aged tau by the keep mask
+    `a <= lost`, 0 exactly on a reception. The mask is read as uint8 0/1, so
+    uint8 ages multiply in their own type: bool x uint8 has no loop of its
+    own and casts the mask on every call.
 
     A select on a random mask is integer arithmetic, not `np.where`, as the
     aging is: no data-dependent branch. The step's thresholds are kbar -
@@ -200,6 +214,7 @@ def _schedule_block(tau, policy: RelaxedPolicy, C, p, rng, rows, span=None):
     free = tau.size - N  # agents of the unprojected chains
     taus = np.empty((rows + 1, tau.size), dtype=tau.dtype)
     taus[0] = tau
+    cur = taus[0]
     intents = np.empty((rows, tau.size), dtype=bool)
     keep = np.empty(tau.size, dtype=bool)
     keep01 = keep.view(np.uint8)  # the mask as 0/1 in uint8: a same-type multiply for uint8 ages
@@ -207,18 +222,29 @@ def _schedule_block(tau, policy: RelaxedPolicy, C, p, rng, rows, span=None):
     # the ufuncs, bound once per block: a step looks none of them up
     greater_equal, add, less_equal, multiply = np.greater_equal, np.add, np.less_equal, np.multiply
     count = np.count_nonzero
-    for cur, thr, a, last, lost, nxt in zip(taus[:-1], thresholds.reshape(rows, -1), intents,
-                                            intents[:, free:], losses.reshape(rows, -1), taus[1:]):
+    short = N <= _SHORT_ROW
+    for thr, a, last, lost, nxt in zip(thresholds.reshape(rows, -1), intents, intents[:, free:],
+                                       losses.reshape(rows, -1), taus[1:]):
         greater_equal(cur, thr, a)
-        candidates = last.nonzero()[0]
-        if candidates.size > C:  # the projected chain's ages are viewed only on a binding step
-            n = int(count(_project(last, candidates, cur[free:], C)))
+        # the projected chain's ages are viewed only on a binding step
+        if short:
+            candidates = last.nonzero()[0]
+            if candidates.size > C:
+                _project(last, candidates, cur[free:], C)
+        elif count(last) > C:
+            n = int(count(_project(last, last.nonzero()[0], cur[free:], C)))
             if n > C:
                 raise CapacityViolationError(n, C)
         # age by one, times 0 on reception: no data-dependent branch
         add(cur, one, nxt)
         less_equal(a, lost, keep)
         multiply(nxt, keep01, nxt)
+        cur = nxt
+    if short:
+        sent = count(intents[:, free:], axis=1)
+        over = sent[sent > C]
+        if over.size:
+            raise CapacityViolationError(int(over[0]), C)
     return taus, [int(np.count_nonzero(intents[:, i:i + N])) for i in range(0, tau.size, N)]
 
 
@@ -392,12 +418,14 @@ def _check_equilibrium(solved, types) -> None:
     the labels in order, and A, B, Q, R, x0_mean and prob equal as arrays."""
     labels = [t.label for t in solved], [t.label for t in types]
     if labels[0] != labels[1]:
-        raise DimensionMismatchError("equilibrium solved for types %s, config has %s" % labels)
+        raise DimensionMismatchError("equilibrium solved for types %s, config has %s"
+                                     % tuple(map(reprlib.repr, labels)))
     for s, t in zip(solved, types):
         for name in ("A", "B", "Q", "R", "x0_mean", "prob"):
             if not np.array_equal(getattr(s, name), getattr(t, name)):
-                raise DimensionMismatchError(f"equilibrium solved for another type "
-                                             f"{t.label!r}: its {name} differs from the config's")
+                raise DimensionMismatchError(
+                    f"equilibrium solved for another type {reprlib.repr(t.label)}: "
+                    f"its {name} differs from the config's")
 
 
 def run_game_experiment(config: ScenarioConfig, mfe, policy: RelaxedPolicy,

@@ -7,6 +7,7 @@ import json
 import math
 import os
 import pkgutil
+import reprlib
 import subprocess
 import sys
 from pathlib import Path
@@ -16,7 +17,7 @@ import pytest
 
 import aoi_mfg
 from aoi_mfg import (bisection_lambda, cli, game_scenario, load_scenario, population_for,
-                     scheduling_scenario, solve_mfe)
+                     scheduling_scenario, sim, solve_mfe)
 from aoi_mfg.cli import main
 from aoi_mfg.model import AgentType, ScenarioConfig, capacity_for
 
@@ -41,6 +42,8 @@ TINY_GAME = {
     ],
 }
 
+
+LONG_LABEL = "x" * 10**5
 
 # seed and mc_runs away from their defaults, so the round trip reads them too
 TWO_STATE = {"N": 20, "capacity": 9, "p": 0.2, "T": 80, "seed": 3, "mc_runs": 2,
@@ -442,6 +445,46 @@ class TestErrors:
         rc = main(["mfe", "--config", json.dumps(doc), "--out", str(tmp_path / "o")])
         assert rc == 1
         assert "config error: types: duplicate type label 'a'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    # each message that names a type shows its label as values are shown,
+    # through reprlib: a 10**5-character label used to give lines of
+    # 100,045 characters and more
+    @pytest.mark.parametrize("types,named", [
+        ([dict(TINY_SCHED["types"][0], label=LONG_LABEL, prob="0.5"), TINY_SCHED["types"][1]],
+         f"type {reprlib.repr(LONG_LABEL)}: prob: expected real"),
+        ([dict(t, label=LONG_LABEL) for t in TINY_SCHED["types"]],
+         f"types: duplicate type label {reprlib.repr(LONG_LABEL)}"),
+        ([dict(TINY_SCHED["types"][0], label=LONG_LABEL, Q=-1.0), TINY_SCHED["types"][1]],
+         "xxxxxxxxxx.Q' fails definiteness check"),
+        ([dict(TINY_SCHED["types"][0], label=LONG_LABEL, A=5.0), TINY_SCHED["types"][1]],
+         f"type {reprlib.repr(LONG_LABEL)}: ||A||_F^2 * p = 5 >= 1"),
+        ([dict(TINY_SCHED["types"][0], label=LONG_LABEL), TWO_STATE_TYPES[0]],
+         "all types need one state dimension"),
+    ], ids=["prob", "duplicate", "definiteness", "erasure", "dimension"])
+    def test_long_label_is_clipped(self, types, named, tmp_path, capsys):
+        doc = dict(TINY_SCHED, types=types)
+        rc = main(["schedule", "--report", "--config", json.dumps(doc),
+                   "--out", str(tmp_path / "o")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "config error: " in err and named in err
+        assert len(err.splitlines()) == 1 and len(err) < 200
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["schedule", "game"])
+    def test_capacity_violation_exits_2(self, command, sched_cfg, game_cfg, tmp_path, capsys,
+                                        monkeypatch):
+        # a projection that keeps every intent: the kernel's own check stops
+        # the run before anything is written
+        monkeypatch.delenv("AOI_MFG_THREADS", raising=False)  # the runs stay in this process
+        monkeypatch.setattr(sim, "_project", lambda a, candidates, tau, C: a)
+        cfg = sched_cfg if command == "schedule" else game_cfg
+        rc = main([command, "--config", cfg, "--runs", "1", "--out", str(tmp_path / "o")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("numeric error: capacity violated under MATB-P: ")
         assert not (tmp_path / "o").exists()
 
     def test_ill_typed_matrix_exits_1(self, tmp_path, capsys):

@@ -154,12 +154,20 @@ class TestGameExperiment:
             run_game_experiment(cfg, mfe, fixed_policy(policy_N, 3))
 
     def test_equilibrium_for_other_labels_rejected(self):
-        # it raised a bare KeyError on the first label lookup
+        # it raised a bare KeyError on the first label lookup; a long label is
+        # clipped in the message, as values are
         cfg = game_scenario(N=30, T=20, mc_runs=1)
         policy = bisection_lambda(population_for(cfg), cfg.p, cfg.capacity)
-        renamed = solve_mfe([dataclasses.replace(t, label=t.label + "-2") for t in cfg.types])
-        with pytest.raises(DimensionMismatchError, match="equilibrium solved for types"):
-            run_game_experiment(cfg, renamed, policy)
+        for suffix, shown in [("-2", "['stable-2', 'marginal-2', 'unstable-2']"),
+                              ("x" * 10**5, "['stablexxxxxx...xxxxxxxxxxxxx', "
+                                            "'marginalxxxx...xxxxxxxxxxxxx', "
+                                            "'unstablexxxx...xxxxxxxxxxxxx']")]:
+            renamed = solve_mfe([dataclasses.replace(t, label=t.label + suffix)
+                                 for t in cfg.types])
+            with pytest.raises(DimensionMismatchError) as exc:
+                run_game_experiment(cfg, renamed, policy)
+            assert str(exc.value) == (f"equilibrium solved for types {shown}, "
+                                      "config has ['stable', 'marginal', 'unstable']")
 
     @pytest.mark.parametrize("field", ["A", "B", "Q", "R", "x0_mean", "prob"])
     def test_equilibrium_for_other_dynamics_rejected(self, field):
@@ -300,7 +308,8 @@ class TestBlockKernel:
     @pytest.mark.parametrize("K", [1, 2])
     def test_capacity_checked_at_each_step_of_a_long_block(self, K, monkeypatch):
         # a projection that keeps C - 1 intents, but C + 1 at one step of 600:
-        # the block sends fewer than C per step on average, and still raises
+        # the block sends fewer than C per step on average, and still raises.
+        # Rows of N = 10 are short, so the block runs to its end before the check
         N, C, rows, bad = 10, 4, 600, 300
         calls = []
 
@@ -312,8 +321,42 @@ class TestBlockKernel:
         with pytest.raises(CapacityViolationError) as exc:
             sim._schedule_block(np.zeros(K * N, dtype=np.int64), fixed_policy(N, 0), C, 0.2,
                                 make_streams(0), rows)
-        assert (exc.value.sent, exc.value.capacity, len(calls)) == (C + 1, C, bad)
+        assert (exc.value.sent, exc.value.capacity, len(calls)) == (C + 1, C, rows)
         assert (C - 1) * (rows - 1) + C + 1 < C * rows
+
+    # short rows are checked once per block, long ones at each binding step
+    @pytest.mark.parametrize("N,rows", [(10, 1), (10, 7), (10, 600),
+                                        (sim._SHORT_ROW + 1, 1), (sim._SHORT_ROW + 1, 3)])
+    @pytest.mark.parametrize("K", [1, 2])
+    def test_capacity_violation_reports_the_first_step_over(self, K, N, rows, monkeypatch):
+        # every agent intends at every step (threshold 0), so every step binds;
+        # the projection keeps C - 1 intents, or kept[j] at step j
+        C = 4
+        last = rows - 1
+        cases = [({0: C + 1}, C + 1), ({rows // 2: C + 2}, C + 2), ({last: C + 3}, C + 3),
+                 ({}, None), ({j: C - 2 for j in range(rows)}, None)]
+        if rows > 1:  # two steps over C: the first one's count, not the larger
+            cases.append(({last // 2: C + 1, last: C + 3}, C + 1))
+        for kept, sent in cases:
+            calls = []
+
+            def project(a, candidates, tau, C):
+                a[candidates[kept.get(len(calls), C - 1):]] = False
+                calls.append(C)
+                return a
+            monkeypatch.setattr(sim, "_project", project)
+            args = (np.zeros(K * N, dtype=np.int64), fixed_policy(N, 0), C, 0.2,
+                    make_streams(0), rows)
+            if sent is None:
+                _, attempts = sim._schedule_block(*args)
+                assert attempts[-1] == sum(kept.get(j, C - 1) for j in range(rows))
+                assert len(calls) == rows
+                continue
+            with pytest.raises(CapacityViolationError) as exc:
+                sim._schedule_block(*args)
+            first = min(j for j, n in kept.items() if n > C)
+            assert (exc.value.sent, exc.value.capacity) == (sent, C)
+            assert len(calls) == (rows if N <= sim._SHORT_ROW else first + 1)
 
     @pytest.mark.parametrize("dtype", [np.uint8, np.int64])
     def test_projection_sees_only_the_projected_chain(self, dtype, monkeypatch):
