@@ -36,9 +36,18 @@ float operations in their order:
   (`_scalar_steps`). `a*x - d*u` rounds each product once and then
   subtracts, as the 1x1 `matmul` and the subtraction do (up to the sign of
   a zero product, which `matmul` adds to +0.0). mu becomes a list once,
-  g_H is the stacked solve `_backward` uses, each type's g and mean stay
-  Python floats, and the means become one array for the
-  probability-weighted sum, the same NumPy adds in type order.
+  and each type's g_H = -(q mu_{H-1}) / (1 - a), g and mean stay Python
+  floats. The 1x1 solve of g_H in `_backward` divides by its one pivot, so
+  the quotient has its bits (`tests/test_mfg.py` checks this against the
+  LAPACK in use), up to the sign of a zero g_H when q mu_{H-1} is zero:
+  only zeros carry that sign on, and the mix, which starts from 0.0,
+  drops it.
+- Both passes mix the types with one `np.add.reduce` over the type axis
+  of the products prob * nu, laid out type-major and C-ordered: NumPy's
+  inner loop then runs over a type's whole window, and the types are added
+  to 0.0 one after another, the additions of a per-type loop. Only a
+  one-step scalar window (H = n = 1) of eight or more types is summed
+  pairwise; `solve_mfe`'s windows have H >= 32.
 - The recursions are not handed to `scipy.signal.lfilter`: it gives the same
   bits, but importing `scipy.signal` on top of this package takes ~1.3 s
   and ~47 MB more.
@@ -238,19 +247,14 @@ def _backward(mu: np.ndarray, A_cl: np.ndarray, Q: np.ndarray,
 
     A_cl and Q have shape (m, n, n), mu has shape (H, n); the result has
     shape (H+1, m, n). g_H is the geometric closed form for mu held at
-    mu_{H-1} beyond the window. Without a workspace (`_workspace(H, m, n)`)
+    mu_{H-1} beyond the window, one stacked solve of
+    (I - A_cl') g_H = -Q mu_{H-1}. Without a workspace (`_workspace(H, m, n)`)
     it runs in a fresh one, so the result shares memory with nothing else."""
     A_T = A_cl.transpose(0, 2, 1)
     if work is None:
         work = _workspace(mu.shape[0], *Q.shape[:2])
-    return _recursion(A_T, _g_end(mu, A_T, Q), Q, mu[::-1, None, :], work)[::-1]
-
-
-def _g_end(mu: np.ndarray, A_T: np.ndarray, Q: np.ndarray) -> np.ndarray:
-    """g_H of every type, shape (m, n): one stacked solve of
-    (I - A_cl') g_H = -Q mu_{H-1}."""
-    n = mu.shape[1]
-    return -np.linalg.solve(np.eye(n) - A_T, (Q @ mu[-1])[..., None])[..., 0]
+    g_end = -np.linalg.solve(np.eye(mu.shape[1]) - A_T, (Q @ mu[-1])[..., None])[..., 0]
+    return _recursion(A_T, g_end, Q, mu[::-1, None, :], work)[::-1]
 
 
 def _operator(types, gains: dict):
@@ -258,19 +262,20 @@ def _operator(types, gains: dict):
 
     Per type: the backward pass for g, then the forward mean recursion
     nu_{k+1} = A_cl nu_k - B K2 g_{k+1} from nu_0 = x0_mean; the output is
-    the probability-weighted average over types. The gains are
-    `solve_riccati`'s, so rho(A_cl) < 1 and the g series converges. The
-    stacked A_cl, Q, B K2, the x0 means and the probabilities are built
-    once: they are fixed while `solve_mfe` iterates. For n == 1 both
-    recursions run on Python floats in one pass per type (`_scalar_steps`),
-    after one stacked solve for g_H; the types' means become one array for
-    the weighted sum. For n > 1 it keeps the backward and forward workspaces
-    of the last window length it was applied to."""
+    the probability-weighted average over types, one `np.add.reduce` of the
+    type-major (m, H, n) products from 0.0. The gains are `solve_riccati`'s,
+    so rho(A_cl) < 1 and the g series converges. The stacked A_cl, Q, B K2,
+    the x0 means and the (m, 1, 1) probabilities are built once: they are
+    fixed while `solve_mfe` iterates. For n == 1 both recursions run on
+    Python floats in one pass per type (`_scalar_steps`), from
+    g_H = -(q mu_{H-1}) / (1 - a); the types' means become one array for the
+    weighted sum. For n > 1 it keeps the backward and forward workspaces of
+    the last window length it was applied to."""
     A_cl = np.stack([gains[t.label].A_cl for t in types])
     Q = np.stack([t.Q for t in types])
     BK2 = np.stack([t.B @ gains[t.label].K2 for t in types])
     x0 = np.array([t.x0_mean for t in types])
-    probs = [t.prob for t in types]
+    weights = np.array([t.prob for t in types]).reshape(-1, 1, 1)
 
     m, n = x0.shape
     # n == 1: (a, q, bk2, x0) per type as Python floats
@@ -282,21 +287,22 @@ def _operator(types, gains: dict):
         mu = as_matrix(mu)
         H = mu.shape[0]
         if scalars is not None:
-            drive = mu[::-1, 0].tolist()
-            ends = _g_end(mu, A_cl, Q).ravel().tolist()  # a 1x1 A_cl is its own transpose
-            # per type: g_H, ..., g_0 backward, then nu driven by g_1, ..., g_{H-1}
-            nu = np.array([_scalar_steps(a, x, bk2, _scalar_steps(a, end, q, drive)[H - 1:0:-1])
-                           for (a, q, bk2, x), end in zip(scalars, ends)], dtype=float).T[..., None]
+            drive = mu[::-1, 0].tolist()  # mu_{H-1}, ..., mu_0
+            # per type: g_H, ..., g_0 backward from g_H = -(q mu_{H-1}) / (1 - a),
+            # then nu driven by g_1, ..., g_{H-1}
+            nu = np.array([
+                _scalar_steps(a, x, bk2,
+                              _scalar_steps(a, -(q * drive[0]) / (1.0 - a), q, drive)[H - 1:0:-1])
+                for a, q, bk2, x in scalars], dtype=float)[..., None]
         else:
             if H not in work:
                 work.clear()
                 work[H] = _workspace(H, m, n), _workspace(H - 1, m, n)
             back, forward = work[H]
-            nu = _recursion(A_cl, x0, BK2, _backward(mu, A_cl, Q, back)[1:H], forward)
-        out = np.zeros_like(mu)
-        for i, prob in enumerate(probs):
-            out += prob * nu[:, i]
-        return out
+            nu = _recursion(A_cl, x0, BK2, _backward(mu, A_cl, Q, back)[1:H],
+                            forward).transpose(1, 0, 2)
+        # C-ordered (m, H, n) products: the reduction adds whole windows in type order
+        return np.add.reduce(np.multiply(nu, weights, order="C"), axis=0, initial=0.0)
 
     return apply
 

@@ -153,8 +153,10 @@ class AgentType:
 def check_erasure(A: np.ndarray, p: float, label: str = "<inline>") -> float:
     """||A||_F^2 of the 2-D float matrix A, checked against the erasure
     assumption ||A||_F^2 * p < 1, without which the estimation-error series
-    diverges (AssumptionViolationError)."""
-    a = float(np.sum(A * A))
+    diverges (AssumptionViolationError). A norm past float's range is inf,
+    without an overflow warning."""
+    with np.errstate(over="ignore"):
+        a = float(np.sum(A * A))
     if a * p >= 1.0:
         raise AssumptionViolationError(label, a * p)
     return a

@@ -183,6 +183,19 @@ class TestMfOperator:
                     assert np.array_equal(_apply(mu, types, gains),
                                           _mf_operator_reference(mu, types, gains))
 
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_many_types_mixed_in_type_order(self, n):
+        # NumPy sums eight or more entries of its inner loop pairwise; the type
+        # mix has a window or state axis inside the type axis, so it adds in
+        # type order (all but a one-step scalar window, H = n = 1)
+        rng = np.random.default_rng(80 + n)
+        for m in (8, 9, 12):
+            for H in (2, 3, 17) if n == 1 else (1, 2, 3, 17):
+                for _ in range(3):
+                    mu, types, gains = _random_case(rng, n, m, H)
+                    assert _same_bits(_apply(mu, types, gains),
+                                      _mf_operator_reference(mu, types, gains))
+
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_hoisted_operator_equals_public(self, n):
         # the seeded cases above; one built operator applied to several windows,
@@ -351,6 +364,77 @@ class TestSolveMfe:
     def test_report_serializable(self, mfe):
         text = cli._dumps(cli._mfe_report(mfe))
         assert "contraction_constant" in text
+
+
+def _scalar_ends(operator, mu, monkeypatch) -> np.ndarray:
+    """The g_H of every type that one application of a scalar operator starts
+    its backward `_scalar_steps` pass from; each type's backward pass runs
+    before its forward pass, so they are every other call's start value."""
+    starts = []
+    steps = mfg._scalar_steps
+    with monkeypatch.context() as patch:
+        patch.setattr(mfg, "_scalar_steps",
+                      lambda a, v, d, drive: starts.append(v) or steps(a, v, d, drive))
+        operator(mu)
+    return np.array(starts[::2])
+
+
+def _stacked_ends(mu, A_cl, Q) -> np.ndarray:
+    """g_H of every type from `_backward`'s stacked solve, shape (m,)."""
+    return mfg._backward(mu, A_cl, Q)[-1, :, 0]
+
+
+class TestScalarEndCondition:
+    """The scalar pass takes g_H = -(q mu_{H-1}) / (1 - a) on Python floats,
+    `_backward` one stacked LAPACK solve of (I - A_cl') g_H = -Q mu_{H-1}:
+    the operator's two forms agree only if the 1x1 solve divides by its
+    pivot, so a LAPACK build where it does not fails here."""
+
+    @pytest.mark.parametrize("name", ["default", "pole-1.05", "pole-1.3"])
+    def test_equilibrium_end_equals_stacked_solve(self, name, monkeypatch):
+        types = MFE_TYPE_SETS[name]
+        sol = solve_mfe(types)
+        ends = _scalar_ends(mfg._operator(types, sol.gains), sol.mu, monkeypatch)
+        A_cl = np.stack([sol.gains[t.label].A_cl for t in types])
+        assert _same_bits(ends, _stacked_ends(sol.mu, A_cl, np.stack([t.Q for t in types])))
+
+    def test_random_ends_equal_stacked_solve(self, monkeypatch):
+        # 100 operators of 100 scalar types: 10,000 (a, q, mu_{H-1}) triples,
+        # a in (-1, 1), q and |mu_{H-1}| over many decades
+        rng = np.random.default_rng(35)
+        types = [AgentType(label=f"t{i}", A=0.5, B=1.0, C_W=1.0, Q=10.0 ** rng.uniform(-4, 4),
+                           R=1.0, x0_mean=0.0, x0_cov=1.0, prob=0.01) for i in range(100)]
+        Q = np.stack([t.Q for t in types])
+        for _ in range(100):
+            a = rng.uniform(-1.0, 1.0, size=len(types))
+            gains = {t.label: TrackingGains(K=np.eye(1), K1=np.zeros((1, 1)), K2=np.ones((1, 1)),
+                                            A_cl=np.array([[x]])) for t, x in zip(types, a)}
+            mu = rng.normal(size=(2, 1)) * 10.0 ** rng.uniform(-6, 6)
+            assert mu[-1, 0] != 0.0
+            ends = _scalar_ends(mfg._operator(types, gains), mu, monkeypatch)
+            assert _same_bits(ends, _stacked_ends(mu, a.reshape(-1, 1, 1), Q))
+
+    def test_scalar_application_calls_no_linalg(self, monkeypatch):
+        # the float pass needs no LAPACK; the stacked pass still makes one solve
+        calls = []
+
+        def counted(name, routine):
+            return lambda *args, **kwargs: calls.append(name) or routine(*args, **kwargs)
+
+        scalar, two_state = (mfg._operator(MFE_TYPE_SETS[name], {
+            t.label: solve_riccati(t.A, t.B, t.Q, t.R) for t in MFE_TYPE_SETS[name]})
+            for name in ("default", "two-state"))
+        routines = [name for name in dir(np.linalg) if not name.startswith("_")
+                    and callable(getattr(np.linalg, name))
+                    and not isinstance(getattr(np.linalg, name), type)]
+        assert "solve" in routines
+        with monkeypatch.context() as patch:
+            for name in routines:
+                patch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+            scalar(np.ones((40, 1)))
+            assert calls == []
+            two_state(np.ones((40, 2)))
+            assert calls == ["solve"]
 
 
 TWO_STATE_TYPES = [AgentType(label=t, A=[[a, 0.1], [0.0, 0.9]], B=[[0.1269], [0.2]],

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import json
 import re
@@ -5,6 +6,7 @@ import re
 import numpy as np
 import pytest
 
+from aoi_mfg import cli
 from aoi_mfg import (AgentType, ScenarioConfig, assign_types, default_types, load_scenario,
                      scheduling_scenario)
 from aoi_mfg.model import _check_spd, capacity_for, check_erasure
@@ -102,6 +104,13 @@ class TestAgentType:
         with pytest.raises(AssumptionViolationError):
             check_erasure(t.A, 0.3, t.label)
         check_erasure(t.A, 0.2, t.label)  # 4 * 0.2 < 1
+
+    def test_erasure_norm_past_float_range(self):
+        # ||A||_F^2 = inf, without the overflow warning that `A * A` gave
+        A = np.array([[1e300]])
+        with pytest.raises(AssumptionViolationError, match="= inf >= 1"):
+            check_erasure(A, 0.2)
+        assert check_erasure(A, 0.0) == np.inf
 
     def test_erasure_incompatible_type_rejected(self):
         # the error names the type and the value ||A||_F^2 p
@@ -375,3 +384,59 @@ class TestLoadScenario:
         doc = dict(SCENARIO_DOC)
         doc["capacity"] = 4
         assert load_scenario(doc).capacity == 4
+
+
+# the values a fuzzed scenario document puts in place of a field
+FUZZ_VALUES = (0, -0.0, 1, -1, 0.5, 1e300, 1e-300, float("nan"), float("inf"), -float("inf"),
+               2**63, -2**63, 2**53, "0.5", None, [0.5, 1.0], True, {})
+
+
+def _fuzzed_documents(count, seed):
+    """count mutations of the scheduling preset's document (N = 12, T = 30),
+    each as (description, document): one or two fields replaced by a
+    `FUZZ_VALUES` entry, or one key deleted, at the top level or inside a
+    type. Every other document is JSON text, so the parse sees NaN,
+    Infinity and long integers too."""
+    base = json.loads(cli._dumps(cli._document(scheduling_scenario(N=12, T=30))))
+    paths = [(key,) for key in base] + [
+        ("types", i, key) for i, tdoc in enumerate(base["types"]) for key in tdoc]
+    inner = [path for path in paths if path != ("types",)]  # two replacements stay addressable
+    rng = np.random.default_rng(seed)
+    for k in range(count):
+        doc = copy.deepcopy(base)
+        kind = k % 3
+        chosen = [paths[rng.integers(len(paths))]] if kind != 1 else \
+            [inner[i] for i in rng.choice(len(inner), size=2, replace=False)]
+        changes = []
+        for path in chosen:
+            *parents, key = path
+            holder = doc
+            for step in parents:
+                holder = holder[step]
+            if kind == 2:
+                del holder[key]
+                changes.append(f"del {path}")
+            else:
+                holder[key] = FUZZ_VALUES[rng.integers(len(FUZZ_VALUES))]
+                changes.append(f"{path} = {holder[key]!r}")
+        yield "; ".join(changes), json.dumps(doc) if k % 2 else doc
+
+
+class TestScenarioFuzz:
+    def test_every_mutation_loads_or_raises_a_config_error(self):
+        # a seeded regression guard for the bad-input classes fixed one at a
+        # time (NaN matrices, the erasure assumption, counts at 2**53, long
+        # integer literals, a norm past float's range); it stops at
+        # load_scenario, since a run of some loaded documents walks the kappa
+        # scan for seconds
+        loaded = rejected = 0
+        for change, source in _fuzzed_documents(400, seed=10):
+            try:
+                load_scenario(source)
+            except ConfigError:
+                rejected += 1
+            except Exception as exc:  # any other exception is a package bug
+                pytest.fail(f"{change}: {exc!r}")
+            else:
+                loaded += 1
+        assert loaded + rejected == 400 and loaded and rejected
