@@ -15,8 +15,9 @@ record's fields: `bounds_report.json` is `BoundReport`'s, and
 `schedule_report.json`, `mfe_report.json` and the manifest's
 `diagnostics.mfe` are read from `RelaxedPolicy` and `MeanFieldSolution`,
 under the field's name but for `lambda` (`lam`), `per_type_thresholds`
-(`per_type`), `mu_window` (`mu`) and `window_h` (`horizon`). Arrays go
-through `_dumps`' `ndarray` default.
+(`per_type`), `mu_window` (`mu`) and `window_h` (`horizon`); each type's
+gains in `mfe_report.json` are its `TrackingGains` record, `rho_cl` a field
+of it. Arrays go through `_dumps`' `ndarray` default.
 """
 
 from __future__ import annotations
@@ -96,8 +97,8 @@ def _policy_report(policy) -> dict:
 
 def _mfe_report(sol) -> dict:
     """mfe_report.json: the equilibrium's mu window, K3 and solve summary, and
-    each type's gains with the spectral radius of its closed loop."""
-    gains = {label: dict(_document(G), rho_cl=G.rho_cl) for label, G in sol.gains.items()}
+    each type's gains record, the spectral radius of its closed loop included."""
+    gains = {label: _document(G) for label, G in sol.gains.items()}
     return {"mu_window": sol.mu, "gains": gains,
             **_fields(sol, "K3", "contraction_constant", "residual", "iterations")}
 

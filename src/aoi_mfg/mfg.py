@@ -72,14 +72,19 @@ MFE_TOL, MFE_MAX_ITER = 1e-8, 500  # Picard gap (tail below MFE_TOL/10), iterati
 
 @dataclass(frozen=True)
 class TrackingGains:
+    """One type's LQ tracking gains and the spectral radius rho_cl of its
+    closed loop A_cl, computed once at construction. `solve_riccati` makes
+    its four arrays read-only, so the gains it returns, and every solve that
+    shares them, cannot be changed."""
+
     K: np.ndarray
     K1: np.ndarray
     K2: np.ndarray
     A_cl: np.ndarray
+    rho_cl: float = field(init=False)
 
-    @property
-    def rho_cl(self) -> float:
-        return float(np.abs(np.linalg.eigvals(self.A_cl)).max())
+    def __post_init__(self):
+        object.__setattr__(self, "rho_cl", float(np.abs(np.linalg.eigvals(self.A_cl)).max()))
 
 
 @dataclass(frozen=True)
@@ -163,9 +168,10 @@ def solve_riccati(A, B, Q, R) -> TrackingGains:
     """Fixed-point iteration of the discrete algebraic Riccati recursion.
 
     Returns K plus the tracking gains K2 = (R + B'KB)^-1 B', K1 = K2 K A and
-    the closed loop A_cl = A - B K1 (spectral radius < 1). (A, B) must be
-    controllable and, unless Q = 0, (A, sqrt(Q)) observable; the latter is
-    the controllability of (A', Q'), since Q and sqrt(Q) share their kernel.
+    the closed loop A_cl = A - B K1 (spectral radius < 1), all four
+    read-only. (A, B) must be controllable and, unless Q = 0, (A, sqrt(Q))
+    observable; the latter is the controllability of (A', Q'), since Q and
+    sqrt(Q) share their kernel.
     """
     A, B, Q, R = map(as_matrix, (A, B, Q, R))
     if not _full_krylov_rank(A, B):
@@ -186,19 +192,11 @@ def solve_riccati(A, B, Q, R) -> TrackingGains:
     K2 = np.linalg.solve(R + B.T @ K @ B, B.T)
     K1 = K2 @ K @ A
     A_cl = A - B @ K1
+    for M in (K, K1, K2, A_cl):
+        M.flags.writeable = False
     gains = TrackingGains(K=K, K1=K1, K2=K2, A_cl=A_cl)
     if gains.rho_cl >= 1.0:
         raise UnstableClosedLoopError(f"rho(A_cl) = {gains.rho_cl:.6f} >= 1")
-    return gains
-
-
-def _read_only_gains(A, B, Q, R) -> TrackingGains:
-    """`solve_riccati` with read-only arrays, the form `solve_mfe` shares by
-    value (`estimator.shared`): no caller can change the gains the next one
-    gets."""
-    gains = solve_riccati(A, B, Q, R)
-    for M in (gains.K, gains.K1, gains.K2, gains.A_cl):
-        M.flags.writeable = False
     return gains
 
 
@@ -270,7 +268,8 @@ def _operator(types, gains: dict):
     Python floats in one pass per type (`_scalar_steps`), from
     g_H = -(q mu_{H-1}) / (1 - a); the types' means become one array for the
     weighted sum. For n > 1 it keeps the backward and forward workspaces of
-    the last window length it was applied to."""
+    the last window length it was applied to. mu is taken as given: the
+    (H, n) float array `solve_mfe` builds or the operator returned."""
     A_cl = np.stack([gains[t.label].A_cl for t in types])
     Q = np.stack([t.Q for t in types])
     BK2 = np.stack([t.B @ gains[t.label].K2 for t in types])
@@ -284,7 +283,6 @@ def _operator(types, gains: dict):
     work = {}  # window length H -> its (backward, forward) workspaces; one H at a time
 
     def apply(mu: np.ndarray) -> np.ndarray:
-        mu = as_matrix(mu)
         H = mu.shape[0]
         if scalars is not None:
             drive = mu[::-1, 0].tolist()  # mu_{H-1}, ..., mu_0
@@ -343,12 +341,13 @@ def solve_mfe(types) -> MeanFieldSolution:
     below the solver tolerance; a doubling must shrink the tail, else
     NoConvergenceError.
     Each type's gains are solved once per value of (A, B, Q, R) and shared
-    across solves (`estimator.shared`); their arrays are read-only. Two
+    across solves (`estimator.shared`): immutable records whose stored
+    rho_cl sizes the window, so a warm solve computes no eigenvalues. Two
     types with one label raise ConfigError: the gains and g are keyed by it.
     """
     types = tuple(types)
     check_labels(types)
-    gains = {t.label: shared(_read_only_gains, *map(as_matrix, (t.A, t.B, t.Q, t.R)))
+    gains = {t.label: shared(solve_riccati, *map(as_matrix, (t.A, t.B, t.Q, t.R)))
              for t in types}
     cc = _contraction_constant(types, gains)
     mu0 = sum(t.prob * t.x0_mean for t in types)

@@ -27,7 +27,7 @@ from .errors import (
 
 _PROB_TOL = 1e-12
 # N is apportioned in float64, and ages and T meet float arithmetic: both
-# are exact only below 2**53
+# are exact only below 2**53; mc_runs, a length of a seed range, shares the bound
 _EXACT_BOUND = 2 ** 53
 
 
@@ -209,7 +209,7 @@ class ScenarioConfig:
         for key, least in (("N", 1), ("T", 1), ("seed", 0), ("mc_runs", 1)):
             if getattr(self, key) < least:
                 raise ConfigError(f"{key} must be >= {least}, got {_count(getattr(self, key))}")
-        for key in ("N", "T"):
+        for key in ("N", "T", "mc_runs"):
             if getattr(self, key) >= _EXACT_BOUND:
                 raise ConfigError(f"{key} must be < 2**53, got {_count(getattr(self, key))}")
         if not 1 <= self.capacity < self.N:

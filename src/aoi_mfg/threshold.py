@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import reprlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -133,7 +134,10 @@ class KappaScan:
         grown to the cap and no later search should hold on to them."""
         if k >= _KAPPA_CAP:
             forget(self, self._table)
-            raise NoConvergenceError("kappa scan exceeded cap; inputs are likely mis-scaled")
+            raise NoConvergenceError(
+                f"kappa scan exceeded cap {_KAPPA_CAP} at p={self.p}, "
+                f"A={reprlib.repr(self._table.A.tolist())}, "
+                f"C_W={reprlib.repr(self._table.C_W.tolist())}; inputs are likely mis-scaled")
         f, cum = self._f, self._cum
         if not f:
             f.append(self.f(0))

@@ -364,9 +364,12 @@ class TestDocumentFields:
         assert _bits(doc["mu_window"]) == _bits(sol.mu) and _bits(doc["K3"]) == _bits(sol.K3)
         assert doc["gains"].keys() == sol.gains.keys()
         for label, gains in sol.gains.items():
-            for name in ("K", "K1", "K2", "A_cl"):
-                assert _bits(doc["gains"][label][name]) == _bits(getattr(gains, name)), name
-            assert doc["gains"][label]["rho_cl"] == gains.rho_cl
+            # each type's gains are its record's document, rho_cl a field of it
+            document = cli._document(gains)
+            assert doc["gains"][label].keys() == document.keys() == {"K", "K1", "K2", "A_cl",
+                                                                     "rho_cl"}
+            for name, value in document.items():
+                assert _bits(doc["gains"][label][name]) == _bits(value), name
 
 
 class TestErrors:
@@ -603,15 +606,22 @@ class TestErrors:
         assert "erasure compatibility fails" in err
         assert not (tmp_path / "o").exists()
 
-    # N is apportioned in float64, and ages and T meet float arithmetic
+    # N is apportioned in float64, and ages and T meet float arithmetic; a
+    # seed range of 2**63 runs used to exit 4 with an OverflowError from len()
     @pytest.mark.parametrize("argv,named", [
-        (["bounds", "--N", "100000000000000000000"], "N"),
-        (["schedule", "--report", "--N", "10000000000000000000"], "N"),
-        (["schedule", "--config", json.dumps(dict(TINY_SCHED, T=1e300))], "T")],
-        ids=["bounds-N", "schedule-N", "scenario-T"])
+        (["bounds", "--N", "100000000000000000000"], "N must be < 2**53, got 1.00000e+20"),
+        (["schedule", "--report", "--N", "10000000000000000000"],
+         "N must be < 2**53, got 1.00000e+19"),
+        (["schedule", "--config", json.dumps(dict(TINY_SCHED, T=1e300))],
+         "T must be < 2**53, got 1.00000e+300"),
+        (["schedule", "--config", json.dumps(dict(TINY_SCHED, mc_runs=2**63)), "--N", "12"],
+         "mc_runs must be < 2**53, got 9.22337e+18"),
+        (["schedule", "--runs", str(2**63), "--N", "12"],
+         "mc_runs must be < 2**53, got 9.22337e+18")],
+        ids=["bounds-N", "schedule-N", "scenario-T", "scenario-runs", "flag-runs"])
     def test_count_at_2_53_exits_1(self, argv, named, tmp_path, capsys):
         assert main(argv + ["--out", str(tmp_path / "o")]) == 1
-        assert f"config error: {named} must be < 2**53" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"config error: {named}\n"
         assert not (tmp_path / "o").exists()
 
     # a count far past 2**53 is shown to six significant digits, not in its
@@ -753,7 +763,9 @@ REMOVED = ("update_aoi", "step_channel", "ScheduleDecision", "relaxed_decisions"
            # the brute-force threshold oracle, now in tests/reference.py
            "value_iteration_oracle", "ORACLE_STATE_CAP", "ORACLE_TOL", "ORACLE_MAX_ITER",
            # a hand-written copy of np.linalg.norm(d, axis=1).max()
-           "_gap")
+           "_gap",
+           # a wrapper that made solve_riccati's arrays read-only
+           "_read_only_gains")
 # members and fields that only tests read, and a second statement of a
 # record's document
 REMOVED_MEMBERS = {"BoundReport": ("to_dict",),

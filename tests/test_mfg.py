@@ -444,7 +444,7 @@ TWO_STATE_TYPES = [AgentType(label=t, A=[[a, 0.1], [0.0, 0.9]], B=[[0.1269], [0.
 
 
 def _gain_entries(memo):
-    return [v for k, v in memo.items() if k[0] is mfg._read_only_gains]
+    return [v for k, v in memo.items() if k[0] is mfg.solve_riccati]
 
 
 class TestSharedGains:
@@ -479,8 +479,33 @@ class TestSharedGains:
             for name in ("K", "K1", "K2", "A_cl"):
                 with pytest.raises(ValueError, match="read-only"):
                     getattr(G, name)[0, 0] = 1.0
-        # a fresh solve stays writable
-        assert solve_riccati(1.0, 0.5, 1.0, 1.0).K1.flags.writeable
+        # a direct solve is read-only too
+        assert not solve_riccati(1.0, 0.5, 1.0, 1.0).K1.flags.writeable
+
+    @pytest.mark.parametrize("name", list(MFE_TYPE_SETS))
+    def test_every_solve_is_read_only(self, name):
+        for t in MFE_TYPE_SETS[name]:
+            G = solve_riccati(t.A, t.B, t.Q, t.R)
+            for M in (G.K, G.K1, G.K2, G.A_cl):
+                assert not M.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    M[0, 0] = 1.0
+
+    def test_rho_is_stored_once(self, cold_memo, monkeypatch):
+        # one eigenvalue solve per type's gains, when they are built; the
+        # window sizing and the report read the stored value
+        calls = []
+        eigvals = np.linalg.eigvals
+        monkeypatch.setattr(np.linalg, "eigvals", lambda M: calls.append(M) or eigvals(M))
+        types = default_types()
+        cli._mfe_report(solve_mfe(types))
+        assert len(calls) == len(types) == 3
+        calls.clear()
+        sol = solve_mfe(types)
+        cli._mfe_report(sol)
+        assert calls == []
+        for G in sol.gains.values():
+            assert G.rho_cl == float(np.abs(eigvals(G.A_cl)).max())
 
     @pytest.mark.parametrize("B,Q,error", [(0.0, 1.0, RankDeficientError),
                                            (1.0, 0.0, UnstableClosedLoopError)])

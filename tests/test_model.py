@@ -147,7 +147,7 @@ class TestScenarioConfig:
         with pytest.raises(AssumptionViolationError):
             ScenarioConfig(N=10, capacity=2, p=0.3, T=10, types=(make_type(A=2.0),))
 
-    @pytest.mark.parametrize("key", ["N", "T"])
+    @pytest.mark.parametrize("key", ["N", "T", "mc_runs"])
     def test_count_below_2_53(self, key):
         # records only: no population or run is built at these sizes
         fields = dict(N=2**53 - 1, capacity=1, p=0.0, T=2**53 - 1, types=(make_type(),))
@@ -157,6 +157,17 @@ class TestScenarioConfig:
         # below the bound a count is shown in full
         with pytest.raises(ConfigError, match=r"got C=9007199254740991, N=9007199254740991$"):
             ScenarioConfig(**dict(fields, capacity=2**53 - 1))
+
+    def test_runs_at_2_63_by_replace_and_load(self):
+        # records only: no seed range is run
+        cfg = ScenarioConfig(N=10, capacity=2, p=0.0, T=10, types=(make_type(),))
+        message = r"^mc_runs must be < 2\*\*53, got 9\.22337e\+18$"
+        with pytest.raises(ConfigError, match=message):
+            dataclasses.replace(cfg, mc_runs=2**63)
+        doc = dict(SCENARIO_DOC, mc_runs=2**63)
+        for source in (doc, json.dumps(doc)):
+            with pytest.raises(ConfigError, match=message):
+                load_scenario(source)
 
     def test_duplicate_label_rejected(self):
         types = (make_type("a", prob=0.5), make_type("a", A=0.5, prob=0.5))

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -238,12 +239,24 @@ class TestSharedMemo:
         t = dataclasses.replace(default_types()[0], prob=1.0)
         kept = weight_table(2.0 * t.A, t.C_W)  # another type's entry stays
         grown = kappa_scan(t.A, t.C_W, 0.2)
-        with pytest.raises(NoConvergenceError, match="cap"):
+        # the error names the cap and the scan that reached it
+        with pytest.raises(NoConvergenceError, match=re.escape(
+                "kappa scan exceeded cap 5 at p=0.2, A=[[0.5]], C_W=[[5.0]]; inputs are likely")):
             bisection_lambda(assign_types(1000, [t]), 0.2, 1)
         assert len(grown._f) == 6  # f(0..5): the scan reached the cap
         assert all(v is not grown and v is not grown._table for v in cold_memo.values())
         assert list(cold_memo.values()) == [kept]
         assert kappa_scan(t.A, t.C_W, 0.2) is not grown
+
+    def test_cap_error_clips_a_large_type(self, cold_memo, monkeypatch):
+        # reprlib shows six entries of a row and six rows
+        monkeypatch.setattr(threshold, "_KAPPA_CAP", 5)
+        with pytest.raises(NoConvergenceError) as info:
+            kappa_scan(0.5 * np.eye(12), np.eye(12), 0.2).price(5)
+        shown = str(info.value)
+        assert shown.startswith("kappa scan exceeded cap 5 at p=0.2, "
+                                "A=[[0.5, 0.0, 0.0, 0.0, 0.0, 0.0, ...], ")
+        assert shown.count("0.5") == 6 and shown.endswith("...]; inputs are likely mis-scaled")
 
 
 class TestValueIterationOracle:
