@@ -8,9 +8,13 @@ report), `bounds` (analytic bound report). Each command reads its scenario
 once (`--config`, else its preset), resolves the flags over it once and
 derives every sweep point from that. All data files are deterministic
 given config + seed; wall-clock information lives only in the run manifest.
-The manifest's `config_hash` is the SHA-256 of the resolved scenario's
-`_document`: its `ScenarioConfig` record, field by field, which
-`load_scenario` reads back. Every JSON document is built here from its
+The manifest's `config_hash` is the SHA-256 of the `_document` of the
+scenario a command ran last: its `ScenarioConfig` record, field by field,
+which `load_scenario` reads back. For `bounds`, `mfe`, `schedule --report`
+and `schedule --seeds` that is the resolved scenario; for the sweeps it is
+the last sweep point, not the scenario read: `schedule` hashes its N = 100
+point unless `--N` is given, and `game` its (alpha = 0.45, p = 0.3) point
+unless `--alpha` is given. Every JSON document is built here from its
 record's fields: `bounds_report.json` is `BoundReport`'s, and
 `schedule_report.json`, `mfe_report.json` and the manifest's
 `diagnostics.mfe` are read from `RelaxedPolicy` and `MeanFieldSolution`,

@@ -16,9 +16,8 @@ that leaves every comparison as it was, since a threshold above T never
 binds. A large-N step is bound by memory traffic, and the narrow ages move
 a fraction of the bytes. `_schedule_block` makes its ages in tau's dtype,
 so int64 ages and thresholds work unchanged. Where narrow arithmetic could
-wrap, the kernels say why it stays exact: `_schedule_block` for its
-thresholds, `_project` for its key. Whatever the age dtype, histograms are
-int64 and counters Python ints.
+wrap, `_schedule_block` says why its thresholds stay exact. Whatever the
+age dtype, histograms are int64 and counters Python ints.
 
 Exactness contract: a block gives the bits of one step at a time, whatever
 its height. The scheduling layer gives the ages and attempts of a per-step
@@ -89,10 +88,6 @@ class Metrics:
 
 
 _BLOCK_ELEMENTS = 2**15  # agent-steps drawn at once, over every chain: bounds a block's memory
-# `_project` sorts up to this many candidates and partitions the key past it.
-# A stable sort of uint32 or int64 ages (timsort) reaches the partition's cost
-# near 300 candidates; uint16 (two radix passes) near 2000.
-_SORT_CANDIDATES = 256
 # The longest row, in agents N, on which `_schedule_block` indexes a step's
 # projected intents first and checks the capacity once per block; on longer
 # rows it counts them first and checks at each binding step. The two meet
@@ -108,25 +103,20 @@ def _project(a, candidates, tau, C):
     indices of a's set entries, `a.nonzero()[0]`, which the caller has taken
     to see whether the capacity binds; at C or fewer nothing is cleared.
 
-    The dropped intents are the youngest, equal ages from the higher index.
-    Up to `_SORT_CANDIDATES` candidates, their ages are sorted directly, in
-    tau's dtype: read in reverse index order, the first `drop` entries of a
-    stable sort are the youngest, higher index first among ties. Past it a
-    sort costs more than a partition (timsort for wide ages, two radix passes
-    for uint16), so the candidates form the unique key tau*N - i and
-    partition it. The 0-d int64 array `np.array(a.size)` is a strong operand
-    under NEP 50, so the key is int64 whatever tau's dtype; a Python int
-    would keep a narrow tau's dtype and wrap (200 * 100 -> 32 in uint8) or
-    raise."""
+    The dropped intents are the youngest, equal ages from the higher index:
+    read in reverse index order, the first `drop` entries of a stable sort
+    of the candidates' ages, in tau's dtype, are the youngest, higher index
+    first among ties. NumPy's stable sort is a radix sort for ages of up to
+    16 bits (uint8 and uint16, T up to 65534), linear in the candidates, and
+    a timsort past that. On `large-n`'s binding steps (about 6,000
+    candidates) it costs within about 10 % of an argpartition of the unique
+    int64 key tau*N - i in uint8, up to about 30 % more in uint16, and about
+    three times as much in uint32, the ages of runs with T >= 65535
+    (`BENCH_37.json` `extra.project_regimes`)."""
     drop = candidates.size - C
     if drop > 0:
-        if candidates.size <= _SORT_CANDIDATES:
-            rev = candidates[::-1]
-            a[rev[tau[rev].argsort(kind="stable")[:drop]]] = False
-        else:
-            key = tau[candidates] * np.array(a.size)  # int64 0-d: promotes narrow ages, no Python int
-            key -= candidates
-            a[candidates[key.argpartition(drop)[:drop]]] = False
+        rev = candidates[::-1]
+        a[rev[tau[rev].argsort(kind="stable")[:drop]]] = False
     return a
 
 

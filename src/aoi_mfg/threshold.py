@@ -3,10 +3,10 @@
 The agent pays the running cost c(tau) every step plus a price lambda per
 transmission attempt; an attempt succeeds (AoI resets to 0) with probability
 1 - p. The optimal policy transmits iff tau >= kappa. `KappaScan` computes
-kappa from the implicit interpolated-cost equation, at as many prices as a
-caller asks for, the tail costs f(x) it rests on, and the breakpoint prices
-at which kappa steps up; `kappa_scan` shares one scan per (A, C_W, p) value
-across callers.
+the tail costs f(x), the breakpoint prices at which kappa steps up, and,
+at as many prices as a caller asks for, kappa from those breakpoints with
+its offset from the implicit interpolated-cost equation; `kappa_scan`
+shares one scan per (A, C_W, p) value across callers.
 """
 
 from __future__ import annotations
@@ -148,28 +148,26 @@ class KappaScan:
             cum.append(cum[n - 1] + self._table.c(n - 1))
 
     def solve(self, lam: float) -> ThresholdSolution:
-        """Smallest integer threshold kappa and eta in [0, 1] solving the
-        interpolated implicit equation (1 + kappa(1-p)) f(kappa+eta) =
-        lam/(1-p) + f(kappa) + sum_{i<kappa} c(i), with f between integers
-        defined by linear interpolation; sigma* = (1-p) f(kappa+eta).
+        """The threshold kappa(lam) = min{k : lam <= lambda_k} of `price`'s
+        breakpoints, the rule `bisection_lambda` walks, and eta in [0, 1]
+        solving the interpolated implicit equation (1 + kappa(1-p))
+        f(kappa+eta) = lam/(1-p) + f(kappa) + sum_{i<kappa} c(i), with f
+        between integers defined by linear interpolation; sigma* = (1-p)
+        f(kappa+eta), the priced single-agent optimum.
 
         kappa is nondecreasing in lam.
         """
         if lam < 0:
             raise ValueError(f"lam must be >= 0, got {lam}")
+        kappa = next(k for k in itertools.count() if lam <= self.price(k))
         p = self.p
-        f, cum = self._f, self._cum
-        for kappa in itertools.count():
-            self._grow(kappa)
-            f_k, f_k1 = f[kappa], f[kappa + 1]
-            rhs = lam / (1.0 - p) + f_k + cum[kappa]
-            target = rhs / (1.0 + kappa * (1.0 - p))  # = sigma(kappa) / (1-p)
-            if f_k1 >= target - 1e-12 * max(1.0, abs(target)):
-                # (1-eta) f_k + eta f_k1 = target, clamped to [0, 1]
-                eta = (0.0 if target <= f_k else 1.0 if target >= f_k1
-                       else (target - f_k) / (f_k1 - f_k))
-                f_interp = (1.0 - eta) * f_k + eta * f_k1
-                return ThresholdSolution(kappa=kappa, eta=eta, sigma_star=(1.0 - p) * f_interp, lam=lam)
+        f_k, f_k1 = self._f[kappa], self._f[kappa + 1]
+        # = sigma(kappa) / (1-p); (1-eta) f_k + eta f_k1 = target, clamped to [0, 1]
+        target = (lam / (1.0 - p) + f_k + self._cum[kappa]) / (1.0 + kappa * (1.0 - p))
+        eta = (0.0 if target <= f_k else 1.0 if target >= f_k1
+               else (target - f_k) / (f_k1 - f_k))
+        f_interp = (1.0 - eta) * f_k + eta * f_k1
+        return ThresholdSolution(kappa=kappa, eta=eta, sigma_star=(1.0 - p) * f_interp, lam=lam)
 
     def price(self, k: int) -> float:
         """Breakpoint lambda_k = (1-p)[(1 + k(1-p)) f(k+1) - f(k) - sum_{i<k} c(i)],

@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from aoi_mfg import (AgentType, KappaScan, make_streams, population_for, solve_riccati,
-                     transmission_rate)
+                     stationary_distribution, transmission_rate)
 from aoi_mfg import sim
 from aoi_mfg.errors import NoConvergenceError
 from aoi_mfg.estimator import WeightTable, as_matrix
@@ -91,6 +91,53 @@ def _bisection_reference(population, p, C, eps=1e-6):
     per_type = {t.label: (kl, kh) for t, kl, kh in
                 zip(population.types, kappas(lam_low), kappas(lam_high))}
     return per_type, q
+
+
+def mixture_rate(population, policy, q, p):
+    """The total attempt rate of the relaxed policy's thresholds mixed with
+    probability q by a fresh coin per agent and step, the mixture the
+    simulation runs: sum_t n_t transmission_rate(klow_t, kbar_t, q, p)."""
+    return sum(count * transmission_rate(*policy.per_type[t.label], q, p)
+               for t, count in zip(population.types, population.counts))
+
+
+def exact_q(population, policy, p, C):
+    """The q in [0, 1] at which the mixture's own rate meets the capacity,
+    `mixture_rate` = C, by bisection to float resolution. The rate rises
+    with q, from the kbar thresholds' rate at q = 0 to the klow ones' at
+    q = 1, which bracket C when the capacity binds."""
+    lo, hi = 0.0, 1.0
+    while lo < 0.5 * (lo + hi) < hi:
+        mid = 0.5 * (lo + hi)
+        if mixture_rate(population, policy, mid, p) > C:
+            hi = mid
+        else:
+            lo = mid
+    return min((lo, hi), key=lambda q: abs(mixture_rate(population, policy, q, p) - C))
+
+
+def relaxed_cost(population, policy, q, p):
+    """The relaxed policy's stationary running cost per agent at the mixing
+    probability q: each type's E c(tau) under `stationary_distribution`,
+    whose law past kbar is geometric with ratio p, so its tail adds
+    pi(kbar) sum_{j>=1} p^j c(kbar + j) = pi(kbar) p f(kbar + 1)."""
+    total = 0.0
+    for t, count in zip(population.types, population.counts):
+        klow, kbar = policy.per_type[t.label]
+        head = stationary_distribution(klow, kbar, q, p).head
+        tail = head[kbar] * p * kappa_scan(t.A, t.C_W, p).f(kbar + 1)
+        total += count * (float(head @ WeightTable(t.A, t.C_W).c_table(kbar)) + tail)
+    return total / population.N
+
+
+def lagrangian_lower_bound(population, policy, p, C):
+    """LB = (sum_t n_t sigma*_t(lambda*) - lambda* C) / N, the Lagrangian
+    lower bound on the per-agent cost at the capacity C, from
+    `KappaScan.solve` at the policy's price lambda*."""
+    lam = policy.lam
+    sigma = sum(count * kappa_scan(t.A, t.C_W, p).solve(lam).sigma_star
+                for t, count in zip(population.types, population.counts))
+    return (sigma - lam * C) / population.N
 
 
 ORACLE_STATE_CAP, ORACLE_TOL, ORACLE_MAX_ITER = 500, 1e-9, 200000  # largest age, tol, iterations

@@ -1,6 +1,7 @@
 import ast
 import csv
 import dataclasses
+import hashlib
 import importlib
 import inspect
 import json
@@ -133,6 +134,20 @@ class TestSchedule:
         assert len(manifest["config_hash"]) == 64
         paths = [Path(p).name for p in manifest["outputs"]]
         assert paths == ["fig2.csv"]
+
+    def test_sweep_config_hash_is_the_last_points(self, tmp_path):
+        # a sweep's manifest hashes its last point, N = 100, not the scenario read
+        cfg = tmp_path / "f.json"
+        cfg.write_text(json.dumps(dict(TINY_SCHED, N=12, T=30)))
+        out = tmp_path / "o"
+        assert main(["schedule", "--runs", "1", "--config", str(cfg), "--out", str(out)]) == 0
+        manifest = json.loads((out / "schedule_manifest.json").read_text())
+        scenario = dataclasses.replace(load_scenario(str(cfg)), mc_runs=1)
+        last = dataclasses.replace(scenario, N=100, capacity=capacity_for(scenario.alpha, 100))
+
+        def digest(config):
+            return hashlib.sha256(cli._dumps(cli._document(config)).encode()).hexdigest()
+        assert manifest["config_hash"] == digest(last) != digest(scenario)
 
 
 def _read_csv(path):

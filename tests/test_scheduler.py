@@ -1,3 +1,4 @@
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -12,10 +13,11 @@ from aoi_mfg import (
 )
 from aoi_mfg import cli, estimator, scheduler, sim
 from aoi_mfg.errors import InfeasibleCapacityError, NumericOverflowError
-from aoi_mfg.model import AgentType
+from aoi_mfg.model import AgentType, capacity_for
 from aoi_mfg.threshold import transmission_rate
 
-from reference import _bisection_reference, aggregate_rate
+from reference import (_bisection_reference, aggregate_rate, exact_q, lagrangian_lower_bound,
+                       mixture_rate, relaxed_cost)
 
 
 def make_type(label="t", A=1.0, prob=1.0, **kw):
@@ -97,6 +99,42 @@ class TestRandomizationQ:
         assert binding > 0
 
 
+class TestMixtureAtCapacity:
+    """The mixture the simulation runs, a fresh coin per agent and step, at
+    the q whose own rate meets the capacity (`reference.exact_q`): there its
+    stationary cost is the Lagrangian lower bound. The package's linear q
+    falls short of both."""
+
+    @pytest.fixture(scope="class", params=[(p, N) for p in (0.0, 0.2) for N in (20, 100, 2000)],
+                    ids=lambda pn: f"p{pn[0]}-N{pn[1]}")
+    def case(self, request):
+        p, N = request.param
+        population, C = assign_types(N, default_types()), capacity_for(0.25, N)
+        policy = bisection_lambda(population, p, C)
+        return population, policy, p, C, lagrangian_lower_bound(population, policy, p, C)
+
+    def test_exact_q_meets_the_capacity(self, case):
+        population, policy, p, C, _ = case
+        q = exact_q(population, policy, p, C)
+        assert mixture_rate(population, policy, q, p) == pytest.approx(C, rel=1e-12, abs=0)
+
+    def test_cost_at_exact_q_is_the_lower_bound(self, case):
+        population, policy, p, C, lb = case
+        cost = relaxed_cost(population, policy, exact_q(population, policy, p, C), p)
+        assert cost == pytest.approx(lb, rel=1e-9, abs=0)
+
+    def test_linear_q_misses_both(self, case):
+        # the defect, pinned: a q solved on the mixture's own rate flips this test
+        population, policy, p, C, lb = case
+        rate = mixture_rate(population, policy, policy.q, p)
+        cost = relaxed_cost(population, policy, policy.q, p)
+        assert rate < C * (1.0 - 1e-5) and cost > lb * (1.0 + 1e-5)
+        if (p, population.N) == (0.2, 20):
+            assert (rate, cost, lb) == (pytest.approx(4.977, abs=5e-4),
+                                        pytest.approx(24.3448, abs=5e-5),
+                                        pytest.approx(24.1518, abs=5e-5))
+
+
 class TestBisection:
     def test_golden_identical_population(self, identical_pop):
         # frozen: 100 identical marginal agents, p=0.2, C=25
@@ -163,6 +201,17 @@ class TestBisection:
                 policy.per_type[t.label][1] for t in types]
             assert aggregate_rate(population, p, mid) <= C
         assert binding > len(PRICE_GRID) // 2
+
+    def test_solve_agrees_with_the_walk(self):
+        # at lambda* each type's solve gives its klow and one ulp above its kbar:
+        # solve and the walk share the rule kappa(lam) = min{k : lam <= lambda_k}
+        for types, p, C, population in PRICE_GRID:
+            policy = bisection_lambda(population, p, C)
+            above = math.nextafter(policy.lam, math.inf)
+            for t in types:
+                scan = KappaScan(t.A, t.C_W, p)
+                klow, kbar = policy.per_type[t.label]
+                assert (scan.solve(policy.lam).kappa, scan.solve(above).kappa) == (klow, kbar)
 
     def test_mixture_meets_capacity_exactly(self, identical_pop):
         policy = bisection_lambda(identical_pop, 0.2, 25.0)

@@ -255,13 +255,12 @@ class TestGameExperiment:
 
 
 class TestBlockKernel:
-    # every age dtype, on both sides of `_SORT_CANDIDATES` (small N sorts,
-    # N = 2000 and 20000 at density 0.5 or more partition the key)
+    # every age dtype, in both sort regimes (a radix sort for uint8 and
+    # uint16, timsort for uint32 and int64), from a few candidates to 20000
     @pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.uint32, np.int64])
     def test_projection_matches_matb_select(self, dtype):
         rng = np.random.default_rng(17)
-        # ages near the dtype's top, as `_ScheduleRun` keeps them: tau * N is
-        # far outside a narrow dtype, so the key must be formed in int64
+        # ages near the dtype's top, as `_ScheduleRun` keeps them
         top = 10**6 if dtype is np.int64 else int(np.iinfo(dtype).max)
         cases = [(int(rng.integers(2, 201)), rng.random()) for _ in range(400)]
         cases += [(N, density) for N in (2000, 20000) for density in (0.1, 0.5, 1.0)]
@@ -286,7 +285,7 @@ class TestBlockKernel:
             assert matb_select(a, np.array([0, 1], dtype=dtype), 1).tolist() == [False, True]
 
     # T = 65535 is the first T whose ages `_ScheduleRun` keeps in uint32, which
-    # `_project` sorts with timsort at this N; the policy's thresholds stay int64
+    # `_project` sorts with timsort; the policy's thresholds stay int64
     @pytest.mark.parametrize("K", [1, 2])
     def test_kernel_on_wide_ages_matches_reference(self, K):
         assert np.min_scalar_type(65535 + 1) == np.uint32

@@ -127,7 +127,7 @@ class TestKappaScan:
     @pytest.mark.parametrize("p", [0.0, 0.2])
     @pytest.mark.parametrize("kind", ["stable", "marginal", "unstable", "two-state"])
     def test_price_is_where_kappa_steps_up(self, kind, p):
-        # kappa(lam) = min{k : lam <= lambda_k}: k at lambda_k, more just above it
+        # kappa(lam) = min{k : lam <= lambda_k}: k at lambda_k, more one ulp above it
         types = {t.label: (t.A, t.C_W) for t in default_types()}
         A, C_W = self.TWO_STATE if kind == "two-state" else types[kind]
         scan = KappaScan(A, C_W, p)
@@ -135,7 +135,7 @@ class TestKappaScan:
         assert prices == sorted(prices)
         for k, lam in enumerate(prices):
             assert scan.solve(lam).kappa == k
-            assert scan.solve(lam * (1.0 + 1e-9)).kappa > k
+            assert scan.solve(math.nextafter(lam, math.inf)).kappa > k
         # the memo the solves grew gives the same prices as a fresh scan
         assert [KappaScan(A, C_W, p).price(k) for k in range(8)] == prices
 
