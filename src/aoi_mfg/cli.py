@@ -375,6 +375,9 @@ def main(argv=None) -> int:
     except (AoiMfgError, np.linalg.LinAlgError, FloatingPointError) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:  # a run too large for the host, such as a huge --N
+        print(f"numeric error: out of memory: {exc}", file=sys.stderr)
+        return 2
     except Exception as exc:
         # a bug, not bad input: keep it apart from the config code 1, with its traceback
         traceback.print_exc()

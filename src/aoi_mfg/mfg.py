@@ -96,8 +96,9 @@ class MeanFieldSolution:
 
     The horizon tables a closed-loop run of length L reads, `mu_padded` and
     `feedforward`, are built once per length and kept in a private cache,
-    read-only: every seed of a sweep point reads the same arrays, and no
-    caller can change them, or mu and g through a view. The
+    read-only: every seed of a sweep point reads the same arrays. Each
+    table is a fresh array at every length, so it shares no memory with mu
+    or g, and no caller can change mu or g through it. The
     cache is not an `__init__` field, so `dataclasses.replace` starts an
     empty one and a solution with another mu or g builds its own tables.
     """
@@ -127,13 +128,12 @@ class MeanFieldSolution:
         return table
 
     def mu_padded(self, length: int) -> np.ndarray:
-        """mu on [0, length), extrapolated by K3 powers beyond the window."""
+        """mu on [0, length): a copy of the window's rows, extrapolated by K3
+        powers beyond the window."""
         def build():
             H, n = self.mu.shape
-            if length <= H:
-                return self.mu[:length]
             out = np.empty((length, n))
-            out[:H] = self.mu
+            out[:H] = self.mu[:length]
             last = self.mu[-1]
             for k in range(H, length):
                 last = self.K3 @ last
@@ -143,15 +143,13 @@ class MeanFieldSolution:
 
     def feedforward(self, length: int) -> np.ndarray:
         """-K2 g_k of every type for k in [0, length), shape (length, types,
-        largest m), 0 past a type's m: one stacked matmul per type, with g
-        taken as 0 beyond the window."""
+        largest m), 0 past a type's m: one stacked matmul per type over the
+        rows g covers, g taken as 0 beyond the window (the rows stay -0.0)."""
         def build():
             out = np.zeros((length, len(self.types), max(t.m for t in self.types)))
             for i, t in enumerate(self.types):
-                g = self.g[t.label]
-                if length > g.shape[0]:
-                    g = np.concatenate((g, np.zeros((length - g.shape[0], g.shape[1]))))
-                out[:, i, :t.m] = (self.gains[t.label].K2 @ g[:length, :, None])[..., 0]
+                g = self.g[t.label][:length]
+                out[:len(g), i, :t.m] = (self.gains[t.label].K2 @ g[..., None])[..., 0]
             return np.negative(out, out=out)
         return self._table(("-K2 g", length), build)
 
@@ -239,18 +237,14 @@ def _recursion(M: np.ndarray, x0: np.ndarray, D: np.ndarray, u: np.ndarray,
     return x[..., 0]
 
 
-def _backward(mu: np.ndarray, A_cl: np.ndarray, Q: np.ndarray,
-              work: tuple | None = None) -> np.ndarray:
+def _backward(mu: np.ndarray, A_cl: np.ndarray, Q: np.ndarray, work: tuple) -> np.ndarray:
     """g_k = A_cl' g_{k+1} - Q mu_k for a stack of types, from g_H down to g_0.
 
     A_cl and Q have shape (m, n, n), mu has shape (H, n); the result has
-    shape (H+1, m, n). g_H is the geometric closed form for mu held at
-    mu_{H-1} beyond the window, one stacked solve of
-    (I - A_cl') g_H = -Q mu_{H-1}. Without a workspace (`_workspace(H, m, n)`)
-    it runs in a fresh one, so the result shares memory with nothing else."""
+    shape (H+1, m, n) and is a view of `work`, a `_workspace(H, m, n)`. g_H
+    is the geometric closed form for mu held at mu_{H-1} beyond the window,
+    one stacked solve of (I - A_cl') g_H = -Q mu_{H-1}."""
     A_T = A_cl.transpose(0, 2, 1)
-    if work is None:
-        work = _workspace(mu.shape[0], *Q.shape[:2])
     g_end = -np.linalg.solve(np.eye(mu.shape[1]) - A_T, (Q @ mu[-1])[..., None])[..., 0]
     return _recursion(A_T, g_end, Q, mu[::-1, None, :], work)[::-1]
 
@@ -393,7 +387,7 @@ def solve_mfe(types) -> MeanFieldSolution:
 
     residual = float(np.linalg.norm(operator(mu) - mu, axis=1).max())
     g = _backward(mu, np.stack([gains[t.label].A_cl for t in types]),
-                  np.stack([t.Q for t in types]))
+                  np.stack([t.Q for t in types]), _workspace(H, len(types), mu.shape[1]))
     return MeanFieldSolution(types=types, mu=mu,
                              g={t.label: g[:, i] for i, t in enumerate(types)},
                              gains=gains, residual=residual,

@@ -150,25 +150,25 @@ def _set_coins(coin, q, N, rows, span):
     return mask.reshape(rows, 1, N)
 
 
-def _schedule_block(tau, policy: RelaxedPolicy, C, p, rng, rows, span=None):
+def _schedule_block(tau, policy: RelaxedPolicy, C, p, rng, rows, span):
     """Advance the stacked AoI vector tau through `rows` steps of intents,
     capacity projection, erasure channel and AoI update.
 
     tau holds K chains of the policy's N agents, one after another. The coin
     and channel numbers are drawn once and applied to every chain, the coins
-    over the mixing span, `span` or else `_mixing_span` of the policy
-    (`_set_coins`). The last chain is projected onto the capacity C, step by
-    step; the others are not. The block keeps every step's intents, the
-    projected chain's as they are after projection, and each chain's
-    attempts are counted from them once per block. The capacity binds when
-    the projected chain has more than C intents, and only then are their
-    indices handed to `_project`. On rows of up to `_SHORT_ROW` agents a
-    step takes those indices once to see whether it binds, and the kept
-    intents are counted after the step loop, every step's at once; on longer
-    rows a step counts its intents first, builds their indices only when it
-    binds, and counts the kept ones then. Either way a step that keeps more
-    than C raises `CapacityViolationError` with the count of the first such
-    step.
+    over the mixing span `span`, the policy's `_mixing_span`, which the
+    caller finds once per run (`_set_coins`). The last chain is projected
+    onto the capacity C, step by step; the others are not. The block keeps
+    every step's intents, the projected chain's as they are after
+    projection, and each chain's attempts are counted from them once per
+    block. The capacity binds when the projected chain has more than C
+    intents, and only then are their indices handed to `_project`. On rows
+    of up to `_SHORT_ROW` agents a step takes those indices once to see
+    whether it binds, and the kept intents are counted after the step loop,
+    every step's at once; on longer rows a step counts its intents first,
+    builds their indices only when it binds, and counts the kept ones then.
+    Either way a step that keeps more than C raises `CapacityViolationError`
+    with the count of the first such step.
 
     An agent's age is kept, one step older, unless it sent and its packet
     survived: the channel draws `lost = u < p` (the complement of a survival
@@ -193,8 +193,6 @@ def _schedule_block(tau, policy: RelaxedPolicy, C, p, rng, rows, span=None):
     kbar, klow = policy.kbar, policy.klow
     N = kbar.size
     K = tau.size // N
-    if span is None:
-        span = _mixing_span(klow, kbar)
     # klow where the coin is set, else kbar: a multiply-subtract, not a select
     d = kbar - klow
     thresholds = np.empty((rows, K, N), dtype=d.dtype)
@@ -299,6 +297,7 @@ class _ScheduleRun:
             counts = np.bincount(chains[:, i].ravel(), minlength=self.hist[i].size)
             counts[: self.hist[i].size] += self.hist[i]
             self.hist[i] = counts
+            self.attempts[i] += attempts[i]
         # totals[0] is each chain's total so far; totals[1 + j] step j's cost,
         # per chain each type's slice sum added in type order
         totals = np.zeros((rows + 1, K))
@@ -314,8 +313,6 @@ class _ScheduleRun:
         # an accumulate adds the step costs to the total one after another, in
         # step order: the float additions of a loop, the pinned float order
         self.cost_sum = np.add.accumulate(totals, axis=0)[-1].tolist()
-        for i in range(K):
-            self.attempts[i] += attempts[i]
         return taus
 
     def metrics(self, chain=-1, **extra) -> Metrics:

@@ -111,8 +111,8 @@ class KappaScan:
         self._a = check_erasure(A, p)
         # a 1x1 type squares a Python float for the closed form
         self._scalar = (A.item() * A.item(), C_W.item()) if A.size == 1 else None
-        self._f = []      # f(0), f(1), ...
-        self._cum = []    # _cum[k] = sum_{i<k} c(i)
+        self._f = []       # f(0), f(1), ...
+        self._cum = [0.0]  # _cum[k] = sum_{i<k} c(i), one entry ahead of _f
 
     def f(self, x: int) -> float:
         """Discounted-by-erasure tail cost f(x) = sum_{r>=0} c(x+r) p^r.
@@ -128,7 +128,9 @@ class KappaScan:
         return _f_tail_series(x, self._table, self._a, self.p)
 
     def _grow(self, k: int) -> None:
-        """Extend the memo to f(0..k+1) and sum_{i<j} c(i) for j = 0..k+1.
+        """Extend the memo to f(0..k+1) and sum_{i<j} c(i) for j = 0..k+2:
+        each step appends f(n), then _cum[n] + c(n). f(n) is taken first and
+        c(n) <= f(n), so no c(n) overflows where f(n) did not.
 
         At the cap the scan and its table leave the shared memo: they have
         grown to the cap and no later search should hold on to them."""
@@ -139,13 +141,10 @@ class KappaScan:
                 f"A={reprlib.repr(self._table.A.tolist())}, "
                 f"C_W={reprlib.repr(self._table.C_W.tolist())}; inputs are likely mis-scaled")
         f, cum = self._f, self._cum
-        if not f:
-            f.append(self.f(0))
-            cum.append(0.0)
         while len(f) < k + 2:
             n = len(f)
             f.append(self.f(n))
-            cum.append(cum[n - 1] + self._table.c(n - 1))
+            cum.append(cum[n] + self._table.c(n))
 
     def solve(self, lam: float) -> ThresholdSolution:
         """The threshold kappa(lam) = min{k : lam <= lambda_k} of `price`'s
@@ -157,8 +156,8 @@ class KappaScan:
 
         kappa is nondecreasing in lam.
         """
-        if lam < 0:
-            raise ValueError(f"lam must be >= 0, got {lam}")
+        if not 0.0 <= lam < math.inf:
+            raise ValueError(f"lam must be finite and >= 0, got {lam}")
         kappa = next(k for k in itertools.count() if lam <= self.price(k))
         p = self.p
         f_k, f_k1 = self._f[kappa], self._f[kappa + 1]

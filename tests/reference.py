@@ -16,7 +16,7 @@ import numpy as np
 
 from aoi_mfg import (AgentType, KappaScan, make_streams, population_for, solve_riccati,
                      stationary_distribution, transmission_rate)
-from aoi_mfg import sim
+from aoi_mfg import mfg, sim
 from aoi_mfg.errors import NoConvergenceError
 from aoi_mfg.estimator import WeightTable, as_matrix
 from aoi_mfg.model import check_erasure
@@ -232,6 +232,22 @@ def _mf_operator_reference(mu, types, gains):
             nu[k + 1] = G.A_cl @ nu[k] - BK2 @ g[k + 1]
         out += t.prob * nu
     return out
+
+
+def direct_fixed_point(types, gains, H):
+    """The mean-field fixed point on a window of H steps by one linear solve,
+    not by iteration: `mfg._operator` is affine, M(mu) = L mu + b, so b is its
+    image of the zero window and column j of L its image of the j-th unit
+    window less b. Returns (mu, L): mu, shape (H, n), solves (I - L) mu = b,
+    and L is the (H n, H n) matrix on the flattened window, whose spectral
+    radius is the operator's true contraction rate."""
+    operator = mfg._operator(types, gains)
+    size = H * types[0].n
+    b = operator(np.zeros((H, types[0].n))).ravel()
+    L = np.empty((size, size))
+    for j, unit in enumerate(np.eye(size)):
+        L[:, j] = operator(unit.reshape(H, -1)).ravel() - b
+    return np.linalg.solve(np.eye(size) - L, b).reshape(H, -1), L
 
 
 def scalar_operator_case(rng, H=5):

@@ -552,6 +552,20 @@ class TestErrors:
         err = capsys.readouterr().err
         assert "Traceback" in err and "internal error: RuntimeError('boom')" in err
 
+    def test_out_of_memory_exits_2(self, sched_cfg, tmp_path, capsys, monkeypatch):
+        # a population too large for the host (--N 10**12 asks numpy for TiB);
+        # the allocation is stood in for, never made
+        def too_large(config):
+            raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+        monkeypatch.setattr(cli, "population_for", too_large)
+        rc = main(["schedule", "--config", sched_cfg, "--N", "1000000000000", "--runs", "1",
+                   "--out", str(tmp_path / "o")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == "numeric error: out of memory: Unable to allocate 7.28 TiB for an array\n"
+        assert not (tmp_path / "o").exists()
+
     def test_price_overflow_exits_2(self, tmp_path, capsys):
         # one unstable type whose breakpoint price leaves float64 before R <= C
         doc = dict(TINY_SCHED, N=2500, capacity=1,

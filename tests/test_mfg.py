@@ -17,8 +17,8 @@ from aoi_mfg.cli import main
 from aoi_mfg.errors import ConfigError, RankDeficientError, UnstableClosedLoopError
 from aoi_mfg.mfg import TrackingGains
 
-from reference import (_g_reference, _mf_operator_reference, double_sum_operator,
-                       scalar_operator_case)
+from reference import (_g_reference, _mf_operator_reference, direct_fixed_point,
+                       double_sum_operator, scalar_operator_case)
 
 
 def _random_case(rng, n, m, H):
@@ -133,8 +133,10 @@ class TestRiccati:
 
 
 def _g(mu, A_cl, Q):
-    """The feedforward g of one type through `mfg._backward`, which `solve_mfe` runs."""
-    return mfg._backward(mu, A_cl[None], Q[None])[:, 0]
+    """The feedforward g of one type through `mfg._backward`, which `solve_mfe` runs,
+    in a workspace of its own."""
+    H, n = mu.shape
+    return mfg._backward(mu, A_cl[None], Q[None], mfg._workspace(H, 1, n))[:, 0]
 
 
 class TestGTrajectory:
@@ -366,6 +368,34 @@ class TestSolveMfe:
         assert "contraction_constant" in text
 
 
+@pytest.fixture(scope="module", params=["default", "two-state"])
+def direct(request):
+    """(Picard's solution, the direct solve's mu, rho(L)) of one type set on
+    the solution's own window."""
+    sol = solve_mfe(MFE_TYPE_SETS[request.param])
+    mu, L = direct_fixed_point(sol.types, sol.gains, sol.horizon)
+    return sol, mu, float(np.abs(np.linalg.eigvals(L)).max())
+
+
+class TestDirectFixedPoint:
+    """Picard's mu* against one linear solve of mu = L mu + b on its window:
+    default (H = 328) rho(L) = 0.492, two-state (H = 224) 0.638."""
+
+    def test_picard_reaches_the_direct_solve(self, direct):
+        sol, mu, _ = direct
+        assert np.abs(sol.mu - mu).max() < 1e-9
+
+    def test_last_gap_ratio_is_the_spectral_radius(self, direct):
+        sol, _, rho = direct
+        assert sol.gap_ratios[-1] == pytest.approx(rho, rel=0.05)
+
+    def test_operator_contracts_past_the_sufficient_constant(self, direct):
+        # the reported constant is a sufficient condition only: above 1 for
+        # both sets, while the operator's true rate rho(L) is below 1
+        sol, _, rho = direct
+        assert rho < 1.0 < sol.contraction_constant
+
+
 def _scalar_ends(operator, mu, monkeypatch) -> np.ndarray:
     """The g_H of every type that one application of a scalar operator starts
     its backward `_scalar_steps` pass from; each type's backward pass runs
@@ -381,7 +411,7 @@ def _scalar_ends(operator, mu, monkeypatch) -> np.ndarray:
 
 def _stacked_ends(mu, A_cl, Q) -> np.ndarray:
     """g_H of every type from `_backward`'s stacked solve, shape (m,)."""
-    return mfg._backward(mu, A_cl, Q)[-1, :, 0]
+    return mfg._backward(mu, A_cl, Q, mfg._workspace(mu.shape[0], *Q.shape[:2]))[-1, :, 0]
 
 
 class TestScalarEndCondition:
@@ -559,6 +589,14 @@ class TestHorizonTables:
         assert _same_bits(built[0], mu) and _same_bits(built[1], ff)
         # the second read is the cached table itself
         assert sol.mu_padded(L) is built[0] and sol.feedforward(L) is built[1]
+
+    @pytest.mark.parametrize("offset", [-5, 0, 40], ids=["L<H", "L=H", "L>H"])
+    def test_tables_share_no_memory_with_the_solution(self, offset):
+        # a read-only view of mu could be made writable again by its holder
+        sol = solve_mfe(default_types())
+        L = sol.horizon + offset
+        assert not np.shares_memory(sol.mu_padded(L), sol.mu)
+        assert not any(np.shares_memory(sol.feedforward(L), g) for g in sol.g.values())
 
     @pytest.mark.parametrize("offset", [-5, 40], ids=["L<H", "L>H"])
     def test_tables_are_read_only(self, offset):

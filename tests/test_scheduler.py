@@ -18,6 +18,7 @@ from aoi_mfg.threshold import transmission_rate
 
 from reference import (_bisection_reference, aggregate_rate, exact_q, lagrangian_lower_bound,
                        mixture_rate, relaxed_cost)
+from test_sim import schedule_block
 
 
 def make_type(label="t", A=1.0, prob=1.0, **kw):
@@ -279,8 +280,7 @@ def _senders(tau, policy, coins):
     given the policy coins (one per agent, read only by the mixing span's),
     with a capacity that never binds and a lossless channel."""
     rng = {"coin": _FixedCoins(coins), "channel": np.random.default_rng(0)}
-    taus, _ = sim._schedule_block(np.asarray(tau, dtype=np.int64), policy, len(tau), 0.0,
-                                  rng, 1)
+    taus, _ = schedule_block(np.asarray(tau, dtype=np.int64), policy, len(tau), 0.0, rng, 1)
     assert rng["coin"].at in (0, len(tau))  # the step's N numbers, none if no agent mixes
     return taus[1] == 0
 

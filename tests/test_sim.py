@@ -38,6 +38,13 @@ def fixed_policy(N, threshold, q=1.0, klow=None):
                          per_type={})
 
 
+def schedule_block(tau, policy, C, p, rng, rows):
+    """`sim._schedule_block` over the policy's own mixing span, the span a
+    `_ScheduleRun` finds once per run from its thresholds."""
+    return sim._schedule_block(tau, policy, C, p, rng, rows,
+                               sim._mixing_span(policy.klow, policy.kbar))
+
+
 @pytest.fixture(scope="module")
 def sched_setup():
     cfg = scheduling_scenario(N=100, T=1500, seed=1)
@@ -49,8 +56,8 @@ def _ages_after(tau, thresholds, p, rows=1):
     """The ages after `rows` steps of the block kernel from ages tau, each
     agent on its fixed threshold, with a capacity that never binds."""
     policy = fixed_policy(len(tau), np.asarray(thresholds))
-    taus, _ = sim._schedule_block(np.asarray(tau, dtype=np.int64), policy, len(tau), p,
-                                  make_streams(0), rows)
+    taus, _ = schedule_block(np.asarray(tau, dtype=np.int64), policy, len(tau), p,
+                             make_streams(0), rows)
     return taus[1:]
 
 
@@ -232,7 +239,7 @@ class TestGameExperiment:
         cfg, policy = sched_setup
         base = run_scheduling_experiment(cfg, policy, "matb", seed=9)
         stale = np.full(cfg.N, 5, dtype=np.int64)
-        taus, _ = sim._schedule_block(stale, policy, cfg.capacity, cfg.p, make_streams(9), cfg.T)
+        taus, _ = schedule_block(stale, policy, cfg.capacity, cfg.p, make_streams(9), cfg.T)
         ages = taus[:-1]
         pop = population_for(cfg)
         cost = sum(WeightTable(t.A, t.C_W).c_table(int(ages.max()))[ages[:, s]].sum()
@@ -297,8 +304,8 @@ class TestBlockKernel:
         wants = [reference_schedule(start, policy, c, p, make_streams(4), rows)
                  for c in (None, cfg.capacity)]
         assert wants[1][1] < wants[0][1]  # the capacity binds
-        taus, attempts = sim._schedule_block(np.tile(start, K).astype(np.uint32), policy,
-                                             cfg.capacity, p, make_streams(4), rows)
+        taus, attempts = schedule_block(np.tile(start, K).astype(np.uint32), policy,
+                                        cfg.capacity, p, make_streams(4), rows)
         assert taus.dtype == np.uint32
         for chain, (want, want_attempts) in enumerate(wants[-K:]):
             assert np.array_equal(taus[:, chain * N:(chain + 1) * N], want)
@@ -318,8 +325,8 @@ class TestBlockKernel:
             return a
         monkeypatch.setattr(sim, "_project", project)
         with pytest.raises(CapacityViolationError) as exc:
-            sim._schedule_block(np.zeros(K * N, dtype=np.int64), fixed_policy(N, 0), C, 0.2,
-                                make_streams(0), rows)
+            schedule_block(np.zeros(K * N, dtype=np.int64), fixed_policy(N, 0), C, 0.2,
+                           make_streams(0), rows)
         assert (exc.value.sent, exc.value.capacity, len(calls)) == (C + 1, C, rows)
         assert (C - 1) * (rows - 1) + C + 1 < C * rows
 
@@ -347,12 +354,12 @@ class TestBlockKernel:
             args = (np.zeros(K * N, dtype=np.int64), fixed_policy(N, 0), C, 0.2,
                     make_streams(0), rows)
             if sent is None:
-                _, attempts = sim._schedule_block(*args)
+                _, attempts = schedule_block(*args)
                 assert attempts[-1] == sum(kept.get(j, C - 1) for j in range(rows))
                 assert len(calls) == rows
                 continue
             with pytest.raises(CapacityViolationError) as exc:
-                sim._schedule_block(*args)
+                schedule_block(*args)
             first = min(j for j, n in kept.items() if n > C)
             assert (exc.value.sent, exc.value.capacity) == (sent, C)
             assert len(calls) == (rows if N <= sim._SHORT_ROW else first + 1)
@@ -376,8 +383,8 @@ class TestBlockKernel:
             return project(a, candidates, tau, C)
         monkeypatch.setattr(sim, "_project", spy)
         start = np.concatenate([np.full(N, N), np.arange(N)]).astype(dtype)
-        taus, attempts = sim._schedule_block(start, fixed_policy(N, N), C, 1.0,
-                                             make_streams(0), rows)
+        taus, attempts = schedule_block(start, fixed_policy(N, N), C, 1.0,
+                                        make_streams(0), rows)
         assert seen == list(range(C + 1, N))
         assert attempts == [N * rows, sum(min(j, C) for j in range(rows))]
         assert np.array_equal(taus, start + np.arange(rows + 1, dtype=dtype)[:, None])
@@ -396,8 +403,8 @@ class TestBlockKernel:
             rng = make_streams(4)
             tau, blocks, attempts = start, [start[None]], 0
             for k0 in range(0, cfg.T, rows):
-                taus, (sent,) = sim._schedule_block(tau, policy, N if C is None else C, p, rng,
-                                                    min(rows, cfg.T - k0))
+                taus, (sent,) = schedule_block(tau, policy, N if C is None else C, p, rng,
+                                               min(rows, cfg.T - k0))
                 tau = taus[-1]
                 blocks.append(taus[1:])
                 attempts += sent
@@ -419,8 +426,8 @@ class TestBlockKernel:
             rng = make_streams(4)
             tau, blocks, attempts = np.tile(start, 2), [np.tile(start, 2)[None]], [0, 0]
             for k0 in range(0, cfg.T, rows):
-                taus, sent = sim._schedule_block(tau, policy, N if C is None else C, p, rng,
-                                                 min(rows, cfg.T - k0))
+                taus, sent = schedule_block(tau, policy, N if C is None else C, p, rng,
+                                            min(rows, cfg.T - k0))
                 tau = taus[-1]
                 blocks.append(taus[1:])
                 attempts = [x + y for x, y in zip(attempts, sent)]
@@ -448,8 +455,8 @@ class TestBlockKernel:
         # the first chain unprojected, the last projected onto C
         wants = [reference_schedule(start, policy, c, 0.2, make_streams(4), rows)
                  for c in (None, C)]
-        taus, attempts = sim._schedule_block(np.tile(start, 2).astype(dtype), narrow, C, 0.2,
-                                             make_streams(4), rows)
+        taus, attempts = schedule_block(np.tile(start, 2).astype(dtype), narrow, C, 0.2,
+                                        make_streams(4), rows)
         assert taus.dtype == dtype
         for chain, (want, want_attempts) in enumerate(wants):
             assert np.array_equal(taus[:, chain * N:(chain + 1) * N], want)

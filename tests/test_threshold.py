@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import re
+import time
 
 import numpy as np
 import pytest
@@ -13,14 +14,14 @@ from aoi_mfg import (
     stationary_distribution,
     transmission_rate,
 )
-from aoi_mfg import estimator, make_streams, sim, threshold
+from aoi_mfg import estimator, make_streams, threshold
 from aoi_mfg.errors import AssumptionViolationError, NoConvergenceError, NumericOverflowError
 from aoi_mfg.estimator import WeightTable, weight_table
 from aoi_mfg.model import AgentType
 from aoi_mfg.threshold import _f_tail_series, kappa_scan
 
 from reference import _cycle_reference, value_iteration_oracle
-from test_sim import fixed_policy
+from test_sim import fixed_policy, schedule_block
 
 
 class TestFTail:
@@ -153,8 +154,17 @@ class TestKappaScan:
         assert scan.solve(0.0).kappa == 0
 
     def test_negative_price_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="lam must be finite and >= 0, got -1.0"):
             KappaScan(1.0, 5.0, 0.2).solve(-1.0)
+
+    @pytest.mark.parametrize("lam", [math.nan, math.inf])
+    def test_unreachable_price_rejected_at_once(self, lam):
+        # no breakpoint is >= NaN or +inf: the scan used to walk to its cap
+        # of 10**6 (about 12 s) and raise NoConvergenceError
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=f"lam must be finite and >= 0, got {lam}"):
+            KappaScan(1.0, 5.0, 0.2).solve(lam)
+        assert time.perf_counter() - start < 0.5
 
     @pytest.mark.parametrize("kind", ["unstable", "two-state"])
     def test_negative_age_and_threshold_rejected(self, kind):
@@ -327,8 +337,8 @@ class TestStationaryDistribution:
         # and the first 100 dropped
         klow, kbar, q, p = 2, 4, 0.3, 0.2
         N = 1000
-        taus, _ = sim._schedule_block(np.zeros(N, dtype=np.int64), fixed_policy(N, kbar, q, klow),
-                                      N, p, make_streams(5), 1100)
+        taus, _ = schedule_block(np.zeros(N, dtype=np.int64), fixed_policy(N, kbar, q, klow),
+                                 N, p, make_streams(5), 1100)
         hist = np.bincount(taus[100:-1].ravel(), minlength=128)
         emp = hist / hist.sum()
         chain = stationary_distribution(klow, kbar, q, p)
