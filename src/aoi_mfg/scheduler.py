@@ -57,6 +57,16 @@ def _rate_term(count: int, kappa: int, p: float) -> float:
     return count * (top / (kappa + 0.0 + top))
 
 
+def _races_to_cap(i: int, scans, terms, nxt, C: float) -> bool:
+    """Whether the walk would advance type i alone until its scan reaches the
+    cap: the other types' rate terms, added left to right in type order,
+    exceed C, so R stays above C whatever type i's term (>= 0), and every
+    breakpoint of type i below the cap lies below all their next ones."""
+    others = terms[:i] + terms[i + 1:]
+    return (reduce(add, others, 0.0) > C
+            and scans[i].price_bound() < min(nxt[:i] + nxt[i + 1:], default=math.inf))
+
+
 def bisection_lambda(population: Population, p: float, C: float) -> RelaxedPolicy:
     """Exact transmission price lambda* and the randomized dual-threshold policy.
 
@@ -71,6 +81,9 @@ def bisection_lambda(population: Population, p: float, C: float) -> RelaxedPolic
     stops at the first b with R(just above b) <= C: klow = kappa(b), kbar =
     kappa just above b, lambda* = b. If R(0) <= C, lambda* = 0 and q = 1.
     A smallest next breakpoint outside float64 raises NumericOverflowError.
+    A type the walk would advance alone up to its scan's cap raises the
+    scan's cap error at once: it is checked each time the type's threshold
+    reaches a power of two from 64 on.
     """
     if not C > 0:  # NaN too
         raise InfeasibleCapacityError(f"capacity must be positive, got {C}")
@@ -93,6 +106,9 @@ def bisection_lambda(population: Population, p: float, C: float) -> RelaxedPolic
                 while nxt[i] <= lam:
                     kap_high[i] += 1
                     nxt[i] = scan.price(kap_high[i])
+                    k = kap_high[i]
+                    if k >= 64 and k & (k - 1) == 0 and _races_to_cap(i, scans, terms, nxt, C):
+                        raise scan.cap_error()
                 terms[i] = _rate_term(population.counts[i], kap_high[i], p)
         rate_high = reduce(add, terms)
     # the walk stops with rate_low > C >= rate_high unless R(0) <= C

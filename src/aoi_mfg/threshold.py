@@ -136,15 +136,33 @@ class KappaScan:
         grown to the cap and no later search should hold on to them."""
         if k >= _KAPPA_CAP:
             forget(self, self._table)
-            raise NoConvergenceError(
-                f"kappa scan exceeded cap {_KAPPA_CAP} at p={self.p}, "
-                f"A={reprlib.repr(self._table.A.tolist())}, "
-                f"C_W={reprlib.repr(self._table.C_W.tolist())}; inputs are likely mis-scaled")
+            raise self.cap_error()
         f, cum = self._f, self._cum
         while len(f) < k + 2:
             n = len(f)
             f.append(self.f(n))
             cum.append(cum[n] + self._table.c(n))
+
+    def cap_error(self) -> NoConvergenceError:
+        """The error of a scan asked for a breakpoint at or past the cap."""
+        return NoConvergenceError(
+            f"kappa scan exceeded cap {_KAPPA_CAP} at p={self.p}, "
+            f"A={reprlib.repr(self._table.A.tolist())}, "
+            f"C_W={reprlib.repr(self._table.C_W.tolist())}; inputs are likely mis-scaled")
+
+    def price_bound(self) -> float:
+        """A bound on every breakpoint below the cap, without growing the
+        scan: lambda_k <= (1-p)(1 + k(1-p)) f(k+1), since f(k) and the sum
+        of c are >= 0, and the right side grows with k, so its value at
+        k = cap - 1 bounds them all. inf for a matrix type, whose series f
+        would grow the table, and where f overflows."""
+        if self._scalar is None:
+            return math.inf
+        p = self.p
+        try:
+            return (1.0 - p) * (1.0 + (_KAPPA_CAP - 1) * (1.0 - p)) * self.f(_KAPPA_CAP)
+        except NumericOverflowError:
+            return math.inf
 
     def solve(self, lam: float) -> ThresholdSolution:
         """The threshold kappa(lam) = min{k : lam <= lambda_k} of `price`'s

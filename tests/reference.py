@@ -1,26 +1,160 @@
-"""Scalar and per-type references for the differential tests, and the
-estimator-soundness experiment.
+"""The tests' shared inputs, the references for the differential tests, and
+the estimator-soundness experiment.
 
-Each reference does one thing of the package the slow, obvious way: one step,
-one type or one agent at a time. The package keeps one implementation per
-concept; the tests require it to give these references' bits (the per-agent
-oracle: their values to 1e-12). `value_iteration_oracle` solves the priced
-single-agent MDP by brute force, the check of `KappaScan`'s thresholds.
-`estimator_soundness_experiment` measures the decoders' estimation errors
-for the tests that compare them with the age weights.
+Each input that more than one test module reads is defined here once: the
+type documents and sets, `make_type`, `fixed_policy`, the scenario fuzz and
+the bit-for-bit check `same_bits`. Each reference does one thing of the
+package the slow, obvious way: one step, one type or one agent at a time.
+The package keeps one implementation per concept; the tests require it to
+give these references' bits (the per-agent oracle: their values to 1e-12).
+`value_iteration_oracle` solves the priced single-agent MDP by brute force,
+the check of `KappaScan`'s thresholds. `estimator_soundness_experiment`
+measures the decoders' estimation errors for the tests that compare them
+with the age weights.
 """
 
+import copy
+import json
 import math
 
 import numpy as np
 
-from aoi_mfg import (AgentType, KappaScan, make_streams, population_for, solve_riccati,
-                     stationary_distribution, transmission_rate)
-from aoi_mfg import mfg, sim
+from aoi_mfg import (AgentType, KappaScan, RelaxedPolicy, default_types, make_streams,
+                     population_for, scheduling_scenario, solve_riccati, stationary_distribution,
+                     transmission_rate)
+from aoi_mfg import cli, mfg, sim
 from aoi_mfg.errors import NoConvergenceError
 from aoi_mfg.estimator import WeightTable, as_matrix
 from aoi_mfg.model import check_erasure
 from aoi_mfg.threshold import kappa_scan
+
+
+# (label, pole, first initial mean) of the paper's three scalar types
+_POLES = (("stable", 0.5, 6.0), ("marginal", 1.0, 3.0), ("unstable", 1.15, -3.0))
+
+_SHARED = {"B": 0.1269, "C_W": 5.0, "Q": 2.0, "R": 2.0, "x0_cov": 1.0, "prob": 1.0 / 3.0}
+# the default types' documents, written out rather than read from the preset
+DEFAULT_DOCS = [dict(_SHARED, label=label, A=a, x0_mean=x) for label, a, x in _POLES]
+# two scalar types in halves, a marginal "a" and a stable "b"
+PAIR_DOCS = [dict(_SHARED, label="a", A=1.0, x0_mean=1.0, prob=0.5),
+             dict(_SHARED, label="b", A=0.5, x0_mean=-1.0, prob=0.5)]
+
+
+def _two_state_doc(label, a, x, prob):
+    """A 2-state type's document: the pole a in its first state, 0.9 in its second."""
+    return {"label": label, "A": [[a, 0.1], [0.0, 0.9]], "B": [[0.1269], [0.2]],
+            "C_W": [[5.0, 0.0], [0.0, 5.0]], "Q": [[2.0, 0.0], [0.0, 2.0]], "R": 2.0,
+            "x0_mean": [x, 1.0], "x0_cov": [[1.0, 0.0], [0.0, 1.0]], "prob": prob}
+
+
+# the stable and marginal poles in 2-state types, in halves
+TWO_STATE_DOCS = [_two_state_doc(label, a, x, 0.5) for label, a, x in _POLES[:2]]
+TWO_STATE_TYPES = tuple(AgentType(**doc) for doc in TWO_STATE_DOCS)
+# the 2-state set of the benchmark's solver-grid workload: all three poles, in thirds
+BENCH_TWO_STATE_TYPES = tuple(AgentType(**_two_state_doc(label, a, x, 1.0 / 3.0))
+                              for label, a, x in _POLES)
+
+# Scalar types that differ in every coefficient the game loop reads per
+# agent (A, B, C_W, Q, R), with unequal shares, so a column built in the wrong
+# type order shows; the default types share B, C_W, Q and R.
+MIXED_TYPES = (
+    AgentType(label="slow", A=0.6, B=0.2, C_W=2.0, Q=1.0, R=3.0, x0_mean=4.0, x0_cov=0.5, prob=0.5),
+    AgentType(label="drift", A=1.0, B=0.1269, C_W=5.0, Q=2.0, R=2.0, x0_mean=-1.0, x0_cov=1.0,
+              prob=0.3),
+    AgentType(label="fast", A=1.1, B=0.35, C_W=1.5, Q=4.0, R=0.5, x0_mean=2.0, x0_cov=2.0, prob=0.2),
+)
+# Vector types that differ in A, B, C_W, Q and R, with unequal shares, so a
+# product with another type's matrix or over the wrong agent slice shows.
+TWO_INPUT_TYPES = (
+    AgentType(label="coupled", A=[[0.9, 0.2], [0.0, 0.7]], B=[[0.3, 0.0], [0.1, 0.2]],
+              C_W=[[2.0, 0.3], [0.3, 1.0]], Q=[[2.0, 0.5], [0.5, 1.0]], R=[[1.0, 0.2], [0.2, 2.0]],
+              x0_mean=[3.0, -1.0], x0_cov=[[1.0, 0.0], [0.0, 2.0]], prob=0.6),
+    AgentType(label="drifting", A=[[0.95, 0.0], [0.3, 0.8]], B=[[0.2, 0.1], [0.0, 0.4]],
+              C_W=[[4.0, 0.0], [0.0, 0.5]], Q=[[1.0, 0.0], [0.0, 3.0]], R=[[3.0, 0.0], [0.0, 0.5]],
+              x0_mean=[-2.0, 2.0], x0_cov=[[0.5, 0.1], [0.1, 1.0]], prob=0.4),
+)
+THREE_STATE_TYPES = (
+    AgentType(label="damped", A=[[0.8, 0.1, 0.0], [0.0, 0.9, 0.1], [0.0, 0.0, 0.7]],
+              B=[[0.0], [0.1], [0.3]], C_W=np.diag([1.0, 2.0, 0.5]), Q=np.diag([2.0, 1.0, 1.0]),
+              R=2.0, x0_mean=[4.0, 0.0, -1.0], x0_cov=np.eye(3), prob=0.5),
+    AgentType(label="rotating", A=[[0.6, -0.5, 0.0], [0.5, 0.6, 0.0], [0.1, 0.0, 1.0]],
+              B=[[0.2], [0.0], [0.25]], C_W=[[3.0, 0.5, 0.0], [0.5, 1.0, 0.0], [0.0, 0.0, 2.0]],
+              Q=[[1.0, 0.2, 0.0], [0.2, 1.5, 0.0], [0.0, 0.0, 0.5]], R=0.5,
+              x0_mean=[-3.0, 1.0, 2.0], x0_cov=np.diag([1.0, 0.5, 2.0]), prob=0.3),
+    AgentType(label="unstable", A=[[1.1, 0.0, 0.2], [0.0, 0.5, 0.0], [0.0, 0.3, 0.9]],
+              B=[[0.4], [0.1], [0.0]], C_W=np.diag([0.5, 4.0, 1.0]), Q=np.diag([4.0, 0.5, 2.0]),
+              R=1.0, x0_mean=[1.0, -2.0, 0.5], x0_cov=np.eye(3), prob=0.2),
+)
+TYPE_SETS = {"default": default_types(), "mixed": MIXED_TYPES, "two-state": TWO_STATE_TYPES,
+             "two-input": TWO_INPUT_TYPES, "three-state": THREE_STATE_TYPES,
+             # one type with two controls, one with a single control
+             "mixed-input": (TWO_INPUT_TYPES[0], AgentType(
+                 label="single", A=[[0.7, 0.4], [0.0, 1.0]], B=[[0.0], [0.3]],
+                 C_W=[[1.0, 0.0], [0.0, 3.0]], Q=[[1.0, 0.0], [0.0, 2.0]], R=1.5,
+                 x0_mean=[0.0, 5.0], x0_cov=np.eye(2), prob=0.4))}
+
+
+def make_type(label="t", A=1.0, prob=1.0, **kw):
+    """A type with B = 0.1, C_W = 5, Q = R = 1 and x0 ~ (0, 1), unless kw sets them."""
+    return AgentType(label=label, A=A, prob=prob,
+                     **dict(dict(B=0.1, C_W=5.0, Q=1.0, R=1.0, x0_mean=0.0, x0_cov=1.0), **kw))
+
+
+def fixed_policy(N, threshold, q=1.0, klow=None):
+    """N agents' policy at no price: thresholds klow (else threshold) and threshold, mixed by q."""
+    klow = threshold if klow is None else klow
+    return RelaxedPolicy(klow=np.full(N, klow), kbar=np.full(N, threshold), q=q,
+                         lam=0.0, rate_low=0.0, rate_high=0.0, per_type={})
+
+
+def schedule_block(tau, policy, C, p, rng, rows):
+    """`sim._schedule_block` over the policy's own mixing span, the span a
+    `_ScheduleRun` finds once per run from its thresholds."""
+    return sim._schedule_block(tau, policy, C, p, rng, rows,
+                               sim._mixing_span(policy.klow, policy.kbar))
+
+
+# the values a fuzzed scenario document puts in place of a field
+FUZZ_VALUES = (0, -0.0, 1, -1, 0.5, 1e300, 1e-300, float("nan"), float("inf"), -float("inf"),
+               2**63, -2**63, 2**53, "0.5", None, [0.5, 1.0], True, {})
+
+
+def _fuzzed_documents(count, seed):
+    """count mutations of the scheduling preset's document (N = 12, T = 30),
+    each as (description, document): one or two fields replaced by a
+    `FUZZ_VALUES` entry, or one key deleted, at the top level or inside a
+    type. Every other document is JSON text, so the parse sees NaN,
+    Infinity and long integers too."""
+    base = json.loads(cli._dumps(cli._document(scheduling_scenario(N=12, T=30))))
+    paths = [(key,) for key in base] + [
+        ("types", i, key) for i, tdoc in enumerate(base["types"]) for key in tdoc]
+    inner = [path for path in paths if path != ("types",)]  # two replacements stay addressable
+    rng = np.random.default_rng(seed)
+    for k in range(count):
+        doc = copy.deepcopy(base)
+        kind = k % 3
+        chosen = [paths[rng.integers(len(paths))]] if kind != 1 else \
+            [inner[i] for i in rng.choice(len(inner), size=2, replace=False)]
+        changes = []
+        for path in chosen:
+            *parents, key = path
+            holder = doc
+            for step in parents:
+                holder = holder[step]
+            if kind == 2:
+                del holder[key]
+                changes.append(f"del {path}")
+            else:
+                holder[key] = FUZZ_VALUES[rng.integers(len(FUZZ_VALUES))]
+                changes.append(f"{path} = {holder[key]!r}")
+        yield "; ".join(changes), json.dumps(doc) if k % 2 else doc
+
+
+def same_bits(a, b) -> bool:
+    """Whether two arrays, or an array and a JSON report's nested lists, are
+    equal bit for bit: shape, dtype and bytes, the sign of zero too."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 def matb_select(a, tau, C):
@@ -138,6 +272,17 @@ def lagrangian_lower_bound(population, policy, p, C):
     sigma = sum(count * kappa_scan(t.A, t.C_W, p).solve(lam).sigma_star
                 for t, count in zip(population.types, population.counts))
     return (sigma - lam * C) / population.N
+
+
+def oracle_case(rng):
+    """A random priced scalar MDP (A, C_W, p, lam) for `value_iteration_oracle`,
+    drawn in that order; p is drawn again, below 0.9 / A^2, where A^2 p >= 1."""
+    A = float(rng.uniform(0, 1.5))
+    cw = float(rng.uniform(1, 10))
+    p = float(rng.uniform(0, 0.4))
+    if A * A * p >= 1.0:
+        p = 0.9 / (A * A) * float(rng.uniform(0, 1))
+    return A, cw, p, float(rng.uniform(0, 20))
 
 
 ORACLE_STATE_CAP, ORACLE_TOL, ORACLE_MAX_ITER = 500, 1e-9, 200000  # largest age, tol, iterations

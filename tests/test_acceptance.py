@@ -27,10 +27,9 @@ from aoi_mfg import (
 from aoi_mfg import mfg
 from aoi_mfg.analysis import bound_report, tail_threshold
 from aoi_mfg.cli import main as cli_main
-from aoi_mfg.scheduler import RelaxedPolicy
 
-from reference import (double_sum_operator, estimator_soundness_experiment,
-                       scalar_operator_case, value_iteration_oracle)
+from reference import (PAIR_DOCS, double_sum_operator, estimator_soundness_experiment,
+                       fixed_policy, oracle_case, scalar_operator_case, value_iteration_oracle)
 
 
 @pytest.fixture
@@ -52,12 +51,7 @@ def test_criterion_01_threshold_oracle_equivalence(announce):
     matches = 0
     rng = np.random.default_rng(2024)
     for _ in range(20):
-        A = float(rng.uniform(0, 1.5))
-        cw = float(rng.uniform(1, 10))
-        p = float(rng.uniform(0, 0.4))
-        if A * A * p >= 1.0:
-            p = 0.9 / (A * A) * float(rng.uniform(0, 1))
-        lam = float(rng.uniform(0, 20))
+        A, cw, p, lam = oracle_case(rng)
         kappa = KappaScan(A, cw, p).solve(lam).kappa
         pol, _ = value_iteration_oracle(A, cw, p, lam)
         ones = np.flatnonzero(pol)
@@ -184,9 +178,7 @@ def test_criterion_09_cost_trends(announce, tmp_path):
 
 def test_criterion_10_estimator_soundness(announce):
     cfg = scheduling_scenario(N=100, alpha=0.25, p=0.2, T=10**4, seed=11)
-    policy = RelaxedPolicy(klow=np.full(100, 12), kbar=np.full(100, 12), q=1.0,
-                           lam=0.0, rate_low=0.0,
-                           rate_high=0.0, per_type={})
+    policy = fixed_policy(100, 12)
     out = estimator_soundness_experiment(cfg, policy, seed=11,
                                          sample_ks=(10, 100, 400), tau_cap=10)
     mean_ok = True
@@ -209,12 +201,7 @@ def test_criterion_10_estimator_soundness(announce):
 def test_criterion_11_determinism(announce, tmp_path):
     doc = {
         "N": 8, "capacity": 2, "p": 0.2, "T": 200, "seed": 0,
-        "types": [
-            {"label": "a", "A": 1.0, "B": 0.1269, "C_W": 5.0, "Q": 2.0, "R": 2.0,
-             "x0_mean": 1.0, "x0_cov": 1.0, "prob": 0.5},
-            {"label": "b", "A": 0.5, "B": 0.1269, "C_W": 5.0, "Q": 2.0, "R": 2.0,
-             "x0_mean": -1.0, "x0_cov": 1.0, "prob": 0.5},
-        ],
+        "types": PAIR_DOCS,
     }
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(doc))

@@ -1,6 +1,5 @@
 import math
 
-import numpy as np
 import pytest
 from scipy.special import ndtri
 
@@ -12,7 +11,8 @@ from aoi_mfg import (
     tail_threshold,
 )
 from aoi_mfg.errors import ConfigError, DimensionMismatchError, DomainError, NumericOverflowError
-from aoi_mfg.scheduler import RelaxedPolicy
+
+from reference import fixed_policy
 
 
 def _report_for(N, q, alpha=0.25, kbar=4):
@@ -20,9 +20,7 @@ def _report_for(N, q, alpha=0.25, kbar=4):
     probability q and thresholds kbar - 1 and kbar, so U is the same at
     every N."""
     cfg = scheduling_scenario(N=N, alpha=alpha, T=10)
-    policy = RelaxedPolicy(klow=np.full(N, kbar - 1), kbar=np.full(N, kbar), q=q, lam=0.0,
-                           rate_low=0.0, rate_high=0.0, per_type={})
-    return bound_report(cfg, policy)
+    return bound_report(cfg, fixed_policy(N, kbar, q=q, klow=kbar - 1))
 
 
 def _kl(x, y):

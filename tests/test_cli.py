@@ -8,6 +8,7 @@ import json
 import math
 import os
 import pkgutil
+import re
 import reprlib
 import subprocess
 import sys
@@ -22,25 +23,17 @@ from aoi_mfg import (bisection_lambda, cli, game_scenario, load_scenario, popula
 from aoi_mfg.cli import main
 from aoi_mfg.model import AgentType, ScenarioConfig, capacity_for
 
-from test_golden import DEFAULT_TYPES, TWO_STATE_TYPES
-from test_sim import TYPE_SETS
+from reference import (DEFAULT_DOCS, PAIR_DOCS, TWO_STATE_DOCS, TYPE_SETS, _fuzzed_documents,
+                       same_bits)
 
 TINY_SCHED = {
     "N": 6, "capacity": 2, "p": 0.2, "T": 150, "seed": 0,
-    "types": [
-        {"label": "a", "A": 1.0, "B": 0.1269, "C_W": 5.0, "Q": 2.0, "R": 2.0,
-         "x0_mean": 1.0, "x0_cov": 1.0, "prob": 0.5},
-        {"label": "b", "A": 0.5, "B": 0.1269, "C_W": 5.0, "Q": 2.0, "R": 2.0,
-         "x0_mean": -1.0, "x0_cov": 1.0, "prob": 0.5},
-    ],
+    "types": PAIR_DOCS,
 }
 
 TINY_GAME = {
     "N": 6, "capacity": 2, "p": 0.2, "T": 100, "seed": 0, "mc_runs": 1,
-    "types": [
-        {"label": "s", "A": 0.5, "B": 0.1269, "C_W": 5.0, "Q": 2.0, "R": 2.0,
-         "x0_mean": 2.0, "x0_cov": 1.0, "prob": 1.0},
-    ],
+    "types": [dict(DEFAULT_DOCS[0], label="s", x0_mean=2.0, prob=1.0)],
 }
 
 
@@ -48,7 +41,7 @@ LONG_LABEL = "x" * 10**5
 
 # seed and mc_runs away from their defaults, so the round trip reads them too
 TWO_STATE = {"N": 20, "capacity": 9, "p": 0.2, "T": 80, "seed": 3, "mc_runs": 2,
-             "types": TWO_STATE_TYPES}
+             "types": TWO_STATE_DOCS}
 
 
 @pytest.fixture
@@ -348,11 +341,6 @@ class TestConfigDocument:
                 assert np.array_equal(getattr(got, f.name), getattr(want, f.name)), f.name
 
 
-def _bits(a):
-    """An array's shape and float64 bytes: equal only bit for bit, sign of zero too."""
-    return np.shape(a), np.asarray(a, dtype=float).tobytes()
-
-
 class TestDocumentFields:
     """Each JSON report holds its record's fields: JSON reads back every
     float exactly."""
@@ -376,7 +364,7 @@ class TestDocumentFields:
                      "--out", str(tmp_path)]) == 0
         doc = json.loads((tmp_path / "mfe_report.json").read_text())
         sol = solve_mfe(config.types)
-        assert _bits(doc["mu_window"]) == _bits(sol.mu) and _bits(doc["K3"]) == _bits(sol.K3)
+        assert same_bits(doc["mu_window"], sol.mu) and same_bits(doc["K3"], sol.K3)
         assert doc["gains"].keys() == sol.gains.keys()
         for label, gains in sol.gains.items():
             # each type's gains are its record's document, rho_cl a field of it
@@ -384,7 +372,14 @@ class TestDocumentFields:
             assert doc["gains"][label].keys() == document.keys() == {"K", "K1", "K2", "A_cl",
                                                                      "rho_cl"}
             for name, value in document.items():
-                assert _bits(doc["gains"][label][name]) == _bits(value), name
+                assert same_bits(doc["gains"][label][name], value), name
+
+
+def _failed_run(argv, code, tmp_path, capsys):
+    """The stderr of a run that exits with code and leaves no output directory."""
+    assert main(argv + ["--out", str(tmp_path / "o")]) == code
+    assert not (tmp_path / "o").exists()
+    return capsys.readouterr().err
 
 
 class TestErrors:
@@ -440,12 +435,9 @@ class TestErrors:
         doc = dict(TINY_SCHED, **{key: value})
         if key == "alpha":
             del doc["capacity"]  # alpha is read only without a capacity
-        rc = main(["mfe", "--config", json.dumps(doc), "--out", str(tmp_path / "o")])
-        assert rc == 1
-        err = capsys.readouterr().err
+        err = _failed_run(["mfe", "--config", json.dumps(doc)], 1, tmp_path, capsys)
         assert f"config error: {named}:" in err
         assert len(err.splitlines()) == 1 and len(err) < 200
-        assert not (tmp_path / "o").exists()
 
     def test_unknown_keys_exit_1(self, tmp_path, capsys):
         # misspelt keys used to load as their defaults: mc_runs=1, seed=0
@@ -460,10 +452,8 @@ class TestErrors:
         # two types labelled "a" used to load, and share one set of gains
         doc = dict(TINY_SCHED, types=[TINY_SCHED["types"][0],
                                       dict(TINY_SCHED["types"][1], label="a")])
-        rc = main(["mfe", "--config", json.dumps(doc), "--out", str(tmp_path / "o")])
-        assert rc == 1
-        assert "config error: types: duplicate type label 'a'" in capsys.readouterr().err
-        assert not (tmp_path / "o").exists()
+        err = _failed_run(["mfe", "--config", json.dumps(doc)], 1, tmp_path, capsys)
+        assert "config error: types: duplicate type label 'a'" in err
 
     # each message that names a type shows its label as values are shown,
     # through reprlib: a 10**5-character label used to give lines of
@@ -477,18 +467,15 @@ class TestErrors:
          "xxxxxxxxxx.Q' fails definiteness check"),
         ([dict(TINY_SCHED["types"][0], label=LONG_LABEL, A=5.0), TINY_SCHED["types"][1]],
          f"type {reprlib.repr(LONG_LABEL)}: ||A||_F^2 * p = 5 >= 1"),
-        ([dict(TINY_SCHED["types"][0], label=LONG_LABEL), TWO_STATE_TYPES[0]],
+        ([dict(TINY_SCHED["types"][0], label=LONG_LABEL), TWO_STATE_DOCS[0]],
          "all types need one state dimension"),
     ], ids=["prob", "duplicate", "definiteness", "erasure", "dimension"])
     def test_long_label_is_clipped(self, types, named, tmp_path, capsys):
         doc = dict(TINY_SCHED, types=types)
-        rc = main(["schedule", "--report", "--config", json.dumps(doc),
-                   "--out", str(tmp_path / "o")])
-        assert rc == 1
-        err = capsys.readouterr().err
+        err = _failed_run(["schedule", "--report", "--config", json.dumps(doc)], 1, tmp_path,
+                          capsys)
         assert "config error: " in err and named in err
         assert len(err.splitlines()) == 1 and len(err) < 200
-        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command", ["schedule", "game"])
     def test_capacity_violation_exits_2(self, command, sched_cfg, game_cfg, tmp_path, capsys,
@@ -498,12 +485,9 @@ class TestErrors:
         monkeypatch.delenv("AOI_MFG_THREADS", raising=False)  # the runs stay in this process
         monkeypatch.setattr(sim, "_project", lambda a, candidates, tau, C: a)
         cfg = sched_cfg if command == "schedule" else game_cfg
-        rc = main([command, "--config", cfg, "--runs", "1", "--out", str(tmp_path / "o")])
-        assert rc == 2
-        err = capsys.readouterr().err
+        err = _failed_run([command, "--config", cfg, "--runs", "1"], 2, tmp_path, capsys)
         assert len(err.splitlines()) == 1
         assert err.startswith("numeric error: capacity violated under MATB-P: ")
-        assert not (tmp_path / "o").exists()
 
     def test_ill_typed_matrix_exits_1(self, tmp_path, capsys):
         doc = json.loads(json.dumps(TINY_SCHED))
@@ -522,10 +506,8 @@ class TestErrors:
         doc["types"][0][key] = value
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc))
-        rc = main([command, "--config", str(bad), "--out", str(tmp_path / "o")])
-        assert rc == 1
-        assert f"config error: type 'a': {key}: entries must be finite" in capsys.readouterr().err
-        assert not (tmp_path / "o").exists()
+        err = _failed_run([command, "--config", str(bad)], 1, tmp_path, capsys)
+        assert f"config error: type 'a': {key}: entries must be finite" in err
 
     @pytest.mark.parametrize("alpha", ["nan", "inf", "-0.5", "0"])
     def test_alpha_not_finite_positive_exits_1(self, alpha, sched_cfg, tmp_path, capsys):
@@ -559,12 +541,9 @@ class TestErrors:
             raise MemoryError("Unable to allocate 7.28 TiB for an array")
 
         monkeypatch.setattr(cli, "population_for", too_large)
-        rc = main(["schedule", "--config", sched_cfg, "--N", "1000000000000", "--runs", "1",
-                   "--out", str(tmp_path / "o")])
-        assert rc == 2
-        err = capsys.readouterr().err
+        err = _failed_run(["schedule", "--config", sched_cfg, "--N", "1000000000000",
+                           "--runs", "1"], 2, tmp_path, capsys)
         assert err == "numeric error: out of memory: Unable to allocate 7.28 TiB for an array\n"
-        assert not (tmp_path / "o").exists()
 
     def test_price_overflow_exits_2(self, tmp_path, capsys):
         # one unstable type whose breakpoint price leaves float64 before R <= C
@@ -578,34 +557,26 @@ class TestErrors:
     @pytest.mark.parametrize("command", ["schedule", "game"])
     @pytest.mark.parametrize("flag,value", [("--runs", "-1"), ("--runs", "0"), ("--N", "0")])
     def test_count_below_one_exits_1(self, command, flag, value, sched_cfg, tmp_path, capsys):
-        rc = main([command, "--config", sched_cfg, flag, value, "--out", str(tmp_path / "o")])
-        assert rc == 1
-        assert f"{flag} must be >= 1" in capsys.readouterr().err
-        assert not (tmp_path / "o").exists()
+        err = _failed_run([command, "--config", sched_cfg, flag, value], 1, tmp_path, capsys)
+        assert f"{flag} must be >= 1" in err
 
     @pytest.mark.parametrize("command", ["schedule", "game"])
     def test_negative_seed_exits_1(self, command, sched_cfg, tmp_path, capsys):
-        rc = main([command, "--config", sched_cfg, "--seed", "-1", "--out", str(tmp_path / "o")])
-        assert rc == 1
-        assert "config error: --seed must be >= 0" in capsys.readouterr().err
-        assert not (tmp_path / "o").exists()
+        err = _failed_run([command, "--config", sched_cfg, "--seed", "-1"], 1, tmp_path, capsys)
+        assert "config error: --seed must be >= 0" in err
 
     def test_negative_seed_range_exits_1(self, sched_cfg, tmp_path, capsys):
-        rc = main(["schedule", "--config", sched_cfg, "--seeds=-2..-1",
-                   "--out", str(tmp_path / "o")])
-        assert rc == 1
-        assert "config error: --seeds must be >= 0" in capsys.readouterr().err
-        assert not (tmp_path / "o").exists()
+        err = _failed_run(["schedule", "--config", sched_cfg, "--seeds=-2..-1"], 1, tmp_path,
+                          capsys)
+        assert "config error: --seeds must be >= 0" in err
 
     @pytest.mark.parametrize("seeds,message", [("3..1", "range is empty"),
                                                ("1-3", "expects 'a..b'")])
     def test_bad_seed_range_makes_no_output_dir(self, seeds, message, sched_cfg, tmp_path,
                                                 capsys):
-        rc = main(["schedule", "--config", sched_cfg, "--seeds", seeds,
-                   "--out", str(tmp_path / "o")])
-        assert rc == 1
-        assert f"config error: --seeds {message}" in capsys.readouterr().err
-        assert not (tmp_path / "o").exists()
+        err = _failed_run(["schedule", "--config", sched_cfg, "--seeds", seeds], 1, tmp_path,
+                          capsys)
+        assert f"config error: --seeds {message}" in err
 
     @pytest.mark.parametrize("argv,code", [
         (["schedule", "--alpha", "2", "--N", "5"], 1),
@@ -617,8 +588,7 @@ class TestErrors:
         cfg_dir = tmp_path / "cfg"
         cfg_dir.mkdir()
         argv = [a.format(cfg_dir=cfg_dir) for a in argv]
-        assert main(argv + ["--out", str(tmp_path / "o")]) == code
-        assert not (tmp_path / "o").exists()
+        _failed_run(argv, code, tmp_path, capsys)
 
     # the presets' unstable type has ||A||_F^2 p = 1.3225 * 0.9 >= 1: a bad
     # scenario value, which ScenarioConfig rejects
@@ -626,14 +596,12 @@ class TestErrors:
         ["schedule", "--p", "0.9", "--runs", "1"], ["bounds", "--p", "0.9"],
         ["game", "--p", "0.9", "--runs", "1"],
         ["schedule", "--config", json.dumps({"N": 100, "capacity": 25, "p": 0.9, "T": 300,
-                                             "types": DEFAULT_TYPES})]],
+                                             "types": DEFAULT_DOCS})]],
         ids=["schedule", "bounds", "game", "scenario"])
     def test_erasure_assumption_exits_1(self, argv, tmp_path, capsys):
-        assert main(argv + ["--out", str(tmp_path / "o")]) == 1
-        err = capsys.readouterr().err
+        err = _failed_run(argv, 1, tmp_path, capsys)
         assert err.startswith("config error: type 'unstable'")
         assert "erasure compatibility fails" in err
-        assert not (tmp_path / "o").exists()
 
     # N is apportioned in float64, and ages and T meet float arithmetic; a
     # seed range of 2**63 runs used to exit 4 with an OverflowError from len()
@@ -649,9 +617,7 @@ class TestErrors:
          "mc_runs must be < 2**53, got 9.22337e+18")],
         ids=["bounds-N", "schedule-N", "scenario-T", "scenario-runs", "flag-runs"])
     def test_count_at_2_53_exits_1(self, argv, named, tmp_path, capsys):
-        assert main(argv + ["--out", str(tmp_path / "o")]) == 1
-        assert capsys.readouterr().err == f"config error: {named}\n"
-        assert not (tmp_path / "o").exists()
+        assert _failed_run(argv, 1, tmp_path, capsys) == f"config error: {named}\n"
 
     # a count far past 2**53 is shown to six significant digits, not in its
     # 301 digits
@@ -661,11 +627,9 @@ class TestErrors:
                              ids=["T", "N", "capacity"])
     def test_huge_count_gives_one_short_line(self, key, named, tmp_path, capsys):
         argv = ["schedule", "--config", json.dumps(dict(TINY_SCHED, **{key: 1e300}))]
-        assert main(argv + ["--out", str(tmp_path / "o")]) == 1
-        err = capsys.readouterr().err
+        err = _failed_run(argv, 1, tmp_path, capsys)
         assert err.startswith(f"config error: {named}") and "1.00000e+300" in err
         assert len(err.splitlines()) == 1 and len(err) < 100
-        assert not (tmp_path / "o").exists()
 
     # text that does not parse used to exit 4 with a traceback
     @pytest.mark.parametrize("where,text,named", [
@@ -681,12 +645,9 @@ class TestErrors:
             config = str(tmp_path / "bad.json")
         else:
             config = text.decode()
-        rc = main(["schedule", "--report", "--config", config, "--out", str(tmp_path / "o")])
-        assert rc == 1
-        err = capsys.readouterr().err
+        err = _failed_run(["schedule", "--report", "--config", config], 1, tmp_path, capsys)
         assert err.startswith("config error: config is not valid JSON: ") and named in err
         assert len(err.splitlines()) == 1 and "Traceback" not in err
-        assert not (tmp_path / "o").exists()
 
     def test_missing_config_file_exits_3(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -715,16 +676,14 @@ class TestErrors:
                                             ("--runs", "2"), ("--N", "10")])
     def test_mfe_takes_no_scenario_flags(self, flag, value, tmp_path, capsys):
         # mfe reads only the scenario's types: these flags used to be accepted and ignored
-        assert main(["mfe", flag, value, "--out", str(tmp_path / "o")]) == 1
-        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
-        assert not (tmp_path / "o").exists()
+        err = _failed_run(["mfe", flag, value], 1, tmp_path, capsys)
+        assert f"unrecognized arguments: {flag} {value}" in err
 
     @pytest.mark.parametrize("flag,value", [("--seed", "5"), ("--runs", "7")])
     def test_bounds_takes_no_seed_flags(self, flag, value, tmp_path, capsys):
         # bounds runs no simulation: these flags moved only the manifest's seed and hash
-        assert main(["bounds", flag, value, "--out", str(tmp_path / "o")]) == 1
-        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
-        assert not (tmp_path / "o").exists()
+        err = _failed_run(["bounds", flag, value], 1, tmp_path, capsys)
+        assert f"unrecognized arguments: {flag} {value}" in err
 
     @pytest.mark.parametrize("argv,named", [
         (["schedule", "--seed", "abc"], "argument --seed: invalid int value: 'abc'"),
@@ -742,6 +701,28 @@ class TestErrors:
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 0
+
+
+class TestScenarioFuzzRuns:
+    def test_every_run_exits_cleanly(self, tmp_path):
+        # the first 100 documents of the load-only fuzz in test_model.py, each
+        # run as schedule, bounds and mfe: it ends in a config (1) or numeric
+        # (2) error that leaves no output directory, or in data files with no NaN
+        commands = (["schedule", "--N", "12", "--runs", "2"], ["bounds"], ["mfe"])
+        for n, (change, source) in enumerate(_fuzzed_documents(100, seed=10)):
+            cfg = tmp_path / f"{n}.json"
+            cfg.write_text(source if isinstance(source, str) else json.dumps(source))
+            for argv in commands:
+                out = tmp_path / f"{n}-{argv[0]}"
+                rc = main(argv + ["--config", str(cfg), "--out", str(out)])
+                assert rc in (0, 1, 2), f"{change}: {argv[0]} exited {rc}"
+                if rc:
+                    assert not out.exists(), f"{change}: {argv[0]}"
+                    continue
+                for path in out.iterdir():
+                    if not path.name.endswith("_manifest.json"):
+                        assert not re.search(r"\bnan\b", path.read_text(), re.IGNORECASE), \
+                            f"{change}: {argv[0]} wrote NaN into {path.name}"
 
 
 @pytest.fixture(scope="module")
@@ -828,4 +809,26 @@ def test_package_has_no_assert_statements():
     src = Path(aoi_mfg.__file__).parent
     found = [f"{path.name}:{node.lineno}" for path in sorted(src.glob("*.py"))
              for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+def test_shared_test_inputs_are_defined_once():
+    # reference.py alone defines them and the 2-state type literals (B =
+    # [[0.1269], [0.2]], or A = [[a, 0.1], [0.0, 0.9]] over a set's poles),
+    # and no test module imports from another
+    shared = {"make_type", "_fuzzed_documents", "FUZZ_VALUES", "same_bits", "oracle_case",
+              "fixed_policy", "schedule_block", "TYPE_SETS"}
+    pole_form = re.compile(r"\[\[[A-Za-z_]\w*, 0\.1\], \[0\.0, 0\.9\]\]")
+    found = []
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        if path.name == "reference.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = ({node.name} if isinstance(node, ast.FunctionDef) else
+                     {t.id for t in node.targets if isinstance(t, ast.Name)}
+                     if isinstance(node, ast.Assign) else set())
+            text = ast.unparse(node) if isinstance(node, ast.List) else ""
+            if (names & shared or text == "[[0.1269], [0.2]]" or pole_form.fullmatch(text)
+                    or isinstance(node, ast.ImportFrom) and str(node.module).startswith("test_")):
+                found.append(f"{path.name}:{node.lineno}")
     assert found == []

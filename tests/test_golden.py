@@ -29,20 +29,10 @@ import pytest
 
 from aoi_mfg.cli import main
 
-_SHARED = {"B": 0.1269, "C_W": 5.0, "Q": 2.0, "R": 2.0, "x0_cov": 1.0, "prob": 1.0 / 3.0}
-DEFAULT_TYPES = [
-    dict(_SHARED, label="stable", A=0.5, x0_mean=6.0),
-    dict(_SHARED, label="marginal", A=1.0, x0_mean=3.0),
-    dict(_SHARED, label="unstable", A=1.15, x0_mean=-3.0),
-]
-TWO_STATE_TYPES = [
-    {"label": label, "A": [[a, 0.1], [0.0, 0.9]], "B": [[0.1269], [0.2]],
-     "C_W": [[5.0, 0.0], [0.0, 5.0]], "Q": [[2.0, 0.0], [0.0, 2.0]], "R": 2.0,
-     "x0_mean": [x, 1.0], "x0_cov": [[1.0, 0.0], [0.0, 1.0]], "prob": 0.5}
-    for label, a, x in (("stable", 0.5, 6.0), ("marginal", 1.0, 3.0))
-]
+from reference import DEFAULT_DOCS, TWO_STATE_DOCS
+
 # the default set with its unstable pole moved from 1.15 to 1.3
-POLE_TYPES = DEFAULT_TYPES[:2] + [dict(DEFAULT_TYPES[2], A=1.3)]
+POLE_DOCS = DEFAULT_DOCS[:2] + [dict(DEFAULT_DOCS[2], A=1.3)]
 
 GOLDEN = {
     "schedule-sweep": {
@@ -82,29 +72,29 @@ GOLDEN = {
 CASES = {
     # default N-sweep 5..100 at alpha = 25/100, relaxed and MATB on 2 seeds each
     "schedule-sweep": ("schedule", {"N": 100, "capacity": 25, "p": 0.2, "T": 300,
-                                    "types": DEFAULT_TYPES}, ["--runs", "2"]),
+                                    "types": DEFAULT_DOCS}, ["--runs", "2"]),
     # per-seed rows on a perfect channel: adds the max_aoi column
     "schedule-p0-seeds": ("schedule", {"N": 40, "capacity": 10, "p": 0.0, "T": 400,
-                                       "types": DEFAULT_TYPES}, ["--seeds", "0..3"]),
+                                       "types": DEFAULT_DOCS}, ["--seeds", "0..3"]),
     "game": ("game", {"N": 30, "capacity": 14, "p": 0.2, "T": 120,
-                      "types": DEFAULT_TYPES}, ["--runs", "2"]),
+                      "types": DEFAULT_DOCS}, ["--runs", "2"]),
     # vector states: the noise block is (steps, N, n)
     "game-two-state": ("game", {"N": 20, "capacity": 9, "p": 0.2, "T": 80,
-                                "types": TWO_STATE_TYPES}, ["--runs", "2"]),
+                                "types": TWO_STATE_DOCS}, ["--runs", "2"]),
     # the equilibrium alone: 66, 94 and 52 Picard iterations
     "mfe": ("mfe", {"N": 30, "capacity": 14, "p": 0.2, "T": 120,
-                    "types": DEFAULT_TYPES}, []),
+                    "types": DEFAULT_DOCS}, []),
     "mfe-two-state": ("mfe", {"N": 20, "capacity": 9, "p": 0.2, "T": 80,
-                              "types": TWO_STATE_TYPES}, []),
+                              "types": TWO_STATE_DOCS}, []),
     "mfe-pole-1.3": ("mfe", {"N": 30, "capacity": 14, "p": 0.2, "T": 120,
-                             "types": POLE_TYPES}, []),
+                             "types": POLE_DOCS}, []),
     "bounds": ("bounds", {"N": 100, "capacity": 25, "p": 0.2, "T": 300,
-                          "types": DEFAULT_TYPES}, []),
+                          "types": DEFAULT_DOCS}, []),
     "bounds-two-state": ("bounds", {"N": 20, "capacity": 9, "p": 0.2, "T": 80,
-                                    "types": TWO_STATE_TYPES}, []),
+                                    "types": TWO_STATE_DOCS}, []),
     # a perfect channel: no tail threshold, so the report has no `tail` key
     "bounds-p0": ("bounds", {"N": 100, "capacity": 25, "p": 0.0, "T": 300,
-                             "types": DEFAULT_TYPES}, []),
+                             "types": DEFAULT_DOCS}, []),
 }
 
 

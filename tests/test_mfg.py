@@ -17,8 +17,8 @@ from aoi_mfg.cli import main
 from aoi_mfg.errors import ConfigError, RankDeficientError, UnstableClosedLoopError
 from aoi_mfg.mfg import TrackingGains
 
-from reference import (_g_reference, _mf_operator_reference, direct_fixed_point,
-                       double_sum_operator, scalar_operator_case)
+from reference import (TWO_STATE_TYPES, _g_reference, _mf_operator_reference,
+                       direct_fixed_point, double_sum_operator, same_bits, scalar_operator_case)
 
 
 def _random_case(rng, n, m, H):
@@ -195,7 +195,7 @@ class TestMfOperator:
             for H in (2, 3, 17) if n == 1 else (1, 2, 3, 17):
                 for _ in range(3):
                     mu, types, gains = _random_case(rng, n, m, H)
-                    assert _same_bits(_apply(mu, types, gains),
+                    assert same_bits(_apply(mu, types, gains),
                                       _mf_operator_reference(mu, types, gains))
 
     @pytest.mark.parametrize("n", [1, 2, 3])
@@ -226,10 +226,10 @@ class TestMfOperator:
             windows = [rng.normal(size=(h, n)) * 3.0 for h in (H, H, max(H // 2, 1), 2 * H, H)]
             first = operator(windows[0])
             held = first.copy()
-            assert _same_bits(first, _apply(windows[0], types, gains))
+            assert same_bits(first, _apply(windows[0], types, gains))
             for window in windows[1:]:
-                assert _same_bits(operator(window), _apply(window, types, gains))
-            assert _same_bits(first, held)
+                assert same_bits(operator(window), _apply(window, types, gains))
+            assert same_bits(first, held)
 
     def test_matches_literal_double_sum(self):
         # forward/backward pass vs the expanded double sum, scalar types
@@ -257,10 +257,7 @@ MFE_TYPE_SETS = {
     **{f"pole-{pole}": tuple(dataclasses.replace(t, A=pole) if t.label == "unstable" else t
                              for t in default_types())
        for pole in (1.05, 1.3)},
-    "two-state": tuple(AgentType(label=t, A=[[a, 0.1], [0.0, 0.9]], B=[[0.1269], [0.2]],
-                                 C_W=np.eye(2) * 5.0, Q=np.eye(2) * 2.0, R=2.0,
-                                 x0_mean=[x, 1.0], x0_cov=np.eye(2), prob=0.5)
-                       for t, a, x in (("s", 0.5, 6.0), ("m", 1.0, 3.0))),
+    "two-state": TWO_STATE_TYPES,
 }
 
 
@@ -284,9 +281,9 @@ class TestSolveMfe:
         # runs in a fresh one: two solves give the same bits in separate memory
         types = MFE_TYPE_SETS["two-state"]
         first, second = solve_mfe(types), solve_mfe(types)
-        assert _same_bits(first.mu, second.mu)
+        assert same_bits(first.mu, second.mu)
         for t in types:
-            assert _same_bits(first.g[t.label], second.g[t.label])
+            assert same_bits(first.g[t.label], second.g[t.label])
             assert not np.shares_memory(first.g[t.label], second.g[t.label])
 
     def test_workspaces_built_per_window_not_per_application(self, monkeypatch):
@@ -426,7 +423,7 @@ class TestScalarEndCondition:
         sol = solve_mfe(types)
         ends = _scalar_ends(mfg._operator(types, sol.gains), sol.mu, monkeypatch)
         A_cl = np.stack([sol.gains[t.label].A_cl for t in types])
-        assert _same_bits(ends, _stacked_ends(sol.mu, A_cl, np.stack([t.Q for t in types])))
+        assert same_bits(ends, _stacked_ends(sol.mu, A_cl, np.stack([t.Q for t in types])))
 
     def test_random_ends_equal_stacked_solve(self, monkeypatch):
         # 100 operators of 100 scalar types: 10,000 (a, q, mu_{H-1}) triples,
@@ -442,7 +439,7 @@ class TestScalarEndCondition:
             mu = rng.normal(size=(2, 1)) * 10.0 ** rng.uniform(-6, 6)
             assert mu[-1, 0] != 0.0
             ends = _scalar_ends(mfg._operator(types, gains), mu, monkeypatch)
-            assert _same_bits(ends, _stacked_ends(mu, a.reshape(-1, 1, 1), Q))
+            assert same_bits(ends, _stacked_ends(mu, a.reshape(-1, 1, 1), Q))
 
     def test_scalar_application_calls_no_linalg(self, monkeypatch):
         # the float pass needs no LAPACK; the stacked pass still makes one solve
@@ -465,12 +462,6 @@ class TestScalarEndCondition:
             assert calls == []
             two_state(np.ones((40, 2)))
             assert calls == ["solve"]
-
-
-TWO_STATE_TYPES = [AgentType(label=t, A=[[a, 0.1], [0.0, 0.9]], B=[[0.1269], [0.2]],
-                             C_W=np.eye(2) * 5.0, Q=np.eye(2) * 2.0, R=2.0,
-                             x0_mean=[x, 1.0], x0_cov=np.eye(2), prob=0.5)
-                   for t, a, x in (("s", 0.5, 6.0), ("m", 1.0, 3.0))]
 
 
 def _gain_entries(memo):
@@ -550,11 +541,6 @@ class TestSharedGains:
         assert len(_gain_entries(cold_memo)) == 1
 
 
-def _same_bits(a, b) -> bool:
-    a, b = np.asarray(a), np.asarray(b)
-    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
-
-
 def _fresh_tables(sol, L):
     """mu on [0, L) and the stacked -K2 g table of [0, L), built from the
     solution's fields as a closed-loop run once built them for itself."""
@@ -577,16 +563,14 @@ class TestHorizonTables:
     """The tables a run of length L reads: built once per (solution, L),
     read-only, and never carried over to another solution."""
 
-    SETS = {"default": default_types(), "two-state": tuple(TWO_STATE_TYPES)}
-
     @pytest.mark.parametrize("offset", [-5, 0, 40], ids=["L<H", "L=H", "L>H"])
-    @pytest.mark.parametrize("name", list(SETS))
+    @pytest.mark.parametrize("name", ["default", "two-state"])
     def test_tables_equal_a_fresh_build(self, name, offset):
-        sol = solve_mfe(self.SETS[name])
+        sol = solve_mfe(MFE_TYPE_SETS[name])
         L = sol.horizon + offset
         mu, ff = _fresh_tables(sol, L)
         built = sol.mu_padded(L), sol.feedforward(L)
-        assert _same_bits(built[0], mu) and _same_bits(built[1], ff)
+        assert same_bits(built[0], mu) and same_bits(built[1], ff)
         # the second read is the cached table itself
         assert sol.mu_padded(L) is built[0] and sol.feedforward(L) is built[1]
 
@@ -606,7 +590,7 @@ class TestHorizonTables:
         for table in (sol.mu_padded(L), sol.feedforward(L)):
             with pytest.raises(ValueError, match="read-only"):
                 table[0] = 1.0
-        assert _same_bits(sol.mu, mu) and _same_bits(sol.g["stable"], g)
+        assert same_bits(sol.mu, mu) and same_bits(sol.g["stable"], g)
 
     @pytest.mark.parametrize("offset", [-5, 40], ids=["L<H", "L>H"])
     def test_replace_builds_its_own_tables(self, offset):
@@ -614,9 +598,9 @@ class TestHorizonTables:
         L = sol.horizon + offset
         old = sol.mu_padded(L), sol.feedforward(L)  # cached on sol
         doubled = dataclasses.replace(sol, mu=2 * sol.mu)
-        assert _same_bits(doubled.mu_padded(L), _fresh_tables(doubled, L)[0])
+        assert same_bits(doubled.mu_padded(L), _fresh_tables(doubled, L)[0])
         assert not np.array_equal(doubled.mu_padded(L), old[0])
         shifted = dataclasses.replace(sol, g={k: g + 1.0 for k, g in sol.g.items()})
-        assert _same_bits(shifted.feedforward(L), _fresh_tables(shifted, L)[1])
+        assert same_bits(shifted.feedforward(L), _fresh_tables(shifted, L)[1])
         assert not np.array_equal(shifted.feedforward(L), old[1])
-        assert _same_bits(sol.mu_padded(L), old[0]) and _same_bits(sol.feedforward(L), old[1])
+        assert same_bits(sol.mu_padded(L), old[0]) and same_bits(sol.feedforward(L), old[1])

@@ -1,4 +1,3 @@
-import copy
 import dataclasses
 import json
 import re
@@ -6,17 +5,12 @@ import re
 import numpy as np
 import pytest
 
-from aoi_mfg import cli
 from aoi_mfg import (AgentType, ScenarioConfig, assign_types, default_types, load_scenario,
                      scheduling_scenario)
 from aoi_mfg.model import _check_spd, capacity_for, check_erasure
 from aoi_mfg.errors import AssumptionViolationError, ConfigError, MissingKeyError, NonPositiveDefiniteError
 
-
-def make_type(label="t", A=1.0, prob=1.0, **kw):
-    base = dict(B=0.1, C_W=5.0, Q=1.0, R=1.0, x0_mean=0.0, x0_cov=1.0)
-    base.update(kw)
-    return AgentType(label=label, A=A, prob=prob, **base)
+from reference import _fuzzed_documents, make_type
 
 
 def _ulps(x, k):
@@ -395,42 +389,6 @@ class TestLoadScenario:
         doc = dict(SCENARIO_DOC)
         doc["capacity"] = 4
         assert load_scenario(doc).capacity == 4
-
-
-# the values a fuzzed scenario document puts in place of a field
-FUZZ_VALUES = (0, -0.0, 1, -1, 0.5, 1e300, 1e-300, float("nan"), float("inf"), -float("inf"),
-               2**63, -2**63, 2**53, "0.5", None, [0.5, 1.0], True, {})
-
-
-def _fuzzed_documents(count, seed):
-    """count mutations of the scheduling preset's document (N = 12, T = 30),
-    each as (description, document): one or two fields replaced by a
-    `FUZZ_VALUES` entry, or one key deleted, at the top level or inside a
-    type. Every other document is JSON text, so the parse sees NaN,
-    Infinity and long integers too."""
-    base = json.loads(cli._dumps(cli._document(scheduling_scenario(N=12, T=30))))
-    paths = [(key,) for key in base] + [
-        ("types", i, key) for i, tdoc in enumerate(base["types"]) for key in tdoc]
-    inner = [path for path in paths if path != ("types",)]  # two replacements stay addressable
-    rng = np.random.default_rng(seed)
-    for k in range(count):
-        doc = copy.deepcopy(base)
-        kind = k % 3
-        chosen = [paths[rng.integers(len(paths))]] if kind != 1 else \
-            [inner[i] for i in rng.choice(len(inner), size=2, replace=False)]
-        changes = []
-        for path in chosen:
-            *parents, key = path
-            holder = doc
-            for step in parents:
-                holder = holder[step]
-            if kind == 2:
-                del holder[key]
-                changes.append(f"del {path}")
-            else:
-                holder[key] = FUZZ_VALUES[rng.integers(len(FUZZ_VALUES))]
-                changes.append(f"{path} = {holder[key]!r}")
-        yield "; ".join(changes), json.dumps(doc) if k % 2 else doc
 
 
 class TestScenarioFuzz:

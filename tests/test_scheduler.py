@@ -1,30 +1,20 @@
+import dataclasses
 import math
+import time
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from aoi_mfg import (
-    KappaScan,
-    RelaxedPolicy,
-    assign_types,
-    bisection_lambda,
-    default_types,
-)
-from aoi_mfg import cli, estimator, scheduler, sim
-from aoi_mfg.errors import InfeasibleCapacityError, NumericOverflowError
-from aoi_mfg.model import AgentType, capacity_for
+from aoi_mfg import KappaScan, assign_types, bisection_lambda, default_types
+from aoi_mfg import cli, estimator, scheduler, sim, threshold
+from aoi_mfg.errors import InfeasibleCapacityError, NoConvergenceError, NumericOverflowError
+from aoi_mfg.model import capacity_for
 from aoi_mfg.threshold import transmission_rate
 
-from reference import (_bisection_reference, aggregate_rate, exact_q, lagrangian_lower_bound,
-                       mixture_rate, relaxed_cost)
-from test_sim import schedule_block
-
-
-def make_type(label="t", A=1.0, prob=1.0, **kw):
-    base = dict(B=0.1, C_W=5.0, Q=1.0, R=1.0, x0_mean=0.0, x0_cov=1.0)
-    base.update(kw)
-    return AgentType(label=label, A=A, prob=prob, **base)
+from reference import (BENCH_TWO_STATE_TYPES, _bisection_reference, aggregate_rate, exact_q,
+                       fixed_policy, lagrangian_lower_bound, make_type, mixture_rate,
+                       relaxed_cost, schedule_block)
 
 
 @pytest.fixture(scope="module")
@@ -32,14 +22,10 @@ def identical_pop():
     return assign_types(100, [make_type("m", A=1.0)])
 
 
-TWO_STATE_TYPES = tuple(make_type(
-    label, A=[[a, 0.1], [0.0, 0.9]], B=[[0.1269], [0.2]], C_W=5.0 * np.eye(2),
-    Q=2.0 * np.eye(2), R=2.0, x0_mean=[0.0, 0.0], x0_cov=np.eye(2), prob=1 / 3)
-    for label, a in (("stable", 0.5), ("marginal", 1.0), ("unstable", 1.15)))
 # scalar and two-state types, p in {0, 0.2}, several capacity ratios and sizes;
 # alpha = 1 is the capacity that does not bind
 PRICE_GRID = [(types, p, max(1, round(alpha * N)), assign_types(N, types))
-              for types in (default_types(), TWO_STATE_TYPES) for p in (0.0, 0.2)
+              for types in (default_types(), BENCH_TWO_STATE_TYPES) for p in (0.0, 0.2)
               for alpha in (0.05, 0.15, 0.25, 0.45, 0.75, 1.0) for N in (5, 10, 40, 100, 1000)]
 
 
@@ -251,6 +237,30 @@ class TestBisection:
         with pytest.raises(NumericOverflowError, match="overflows float64"):
             bisection_lambda(population, 0.2, 1.0)
 
+    @pytest.mark.parametrize("label,A", [("stable", 0.5), ("marginal", 1.0)])
+    def test_single_type_race_to_the_cap_fails_at_once(self, label, A, cold_memo, monkeypatch):
+        # C_W = 1e-300 keeps the type's breakpoints far below the other types'
+        # first ones, whose rate terms alone exceed C = 3: the walk used to
+        # advance it alone to the cap of 10**6 (about 10 s)
+        types = [dataclasses.replace(t, C_W=1e-300) if t.label == label else t
+                 for t in default_types()]
+
+        def race():
+            with pytest.raises(NoConvergenceError) as info:
+                bisection_lambda(assign_types(12, types), 0.2, 3)
+            return str(info.value)
+
+        start = time.perf_counter()
+        assert race() == (f"kappa scan exceeded cap 1000000 at p=0.2, A=[[{A}]], "
+                          "C_W=[[1e-300]]; inputs are likely mis-scaled")
+        assert time.perf_counter() - start < 0.5
+        # with the cap at 300 the whole walk is short: checked at 64, 128 and
+        # 256 or not at all, the race ends in the same error
+        monkeypatch.setattr(threshold, "_KAPPA_CAP", 300)
+        checked = race()
+        monkeypatch.setattr(scheduler, "_races_to_cap", lambda *args: False)
+        assert race() == checked and "exceeded cap 300" in checked
+
     def test_report_keys(self, identical_pop):
         report = cli._policy_report(bisection_lambda(identical_pop, 0.2, 25.0))
         assert set(report) == {"lambda", "q", "rate_low", "rate_high",
@@ -287,8 +297,7 @@ def _senders(tau, policy, coins):
 
 class TestRelaxedDecisions:
     def test_coin_selects_threshold(self):
-        policy = RelaxedPolicy(klow=np.array([3, 3, 3]), kbar=np.array([5, 5, 5]), q=0.5,
-                               lam=0.0, rate_low=0.0, rate_high=0.0, per_type={})
+        policy = fixed_policy(3, 5, q=0.5, klow=3)
         got = _senders([3, 3, 5], policy, [0.2, 0.8, 0.8])
         assert got.tolist() == [True, False, True]
 

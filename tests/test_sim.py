@@ -19,30 +19,11 @@ from aoi_mfg import (
 from aoi_mfg import sim
 from aoi_mfg.errors import CapacityViolationError, DimensionMismatchError, NoConvergenceError
 from aoi_mfg.model import AgentType, ScenarioConfig
-from aoi_mfg.scheduler import RelaxedPolicy
 
-from reference import (
-    _estimator_per_agent_oracle,
-    _game_reference,
-    _per_agent_oracle,
-    estimator_soundness_experiment,
-    matb_select,
-    reference_schedule,
-)
-
-
-def fixed_policy(N, threshold, q=1.0, klow=None):
-    klow = threshold if klow is None else klow
-    return RelaxedPolicy(klow=np.full(N, klow), kbar=np.full(N, threshold), q=q,
-                         lam=0.0, rate_low=0.0, rate_high=0.0,
-                         per_type={})
-
-
-def schedule_block(tau, policy, C, p, rng, rows):
-    """`sim._schedule_block` over the policy's own mixing span, the span a
-    `_ScheduleRun` finds once per run from its thresholds."""
-    return sim._schedule_block(tau, policy, C, p, rng, rows,
-                               sim._mixing_span(policy.klow, policy.kbar))
+from reference import (BENCH_TWO_STATE_TYPES, TWO_INPUT_TYPES, TYPE_SETS,
+                       _estimator_per_agent_oracle, _game_reference, _per_agent_oracle,
+                       estimator_soundness_experiment, fixed_policy, matb_select,
+                       reference_schedule, schedule_block)
 
 
 @pytest.fixture(scope="module")
@@ -654,51 +635,6 @@ class TestEstimatorExperiment:
         assert out["snapshots"][10].shape == (50, 1)
 
 
-# Scalar types that differ in every coefficient the game loop reads per
-# agent (A, B, C_W, Q, R), with unequal shares, so a column built in the wrong
-# type order shows; the default types share B, C_W, Q and R.
-MIXED_TYPES = (
-    AgentType(label="slow", A=0.6, B=0.2, C_W=2.0, Q=1.0, R=3.0, x0_mean=4.0, x0_cov=0.5, prob=0.5),
-    AgentType(label="drift", A=1.0, B=0.1269, C_W=5.0, Q=2.0, R=2.0, x0_mean=-1.0, x0_cov=1.0,
-              prob=0.3),
-    AgentType(label="fast", A=1.1, B=0.35, C_W=1.5, Q=4.0, R=0.5, x0_mean=2.0, x0_cov=2.0, prob=0.2),
-)
-TWO_STATE_TYPES = tuple(
-    AgentType(label=label, A=[[a, 0.1], [0.0, 0.9]], B=[[0.1269], [0.2]], C_W=[[5.0, 0.0], [0.0, 5.0]],
-              Q=[[2.0, 0.0], [0.0, 2.0]], R=2.0, x0_mean=[x, 1.0], x0_cov=[[1.0, 0.0], [0.0, 1.0]],
-              prob=0.5)
-    for label, a, x in (("stable", 0.5, 6.0), ("marginal", 1.0, 3.0)))
-# Vector types that differ in A, B, C_W, Q and R, with unequal shares, so a
-# product with another type's matrix or over the wrong agent slice shows.
-TWO_INPUT_TYPES = (
-    AgentType(label="coupled", A=[[0.9, 0.2], [0.0, 0.7]], B=[[0.3, 0.0], [0.1, 0.2]],
-              C_W=[[2.0, 0.3], [0.3, 1.0]], Q=[[2.0, 0.5], [0.5, 1.0]], R=[[1.0, 0.2], [0.2, 2.0]],
-              x0_mean=[3.0, -1.0], x0_cov=[[1.0, 0.0], [0.0, 2.0]], prob=0.6),
-    AgentType(label="drifting", A=[[0.95, 0.0], [0.3, 0.8]], B=[[0.2, 0.1], [0.0, 0.4]],
-              C_W=[[4.0, 0.0], [0.0, 0.5]], Q=[[1.0, 0.0], [0.0, 3.0]], R=[[3.0, 0.0], [0.0, 0.5]],
-              x0_mean=[-2.0, 2.0], x0_cov=[[0.5, 0.1], [0.1, 1.0]], prob=0.4),
-)
-THREE_STATE_TYPES = (
-    AgentType(label="damped", A=[[0.8, 0.1, 0.0], [0.0, 0.9, 0.1], [0.0, 0.0, 0.7]],
-              B=[[0.0], [0.1], [0.3]], C_W=np.diag([1.0, 2.0, 0.5]), Q=np.diag([2.0, 1.0, 1.0]),
-              R=2.0, x0_mean=[4.0, 0.0, -1.0], x0_cov=np.eye(3), prob=0.5),
-    AgentType(label="rotating", A=[[0.6, -0.5, 0.0], [0.5, 0.6, 0.0], [0.1, 0.0, 1.0]],
-              B=[[0.2], [0.0], [0.25]], C_W=[[3.0, 0.5, 0.0], [0.5, 1.0, 0.0], [0.0, 0.0, 2.0]],
-              Q=[[1.0, 0.2, 0.0], [0.2, 1.5, 0.0], [0.0, 0.0, 0.5]], R=0.5,
-              x0_mean=[-3.0, 1.0, 2.0], x0_cov=np.diag([1.0, 0.5, 2.0]), prob=0.3),
-    AgentType(label="unstable", A=[[1.1, 0.0, 0.2], [0.0, 0.5, 0.0], [0.0, 0.3, 0.9]],
-              B=[[0.4], [0.1], [0.0]], C_W=np.diag([0.5, 4.0, 1.0]), Q=np.diag([4.0, 0.5, 2.0]),
-              R=1.0, x0_mean=[1.0, -2.0, 0.5], x0_cov=np.eye(3), prob=0.2),
-)
-TYPE_SETS = {"default": default_types(), "mixed": MIXED_TYPES, "two-state": TWO_STATE_TYPES,
-             "two-input": TWO_INPUT_TYPES, "three-state": THREE_STATE_TYPES,
-             # one type with two controls, one with a single control
-             "mixed-input": (TWO_INPUT_TYPES[0], AgentType(
-                 label="single", A=[[0.7, 0.4], [0.0, 1.0]], B=[[0.0], [0.3]],
-                 C_W=[[1.0, 0.0], [0.0, 3.0]], Q=[[1.0, 0.0], [0.0, 2.0]], R=1.5,
-                 x0_mean=[0.0, 5.0], x0_cov=np.eye(2), prob=0.4))}
-
-
 @pytest.fixture(scope="module")
 def equilibria():
     return {name: solve_mfe(types) for name, types in TYPE_SETS.items()}
@@ -716,13 +652,6 @@ def test_mfe_window_that_stops_shrinking_raises():
 
 def _scenario(types, N, T, p=0.2, alpha=0.25, seed=0):
     return ScenarioConfig(N=N, capacity=max(1, round(alpha * N)), p=p, T=T, types=types, seed=seed)
-
-
-# The 2-state set of the benchmark's solver-grid workload: three poles, one unstable.
-BENCH_TWO_STATE_TYPES = tuple(
-    AgentType(label=label, A=[[a, 0.1], [0.0, 0.9]], B=[[0.1269], [0.2]], C_W=5.0 * np.eye(2),
-              Q=2.0 * np.eye(2), R=2.0, x0_mean=[x, 1.0], x0_cov=np.eye(2), prob=1.0 / 3.0)
-    for label, a, x in (("stable", 0.5, 6.0), ("marginal", 1.0, 3.0), ("unstable", 1.15, -3.0)))
 
 
 class _DrawSpy:

@@ -20,8 +20,8 @@ from aoi_mfg.estimator import WeightTable, weight_table
 from aoi_mfg.model import AgentType
 from aoi_mfg.threshold import _f_tail_series, kappa_scan
 
-from reference import _cycle_reference, value_iteration_oracle
-from test_sim import fixed_policy, schedule_block
+from reference import (BENCH_TWO_STATE_TYPES, _cycle_reference, fixed_policy, oracle_case,
+                       schedule_block, value_iteration_oracle)
 
 
 class TestFTail:
@@ -92,12 +92,7 @@ class TestSolveKappa:
     def test_matches_value_iteration(self):
         rng = np.random.default_rng(7)
         for _ in range(8):
-            A = float(rng.uniform(0, 1.5))
-            cw = float(rng.uniform(1, 10))
-            p = float(rng.uniform(0, 0.4))
-            if A * A * p >= 1.0:
-                p = 0.9 / (A * A) * float(rng.uniform(0, 1))
-            lam = float(rng.uniform(0, 20))
+            A, cw, p, lam = oracle_case(rng)
             sol = KappaScan(A, cw, p).solve(lam)
             policy, sigma = value_iteration_oracle(A, cw, p, lam)
             ones = np.flatnonzero(policy)
@@ -111,15 +106,17 @@ class TestSolveKappa:
         assert sol.sigma_star == pytest.approx(4.188469486939765, rel=1e-6)
 
 
-class TestKappaScan:
-    TWO_STATE = (np.array([[1.15, 0.1], [0.0, 0.9]]), 5.0 * np.eye(2))
+# (A, C_W) of each default type, and of the benchmark's unstable 2-state type
+SCAN_INPUTS = {t.label: (t.A, t.C_W) for t in default_types()}
+SCAN_INPUTS["two-state"] = (BENCH_TWO_STATE_TYPES[2].A, BENCH_TWO_STATE_TYPES[2].C_W)
 
+
+class TestKappaScan:
     @pytest.mark.parametrize("p", [0.0, 0.2])
     @pytest.mark.parametrize("kind", ["stable", "marginal", "unstable", "two-state"])
     def test_reused_scan_equals_one_shot(self, kind, p):
         # one scan over prices out of order against a fresh scan per price
-        types = {t.label: (t.A, t.C_W) for t in default_types()}
-        A, C_W = self.TWO_STATE if kind == "two-state" else types[kind]
+        A, C_W = SCAN_INPUTS[kind]
         scan = KappaScan(A, C_W, p)
         for lam in (8.0, 0.0, 2.5, 1e3, 2.5, 0.3):
             got, want = scan.solve(lam), KappaScan(A, C_W, p).solve(lam)
@@ -129,8 +126,7 @@ class TestKappaScan:
     @pytest.mark.parametrize("kind", ["stable", "marginal", "unstable", "two-state"])
     def test_price_is_where_kappa_steps_up(self, kind, p):
         # kappa(lam) = min{k : lam <= lambda_k}: k at lambda_k, more one ulp above it
-        types = {t.label: (t.A, t.C_W) for t in default_types()}
-        A, C_W = self.TWO_STATE if kind == "two-state" else types[kind]
+        A, C_W = SCAN_INPUTS[kind]
         scan = KappaScan(A, C_W, p)
         prices = [scan.price(k) for k in range(8)]
         assert prices == sorted(prices)
@@ -146,9 +142,10 @@ class TestKappaScan:
     def test_threshold_at_price_zero_is_zero(self, two_state, a, p):
         # c(0) = 0 gives f(0) = p f(1), so lambda_0 = (1-p)^2 f(1) > 0 and
         # kappa(0) = 0: `bisection_lambda` starts its walk there unsolved.
-        # The default types and the benchmark's 2-state types.
-        A, C_W = (np.array([[a, 0.1], [0.0, 0.9]]), 5.0 * np.eye(2)) if two_state else (a, 5.0)
-        scan = KappaScan(A, C_W, p)
+        # The default types and the benchmark's 2-state types, by pole a.
+        (t,) = [t for t in (BENCH_TWO_STATE_TYPES if two_state else default_types())
+                if t.A[0, 0] == a]
+        scan = KappaScan(t.A, t.C_W, p)
         assert scan.price(0) > 0.0
         assert scan.price(0) == pytest.approx((1.0 - p) ** 2 * scan.f(1), rel=1e-12)
         assert scan.solve(0.0).kappa == 0
@@ -170,7 +167,7 @@ class TestKappaScan:
     def test_negative_age_and_threshold_rejected(self, kind):
         # f(-1) used to give 4.33 (closed form) or 0.18 (series), and
         # price(-1) -1.75, read off the memo's last entries
-        A, C_W = self.TWO_STATE if kind == "two-state" else (1.15, 5.0)
+        A, C_W = SCAN_INPUTS[kind]
         scan = KappaScan(A, C_W, 0.2)
         for grown in (False, True):
             if grown:
@@ -186,7 +183,7 @@ class TestKappaScan:
         # A^2 = 1.3225 to the power x leaves float64 near x = 2540: the closed
         # form raises the typed error (CLI exit 2) as the series path does,
         # not a bare OverflowError (exit 4)
-        A, C_W = self.TWO_STATE if kind == "two-state" else (1.15, 5.0)
+        A, C_W = SCAN_INPUTS[kind]
         scan = KappaScan(A, C_W, p)
         assert math.isfinite(scan.f(2000))
         with pytest.raises(NumericOverflowError, match="overflows"):
@@ -203,8 +200,7 @@ class TestSharedMemo:
     @pytest.mark.parametrize("p", [0.0, 0.2])
     @pytest.mark.parametrize("kind", ["stable", "unstable", "two-state"])
     def test_warm_memo_equals_fresh_scan(self, kind, p, cold_memo):
-        types = {t.label: (t.A, t.C_W) for t in default_types()}
-        A, C_W = TestKappaScan.TWO_STATE if kind == "two-state" else types[kind]
+        A, C_W = SCAN_INPUTS[kind]
         want = self._results(KappaScan(A, C_W, p))  # its table is fresh too
         cold_memo.clear()
         shared = kappa_scan(A, C_W, p)
