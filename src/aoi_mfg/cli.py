@@ -155,7 +155,7 @@ def _point(config: ScenarioConfig, N: int, alpha: float, p: float) -> ScenarioCo
 
 
 def _parse_seed_range(text: str):
-    """--seeds 'a..b' as a list, an argparse `type` (argparse lets ConfigError through)."""
+    """--seeds 'a..b' as (a, b), an argparse `type` (argparse lets ConfigError through)."""
     try:
         lo, hi = text.split("..")
         lo, hi = int(lo), int(hi)
@@ -165,7 +165,7 @@ def _parse_seed_range(text: str):
         raise ConfigError(f"--seeds must be >= 0, got {text!r}")
     if hi < lo:
         raise ConfigError(f"--seeds range is empty: {text!r}")
-    return list(range(lo, hi + 1))
+    return lo, hi
 
 
 def _fig2_runs(config: ScenarioConfig, seeds):
@@ -204,10 +204,11 @@ def cmd_schedule(args, base, out_dir):
     if args.seeds:
         # per-seed rows at one N: one policy and bound report for all seeds,
         # which the config records as its seed and runs
-        config = _point(replace(config, seed=args.seeds[0], mc_runs=len(args.seeds)), N, alpha, p)
-        bounds, results = _fig2_runs(config, args.seeds)
-        rows = [(s,) + _fig2_cells(config, bounds, [r])
-                for s, r in zip(args.seeds, results)]
+        lo, hi = args.seeds
+        config = _point(replace(config, seed=lo, mc_runs=hi - lo + 1), N, alpha, p)
+        seeds = range(config.seed, config.seed + config.mc_runs)
+        bounds, results = _fig2_runs(config, seeds)
+        rows = [(s,) + _fig2_cells(config, bounds, [r]) for s, r in zip(seeds, results)]
         header = ["seed"] + header
     else:
         seeds = range(config.seed, config.seed + config.mc_runs)

@@ -181,11 +181,15 @@ def _check_mix(types) -> None:
 
 def capacity_for(alpha: float, N: int) -> int:
     """Channel capacity C = round(alpha * N), at least 1, for a finite alpha > 0.
-    alpha goes through `real` and N through `integer`: ConfigError naming them."""
+    alpha goes through `real` and N through `integer`: ConfigError naming them,
+    and naming alpha when alpha * N leaves float64."""
     alpha, N = _read(alpha, real, "alpha"), _read(N, integer, "N")
     if not 0.0 < alpha < math.inf:
         raise ConfigError(f"alpha must be finite and > 0, got {alpha}")
-    return max(1, round(alpha * N))
+    try:
+        return max(1, round(alpha * N))
+    except OverflowError as exc:  # an inf product, or an int N past float's range
+        raise ConfigError(f"alpha * N must be finite, got alpha={alpha}, N={_count(N)}") from exc
 
 
 @dataclass(frozen=True)

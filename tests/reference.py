@@ -9,8 +9,9 @@ The package keeps one implementation per concept; the tests require it to
 give these references' bits (the per-agent oracle: their values to 1e-12).
 `value_iteration_oracle` solves the priced single-agent MDP by brute force,
 the check of `KappaScan`'s thresholds. `estimator_soundness_experiment`
-measures the decoders' estimation errors for the tests that compare them
-with the age weights.
+measures the decoders' estimation errors one agent at a time, on the
+receptions of `reference_schedule`, for the tests that compare them with
+the age weights; it runs none of the package's scheduling code.
 """
 
 import copy
@@ -482,52 +483,16 @@ def _game_reference(config, mfe, policy, seed):
 
 def estimator_soundness_experiment(config, policy, seed, sample_ks=(10, 100, 400), tau_cap=10):
     """Raw estimation errors e = X - Z under the scheduling loop, with no
-    control: each step, e resets to 0 on reception and otherwise becomes
-    A e + W, one matrix product per type. Returns the snapshots of e (agents
-    x dim) at the steps `sample_ks` and, per type, the conditional sum and
-    count of ||e||^2 given the estimate age, for ages up to tau_cap.
+    control, one agent at a time: receptions from the scalar scheduling
+    reference, the noise drawn for the whole run at once, and each step
+    e_i <- 0 if agent i receives, else A_i e_i + L_i w_i. Returns the
+    snapshots of e (agents x dim) at the steps `sample_ks` and, per type, the
+    conditional sum and count of ||e||^2 given the estimate age, for ages up
+    to tau_cap.
 
     The age tracks e exactly, including the free X_0 the decoders start from
     (Z_0 = X_0, so e_0 = 0): the scheduler's AoI differs from it only until
     an agent's first reception."""
-    rng = make_streams(seed)
-    population = population_for(config)
-    N, T = config.N, config.T
-    slices = population.slices()
-    types = population.types
-    n = types[0].A.shape[0]
-    chol_w = [np.linalg.cholesky(t.C_W) for t in types]
-
-    e = np.zeros((N, n))
-    age = np.zeros(N, dtype=np.int64)
-    snapshots = {}
-    sums = np.zeros((len(types), tau_cap + 1))
-    counts = np.zeros((len(types), tau_cap + 1), dtype=np.int64)
-    for k0, taus in sim._ScheduleRun(config, population, policy, rng).blocks():
-        noise_block = rng["noise"].standard_normal((len(taus) - 1, N, n))
-        for k, recv, noise in zip(range(k0, T), taus[1:] == 0, noise_block):
-            if k > 0:
-                for i, s in enumerate(slices):
-                    W = noise[s] @ chol_w[i].T
-                    e[s] = np.where(recv[s, None], 0.0, e[s] @ types[i].A.T + W)
-                age = np.where(recv, 0, age + 1)
-
-            if k in sample_ks:
-                snapshots[k] = e.copy()
-            sq = np.sum(e * e, axis=1)
-            for i, s in enumerate(slices):
-                small = age[s] <= tau_cap
-                sums[i] += np.bincount(age[s][small], sq[s][small], tau_cap + 1)
-                counts[i] += np.bincount(age[s][small], minlength=tau_cap + 1)
-
-    return {"snapshots": snapshots, "cond_sum_sq": sums, "cond_count": counts}
-
-
-def _estimator_per_agent_oracle(config, policy, seed, sample_ks, tau_cap):
-    """`estimator_soundness_experiment` with every agent carrying its own A
-    and noise factor: receptions from the scalar scheduling reference, the
-    noise drawn for the whole run at once, e_i <- A_i e_i + L_i w_i unless
-    agent i receives, and ||e_i||^2 added to the (type, age) cell of agent i."""
     rng = make_streams(seed)
     population = population_for(config)
     N, T = config.N, config.T

@@ -48,18 +48,22 @@ def test_criterion_01_threshold_oracle_equivalence(announce):
     sol = KappaScan(1.0, 5.0, 0.0).solve(10.0)
     policy, _ = value_iteration_oracle(1.0, 5.0, 0.0, 10.0)
     ok = sol.kappa == 1 and int(np.flatnonzero(policy)[0]) == 1
-    matches = 0
-    rng = np.random.default_rng(2024)
-    for _ in range(20):
-        A, cw, p, lam = oracle_case(rng)
-        kappa = KappaScan(A, cw, p).solve(lam).kappa
-        pol, _ = value_iteration_oracle(A, cw, p, lam)
-        ones = np.flatnonzero(pol)
-        matches += int(kappa == int(ones[0]))
+    # seed 2024's twenty cases and seed 7's eight
+    cases = []
+    for seed, count in ((2024, 20), (7, 8)):
+        rng = np.random.default_rng(seed)
+        cases += [oracle_case(rng) for _ in range(count)]
+    matches, worst = 0, 0.0
+    for A, cw, p, lam in cases:
+        sol = KappaScan(A, cw, p).solve(lam)
+        pol, sigma = value_iteration_oracle(A, cw, p, lam)
+        matches += int(sol.kappa == int(np.flatnonzero(pol)[0]))
+        worst = max(worst, abs(sol.sigma_star - sigma) / abs(sigma))
     elapsed = time.time() - t0
-    ok = ok and matches == 20 and elapsed < 60.0
-    announce(1, "threshold solver matches value-iteration oracle",
-             ok, f"{matches}/20 instances, closed case kappa=1, {elapsed:.1f}s")
+    ok = ok and matches == len(cases) and worst <= 1e-6 and elapsed < 60.0
+    announce(1, "threshold solver matches value-iteration oracle", ok,
+             f"{matches}/{len(cases)} instances, worst sigma* error {worst:.1e}, "
+             f"closed case kappa=1, {elapsed:.1f}s")
 
 
 def test_criterion_02_relaxed_feasibility(announce):
@@ -135,13 +139,14 @@ def test_criterion_06_riccati_and_fixed_point_numerics(announce, mfe):
 
 
 def test_criterion_07_forward_pass_equals_double_sum(announce):
-    rng = np.random.default_rng(7)
     worst = 0.0
-    for _ in range(10):
-        t, gains, mu = scalar_operator_case(rng)
-        out = mfg._operator([t], gains)(mu)
-        nu = double_sum_operator(t, gains["x"], mu)
-        worst = max(worst, float(np.max(np.abs(out[:, 0] - nu))))
+    for seed in (7, 17):  # ten cases each
+        rng = np.random.default_rng(seed)
+        for _ in range(10):
+            t, gains, mu = scalar_operator_case(rng)
+            out = mfg._operator([t], gains)(mu)
+            nu = double_sum_operator(t, gains["x"], mu)
+            worst = max(worst, float(np.max(np.abs(out[:, 0] - nu))))
     announce(7, "mean-field forward pass equals the literal double sum",
              worst <= 1e-12, f"worst deviation {worst:.2e}")
 

@@ -13,6 +13,7 @@ import reprlib
 import subprocess
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -101,14 +102,6 @@ class TestSchedule:
             header, *rows = list(csv.reader(fh))
         assert header[-1] == "max_aoi"
         assert rows and all(len(row) == len(header) for row in rows)
-
-    def test_rerun_byte_identical(self, sched_cfg, tmp_path):
-        for d in ("o1", "o2"):
-            assert main(["schedule", "--config", sched_cfg, "--seeds", "0..2",
-                         "--out", str(tmp_path / d)]) == 0
-        b1 = (tmp_path / "o1" / "fig2.csv").read_bytes()
-        b2 = (tmp_path / "o2" / "fig2.csv").read_bytes()
-        assert b1 == b2
 
     def test_worker_pool_matches_serial(self, sched_cfg, tmp_path, monkeypatch):
         assert main(["schedule", "--config", sched_cfg, "--N", "6", "--runs", "3",
@@ -375,107 +368,259 @@ class TestDocumentFields:
                 assert same_bits(doc["gains"][label][name], value), name
 
 
-def _failed_run(argv, code, tmp_path, capsys):
-    """The stderr of a run that exits with code and leaves no output directory."""
-    assert main(argv + ["--out", str(tmp_path / "o")]) == code
+def _failed_run(argv, code, tmp_path, capsys, out=True):
+    """The stderr of a run that exits with code and leaves no output
+    directory; argv gets `--out` to that directory unless out is False."""
+    assert main(argv + (["--out", str(tmp_path / "o")] if out else [])) == code
     assert not (tmp_path / "o").exists()
     return capsys.readouterr().err
 
 
+def _doc(base, **changes):
+    """base with changes, as inline JSON; without its capacity when alpha is
+    set, since alpha is read only without one."""
+    doc = dict(base, **changes)
+    if "alpha" in changes:
+        del doc["capacity"]
+    return json.dumps(doc)
+
+
+def _file(base, **changes):
+    """`_doc` as the bytes of a scenario file."""
+    return _doc(base, **changes).encode()
+
+
+def _on_disk(argv, tmp_path):
+    """argv with each bytes entry written to a file in tmp_path and passed as
+    its path, and <tmp> read as tmp_path."""
+    args = []
+    for i, arg in enumerate(argv):
+        if isinstance(arg, bytes):
+            (tmp_path / f"{i}.json").write_bytes(arg)
+            arg = str(tmp_path / f"{i}.json")
+        args.append(arg.replace("<tmp>", str(tmp_path)))
+    return args
+
+
+class Failure(NamedTuple):
+    """How a run fails: its exit code and one line of stderr, which is
+    exactly `line`, or starts with `start`, holds each of `has` and has
+    fewer than `short` characters where `short` is set. A usage error's
+    argv has no --out (out=False): after no command, argparse would read
+    --out's value as the command."""
+    code: int = 1
+    start: str = ""
+    has: tuple = ()
+    line: str | None = None
+    short: int | None = None
+    out: bool = True
+
+
+SCHED = _file(TINY_SCHED)
+LONG_INT = b'{"N": ' + b"1" * 5001 + b"}"
+DEEP = b'{"N": ' + b"[" * 10000 + b"]" * 10000 + b"}"
+TYPE_A, TYPE_B = TINY_SCHED["types"]
+
+# (id, key, value, the name the message gives) of a scenario value of the wrong type
+ILL_TYPED = [
+    ("N-text", "N", "abc", "N"), ("N-null", "N", None, "N"), ("types-int", "types", 5, "types"),
+    ("seed-text", "seed", "x", "seed"), ("types-entry", "types", [5], "types[0]"),
+    ("capacity-list", "capacity", [2], "capacity"),
+    # int() used to truncate these: N=10.9 loaded as 10, T=true as 1
+    ("N-fraction", "N", 10.9, "N"), ("N-string", "N", "10", "N"),
+    ("capacity-fraction", "capacity", 3.99, "capacity"), ("T-bool", "T", True, "T"),
+    ("seed-fraction", "seed", 2.5, "seed"), ("mc_runs-bool", "mc_runs", False, "mc_runs"),
+    # float() used to accept these: p=false loaded as 0.0, alpha="0.25" as 0.25
+    ("p-bool", "p", False, "p"), ("alpha-string", "alpha", "0.25", "alpha"),
+    # the records check these, and name their own fields
+    ("prob-bool", "types", [dict(TYPE_A, prob=True), dict(TYPE_B, prob=0.0)], "type 'a': prob"),
+    # str() used to accept these: a null label loaded as "None"
+    ("label-null", "types", [TYPE_A, dict(TYPE_B, label=None)], "label"),
+    ("label-int", "types", [dict(TYPE_A, label=7), TYPE_B], "label"),
+    # an integer past float's range used to exit 4 with a traceback
+    # (OverflowError: int too large to convert to float)
+    ("p-past-float", "p", 10**400, "p"), ("alpha-past-float", "alpha", 10**400, "alpha"),
+    ("prob-past-float", "types", [dict(TYPE_A, prob=10**400), TYPE_B], "type 'a': prob"),
+    ("A-past-float", "types", [dict(TYPE_A, A=[[10**400]]), TYPE_B], "type 'a': A"),
+    # a rejected value used to be shown in full: 1,841 characters for N
+    # nested 900 deep, about 500,000 for B or a label of 10**5 entries
+    ("N-nested", "N", json.loads("[" * 900 + "6" + "]" * 900), "N"),
+    ("B-long", "types", [dict(TYPE_A, B=[0.1] * (10**5 - 1) + [math.nan]), TYPE_B], "type 'a': B"),
+    ("label-long", "types", [dict(TYPE_A, label=["x"] * 10**5), TYPE_B], "label"),
+]
+
+# each message that names a type shows its label as values are shown,
+# through reprlib: a 10**5-character label used to give lines of 100,045
+# characters and more
+LONG_LABELS = [
+    ("prob", [dict(TYPE_A, label=LONG_LABEL, prob="0.5"), TYPE_B],
+     f"type {reprlib.repr(LONG_LABEL)}: prob: expected real"),
+    ("duplicate", [dict(t, label=LONG_LABEL) for t in (TYPE_A, TYPE_B)],
+     f"types: duplicate type label {reprlib.repr(LONG_LABEL)}"),
+    ("definiteness", [dict(TYPE_A, label=LONG_LABEL, Q=-1.0), TYPE_B],
+     "xxxxxxxxxx.Q' fails definiteness check"),
+    ("erasure", [dict(TYPE_A, label=LONG_LABEL, A=5.0), TYPE_B],
+     f"type {reprlib.repr(LONG_LABEL)}: ||A||_F^2 * p = 5 >= 1"),
+    ("dimension", [dict(TYPE_A, label=LONG_LABEL), TWO_STATE_DOCS[0]],
+     "all types need one state dimension"),
+]
+
+# every failed run that needs nothing but its argv, as (argv, Failure); a
+# bytes entry of argv is a file's content, passed as its path
+FAILED_RUNS = [
+    pytest.param(["schedule", "--config", _file({"N": 10, "p": 0.2, "T": 10, "types": []}),
+                  "--report"], Failure(has=("capacity",)), id="invalid-config"),
+    pytest.param(["schedule", "--config", _file(TINY_SCHED, types=[
+        {k: v for k, v in TYPE_A.items() if k != "Q"}, TYPE_B]), "--report"],
+        Failure(has=("Q",)), id="missing-type-key"),
+    *[pytest.param(["mfe", "--config", _doc(TINY_SCHED, **{key: value})],
+                   Failure(has=(f"config error: {named}:",), short=200), id=f"ill-typed-{name}")
+      for name, key, value, named in ILL_TYPED],
+    # misspelt keys used to load as their defaults: mc_runs=1, seed=0
+    pytest.param(["mfe", "--config", _doc(TINY_GAME, mc_run=4, sed=5, types=[
+        dict(TINY_GAME["types"][0], X0_mean=2.0)])],
+        Failure(has=("config error: unknown keys: mc_run, sed, types[0].X0_mean",)),
+        id="unknown-keys"),
+    # two types labelled "a" used to load, and share one set of gains
+    pytest.param(["mfe", "--config", _doc(TINY_SCHED, types=[TYPE_A, dict(TYPE_B, label="a")])],
+                 Failure(has=("config error: types: duplicate type label 'a'",)),
+                 id="duplicate-label"),
+    *[pytest.param(["schedule", "--report", "--config", _doc(TINY_SCHED, types=types)],
+                   Failure(has=("config error: ", named), short=200), id=f"long-label-{name}")
+      for name, types, named in LONG_LABELS],
+    pytest.param(["mfe", "--config",
+                  _doc(TINY_SCHED, types=[TYPE_A, dict(TYPE_B, A=[[1.0, "x"]])])],
+                 Failure(has=("config error: type 'b': A:",)), id="ill-typed-matrix"),
+    # json reads NaN and Infinity: B = NaN used to give a bounds report with
+    # exit 0, and A = NaN an mfe failure with exit 2 seconds later
+    *[pytest.param([command, "--config",
+                    _file(TINY_SCHED, types=[dict(TYPE_A, **{key: value}), TYPE_B])],
+                   Failure(has=(f"config error: type 'a': {key}: entries must be finite",)),
+                   id=f"non-finite-{command}-{key}-{value}")
+      for command, key, value in [("bounds", "B", math.nan), ("bounds", "x0_mean", math.nan),
+                                  ("mfe", "A", math.nan), ("mfe", "B", math.inf)]],
+    *[pytest.param(["schedule", "--config", SCHED, "--alpha", alpha, "--N", "10", "--report"],
+                   Failure(has=("config error: alpha must be finite and > 0",)),
+                   id=f"alpha-{alpha}") for alpha in ("nan", "inf", "-0.5", "0")],
+    *[pytest.param(["mfe", "--config", _doc(TINY_SCHED, alpha=alpha)],
+                   Failure(has=("config error: alpha must be finite and > 0",)),
+                   id=f"scenario-alpha-{alpha}") for alpha in (-0.25, math.inf)],
+    # alpha * N past float64 used to exit 4: OverflowError('cannot convert
+    # float infinity to integer') from round(alpha * N)
+    *[pytest.param(argv, Failure(line=f"config error: alpha * N must be finite, got alpha=1e+308, "
+                                      f"N={N}"), id=f"alpha-times-N-{name}")
+      for name, argv, N in [("schedule", ["schedule", "--report", "--alpha", "1e308"], 100),
+                            ("bounds", ["bounds", "--alpha", "1e308"], 100),
+                            ("game", ["game", "--alpha", "1e308"], 90),
+                            ("scenario", ["schedule", "--config",
+                                          _doc(TINY_SCHED, alpha=1e308)], 6)]],
+    # one unstable type whose breakpoint price leaves float64 before R <= C
+    pytest.param(["schedule", "--config", _doc(TINY_SCHED, N=2500, capacity=1, types=[
+        dict(TYPE_A, A=1.15, prob=1.0)]), "--report"],
+                 Failure(code=2, has=("numeric error: price breakpoint overflows float64",)),
+                 id="price-overflow"),
+    *[pytest.param([command, "--config", SCHED, flag, value],
+                   Failure(has=(f"{flag} must be >= 1",)), id=f"{command}{flag}={value}")
+      for command in ("schedule", "game")
+      for flag, value in [("--runs", "-1"), ("--runs", "0"), ("--N", "0")]],
+    *[pytest.param([command, "--config", SCHED, "--seed", "-1"],
+                   Failure(has=("config error: --seed must be >= 0",)),
+                   id=f"{command}-negative-seed") for command in ("schedule", "game")],
+    pytest.param(["schedule", "--config", SCHED, "--seeds=-2..-1"],
+                 Failure(has=("config error: --seeds must be >= 0",)), id="negative-seed-range"),
+    *[pytest.param(["schedule", "--config", SCHED, "--seeds", seeds],
+                   Failure(has=(f"config error: --seeds {message}",)), id=f"seeds-{seeds}")
+      for seeds, message in [("3..1", "range is empty"), ("1-3", "expects 'a..b'")]],
+    # a range sets the seed and mc_runs: one of 10**20 + 1 runs used to exit
+    # 4 with an OverflowError from list(range(...)), and one of 10**16 + 1
+    # runs to exit 2, out of memory while building that list
+    *[pytest.param(["schedule", "--seeds", seeds, "--N", "12"],
+                   Failure(line=f"config error: mc_runs must be < 2**53, got {runs}"),
+                   id=f"seeds-{seeds}")
+      for seeds, runs in [("0..100000000000000000000", "1.00000e+20"),
+                          ("0..10000000000000000", "1.00000e+16")]],
+    pytest.param(["schedule", "--alpha", "2", "--N", "5"],
+                 Failure(start="config error: capacity must satisfy"), id="alpha-2"),
+    pytest.param(["bounds", "--p", "1.5"], Failure(start="config error: p must lie in [0, 1)"),
+                 id="p-1.5"),
+    pytest.param(["schedule", "--config", "<tmp>/missing.json"],
+                 Failure(code=3, start="io error: ", has=("missing.json",)), id="missing-file"),
+    pytest.param(["mfe", "--config", "<tmp>"], Failure(code=3, start="io error: "),
+                 id="config-is-a-directory"),
+    # the presets' unstable type has ||A||_F^2 p = 1.3225 * 0.9 >= 1: a bad
+    # scenario value, which ScenarioConfig rejects
+    *[pytest.param(argv, Failure(start="config error: type 'unstable'",
+                                 has=("erasure compatibility fails",)), id=f"erasure-{name}")
+      for name, argv in [
+          ("schedule", ["schedule", "--p", "0.9", "--runs", "1"]),
+          ("bounds", ["bounds", "--p", "0.9"]), ("game", ["game", "--p", "0.9", "--runs", "1"]),
+          ("scenario", ["schedule", "--config", json.dumps(
+              {"N": 100, "capacity": 25, "p": 0.9, "T": 300, "types": DEFAULT_DOCS})])]],
+    # N is apportioned in float64, and ages and T meet float arithmetic; a
+    # seed range of 2**63 runs used to exit 4 with an OverflowError from len()
+    *[pytest.param(argv, Failure(line=f"config error: {named}"), id=f"2**53-{name}")
+      for name, argv, named in [
+          ("bounds-N", ["bounds", "--N", "100000000000000000000"],
+           "N must be < 2**53, got 1.00000e+20"),
+          ("schedule-N", ["schedule", "--report", "--N", "10000000000000000000"],
+           "N must be < 2**53, got 1.00000e+19"),
+          ("scenario-T", ["schedule", "--config", _doc(TINY_SCHED, T=1e300)],
+           "T must be < 2**53, got 1.00000e+300"),
+          ("scenario-runs", ["schedule", "--config", _doc(TINY_SCHED, mc_runs=2**63), "--N", "12"],
+           "mc_runs must be < 2**53, got 9.22337e+18"),
+          ("flag-runs", ["schedule", "--runs", str(2**63), "--N", "12"],
+           "mc_runs must be < 2**53, got 9.22337e+18")]],
+    # a count far past 2**53 is shown to six significant digits, not in its
+    # 301 digits
+    *[pytest.param(["schedule", "--config", _doc(TINY_SCHED, **{key: 1e300})],
+                   Failure(start=f"config error: {named}", has=("1.00000e+300",), short=100),
+                   id=f"huge-{key}")
+      for key, named in [("T", "T must be < 2**53"), ("N", "N must be < 2**53"),
+                         ("capacity", "capacity must satisfy")]],
+    # text that does not parse used to exit 4 with a traceback
+    *[pytest.param(["schedule", "--report", "--config", config],
+                   Failure(start="config error: config is not valid JSON: ", has=(named,)),
+                   id=name)
+      for name, config, named in [
+          ("file-not-utf8", b'{"N": 6, "label": "\xff"}', "can't decode byte 0xff"),
+          ("file-long-int", LONG_INT, "Exceeds the limit (4300 digits)"),
+          ("inline-long-int", LONG_INT.decode(), "Exceeds the limit (4300 digits)"),
+          ("file-deep", DEEP, "maximum recursion depth"),
+          ("inline-deep", DEEP.decode(), "maximum recursion depth")]],
+    *[pytest.param(["game", "--config", _doc(TINY_GAME, **{key: value})],
+                   Failure(has=(f"config error: {message}",)), id=f"scenario-{key}={value}")
+      for key, value, message in [("seed", -1, "seed must be >= 0"),
+                                  ("mc_runs", 0, "mc_runs must be >= 1")]],
+    # mfe reads only the scenario's types, and bounds runs no simulation:
+    # these flags used to be accepted and ignored, or to move only the
+    # manifest's seed and hash
+    *[pytest.param([command, flag, value],
+                   Failure(has=(f"unrecognized arguments: {flag} {value}",)),
+                   id=f"{command}{flag}")
+      for command, flags in [("mfe", [("--p", "0.3"), ("--seed", "1"), ("--alpha", "0.3"),
+                                      ("--runs", "2"), ("--N", "10")]),
+                             ("bounds", [("--seed", "5"), ("--runs", "7")])]
+      for flag, value in flags],
+    *[pytest.param(argv, Failure(start="config error: aoi-mfg", has=(named,), out=False),
+                   id=f"usage-{name}")
+      for name, argv, named in [
+          ("seed", ["schedule", "--seed", "abc"], "argument --seed: invalid int value: 'abc'"),
+          ("bogus", ["game", "--bogus"], "unrecognized arguments: --bogus"),
+          ("command", ["frob"], "argument command: invalid choice"),
+          ("none", [], "the following arguments are required: command")]],
+]
+
+
 class TestErrors:
-    def test_invalid_config_exits_1(self, tmp_path, capsys):
-        bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps({"N": 10, "p": 0.2, "T": 10, "types": []}))
-        rc = main(["schedule", "--config", str(bad), "--report",
-                   "--out", str(tmp_path / "o")])
-        assert rc == 1
-        assert "capacity" in capsys.readouterr().err
-
-    def test_missing_type_key_named(self, tmp_path, capsys):
-        doc = json.loads(json.dumps(TINY_SCHED))
-        del doc["types"][0]["Q"]
-        bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps(doc))
-        rc = main(["schedule", "--config", str(bad), "--report",
-                   "--out", str(tmp_path / "o")])
-        assert rc == 1
-        assert "Q" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("key,value,named", [
-        ("N", "abc", "N"), ("N", None, "N"), ("types", 5, "types"), ("seed", "x", "seed"),
-        ("types", [5], "types[0]"), ("capacity", [2], "capacity"),
-        # int() used to truncate these: N=10.9 loaded as 10, T=true as 1
-        ("N", 10.9, "N"), ("N", "10", "N"), ("capacity", 3.99, "capacity"), ("T", True, "T"),
-        ("seed", 2.5, "seed"), ("mc_runs", False, "mc_runs"),
-        # float() used to accept these: p=false loaded as 0.0, alpha="0.25" as 0.25
-        ("p", False, "p"), ("alpha", "0.25", "alpha"),
-        # the records check these, and name their own fields
-        ("types", [dict(TINY_SCHED["types"][0], prob=True), dict(TINY_SCHED["types"][1], prob=0.0)],
-         "type 'a': prob"),
-        # str() used to accept these: a null label loaded as "None"
-        ("types", [TINY_SCHED["types"][0], dict(TINY_SCHED["types"][1], label=None)], "label"),
-        ("types", [dict(TINY_SCHED["types"][0], label=7), TINY_SCHED["types"][1]], "label"),
-        # an integer past float's range used to exit 4 with a traceback
-        # (OverflowError: int too large to convert to float)
-        pytest.param("p", 10**400, "p", id="p-past-float"),
-        pytest.param("alpha", 10**400, "alpha", id="alpha-past-float"),
-        pytest.param("types", [dict(TINY_SCHED["types"][0], prob=10**400), TINY_SCHED["types"][1]],
-                     "type 'a': prob", id="prob-past-float"),
-        pytest.param("types", [dict(TINY_SCHED["types"][0], A=[[10**400]]), TINY_SCHED["types"][1]],
-                     "type 'a': A", id="A-past-float"),
-        # a rejected value used to be shown in full: 1,841 characters for N
-        # nested 900 deep, about 500,000 for B or a label of 10**5 entries
-        pytest.param("N", json.loads("[" * 900 + "6" + "]" * 900), "N", id="N-nested"),
-        pytest.param("types", [dict(TINY_SCHED["types"][0], B=[0.1] * (10**5 - 1) + [math.nan]),
-                               TINY_SCHED["types"][1]], "type 'a': B", id="B-long"),
-        pytest.param("types", [dict(TINY_SCHED["types"][0], label=["x"] * 10**5),
-                               TINY_SCHED["types"][1]], "label", id="label-long"),
-    ])
-    def test_ill_typed_value_exits_1(self, key, value, named, tmp_path, capsys):
-        doc = dict(TINY_SCHED, **{key: value})
-        if key == "alpha":
-            del doc["capacity"]  # alpha is read only without a capacity
-        err = _failed_run(["mfe", "--config", json.dumps(doc)], 1, tmp_path, capsys)
-        assert f"config error: {named}:" in err
-        assert len(err.splitlines()) == 1 and len(err) < 200
-
-    def test_unknown_keys_exit_1(self, tmp_path, capsys):
-        # misspelt keys used to load as their defaults: mc_runs=1, seed=0
-        doc = dict(TINY_GAME, mc_run=4, sed=5,
-                   types=[dict(TINY_GAME["types"][0], X0_mean=2.0)])
-        rc = main(["mfe", "--config", json.dumps(doc), "--out", str(tmp_path / "o")])
-        assert rc == 1
-        assert ("config error: unknown keys: mc_run, sed, types[0].X0_mean"
-                in capsys.readouterr().err)
-
-    def test_duplicate_type_label_exits_1(self, tmp_path, capsys):
-        # two types labelled "a" used to load, and share one set of gains
-        doc = dict(TINY_SCHED, types=[TINY_SCHED["types"][0],
-                                      dict(TINY_SCHED["types"][1], label="a")])
-        err = _failed_run(["mfe", "--config", json.dumps(doc)], 1, tmp_path, capsys)
-        assert "config error: types: duplicate type label 'a'" in err
-
-    # each message that names a type shows its label as values are shown,
-    # through reprlib: a 10**5-character label used to give lines of
-    # 100,045 characters and more
-    @pytest.mark.parametrize("types,named", [
-        ([dict(TINY_SCHED["types"][0], label=LONG_LABEL, prob="0.5"), TINY_SCHED["types"][1]],
-         f"type {reprlib.repr(LONG_LABEL)}: prob: expected real"),
-        ([dict(t, label=LONG_LABEL) for t in TINY_SCHED["types"]],
-         f"types: duplicate type label {reprlib.repr(LONG_LABEL)}"),
-        ([dict(TINY_SCHED["types"][0], label=LONG_LABEL, Q=-1.0), TINY_SCHED["types"][1]],
-         "xxxxxxxxxx.Q' fails definiteness check"),
-        ([dict(TINY_SCHED["types"][0], label=LONG_LABEL, A=5.0), TINY_SCHED["types"][1]],
-         f"type {reprlib.repr(LONG_LABEL)}: ||A||_F^2 * p = 5 >= 1"),
-        ([dict(TINY_SCHED["types"][0], label=LONG_LABEL), TWO_STATE_DOCS[0]],
-         "all types need one state dimension"),
-    ], ids=["prob", "duplicate", "definiteness", "erasure", "dimension"])
-    def test_long_label_is_clipped(self, types, named, tmp_path, capsys):
-        doc = dict(TINY_SCHED, types=types)
-        err = _failed_run(["schedule", "--report", "--config", json.dumps(doc)], 1, tmp_path,
-                          capsys)
-        assert "config error: " in err and named in err
-        assert len(err.splitlines()) == 1 and len(err) < 200
+    @pytest.mark.parametrize("argv,want", FAILED_RUNS)
+    def test_failed_run(self, argv, want, tmp_path, capsys):
+        err = _failed_run(_on_disk(argv, tmp_path), want.code, tmp_path, capsys, want.out)
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+        if want.line is not None:
+            assert err == want.line + "\n"
+        assert err.startswith(want.start) and all(part in err for part in want.has)
+        if want.short is not None:
+            assert len(err) < want.short
 
     @pytest.mark.parametrize("command", ["schedule", "game"])
     def test_capacity_violation_exits_2(self, command, sched_cfg, game_cfg, tmp_path, capsys,
@@ -488,41 +633,6 @@ class TestErrors:
         err = _failed_run([command, "--config", cfg, "--runs", "1"], 2, tmp_path, capsys)
         assert len(err.splitlines()) == 1
         assert err.startswith("numeric error: capacity violated under MATB-P: ")
-
-    def test_ill_typed_matrix_exits_1(self, tmp_path, capsys):
-        doc = json.loads(json.dumps(TINY_SCHED))
-        doc["types"][1]["A"] = [[1.0, "x"]]
-        rc = main(["mfe", "--config", json.dumps(doc), "--out", str(tmp_path / "o")])
-        assert rc == 1
-        assert "config error: type 'b': A:" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("command, key, value", [
-        ("bounds", "B", float("nan")), ("bounds", "x0_mean", float("nan")),
-        ("mfe", "A", float("nan")), ("mfe", "B", float("inf"))])
-    def test_non_finite_matrix_exits_1(self, command, key, value, tmp_path, capsys):
-        # json reads NaN and Infinity: B = NaN used to give a bounds report
-        # with exit 0, and A = NaN an mfe failure with exit 2 seconds later
-        doc = json.loads(json.dumps(TINY_SCHED))
-        doc["types"][0][key] = value
-        bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps(doc))
-        err = _failed_run([command, "--config", str(bad)], 1, tmp_path, capsys)
-        assert f"config error: type 'a': {key}: entries must be finite" in err
-
-    @pytest.mark.parametrize("alpha", ["nan", "inf", "-0.5", "0"])
-    def test_alpha_not_finite_positive_exits_1(self, alpha, sched_cfg, tmp_path, capsys):
-        rc = main(["schedule", "--config", sched_cfg, "--alpha", alpha, "--N", "10",
-                   "--report", "--out", str(tmp_path / "o")])
-        assert rc == 1
-        assert "config error: alpha must be finite and > 0" in capsys.readouterr().err
-
-    def test_scenario_alpha_not_finite_positive_exits_1(self, tmp_path, capsys):
-        doc = {k: v for k, v in TINY_SCHED.items() if k != "capacity"}
-        for alpha in (-0.25, float("inf")):
-            rc = main(["mfe", "--config", json.dumps(dict(doc, alpha=alpha)),
-                       "--out", str(tmp_path / "o")])
-            assert rc == 1
-            assert "config error: alpha must be finite and > 0" in capsys.readouterr().err
 
     def test_uncaught_exception_exits_4(self, sched_cfg, tmp_path, capsys, monkeypatch):
         def broken(*args):
@@ -545,110 +655,6 @@ class TestErrors:
                            "--runs", "1"], 2, tmp_path, capsys)
         assert err == "numeric error: out of memory: Unable to allocate 7.28 TiB for an array\n"
 
-    def test_price_overflow_exits_2(self, tmp_path, capsys):
-        # one unstable type whose breakpoint price leaves float64 before R <= C
-        doc = dict(TINY_SCHED, N=2500, capacity=1,
-                   types=[dict(TINY_SCHED["types"][0], A=1.15, prob=1.0)])
-        rc = main(["schedule", "--config", json.dumps(doc), "--report",
-                   "--out", str(tmp_path / "o")])
-        assert rc == 2
-        assert "numeric error: price breakpoint overflows float64" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("command", ["schedule", "game"])
-    @pytest.mark.parametrize("flag,value", [("--runs", "-1"), ("--runs", "0"), ("--N", "0")])
-    def test_count_below_one_exits_1(self, command, flag, value, sched_cfg, tmp_path, capsys):
-        err = _failed_run([command, "--config", sched_cfg, flag, value], 1, tmp_path, capsys)
-        assert f"{flag} must be >= 1" in err
-
-    @pytest.mark.parametrize("command", ["schedule", "game"])
-    def test_negative_seed_exits_1(self, command, sched_cfg, tmp_path, capsys):
-        err = _failed_run([command, "--config", sched_cfg, "--seed", "-1"], 1, tmp_path, capsys)
-        assert "config error: --seed must be >= 0" in err
-
-    def test_negative_seed_range_exits_1(self, sched_cfg, tmp_path, capsys):
-        err = _failed_run(["schedule", "--config", sched_cfg, "--seeds=-2..-1"], 1, tmp_path,
-                          capsys)
-        assert "config error: --seeds must be >= 0" in err
-
-    @pytest.mark.parametrize("seeds,message", [("3..1", "range is empty"),
-                                               ("1-3", "expects 'a..b'")])
-    def test_bad_seed_range_makes_no_output_dir(self, seeds, message, sched_cfg, tmp_path,
-                                                capsys):
-        err = _failed_run(["schedule", "--config", sched_cfg, "--seeds", seeds], 1, tmp_path,
-                          capsys)
-        assert f"config error: --seeds {message}" in err
-
-    @pytest.mark.parametrize("argv,code", [
-        (["schedule", "--alpha", "2", "--N", "5"], 1),
-        (["bounds", "--p", "1.5"], 1),
-        (["schedule", "--config", "{cfg_dir}/missing.json"], 3),
-        (["mfe", "--config", "{cfg_dir}"], 3),  # a directory: unreadable
-    ])
-    def test_failed_run_makes_no_output_dir(self, argv, code, tmp_path, capsys):
-        cfg_dir = tmp_path / "cfg"
-        cfg_dir.mkdir()
-        argv = [a.format(cfg_dir=cfg_dir) for a in argv]
-        _failed_run(argv, code, tmp_path, capsys)
-
-    # the presets' unstable type has ||A||_F^2 p = 1.3225 * 0.9 >= 1: a bad
-    # scenario value, which ScenarioConfig rejects
-    @pytest.mark.parametrize("argv", [
-        ["schedule", "--p", "0.9", "--runs", "1"], ["bounds", "--p", "0.9"],
-        ["game", "--p", "0.9", "--runs", "1"],
-        ["schedule", "--config", json.dumps({"N": 100, "capacity": 25, "p": 0.9, "T": 300,
-                                             "types": DEFAULT_DOCS})]],
-        ids=["schedule", "bounds", "game", "scenario"])
-    def test_erasure_assumption_exits_1(self, argv, tmp_path, capsys):
-        err = _failed_run(argv, 1, tmp_path, capsys)
-        assert err.startswith("config error: type 'unstable'")
-        assert "erasure compatibility fails" in err
-
-    # N is apportioned in float64, and ages and T meet float arithmetic; a
-    # seed range of 2**63 runs used to exit 4 with an OverflowError from len()
-    @pytest.mark.parametrize("argv,named", [
-        (["bounds", "--N", "100000000000000000000"], "N must be < 2**53, got 1.00000e+20"),
-        (["schedule", "--report", "--N", "10000000000000000000"],
-         "N must be < 2**53, got 1.00000e+19"),
-        (["schedule", "--config", json.dumps(dict(TINY_SCHED, T=1e300))],
-         "T must be < 2**53, got 1.00000e+300"),
-        (["schedule", "--config", json.dumps(dict(TINY_SCHED, mc_runs=2**63)), "--N", "12"],
-         "mc_runs must be < 2**53, got 9.22337e+18"),
-        (["schedule", "--runs", str(2**63), "--N", "12"],
-         "mc_runs must be < 2**53, got 9.22337e+18")],
-        ids=["bounds-N", "schedule-N", "scenario-T", "scenario-runs", "flag-runs"])
-    def test_count_at_2_53_exits_1(self, argv, named, tmp_path, capsys):
-        assert _failed_run(argv, 1, tmp_path, capsys) == f"config error: {named}\n"
-
-    # a count far past 2**53 is shown to six significant digits, not in its
-    # 301 digits
-    @pytest.mark.parametrize("key,named", [("T", "T must be < 2**53"),
-                                           ("N", "N must be < 2**53"),
-                                           ("capacity", "capacity must satisfy")],
-                             ids=["T", "N", "capacity"])
-    def test_huge_count_gives_one_short_line(self, key, named, tmp_path, capsys):
-        argv = ["schedule", "--config", json.dumps(dict(TINY_SCHED, **{key: 1e300}))]
-        err = _failed_run(argv, 1, tmp_path, capsys)
-        assert err.startswith(f"config error: {named}") and "1.00000e+300" in err
-        assert len(err.splitlines()) == 1 and len(err) < 100
-
-    # text that does not parse used to exit 4 with a traceback
-    @pytest.mark.parametrize("where,text,named", [
-        ("file", b'{"N": 6, "label": "\xff"}', "can't decode byte 0xff"),
-        ("file", b'{"N": ' + b"1" * 5001 + b"}", "Exceeds the limit (4300 digits)"),
-        ("inline", b'{"N": ' + b"1" * 5001 + b"}", "Exceeds the limit (4300 digits)"),
-        ("file", b'{"N": ' + b"[" * 10000 + b"]" * 10000 + b"}", "maximum recursion depth"),
-        ("inline", b'{"N": ' + b"[" * 10000 + b"]" * 10000 + b"}", "maximum recursion depth")],
-        ids=["file-not-utf8", "file-long-int", "inline-long-int", "file-deep", "inline-deep"])
-    def test_malformed_text_exits_1(self, where, text, named, tmp_path, capsys):
-        if where == "file":
-            (tmp_path / "bad.json").write_bytes(text)
-            config = str(tmp_path / "bad.json")
-        else:
-            config = text.decode()
-        err = _failed_run(["schedule", "--report", "--config", config], 1, tmp_path, capsys)
-        assert err.startswith("config error: config is not valid JSON: ") and named in err
-        assert len(err.splitlines()) == 1 and "Traceback" not in err
-
     def test_missing_config_file_exits_3(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
         assert main(["schedule", "--config", "nope.json", "--out", "o"]) == 3
@@ -662,39 +668,6 @@ class TestErrors:
         # refused before the sweep runs, not at its first write
         assert f"io error: --out {out} is not a directory" in capsys.readouterr().err
         assert out.read_text() == "keep"
-
-    @pytest.mark.parametrize("key,value,message", [
-        ("seed", -1, "seed must be >= 0"), ("mc_runs", 0, "mc_runs must be >= 1")])
-    def test_scenario_seed_and_runs_out_of_range_exit_1(self, key, value, message,
-                                                         tmp_path, capsys):
-        doc = dict(TINY_GAME, **{key: value})
-        rc = main(["game", "--config", json.dumps(doc), "--out", str(tmp_path / "o")])
-        assert rc == 1
-        assert f"config error: {message}" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("flag,value", [("--p", "0.3"), ("--seed", "1"), ("--alpha", "0.3"),
-                                            ("--runs", "2"), ("--N", "10")])
-    def test_mfe_takes_no_scenario_flags(self, flag, value, tmp_path, capsys):
-        # mfe reads only the scenario's types: these flags used to be accepted and ignored
-        err = _failed_run(["mfe", flag, value], 1, tmp_path, capsys)
-        assert f"unrecognized arguments: {flag} {value}" in err
-
-    @pytest.mark.parametrize("flag,value", [("--seed", "5"), ("--runs", "7")])
-    def test_bounds_takes_no_seed_flags(self, flag, value, tmp_path, capsys):
-        # bounds runs no simulation: these flags moved only the manifest's seed and hash
-        err = _failed_run(["bounds", flag, value], 1, tmp_path, capsys)
-        assert f"unrecognized arguments: {flag} {value}" in err
-
-    @pytest.mark.parametrize("argv,named", [
-        (["schedule", "--seed", "abc"], "argument --seed: invalid int value: 'abc'"),
-        (["game", "--bogus"], "unrecognized arguments: --bogus"),
-        (["frob"], "argument command: invalid choice"),
-        ([], "the following arguments are required: command"),
-    ])
-    def test_usage_error_exits_1(self, argv, named, capsys):
-        assert main(argv) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("config error: aoi-mfg") and named in err
 
     @pytest.mark.parametrize("argv", [["--help"], ["game", "--help"], ["--version"]])
     def test_help_and_version_exit_0(self, argv, capsys):

@@ -243,6 +243,12 @@ class TestCapacityFor:
         with pytest.raises(ConfigError, match=rf"^{named}"):
             capacity_for(alpha, N)
 
+    # alpha * N past float64 raised OverflowError, an internal error (exit 4) in the CLI
+    @pytest.mark.parametrize("alpha,N", [(1e308, 12), (0.25, 10**400)], ids=["alpha", "N"])
+    def test_product_past_float_named(self, alpha, N):
+        with pytest.raises(ConfigError, match=r"^alpha \* N must be finite, got alpha="):
+            capacity_for(alpha, N)
+
     def test_preset_alpha_named(self):
         with pytest.raises(ConfigError, match=r"^alpha: expected real"):
             scheduling_scenario(alpha="0.25")

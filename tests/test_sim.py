@@ -20,10 +20,9 @@ from aoi_mfg import sim
 from aoi_mfg.errors import CapacityViolationError, DimensionMismatchError, NoConvergenceError
 from aoi_mfg.model import AgentType, ScenarioConfig
 
-from reference import (BENCH_TWO_STATE_TYPES, TWO_INPUT_TYPES, TYPE_SETS,
-                       _estimator_per_agent_oracle, _game_reference, _per_agent_oracle,
-                       estimator_soundness_experiment, fixed_policy, matb_select,
-                       reference_schedule, schedule_block)
+from reference import (BENCH_TWO_STATE_TYPES, TWO_INPUT_TYPES, TYPE_SETS, _game_reference,
+                       _per_agent_oracle, estimator_soundness_experiment, fixed_policy,
+                       matb_select, reference_schedule, schedule_block)
 
 
 @pytest.fixture(scope="module")
@@ -31,6 +30,15 @@ def sched_setup():
     cfg = scheduling_scenario(N=100, T=1500, seed=1)
     policy = bisection_lambda(population_for(cfg), cfg.p, cfg.capacity)
     return cfg, policy
+
+
+def _assert_chains_equal(taus, attempts, wants):
+    """Chain i of a stacked run, its columns of taus and attempts[i], equals
+    wants[i], a `reference_schedule` result: its AoI rows and attempts."""
+    for chain, (want, want_attempts) in enumerate(wants):
+        N = want.shape[1]
+        assert np.array_equal(taus[:, chain * N:(chain + 1) * N], want)
+        assert attempts[chain] == want_attempts
 
 
 def _ages_after(tau, thresholds, p, rows=1):
@@ -288,9 +296,7 @@ class TestBlockKernel:
         taus, attempts = schedule_block(np.tile(start, K).astype(np.uint32), policy,
                                         cfg.capacity, p, make_streams(4), rows)
         assert taus.dtype == np.uint32
-        for chain, (want, want_attempts) in enumerate(wants[-K:]):
-            assert np.array_equal(taus[:, chain * N:(chain + 1) * N], want)
-            assert attempts[chain] == want_attempts
+        _assert_chains_equal(taus, attempts, wants[-K:])
 
     @pytest.mark.parametrize("K", [1, 2])
     def test_capacity_checked_at_each_step_of_a_long_block(self, K, monkeypatch):
@@ -372,50 +378,27 @@ class TestBlockKernel:
 
     @pytest.mark.parametrize("N,alpha,p", [(5, 0.2, 0.2), (20, 0.25, 0.0), (37, 0.4, 0.3)])
     @pytest.mark.parametrize("projected", [True, False])
-    def test_kernel_matches_per_step_reference(self, N, alpha, p, projected):
-        cfg = scheduling_scenario(N=N, alpha=alpha, p=p, T=60)
-        policy = bisection_lambda(population_for(cfg), p, cfg.capacity)
-        # unprojected: the reference without a capacity, the kernel with one of
-        # N, which never binds
-        C = cfg.capacity if projected else None
-        start = np.arange(N, dtype=np.int64) % 4
-        want, want_attempts = reference_schedule(start, policy, C, p, make_streams(4), cfg.T)
-        for rows in (1, 7, cfg.T):
-            rng = make_streams(4)
-            tau, blocks, attempts = start, [start[None]], 0
-            for k0 in range(0, cfg.T, rows):
-                taus, (sent,) = schedule_block(tau, policy, N if C is None else C, p, rng,
-                                               min(rows, cfg.T - k0))
-                tau = taus[-1]
-                blocks.append(taus[1:])
-                attempts += sent
-            assert np.array_equal(np.concatenate(blocks), want)
-            assert attempts == want_attempts
-
-    @pytest.mark.parametrize("N,alpha,p", [(5, 0.2, 0.2), (20, 0.25, 0.0), (37, 0.4, 0.3)])
-    @pytest.mark.parametrize("projected", [True, False])
-    def test_stacked_chains_match_per_step_reference(self, N, alpha, p, projected):
-        # two chains on one draw: the first never projected, the last
-        # projected onto the capacity, or given one of N that never binds
+    @pytest.mark.parametrize("K", [1, 2])
+    def test_kernel_matches_per_step_reference(self, K, N, alpha, p, projected):
+        # K chains on one draw: the last projected onto the capacity, or given
+        # one of N that never binds, and for K = 2 a first one never projected
         cfg = scheduling_scenario(N=N, alpha=alpha, p=p, T=60)
         policy = bisection_lambda(population_for(cfg), p, cfg.capacity)
         C = cfg.capacity if projected else None
         start = np.arange(N, dtype=np.int64) % 4
         wants = [reference_schedule(start, policy, c, p, make_streams(4), cfg.T)
-                 for c in (None, C)]
+                 for c in (None, C)][-K:]
         for rows in (1, 7, cfg.T):
             rng = make_streams(4)
-            tau, blocks, attempts = np.tile(start, 2), [np.tile(start, 2)[None]], [0, 0]
+            tau, attempts = np.tile(start, K), [0] * K
+            blocks = [tau[None]]
             for k0 in range(0, cfg.T, rows):
                 taus, sent = schedule_block(tau, policy, N if C is None else C, p, rng,
                                             min(rows, cfg.T - k0))
                 tau = taus[-1]
                 blocks.append(taus[1:])
                 attempts = [x + y for x, y in zip(attempts, sent)]
-            got = np.concatenate(blocks)
-            for chain, (want, want_attempts) in enumerate(wants):
-                assert np.array_equal(got[:, chain * N:(chain + 1) * N], want)
-                assert attempts[chain] == want_attempts
+            _assert_chains_equal(np.concatenate(blocks), attempts, wants)
 
     # the kernel takes klow where the coin is set by kbar - coin * (kbar - klow),
     # which wraps in the unsigned dtypes and is still exact; the reference
@@ -439,9 +422,7 @@ class TestBlockKernel:
         taus, attempts = schedule_block(np.tile(start, 2).astype(dtype), narrow, C, 0.2,
                                         make_streams(4), rows)
         assert taus.dtype == dtype
-        for chain, (want, want_attempts) in enumerate(wants):
-            assert np.array_equal(taus[:, chain * N:(chain + 1) * N], want)
-            assert attempts[chain] == want_attempts
+        _assert_chains_equal(taus, attempts, wants)
 
     # which types mix (klow < kbar), their thresholds inside T or both above it
     # (clipped to T + 1 and equal, so no agent mixes); the type counts are
@@ -470,11 +451,9 @@ class TestBlockKernel:
         assert run.span == span
         got = np.concatenate([np.zeros((1, 2 * cfg.N), dtype=run.tau.dtype)]
                              + [taus[1:] for _, taus in run.blocks()])
-        for chain, C in enumerate([None, cfg.capacity]):
-            want, attempts = reference_schedule(np.zeros(cfg.N, dtype=np.int64), policy, C,
-                                                cfg.p, make_streams(6), cfg.T)
-            assert np.array_equal(got[:, chain * cfg.N:(chain + 1) * cfg.N], want)
-            assert run.attempts[chain] == attempts
+        _assert_chains_equal(got, run.attempts, [
+            reference_schedule(np.zeros(cfg.N, dtype=np.int64), policy, C, cfg.p,
+                               make_streams(6), cfg.T) for C in (None, cfg.capacity)])
         assert run.attempts[1] < run.attempts[0]  # the capacity binds
         if span == (0, 0):  # no agent mixes: the coin stream is not read
             unread = make_streams(6)["coin"].bit_generator.state
@@ -583,30 +562,44 @@ class TestBlockKernel:
         # thresholds clipped to [0, T + 1]
         assert (int(run.policy.klow.min()), int(run.policy.kbar.max())) == (0, T + 1)
 
-    @pytest.mark.parametrize("kind", ["matb", "both"])
-    def test_counters_cover_the_blocks_read(self, kind, monkeypatch):
-        # metrics() read after any block counts exactly the steps read so far
-        cfg = scheduling_scenario(N=30, alpha=0.25, p=0.2, T=80)
+    # N = 400 takes the step's long-row branch (N > sim._SHORT_ROW); T = 1 is
+    # a run of one step; blocks of one step, of seven and of the default height
+    # (several blocks at N = 400)
+    @pytest.mark.parametrize("T", [1, 50, 450])
+    @pytest.mark.parametrize("N", [7, 90, 400])
+    @pytest.mark.parametrize("types", list(TYPE_SETS))
+    def test_counters_cover_the_blocks_read(self, types, N, T, monkeypatch):
+        # each block's ages are the reference's rows, and metrics() read after
+        # any block counts exactly the steps read so far
+        cfg = _scenario(TYPE_SETS[types], N, T)
         policy = bisection_lambda(population_for(cfg), cfg.p, cfg.capacity)
-        K = sim._CHAINS[kind]
-        monkeypatch.setattr(sim, "_BLOCK_ELEMENTS", 7 * K * cfg.N)
-        # the relaxed chains unprojected, the last one projected
-        want = [reference_schedule(np.zeros(cfg.N, dtype=np.int64), policy, C, cfg.p,
-                                   make_streams(2), cfg.T)[0]
-                for C in [None] * (K - 1) + [cfg.capacity]]
-        run = sim._ScheduleRun(cfg, population_for(cfg), policy, make_streams(2), K)
-        m = run.metrics(0)
-        assert (m.successes, m.max_aoi, m.aoi_hist.tolist()) == (0, 0, [0])
-        steps = []
-        for k0, taus in run.blocks():
-            k = k0 + len(taus) - 1
-            steps.append(k)
-            for i, taus_ref in enumerate(want):
-                m = run.metrics(i)
-                assert m.successes == int(np.count_nonzero(taus_ref[1:k + 1] == 0))
-                assert m.max_aoi == int(taus_ref[:k].max())
-                assert np.array_equal(m.aoi_hist, np.bincount(taus_ref[:k].ravel()))
-        assert steps == list(range(7, cfg.T, 7)) + [cfg.T]
+        relaxed, matb = (reference_schedule(np.zeros(N, dtype=np.int64), policy, C, cfg.p,
+                                            make_streams(N + T), T)[0]
+                         for C in (None, cfg.capacity))
+        # a "matb" run, and a "both" run whose relaxed chain is unprojected
+        for want in ([matb], [relaxed, matb]):
+            K, stacked = len(want), np.hstack(want)
+            # each chain's receptions, oldest age and age histogram after steps 1..T
+            received = [np.cumsum(np.count_nonzero(w[1:] == 0, axis=1)) for w in want]
+            oldest = [np.maximum.accumulate(w[:-1].max(axis=1)) for w in want]
+            hists = [np.cumsum([np.bincount(row, minlength=T + 1) for row in w[:-1]], axis=0)
+                     for w in want]
+            for elements in (K * N, 7 * K * N, sim._BLOCK_ELEMENTS):
+                monkeypatch.setattr(sim, "_BLOCK_ELEMENTS", elements)
+                run = sim._ScheduleRun(cfg, population_for(cfg), policy, make_streams(N + T), K)
+                m = run.metrics(0)
+                assert (m.successes, m.max_aoi, m.aoi_hist.tolist()) == (0, 0, [0])
+                steps = []
+                for k0, taus in run.blocks():
+                    k = k0 + len(taus) - 1
+                    steps.append(k)
+                    assert np.array_equal(taus, stacked[k0:k + 1])
+                    for i in range(K):
+                        m = run.metrics(i)
+                        assert (m.successes, m.max_aoi) == (received[i][k - 1], oldest[i][k - 1])
+                        assert np.array_equal(m.aoi_hist, hists[i][k - 1, :m.max_aoi + 1])
+                rows = min(T, elements // (K * N))
+                assert steps == list(range(rows, T, rows)) + [T]
 
 
 class TestEstimatorExperiment:
@@ -737,23 +730,6 @@ def _assert_game_equals_reference(equilibria, types, N, T):
         assert np.array_equal(getattr(got, field.name), getattr(want, field.name)), field.name
 
 
-def _assert_estimator_equals_reference(types, N, T):
-    """The estimator-soundness experiment (per type, on the package's
-    scheduling blocks) against its per-agent oracle (the scalar scheduling
-    reference): equal counts, errors equal to 1e-12 of their scale."""
-    cfg = _scenario(TYPE_SETS[types], N, T)
-    policy = bisection_lambda(population_for(cfg), cfg.p, cfg.capacity)
-    args = dict(seed=N + T, sample_ks=(0, 10, 100, 400), tau_cap=8)
-    got = estimator_soundness_experiment(cfg, policy, **args)
-    want = _estimator_per_agent_oracle(cfg, policy, **args)
-    assert got["snapshots"].keys() == want["snapshots"].keys()
-    for k, e in want["snapshots"].items():
-        np.testing.assert_allclose(got["snapshots"][k], e, rtol=1e-12,
-                                   atol=1e-12 * np.abs(e).max())
-    np.testing.assert_allclose(got["cond_sum_sq"], want["cond_sum_sq"], rtol=1e-12)
-    assert np.array_equal(got["cond_count"], want["cond_count"])
-
-
 class TestPlantLoops:
     # N = 400 spans several scheduling blocks; T = 1 is a run of one step
     @pytest.mark.parametrize("T", [1, 50, 300])
@@ -775,29 +751,15 @@ class TestPlantLoops:
         np.testing.assert_allclose(m.per_agent_cost, cost, rtol=1e-12)
         np.testing.assert_allclose(m.consensus_error, cons, rtol=1e-12)
 
-    @pytest.mark.parametrize("T", [1, 50, 450])
-    @pytest.mark.parametrize("N", [7, 90, 400])
-    @pytest.mark.parametrize("types", list(TYPE_SETS))
-    def test_estimator_equals_per_type_reference(self, types, N, T):
-        _assert_estimator_equals_reference(types, N, T)
-
-    # blocks of one step, of seven and of the whole run: the game's mean and
-    # running cost are taken per block and must not depend on where blocks end
-    HEIGHTS = pytest.mark.parametrize("elements", [lambda N: 1, lambda N: 7 * N,
-                                                   lambda N: 2**15], ids=["1", "7N", "2**15"])
-
-    # mixed-input: one type leaves a control entry of the run's buffers unused
-    @HEIGHTS
+    # blocks of one step, of seven and of the whole run at N = 30: the game's
+    # mean and running cost are taken per block and must not depend on where
+    # blocks end; mixed-input: one type leaves a control entry of the run's
+    # buffers unused
+    @pytest.mark.parametrize("elements", [1, 7 * 30, 2**15], ids=["1", "7N", "2**15"])
     @pytest.mark.parametrize("types", ["mixed", "two-input", "mixed-input"])
     def test_game_block_height_equals_reference(self, equilibria, types, elements, monkeypatch):
-        monkeypatch.setattr(sim, "_BLOCK_ELEMENTS", elements(30))
+        monkeypatch.setattr(sim, "_BLOCK_ELEMENTS", elements)
         _assert_game_equals_reference(equilibria, types, N=30, T=50)
-
-    @HEIGHTS
-    @pytest.mark.parametrize("types", ["mixed", "two-input"])
-    def test_estimator_block_height_equals_reference(self, types, elements, monkeypatch):
-        monkeypatch.setattr(sim, "_BLOCK_ELEMENTS", elements(30))
-        _assert_estimator_equals_reference(types, N=30, T=50)
 
     @pytest.mark.parametrize("types", ["default", "mixed-input"])
     def test_run_leaves_the_equilibrium_unchanged(self, equilibria, types):
