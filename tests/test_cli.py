@@ -142,7 +142,8 @@ def _read_csv(path):
 
 
 class TestSweepSeeds:
-    """A sweep runs mc_runs seeds from the scenario's seed; --seed and --runs override them."""
+    """A sweep runs mc_runs seeds from the scenario's seed; --seed and --runs
+    override them, and --seeds a..b sets both (a seed has no upper bound)."""
 
     def test_scenario_seed_and_runs(self, sched_cfg, tmp_path):
         cfg = tmp_path / "seeded.json"
@@ -154,9 +155,11 @@ class TestSweepSeeds:
         assert ((tmp_path / "file" / "fig2.csv").read_bytes()
                 == (tmp_path / "flags" / "fig2.csv").read_bytes())
 
-    @pytest.mark.parametrize("flags,seeds", [([], [0, 1, 2, 3, 4]),
-                                             (["--seed", "3"], [3, 4, 5, 6, 7])])
-    def test_preset_runs_five_seeds(self, flags, seeds, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("flags,seeds", [
+        ([], [0, 1, 2, 3, 4]), (["--seed", "3"], [3, 4, 5, 6, 7]), (["--seeds", "3..3"], [3]),
+        (["--seeds", "2..4"], [2, 3, 4]),
+        (["--seeds", "9007199254740992..9007199254740993"], [2**53, 2**53 + 1])])
+    def test_runs_its_seeds(self, flags, seeds, tmp_path, monkeypatch):
         seen, run = [], cli.run_scheduling_experiment
 
         def short_run(config, policy, kind, seed):
@@ -244,8 +247,7 @@ class TestCallContract:
 
 class TestGame:
     def test_sweeps_emitted(self, game_cfg, tmp_path):
-        rc = main(["game", "--config", game_cfg, "--runs", "1",
-                   "--out", str(tmp_path / "o")])
+        rc = main(["game", "--config", game_cfg, "--runs", "1", "--out", str(tmp_path / "o")])
         assert rc == 0
         a = (tmp_path / "o" / "fig3a.csv").read_text().strip().splitlines()
         b = (tmp_path / "o" / "fig3b.csv").read_text().strip().splitlines()
@@ -530,7 +532,8 @@ FAILED_RUNS = [
                  Failure(has=("config error: --seeds must be >= 0",)), id="negative-seed-range"),
     *[pytest.param(["schedule", "--config", SCHED, "--seeds", seeds],
                    Failure(has=(f"config error: --seeds {message}",)), id=f"seeds-{seeds}")
-      for seeds, message in [("3..1", "range is empty"), ("1-3", "expects 'a..b'")]],
+      for seeds, message in [("3..1", "range is empty"), ("1-3", "expects 'a..b'"),
+                             ("1..x", "expects 'a..b'"), ("1..2..3", "expects 'a..b'")]],
     # a range sets the seed and mc_runs: one of 10**20 + 1 runs used to exit
     # 4 with an OverflowError from list(range(...)), and one of 10**16 + 1
     # runs to exit 2, out of memory while building that list

@@ -256,6 +256,9 @@ class TestCapacityFor:
     @pytest.mark.parametrize("alpha,N,want", [
         (0.25, 10, 2), (0.25, 100, 25), (0.29, 10, 3), (0.01, 10, 1), (1, 7, 7),
         (np.float64(0.25), np.int64(100), 25), (0.25, 100.0, 25),
+        # finite products keep their values up to float64's edge
+        pytest.param(1e307, 12, round(1.2e308), id="alpha-edge"),
+        pytest.param(0.5, 2**1000, 2**999, id="N-2**1000"),
     ])
     def test_values(self, alpha, N, want):
         got = capacity_for(alpha, N)

@@ -4,18 +4,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from aoi_mfg import (
-    WeightTable,
-    bisection_lambda,
-    default_types,
-    game_scenario,
-    make_streams,
-    population_for,
-    run_game_experiment,
-    run_scheduling_experiment,
-    scheduling_scenario,
-    solve_mfe,
-)
+from aoi_mfg import (WeightTable, bisection_lambda, default_types, game_scenario, make_streams,
+                     population_for, run_game_experiment, run_scheduling_experiment,
+                     scheduling_scenario, solve_mfe)
 from aoi_mfg import sim
 from aoi_mfg.errors import CapacityViolationError, DimensionMismatchError, NoConvergenceError
 from aoi_mfg.model import AgentType, ScenarioConfig
