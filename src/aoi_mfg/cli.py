@@ -202,6 +202,8 @@ def cmd_schedule(args, base, out_dir):
 
     header = ["N", "J_relaxed", "J_matb", "gap", "gap_bound"]
     if args.seeds:
+        if args.seed is not None or args.runs is not None:
+            raise ConfigError("--seeds sets the seeds: it cannot be given with --seed or --runs")
         # per-seed rows at one N: one policy and bound report for all seeds,
         # which the config records as its seed and runs
         lo, hi = args.seeds

@@ -11,7 +11,13 @@ per-type loop of one NumPy matrix-vector product per step (the references in
 `tests/reference.py`), so mu*, g, the Picard iteration count and K3 do not
 depend on how the recursions are run.
 `solve_mfe` builds the operator once per solve (`_operator`: the stacked
-matrices, fixed while it iterates).
+matrices, fixed while it iterates). Its windows are H0 2^d, H0 sized from
+the slowest closed-loop pole rho by the rho^k rule, and each Picard pass
+restarts from the constant mu_0. mu*'s tail decays like k rho^k, so the
+first pass runs on the first of these windows with H rho^H <= MFE_TOL/10:
+the passes that a start at H0 would run on shorter windows, and then throw
+away at their doubling, are skipped. A solve whose windows reach one it
+still runs keeps the bits of mu*, g and K3.
 Both recursions are x_{j+1} = M x_j - D u_j, run so that each type sees its
 float operations in their order:
 - `_recursion` runs one step loop for all types on stacked (m, n, n)
@@ -60,7 +66,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NoConvergenceError, RankDeficientError, UnstableClosedLoopError
+from .errors import (NoConvergenceError, NumericOverflowError, RankDeficientError,
+                     UnstableClosedLoopError)
 from .estimator import as_matrix, shared
 from .model import check_labels
 
@@ -169,7 +176,12 @@ def solve_riccati(A, B, Q, R) -> TrackingGains:
     the closed loop A_cl = A - B K1 (spectral radius < 1), all four
     read-only. (A, B) must be controllable and, unless Q = 0, (A, sqrt(Q))
     observable; the latter is the controllability of (A', Q'), since Q and
-    sqrt(Q) share their kernel.
+    sqrt(Q) share their kernel. The iteration stops at a Frobenius step below
+    RICCATI_TOL. It raises NumericOverflowError as soon as R + B'KB leaves
+    float64, and NoConvergenceError as soon as the step, shrinking as it
+    now does, cannot fall below RICCATI_TOL within RICCATI_MAX_ITER
+    iterations, else after them; an input it solves gets the bits and the
+    iteration count of the loop with no such stop.
     """
     A, B, Q, R = map(as_matrix, (A, B, Q, R))
     if not _full_krylov_rank(A, B):
@@ -177,16 +189,37 @@ def solve_riccati(A, B, Q, R) -> TrackingGains:
     if np.any(Q) and not _full_krylov_rank(A.T, Q.T):
         raise RankDeficientError("(A, sqrt(Q)) is not observable")
     K = Q.copy()
-    for _ in range(RICCATI_MAX_ITER):
-        gain = np.linalg.solve(R + B.T @ K @ B, B.T @ K @ A)
-        K_next = Q + A.T @ K @ A - A.T @ K @ B @ gain
-        K_next = 0.5 * (K_next + K_next.T)
-        if np.linalg.norm(K_next - K, "fro") < RICCATI_TOL:
+    prev_step = ratio = np.inf
+    # an overflow shows as a non-finite R + B'KB at the next iteration, which raises
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(RICCATI_MAX_ITER):
+            S = R + B.T @ K @ B
+            if not np.isfinite(S).all():
+                raise NumericOverflowError(f"Riccati iteration: R + B'KB is not finite at "
+                                           f"iteration {k}")
+            gain = np.linalg.solve(S, B.T @ K @ A)
+            K_next = Q + A.T @ K @ A - A.T @ K @ B @ gain
+            K_next = 0.5 * (K_next + K_next.T)
+            step = float(np.linalg.norm(K_next - K, "fro"))
             K = K_next
-            break
-        K = K_next
-    else:
-        raise NoConvergenceError(f"Riccati iteration did not reach tol {RICCATI_TOL}")
+            if step < RICCATI_TOL:
+                break
+            # A stalled step: it shrinks by a factor `ratio` within 1e-10 of 1,
+            # and even if that factor kept falling by `fall` an iteration, the
+            # step would be above the tolerance at the last iteration. The
+            # factor is read only while K still moves by 0.1 % an iteration
+            # (an ulp-level step can read a factor of 1), and an oscillating
+            # step hits 1e-10 of 1 only by chance.
+            ratio, fall = step / prev_step, ratio - step / prev_step
+            prev_step, left = step, RICCATI_MAX_ITER - 1 - k
+            floor = max(ratio - max(fall, 0.0) * left, 0.0)
+            if (k >= 2 and 1.0 - 1e-10 <= ratio <= 1.0 and step * floor ** left >= RICCATI_TOL
+                    and step >= 1e-3 * np.linalg.norm(K, "fro")):
+                raise NoConvergenceError(
+                    f"Riccati iteration cannot reach tol {RICCATI_TOL}: step {step:.3e} "
+                    f"shrinks by a factor {ratio!r} at iteration {k}")
+        else:
+            raise NoConvergenceError(f"Riccati iteration did not reach tol {RICCATI_TOL}")
     K2 = np.linalg.solve(R + B.T @ K @ B, B.T)
     K1 = K2 @ K @ A
     A_cl = A - B @ K1
@@ -329,11 +362,19 @@ def solve_mfe(types) -> MeanFieldSolution:
     """Picard iteration mu <- M_F(mu) from the constant mu_0 trajectory.
 
     mu_0 = sum_phi x0_mean(phi) P(phi) is preserved by the operator. The
-    window starts at H = max(32, ceil(log(MFE_TOL/10) / log(max(rho, 0.1)))),
-    sized from the slowest closed-loop pole rho, and doubles until the stored
-    tail is below MFE_TOL/10, so geometric extrapolation error stays an order
-    below the solver tolerance; a doubling must shrink the tail, else
-    NoConvergenceError.
+    window is sized from the slowest closed-loop pole rho (floored at 0.1)
+    before the first pass: H0 = max(32, ceil(log(MFE_TOL/10) / log rho)),
+    doubled while H rho^H > MFE_TOL/10. mu* comes out of a backward pass for
+    g and a forward pass for the means, each geometric in rho, so its tail
+    decays like k rho^k, not rho^k, and a window of H0 alone is too short for
+    it. Past that start the window doubles until the stored tail is below
+    MFE_TOL/10, so geometric extrapolation error stays an order below the
+    solver tolerance; a doubling must shrink the tail, else
+    NoConvergenceError. Every window, the sized start included, is one of
+    H0 2^d and restarts from mu_0, so a solve that reaches a window through
+    the doublings and one that starts there return the same bits;
+    `iterations` and `window_doublings` count only the passes from the
+    sized start on.
     Each type's gains are solved once per value of (A, B, Q, R) and shared
     across solves (`estimator.shared`): immutable records whose stored
     rho_cl sizes the window, so a warm solve computes no eigenvalues. Two
@@ -345,8 +386,10 @@ def solve_mfe(types) -> MeanFieldSolution:
              for t in types}
     cc = _contraction_constant(types, gains)
     mu0 = sum(t.prob * t.x0_mean for t in types)
-    rho = max(gains[t.label].rho_cl for t in types)
-    H = max(32, int(np.ceil(np.log(MFE_TOL / 10.0) / np.log(max(rho, 0.1)))))
+    rho = max(0.1, *(gains[t.label].rho_cl for t in types))
+    H = max(32, int(np.ceil(np.log(MFE_TOL / 10.0) / np.log(rho))))
+    while H * rho ** H > MFE_TOL / 10.0:  # mu*'s tail decays like k rho^k
+        H *= 2
     scale = max(1.0, float(np.linalg.norm(mu0)))
     # iterate well past tol: leftover iteration noise sits at the gap level
     # across the whole window, and the stored-tail check below must see the

@@ -17,6 +17,7 @@ the age weights; it runs none of the package's scheduling code.
 import copy
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -394,6 +395,64 @@ def direct_fixed_point(types, gains, H):
     for j, unit in enumerate(np.eye(size)):
         L[:, j] = operator(unit.reshape(H, -1)).ravel() - b
     return np.linalg.solve(np.eye(size) - L, b).reshape(H, -1), L
+
+
+def riccati_iteration_reference(A, B, Q, R, max_iter=mfg.RICCATI_MAX_ITER):
+    """The Riccati iteration of `solve_riccati` with no stop but its step
+    tolerance and an iteration cap: (K, iterations) at the first Frobenius
+    step below RICCATI_TOL, or None when max_iter iterations reach none."""
+    A, B, Q, R = map(as_matrix, (A, B, Q, R))
+    K = Q.copy()
+    with np.errstate(all="ignore"):
+        for k in range(1, max_iter + 1):
+            gain = np.linalg.solve(R + B.T @ K @ B, B.T @ K @ A)
+            K_next = Q + A.T @ K @ A - A.T @ K @ B @ gain
+            K_next = 0.5 * (K_next + K_next.T)
+            step, K = np.linalg.norm(K_next - K, "fro"), K_next
+            if step < mfg.RICCATI_TOL:
+                return K, k
+    return None
+
+
+def window_schedule_reference(types):
+    """The mean-field solve on the window schedule that `solve_mfe` ran before
+    it sized its first window for mu*'s k rho^k tail: from H0 = max(32,
+    ceil(log(MFE_TOL/10) / log rho)), rho the slowest closed-loop pole
+    floored at 0.1, each window Picard-iterated on `mfg._operator` from the
+    constant mu_0 and doubled until the stored tail is below MFE_TOL/10.
+    Returns the last window's mu, its g by the per-type loop, K3, residual
+    and gap ratios, and `windows`, the (H, iterations) of every window run."""
+    gains = {t.label: solve_riccati(t.A, t.B, t.Q, t.R) for t in types}
+    operator = mfg._operator(types, gains)
+    mu0 = sum(t.prob * t.x0_mean for t in types)
+    rho = max(max(G.rho_cl for G in gains.values()), 0.1)
+    H = max(32, int(np.ceil(np.log(mfg.MFE_TOL / 10.0) / np.log(rho))))
+    scale = max(1.0, float(np.linalg.norm(mu0)))
+    inner_tol = min(mfg.MFE_TOL, 0.01 * mfg.MFE_TOL * scale)
+    windows, prev_tail = [], np.inf
+    while True:
+        mu, gap_ratios, prev_gap = np.tile(mu0, (H, 1)), [], None
+        for iterations in range(1, mfg.MFE_MAX_ITER + 1):
+            new = operator(mu)
+            gap = float(np.linalg.norm(new - mu, axis=1).max())
+            if prev_gap is not None and prev_gap > 1e-12 * scale:
+                gap_ratios.append(gap / prev_gap)
+            prev_gap, mu = gap, new
+            if gap < inner_tol:
+                break
+        else:
+            raise NoConvergenceError(f"no fixed point on the window H={H}")
+        windows.append((H, iterations))
+        tail = float(np.linalg.norm(mu[-1]))
+        if tail <= mfg.MFE_TOL / 10.0 * scale:
+            break
+        if tail >= prev_tail:
+            raise NoConvergenceError(f"the stored tail did not shrink at H={H}")
+        prev_tail, H = tail, 2 * H
+    return SimpleNamespace(
+        mu=mu, g={t.label: _g_reference(mu, gains[t.label].A_cl, t.Q) for t in types},
+        K3=mfg._estimate_k3(mu), residual=float(np.linalg.norm(operator(mu) - mu, axis=1).max()),
+        gap_ratios=gap_ratios, windows=windows)
 
 
 def scalar_operator_case(rng, H=5):

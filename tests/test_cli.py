@@ -534,6 +534,12 @@ FAILED_RUNS = [
                    Failure(has=(f"config error: --seeds {message}",)), id=f"seeds-{seeds}")
       for seeds, message in [("3..1", "range is empty"), ("1-3", "expects 'a..b'"),
                              ("1..x", "expects 'a..b'"), ("1..2..3", "expects 'a..b'")]],
+    # the range used to override the flags without a word: --seeds 2..3 with
+    # --runs 7 --seed 9 exited 0 and wrote the rows of seeds 2 and 3 alone
+    *[pytest.param(["schedule", "--seeds", "2..3", *flags, "--N", "12"],
+                   Failure(line="config error: --seeds sets the seeds: it cannot be given with "
+                                "--seed or --runs"), id=f"seeds-with{''.join(flags[::2])}")
+      for flags in (["--runs", "7", "--seed", "9"], ["--seed", "0"], ["--runs", "1"])],
     # a range sets the seed and mc_runs: one of 10**20 + 1 runs used to exit
     # 4 with an OverflowError from list(range(...)), and one of 10**16 + 1
     # runs to exit 2, out of memory while building that list
@@ -699,6 +705,18 @@ class TestScenarioFuzzRuns:
                     if not path.name.endswith("_manifest.json"):
                         assert not re.search(r"\bnan\b", path.read_text(), re.IGNORECASE), \
                             f"{change}: {argv[0]} wrote NaN into {path.name}"
+
+    @pytest.mark.parametrize("n,named", [
+        (225, "Riccati iteration cannot reach tol 1e-12"),
+        (393, "Riccati iteration: R + B'KB is not finite at iteration 0")])
+    def test_riccati_failure_ends_at_once(self, n, named, tmp_path, capsys):
+        # 225 sets a type's R to 2**53, 393 its B to 1e300: each `mfe` ran
+        # all 10**5 Riccati iterations (about 2 s) before its exit 2
+        change, source = list(_fuzzed_documents(n + 1, seed=10))[n]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(source if isinstance(source, str) else json.dumps(source))
+        err = _failed_run(["mfe", "--config", str(cfg)], 2, tmp_path, capsys)
+        assert err.startswith(f"numeric error: {named}") and len(err.splitlines()) == 1, change
 
 
 @pytest.fixture(scope="module")

@@ -12,13 +12,15 @@ from aoi_mfg import (
     solve_mfe,
     solve_riccati,
 )
-from aoi_mfg import cli, mfg
+from aoi_mfg import cli, load_scenario, mfg
 from aoi_mfg.cli import main
-from aoi_mfg.errors import ConfigError, RankDeficientError, UnstableClosedLoopError
+from aoi_mfg.errors import (AoiMfgError, ConfigError, NoConvergenceError, NumericOverflowError,
+                            RankDeficientError, UnstableClosedLoopError)
 from aoi_mfg.mfg import TrackingGains
 
-from reference import (TWO_STATE_TYPES, _g_reference, _mf_operator_reference,
-                       direct_fixed_point, same_bits)
+from reference import (BENCH_TWO_STATE_TYPES, TWO_STATE_TYPES, TYPE_SETS, _fuzzed_documents,
+                       _g_reference, _mf_operator_reference, direct_fixed_point,
+                       riccati_iteration_reference, same_bits, window_schedule_reference)
 
 
 def _random_case(rng, n, m, H):
@@ -117,6 +119,66 @@ class TestRiccati:
             unobservable += not want
             assert (not np.any(Q) or mfg._full_krylov_rank(A.T, Q.T)) == want, (A, Q)
         assert 0 < unobservable < len(cases)
+
+
+def _riccati_inputs() -> dict:
+    """(A, B, Q, R) of every type in `TYPE_SETS` and in the scenarios of the
+    first 400 fuzzed documents that load, each distinct input once."""
+    types = [t for ts in TYPE_SETS.values() for t in ts]
+    for _, source in _fuzzed_documents(400, seed=10):
+        try:
+            types += load_scenario(source).types
+        except ConfigError:
+            pass
+    inputs = {}
+    for t in types:
+        args = (t.A, t.B, t.Q, t.R)
+        inputs.setdefault(b"".join(M.tobytes() + str(M.shape).encode() for M in args), args)
+    return inputs
+
+
+class TestRiccatiStops:
+    """The iteration ends at once on an input it cannot solve, and keeps the
+    bits and iteration count of every input it solves."""
+
+    def test_solved_inputs_keep_bits_and_iterations(self, monkeypatch):
+        solves = []
+        solve = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda *a: solves.append(1) or solve(*a))
+        rejected = 0
+        for args in _riccati_inputs().values():
+            solves.clear()
+            try:
+                gains = solve_riccati(*args)
+            except (NoConvergenceError, NumericOverflowError):
+                # the unguarded iteration does not converge on it either
+                rejected += 1
+                assert riccati_iteration_reference(*args, max_iter=10000) is None
+                continue
+            except AoiMfgError:
+                continue  # rejected before the iteration, or unstable after it
+            made = len(solves)  # one solve an iteration, and one for K2
+            K, iterations = riccati_iteration_reference(*args)
+            assert same_bits(gains.K, K) and made == iterations + 1
+        assert rejected == 2  # fuzz documents 225 and 393
+
+    def test_non_finite_denominator_raises_at_once(self):
+        # B = 1e300: B'KB overflowed to inf, the gain came out 0 and K grew by
+        # Q an iteration for all 10**5 iterations, with overflow warnings
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericOverflowError,
+                               match=r"R \+ B'KB is not finite at iteration 0"):
+                solve_riccati(1.0, 1e300, 1.0, 1.0)
+
+    def test_step_that_cannot_reach_tol_raises_at_once(self):
+        # R = 2**53: K grows by about Q an iteration, its step shrinking by a
+        # factor of 1 - 4e-16, so 10**5 iterations take it nowhere near K's
+        # root (about 9.5e7); it used to run all of them (2.7 s)
+        with pytest.raises(NoConvergenceError, match="cannot reach tol 1e-12: step 1.000e.00 "
+                                                     "shrinks by a factor 0.99999999.* at "
+                                                     "iteration 2$"):
+            solve_riccati(1.0, 1.0, 1.0, 2.0**53)
 
 
 def _g(mu, A_cl, Q):
@@ -228,8 +290,8 @@ class TestMfOperator:
 
 
 # the defaults with their unstable type's pole moved (the benchmark's solver
-# grid solves these too: 102 and 52 iterations, one window doubling each),
-# and two 2-state types
+# grid solves these too: 51 and 26 iterations, on the window their start is
+# sized to), and two 2-state types
 MFE_TYPE_SETS = {
     "default": default_types(),
     **{f"pole-{pole}": tuple(dataclasses.replace(t, A=pole) if t.label == "unstable" else t
@@ -272,9 +334,9 @@ class TestSolveMfe:
         monkeypatch.setattr(mfg, "_workspace", lambda *shape: calls.append(shape) or build(*shape))
         types = MFE_TYPE_SETS["two-state"]
         sol = solve_mfe(types)
-        assert (sol.iterations, sol.window_doublings, sol.horizon) == (94, 1, 224)
+        assert (sol.iterations, sol.window_doublings, sol.horizon) == (47, 0, 224)
         m, n = len(types), sol.mu.shape[1]
-        assert calls == [(112, m, n), (111, m, n), (224, m, n), (223, m, n), (224, m, n)]
+        assert calls == [(224, m, n), (223, m, n), (224, m, n)]
 
     def test_g_matches_per_type_trajectory(self, mfe):
         for t in default_types():
@@ -300,10 +362,10 @@ class TestSolveMfe:
             solve_mfe(types)
 
     def test_window_doublings_counted(self):
-        # the default types start at H = 164, sized from the slowest pole,
-        # and double once
+        # the default types start at H = 328: 164 from the slowest pole's
+        # rho^k, doubled once for mu*'s k rho^k tail; no doubling follows
         sol = solve_mfe(default_types())
-        assert (sol.horizon, sol.window_doublings, sol.iterations) == (328, 1, 66)
+        assert (sol.horizon, sol.window_doublings, sol.iterations) == (328, 0, 33)
         diag = cli._mfe_diagnostics(sol)
         assert (diag["window_h"], diag["window_doublings"]) == (sol.horizon, sol.window_doublings)
         assert "gap_ratios" not in cli._mfe_report(sol)
@@ -338,6 +400,53 @@ class TestSolveMfe:
     def test_report_serializable(self, mfe):
         text = cli._dumps(cli._mfe_report(mfe))
         assert "contraction_constant" in text
+
+
+# every set the window schedule is compared on: the test sets, the
+# benchmark's 2-state set and the two moved poles
+SCHEDULE_SETS = {**TYPE_SETS, "bench-two-state": BENCH_TWO_STATE_TYPES,
+                 **{name: MFE_TYPE_SETS[name] for name in ("pole-1.05", "pole-1.3")}}
+
+
+class TestWindowSchedule:
+    """`solve_mfe` starts on the window that mu*'s k rho^k tail fits, which
+    the old schedule (from the rho^k window H0, restarting at every
+    doubling) reaches by doublings: it returns that schedule's bits and
+    counts only the passes from its start on."""
+
+    @pytest.mark.parametrize("name", list(SCHEDULE_SETS))
+    def test_equals_the_doubling_schedule(self, name):
+        types = SCHEDULE_SETS[name]
+        sol, ref = solve_mfe(types), window_schedule_reference(types)
+        assert same_bits(sol.mu, ref.mu) and same_bits(sol.K3, ref.K3)
+        assert all(same_bits(sol.g[t.label], ref.g[t.label]) for t in types)
+        assert (sol.residual, sol.gap_ratios) == (ref.residual, ref.gap_ratios)
+        # the sized start is one of the schedule's windows, the first whose
+        # H rho^H is at most MFE_TOL/10, and the windows before it are skipped
+        start = sol.horizon >> sol.window_doublings
+        rho = max(max(G.rho_cl for G in sol.gains.values()), 0.1)
+        sized = [H for H, _ in ref.windows if H * rho ** H <= mfg.MFE_TOL / 10.0]
+        assert sized and sized[0] == start
+        run = [count for H, count in ref.windows if H >= start]
+        # every set stops on its sized start but mixed-input, whose tail needs
+        # one doubling past it (110 to 220)
+        assert len(run) == (2 if name == "mixed-input" else 1)
+        assert (sol.iterations, sol.window_doublings) == (sum(run), len(run) - 1)
+
+    @pytest.mark.parametrize("name", list(SCHEDULE_SETS))
+    def test_one_application_per_iteration_and_one_for_the_residual(self, name, monkeypatch):
+        applied = []
+        build = mfg._operator
+
+        def counted(types, gains):
+            apply = build(types, gains)
+            return lambda mu: applied.append(len(mu)) or apply(mu)
+
+        monkeypatch.setattr(mfg, "_operator", counted)
+        sol = solve_mfe(SCHEDULE_SETS[name])
+        assert len(applied) == sol.iterations + 1
+        assert min(applied) == sol.horizon >> sol.window_doublings
+        assert applied[-1] == sol.horizon
 
 
 @pytest.fixture(scope="module", params=["default", "two-state"])

@@ -627,7 +627,7 @@ def equilibria():
 def test_mfe_window_that_stops_shrinking_raises():
     # `drifting` with an unstable mode: the stored tail stays at 1.024e-9,
     # just above MFE_TOL/10 * |mu_0|, however far the window grows from its
-    # start at H = 306
+    # start at H = 612 (306 from the rho^k rule, doubled for mu*'s k rho^k tail)
     drifting = dataclasses.replace(TWO_INPUT_TYPES[1], A=[[1.05, 0.0], [0.3, 0.8]])
     with pytest.raises(NoConvergenceError, match=r"H=1224: stored tail 1\.024076e-09 "
                                                  r"did not shrink .* at H=612"):
