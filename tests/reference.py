@@ -37,6 +37,8 @@ _POLES = (("stable", 0.5, 6.0), ("marginal", 1.0, 3.0), ("unstable", 1.15, -3.0)
 _SHARED = {"B": 0.1269, "C_W": 5.0, "Q": 2.0, "R": 2.0, "x0_cov": 1.0, "prob": 1.0 / 3.0}
 # the default types' documents, written out rather than read from the preset
 DEFAULT_DOCS = [dict(_SHARED, label=label, A=a, x0_mean=x) for label, a, x in _POLES]
+# the stable default type alone, the one type of the CLI tests' small game
+STABLE_ALONE_DOC = dict(DEFAULT_DOCS[0], label="s", x0_mean=2.0, prob=1.0)
 # two scalar types in halves, a marginal "a" and a stable "b"
 PAIR_DOCS = [dict(_SHARED, label="a", A=1.0, x0_mean=1.0, prob=0.5),
              dict(_SHARED, label="b", A=0.5, x0_mean=-1.0, prob=0.5)]
@@ -414,19 +416,20 @@ def riccati_iteration_reference(A, B, Q, R, max_iter=mfg.RICCATI_MAX_ITER):
     return None
 
 
-def window_schedule_reference(types):
+def window_schedule_reference(types, start=None):
     """The mean-field solve on the window schedule that `solve_mfe` ran before
     it sized its first window for mu*'s k rho^k tail: from H0 = max(32,
     ceil(log(MFE_TOL/10) / log rho)), rho the slowest closed-loop pole
-    floored at 0.1, each window Picard-iterated on `mfg._operator` from the
-    constant mu_0 and doubled until the stored tail is below MFE_TOL/10.
-    Returns the last window's mu, its g by the per-type loop, K3, residual
-    and gap ratios, and `windows`, the (H, iterations) of every window run."""
+    floored at 0.1, or from the window `start` if given, each window
+    Picard-iterated on `mfg._operator` from the constant mu_0 and doubled
+    until the stored tail is below MFE_TOL/10. Returns the last window's mu,
+    its g by the per-type loop, K3, residual and gap ratios, and `windows`,
+    the (H, iterations) of every window run."""
     gains = {t.label: solve_riccati(t.A, t.B, t.Q, t.R) for t in types}
     operator = mfg._operator(types, gains)
     mu0 = sum(t.prob * t.x0_mean for t in types)
     rho = max(max(G.rho_cl for G in gains.values()), 0.1)
-    H = max(32, int(np.ceil(np.log(mfg.MFE_TOL / 10.0) / np.log(rho))))
+    H = start or max(32, int(np.ceil(np.log(mfg.MFE_TOL / 10.0) / np.log(rho))))
     scale = max(1.0, float(np.linalg.norm(mu0)))
     inner_tol = min(mfg.MFE_TOL, 0.01 * mfg.MFE_TOL * scale)
     windows, prev_tail = [], np.inf

@@ -24,8 +24,8 @@ from aoi_mfg import (bisection_lambda, cli, game_scenario, load_scenario, popula
 from aoi_mfg.cli import main
 from aoi_mfg.model import AgentType, ScenarioConfig, capacity_for
 
-from reference import (DEFAULT_DOCS, PAIR_DOCS, TWO_STATE_DOCS, TYPE_SETS, _fuzzed_documents,
-                       same_bits)
+from reference import (DEFAULT_DOCS, PAIR_DOCS, STABLE_ALONE_DOC, TWO_STATE_DOCS, TYPE_SETS,
+                       _fuzzed_documents, same_bits)
 
 TINY_SCHED = {
     "N": 6, "capacity": 2, "p": 0.2, "T": 150, "seed": 0,
@@ -34,7 +34,7 @@ TINY_SCHED = {
 
 TINY_GAME = {
     "N": 6, "capacity": 2, "p": 0.2, "T": 100, "seed": 0, "mc_runs": 1,
-    "types": [dict(DEFAULT_DOCS[0], label="s", x0_mean=2.0, prob=1.0)],
+    "types": [STABLE_ALONE_DOC],
 }
 
 

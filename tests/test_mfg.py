@@ -18,9 +18,10 @@ from aoi_mfg.errors import (AoiMfgError, ConfigError, NoConvergenceError, Numeri
                             RankDeficientError, UnstableClosedLoopError)
 from aoi_mfg.mfg import TrackingGains
 
-from reference import (BENCH_TWO_STATE_TYPES, TWO_STATE_TYPES, TYPE_SETS, _fuzzed_documents,
-                       _g_reference, _mf_operator_reference, direct_fixed_point,
-                       riccati_iteration_reference, same_bits, window_schedule_reference)
+from reference import (BENCH_TWO_STATE_TYPES, DEFAULT_DOCS, STABLE_ALONE_DOC, TWO_STATE_TYPES,
+                       TYPE_SETS, _fuzzed_documents, _g_reference, _mf_operator_reference,
+                       direct_fixed_point, riccati_iteration_reference, same_bits,
+                       window_schedule_reference)
 
 
 def _random_case(rng, n, m, H):
@@ -409,10 +410,11 @@ SCHEDULE_SETS = {**TYPE_SETS, "bench-two-state": BENCH_TWO_STATE_TYPES,
 
 
 class TestWindowSchedule:
-    """`solve_mfe` starts on the window that mu*'s k rho^k tail fits, which
+    """`solve_mfe` starts on the window that mu*'s k rho^k tail fits. Where
     the old schedule (from the rho^k window H0, restarting at every
-    doubling) reaches by doublings: it returns that schedule's bits and
-    counts only the passes from its start on."""
+    doubling) reaches that window by doublings, the solve returns that
+    schedule's bits and counts only the passes from its start on; where the
+    old schedule stopped short of it, the solve runs on the longer window."""
 
     @pytest.mark.parametrize("name", list(SCHEDULE_SETS))
     def test_equals_the_doubling_schedule(self, name):
@@ -432,6 +434,23 @@ class TestWindowSchedule:
         # one doubling past it (110 to 220)
         assert len(run) == (2 if name == "mixed-input" else 1)
         assert (sol.iterations, sol.window_doublings) == (sum(run), len(run) - 1)
+
+    @pytest.mark.parametrize("docs, old, sized", [
+        ([STABLE_ALONE_DOC], 32, 64),
+        ([dict(doc, x0_mean=doc["x0_mean"] * 1e-3) for doc in DEFAULT_DOCS], 164, 328),
+    ], ids=["stable-alone", "default-means-1e-3"])
+    def test_tail_that_fit_h0_runs_on_the_sized_start(self, docs, old, sized):
+        # a deliberate output change: the old schedule's stored tail fit H0,
+        # but H0 rho^H0 is above MFE_TOL/10, so the solve now runs on the
+        # doubled window and returns that window's bits, not H0's
+        types = tuple(AgentType(**doc) for doc in docs)
+        sol = solve_mfe(types)
+        assert [H for H, _ in window_schedule_reference(types).windows] == [old]
+        ref = window_schedule_reference(types, start=sized)
+        assert ref.windows == [(sized, sol.iterations)] and sol.horizon == sized
+        assert sol.window_doublings == 0
+        assert same_bits(sol.mu, ref.mu) and same_bits(sol.K3, ref.K3)
+        assert all(same_bits(sol.g[t.label], ref.g[t.label]) for t in types)
 
     @pytest.mark.parametrize("name", list(SCHEDULE_SETS))
     def test_one_application_per_iteration_and_one_for_the_residual(self, name, monkeypatch):
