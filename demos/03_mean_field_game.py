@@ -24,8 +24,7 @@ mfe = solve_mfe(default_types())
 print("Per-type tracking gains:")
 for label, G in mfe.gains.items():
     print(f"  {label:9s}: K={G.K[0, 0]:8.3f}  closed-loop pole={G.A_cl[0, 0]:.4f}")
-print(f"\nContraction constant (sufficient condition): {mfe.contraction_constant:.3f}")
-print(f"Observed fixed-point gap ratio: {mfe.gap_ratios[-1]:.3f}")
+print(f"\nContraction rate (last Picard gap ratio): {mfe.contraction_rate:.3f}")
 print(f"Fixed-point residual: {mfe.residual:.2e} after {mfe.iterations} iterations")
 print(f"Equilibrium mean starts at {mfe.mu[0, 0]:.3f} and decays to ~0 "
       f"(|mu| at k=50: {abs(mfe.mu[50, 0]):.4f})")

@@ -104,13 +104,13 @@ def _mfe_report(sol) -> dict:
     each type's gains record, the spectral radius of its closed loop included."""
     gains = {label: _document(G) for label, G in sol.gains.items()}
     return {"mu_window": sol.mu, "gains": gains,
-            **_fields(sol, "K3", "contraction_constant", "residual", "iterations")}
+            **_fields(sol, "K3", "contraction_rate", "residual", "iterations")}
 
 
 def _mfe_diagnostics(sol) -> dict:
     """How the equilibrium solve went, for the run manifest; not in mfe_report.json."""
-    return {"window_h": sol.horizon, **_fields(
-        sol, "iterations", "window_doublings", "contraction_constant", "gap_ratios")}
+    return {"window_h": sol.horizon,
+            **_fields(sol, "iterations", "window_doublings", "contraction_rate")}
 
 
 def _report(path: Path, doc: dict, shown=None) -> Path:
@@ -195,6 +195,9 @@ def _fig2_row(config: ScenarioConfig, seeds) -> tuple:
 def cmd_schedule(args, base, out_dir):
     config, N, alpha, p = _resolve(args, base)
     if args.report:
+        if args.seeds or args.seed is not None or args.runs is not None:
+            raise ConfigError("--report runs no simulation: it cannot be given with --seed, "
+                              "--runs or --seeds")
         config = _point(config, N, alpha, p)
         policy = bisection_lambda(population_for(config), config.p, config.capacity)
         path = _report(out_dir / "schedule_report.json", _policy_report(policy))
@@ -261,7 +264,7 @@ def cmd_mfe(args, base, out_dir):
     """The equilibrium of the scenario's types, which is all `mfe` reads."""
     sol = solve_mfe(base.types)
     path = _report(out_dir / "mfe_report.json", _mfe_report(sol),
-                   ("contraction_constant", "residual", "iterations"))
+                   ("contraction_rate", "residual", "iterations"))
     return base, [path], {"mfe": _mfe_diagnostics(sol)}
 
 

@@ -101,6 +101,11 @@ class MeanFieldSolution:
 
     mu is stored on a finite window; beyond it mu decays geometrically and
     K3 (least-squares one-step propagator with ||K3|| < 1) extrapolates.
+    `contraction_rate` is the rate the Picard iteration measured on its last
+    window: its last gap ratio, gap_k / gap_{k-1} over a gap_{k-1} above
+    1e-12 of the iteration's scale, which approaches the spectral radius of
+    the affine operator's linear part. It is None when no such pair
+    exists, as for a window that converges at its first iteration.
 
     The horizon tables a closed-loop run of length L reads, `mu_padded` and
     `feedforward`, are built once per length and kept in a private cache,
@@ -116,8 +121,7 @@ class MeanFieldSolution:
     g: dict                          # label -> (H+1, n)
     gains: dict                      # label -> TrackingGains
     residual: float
-    contraction_constant: float
-    gap_ratios: list = field(repr=False)
+    contraction_rate: float | None
     K3: np.ndarray
     iterations: int
     window_doublings: int
@@ -330,18 +334,6 @@ def _operator(types, gains: dict):
     return apply
 
 
-def _contraction_constant(types, gains: dict) -> float:
-    """Left-hand side of the contraction condition: max over types of
-    ||A_cl|| + sum_phi ||Q|| ||B K2|| (1 - ||A_cl||)^-2 P(phi), spectral norms.
-    """
-    norms_a = [float(np.linalg.norm(gains[t.label].A_cl, 2)) for t in types]
-    coupling = 0.0
-    for t, na in zip(types, norms_a):
-        nbk = float(np.linalg.norm(t.B @ gains[t.label].K2, 2))
-        coupling += float(np.linalg.norm(t.Q, 2)) * nbk / (1.0 - na) ** 2 * t.prob
-    return max(norms_a) + coupling
-
-
 def _estimate_k3(mu: np.ndarray) -> np.ndarray:
     """Least-squares one-step propagator K3 with mu_{k+1} ~ K3 mu_k."""
     n = mu.shape[1]
@@ -381,6 +373,11 @@ def solve_mfe(types) -> MeanFieldSolution:
     on 328. The first shrink check compares the sized start with its
     doubling, so a tail that stops shrinking is caught there, not at H0's
     doubling.
+    The solution reports the rate the iteration measured, its last window's
+    last gap ratio (`contraction_rate`), and no a-priori bound: the
+    sufficient condition max ||A_cl|| + sum ||Q|| ||B K2|| (1 - ||A_cl||)^-2 P
+    exceeds 1 on every type set the tests solve (1.37 on the default types),
+    while the iteration contracts there at 0.40-0.89.
     Each type's gains are solved once per value of (A, B, Q, R) and shared
     across solves (`estimator.shared`): immutable records whose stored
     rho_cl sizes the window, so a warm solve computes no eigenvalues. Two
@@ -390,7 +387,6 @@ def solve_mfe(types) -> MeanFieldSolution:
     check_labels(types)
     gains = {t.label: shared(solve_riccati, *map(as_matrix, (t.A, t.B, t.Q, t.R)))
              for t in types}
-    cc = _contraction_constant(types, gains)
     mu0 = sum(t.prob * t.x0_mean for t in types)
     rho = max(0.1, *(gains[t.label].rho_cl for t in types))
     H = max(32, int(np.ceil(np.log(MFE_TOL / 10.0) / np.log(rho))))
@@ -407,13 +403,12 @@ def solve_mfe(types) -> MeanFieldSolution:
     operator = _operator(types, gains)
     while True:
         mu = np.tile(mu0, (H, 1))
-        gap_ratios = []
-        prev_gap = None
+        rate = prev_gap = None
         for _ in range(MFE_MAX_ITER):
             new = operator(mu)
             gap = float(np.linalg.norm(new - mu, axis=1).max())
             if prev_gap is not None and prev_gap > 1e-12 * scale:
-                gap_ratios.append(gap / prev_gap)
+                rate = gap / prev_gap
             prev_gap = gap
             mu = new
             total_iters += 1
@@ -422,7 +417,7 @@ def solve_mfe(types) -> MeanFieldSolution:
         else:
             raise NoConvergenceError(
                 f"mean-field Picard iteration: gap {gap:.3e} after {MFE_MAX_ITER} iters "
-                f"(contraction constant {cc:.4f})")
+                f"(contraction rate {rate})")
         tail = float(np.linalg.norm(mu[-1]))
         if tail <= MFE_TOL / 10.0 * scale:
             break
@@ -440,7 +435,7 @@ def solve_mfe(types) -> MeanFieldSolution:
     return MeanFieldSolution(types=types, mu=mu,
                              g={t.label: g[:, i] for i, t in enumerate(types)},
                              gains=gains, residual=residual,
-                             contraction_constant=cc, gap_ratios=gap_ratios,
+                             contraction_rate=rate,
                              K3=_estimate_k3(mu), iterations=total_iters,
                              window_doublings=doublings)
 

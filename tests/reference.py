@@ -416,6 +416,27 @@ def riccati_iteration_reference(A, B, Q, R, max_iter=mfg.RICCATI_MAX_ITER):
     return None
 
 
+def doubling_riccati(A, B, Q, R, max_steps=64):
+    """The stabilizing solution K of the discrete algebraic Riccati equation
+    by structure-preserving doubling (Anderson 1978), with no iteration of
+    the Riccati recursion: from A_0 = A, G_0 = B R^-1 B' and H_0 = Q, each
+    step sets W = I + G H, A <- A W^-1 A, G <- G + A W^-1 G A' and
+    H <- H + A' H W^-1 A, all from the step's old A, G and H. H tends to K
+    quadratically; the loop stops at a max-abs step of at most 1e-15 of
+    max |H|. Returns (K, steps)."""
+    A, B, Q, R = map(as_matrix, (A, B, Q, R))
+    G, H, eye = B @ np.linalg.solve(R, B.T), Q, np.eye(A.shape[0])
+    for steps in range(1, max_steps + 1):
+        W = eye + G @ H
+        WA, WG = np.linalg.solve(W, A), np.linalg.solve(W, G)
+        A, G, H_next = A @ WA, G + A @ WG @ A.T, H + A.T @ H @ WA
+        done = np.abs(H_next - H).max() <= 1e-15 * np.abs(H_next).max()
+        H = H_next
+        if done:
+            return H, steps
+    raise NoConvergenceError(f"no doubling fixed point in {max_steps} steps")
+
+
 def window_schedule_reference(types, start=None):
     """The mean-field solve on the window schedule that `solve_mfe` ran before
     it sized its first window for mu*'s k rho^k tail: from H0 = max(32,
@@ -423,8 +444,9 @@ def window_schedule_reference(types, start=None):
     floored at 0.1, or from the window `start` if given, each window
     Picard-iterated on `mfg._operator` from the constant mu_0 and doubled
     until the stored tail is below MFE_TOL/10. Returns the last window's mu,
-    its g by the per-type loop, K3, residual and gap ratios, and `windows`,
-    the (H, iterations) of every window run."""
+    its g by the per-type loop, K3, residual and last gap ratio
+    (`contraction_rate`, None if it had none), and `windows`, the
+    (H, iterations) of every window run."""
     gains = {t.label: solve_riccati(t.A, t.B, t.Q, t.R) for t in types}
     operator = mfg._operator(types, gains)
     mu0 = sum(t.prob * t.x0_mean for t in types)
@@ -455,7 +477,7 @@ def window_schedule_reference(types, start=None):
     return SimpleNamespace(
         mu=mu, g={t.label: _g_reference(mu, gains[t.label].A_cl, t.Q) for t in types},
         K3=mfg._estimate_k3(mu), residual=float(np.linalg.norm(operator(mu) - mu, axis=1).max()),
-        gap_ratios=gap_ratios, windows=windows)
+        contraction_rate=gap_ratios[-1] if gap_ratios else None, windows=windows)
 
 
 def scalar_operator_case(rng, H=5):

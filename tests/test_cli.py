@@ -269,7 +269,7 @@ class TestMfeAndBounds:
         rc = main(["mfe", "--config", game_cfg, "--out", str(tmp_path / "o")])
         assert rc == 0
         doc = json.loads((tmp_path / "o" / "mfe_report.json").read_text())
-        assert {"contraction_constant", "residual", "gains", "mu_window"} <= set(doc)
+        assert {"contraction_rate", "residual", "gains", "mu_window"} <= set(doc)
 
     @pytest.mark.parametrize("command", ["mfe", "game"])
     def test_manifest_carries_mfe_diagnostics(self, command, game_cfg, tmp_path):
@@ -279,13 +279,25 @@ class TestMfeAndBounds:
         diag = manifest["diagnostics"]["mfe"]
         sol = solve_mfe(load_scenario(game_cfg).types)
         assert diag == {"iterations": sol.iterations, "window_h": sol.horizon,
-                        "window_doublings": 0,
-                        "contraction_constant": sol.contraction_constant,
-                        "gap_ratios": sol.gap_ratios}
-        assert len(diag["gap_ratios"]) > 0
-        # diagnostics stay out of the deterministic data files
+                        "window_doublings": 0, "contraction_rate": sol.contraction_rate}
+        assert 0.0 < diag["contraction_rate"] < 1.0
+        # the solve's diagnostics stay out of the deterministic data files
         for path in manifest["outputs"]:
-            assert "gap_ratios" not in Path(path).read_text()
+            assert "window_doublings" not in Path(path).read_text()
+
+    def test_mfe_without_a_rate(self, tmp_path, capsys):
+        # zero initial means: mu_0 = 0 is the fixed point, the iteration stops
+        # at its first gap, and no gap ratio is measured
+        config = ScenarioConfig(N=30, capacity=14, p=0.2, T=120, types=tuple(
+            dataclasses.replace(t, x0_mean=0.0 * t.x0_mean) for t in game_scenario().types))
+        sol = solve_mfe(config.types)
+        assert (sol.iterations, sol.contraction_rate) == (1, None)
+        assert main(["mfe", "--config", cli._dumps(cli._document(config)),
+                     "--out", str(tmp_path)]) == 0
+        assert '"contraction_rate": null' in (tmp_path / "mfe_report.json").read_text()
+        assert '"contraction_rate": null' in capsys.readouterr().out
+        manifest = json.loads((tmp_path / "mfe_manifest.json").read_text())
+        assert manifest["diagnostics"]["mfe"]["contraction_rate"] is None
 
     def test_bounds_report(self, sched_cfg, tmp_path):
         rc = main(["bounds", "--config", sched_cfg, "--out", str(tmp_path / "o")])
@@ -540,6 +552,14 @@ FAILED_RUNS = [
                    Failure(line="config error: --seeds sets the seeds: it cannot be given with "
                                 "--seed or --runs"), id=f"seeds-with{''.join(flags[::2])}")
       for flags in (["--runs", "7", "--seed", "9"], ["--seed", "0"], ["--runs", "1"])],
+    # the report simulates nothing: --report --seeds 1..3 --runs 7 --seed 9
+    # used to exit 0 and write seed 9 and 7 runs into the manifest
+    *[pytest.param(["schedule", "--report", *flags, "--N", "12"],
+                   Failure(line="config error: --report runs no simulation: it cannot be given "
+                                "with --seed, --runs or --seeds"),
+                   id=f"report-with{''.join(flags[::2])}")
+      for flags in (["--seeds", "1..3", "--runs", "7", "--seed", "9"], ["--seed", "9"],
+                    ["--runs", "7"], ["--seeds", "1..3"])],
     # a range sets the seed and mc_runs: one of 10**20 + 1 runs used to exit
     # 4 with an OverflowError from list(range(...)), and one of 10**16 + 1
     # runs to exit 2, out of memory while building that list
@@ -764,6 +784,8 @@ REMOVED = ("update_aoi", "step_channel", "ScheduleDecision", "relaxed_decisions"
            # formulas with one caller each, folded into it with their guards
            "randomization_q", "kl_divergence", "p0_aoi_cap", "contraction_constant",
            "_scalar_plants", "_solve_eta",
+           # a sufficient contraction condition that no tested type set meets
+           "_contraction_constant",
            # the brute-force threshold oracle, now in tests/reference.py
            "value_iteration_oracle", "ORACLE_STATE_CAP", "ORACLE_TOL", "ORACLE_MAX_ITER",
            # a hand-written copy of np.linalg.norm(d, axis=1).max()
@@ -775,7 +797,8 @@ REMOVED = ("update_aoi", "step_channel", "ScheduleDecision", "relaxed_decisions"
 REMOVED_MEMBERS = {"BoundReport": ("to_dict",),
                    "AgentType": ("a_frob2", "check_erasure_compatibility"),
                    "AoIChain": ("total_mass", "tail_ratio"),
-                   "MeanFieldSolution": ("g_padded", "report", "diagnostics"),
+                   "MeanFieldSolution": ("g_padded", "report", "diagnostics",
+                                         "contraction_constant", "gap_ratios"),
                    "TailThreshold": ("conditions_met",),
                    "RelaxedPolicy": ("kbar_max", "report")}
 
