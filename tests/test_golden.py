@@ -27,7 +27,6 @@ import csv
 import io
 import json
 import math
-import sys
 import tempfile
 from contextlib import redirect_stdout
 from pathlib import Path
@@ -165,9 +164,11 @@ def report(path, old: bytes, new: bytes) -> str:
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_output_bytes_pinned(name, tmp_path):
-    moved = [report(f"{name}/{file}", (GOLDEN_DIR / name / file).read_bytes(), data)
-             for file, data in _outputs(name, tmp_path).items()
-             if data != (GOLDEN_DIR / name / file).read_bytes()]
+    moved = []
+    for file, data in _outputs(name, tmp_path).items():
+        stored = (GOLDEN_DIR / name / file).read_bytes()
+        if data != stored:
+            moved.append(report(f"{name}/{file}", stored, data))
     assert not moved, "\n".join(moved)
 
 
@@ -197,7 +198,7 @@ def test_report_names_keys_columns_and_layout():
     assert report("x.json", b'{"a": 1}', b'{"a":1}').endswith("only the layout moved")
 
 
-def rewrite() -> int:
+def rewrite() -> None:
     """Run every case, write each output that moved over its stored file and
     print what moved in it."""
     moved = 0
@@ -215,7 +216,6 @@ def rewrite() -> int:
             path.write_bytes(data)
             moved += 1
     print(f"{moved} stored output(s) rewritten")
-    return 0
 
 
 # the manifest's config_hash: SHA-256 of the scenario document a run resolved,
@@ -244,4 +244,4 @@ def test_config_hash_pinned(name, tmp_path):
 
 
 if __name__ == "__main__":
-    sys.exit(rewrite())
+    rewrite()
