@@ -417,7 +417,8 @@ def solve_mfe(types) -> MeanFieldSolution:
         else:
             raise NoConvergenceError(
                 f"mean-field Picard iteration: gap {gap:.3e} after {MFE_MAX_ITER} iters "
-                f"(contraction rate {rate})")
+                + (f"(contraction rate {rate:.4f})" if rate is not None
+                   else "(no contraction rate measured)"))
         tail = float(np.linalg.norm(mu[-1]))
         if tail <= MFE_TOL / 10.0 * scale:
             break

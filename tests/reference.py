@@ -444,9 +444,9 @@ def window_schedule_reference(types, start=None):
     floored at 0.1, or from the window `start` if given, each window
     Picard-iterated on `mfg._operator` from the constant mu_0 and doubled
     until the stored tail is below MFE_TOL/10. Returns the last window's mu,
-    its g by the per-type loop, K3, residual and last gap ratio
-    (`contraction_rate`, None if it had none), and `windows`, the
-    (H, iterations) of every window run."""
+    its g by the per-type loop, K3, residual, its Picard `gap_ratios` and
+    the last of them (`contraction_rate`, None if it had none), and
+    `windows`, the (H, iterations) of every window run."""
     gains = {t.label: solve_riccati(t.A, t.B, t.Q, t.R) for t in types}
     operator = mfg._operator(types, gains)
     mu0 = sum(t.prob * t.x0_mean for t in types)
@@ -477,7 +477,8 @@ def window_schedule_reference(types, start=None):
     return SimpleNamespace(
         mu=mu, g={t.label: _g_reference(mu, gains[t.label].A_cl, t.Q) for t in types},
         K3=mfg._estimate_k3(mu), residual=float(np.linalg.norm(operator(mu) - mu, axis=1).max()),
-        contraction_rate=gap_ratios[-1] if gap_ratios else None, windows=windows)
+        gap_ratios=gap_ratios, contraction_rate=gap_ratios[-1] if gap_ratios else None,
+        windows=windows)
 
 
 def scalar_operator_case(rng, H=5):

@@ -124,7 +124,8 @@ class TestRiccati:
 
 class TestDoublingOracle:
     """`solve_riccati`'s K against structure-preserving doubling, which
-    reaches a DARE residual near 1e-16 in 6-9 steps."""
+    reaches a DARE residual near 1e-16 in 6-9 steps: at most 4.4e-16 of
+    max(1, max|A'KA|) over these types, against a bound of 1e-14."""
 
     @pytest.mark.parametrize("name", [*TYPE_SETS, "bench-two-state"])
     def test_iteration_within_1e_12_of_doubling(self, name):
@@ -135,7 +136,8 @@ class TestDoublingOracle:
             # the oracle solves the equation to float precision
             rhs = t.Q + t.A.T @ K @ t.A - t.A.T @ K @ t.B @ np.linalg.solve(
                 t.R + t.B.T @ K @ t.B, t.B.T @ K @ t.A)
-            assert np.abs(rhs - K).max() <= 1e-15 * np.abs(K).max() and steps <= 10, t.label
+            scale = max(1.0, np.abs(t.A.T @ K @ t.A).max())
+            assert np.abs(rhs - K).max() <= 1e-14 * scale and steps <= 10, t.label
 
 
 def _riccati_inputs() -> dict:
@@ -385,6 +387,21 @@ class TestSolveMfe:
         diag = cli._mfe_diagnostics(sol)
         assert (diag["window_h"], diag["window_doublings"]) == (sol.horizon, sol.window_doublings)
         assert "window_doublings" not in cli._mfe_report(sol)
+
+    def test_gap_ratios_geometric(self, mfe):
+        # every Picard step past the third contracts, and the reported rate
+        # is the last of these ratios
+        ref = window_schedule_reference(default_types())
+        assert max(ref.gap_ratios[3:]) < 1.0
+        assert ref.gap_ratios[-1] == mfe.contraction_rate
+
+    def test_max_iterations_message(self, monkeypatch):
+        monkeypatch.setattr(mfg, "MFE_MAX_ITER", 3)
+        with pytest.raises(NoConvergenceError, match=r"after 3 iters \(contraction rate 0\.\d{4}\)$"):
+            solve_mfe(default_types())
+        monkeypatch.setattr(mfg, "MFE_MAX_ITER", 1)
+        with pytest.raises(NoConvergenceError, match=r"after 1 iters \(no contraction rate measured\)$"):
+            solve_mfe(default_types())
 
     def test_trajectory_decays(self, mfe):
         assert np.linalg.norm(mfe.mu[-1]) < 1e-8
