@@ -194,6 +194,18 @@ def decoder_update(Z, X, U_prev, received, A, B):
     return X.copy() if received else A @ Z + B @ U_prev
 
 
+def apportion_reference(N, types):
+    """(counts, type_index) of N agents over the types by largest remainder,
+    on NumPy arrays: the floors of N * prob, then one more agent to each of
+    the largest remainders, the lower index first on equal ones."""
+    exact = np.array([N * t.prob for t in types])
+    counts = np.floor(exact).astype(int)
+    short = N - int(counts.sum())
+    if short > 0:
+        counts[np.argsort(-(exact - counts), kind="stable")[:short]] += 1
+    return tuple(int(c) for c in counts), np.repeat(np.arange(len(types)), counts)
+
+
 def aggregate_rate(population, p, lam):
     """R(lambda): total attempt rate when every agent runs its single
     threshold kappa(lambda), summed in type order."""

@@ -1,12 +1,16 @@
+import dataclasses
 import warnings
 
 import numpy as np
 import pytest
 
-from aoi_mfg import WeightTable
+from aoi_mfg import (KappaScan, ScenarioConfig, WeightTable, analysis, bisection_lambda,
+                     default_types, mfg, population_for, solve_mfe)
 from aoi_mfg.errors import AoiMfgError, ConfigError
+from aoi_mfg.estimator import as_matrix, weight_table
+from aoi_mfg.threshold import kappa_scan
 
-from reference import decoder_update
+from reference import BENCH_TWO_STATE_TYPES, decoder_update, make_type, same_bits
 
 
 class TestErrorWeight:
@@ -112,3 +116,63 @@ class TestDecoderUpdate:
             X = A @ X + B @ U
             Z = decoder_update(Z, X=X, U_prev=U, received=recv, A=A, B=B)
             assert Z == pytest.approx(X, rel=1e-12)
+
+
+def _key(rows):
+    """The memo's key of a matrix given as nested lists: shape, dtype string and bytes."""
+    M = np.array(rows, dtype=float)
+    return M.shape, "<f8", M.tobytes()
+
+
+class TestMemoKeys:
+    """`as_matrix` passes a 2-D float64 array through; the keys are as before."""
+
+    def test_matrix_returned_as_it_is(self):
+        for M in (np.eye(2), np.arange(6.0).reshape(2, 3).T, make_type().A):
+            assert as_matrix(M) is M is np.atleast_2d(np.asarray(M, dtype=float))
+
+    @pytest.mark.parametrize("M", [2.5, [1.0, 2.0], [[1, 2], [3, 4]], np.array(3.0),
+                                   np.arange(3), np.arange(4).reshape(2, 2),
+                                   np.eye(2, dtype=">f8"), np.eye(2, dtype=np.float32)],
+                             ids=["float", "list", "nested-ints", "0-D", "1-D-int",
+                                  "2-D-int", "big-endian", "float32"])
+    def test_other_values_converted(self, M):
+        got = as_matrix(M)
+        assert same_bits(got, np.atleast_2d(np.asarray(M, dtype=float)))
+        assert got is not M and got.dtype.str == "<f8"
+
+    def test_one_entry_for_equal_values(self, cold_memo):
+        t = default_types()[2]
+        writable = [t.A.copy(), t.C_W.copy()]
+        nested = [t.A.tolist(), t.C_W.tolist()]
+        for lookup, args in ((kappa_scan, (0.2,)), (weight_table, ())):
+            shared = lookup(t.A, t.C_W, *args)
+            assert lookup(*writable, *args) is shared and lookup(*nested, *args) is shared
+        assert len(cold_memo) == 2
+
+    def test_solver_grid_pass_keys(self, cold_memo):
+        # the price/bound points and mean-field solves of the benchmark's
+        # solver grid leave one entry per scan, table and gains, keyed by
+        # values built here from the types' nested lists
+        default = default_types()
+        sets = {"default": default, "two-state": BENCH_TWO_STATE_TYPES}
+        for pole in (1.05, 1.3):
+            sets[f"pole-{pole}"] = default[:2] + (dataclasses.replace(default[2], A=pole),)
+        want = set()
+        for types in (default, BENCH_TWO_STATE_TYPES):
+            for p in (0.0, 0.1, 0.2, 0.3):
+                for t in types:
+                    want.add((KappaScan, _key(t.A.tolist()), _key(t.C_W.tolist()), p))
+                    want.add((WeightTable, _key(t.A.tolist()), _key(t.C_W.tolist())))
+                for alpha in (0.15, 0.25, 0.35, 0.45):
+                    for N in (10, 100, 1000):
+                        config = ScenarioConfig(N=N, capacity=max(1, round(alpha * N)), p=p,
+                                                T=1, types=types)
+                        policy = bisection_lambda(population_for(config), p, config.capacity)
+                        analysis.bound_report(config, policy)
+        for types in sets.values():
+            solve_mfe(types)
+            want |= {(mfg.solve_riccati, *(_key(getattr(t, name).tolist())
+                                          for name in ("A", "B", "Q", "R")))
+                     for t in types}
+        assert set(cold_memo) == want

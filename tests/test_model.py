@@ -1,16 +1,18 @@
 import dataclasses
 import json
+import pickle
 import re
+import warnings
 
 import numpy as np
 import pytest
 
 from aoi_mfg import (AgentType, ScenarioConfig, assign_types, default_types, load_scenario,
-                     scheduling_scenario)
+                     population_for, scheduling_scenario)
 from aoi_mfg.model import _check_spd, capacity_for, check_erasure
 from aoi_mfg.errors import AssumptionViolationError, ConfigError, MissingKeyError, NonPositiveDefiniteError
 
-from reference import _fuzzed_documents, make_type
+from reference import _fuzzed_documents, apportion_reference, make_type, same_bits
 
 
 def _ulps(x, k):
@@ -18,6 +20,47 @@ def _ulps(x, k):
     for _ in range(abs(k)):
         x = np.nextafter(x, np.inf if k > 0 else -np.inf)
     return float(x)
+
+
+ARRAY_FIELDS = ("A", "B", "C_W", "Q", "R", "x0_mean", "x0_cov")
+
+
+def _square_type(A):
+    """A type of A's state size, one input, identity noise, cost and spread."""
+    n = np.shape(A)[0]
+    return make_type(A=A, B=np.ones((n, 1)), C_W=np.eye(n), Q=np.eye(n),
+                     x0_mean=np.zeros(n), x0_cov=np.eye(n))
+
+
+def _erasure_through_configs(t, p):
+    """Build a config of the one type t at p directly, by
+    `dataclasses.replace` from p = 0 and by `load_scenario` from a dict and
+    from JSON text: each raises the exception `check_erasure(t.A, p)`
+    raises, its type and message, or loads where that passes, with no
+    warning. Every way loads at p = 0. Returns the exception, or None."""
+    try:
+        check_erasure(t.A, p, t.label)
+        want = None
+    except AssumptionViolationError as exc:
+        want = exc
+    doc = {"N": 10, "capacity": 2, "T": 10, "types": [
+        {name: getattr(t, name).tolist() if name in ARRAY_FIELDS else getattr(t, name)
+         for name in ("label", *ARRAY_FIELDS, "prob")}]}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        base = ScenarioConfig(N=10, capacity=2, p=0.0, T=10, types=(t,))
+        assert load_scenario(dict(doc, p=0.0)).p == 0.0
+        for build in (lambda: ScenarioConfig(N=10, capacity=2, p=p, T=10, types=(t,)),
+                      lambda: dataclasses.replace(base, p=p),
+                      lambda: load_scenario(dict(doc, p=p)),
+                      lambda: load_scenario(json.dumps(dict(doc, p=p)))):
+            if want is None:
+                assert build().p == p
+            else:
+                with pytest.raises(AssumptionViolationError) as info:
+                    build()
+                assert type(info.value) is type(want) and str(info.value) == str(want)
+    return want
 
 
 class TestAgentType:
@@ -98,6 +141,12 @@ class TestAgentType:
         with pytest.raises(AssumptionViolationError):
             check_erasure(t.A, 0.3, t.label)
         check_erasure(t.A, 0.2, t.label)  # 4 * 0.2 < 1
+        # a config checks each type's stored norm as check_erasure does: a
+        # scalar and a 2x2 type with ||A||_F^2 = 4, one ulp below and at 1/4
+        below = float(np.nextafter(0.25, 0.0))
+        for t in (t, _square_type([[1.0, 1.0], [1.0, 1.0]])):
+            assert _erasure_through_configs(t, below) is None
+            assert "= 1 >= 1" in str(_erasure_through_configs(t, 0.25))
 
     def test_erasure_norm_past_float_range(self):
         # ||A||_F^2 = inf, without the overflow warning that `A * A` gave
@@ -105,6 +154,56 @@ class TestAgentType:
         with pytest.raises(AssumptionViolationError, match="= inf >= 1"):
             check_erasure(A, 0.2)
         assert check_erasure(A, 0.0) == np.inf
+        # and through every way a config is built, at p > 0 and at p = 0
+        for t in (make_type(A=1e200), _square_type([[1e200, -3e199], [2e199, 1e200]])):
+            assert "= inf >= 1" in str(_erasure_through_configs(t, 0.2))
+            assert _erasure_through_configs(t, 0.0) is None
+
+    def test_copies_its_arrays(self):
+        # the type shares no memory with its caller's float64 arrays, so
+        # editing them afterwards changes nothing in it
+        given = dict(A=[[0.8, 0.2], [0.0, 0.7]], B=[[1.0], [0.5]], C_W=np.eye(2),
+                     Q=2.0 * np.eye(2), R=[[3.0]], x0_mean=[1.0, -1.0], x0_cov=np.eye(2))
+        given = {name: np.array(value, dtype=float) for name, value in given.items()}
+        t = AgentType(label="mat", prob=1.0, **given)
+        for name, arr in given.items():
+            kept = getattr(t, name).copy()
+            assert not np.shares_memory(getattr(t, name), arr)
+            arr[...] = -9.0
+            assert same_bits(getattr(t, name), kept), name
+
+    @pytest.mark.parametrize("name", ARRAY_FIELDS)
+    def test_arrays_are_read_only(self, name):
+        for t in (make_type(), _square_type(np.eye(2))):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(t, name)[0] = 1.0
+
+    def test_edits_after_the_checks_cannot_reach_the_type(self):
+        # an indefinite C_W after its SPD check, and ||A||_F^2 * p = 1.96
+        # after the config's erasure check, were both possible
+        C = np.eye(2)
+        t = dataclasses.replace(_square_type(np.eye(2)), C_W=C)
+        C[1, 1] = -5.0
+        assert np.linalg.eigvalsh(t.C_W).min() == 1.0
+        A = np.array([[1.0]])
+        config = ScenarioConfig(N=10, capacity=2, p=0.49, T=10, types=(make_type(A=A),))
+        A[0, 0] = 2.0
+        assert check_erasure(config.types[0].A, config.p) == 1.0
+        assert dataclasses.replace(config).types[0]._erasure_norm == 1.0
+
+    def test_pickle_keeps_the_type_immutable(self):
+        # a Monte-Carlo worker gets its config pickled: the types it loads
+        # are built again, read-only, with the norm a fresh check gives
+        config = ScenarioConfig(N=10, capacity=2, p=0.0, T=10, types=(
+            make_type("s", A=1e200, prob=0.5),
+            make_type("m", A=[[1.15]], prob=0.5)))
+        copied = pickle.loads(pickle.dumps(config))
+        for t, u in zip(config.types, copied.types):
+            assert u._erasure_norm == check_erasure(u.A, 0.0) == t._erasure_norm
+            for name in ARRAY_FIELDS:
+                assert same_bits(getattr(u, name), getattr(t, name))
+                assert not getattr(u, name).flags.writeable
+        assert copied.types[0]._erasure_norm == np.inf
 
     def test_erasure_incompatible_type_rejected(self):
         # the error names the type and the value ||A||_F^2 p
@@ -205,6 +304,47 @@ class TestAssignTypes:
         types = (make_type("a", prob=0.5), make_type("a", A=0.5, prob=0.5))
         with pytest.raises(ConfigError, match="duplicate type label 'a'"):
             assign_types(10, types)
+
+    def test_probabilities_must_sum_to_one(self):
+        types = (make_type("a", prob=0.5), make_type("b", prob=0.6))
+        with pytest.raises(ConfigError, match="type probabilities sum to 1.1, expected 1"):
+            assign_types(10, types)
+
+    def test_population_for_equals_assign_types(self):
+        # population_for skips the checks the config has run; both give the
+        # NumPy reference's counts and type_index, bytes and dtype
+        def check(config):
+            pop, ref = population_for(config), assign_types(config.N, config.types)
+            counts, type_index = apportion_reference(config.N, config.types)
+            for got in (pop, ref):
+                assert len(got.types) == len(config.types)
+                assert all(a is b for a, b in zip(got.types, config.types))
+                assert got.counts == counts and all(type(c) is int for c in got.counts)
+                assert same_bits(got.type_index, type_index)
+            return pop.counts
+
+        loaded = 0
+        for change, source in _fuzzed_documents(400, seed=10):
+            try:
+                config = load_scenario(source)
+            except ConfigError:
+                continue
+            check(config)
+            loaded += 1
+        assert loaded
+        rng = np.random.default_rng(5)
+        empty = 0
+        for k in range(200):
+            if k == 0:  # a type that gets no agent
+                N, probs = 2, [0.5, 0.499, 0.001]
+            else:
+                N = int(rng.integers(2, 20001))
+                raw = rng.random(int(rng.integers(1, 6))) + 0.01
+                probs = [float(v) for v in raw / raw.sum()]
+            types = tuple(make_type(str(i), prob=v) for i, v in enumerate(probs))
+            counts = check(ScenarioConfig(N=N, capacity=1, p=0.2, T=1, types=types))
+            empty += 0 in counts
+        assert empty
 
     def test_contiguous_slices(self):
         types = (make_type("a", prob=0.5), make_type("b", prob=0.5))
